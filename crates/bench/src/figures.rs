@@ -209,7 +209,7 @@ pub fn fig4(opt: &Options, n: usize) -> String {
 
         let store = flow.make_store(&a, &b);
         let kernel = flow.kernel(&store);
-        let cfg = CentralConfig::with_threads(opt.threads.max(2));
+        let cfg = CentralConfig::with_threads(opt.threads.max(2)).measure_time(true);
         let report = rio_centralized::execute_graph(&cfg, &flow.graph, &kernel);
         let times = CumulativeTimes {
             threads: report.num_threads(),

@@ -59,7 +59,10 @@ pub struct CentralConfig {
     #[cfg(feature = "fault-inject")]
     pub fault_hook: Option<rio_stf::HookHandle>,
     /// When `true`, workers timestamp task execution and idleness for the
-    /// efficiency decomposition.
+    /// efficiency decomposition: two clock reads per executed task plus
+    /// two per park that actually blocks. Off by default, like
+    /// `rio_core::RioConfig::measure_time`, so cross-runtime rows compare
+    /// like with like.
     pub measure_time: bool,
     /// Record one `(task, start, end)` span per executed task for
     /// post-run auditing against the STF semantics.
@@ -154,7 +157,7 @@ impl Default for CentralConfig {
             watchdog: None,
             #[cfg(feature = "fault-inject")]
             fault_hook: None,
-            measure_time: true,
+            measure_time: false,
             record_spans: false,
             trace: None,
         }
@@ -188,10 +191,10 @@ mod tests {
         let c = CentralConfig::with_threads(3)
             .scheduler(SchedPolicy::CentralFifo)
             .window(Some(128))
-            .measure_time(false);
+            .measure_time(true);
         assert_eq!(c.scheduler, SchedPolicy::CentralFifo);
         assert_eq!(c.window, Some(128));
-        assert!(!c.measure_time);
+        assert!(c.measure_time);
         c.validate();
     }
 

@@ -362,6 +362,11 @@ where
                 if engine.done.load(Ordering::Acquire) || engine.aborted() {
                     break;
                 }
+                // A ring since the snapshot means the park would return at
+                // once: rescan without reading the clock for it.
+                if engine.bell.epoch() != epoch {
+                    continue;
+                }
                 let t0 = if measure || traced {
                     Some(Instant::now())
                 } else {

@@ -244,6 +244,11 @@ fn dyn_worker_loop<'env>(cfg: &CentralConfig, engine: &DynEngine<'env>) -> PoolW
                 if engine.finished() || engine.panic.lock().is_some() {
                     break;
                 }
+                // A ring since the snapshot means the park would return at
+                // once: rescan without reading the clock for it.
+                if engine.bell.epoch() != epoch {
+                    continue;
+                }
                 let t0 = if cfg.measure_time {
                     Some(Instant::now())
                 } else {

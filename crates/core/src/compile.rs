@@ -1,48 +1,41 @@
 //! Ahead-of-time flow compilation: lowering `(TaskGraph, Mapping,
-//! workers)` into flat per-worker instruction streams.
+//! workers)` into one flat program per worker that holds **that worker's
+//! own tasks and nothing else**.
 //!
 //! ## Why compile the flow?
 //!
 //! Cost model (2) charges every worker O(n_total) for unrolling the whole
 //! flow: even a task mapped elsewhere costs a mapping evaluation plus one
-//! private declare per access, and the §3.5 pruning pre-pass only removes
-//! *fully irrelevant* tasks. But the mapping is static and deterministic
-//! (§3.4, assumptions 1–2), so the entire non-local portion of each
-//! worker's walk is known at graph-record time. [`try_compile`] walks the
-//! flow once per worker and lowers it into a [`WorkerProgram`] of two
-//! instruction kinds:
+//! private declare per access. All of that bookkeeping exists to answer
+//! one question when the worker reaches a task of its own: *which epoch
+//! word must this access wait for?* But the mapping is static and
+//! deterministic (§3.4, assumptions 1–2), so the answer — the worker's
+//! private view at that point of the flow — is known at graph-record
+//! time, and it is the same for every worker: declares and terminates
+//! update a private view identically, so the view before task `t` is the
+//! sequential replay of every earlier access, whoever performed it.
 //!
-//! * `Run { task, start..end }` — execute a task mapped to this worker;
-//!   its accesses live in `arena[start..end]` of one contiguous access
-//!   arena ([`rio_stf::FlatAccesses`]) instead of a per-task `Vec`;
-//! * `Sync { data, delta }` — apply the **coalesced** private-state delta
-//!   ([`SyncDelta`]) of a maximal run of consecutive non-local tasks on
-//!   one data object, in place of their individual declares.
-//!
-//! Coalescing rule: declares compose per data object — a batch collapses
-//! to "the last write in the batch (if any) plus the reads after it"
-//! ([`crate::protocol::apply_sync`]). Between two of a worker's own tasks
-//! the flow may register thousands of foreign accesses; the compiled
-//! program replays them as one `Sync` per *touched* data object, turning
-//! O(tasks × accesses) private updates into O(local-task boundaries).
-//!
-//! Pruning is subsumed: deltas are tracked only for data the worker
-//! itself accesses (the §3.5 relevance criterion), so a task whose data
-//! the worker never touches contributes *no* instruction — exactly what a
-//! visit list would drop, minus the per-task interpretation. Deltas still
-//! pending after the worker's last own task are dead (private state is
-//! only ever read by the worker's own `get_*`) and are dropped too.
+//! [`try_compile`] therefore walks the flow **once**, on one thread,
+//! replaying the declares into a single simulated view, and emits for
+//! every task one `Run { task, start..end }` into its owner's program:
+//! the task's accesses and the packed view each of them waits for live at
+//! `start..end` of a contiguous arena ([`NodeArena`]). A foreign task
+//! contributes *no instruction* to a worker's program, and a run keeps no
+//! private state at all — a terminate is just the shared publication
+//! ([`crate::protocol::publish_write`]/[`crate::protocol::publish_read`]).
+//! The `n·t_r` term of cost model (2) — every worker replaying everyone
+//! else's tasks on every run — becomes a one-thread, one-time compile
+//! cost; per run a worker pays for its own `n/w` tasks only. Pruning
+//! (§3.5) is subsumed entirely.
 //!
 //! Execution ([`CompiledFlow::run`]) drives the same per-worker engine
 //! ([`crate::graph`]'s `WorkerCtx`) as the interpreted paths — same
 //! `get → kernel → terminate` sequence, same fault containment, watchdog
-//! and tracing — so the protocol semantics are byte-identical to the
-//! uncompiled walk; only the private bookkeeping between own tasks is
-//! batched. Preflight mapping validation and the pruning analysis are
-//! paid once at compile time: a [`CompiledFlow`] can be re-run any number
-//! of times (the per-run protocol state is allocated per run, so a run
-//! that aborts — e.g. [`ExecError::TaskPanicked`] — leaves the program
-//! reusable).
+//! and tracing — so the shared protocol history is byte-identical to the
+//! uncompiled walk. Preflight mapping validation is paid once at compile
+//! time: a [`CompiledFlow`] can be re-run any number of times (the
+//! per-run protocol state is allocated per run, so a run that aborts —
+//! e.g. [`ExecError::TaskPanicked`] — leaves the program reusable).
 //!
 //! ```
 //! use rio_core::prelude::*;
@@ -66,24 +59,19 @@
 
 use std::time::Instant;
 
-use rio_stf::{ExecError, Mapping, TaskDesc, TaskGraph, WorkerId};
+use rio_stf::{Access, ExecError, Mapping, TaskDesc, TaskGraph, WorkerId};
 
 use crate::config::RioConfig;
 use crate::executor::Execution;
 use crate::graph::WorkerCtx;
 use crate::protocol::{
-    declare_read, declare_write, expected_read_word, expected_write_word, AbortFlag,
-    LocalDataState, SharedDataState, SyncDelta,
+    declare_batch, expected_write_word, AbortFlag, LocalDataState, SharedDataState,
 };
 use crate::report::ExecReport;
 use crate::status::StatusTable;
 
-/// Tag bit of one code word: set → `Sync` instruction, clear → `Run`.
-/// Crate-visible: the steal layer decodes victim programs directly.
-pub(crate) const SYNC_BIT: u32 = 1 << 31;
-
 /// `Run` instruction: execute the task at flow index `task`; its accesses
-/// are `arena[start..end]`.
+/// and their expected words are `arena[start..end]` of the owner's node.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RunInstr {
     pub(crate) task: u32,
@@ -91,96 +79,55 @@ pub(crate) struct RunInstr {
     pub(crate) end: u32,
 }
 
-/// `Sync` instruction: apply `delta` to the private state of `data`.
-#[derive(Debug, Clone, Copy)]
-struct SyncInstr {
-    data: u32,
-    delta: SyncDelta,
-}
+/// One worker's compiled program: its own tasks, in flow order. The
+/// steal layer's published cursor is an index into it.
+pub(crate) type WorkerProgram = Vec<RunInstr>;
 
-/// One worker's compiled instruction stream, stored
-/// structure-of-arrays: a flat `code` word per instruction (tag bit +
-/// index) plus one dense array per instruction kind. The interpreter
-/// walks `code` linearly; both payload arrays are read in order, so the
-/// whole program streams through the cache.
-#[derive(Debug, Default)]
-pub(crate) struct WorkerProgram {
-    pub(crate) code: Vec<u32>,
-    pub(crate) runs: Vec<RunInstr>,
-    syncs: Vec<SyncInstr>,
-}
-
-impl WorkerProgram {
-    fn push_run(&mut self, r: RunInstr) {
-        let idx = self.runs.len() as u32;
-        assert!(idx < SYNC_BIT, "program exceeds 2^31 Run instructions");
-        self.runs.push(r);
-        self.code.push(idx);
-    }
-
-    fn push_sync(&mut self, s: SyncInstr) {
-        let idx = self.syncs.len() as u32;
-        assert!(idx < SYNC_BIT, "program exceeds 2^31 Sync instructions");
-        self.syncs.push(s);
-        self.code.push(idx | SYNC_BIT);
-    }
-}
-
-/// What the compiler did, per worker and in aggregate — the compile-time
-/// counterpart of [`crate::pruning::PruneStats`].
+/// What the compiler did, per worker and in aggregate.
 #[derive(Debug, Clone)]
 pub struct CompileStats {
     /// Flow length (tasks every worker would visit uncompiled).
     pub flow_len: usize,
     /// `Run` instructions per worker (== tasks mapped to it).
     pub runs_per_worker: Vec<usize>,
-    /// `Sync` instructions per worker (coalesced declare batches).
-    pub syncs_per_worker: Vec<usize>,
-    /// Per-access declares folded into `Sync` deltas (relevant foreign
-    /// accesses). Each costs one private update at run time uncompiled;
-    /// compiled, a whole batch costs one.
+    /// Always 0: no declare survives compilation in any form. (Kept
+    /// because the repository's benchmark reads it; it counted the
+    /// declares folded into the `Sync` instructions programs once had.)
     pub folded_declares: u64,
-    /// Foreign accesses compiled away entirely: data the worker never
-    /// touches (the §3.5 pruning criterion, applied per access).
+    /// Per-access declares compiled away: every access of every task a
+    /// worker does not own, summed over workers — what the interpreted
+    /// walk pays in private updates on *every* run.
     pub irrelevant_declares: u64,
-    /// Deltas dead at the end of a worker's program (no own task follows)
-    /// and therefore dropped.
-    pub trailing_syncs: u64,
 }
 
 impl CompileStats {
-    /// Total instructions across workers.
+    /// Total instructions across workers: one `Run` per mapped task.
     pub fn instructions(&self) -> usize {
-        self.runs_per_worker.iter().sum::<usize>() + self.syncs_per_worker.iter().sum::<usize>()
+        self.runs_per_worker.iter().sum()
     }
 
-    /// Average private updates replaced by one `Sync` instruction
-    /// (≥ 1.0 whenever any declare was folded; 0.0 on empty programs).
+    /// Always 0.0: there is no `Sync` instruction left to coalesce
+    /// declares into (kept for the same reason as
+    /// [`CompileStats::folded_declares`]).
     pub fn coalesce_factor(&self) -> f64 {
-        let syncs: usize = self.syncs_per_worker.iter().sum();
-        if syncs == 0 {
-            return 0.0;
-        }
-        self.folded_declares as f64 / syncs as f64
+        0.0
     }
 }
 
 /// One NUMA node's slice of the compiled flow: the access entries and
 /// precomputed expected epoch words of every `Run` instruction owned by a
-/// worker of that node, allocated by that node's workers' own pushes
-/// (first-toucher placement under a first-touch NUMA policy).
+/// worker of that node, in flow order.
 ///
-/// `expected[k]` is the packed word ([`crate::protocol::pack_epoch`])
-/// that `accesses[k]`'s `get_*` waits for — computed once by simulating
-/// the flow's declares at compile time (worker-independent: every
-/// worker's private view before a task equals the sequential replay of
-/// all earlier accesses, whether it declared or performed them). A
-/// [`RunInstr`]'s `start..end` indexes the arena of the *owning worker's
-/// node*. On a single-node topology the one arena is laid out exactly
-/// like the pre-PR 9 global arena ([`rio_stf::FlatAccesses`] order).
+/// `expected[k]` is the packed private view
+/// ([`crate::protocol::expected_write_word`]) that `accesses[k]`'s `get_*`
+/// compares the epoch word against — whole for a write, the write half
+/// only for a read — computed once by replaying the flow's declares at
+/// compile time. A [`RunInstr`]'s `start..end` indexes the arena of the
+/// *owning worker's node*. On a single-node topology the one arena is
+/// laid out exactly like [`rio_stf::FlatAccesses`].
 #[derive(Debug, Default)]
 pub(crate) struct NodeArena {
-    pub(crate) accesses: Vec<rio_stf::Access>,
+    pub(crate) accesses: Vec<Access>,
     pub(crate) expected: Vec<u64>,
 }
 
@@ -188,13 +135,12 @@ pub(crate) struct NodeArena {
 /// produced by [`crate::Executor::compile`], executed any number of times
 /// with [`CompiledFlow::run`]/[`CompiledFlow::try_run`].
 ///
-/// Everything interpretation pays per run is paid once here: mapping
-/// evaluation (one call per task), preflight validation
-/// ([`RioConfig::preflight`]), the pruning-style relevance analysis, and
-/// the per-task declare bookkeeping (coalesced into `Sync` deltas). The
-/// per-run state — shared protocol tables, private views, reports — is
-/// allocated fresh on every run, so runs are independent: a run that
-/// aborts leaves the program intact.
+/// Everything interpretation pays per run and per worker is paid once
+/// here, on one thread: mapping evaluation (one call per task), preflight
+/// validation ([`RioConfig::preflight`]) and the replay of every declare
+/// (into the precomputed expected words). The per-run state — the shared
+/// protocol table, reports — is allocated fresh on every run, so runs are
+/// independent: a run that aborts leaves the program intact.
 ///
 /// With a multi-node [`RioConfig::topology`], each worker's access
 /// entries and expected words live in its node's [`NodeArena`] so the
@@ -215,8 +161,20 @@ pub struct CompiledFlow<'g> {
     stats: CompileStats,
 }
 
-/// Lowers `graph` under `mapping` into per-worker programs. Behind
-/// [`crate::Executor::try_compile`].
+/// One of a worker's own tasks as compiled: what
+/// [`CompiledFlow::own_tasks`] yields.
+#[derive(Debug, Clone, Copy)]
+pub struct CompiledTask<'a> {
+    /// The task.
+    pub task: &'a TaskDesc,
+    /// `expected[i]` is the packed private view `(last registered write,
+    /// reads registered since)` that `task.accesses[i]` waits for
+    /// ([`crate::protocol::pack_epoch`]).
+    pub expected: &'a [u64],
+}
+
+/// Lowers `graph` under `mapping` into per-worker programs, in one pass
+/// over the flow. Behind [`crate::Executor::try_compile`].
 pub(crate) fn try_compile<'g>(
     cfg: &RioConfig,
     graph: &'g TaskGraph,
@@ -231,141 +189,64 @@ pub(crate) fn try_compile<'g>(
     // represent. (Targeted — a full `graph.validate()` would also reject
     // structural defects this path has historically tolerated.)
     graph.validate_limits(u64::from(u32::MAX), u64::from(u32::MAX))?;
+    let total = graph.total_accesses();
+    assert!(
+        u32::try_from(total).is_ok(),
+        "flow declares more than u32::MAX accesses"
+    );
     let workers = cfg.workers;
-    let tasks = graph.tasks();
-    // One mapping evaluation per task, reused by every worker's pass.
-    let owners: Vec<u32> = tasks
-        .iter()
-        .map(|t| mapping.worker_of(t.id, workers).index() as u32)
-        .collect();
-    let flat = graph.flat_accesses();
-    // Precompute every access's expected epoch word by replaying the
-    // flow's declares once. The simulated view before task t is the same
-    // for every worker — declares and terminates update private state
-    // identically, and all of a task's gets use the pre-task view (its
-    // own terminates happen after the body; a task never declares one
-    // data object twice) — so one sequential pass serves all workers.
-    let expected: Vec<u64> = {
-        let mut sim: Vec<LocalDataState> = vec![LocalDataState::default(); graph.num_data()];
-        let mut words = vec![0u64; flat.arena().len()];
-        for (i, t) in tasks.iter().enumerate() {
-            let (start, _) = flat.range(i);
-            for (j, a) in flat.of(i).iter().enumerate() {
-                let l = &sim[a.data.index()];
-                words[start as usize + j] = if a.mode.writes() {
-                    expected_write_word(l)
-                } else {
-                    expected_read_word(l)
-                };
-            }
-            for a in flat.of(i) {
-                let l = &mut sim[a.data.index()];
-                if a.mode.writes() {
-                    declare_write(l, t.id);
-                } else {
-                    declare_read(l);
-                }
-            }
-        }
-        words
-    };
-    // Relevance bitsets: which data does each worker's own work touch?
-    // (Pass 1 of the §3.5 pruning pre-pass.)
-    let words = graph.num_data().div_ceil(64);
-    let touched = crate::pruning::worker_data_bitsets(graph, &owners, workers);
-
-    let mut stats = CompileStats {
-        flow_len: graph.len(),
-        runs_per_worker: Vec::with_capacity(workers),
-        syncs_per_worker: Vec::with_capacity(workers),
-        folded_declares: 0,
-        irrelevant_declares: 0,
-        trailing_syncs: 0,
-    };
-    let mut programs = Vec::with_capacity(workers);
-    let mut pending: Vec<SyncDelta> = vec![SyncDelta::EMPTY; graph.num_data()];
-    // Data objects with a pending delta, in first-touch order — flushed
-    // deterministically so repeated compilations emit identical programs.
-    let mut touch_order: Vec<u32> = Vec::new();
-    for w in 0..workers {
-        let mine = &touched[w * words..(w + 1) * words];
-        let mut prog = WorkerProgram::default();
-        for (i, t) in tasks.iter().enumerate() {
-            if owners[i] as usize == w {
-                for &d in &touch_order {
-                    let delta = std::mem::take(&mut pending[d as usize]);
-                    prog.push_sync(SyncInstr { data: d, delta });
-                }
-                touch_order.clear();
-                let (start, end) = flat.range(i);
-                prog.push_run(RunInstr {
-                    task: i as u32,
-                    start,
-                    end,
-                });
-            } else {
-                for a in flat.of(i) {
-                    let d = a.data.index();
-                    if mine[d / 64] & (1u64 << (d % 64)) == 0 {
-                        stats.irrelevant_declares += 1;
-                        continue;
-                    }
-                    let delta = &mut pending[d];
-                    if delta.is_empty() {
-                        touch_order.push(d as u32);
-                    }
-                    delta.fold(a.mode, t.id);
-                    stats.folded_declares += 1;
-                }
-            }
-        }
-        // Deltas past the worker's last own task are dead: private state
-        // is only consulted by the worker's own `get_*` calls.
-        stats.trailing_syncs += touch_order.len() as u64;
-        for &d in &touch_order {
-            pending[d as usize] = SyncDelta::EMPTY;
-        }
-        touch_order.clear();
-        stats.runs_per_worker.push(prog.runs.len());
-        stats.syncs_per_worker.push(prog.syncs.len());
-        programs.push(prog);
-    }
-
-    // Lay the access arena and expected words out per NUMA node. On the
-    // (default) single-node topology the one arena keeps the exact flat
-    // order — same offsets, same bytes as the historical global arena.
-    // With a multi-node topology each worker's Run slices are copied into
-    // its node's arena in program order and the Run offsets remapped, so
-    // the hot walk only ever streams node-local memory.
     let node_of_worker = cfg.node_assignment();
     let num_nodes = node_of_worker
         .iter()
         .map(|&n| n as usize + 1)
         .max()
         .unwrap_or(1);
-    let arenas: Vec<NodeArena> = if num_nodes == 1 {
-        vec![NodeArena {
-            accesses: flat.arena().to_vec(),
-            expected,
-        }]
-    } else {
-        let mut arenas: Vec<NodeArena> = (0..num_nodes).map(|_| NodeArena::default()).collect();
-        for (w, prog) in programs.iter_mut().enumerate() {
-            let arena = &mut arenas[node_of_worker[w] as usize];
-            for r in &mut prog.runs {
-                let range = r.start as usize..r.end as usize;
-                let start = arena.accesses.len() as u32;
-                arena
-                    .accesses
-                    .extend_from_slice(&flat.arena()[range.clone()]);
-                arena.expected.extend_from_slice(&expected[range]);
-                r.start = start;
-                r.end = arena.accesses.len() as u32;
-            }
+    let mut arenas: Vec<NodeArena> = (0..num_nodes)
+        .map(|_| NodeArena {
+            accesses: Vec::with_capacity(total / num_nodes),
+            expected: Vec::with_capacity(total / num_nodes),
+        })
+        .collect();
+    let mut programs: Vec<WorkerProgram> = (0..workers)
+        .map(|_| Vec::with_capacity(graph.len() / workers + 1))
+        .collect();
+    // The simulated private view. Before task `t` it is what *every*
+    // worker's view would be — declares and terminates update a private
+    // view identically — and all of a task's gets use the pre-task view
+    // (its own terminates happen after the body; a task never declares
+    // one data object twice), so one replay serves all workers.
+    let mut view = vec![LocalDataState::default(); graph.num_data()];
+    let mut owned = 0u64;
+    for (i, t) in graph.tasks().iter().enumerate() {
+        let w = mapping.worker_of(t.id, workers).index();
+        // Only with preflight off can a task name a worker that does not
+        // exist. It lands in nobody's program — every walker would declare
+        // it and none run it — so its dependents stall into the watchdog
+        // exactly as they do interpreted.
+        if let Some(&node) = node_of_worker.get(w) {
+            let arena = &mut arenas[node as usize];
+            let start = arena.accesses.len() as u32;
+            arena.accesses.extend_from_slice(&t.accesses);
+            arena.expected.extend(
+                t.accesses
+                    .iter()
+                    .map(|a| expected_write_word(&view[a.data.index()])),
+            );
+            programs[w].push(RunInstr {
+                task: i as u32,
+                start,
+                end: arena.accesses.len() as u32,
+            });
+            owned += t.accesses.len() as u64;
         }
-        arenas
+        declare_batch(&mut view, t.id, &t.accesses);
+    }
+    let stats = CompileStats {
+        flow_len: graph.len(),
+        runs_per_worker: programs.iter().map(Vec::len).collect(),
+        folded_declares: 0,
+        irrelevant_declares: workers as u64 * total as u64 - owned,
     };
-
     Ok(CompiledFlow {
         cfg: cfg.clone(),
         graph,
@@ -388,10 +269,23 @@ impl<'g> CompiledFlow<'g> {
         &self.cfg
     }
 
-    /// What the compiler did: instruction counts, coalescing and pruning
-    /// effect.
+    /// What the compiler did: instruction counts and the declares it
+    /// compiled away.
     pub fn stats(&self) -> &CompileStats {
         &self.stats
+    }
+
+    /// `worker`'s whole program: its own tasks in flow order, each with
+    /// the precomputed word every access waits for.
+    ///
+    /// # Panics
+    /// If `worker` is not one of the compiled configuration's workers.
+    pub fn own_tasks(&self, worker: WorkerId) -> impl Iterator<Item = CompiledTask<'_>> {
+        let arena = &self.arenas[self.node_of_worker[worker.index()] as usize];
+        self.programs[worker.index()].iter().map(|r| CompiledTask {
+            task: &self.graph.tasks()[r.task as usize],
+            expected: &arena.expected[r.start as usize..r.end as usize],
+        })
     }
 
     /// Executes the compiled program. Like [`crate::Executor::run`] for
@@ -436,8 +330,8 @@ impl<'g> CompiledFlow<'g> {
             .map(|p| crate::protocol::RecoveryCtx::new(p, self.graph.num_data()));
         let rec = recovery.as_ref();
         // Per-run steal state: a claim slot per task plus one published
-        // instruction cursor per worker (thieves scan victims' remaining
-        // code from there). All per-run, so the program stays reusable.
+        // program cursor per worker (thieves scan victims' remaining
+        // tasks from there). All per-run, so the program stays reusable.
         let steal_claims = cfg
             .stealing
             .as_ref()
@@ -524,9 +418,10 @@ impl<'g> CompiledFlow<'g> {
         Ok(run)
     }
 
-    /// One worker's interpreter: a linear walk of the code stream through
-    /// the shared [`WorkerCtx`] engine. `tasks_visited` counts `Run`
-    /// instructions (own tasks); `ops.syncs` counts applied deltas.
+    /// One worker's interpreter: a linear walk of its own tasks through
+    /// the shared [`WorkerCtx`] engine, which keeps no private state here
+    /// (`tasks_visited` == own tasks; `ops.declares` and `ops.syncs` stay
+    /// zero).
     #[allow(clippy::too_many_arguments)]
     fn run_program<K>(
         &self,
@@ -551,16 +446,7 @@ impl<'g> CompiledFlow<'g> {
         let tasks = self.graph.tasks();
         let arena = &self.arenas[self.node_of_worker[me.index()] as usize];
         let mut ctx = WorkerCtx::new(
-            &self.cfg,
-            self.graph.num_data(),
-            shared,
-            me,
-            abort,
-            status,
-            epoch,
-            registry,
-            flight,
-            rec,
+            &self.cfg, 0, shared, me, abort, status, epoch, registry, flight, rec,
         );
         ctx.steal = steal;
         let cursor = steal.and_then(|st| match st.scan {
@@ -568,40 +454,30 @@ impl<'g> CompiledFlow<'g> {
             _ => None,
         });
         let loop_start = Instant::now();
-        for (pc, &code) in prog.code.iter().enumerate() {
-            if code & SYNC_BIT != 0 {
-                let s = &prog.syncs[(code & !SYNC_BIT) as usize];
-                ctx.apply_sync(s.data as usize, s.delta);
-            } else {
-                if let Some(c) = cursor {
-                    // Publish where this worker's remaining code starts so
-                    // thieves scan forward from here. Run instructions
-                    // only: syncs carry nothing stealable, and skipping
-                    // them keeps the armed-but-idle cost off the sync fast
-                    // path. Relaxed is enough — staleness only wastes a
-                    // thief's window budget (anything already executed is
-                    // already claimed).
-                    c.store(pc, std::sync::atomic::Ordering::Relaxed);
-                }
-                let r = &prog.runs[code as usize];
-                let t = &tasks[r.task as usize];
-                ctx.tasks_visited += 1;
-                let range = r.start as usize..r.end as usize;
-                if !ctx.exec_task_pre(
-                    kernel,
-                    t,
-                    &arena.accesses[range.clone()],
-                    &arena.expected[range],
-                ) {
-                    break;
-                }
+        for (pc, r) in prog.iter().enumerate() {
+            if let Some(c) = cursor {
+                // Publish where this worker's remaining program starts so
+                // thieves scan forward from here. Relaxed is enough —
+                // staleness only wastes a thief's window budget (anything
+                // already executed is already claimed).
+                c.store(pc, std::sync::atomic::Ordering::Relaxed);
+            }
+            ctx.tasks_visited += 1;
+            let range = r.start as usize..r.end as usize;
+            if !ctx.exec_task(
+                kernel,
+                &tasks[r.task as usize],
+                &arena.accesses[range.clone()],
+                Some(&arena.expected[range]),
+            ) {
+                break;
             }
         }
         // Release: this worker's program is over (or the run aborted and
         // no thief will execute past the abort), so thieves should skip
         // straight past its stream.
         if let Some(c) = cursor {
-            c.store(prog.code.len(), std::sync::atomic::Ordering::Relaxed);
+            c.store(prog.len(), std::sync::atomic::Ordering::Relaxed);
         }
         ctx.finish(loop_start.elapsed())
     }
@@ -613,7 +489,6 @@ impl std::fmt::Debug for CompiledFlow<'_> {
             .field("workers", &self.cfg.workers)
             .field("flow_len", &self.stats.flow_len)
             .field("runs_per_worker", &self.stats.runs_per_worker)
-            .field("syncs_per_worker", &self.stats.syncs_per_worker)
             .finish_non_exhaustive()
     }
 }
@@ -635,56 +510,39 @@ mod tests {
     }
 
     #[test]
-    fn independent_tasks_compile_to_runs_only() {
-        // Each task writes its own datum: no worker ever needs a foreign
-        // delta, so every program is pure Run instructions — the compiled
-        // form of "pruning removes everything foreign".
+    fn programs_hold_own_tasks_only() {
+        // Whatever the dependency shape, a worker's program is its own
+        // tasks in flow order: independent data or one shared chain give
+        // the same instruction counts.
         let n = 40;
-        let mut b = TaskGraph::builder(n);
+        let mut independent = TaskGraph::builder(n);
+        let mut chain = TaskGraph::builder(1);
         for i in 0..n {
-            b.task(&[Access::write(DataId::from_index(i))], 1, "ind");
+            independent.task(&[Access::write(DataId::from_index(i))], 1, "ind");
+            chain.task(&[Access::read_write(DataId(0))], 1, "inc");
         }
-        let g = b.build();
-        let flow = compile(cfg(4), &g);
-        let stats = flow.stats();
-        assert_eq!(stats.runs_per_worker, vec![10; 4]);
-        assert_eq!(stats.syncs_per_worker, vec![0; 4]);
-        assert_eq!(stats.folded_declares, 0);
-        // 4 workers × 30 foreign single-access tasks each.
-        assert_eq!(stats.irrelevant_declares, 120);
-        assert_eq!(stats.coalesce_factor(), 0.0);
-        assert_eq!(stats.instructions(), 40);
+        for g in [independent.build(), chain.build()] {
+            let flow = compile(cfg(4), &g);
+            let stats = flow.stats();
+            assert_eq!(stats.runs_per_worker, vec![10; 4]);
+            assert_eq!(stats.instructions(), g.len());
+            assert_eq!(stats.folded_declares, 0);
+            assert_eq!(stats.coalesce_factor(), 0.0);
+            // 4 workers × 30 foreign single-access tasks each: what every
+            // interpreted run would pay in private declares.
+            assert_eq!(stats.irrelevant_declares, 120);
+            for (w, prog) in flow.programs.iter().enumerate() {
+                let mine: Vec<u32> = (0..n as u32).filter(|i| *i as usize % 4 == w).collect();
+                assert_eq!(prog.iter().map(|r| r.task).collect::<Vec<_>>(), mine);
+            }
+        }
     }
 
     #[test]
-    fn shared_chain_coalesces_foreign_runs_into_single_syncs() {
-        // A 100-task RW chain on one datum over 2 workers (round-robin):
-        // between two of a worker's own tasks sits exactly one foreign
-        // task, so coalescing is 1:1 here — but the structure is checked
-        // exactly: alternating Sync/Run, one delta per foreign task.
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..100 {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        let g = b.build();
-        let flow = compile(cfg(2), &g);
-        let stats = flow.stats();
-        assert_eq!(stats.runs_per_worker, vec![50, 50]);
-        // W0 owns T1: nothing to sync before it; 49 foreign gaps follow.
-        // The trailing foreign task (T100 for W0) is dead and dropped.
-        assert_eq!(stats.syncs_per_worker, vec![49, 50]);
-        assert_eq!(stats.trailing_syncs, 1);
-        // All 100 foreign declares (50 per worker) were folded; 99 made
-        // it into live Sync instructions, the trailing one was dropped.
-        assert_eq!(stats.folded_declares, 100);
-        assert!((stats.coalesce_factor() - 100.0 / 99.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn long_foreign_runs_coalesce_many_declares_into_one_sync() {
+    fn long_foreign_stretches_cost_the_owner_nothing() {
         // W0 owns only the first and last task; the 98 tasks between are
-        // W1's, all on the same datum: W0's program must contain exactly
-        // ONE Sync covering all 98 declares.
+        // W1's, all on the same datum. W0's program is two instructions,
+        // and its last task's expected word already accounts for all 98.
         let n = 100;
         let mut b = TaskGraph::builder(1);
         for _ in 0..n {
@@ -693,28 +551,22 @@ mod tests {
         let g = b.build();
         let m = TableMapping::from_fn(n, |i| rio_stf::WorkerId(u32::from(!(i == 0 || i == n - 1))));
         let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
-        let stats = flow.stats();
-        assert_eq!(stats.runs_per_worker, vec![2, 98]);
-        assert_eq!(stats.syncs_per_worker, vec![1, 1]);
-        // 98 for W0's one gap; W1 folds the head task plus the tail task
-        // (the latter is trailing for W1 and dropped again).
-        assert_eq!(stats.folded_declares, 98 + 2);
-        assert_eq!(stats.trailing_syncs, 1);
-        // The one W0 delta summarizes 98 read-writes: last write T99,
-        // zero reads after it.
-        let s = &flow.programs[0].syncs[0];
-        assert_eq!(s.delta.new_last_write, TaskId(99));
-        assert_eq!(s.delta.reads_delta, 0);
+        assert_eq!(flow.stats().runs_per_worker, vec![2, 98]);
+        assert_eq!(flow.stats().irrelevant_declares, 98 + 2);
+        let last = flow.own_tasks(WorkerId(0)).last().unwrap();
+        assert_eq!(last.task.id, TaskId(100));
+        assert_eq!(last.expected, [crate::protocol::pack_epoch(TaskId(99), 0)]);
         // And the run is correct.
         let store = DataStore::from_vec(vec![0u64]);
-        flow.run(|_, _| *store.write(DataId(0)) += 1);
+        let run = flow.run(|_, _| *store.write(DataId(0)) += 1);
         assert_eq!(store.into_vec(), vec![n as u64]);
+        assert_eq!(run.report.workers[0].tasks_visited, 2);
     }
 
     #[test]
-    fn read_runs_fold_into_read_deltas() {
+    fn foreign_reads_land_in_the_next_writers_expected_word() {
         // T1 (W0) writes; T2..T9 (W1) read; T10 (W0) writes again. W0's
-        // program: Run(T1), Sync(8 reads), Run(T10).
+        // program: Run(T1), Run(T10) — the 8 reads are in T10's word.
         let mut b = TaskGraph::builder(1);
         b.task(&[Access::write(DataId(0))], 1, "w");
         for _ in 0..8 {
@@ -724,9 +576,8 @@ mod tests {
         let g = b.build();
         let m = TableMapping::from_fn(10, |i| rio_stf::WorkerId(u32::from(!(i == 0 || i == 9))));
         let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
-        let s = &flow.programs[0].syncs[0];
-        assert_eq!(s.delta.reads_delta, 8);
-        assert_eq!(s.delta.new_last_write, TaskId::NONE);
+        let last = flow.own_tasks(WorkerId(0)).last().unwrap();
+        assert_eq!(last.expected, [crate::protocol::pack_epoch(TaskId(1), 8)]);
         let store = DataStore::from_vec(vec![0u64]);
         let seen = AtomicU64::new(0);
         flow.run(|_, t| match t.kind {
@@ -740,6 +591,33 @@ mod tests {
         });
         assert_eq!(seen.load(Ordering::Relaxed), 8);
         assert_eq!(store.into_vec(), vec![7]);
+    }
+
+    #[test]
+    fn a_task_mapped_nowhere_is_in_nobodys_program() {
+        // Preflight off, T3 mapped to a worker that does not exist: the
+        // compiler drops it from every program but still replays its
+        // declare, so T4 waits for a write nobody will perform — the same
+        // stall the interpreted walk of this mapping produces.
+        let mut b = TaskGraph::builder(1);
+        for _ in 0..4 {
+            b.task(&[Access::read_write(DataId(0))], 1, "inc");
+        }
+        let g = b.build();
+        let m = rio_stf::mapping::FnMapping(|t: TaskId, _| {
+            rio_stf::WorkerId(if t == TaskId(3) {
+                9
+            } else {
+                t.index() as u32 % 2
+            })
+        });
+        let flow = Executor::new(cfg(2).preflight(false))
+            .mapping(&m)
+            .compile(&g);
+        assert_eq!(flow.stats().runs_per_worker, vec![1, 2]);
+        assert_eq!(flow.stats().instructions(), 3);
+        let t4 = flow.own_tasks(WorkerId(1)).last().unwrap();
+        assert_eq!(t4.expected, [crate::protocol::pack_epoch(TaskId(3), 0)]);
     }
 
     #[test]
@@ -779,7 +657,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_report_counts_runs_and_syncs() {
+    fn compiled_report_counts_own_tasks_only() {
         let mut b = TaskGraph::builder(1);
         for _ in 0..10 {
             b.task(&[Access::read_write(DataId(0))], 1, "t");
@@ -793,8 +671,8 @@ mod tests {
             assert_eq!(w.tasks_visited, 5, "visited == own Run instructions");
             assert_eq!(w.ops.gets, 5);
             assert_eq!(w.ops.terminates, 5);
-            assert_eq!(w.ops.declares, 0, "compiled runs declare via syncs");
-            assert!(w.ops.syncs > 0);
+            assert_eq!(w.ops.declares, 0, "a compiled run declares nothing");
+            assert_eq!(w.ops.syncs, 0);
         }
     }
 
@@ -928,10 +806,11 @@ mod tests {
         let expected = &flow.arenas[0].expected;
         // T1's write waits for the initial epoch (no write, no reads).
         assert_eq!(expected[0], pack_epoch(TaskId::NONE, 0));
-        // The reads wait for T1's write (the high half; the low half of a
-        // read's expected word is masked off at wait time).
-        assert_eq!(expected[1] >> 32, 1);
-        assert_eq!(expected[2] >> 32, 1);
+        // The reads wait for T1's write: the word is the whole private
+        // view (T3's counts T2's read), of which a read guard compares
+        // the write half only.
+        assert_eq!(expected[1], pack_epoch(TaskId(1), 0));
+        assert_eq!(expected[2], pack_epoch(TaskId(1), 1));
         // T4's write waits for T1's write AND both reads.
         assert_eq!(expected[3], pack_epoch(TaskId(1), 2));
     }
@@ -958,7 +837,7 @@ mod tests {
         let flat = g.flat_accesses();
         for (w, prog) in numa.programs.iter().enumerate() {
             let arena = &numa.arenas[numa.node_of_worker[w] as usize];
-            for (r, sr) in prog.runs.iter().zip(&single.programs[w].runs) {
+            for (r, sr) in prog.iter().zip(&single.programs[w]) {
                 assert_eq!(r.task, sr.task);
                 let range = r.start as usize..r.end as usize;
                 let srange = sr.start as usize..sr.end as usize;

@@ -151,8 +151,12 @@ pub struct RioConfig {
     pub fault_hook: Option<rio_stf::HookHandle>,
     /// When `true`, workers timestamp task execution and waiting so the
     /// report can feed the efficiency decomposition (`rio-metrics`). Costs
-    /// two monotonic-clock reads per executed task plus two per blocking
-    /// wait; disable for peak-overhead measurements.
+    /// two monotonic-clock reads per executed task plus two per *blocking*
+    /// wait — a `get_*` whose first probe finds its guard open reads no
+    /// clock. Off by default, like `record_spans` and `trace`: on an empty
+    /// task the two body reads alone cost several times the protocol
+    /// itself. With it off the reports' `task_time` and `idle_time` stay
+    /// zero (`loop_time` and `wall` are always measured).
     pub measure_time: bool,
     /// In debug-style runs, verify at join time that every worker unrolled
     /// the same flow (same task count and access checksum) — assumption 2
@@ -170,7 +174,7 @@ pub struct RioConfig {
     /// entirely.
     pub trace: Option<TraceConfig>,
     /// Always-on protocol counters ([`crate::counters`]): per-worker
-    /// cache-line-padded `Relaxed` atomics counting tasks, syncs,
+    /// cache-line-padded `Relaxed` atomics counting tasks,
     /// epoch-guard spins, parks, elided wakes and aborts. On by default —
     /// the increments cost a few nanoseconds per event on a worker-owned
     /// line (gated <1% on the fig7 interpreted row by `repro counters`).
@@ -409,7 +413,7 @@ impl Default for RioConfig {
             preflight: true,
             #[cfg(feature = "fault-inject")]
             fault_hook: None,
-            measure_time: true,
+            measure_time: false,
             check_determinism: cfg!(debug_assertions),
             record_spans: false,
             trace: None,
@@ -446,10 +450,10 @@ mod tests {
     fn builder_style() {
         let c = RioConfig::with_workers(2)
             .wait(WaitStrategy::Spin)
-            .measure_time(false)
+            .measure_time(true)
             .check_determinism(true);
         assert_eq!(c.wait, WaitStrategy::Spin);
-        assert!(!c.measure_time);
+        assert!(c.measure_time);
         assert!(c.check_determinism);
     }
 

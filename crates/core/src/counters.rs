@@ -13,7 +13,7 @@
 //! snapshot to the [`crate::ExecReport`].
 //!
 //! The counters deliberately mirror the protocol's cost model rather than
-//! the trace's time model: tasks run, coalesced syncs, epoch-guard spins
+//! the trace's time model: tasks run, epoch-guard spins
 //! (condition re-checks in `get_*`), parks, wakes elided by the
 //! waiter-aware terminate, aborts detected, kernel retries and poison
 //! bits set under a recovery policy, plus tasks stolen and claim races
@@ -31,7 +31,6 @@ use crate::config::RioConfig;
 #[derive(Debug, Default)]
 pub struct WorkerCounters {
     tasks: AtomicU64,
-    syncs: AtomicU64,
     spins: AtomicU64,
     parks: AtomicU64,
     wakes_elided: AtomicU64,
@@ -57,12 +56,6 @@ impl WorkerCounters {
     #[inline]
     pub fn inc_tasks(&self) {
         bump(&self.tasks, 1);
-    }
-
-    /// One compiled `Sync` instruction applied.
-    #[inline]
-    pub fn inc_syncs(&self) {
-        bump(&self.syncs, 1);
     }
 
     /// `n` epoch-guard condition re-checks performed while blocked in a
@@ -142,7 +135,6 @@ impl WorkerCounters {
     pub fn row(&self) -> CounterRow {
         CounterRow {
             tasks: self.tasks.load(Ordering::Relaxed),
-            syncs: self.syncs.load(Ordering::Relaxed),
             spins: self.spins.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
             wakes_elided: self.wakes_elided.load(Ordering::Relaxed),
@@ -158,7 +150,6 @@ impl WorkerCounters {
     /// between runs, not during one).
     pub fn reset(&self) {
         self.tasks.store(0, Ordering::Relaxed);
-        self.syncs.store(0, Ordering::Relaxed);
         self.spins.store(0, Ordering::Relaxed);
         self.parks.store(0, Ordering::Relaxed);
         self.wakes_elided.store(0, Ordering::Relaxed);
@@ -251,8 +242,6 @@ impl CounterRegistry {
 pub struct CounterRow {
     /// Task bodies executed.
     pub tasks: u64,
-    /// Compiled `Sync` instructions applied.
-    pub syncs: u64,
     /// Epoch-guard condition re-checks while blocked in `get_*`.
     pub spins: u64,
     /// Park/wake transitions.
@@ -277,7 +266,6 @@ impl CounterRow {
     /// Accumulates `other` into `self`.
     pub fn merge(&mut self, other: &CounterRow) {
         self.tasks += other.tasks;
-        self.syncs += other.syncs;
         self.spins += other.spins;
         self.parks += other.parks;
         self.wakes_elided += other.wakes_elided;
@@ -314,10 +302,9 @@ impl CounterRow {
     /// the iteration surface consumers that render *all* counters
     /// (e.g. the Prometheus exporter in `rio-telemetry`) build on, so
     /// adding a counter extends them without a matching code change.
-    pub fn fields(&self) -> [(&'static str, u64); 10] {
+    pub fn fields(&self) -> [(&'static str, u64); 9] {
         [
             ("tasks", self.tasks),
-            ("syncs", self.syncs),
             ("spins", self.spins),
             ("parks", self.parks),
             ("wakes_elided", self.wakes_elided),
@@ -390,7 +377,6 @@ impl CountersSnapshot {
         let mut t = rio_metrics::Table::new([
             "worker",
             "tasks",
-            "syncs",
             "spins",
             "parks",
             "wakes_elided",
@@ -413,7 +399,6 @@ impl CountersSnapshot {
             vec![
                 label,
                 r.tasks.to_string(),
-                r.syncs.to_string(),
                 r.spins.to_string(),
                 r.parks.to_string(),
                 r.wakes_elided.to_string(),
@@ -430,7 +415,7 @@ impl CountersSnapshot {
         let subtotal_row = |label: String, r: &CounterRow| {
             if *r == CounterRow::default() {
                 let mut cells = vec![label];
-                cells.resize(11, "-".to_string());
+                cells.resize(10, "-".to_string());
                 cells
             } else {
                 row(label, r)
@@ -485,7 +470,6 @@ mod tests {
         reg.worker(0).inc_tasks();
         reg.worker(0).inc_tasks();
         reg.worker(0).add_spins(5);
-        reg.worker(1).inc_syncs();
         reg.worker(1).add_parks(3);
         reg.worker(1).inc_wakes_elided();
         reg.worker(1).inc_aborts();
@@ -500,7 +484,6 @@ mod tests {
         assert_eq!(snap.workers[0].spins, 5);
         assert_eq!(snap.workers[0].retries, 1);
         assert_eq!(snap.workers[0].poisoned, 2);
-        assert_eq!(snap.workers[1].syncs, 1);
         assert_eq!(snap.workers[1].parks, 3);
         assert_eq!(snap.workers[1].wakes_elided, 1);
         assert_eq!(snap.workers[1].aborts, 1);
@@ -655,7 +638,7 @@ mod tests {
         // the same convention as the idle opt-in columns.
         let reg = CounterRegistry::new(4);
         reg.worker(0).inc_tasks();
-        reg.worker(1).inc_syncs();
+        reg.worker(1).add_spins(1);
         let mut snap = reg.snapshot();
         snap.nodes = Some(vec![0, 0, 1, 1]);
         let text = snap.table().render();
@@ -671,7 +654,7 @@ mod tests {
         );
         assert_eq!(
             n1.split_whitespace().filter(|c| *c == "-").count(),
-            10,
+            9,
             "every numeric column of the idle subtotal dashes: {n1}"
         );
         // A subtotal with any activity still renders numerically.
@@ -686,8 +669,8 @@ mod tests {
         let text = reg.snapshot().table().render();
         // Recovery and steal layers idle: dashes, not zeros.
         assert!(text.contains('-'), "zero retries/steals render as dashes");
-        // Core protocol counters keep their zeros (0 syncs is a real
-        // measurement of the interpreted path, not an idle feature).
+        // Core protocol counters keep their zeros (0 parks is a real
+        // measurement, not an idle feature).
         assert!(text.contains('0'));
 
         let reg = CounterRegistry::new(1);

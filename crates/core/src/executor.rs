@@ -182,11 +182,11 @@ impl<'a> Executor<'a> {
         &self.cfg
     }
 
-    /// Compiles `graph` ahead of time into per-worker instruction streams
-    /// (see [`crate::compile`]): mapping evaluation, preflight validation
-    /// and the pruning-style relevance analysis are paid once, and every
-    /// maximal run of consecutive non-local tasks collapses into one
-    /// private-state delta per touched data object. The returned
+    /// Compiles `graph` ahead of time into one program per worker holding
+    /// that worker's own tasks only (see [`crate::compile`]): mapping
+    /// evaluation and preflight validation are paid once, in one pass over
+    /// the flow, and the epoch word every access waits for is precomputed,
+    /// so non-local tasks leave nothing behind to replay. The returned
     /// [`CompiledFlow`] can be [run](CompiledFlow::run) any number of
     /// times and borrows only `graph` (the configuration is captured).
     ///
@@ -217,7 +217,7 @@ impl<'a> Executor<'a> {
             self.partial.is_none(),
             "flow compilation requires a static total mapping: a hybrid \
              executor claims its unmapped tasks at run time, so its \
-             per-worker instruction streams are not known in advance"
+             per-worker programs are not known in advance"
         );
         let mapping: &dyn Mapping = self.mapping.unwrap_or(&RoundRobin);
         crate::compile::try_compile(&self.cfg, graph, mapping)

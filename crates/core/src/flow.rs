@@ -50,11 +50,12 @@ use crate::config::RioConfig;
 use crate::executor::RunOutcome;
 use crate::graph::stall_diagnostic;
 use crate::protocol::{
-    declare_read, declare_write, get_read_cx, get_write_cx, terminate_read, terminate_write,
-    AbortCause, AbortFlag, LocalDataState, RecoveryCtx, SharedDataState, WaitCx, WaitVerdict,
+    declare_read, declare_write, expected_write_word, get_read_cx, get_write_cx, terminate_read,
+    terminate_write, AbortCause, AbortFlag, LocalDataState, RecoveryCtx, SharedDataState, WaitCx,
+    WaitVerdict,
 };
 use crate::report::{ExecReport, OpCounts, WorkerReport};
-use crate::status::StatusTable;
+use crate::status::{StatusTable, WaitWatch};
 use crate::trace_api::WorkerTracer;
 
 /// The RIO runtime handle for the typed flow API.
@@ -398,27 +399,26 @@ impl<'a, T> FlowCtx<'a, T> {
                 spin_limit: self.spin_limit,
                 deadline: self.watchdog,
                 abort: self.abort,
+                timed: self.measure || traced,
+                watch: None,
             };
             for a in accesses {
                 self.ops.gets += 1;
                 let s = &self.shared[a.data.index()];
                 let l = &self.locals[a.data.index()];
-                let wait_start = if self.measure || traced || wd {
-                    Some(Instant::now())
-                } else {
-                    None
+                let cx = WaitCx {
+                    watch: wd.then_some(WaitWatch {
+                        status: self.status,
+                        worker: self.me,
+                        data: a.data,
+                    }),
+                    ..cx
                 };
-                if wd {
-                    self.status.begin_wait(self.me, a.data);
-                }
                 let wr = if a.mode.writes() {
                     get_write_cx(s, l, &cx)
                 } else {
                     get_read_cx(s, l, &cx)
                 };
-                if wd {
-                    self.status.end_wait(self.me);
-                }
                 let wo = wr.outcome;
                 if wo.polls > 0 {
                     self.ops.waits += 1;
@@ -430,14 +430,14 @@ impl<'a, T> FlowCtx<'a, T> {
                     if wo.parks > 0 {
                         self.flight_event(FlightEventKind::Park, id, Some(a.data));
                     }
-                    if let Some(t0) = wait_start {
-                        let t1 = Instant::now();
-                        if self.measure {
-                            self.idle_time += t1.duration_since(t0);
-                        }
-                        if let Some(tr) = self.tracer.as_mut() {
-                            tr.wait(id, a.data, a.mode.writes(), t0, t1, wo.polls, wo.parks);
-                        }
+                }
+                if let (true, Some(t0)) = (cx.timed, wr.blocked_at) {
+                    let t1 = Instant::now();
+                    if self.measure {
+                        self.idle_time += t1.duration_since(t0);
+                    }
+                    if let Some(tr) = self.tracer.as_mut() {
+                        tr.wait(id, a.data, a.mode.writes(), t0, t1, wo.polls, wo.parks);
                     }
                 }
                 match wr.verdict {
@@ -446,16 +446,13 @@ impl<'a, T> FlowCtx<'a, T> {
                         panic!("RIO run poisoned: a sibling worker's task body panicked")
                     }
                     WaitVerdict::DeadlineExceeded => {
-                        let waited = wait_start
-                            .map(|t0| t0.elapsed())
-                            .or(self.watchdog)
-                            .unwrap_or_default();
+                        let waited = wr.blocked_at.map_or(Duration::ZERO, |t0| t0.elapsed());
                         self.flight_event(FlightEventKind::Abort, id, Some(a.data));
                         let diag = stall_diagnostic(
                             self.me,
                             id,
                             a,
-                            l,
+                            expected_write_word(l),
                             s,
                             waited,
                             self.status,
@@ -492,12 +489,11 @@ impl<'a, T> FlowCtx<'a, T> {
                     store: self.store,
                 };
                 let run = std::panic::AssertUnwindSafe(|| body(&view));
-                let body_start = Instant::now();
+                // The same opt-in rule as the graph engine: no clock
+                // around the body unless something asked for the span.
+                let body_start = (self.measure || self.record_spans || traced).then(Instant::now);
                 let outcome = std::panic::catch_unwind(run);
-                let body_end = Instant::now();
-                if self.measure {
-                    self.task_time += body_end.duration_since(body_start);
-                }
+                let span = body_start.map(|t0| (t0, Instant::now()));
                 match outcome {
                     Err(payload) => match self.rec {
                         Some(rec) => {
@@ -531,15 +527,20 @@ impl<'a, T> FlowCtx<'a, T> {
                         }
                     },
                     Ok(()) => {
-                        if self.record_spans {
-                            self.spans.push(rio_stf::validate::Span {
-                                task: id,
-                                start: body_start.duration_since(self.epoch).as_nanos() as u64,
-                                end: body_end.duration_since(self.epoch).as_nanos() as u64,
-                            });
-                        }
-                        if let Some(tr) = self.tracer.as_mut() {
-                            tr.task(id, body_start, body_end);
+                        if let Some((t0, t1)) = span {
+                            if self.measure {
+                                self.task_time += t1.duration_since(t0);
+                            }
+                            if self.record_spans {
+                                self.spans.push(rio_stf::validate::Span {
+                                    task: id,
+                                    start: t0.duration_since(self.epoch).as_nanos() as u64,
+                                    end: t1.duration_since(self.epoch).as_nanos() as u64,
+                                });
+                            }
+                            if let Some(tr) = self.tracer.as_mut() {
+                                tr.task(id, t0, t1);
+                            }
                         }
                         true
                     }

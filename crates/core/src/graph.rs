@@ -26,14 +26,13 @@ use crate::config::RioConfig;
 use crate::counters::{CounterRegistry, WorkerCounters};
 use crate::flight::{FlightRecorder, FlightRing};
 use crate::protocol::{
-    apply_sync, declare_batch, declare_read, declare_write, expected_read_word,
-    expected_write_word, get_read_word_cx, get_write_word_cx, publish_read, publish_write,
-    terminate_read, terminate_write, unpack_epoch, AbortCause, AbortFlag, LocalDataState,
-    RecoveryCtx, SharedDataState, SyncDelta, WaitCx, WaitOutcome, WaitResult, WaitVerdict,
-    READ_EPOCH_MASK, WRITE_EPOCH_MASK,
+    declare_batch, expected_write_word, get_read_word_cx, get_write_word_cx, publish_read,
+    publish_write, unpack_epoch, AbortCause, AbortFlag, LocalDataState, RecoveryCtx,
+    SharedDataState, WaitCx, WaitOutcome, WaitResult, WaitVerdict, READ_EPOCH_MASK,
+    WRITE_EPOCH_MASK,
 };
 use crate::report::{ExecReport, OpCounts, WorkerReport};
-use crate::status::StatusTable;
+use crate::status::{StatusTable, WaitWatch};
 use crate::steal::{ClaimTable, ScanSource, StealState, EMPTY_SCAN_LIMIT};
 use crate::trace_api::WorkerTracer;
 use crate::wait::WaitStrategy;
@@ -44,12 +43,17 @@ use crate::wait::WaitStrategy;
 /// steal/retry deltas since its last tick when `registry` is armed), and
 /// the flight-recorder bundle — the last protocol events of every worker
 /// leading up to the stall.
+///
+/// `private` is the packed private view the blocked get compared the
+/// epoch word against ([`expected_write_word`]) — a walker packs it from
+/// its own table, a compiled program holds it precomputed — so both
+/// render the same private/shared pair.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn stall_diagnostic(
     me: WorkerId,
     task: rio_stf::TaskId,
     access: &rio_stf::Access,
-    local: &LocalDataState,
+    private: u64,
     shared: &SharedDataState,
     waited: Duration,
     status: &StatusTable,
@@ -61,6 +65,7 @@ pub(crate) fn stall_diagnostic(
     // stale read count.
     let word = shared.epoch_word();
     let (shared_reads, shared_write) = unpack_epoch(word);
+    let (local_reads, local_write) = unpack_epoch(private);
     Box::new(StallDiagnostic {
         worker: me,
         waited,
@@ -68,8 +73,8 @@ pub(crate) fn stall_diagnostic(
             task,
             data: access.data,
             write: access.mode.writes(),
-            local_reads_since_write: local.nb_reads_since_write,
-            local_last_registered_write: local.last_registered_write,
+            local_reads_since_write: local_reads,
+            local_last_registered_write: local_write,
             shared_reads_since_write: shared_reads,
             shared_last_executed_write: shared_write,
             shared_epoch_word: word,
@@ -77,6 +82,31 @@ pub(crate) fn stall_diagnostic(
         workers: status.snapshot_with(registry),
         flight: flight.map(FlightRecorder::dump).unwrap_or_default(),
     })
+}
+
+/// Is every guard of one task open right now? One masked acquire-load per
+/// access against its packed private view — how a thief prices a
+/// candidate.
+fn guards_open(shared: &[SharedDataState], accesses: &[Access], expected: &[u64]) -> bool {
+    accesses.iter().zip(expected).all(|(a, &e)| {
+        let mask = if a.mode.writes() {
+            WRITE_EPOCH_MASK
+        } else {
+            READ_EPOCH_MASK
+        };
+        shared[a.data.index()].satisfied(e, mask)
+    })
+}
+
+/// The `get_*` guard on a packed private view: a write compares the whole
+/// word, a read only the write half.
+#[inline]
+fn get_word_cx(s: &SharedDataState, expected: u64, writes: bool, cx: &WaitCx<'_>) -> WaitResult {
+    if writes {
+        get_write_word_cx(s, expected, cx)
+    } else {
+        get_read_word_cx(s, expected, cx)
+    }
 }
 
 /// Executes `graph` with `cfg.workers` decentralized in-order workers:
@@ -146,8 +176,8 @@ where
     // Bounded stealing (interpreted path): one claim slot per flow entry,
     // the owner of every task (one mapping evaluation, shared by all
     // workers — the thief scan must price tasks it would never map), and
-    // the expected epoch word of every access, precomputed by one flow
-    // simulation. The simulated private view at task `j` is what *any*
+    // the packed private view every access waits for, precomputed by one
+    // flow simulation. The simulated view at task `j` is what *any*
     // worker's view will be at flow position `j` (§3.4 assumption 2), so
     // one shared table prices guards for every thief.
     let steal_pre = cfg.stealing.as_ref().map(|_| {
@@ -159,23 +189,13 @@ where
         offsets.push(0u32);
         for t in tasks {
             owners.push(mapping.worker_of(t.id, cfg.workers).index() as u32);
-            for a in &t.accesses {
-                let l = &sim[a.data.index()];
-                expected.push(if a.mode.writes() {
-                    expected_write_word(l)
-                } else {
-                    expected_read_word(l)
-                });
-            }
+            expected.extend(
+                t.accesses
+                    .iter()
+                    .map(|a| expected_write_word(&sim[a.data.index()])),
+            );
             offsets.push(expected.len() as u32);
-            for a in &t.accesses {
-                let l = &mut sim[a.data.index()];
-                if a.mode.writes() {
-                    declare_write(l, t.id);
-                } else {
-                    declare_read(l);
-                }
-            }
+            declare_batch(&mut sim, t.id, &t.accesses);
         }
         (
             owners,
@@ -254,11 +274,11 @@ where
 ///
 /// This is the single task-execution engine behind every flow walker:
 /// the interpreted [`worker_loop`] (plain and pruned — a visit list is
-/// just a restricted walk) and the compiled-program interpreter of
-/// [`crate::compile`] both drive it. Keeping the `get → kernel →
-/// terminate` sequence (with its fault containment, watchdog and tracing)
-/// in one place is what lets the compiled path claim byte-identical
-/// protocol semantics.
+/// just a restricted walk), the hybrid claim walk of [`crate::hybrid`]
+/// and the compiled-program interpreter of [`crate::compile`] all drive
+/// it. Keeping the `get → kernel → terminate` sequence (with its fault
+/// containment, watchdog and tracing) in one place is what lets the
+/// compiled path claim byte-identical protocol semantics.
 pub(crate) struct WorkerCtx<'a> {
     cfg: &'a RioConfig,
     shared: &'a [SharedDataState],
@@ -266,12 +286,17 @@ pub(crate) struct WorkerCtx<'a> {
     abort: &'a AbortFlag,
     status: &'a StatusTable,
     epoch: Instant,
+    /// The run-wide wait context; `cx.timed` is also the rule for reading
+    /// the clock at the *end* of a blocked get.
     cx: WaitCx<'a>,
     /// Per-object wait-policy table ([`RioConfig::wait_policies`]):
     /// `policies[d]` overrides `cx`'s strategy/spin budget for waits and
     /// terminates on data object `d`. Shared by every worker of the run.
     policies: Option<&'a [crate::wait::WaitPolicy]>,
-    pub locals: Vec<LocalDataState>,
+    /// The private views of a walker that declares foreign tasks. Empty
+    /// for a compiled program: every expected word is precomputed, so
+    /// nothing would ever read them.
+    locals: Vec<LocalDataState>,
     pub ops: OpCounts,
     pub tasks_executed: u64,
     pub tasks_visited: u64,
@@ -301,14 +326,15 @@ pub(crate) struct WorkerCtx<'a> {
     measure: bool,
     record: bool,
     wd: bool,
-    traced: bool,
 }
 
 impl<'a> WorkerCtx<'a> {
+    /// `private_views` is how many private views to allocate:
+    /// `graph.num_data()` for a walker, 0 for a compiled program.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         cfg: &'a RioConfig,
-        num_data: usize,
+        private_views: usize,
         shared: &'a [SharedDataState],
         me: WorkerId,
         abort: &'a AbortFlag,
@@ -336,16 +362,17 @@ impl<'a> WorkerCtx<'a> {
                 spin_limit: cfg.spin_limit,
                 deadline: cfg.watchdog,
                 abort,
+                timed: cfg.measure_time || tracer.is_some(),
+                watch: None,
             },
             policies: cfg.wait_policies.as_deref(),
-            locals: vec![LocalDataState::default(); num_data],
+            locals: vec![LocalDataState::default(); private_views],
             ops: OpCounts::default(),
             tasks_executed: 0,
             tasks_visited: 0,
             task_time: Duration::ZERO,
             idle_time: Duration::ZERO,
             spans: Vec::new(),
-            traced: tracer.is_some(),
             tracer,
             ctr,
             registry,
@@ -359,18 +386,24 @@ impl<'a> WorkerCtx<'a> {
         }
     }
 
-    /// The wait context governing data object `data`: the per-object
-    /// policy when the table names one, the run-wide `cx` otherwise.
+    /// The wait context governing `data`: the per-object policy when the
+    /// table names one, the run-wide `cx` otherwise; with a watchdog
+    /// armed, the progress mark a blocked wait leaves.
     #[inline]
-    fn wait_cx(&self, data: usize) -> WaitCx<'a> {
-        match self.policies.and_then(|p| p.get(data)) {
-            Some(p) => WaitCx {
-                strategy: p.strategy,
-                spin_limit: p.spin_limit,
-                ..self.cx
-            },
-            None => self.cx,
+    fn wait_cx(&self, data: rio_stf::DataId) -> WaitCx<'a> {
+        let mut cx = self.cx;
+        if let Some(p) = self.policies.and_then(|p| p.get(data.index())) {
+            cx.strategy = p.strategy;
+            cx.spin_limit = p.spin_limit;
         }
+        if self.wd {
+            cx.watch = Some(WaitWatch {
+                status: self.status,
+                worker: self.me,
+                data,
+            });
+        }
+        cx
     }
 
     /// The wait strategy `terminate_*` on `data` must assume its waiters
@@ -397,12 +430,16 @@ impl<'a> WorkerCtx<'a> {
         }
     }
 
-    /// The worker's live steal/retry counters, for a progress tick
-    /// ([`StatusTable::completed`]): a later stall diagnostic subtracts
-    /// them from the then-live values to show activity since this tick.
+    /// Reports watchdog progress: the worker is alive and the flow is
+    /// advancing past `task`. The steal/retry counters ride along so a
+    /// later stall diagnostic can show activity since this tick.
     #[inline]
-    fn tick_counters(&self) -> (u64, u64) {
-        self.ctr.map_or((0, 0), |c| (c.steals(), c.retries()))
+    fn tick(&self, task: rio_stf::TaskId) {
+        if self.wd {
+            let (steals, retries) = self.ctr.map_or((0, 0), |c| (c.steals(), c.retries()));
+            self.status
+                .completed(self.me, task, self.tasks_executed, steals, retries);
+        }
     }
 
     /// Executes one task mapped to this worker: acquire every access in
@@ -413,31 +450,14 @@ impl<'a> WorkerCtx<'a> {
     /// `accesses` equals the task's declared list; it is passed separately
     /// so callers holding an access arena slice avoid touching
     /// `t.accesses`' heap allocation.
-    pub(crate) fn exec_task<K>(&mut self, kernel: &K, t: &TaskDesc, accesses: &[Access]) -> bool
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
-        self.exec_task_inner(kernel, t, accesses, None)
-    }
-
-    /// [`WorkerCtx::exec_task`] with the expected epoch words of every
-    /// access precomputed (by [`crate::compile`]'s flow simulation):
-    /// `pre[i]` is the word access `i` waits for, saving the interpreter's
-    /// per-get pack of the private view.
-    pub(crate) fn exec_task_pre<K>(
-        &mut self,
-        kernel: &K,
-        t: &TaskDesc,
-        accesses: &[Access],
-        pre: &[u64],
-    ) -> bool
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
-        self.exec_task_inner(kernel, t, accesses, Some(pre))
-    }
-
-    fn exec_task_inner<K>(
+    ///
+    /// `pre` is what tells a compiled program from a walker. `Some`:
+    /// `pre[i]` is the packed private view access `i` waits for,
+    /// precomputed by [`crate::compile`]'s flow simulation, and this
+    /// context keeps no private state at all. `None`: the view is packed
+    /// from `self.locals`, which every terminate (and every declare of a
+    /// foreign task) keeps current.
+    pub(crate) fn exec_task<K>(
         &mut self,
         kernel: &K,
         t: &TaskDesc,
@@ -456,15 +476,19 @@ impl<'a> WorkerCtx<'a> {
         // *before* waiting on any guard: a thief only claims tasks whose
         // guards are already satisfied, so deciding by a plain load here
         // would race the claim against the thief's and run the body
-        // twice. Losing the CAS means a thief holds the body — the task
-        // becomes foreign work: private declares only, no kernel, no
-        // terminates (the thief publishes them). See DESIGN.md §14.
+        // twice. Losing the CAS means a thief holds the body and will
+        // publish its terminates: a walker registers the task like any
+        // foreign one, a compiled program has nothing left to do. See
+        // DESIGN.md §14.
         if let Some(st) = self.steal {
             if !st
                 .claims
                 .try_claim(t.id.index(), st.epoch, self.me.index() as u32)
             {
-                self.skip_stolen(t, accesses);
+                if pre.is_none() {
+                    self.declare_task_accesses(t.id, accesses);
+                }
+                self.tick(t.id);
                 return true;
             }
         }
@@ -473,52 +497,18 @@ impl<'a> WorkerCtx<'a> {
         // acquisition order can deadlock.
         for (i, a) in accesses.iter().enumerate() {
             self.ops.gets += 1;
-            let data = a.data.index();
-            let shared = self.shared;
-            let s = &shared[data];
-            let wait_start = if self.measure || self.traced || self.wd {
-                Some(Instant::now())
-            } else {
-                None
-            };
-            if self.wd {
-                self.status.begin_wait(self.me, a.data);
-            }
-            let cx = self.wait_cx(data);
+            let s = &self.shared[a.data.index()];
             let writes = a.mode.writes();
-            let expected = {
-                let l = &self.locals[data];
-                let interp = if writes {
-                    expected_write_word(l)
-                } else {
-                    expected_read_word(l)
-                };
-                match pre {
-                    Some(words) => {
-                        // The compiled path's precomputed word must equal
-                        // what the interpreter would pack from the private
-                        // view — the compile-time simulation invariant.
-                        debug_assert_eq!(
-                            words[i], interp,
-                            "compiled expected word diverges from the private view \
-                             ({} access {i} on {})",
-                            t.id, a.data,
-                        );
-                        words[i]
-                    }
-                    None => interp,
-                }
+            let expected = match pre {
+                Some(words) => words[i],
+                None => expected_write_word(&self.locals[a.data.index()]),
             };
+            let cx = self.wait_cx(a.data);
             let wr = if self.steal.is_some() {
-                self.wait_or_steal(kernel, expected, writes, data, &cx)
-            } else if writes {
-                get_write_word_cx(s, expected, &cx)
+                self.wait_or_steal(kernel, s, expected, writes, &cx)
             } else {
-                get_read_word_cx(s, expected, &cx)
+                get_word_cx(s, expected, writes, &cx)
             };
-            if self.wd {
-                self.status.end_wait(self.me);
-            }
             let wo = wr.outcome;
             if wo.polls > 0 {
                 self.ops.waits += 1;
@@ -530,33 +520,29 @@ impl<'a> WorkerCtx<'a> {
                 if wo.parks > 0 {
                     self.flight_event(FlightEventKind::Park, t.id, Some(a.data));
                 }
-                if let Some(t0) = wait_start {
-                    let t1 = Instant::now();
-                    if self.measure {
-                        self.idle_time += t1.duration_since(t0);
-                    }
-                    if let Some(tr) = self.tracer.as_mut() {
-                        tr.wait(t.id, a.data, a.mode.writes(), t0, t1, wo.polls, wo.parks);
-                    }
+            }
+            if let (true, Some(t0)) = (self.cx.timed, wr.blocked_at) {
+                let t1 = Instant::now();
+                if self.measure {
+                    self.idle_time += t1.duration_since(t0);
+                }
+                if let Some(tr) = self.tracer.as_mut() {
+                    tr.wait(t.id, a.data, writes, t0, t1, wo.polls, wo.parks);
                 }
             }
             match wr.verdict {
                 WaitVerdict::Ready => {}
                 WaitVerdict::Aborted => return false,
                 WaitVerdict::DeadlineExceeded => {
-                    let waited = wait_start
-                        .map(|t0| t0.elapsed())
-                        .or(self.cfg.watchdog)
-                        .unwrap_or_default();
+                    let waited = wr.blocked_at.map_or(Duration::ZERO, |t0| t0.elapsed());
                     // Record the abort *before* dumping, so the stalling
                     // worker's own ring shows it as the final event.
                     self.flight_event(FlightEventKind::Abort, t.id, Some(a.data));
-                    let l = &self.locals[data];
                     let diag = stall_diagnostic(
                         self.me,
                         t.id,
                         a,
-                        l,
+                        expected,
                         s,
                         waited,
                         self.status,
@@ -572,11 +558,42 @@ impl<'a> WorkerCtx<'a> {
             }
         }
 
+        if !self.run_body(kernel, t, accesses) {
+            return false;
+        }
+        // Skipped and permanently-failed tasks still report watchdog
+        // progress: the worker is alive and the flow is advancing.
+        self.tick(t.id);
+        self.publish_task(t.id, accesses, pre.is_none());
+
+        #[cfg(feature = "fault-inject")]
+        if let Some(hook) = self.cfg.fault_hook.as_ref() {
+            if hook.spurious_wake_after(self.me, t.id) {
+                crate::protocol::spurious_wake_all(self.shared);
+            }
+        }
+        true
+    }
+
+    /// The one body-execution block, behind owned and stolen tasks alike:
+    /// the kernel under fault containment — abort-on-panic without a
+    /// recovery policy; with one, skip on a poisoned input (the failure
+    /// already happened upstream and this task's outputs would be
+    /// garbage), otherwise retry — and the timing rule: the clock is read
+    /// around the body only when `measure_time`, `record_spans` or the
+    /// tracer asked for it. Skipped and permanently-failed tasks are not
+    /// counted as executed, but the caller publishes their terminates all
+    /// the same. Returns `false` when the run is aborting: no terminate
+    /// may follow.
+    fn run_body<K>(&mut self, kernel: &K, t: &TaskDesc, accesses: &[Access]) -> bool
+    where
+        K: Fn(WorkerId, &TaskDesc) + Sync,
+    {
         self.flight_event(FlightEventKind::TaskStart, t.id, None);
+        let timed = self.measure || self.record || self.tracer.is_some();
+        // `None`: skipped or permanently failed. `Some(span)`: ran.
         let ran = match self.rec {
             None => {
-                // Abort semantics (no recovery policy): the first panic
-                // records its cause and ends the whole run.
                 let body = std::panic::AssertUnwindSafe(|| {
                     #[cfg(feature = "fault-inject")]
                     if let Some(hook) = self.cfg.fault_hook.as_ref() {
@@ -584,27 +601,14 @@ impl<'a> WorkerCtx<'a> {
                     }
                     kernel(self.me, t)
                 });
-                let body_start = if self.measure || self.record || self.traced {
-                    Some(Instant::now())
-                } else {
-                    None
-                };
+                let t0 = timed.then(Instant::now);
                 let outcome = std::panic::catch_unwind(body);
-                let body_span = body_start.map(|t0| {
-                    let t1 = Instant::now();
-                    if self.measure {
-                        self.task_time += t1.duration_since(t0);
-                    }
-                    if self.record {
-                        self.spans.push(rio_stf::validate::Span {
-                            task: t.id,
-                            start: t0.duration_since(self.epoch).as_nanos() as u64,
-                            end: t1.duration_since(self.epoch).as_nanos() as u64,
-                        });
-                    }
-                    (t0, t1)
-                });
+                let span = t0.map(|t0| (t0, Instant::now()));
                 if let Err(payload) = outcome {
+                    // The first panic records its cause and ends the
+                    // whole run. A thief aborts with its claim held, so
+                    // the owner never re-runs the body; the abort wakes
+                    // every waiter the missing terminates would have.
                     self.flight_event(FlightEventKind::Abort, t.id, None);
                     if let Some(c) = self.ctr {
                         c.inc_aborts();
@@ -619,131 +623,78 @@ impl<'a> WorkerCtx<'a> {
                     );
                     return false;
                 }
-                if let (Some((t0, t1)), Some(tr)) = (body_span, self.tracer.as_mut()) {
+                Some(span)
+            }
+            // The gets already admitted every access, so any poison a
+            // producer published before its terminate is visible here
+            // (the bit rides the protocol's own Release/Acquire edge).
+            // Recovery is keyed on the task, not the worker: a stolen
+            // task retries, fails, poisons and skips exactly as it would
+            // on its owner.
+            Some(rec) if accesses.iter().any(|a| rec.is_poisoned(a.data)) => {
+                rec.record_skipped(t.id);
+                poison_writes(rec, t.id, accesses, self.ctr, self.ring);
+                None
+            }
+            Some(rec) => run_body_with_recovery(
+                self.cfg, rec, kernel, self.me, t, accesses, self.ctr, self.ring, timed,
+            ),
+        };
+        if let Some(span) = ran {
+            if let Some((t0, t1)) = span {
+                if self.measure {
+                    self.task_time += t1.duration_since(t0);
+                }
+                if self.record {
+                    self.spans.push(rio_stf::validate::Span {
+                        task: t.id,
+                        start: t0.duration_since(self.epoch).as_nanos() as u64,
+                        end: t1.duration_since(self.epoch).as_nanos() as u64,
+                    });
+                }
+                if let Some(tr) = self.tracer.as_mut() {
                     tr.task(t.id, t0, t1);
                 }
-                true
             }
-            Some(rec) => self.exec_task_recovering(kernel, t, accesses, rec),
-        };
-        if ran {
             self.tasks_executed += 1;
             if let Some(c) = self.ctr {
                 c.inc_tasks();
             }
             self.flight_event(FlightEventKind::TaskEnd, t.id, None);
         }
-        // Skipped and permanently-failed tasks still report watchdog
-        // progress: the worker is alive and the flow is advancing.
-        if self.wd {
-            let (steals, retries) = self.tick_counters();
-            self.status
-                .completed(self.me, t.id, self.tasks_executed, steals, retries);
-        }
+        true
+    }
 
-        // Skip-but-sync: the terminates below run regardless of `ran`. A
-        // skipped or permanently-failed task still publishes every epoch
-        // advance its completion owes the protocol, so no downstream
-        // worker ever stalls on a failure — they observe the poison bits
-        // instead (published before these stores, so the Release edge of
-        // each terminate carries them).
+    /// Publishes every epoch advance `task` owes the protocol — with each
+    /// data object's own strategy (shared run-wide), so §10 wake elision
+    /// behaves the same whoever ran the body. Skip-but-sync: this runs
+    /// whether or not the body did. A skipped or permanently-failed task
+    /// still publishes, so no downstream worker ever stalls on a failure
+    /// — they observe the poison bits instead (set before these stores,
+    /// so the Release edge of each publication carries them).
+    ///
+    /// `keep_view`: a walker terminating a task of its own also registers
+    /// it in its private view — a terminate's private half *is* the
+    /// declare. Off for a compiled program (no view) and for a stolen
+    /// task (the thief's walk declares it when it gets there).
+    fn publish_task(&mut self, task: rio_stf::TaskId, accesses: &[Access], keep_view: bool) {
         for a in accesses {
             self.ops.terminates += 1;
             let strategy = self.strategy_of(a.data.index());
             let s = &self.shared[a.data.index()];
-            let l = &mut self.locals[a.data.index()];
             let elided = if a.mode.writes() {
-                terminate_write(s, l, t.id, strategy)
+                publish_write(s, task, strategy)
             } else {
-                terminate_read(s, l, strategy)
+                publish_read(s, strategy)
             };
+            if keep_view {
+                declare_batch(&mut self.locals, task, std::slice::from_ref(a));
+            }
             if elided {
                 if let Some(c) = self.ctr {
                     c.inc_wakes_elided();
                 }
             }
-        }
-
-        #[cfg(feature = "fault-inject")]
-        if let Some(hook) = self.cfg.fault_hook.as_ref() {
-            if hook.spurious_wake_after(self.me, t.id) {
-                crate::protocol::spurious_wake_all(self.shared);
-            }
-        }
-        true
-    }
-
-    /// The degraded-mode body path: skip the kernel outright when an
-    /// input datum is poisoned (the failure already happened upstream and
-    /// this task's outputs would be garbage), otherwise run it under the
-    /// retry policy. Returns `true` when an attempt succeeded — the task
-    /// counts as executed; `false` when it was skipped or permanently
-    /// failed. Either way the caller proceeds to the terminates.
-    fn exec_task_recovering<K>(
-        &mut self,
-        kernel: &K,
-        t: &TaskDesc,
-        accesses: &[Access],
-        rec: &'a RecoveryCtx,
-    ) -> bool
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
-        // The get loop above already admitted every access, so any poison
-        // a producer published before its terminate is visible here (the
-        // bit rides the protocol's own Release/Acquire edge).
-        if accesses.iter().any(|a| rec.is_poisoned(a.data)) {
-            rec.record_skipped(t.id);
-            poison_writes(rec, t.id, accesses, self.ctr, self.ring);
-            return false;
-        }
-        let timed = self.measure || self.record || self.traced;
-        match run_body_with_recovery(
-            self.cfg, rec, kernel, self.me, t, accesses, self.ctr, self.ring, timed,
-        ) {
-            Some(span) => {
-                if let Some((t0, t1)) = span {
-                    if self.measure {
-                        self.task_time += t1.duration_since(t0);
-                    }
-                    if self.record {
-                        self.spans.push(rio_stf::validate::Span {
-                            task: t.id,
-                            start: t0.duration_since(self.epoch).as_nanos() as u64,
-                            end: t1.duration_since(self.epoch).as_nanos() as u64,
-                        });
-                    }
-                    if let Some(tr) = self.tracer.as_mut() {
-                        tr.task(t.id, t0, t1);
-                    }
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The owner's half of a stolen task: a thief claimed it and runs
-    /// (or already ran) the body and every terminate's shared publication,
-    /// so the owner registers it exactly like foreign work — private
-    /// declares only. (A terminate's local effect *is* the declare, so
-    /// this leaves the owner's private view bit-identical to having
-    /// executed the task itself.)
-    fn skip_stolen(&mut self, t: &TaskDesc, accesses: &[Access]) {
-        self.ops.declares += accesses.len() as u64;
-        for a in accesses {
-            let l = &mut self.locals[a.data.index()];
-            if a.mode.writes() {
-                declare_write(l, t.id);
-            } else {
-                declare_read(l);
-            }
-        }
-        // The flow is advancing even though the owner ran nothing.
-        if self.wd {
-            let (steals, retries) = self.tick_counters();
-            self.status
-                .completed(self.me, t.id, self.tasks_executed, steals, retries);
         }
     }
 
@@ -756,9 +707,9 @@ impl<'a> WorkerCtx<'a> {
     fn wait_or_steal<K>(
         &mut self,
         kernel: &K,
+        s: &SharedDataState,
         expected: u64,
         writes: bool,
-        data: usize,
         cx: &WaitCx<'a>,
     ) -> WaitResult
     where
@@ -767,84 +718,53 @@ impl<'a> WorkerCtx<'a> {
         let st = self
             .steal
             .expect("wait_or_steal requires an armed steal layer");
-        let shared = self.shared;
-        let s = &shared[data];
-        // Ready fast path before any slice/clock machinery: an armed-but-
-        // never-blocked run must pay the same one acquire-load per get as
-        // an unarmed one.
-        let mask = if writes {
-            WRITE_EPOCH_MASK
-        } else {
-            READ_EPOCH_MASK
-        };
-        if s.satisfied(expected, mask) {
-            return WaitResult {
-                outcome: WaitOutcome { polls: 0, parks: 0 },
-                verdict: WaitVerdict::Ready,
-            };
-        }
-        let wait = |cx: &WaitCx<'_>| {
-            if writes {
-                get_write_word_cx(s, expected, cx)
-            } else {
-                get_read_word_cx(s, expected, cx)
-            }
-        };
-        let mut agg = WaitOutcome { polls: 0, parks: 0 };
-        let merge = |agg: WaitOutcome, wr: WaitResult| WaitResult {
+        // Folds one more piece of the wait into the whole: counts add up,
+        // the latest verdict stands, and the wait has been blocked since
+        // the first failed probe.
+        let then = |agg: WaitResult, wr: WaitResult| WaitResult {
             outcome: WaitOutcome {
-                polls: agg.polls + wr.outcome.polls,
-                parks: agg.parks + wr.outcome.parks,
+                polls: agg.outcome.polls + wr.outcome.polls,
+                parks: agg.outcome.parks + wr.outcome.parks,
             },
             verdict: wr.verdict,
+            blocked_at: agg.blocked_at.or(wr.blocked_at),
         };
-        // The real watchdog clock for this whole wait; each slice gets its
-        // own short deadline, so `DeadlineExceeded` from a slice means
-        // "time to scan", not "stalled".
-        let wd_start = cx.deadline.map(|_| Instant::now());
+        let burned = |agg: &WaitResult| agg.blocked_at.map_or(Duration::ZERO, |t0| t0.elapsed());
+        // Each slice gets its own short deadline, so `DeadlineExceeded`
+        // from a slice means "time to scan", not "stalled". An armed-but-
+        // never-blocked run pays nothing for this: a slice whose first
+        // probe succeeds is the same one acquire-load as an unarmed get.
+        let slice = WaitCx {
+            strategy: WaitStrategy::SpinYield,
+            deadline: Some(st.policy.min_wait_before_steal),
+            ..*cx
+        };
+        let mut agg = WaitResult::READY;
         let mut steals = 0usize;
         let mut empty = 0usize;
         while steals < st.policy.max_steals && empty < EMPTY_SCAN_LIMIT {
-            let slice = WaitCx {
-                strategy: WaitStrategy::SpinYield,
-                spin_limit: cx.spin_limit,
-                deadline: Some(st.policy.min_wait_before_steal),
-                abort: cx.abort,
-            };
-            let wr = wait(&slice);
-            match wr.verdict {
-                WaitVerdict::Ready | WaitVerdict::Aborted => return merge(agg, wr),
-                WaitVerdict::DeadlineExceeded => {
-                    agg.polls += wr.outcome.polls;
-                    agg.parks += wr.outcome.parks;
-                    if let (Some(t0), Some(d)) = (wd_start, cx.deadline) {
-                        if t0.elapsed() >= d {
-                            // The *watchdog* expired, not just the slice.
-                            return WaitResult {
-                                outcome: agg,
-                                verdict: WaitVerdict::DeadlineExceeded,
-                            };
-                        }
-                    }
-                    if self.try_steal_one(kernel) {
-                        steals += 1;
-                        empty = 0;
-                    } else {
-                        empty += 1;
-                    }
-                }
+            agg = then(agg, get_word_cx(s, expected, writes, &slice));
+            // Done, aborted — or the real watchdog, whose clock runs over
+            // the whole wait, expired.
+            if agg.verdict != WaitVerdict::DeadlineExceeded
+                || cx.deadline.is_some_and(|d| burned(&agg) >= d)
+            {
+                return agg;
+            }
+            if self.try_steal_one(kernel) {
+                steals += 1;
+                empty = 0;
+            } else {
+                empty += 1;
             }
         }
         // Budget exhausted: the rest of the wait runs under the object's
         // configured strategy (minus the watchdog time already burned).
-        let rest = cx
-            .deadline
-            .map(|d| wd_start.map_or(d, |t0| d.saturating_sub(t0.elapsed())));
-        let final_cx = WaitCx {
-            deadline: rest,
+        let rest = WaitCx {
+            deadline: cx.deadline.map(|d| d.saturating_sub(burned(&agg))),
             ..*cx
         };
-        merge(agg, wait(&final_cx))
+        then(agg, get_word_cx(s, expected, writes, &rest))
     }
 
     /// One scan-and-claim attempt. Returns `true` when a foreign task was
@@ -931,15 +851,7 @@ impl<'a> WorkerCtx<'a> {
                 budget -= 1;
                 let t = &tasks[j];
                 let range = offsets[j] as usize..offsets[j + 1] as usize;
-                let ready = t.accesses.iter().zip(&expected[range]).all(|(a, &e)| {
-                    let mask = if a.mode.writes() {
-                        WRITE_EPOCH_MASK
-                    } else {
-                        READ_EPOCH_MASK
-                    };
-                    shared[a.data.index()].satisfied(e, mask)
-                });
-                if ready {
+                if guards_open(shared, &t.accesses, &expected[range]) {
                     if st.claims.try_claim(j, st.epoch, me) {
                         if let Some(c) = self.ctr {
                             c.inc_steals();
@@ -978,7 +890,6 @@ impl<'a> WorkerCtx<'a> {
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
-        use crate::compile::SYNC_BIT;
         let me = self.me.index();
         let workers = programs.len();
         let shared = self.shared;
@@ -1005,15 +916,12 @@ impl<'a> WorkerCtx<'a> {
             }
             let varena = &arenas[nodes.get(v).copied().unwrap_or(0) as usize];
             let prog = &programs[v];
-            let mut pc = cursors[v].0.load(std::sync::atomic::Ordering::Relaxed);
-            while pc < prog.code.len() && budget > 0 {
-                let code = prog.code[pc];
-                pc += 1;
-                if code & SYNC_BIT != 0 {
-                    continue;
+            let pc = cursors[v].0.load(std::sync::atomic::Ordering::Relaxed);
+            for r in prog.iter().skip(pc) {
+                if budget == 0 {
+                    break;
                 }
                 budget -= 1;
-                let r = prog.runs[code as usize];
                 let ti = r.task as usize;
                 if st.claims.claimant(ti, st.epoch).is_some() {
                     continue;
@@ -1021,15 +929,7 @@ impl<'a> WorkerCtx<'a> {
                 let range = r.start as usize..r.end as usize;
                 let acc = &varena.accesses[range.clone()];
                 let exp = &varena.expected[range];
-                let ready = acc.iter().zip(exp).all(|(a, &e)| {
-                    let mask = if a.mode.writes() {
-                        WRITE_EPOCH_MASK
-                    } else {
-                        READ_EPOCH_MASK
-                    };
-                    shared[a.data.index()].satisfied(e, mask)
-                });
-                if !ready {
+                if !guards_open(shared, acc, exp) {
                     continue;
                 }
                 if st.claims.try_claim(ti, st.epoch, me as u32) {
@@ -1049,98 +949,16 @@ impl<'a> WorkerCtx<'a> {
     }
 
     /// Runs a claimed foreign task in place: the body under the same
-    /// containment/recovery as an owned task, then the *publish-only*
-    /// halves of its terminates. No guard waits (readiness was verified
-    /// and is monotonic until these publications) and no private
-    /// declares — the thief's own walk registers this task as foreign
-    /// work when it reaches it, and the owner skips-but-syncs.
+    /// containment/recovery as an owned task, then its terminates. No
+    /// guard waits (readiness was verified and is monotonic until these
+    /// publications) and no private declares — a walking thief registers
+    /// this task as foreign work when its own walk reaches it.
     fn execute_stolen<K>(&mut self, kernel: &K, t: &TaskDesc, accesses: &[Access])
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
-        self.flight_event(FlightEventKind::TaskStart, t.id, None);
-        let ran = match self.rec {
-            None => {
-                let body = std::panic::AssertUnwindSafe(|| {
-                    #[cfg(feature = "fault-inject")]
-                    if let Some(hook) = self.cfg.fault_hook.as_ref() {
-                        hook.before_task(self.me, t.id);
-                    }
-                    kernel(self.me, t)
-                });
-                let body_start = if self.measure || self.record || self.traced {
-                    Some(Instant::now())
-                } else {
-                    None
-                };
-                let outcome = std::panic::catch_unwind(body);
-                let body_span = body_start.map(|t0| {
-                    let t1 = Instant::now();
-                    if self.measure {
-                        self.task_time += t1.duration_since(t0);
-                    }
-                    if self.record {
-                        self.spans.push(rio_stf::validate::Span {
-                            task: t.id,
-                            start: t0.duration_since(self.epoch).as_nanos() as u64,
-                            end: t1.duration_since(self.epoch).as_nanos() as u64,
-                        });
-                    }
-                    (t0, t1)
-                });
-                if let Err(payload) = outcome {
-                    self.flight_event(FlightEventKind::Abort, t.id, None);
-                    if let Some(c) = self.ctr {
-                        c.inc_aborts();
-                    }
-                    // The run is tearing down; the claim stays held so the
-                    // owner never re-runs the body, and the abort wakes
-                    // every waiter the missing terminates would have.
-                    self.abort.abort(
-                        AbortCause::Panic {
-                            task: t.id,
-                            worker: self.me,
-                            payload,
-                        },
-                        self.shared,
-                    );
-                    return;
-                }
-                if let (Some((t0, t1)), Some(tr)) = (body_span, self.tracer.as_mut()) {
-                    tr.task(t.id, t0, t1);
-                }
-                true
-            }
-            // Recovery is keyed on the task, not the worker: a stolen
-            // task retries, fails, poisons and skips exactly as it would
-            // on its owner (the poison bits are published before the
-            // terminates below, riding the same Release edges).
-            Some(rec) => self.exec_task_recovering(kernel, t, accesses, rec),
-        };
-        if ran {
-            self.tasks_executed += 1;
-            if let Some(c) = self.ctr {
-                c.inc_tasks();
-            }
-            self.flight_event(FlightEventKind::TaskEnd, t.id, None);
-        }
-        // Publish every epoch advance this task owes the protocol — with
-        // the data object's own strategy (shared run-wide), so §10 wake
-        // elision behaves exactly as if the owner had terminated.
-        for a in accesses {
-            self.ops.terminates += 1;
-            let strategy = self.strategy_of(a.data.index());
-            let s = &self.shared[a.data.index()];
-            let elided = if a.mode.writes() {
-                publish_write(s, t.id, strategy)
-            } else {
-                publish_read(s, strategy)
-            };
-            if elided {
-                if let Some(c) = self.ctr {
-                    c.inc_wakes_elided();
-                }
-            }
+        if self.run_body(kernel, t, accesses) {
+            self.publish_task(t.id, accesses, false);
         }
     }
 
@@ -1148,19 +966,13 @@ impl<'a> WorkerCtx<'a> {
     /// private writes per access, nothing else.
     #[inline]
     pub(crate) fn declare_task(&mut self, t: &TaskDesc) {
-        self.ops.declares += t.accesses.len() as u64;
-        declare_batch(&mut self.locals, t.id, &t.accesses);
+        self.declare_task_accesses(t.id, &t.accesses);
     }
 
-    /// Applies one compiled `Sync` instruction: the coalesced private-state
-    /// delta of a maximal run of non-local tasks on one data object.
     #[inline]
-    pub(crate) fn apply_sync(&mut self, data: usize, delta: SyncDelta) {
-        self.ops.syncs += 1;
-        if let Some(c) = self.ctr {
-            c.inc_syncs();
-        }
-        apply_sync(&mut self.locals[data], delta);
+    fn declare_task_accesses(&mut self, task: rio_stf::TaskId, accesses: &[Access]) {
+        self.ops.declares += accesses.len() as u64;
+        declare_batch(&mut self.locals, task, accesses);
     }
 
     /// Consumes the context into the worker's report.
@@ -1370,8 +1182,8 @@ where
 /// walked (they must include every task whose accesses this worker needs
 /// to register — see [`crate::pruning`]). Both cases interpret the flow
 /// through the same [`WorkerCtx`] engine; a visit list merely restricts
-/// the walk (the degenerate form of the compilation in
-/// [`crate::compile`], which additionally coalesces the declares).
+/// the walk ([`crate::compile`] takes it to the limit: own tasks only,
+/// no declare at all).
 ///
 /// Fault containment: the kernel runs under `catch_unwind`; the first
 /// failure (body panic, or watchdog-diagnosed stall) records its
@@ -1443,7 +1255,7 @@ where
             if let Some(c) = cursor {
                 c.store(t.id.index(), std::sync::atomic::Ordering::Relaxed);
             }
-            ctx.exec_task(kernel, t, &t.accesses)
+            ctx.exec_task(kernel, t, &t.accesses, None)
         } else {
             ctx.declare_task(t);
             true
@@ -1675,6 +1487,70 @@ mod tests {
         });
         assert!(report.cumulative_task_time() >= Duration::from_millis(8));
         assert!(report.workers[0].loop_time >= report.workers[0].task_time);
+    }
+
+    /// Runs `g` on two round-robin workers with `measure_time` on, once
+    /// interpreted and once compiled.
+    fn timed_reports(
+        g: &TaskGraph,
+        kernel: impl Fn(WorkerId, &TaskDesc) + Sync,
+    ) -> [ExecReport; 2] {
+        let c = cfg(2).measure_time(true);
+        let exec = crate::executor::Executor::new(c.clone()).mapping(&RoundRobin);
+        [
+            execute_graph(&c, g, &RoundRobin, &kernel),
+            exec.compile(g).run(&kernel).report,
+        ]
+    }
+
+    #[test]
+    fn measured_independent_tasks_never_wait_or_idle() {
+        // Every guard is open at its first probe: timing on, yet no wait
+        // is counted and no idle time booked (nor any clock read for it).
+        let mut b = TaskGraph::builder(64);
+        for i in 0..64 {
+            b.task(&[Access::write(DataId(i))], 1, "ind");
+        }
+        let g = b.build();
+        for report in timed_reports(&g, |_, _| {
+            std::hint::black_box(0u64);
+        }) {
+            assert_eq!(report.total_ops().waits, 0);
+            assert_eq!(report.cumulative_idle_time(), Duration::ZERO);
+            assert!(report.cumulative_task_time() > Duration::ZERO);
+        }
+    }
+
+    #[test]
+    fn measured_cross_worker_chain_books_idle_time_inside_the_loop() {
+        // A read-write chain alternating between two workers: while one
+        // sleeps in a body the other is blocked on its guard.
+        let mut b = TaskGraph::builder(1);
+        for _ in 0..10 {
+            b.task(&[Access::read_write(DataId(0))], 1, "inc");
+        }
+        let g = b.build();
+        for report in timed_reports(&g, |_, _| std::thread::sleep(Duration::from_millis(1))) {
+            assert!(report.total_ops().waits > 0);
+            assert!(report.cumulative_idle_time() > Duration::ZERO);
+            for w in &report.workers {
+                assert!(w.task_time >= Duration::from_millis(5));
+                assert!(w.task_time + w.idle_time <= w.loop_time, "{w:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn timing_is_off_by_default() {
+        let mut b = TaskGraph::builder(1);
+        for _ in 0..10 {
+            b.task(&[Access::read_write(DataId(0))], 1, "inc");
+        }
+        let g = b.build();
+        let report = execute_graph(&cfg(2), &g, &RoundRobin, |_, _| {});
+        assert_eq!(report.cumulative_task_time(), Duration::ZERO);
+        assert_eq!(report.cumulative_idle_time(), Duration::ZERO);
+        assert!(report.workers.iter().all(|w| w.loop_time > Duration::ZERO));
     }
 
     #[test]

@@ -34,22 +34,15 @@
 //! worker reaches and claims `t*`.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use rio_stf::{
-    DataId, ExecError, FlightEventKind, Mapping, MappingError, TaskDesc, TaskGraph, TaskId,
-    WorkerId,
-};
+use rio_stf::{ExecError, Mapping, MappingError, TaskDesc, TaskGraph, TaskId, WorkerId};
 
 use crate::config::RioConfig;
-use crate::graph::{poison_writes, run_body_with_recovery, stall_diagnostic};
-use crate::protocol::{
-    declare_read, declare_write, get_read_cx, get_write_cx, terminate_read, terminate_write,
-    AbortCause, AbortFlag, LocalDataState, RecoveryCtx, SharedDataState, WaitCx, WaitVerdict,
-};
-use crate::report::{ExecReport, OpCounts, WorkerReport};
+use crate::graph::WorkerCtx;
+use crate::protocol::{AbortFlag, RecoveryCtx, SharedDataState};
+use crate::report::{ExecReport, WorkerReport};
 use crate::status::StatusTable;
-use crate::trace_api::WorkerTracer;
 
 /// A mapping that may leave tasks unassigned (`None` = decided at run
 /// time by claiming).
@@ -273,6 +266,10 @@ where
     ))
 }
 
+/// One worker's hybrid walk: the interpreted flow walk of
+/// [`crate::graph`] with ownership of unmapped tasks decided by a claim
+/// race. Everything past "is this task mine?" — gets, body, recovery,
+/// terminates, declares — is the shared [`WorkerCtx`] engine.
 #[allow(clippy::too_many_arguments)]
 fn hybrid_worker_loop<P, K>(
     cfg: &RioConfig,
@@ -293,41 +290,24 @@ where
     P: PartialMapping + ?Sized,
     K: Fn(WorkerId, &TaskDesc) + Sync,
 {
-    let ctr = registry.map(|r| r.worker(me.index()));
-    let ring = flight.map(|f| f.ring(me.index()));
-    let flight_event = |kind: FlightEventKind, task: TaskId, data: Option<DataId>| {
-        if let Some(r) = ring {
-            r.record(kind, task, data);
-        }
-    };
-    let mut locals = vec![LocalDataState::default(); graph.num_data()];
-    let mut ops = OpCounts::default();
-    let mut task_time = Duration::ZERO;
-    let mut idle_time = Duration::ZERO;
-    let mut tasks_executed = 0u64;
-    let mut tasks_visited = 0u64;
+    let mut ctx = WorkerCtx::new(
+        cfg,
+        graph.num_data(),
+        shared,
+        me,
+        abort,
+        status,
+        epoch,
+        registry,
+        flight,
+        rec,
+    );
     let mut claimed = 0u64;
     let mut lost_races = 0u64;
-    let mut spans = Vec::new();
-    let wait = cfg.wait;
-    let measure = cfg.measure_time;
-    let record = cfg.record_spans;
-    let wd = cfg.watchdog.is_some();
-    let cx = WaitCx {
-        strategy: cfg.wait,
-        spin_limit: cfg.spin_limit,
-        deadline: cfg.watchdog,
-        abort,
-    };
-    let mut tracer = cfg
-        .trace
-        .as_ref()
-        .map(|tc| WorkerTracer::new(tc, me.index() as u32, epoch));
-    let traced = tracer.is_some();
 
     let loop_start = Instant::now();
-    'flow: for t in graph.tasks() {
-        tasks_visited += 1;
+    for t in graph.tasks() {
+        ctx.tasks_visited += 1;
         let mine = match pmap.worker_of(t.id, cfg.workers) {
             Some(owner) => {
                 debug_assert!(owner.index() < cfg.workers);
@@ -353,246 +333,16 @@ where
                 won
             }
         };
-
-        if mine {
-            // Containment guarantee: no body starts once the abort is
-            // observed (a dynamically claimed task is simply dropped —
-            // nobody else will run it, but the run is aborting anyway).
-            if abort.armed() {
-                break 'flow;
-            }
-            for a in &t.accesses {
-                ops.gets += 1;
-                let s = &shared[a.data.index()];
-                let l = &locals[a.data.index()];
-                let wait_start = if measure || traced || wd {
-                    Some(Instant::now())
-                } else {
-                    None
-                };
-                if wd {
-                    status.begin_wait(me, a.data);
-                }
-                let wr = if a.mode.writes() {
-                    get_write_cx(s, l, &cx)
-                } else {
-                    get_read_cx(s, l, &cx)
-                };
-                if wd {
-                    status.end_wait(me);
-                }
-                let wo = wr.outcome;
-                if wo.polls > 0 {
-                    ops.waits += 1;
-                    ops.poll_loops += wo.polls;
-                    if let Some(c) = ctr {
-                        c.add_spins(wo.polls);
-                        c.add_parks(wo.parks);
-                    }
-                    if wo.parks > 0 {
-                        flight_event(FlightEventKind::Park, t.id, Some(a.data));
-                    }
-                    if let Some(t0) = wait_start {
-                        let t1 = Instant::now();
-                        if measure {
-                            idle_time += t1.duration_since(t0);
-                        }
-                        if let Some(tr) = tracer.as_mut() {
-                            tr.wait(t.id, a.data, a.mode.writes(), t0, t1, wo.polls, wo.parks);
-                        }
-                    }
-                }
-                match wr.verdict {
-                    WaitVerdict::Ready => {}
-                    WaitVerdict::Aborted => break 'flow,
-                    WaitVerdict::DeadlineExceeded => {
-                        let waited = wait_start
-                            .map(|t0| t0.elapsed())
-                            .or(cfg.watchdog)
-                            .unwrap_or_default();
-                        flight_event(FlightEventKind::Abort, t.id, Some(a.data));
-                        let diag =
-                            stall_diagnostic(me, t.id, a, l, s, waited, status, registry, flight);
-                        if let Some(c) = ctr {
-                            c.inc_aborts();
-                        }
-                        abort.abort(AbortCause::Stall(diag), shared);
-                        break 'flow;
-                    }
-                }
-            }
-
-            flight_event(FlightEventKind::TaskStart, t.id, None);
-            let ran = match rec {
-                None => {
-                    // Abort semantics (no recovery policy): the first
-                    // panic ends the whole run.
-                    let body = std::panic::AssertUnwindSafe(|| {
-                        #[cfg(feature = "fault-inject")]
-                        if let Some(hook) = cfg.fault_hook.as_ref() {
-                            hook.before_task(me, t.id);
-                        }
-                        kernel(me, t)
-                    });
-                    let body_start = if measure || record || traced {
-                        Some(Instant::now())
-                    } else {
-                        None
-                    };
-                    let outcome = std::panic::catch_unwind(body);
-                    let body_span = body_start.map(|t0| {
-                        let t1 = Instant::now();
-                        if measure {
-                            task_time += t1.duration_since(t0);
-                        }
-                        (t0, t1)
-                    });
-                    if let Err(payload) = outcome {
-                        flight_event(FlightEventKind::Abort, t.id, None);
-                        if let Some(c) = ctr {
-                            c.inc_aborts();
-                        }
-                        abort.abort(
-                            AbortCause::Panic {
-                                task: t.id,
-                                worker: me,
-                                payload,
-                            },
-                            shared,
-                        );
-                        break 'flow;
-                    }
-                    if let Some((t0, t1)) = body_span {
-                        if record {
-                            spans.push(rio_stf::validate::Span {
-                                task: t.id,
-                                start: t0.duration_since(epoch).as_nanos() as u64,
-                                end: t1.duration_since(epoch).as_nanos() as u64,
-                            });
-                        }
-                        if let Some(tr) = tracer.as_mut() {
-                            tr.task(t.id, t0, t1);
-                        }
-                    }
-                    true
-                }
-                // Degraded mode: same skip-but-sync semantics as the
-                // static engine ([`crate::graph::WorkerCtx`]) — the gets
-                // above admitted every access, so upstream poison is
-                // visible here.
-                Some(rec) if t.accesses.iter().any(|a| rec.is_poisoned(a.data)) => {
-                    rec.record_skipped(t.id);
-                    poison_writes(rec, t.id, &t.accesses, ctr, ring);
-                    false
-                }
-                Some(rec) => {
-                    let timed = measure || record || traced;
-                    match run_body_with_recovery(
-                        cfg,
-                        rec,
-                        kernel,
-                        me,
-                        t,
-                        &t.accesses,
-                        ctr,
-                        ring,
-                        timed,
-                    ) {
-                        Some(span) => {
-                            if let Some((t0, t1)) = span {
-                                if measure {
-                                    task_time += t1.duration_since(t0);
-                                }
-                                if record {
-                                    spans.push(rio_stf::validate::Span {
-                                        task: t.id,
-                                        start: t0.duration_since(epoch).as_nanos() as u64,
-                                        end: t1.duration_since(epoch).as_nanos() as u64,
-                                    });
-                                }
-                                if let Some(tr) = tracer.as_mut() {
-                                    tr.task(t.id, t0, t1);
-                                }
-                            }
-                            true
-                        }
-                        None => false,
-                    }
-                }
-            };
-            if ran {
-                tasks_executed += 1;
-                if let Some(c) = ctr {
-                    c.inc_tasks();
-                }
-                flight_event(FlightEventKind::TaskEnd, t.id, None);
-            }
-            if wd {
-                let (steals, retries) = ctr.map_or((0, 0), |c| (c.steals(), c.retries()));
-                status.completed(me, t.id, tasks_executed, steals, retries);
-            }
-
-            // Skip-but-sync: terminates run regardless of `ran`, so a
-            // failed or skipped task still publishes its epoch advances.
-            for a in &t.accesses {
-                ops.terminates += 1;
-                let s = &shared[a.data.index()];
-                let l = &mut locals[a.data.index()];
-                let elided = if a.mode.writes() {
-                    terminate_write(s, l, t.id, wait)
-                } else {
-                    terminate_read(s, l, wait)
-                };
-                if elided {
-                    if let Some(c) = ctr {
-                        c.inc_wakes_elided();
-                    }
-                }
-            }
-
-            #[cfg(feature = "fault-inject")]
-            if let Some(hook) = cfg.fault_hook.as_ref() {
-                if hook.spurious_wake_after(me, t.id) {
-                    crate::protocol::spurious_wake_all(shared);
-                }
-            }
-        } else {
-            for a in &t.accesses {
-                ops.declares += 1;
-                let l = &mut locals[a.data.index()];
-                if a.mode.writes() {
-                    declare_write(l, t.id);
-                } else {
-                    declare_read(l);
-                }
-            }
+        if !mine {
+            ctx.declare_task(t);
+        } else if !ctx.exec_task(kernel, t, &t.accesses, None) {
+            // The run is aborting (a dynamically claimed task is simply
+            // dropped — nobody else will run it, but nothing starts past
+            // the abort anyway).
+            break;
         }
     }
-
-    let loop_time = loop_start.elapsed();
-    let trace = tracer.map(|tr| {
-        let mut wt = tr.finish();
-        wt.declares = ops.declares;
-        wt.gets = ops.gets;
-        wt.terminates = ops.terminates;
-        wt.loop_ns = loop_time.as_nanos() as u64;
-        wt
-    });
-    (
-        WorkerReport {
-            worker: me,
-            tasks_executed,
-            tasks_visited,
-            task_time,
-            idle_time,
-            loop_time,
-            ops,
-            spans,
-            trace,
-        },
-        claimed,
-        lost_races,
-    )
+    (ctx.finish(loop_start.elapsed()), claimed, lost_races)
 }
 
 #[cfg(test)]
@@ -601,6 +351,7 @@ mod tests {
     use super::*;
     use rio_stf::{Access, DataId, DataStore, RoundRobin};
     use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
 
     fn cfg(workers: usize) -> RioConfig {
         RioConfig::with_workers(workers)

@@ -92,7 +92,7 @@ pub mod trace_api;
 pub mod tune;
 pub mod wait;
 
-pub use compile::{CompileStats, CompiledFlow};
+pub use compile::{CompileStats, CompiledFlow, CompiledTask};
 pub use config::{RecoveryPolicy, RioConfig};
 pub use counters::{CounterRegistry, CounterRow, CountersSnapshot, WorkerCounters};
 pub use executor::{Execution, Executor, RunOutcome};

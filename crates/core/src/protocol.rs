@@ -21,6 +21,12 @@
 //! (which publish to the shared state *and* update the private view, per
 //! Algorithm 2 lines 26 and 32).
 //!
+//! A compiled program ([`crate::compile`]) keeps no private state: the
+//! mapping is static, so the private view at each of a worker's own
+//! accesses is known before the run and precomputed as the packed word
+//! the `get_*` compares against ([`expected_write_word`]); its terminates
+//! are the shared publications alone ([`publish_read`]/[`publish_write`]).
+//!
 //! ## Why this is correct (informally)
 //!
 //! A read is safe once every flow-earlier write has been performed:
@@ -103,6 +109,7 @@ use parking_lot::Mutex;
 use rio_stf::{DataId, ExecError, FailedTask, PartialReport, StallDiagnostic, TaskId, WorkerId};
 
 use crate::park;
+use crate::status::WaitWatch;
 use crate::wait::WaitStrategy;
 
 /// Mask selecting the `last_executed_write` half of an epoch word — the
@@ -430,14 +437,30 @@ pub struct WaitResult {
     pub outcome: WaitOutcome,
     /// How the wait ended.
     pub verdict: WaitVerdict,
+    /// When the wait's first probe failed — the start of the blocked
+    /// interval, for idle accounting, the tracer and the watchdog alike.
+    /// `None` when the first probe succeeded (a ready get reads no clock)
+    /// or when the context asked for no stamp ([`WaitCx::timed`] off and
+    /// no deadline).
+    pub blocked_at: Option<Instant>,
+}
+
+impl WaitResult {
+    /// The first probe succeeded: nothing polled, no clock read.
+    pub const READY: WaitResult = WaitResult {
+        outcome: WaitOutcome { polls: 0, parks: 0 },
+        verdict: WaitVerdict::Ready,
+        blocked_at: None,
+    };
 }
 
 /// Everything a blocking wait needs to know beyond the protocol condition:
 /// the strategy, the (configurable) pure-spin budget, an optional watchdog
 /// deadline, and the run's abort flag.
 ///
-/// The deadline clock starts when a wait leaves its pure-spin phase; the
-/// spin phase itself (at most `spin_limit` polls) is never timed.
+/// Nothing here costs a wait whose first probe succeeds: the clock is
+/// read, and the watchdog's progress slot written, only once that probe
+/// has failed. The deadline clock starts at that same stamp.
 #[derive(Debug, Clone, Copy)]
 pub struct WaitCx<'a> {
     /// How to wait once the spin budget is exhausted.
@@ -445,10 +468,16 @@ pub struct WaitCx<'a> {
     /// Pure-spin polls before escalating (yield/park/timed polling).
     pub spin_limit: u32,
     /// `Some(d)`: give up (verdict [`WaitVerdict::DeadlineExceeded`]) after
-    /// blocking for `d` past the spin phase. `None`: wait forever.
+    /// being blocked for `d`. `None`: wait forever.
     pub deadline: Option<Duration>,
     /// The run's abort flag, re-checked on every poll.
     pub abort: &'a AbortFlag,
+    /// Stamp the clock when the first probe fails and hand the instant
+    /// back as [`WaitResult::blocked_at`] (a deadline implies the stamp).
+    pub timed: bool,
+    /// The progress slot to mark for as long as the wait is blocked, so a
+    /// sibling's stall diagnostic can name what this worker waits on.
+    pub watch: Option<WaitWatch<'a>>,
 }
 
 impl<'a> WaitCx<'a> {
@@ -460,6 +489,8 @@ impl<'a> WaitCx<'a> {
             spin_limit: WaitStrategy::DEFAULT_SPIN_LIMIT,
             deadline: None,
             abort,
+            timed: false,
+            watch: None,
         }
     }
 }
@@ -547,15 +578,23 @@ impl SharedDataState {
         self.word.load(Ordering::Acquire)
     }
 
-    /// Is the epoch guard `word & mask == expected` satisfied *right
-    /// now*? One masked acquire-load — the non-blocking readiness probe
-    /// the steal layer ([`crate::steal`]) prices foreign tasks with.
-    /// Satisfaction is monotonic until the guarded task's own
-    /// `terminate_*` calls run, so a `true` stays `true` for whoever
-    /// claims the task.
+    /// Is the epoch guard satisfied *right now* — does the epoch word
+    /// agree with `expected` on every bit of `mask`? One masked
+    /// acquire-load — the probe every `get_*` starts with and the steal
+    /// layer ([`crate::steal`]) prices foreign tasks with. `expected`'s
+    /// bits outside `mask` are ignored, so a read guard may be handed the
+    /// whole packed private view ([`expected_write_word`]) as well as
+    /// [`expected_read_word`]. Satisfaction is monotonic until the guarded
+    /// task's own `terminate_*` calls run, so a `true` stays `true` for
+    /// whoever claims the task.
     #[inline]
     pub fn satisfied(&self, expected: u64, mask: u64) -> bool {
-        self.word.load(Ordering::Acquire) & mask == expected
+        self.ready(expected, mask, Ordering::Acquire)
+    }
+
+    #[inline]
+    fn ready(&self, expected: u64, mask: u64, order: Ordering) -> bool {
+        (self.word.load(order) ^ expected) & mask == 0
     }
 
     /// Unparks this object's waiters if — and only if — there are any.
@@ -578,9 +617,24 @@ impl SharedDataState {
         }
     }
 
-    /// Waits until the epoch word masked with `mask` equals `expected`,
-    /// the run aborts, or the deadline (if any) expires, according to
-    /// `cx`. The abort flag is re-checked on every poll.
+    /// Waits until the epoch word agrees with `expected` under `mask`
+    /// ([`SharedDataState::satisfied`]), the run aborts, or the deadline
+    /// (if any) expires, according to `cx`.
+    ///
+    /// A first probe that succeeds is the whole cost of a ready get: no
+    /// clock read, no progress-slot store. Everything else — the stamp
+    /// that serves idle accounting, the tracer and the watchdog, and the
+    /// [`WaitWatch`] marks — lives behind the failed probe.
+    #[inline]
+    fn wait_until_cx(&self, cx: &WaitCx<'_>, expected: u64, mask: u64) -> WaitResult {
+        if self.satisfied(expected, mask) {
+            return WaitResult::READY;
+        }
+        self.wait_blocked(cx, expected, mask)
+    }
+
+    /// The blocked half of [`SharedDataState::wait_until_cx`]. The abort
+    /// flag is re-checked on every poll.
     ///
     /// Spurious wake-ups are harmless by construction: every strategy —
     /// including the `Park` branch, whose `Condvar::wait`/`wait_for` may
@@ -589,19 +643,36 @@ impl SharedDataState {
     /// only a *timed* wait can yield [`WaitVerdict::DeadlineExceeded`]
     /// (after the full deadline, never on a stray wake).
     ///
-    /// Ordering: the fast and spinning paths load with `Acquire` (enough
-    /// to synchronize with the `Release`/`SeqCst` publication they match);
+    /// Ordering: the spinning paths load with `Acquire` (enough to
+    /// synchronize with the `Release`/`SeqCst` publication they match);
     /// the parked path re-checks with `SeqCst` after announcing itself in
     /// `waiters`, which the elision argument requires.
-    fn wait_until_cx(&self, cx: &WaitCx<'_>, expected: u64, mask: u64) -> WaitResult {
-        let done = |polls, parks, verdict| WaitResult {
-            outcome: WaitOutcome { polls, parks },
-            verdict,
-        };
-        let ready = |order: Ordering| self.word.load(order) & mask == expected;
-        if ready(Ordering::Acquire) {
-            return done(0, 0, WaitVerdict::Ready);
+    #[cold]
+    fn wait_blocked(&self, cx: &WaitCx<'_>, expected: u64, mask: u64) -> WaitResult {
+        let blocked_at = (cx.timed || cx.deadline.is_some()).then(Instant::now);
+        if let Some(w) = cx.watch {
+            w.status.begin_wait(w.worker, w.data);
         }
+        let (outcome, verdict) = self.wait_loop(cx, expected, mask, blocked_at);
+        if let Some(w) = cx.watch {
+            w.status.end_wait(w.worker);
+        }
+        WaitResult {
+            outcome,
+            verdict,
+            blocked_at,
+        }
+    }
+
+    fn wait_loop(
+        &self,
+        cx: &WaitCx<'_>,
+        expected: u64,
+        mask: u64,
+        blocked_at: Option<Instant>,
+    ) -> (WaitOutcome, WaitVerdict) {
+        let done = |polls, parks, verdict| (WaitOutcome { polls, parks }, verdict);
+        let ready = |order: Ordering| self.ready(expected, mask, order);
         let mut polls: u64 = 0;
         // Short pure-spin phase common to all strategies.
         while polls < u64::from(cx.spin_limit) {
@@ -614,9 +685,10 @@ impl SharedDataState {
                 return done(polls, 0, WaitVerdict::Aborted);
             }
         }
-        // The watchdog clock starts here, once the wait turns blocking.
-        let timer = cx.deadline.map(|d| (Instant::now(), d));
-        let expired = || matches!(timer, Some((start, d)) if start.elapsed() >= d);
+        // The watchdog runs on the stamp taken when the first probe
+        // failed (a deadline always takes one).
+        let timer = cx.deadline.zip(blocked_at);
+        let expired = || matches!(timer, Some((d, start)) if start.elapsed() >= d);
         match cx.strategy {
             WaitStrategy::Spin => loop {
                 std::hint::spin_loop();
@@ -674,7 +746,7 @@ impl SharedDataState {
                     }
                     match timer {
                         None => bucket.cond.wait(&mut guard),
-                        Some((start, d)) => {
+                        Some((d, start)) => {
                             let remaining = d.saturating_sub(start.elapsed());
                             if remaining.is_zero() {
                                 break done(polls, parks, WaitVerdict::DeadlineExceeded);
@@ -727,8 +799,12 @@ pub fn declare_write(local: &mut LocalDataState, task: TaskId) {
 /// "the last write in the batch (if any), plus the number of reads after
 /// it". Folding every declare of a batch into a delta and then applying
 /// it with [`apply_sync`] leaves the [`LocalDataState`] bit-for-bit
-/// identical to issuing the declares one by one — the invariant the
-/// flow-compilation layer ([`crate::compile`]) is built on.
+/// identical to issuing the declares one by one.
+///
+/// Nothing in the runtime folds declares any more: compiled programs,
+/// which used to replay foreign tasks as such deltas, hold their own
+/// tasks only ([`crate::compile`]). The type stays because the
+/// repository's benchmark measures [`apply_sync`] as a floor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncDelta {
     /// Reads declared after the batch's last write (or since the batch
@@ -757,28 +833,6 @@ impl SyncDelta {
     pub fn fold_write(&mut self, task: TaskId) {
         self.reads_delta = 0;
         self.new_last_write = task;
-    }
-
-    /// Folds one declared access into the delta.
-    #[inline]
-    pub fn fold(&mut self, mode: rio_stf::AccessMode, task: TaskId) {
-        if mode.writes() {
-            self.fold_write(task);
-        } else {
-            self.fold_read();
-        }
-    }
-
-    /// Would applying this delta change anything?
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        *self == SyncDelta::EMPTY
-    }
-}
-
-impl Default for SyncDelta {
-    fn default() -> Self {
-        SyncDelta::EMPTY
     }
 }
 
@@ -927,12 +981,13 @@ pub fn terminate_read(
 }
 
 /// The shared half of [`terminate_read`] alone: publish the performed
-/// read without touching any private view. The steal layer's thief calls
-/// this — the body ran on the thief, but the *owner's* walk will declare
-/// the task into its private view, so the declare half must not run here.
-/// Wake-elision behaviour is identical to [`terminate_read`]'s: the
-/// strategy is the data object's (shared by every worker of the run), not
-/// the caller's.
+/// read without touching any private view. What a compiled program's
+/// terminate is (it keeps no private view), and what the graph engine
+/// calls for every task — owned or stolen — leaving the declare half to
+/// whoever keeps a view: a walking owner declares a stolen task like any
+/// foreign one. Wake-elision behaviour is identical to
+/// [`terminate_read`]'s: the strategy is the data object's (shared by
+/// every worker of the run), not the caller's.
 #[inline]
 pub fn publish_read(shared: &SharedDataState, strategy: WaitStrategy) -> bool {
     if strategy == WaitStrategy::Park {
@@ -964,8 +1019,8 @@ pub fn terminate_write(
 }
 
 /// The shared half of [`terminate_write`] alone: publish the performed
-/// write without touching any private view (see [`publish_read`] for why
-/// the steal layer needs the split).
+/// write without touching any private view (see [`publish_read`] for who
+/// needs the split).
 #[inline]
 pub fn publish_write(shared: &SharedDataState, task: TaskId, strategy: WaitStrategy) -> bool {
     let word = pack_epoch(task, 0);
@@ -1079,35 +1134,6 @@ mod tests {
             apply_sync(&mut batched, delta);
             assert_eq!(batched, replayed);
         }
-    }
-
-    #[test]
-    fn empty_sync_delta_is_a_no_op() {
-        let start = LocalDataState {
-            nb_reads_since_write: 3,
-            last_registered_write: TaskId(9),
-        };
-        let mut local = start;
-        assert!(SyncDelta::EMPTY.is_empty());
-        assert!(SyncDelta::default().is_empty());
-        apply_sync(&mut local, SyncDelta::EMPTY);
-        assert_eq!(local, start);
-    }
-
-    #[test]
-    fn sync_delta_fold_dispatches_on_mode() {
-        use rio_stf::AccessMode;
-        let mut delta = SyncDelta::EMPTY;
-        delta.fold(AccessMode::Read, TaskId(1));
-        delta.fold(AccessMode::Read, TaskId(2));
-        assert_eq!(delta.reads_delta, 2);
-        assert_eq!(delta.new_last_write, TaskId::NONE);
-        delta.fold(AccessMode::ReadWrite, TaskId(3));
-        assert_eq!(delta.reads_delta, 0);
-        assert_eq!(delta.new_last_write, TaskId(3));
-        delta.fold(AccessMode::Read, TaskId(4));
-        assert_eq!(delta.reads_delta, 1);
-        assert!(!delta.is_empty());
     }
 
     #[test]
@@ -1289,10 +1315,8 @@ mod tests {
                 // Tiny spin budget maximizes the chance of actually parking.
                 let flag = AbortFlag::new();
                 let cx = WaitCx {
-                    strategy: WaitStrategy::Park,
                     spin_limit: 0,
-                    deadline: None,
-                    abort: &flag,
+                    ..WaitCx::new(WaitStrategy::Park, &flag)
                 };
                 get_write_cx(&s, &local_b, &cx).verdict
             });
@@ -1451,10 +1475,9 @@ mod tests {
             let mut local = LocalDataState::default();
             declare_write(&mut local, TaskId(1)); // never performed
             let cx = WaitCx {
-                strategy,
                 spin_limit: 4,
                 deadline: Some(Duration::from_millis(10)),
-                abort: &flag,
+                ..WaitCx::new(strategy, &flag)
             };
             let r = get_write_cx(&shared, &local, &cx);
             assert_eq!(
@@ -1463,7 +1486,66 @@ mod tests {
                 "strategy {strategy}"
             );
             assert!(r.outcome.waited());
+            // The deadline ran on the stamp the failed probe took.
+            assert!(r.blocked_at.unwrap().elapsed() >= Duration::from_millis(10));
         }
+    }
+
+    #[test]
+    fn a_ready_get_reads_no_clock_and_marks_no_slot() {
+        use crate::status::{StatusTable, WaitWatch};
+        let shared = SharedDataState::default();
+        let flag = AbortFlag::new();
+        let status = StatusTable::new(1);
+        let mut local = LocalDataState::default();
+        let watch = WaitWatch {
+            status: &status,
+            worker: WorkerId(0),
+            data: DataId(7),
+        };
+        let cx = WaitCx {
+            timed: true,
+            watch: Some(watch),
+            ..WaitCx::new(WaitStrategy::Park, &flag)
+        };
+        // Guard open: the probe is the whole get.
+        assert_eq!(get_write_cx(&shared, &local, &cx), WaitResult::READY);
+        assert_eq!(get_read_cx(&shared, &local, &cx), WaitResult::READY);
+        assert_eq!(status.snapshot()[0].waiting_on, None);
+        // Guard closed: the wait is stamped, and the slot names the datum
+        // for exactly as long as it blocks — the waiter cannot return
+        // before the publication below, which waits for the mark.
+        declare_write(&mut local, TaskId(1));
+        std::thread::scope(|s| {
+            let blocked = s.spawn(|| get_write_cx(&shared, &local, &cx));
+            let patience = Instant::now();
+            while status.snapshot()[0].waiting_on != Some(DataId(7)) {
+                assert!(patience.elapsed() < Duration::from_secs(30), "never marked");
+                std::thread::yield_now();
+            }
+            publish_write(&shared, TaskId(1), WaitStrategy::Park);
+            let r = blocked.join().unwrap();
+            assert_eq!(r.verdict, WaitVerdict::Ready);
+            assert!(r
+                .blocked_at
+                .is_some_and(|t0| t0 >= patience - Duration::from_secs(1)));
+        });
+        assert_eq!(status.snapshot()[0].waiting_on, None, "cleared on return");
+    }
+
+    #[test]
+    fn a_read_guard_ignores_the_read_half_of_the_private_view() {
+        // T1 wrote, two reads registered since: a read may be handed the
+        // whole packed view and still compares the write half only.
+        let shared = SharedDataState::default();
+        publish_write(&shared, TaskId(1), WaitStrategy::Spin);
+        let view = pack_epoch(TaskId(1), 2);
+        assert!(shared.satisfied(view, READ_EPOCH_MASK));
+        assert!(!shared.satisfied(view, WRITE_EPOCH_MASK));
+        publish_read(&shared, WaitStrategy::Spin);
+        publish_read(&shared, WaitStrategy::Spin);
+        assert!(shared.satisfied(view, READ_EPOCH_MASK));
+        assert!(shared.satisfied(view, WRITE_EPOCH_MASK));
     }
 
     #[test]

@@ -56,9 +56,8 @@ impl PruneStats {
 /// consecutive rows of `num_data.div_ceil(64)` words each. `owners[i]`
 /// is the worker index the mapping assigns to flow index `i` (computed
 /// once by the caller so the mapping is evaluated once per task, not
-/// once per task per pass). Shared with [`crate::compile`], whose
-/// relevance criterion is the same.
-pub(crate) fn worker_data_bitsets(graph: &TaskGraph, owners: &[u32], workers: usize) -> Vec<u64> {
+/// once per task per pass).
+fn worker_data_bitsets(graph: &TaskGraph, owners: &[u32], workers: usize) -> Vec<u64> {
     let words = graph.num_data().div_ceil(64);
     let mut touched: Vec<u64> = vec![0; workers * words];
     for (t, &w) in graph.tasks().iter().zip(owners) {

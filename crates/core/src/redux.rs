@@ -174,12 +174,25 @@ impl RShared {
     /// Waits until `cond` holds. The closure receives the memory ordering
     /// it must use for its loads: `Acquire` on the fast/spin paths,
     /// `SeqCst` for the parked re-check that anchors the wake-elision
-    /// argument.
+    /// argument. Returns the polls spent and — with `timed`, and only when
+    /// the first probe failed — how long the wait was blocked: a ready
+    /// get reads no clock.
     #[inline]
-    fn wait_until(&self, strategy: WaitStrategy, cond: impl Fn(Ordering) -> bool) -> u64 {
+    fn wait_until(
+        &self,
+        strategy: WaitStrategy,
+        timed: bool,
+        cond: impl Fn(Ordering) -> bool,
+    ) -> (u64, Duration) {
         if cond(Ordering::Acquire) {
-            return 0;
+            return (0, Duration::ZERO);
         }
+        let blocked_at = timed.then(Instant::now);
+        let polls = self.wait_blocked(strategy, cond);
+        (polls, blocked_at.map_or(Duration::ZERO, |t0| t0.elapsed()))
+    }
+
+    fn wait_blocked(&self, strategy: WaitStrategy, cond: impl Fn(Ordering) -> bool) -> u64 {
         let mut polls = 0u64;
         while polls < u64::from(WaitStrategy::DEFAULT_SPIN_LIMIT) {
             std::hint::spin_loop();
@@ -348,34 +361,28 @@ impl<'a, T> ReduxCtx<'a, T> {
                 let expected_write = l.last_registered_write;
                 let expected_reads = l.nb_reads_since_write;
                 let expected_accs = l.nb_accs_since_write;
-                let wait_start = if self.measure {
-                    Some(Instant::now())
-                } else {
-                    None
-                };
-                let polls = match a.mode {
-                    RMode::Read => s.wait_until(self.wait, |o| {
+                let (wait, timed) = (self.wait, self.measure);
+                let (polls, blocked) = match a.mode {
+                    RMode::Read => s.wait_until(wait, timed, |o| {
                         s.last_executed_write.load(o) == expected_write
                             && s.nb_accs_since_write.load(o) == expected_accs
                     }),
-                    RMode::Accumulate => s.wait_until(self.wait, |o| {
+                    RMode::Accumulate => s.wait_until(wait, timed, |o| {
                         s.last_executed_write.load(o) == expected_write
                             && s.nb_reads_since_write.load(o) == expected_reads
                     }),
-                    RMode::Write | RMode::ReadWrite => s.wait_until(self.wait, |o| {
+                    RMode::Write | RMode::ReadWrite => s.wait_until(wait, timed, |o| {
                         s.last_executed_write.load(o) == expected_write
                             && s.nb_reads_since_write.load(o) == expected_reads
                             && s.nb_accs_since_write.load(o) == expected_accs
                     }),
                 };
+                self.idle_time += blocked;
                 if polls > 0 {
                     self.ops.waits += 1;
                     self.ops.poll_loops += polls;
                     if let Some(c) = self.ctr {
                         c.add_spins(polls);
-                    }
-                    if let Some(t0) = wait_start {
-                        self.idle_time += t0.elapsed();
                     }
                 }
             }

@@ -21,9 +21,10 @@ use crate::trace_api::{Trace, WorkerTrace};
 pub struct OpCounts {
     /// `declare_read`/`declare_write` calls (non-local tasks' accesses).
     pub declares: u64,
-    /// `apply_sync` calls — coalesced declare batches applied by a
-    /// compiled run ([`crate::compile`]). Always zero on interpreted runs;
-    /// compiled runs report syncs here instead of per-access `declares`.
+    /// Always zero: compiled programs once replayed foreign tasks as
+    /// coalesced `Sync` deltas and counted them here; they now hold their
+    /// own tasks only ([`crate::compile`]) and neither declare nor sync.
+    /// Kept because the repository's benchmark reads it.
     pub syncs: u64,
     /// `get_read`/`get_write` calls (local tasks' accesses).
     pub gets: u64,
@@ -57,11 +58,13 @@ pub struct WorkerReport {
     /// Tasks this worker *visited* in the flow (executed + declared +
     /// pruned-but-seen). Equals the flow length without pruning.
     pub tasks_visited: u64,
-    /// Cumulative time inside task bodies (`τ_{p,t}` share). Zero when
-    /// time measurement is disabled.
+    /// Cumulative time inside task bodies (`τ_{p,t}` share). Zero unless
+    /// `RioConfig::measure_time` was on.
     pub task_time: Duration,
-    /// Cumulative time blocked in `get_*` (`τ_{p,i}` share). Zero when
-    /// time measurement is disabled.
+    /// Cumulative time blocked in `get_*` (`τ_{p,i}` share): from the
+    /// failed first probe of a get to its return. Zero unless
+    /// `RioConfig::measure_time` was on — and, with it on, for a worker
+    /// that never found a guard closed.
     pub idle_time: Duration,
     /// Total time of the worker's flow loop, from first task to join.
     pub loop_time: Duration,
@@ -78,6 +81,11 @@ pub struct WorkerReport {
 impl WorkerReport {
     /// Time attributable to runtime management:
     /// `loop − task − idle` (`τ_{p,r}` share), saturating at zero.
+    ///
+    /// Only a management share when the run measured time
+    /// (`RioConfig::measure_time`): with timing off, `task` and `idle`
+    /// are zero and this is the whole `loop_time`, bodies and waits
+    /// included.
     pub fn runtime_time(&self) -> Duration {
         self.loop_time
             .saturating_sub(self.task_time)
@@ -183,16 +191,32 @@ impl std::fmt::Display for ExecReport {
             self.num_workers(),
             self.wall
         )?;
+        // A run that measured time has some task time somewhere; without
+        // it the task/idle/runtime split means nothing, so print dashes
+        // rather than zeros and a "runtime" that is the whole loop.
+        let timed = self
+            .workers
+            .iter()
+            .any(|w| !w.task_time.is_zero() || !w.idle_time.is_zero());
+        let split = |d: Duration| {
+            if timed {
+                format!("{d:?}")
+            } else {
+                "-".to_string()
+            }
+        };
         for w in &self.workers {
             writeln!(
                 f,
-                "  {}: {} tasks (visited {}), task {:?}, idle {:?}, runtime {:?},                  ops {{declares: {}, gets: {}, waits: {}, terminates: {}}}",
+                "  {}: {} tasks (visited {}), task {}, idle {}, runtime {}, loop {:?}, \
+                 ops {{declares: {}, gets: {}, waits: {}, terminates: {}}}",
                 w.worker,
                 w.tasks_executed,
                 w.tasks_visited,
-                w.task_time,
-                w.idle_time,
-                w.runtime_time(),
+                split(w.task_time),
+                split(w.idle_time),
+                split(w.runtime_time()),
+                w.loop_time,
                 w.ops.declares,
                 w.ops.gets,
                 w.ops.waits,
@@ -252,7 +276,21 @@ mod tests {
         let text = format!("{r}");
         assert!(text.contains("on 1 workers"));
         assert!(text.contains("W0:"));
-        assert!(text.contains("idle"));
+        assert!(text.contains("task 3ms, idle 1ms, runtime 1ms, loop 5ms"));
+    }
+
+    #[test]
+    fn display_dashes_the_split_of_an_untimed_run() {
+        let r = ExecReport {
+            wall: Duration::from_millis(5),
+            workers: vec![wr(0, 0, 5)],
+            counters: Default::default(),
+        };
+        let text = format!("{r}");
+        assert!(
+            text.contains("task -, idle -, runtime -, loop 5ms"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! The runtimes update the table only when a watchdog deadline is
 //! configured — without one, no diagnostic can ever be produced and the
-//! stores would be dead weight on the per-task hot path.
+//! stores would be dead weight on the per-task hot path. Even then the
+//! `waiting_on` mark is written only by a `get_*` whose first probe
+//! failed ([`WaitWatch`]): a ready get stores nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -53,6 +55,20 @@ impl Default for WorkerStatus {
 #[derive(Debug)]
 pub struct StatusTable {
     slots: Box<[WorkerStatus]>,
+}
+
+/// What a blocked wait marks in the [`StatusTable`]: `worker` is waiting
+/// on `data`. Carried by [`crate::protocol::WaitCx::watch`]; the wait
+/// stores the mark only once its first probe has failed, and clears it
+/// when it returns.
+#[derive(Debug, Clone, Copy)]
+pub struct WaitWatch<'a> {
+    /// The run's progress table.
+    pub status: &'a StatusTable,
+    /// The waiting worker (its own slot is the only one written).
+    pub worker: WorkerId,
+    /// The data object waited on.
+    pub data: DataId,
 }
 
 impl StatusTable {

@@ -25,9 +25,11 @@
 //!   the readiness check stays valid;
 //! * the **owner**, with stealing armed, CAS-claims each of its own tasks
 //!   before executing it. Losing the race means a thief has the body:
-//!   the owner treats the task exactly like any foreign task —
-//!   private declares only, no kernel, no terminates (skip-but-sync,
-//!   the recovery layer's shape with the *thief* as the publisher);
+//!   the owner treats the task exactly like any foreign task — no
+//!   kernel, no terminates (skip-but-sync, the recovery layer's shape
+//!   with the *thief* as the publisher). A walking owner declares it
+//!   privately, as it does every foreign task; a compiled owner keeps no
+//!   private view and has nothing left to do;
 //! * the thief publishes every `terminate_*` ([`crate::protocol`]'s
 //!   publish-only halves), so downstream guards and §10 wake elision see
 //!   the identical protocol history.
@@ -257,10 +259,11 @@ impl ClaimTable {
     }
 }
 
-/// One worker's published program counter in the compiled path: thieves
-/// read it (`Relaxed` — staleness only shrinks the scan window, claims
-/// carry the correctness) to know where a victim's unexecuted tail
-/// starts. Padded: the owner stores on every instruction.
+/// One worker's published position — flow index when walking, index into
+/// its own-task program when compiled: thieves read it (`Relaxed` —
+/// staleness only shrinks the scan window, claims carry the correctness)
+/// to know where a victim's unexecuted tail starts. Padded: the owner
+/// stores on every own task.
 #[repr(align(128))]
 #[derive(Debug, Default)]
 pub struct Cursor(pub AtomicUsize);
@@ -311,7 +314,7 @@ pub(crate) enum ScanSource<'a> {
         /// Every worker's published flow position.
         cursors: &'a [Cursor],
     },
-    /// Compiled programs: scan victims' instruction streams from their
+    /// Compiled programs: scan victims' own-task programs from their
     /// published cursors; expected words are precompiled. A victim's
     /// `Run` offsets index the arena of *its* node
     /// ([`crate::compile::NodeArena`], one per topology node), so a

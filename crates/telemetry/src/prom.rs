@@ -616,8 +616,9 @@ mod tests {
         let text = buf.finish();
         validate_exposition(&text).unwrap();
         let samples = parse_exposition(&text).unwrap();
-        // 10 families × 2 workers.
-        assert_eq!(samples.len(), 20);
+        // 9 families × 2 workers.
+        assert_eq!(samples.len(), 18);
+        assert!(samples.iter().all(|s| s.name != "rio_syncs_total"));
         let steal = samples
             .iter()
             .find(|s| s.name == "rio_steals_total" && s.label("worker") == Some("1"))

@@ -28,7 +28,9 @@ fn main() {
 
     // RIO — with the event tracer on; its quadruple feeds `decompose`
     // directly (the report-based times remain available as a fallback).
-    let run = rio::core::Executor::new(rio::core::RioConfig::with_workers(threads))
+    // Both runtimes leave task/idle timing off unless asked.
+    let cfg = rio::core::RioConfig::with_workers(threads).measure_time(true);
+    let run = rio::core::Executor::new(cfg)
         .mapping(mapping.as_ref())
         .trace(rio::core::TraceConfig::new())
         .run(&graph, |_, _| counter_kernel(task_size));
@@ -54,7 +56,7 @@ fn main() {
     ]);
 
     // Centralized.
-    let cfg = rio::centralized::CentralConfig::with_threads(threads);
+    let cfg = rio::centralized::CentralConfig::with_threads(threads).measure_time(true);
     let report = rio::centralized::execute_graph(&cfg, &graph, |_, _| counter_kernel(task_size));
     let cen_times = CumulativeTimes {
         threads: report.num_threads(),

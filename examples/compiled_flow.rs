@@ -6,11 +6,12 @@
 //! stepping, iterative refinement, …) pays the interpreted walk — one
 //! mapping evaluation and one private declare per access, for every
 //! task, on every worker — on **every** run. `Executor::compile` lowers
-//! the `(graph, mapping, workers)` triple into one flat per-worker
-//! instruction stream up front: runs of consecutive non-local tasks
-//! collapse into a single `Sync` delta per touched data object, tasks
-//! nobody here cares about vanish entirely (pruning is subsumed), and
-//! preflight validation happens once instead of per run.
+//! the `(graph, mapping, workers)` triple up front, in one pass over the
+//! flow, into one flat program per worker that holds that worker's own
+//! tasks and nothing else: the epoch word every access waits for is
+//! precomputed, so foreign tasks leave no instruction behind (pruning is
+//! subsumed), a run keeps no private state, and preflight validation
+//! happens once instead of per run.
 
 use std::time::Instant;
 
@@ -26,7 +27,8 @@ fn main() {
     // the shape of a time-stepping solver. Owner-computes mapping: the
     // chain on datum d runs on worker d % workers, so between two of a
     // worker's own chains the flow registers long runs of *foreign*
-    // updates on few data objects — exactly what coalescing collapses.
+    // updates — which an interpreted worker declares one by one on every
+    // run, and a compiled one never sees.
     let workers = 16;
     let acc = DataId(NUM_DATA);
     let mut b = TaskGraph::builder(NUM_DATA as usize + 1);
@@ -61,8 +63,8 @@ fn main() {
         }
     };
 
-    // Compile once: mapping evaluated, preflight validated, foreign
-    // declares coalesced — all before the first run.
+    // Compile once: mapping evaluated, preflight validated, every
+    // expected epoch word precomputed — all before the first run.
     let flow = Executor::new(cfg.clone()).mapping(&mapping).compile(&graph);
     let stats = flow.stats();
     println!(
@@ -71,15 +73,15 @@ fn main() {
         stats.instructions(),
         flow.config().workers,
     );
+    println!("  own tasks per worker: {:?}", stats.runs_per_worker);
     println!(
-        "  per worker: runs {:?}, syncs {:?}",
-        stats.runs_per_worker, stats.syncs_per_worker
-    );
-    println!(
-        "  {} foreign declares folded into syncs ({:.1} declares per sync), {} irrelevant",
-        stats.folded_declares,
-        stats.coalesce_factor(),
+        "  {} foreign declares compiled away (paid on every interpreted run)",
         stats.irrelevant_declares,
+    );
+    let first = flow.own_tasks(WorkerId(1)).next().expect("W1 owns a chain");
+    println!(
+        "  W1 starts at {} waiting for epoch word {:#x}",
+        first.task.id, first.expected[0]
     );
 
     // Steady state: run the same program many times (fresh protocol

@@ -16,7 +16,9 @@ fn main() {
     let store = DataStore::from_vec(vec![0i64, 0, 0]);
     let (a, b, acc) = (DataId(0), DataId(1), DataId(2));
 
-    let rio = Rio::new(RioConfig::with_workers(4));
+    // Timing is opt-in: the per-worker task/idle/runtime split printed
+    // below costs two clock reads per task body and per blocked wait.
+    let rio = Rio::new(RioConfig::with_workers(4).measure_time(true));
     let report = rio.run(&store, &RoundRobin, |ctx| {
         for i in 1..=100i64 {
             // Producer tasks: overwrite A and B.

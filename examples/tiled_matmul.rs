@@ -52,7 +52,8 @@ fn main() {
     let kernel = flow.kernel(&store);
     let mapping = flow.owner_mapping(workers);
     let t0 = Instant::now();
-    let report = Executor::new(RioConfig::with_workers(workers))
+    // Timing is opt-in: the idle figure below needs `measure_time`.
+    let report = Executor::new(RioConfig::with_workers(workers).measure_time(true))
         .mapping(&mapping)
         .run(&flow.graph, &kernel)
         .report;

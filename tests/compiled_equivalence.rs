@@ -3,16 +3,23 @@
 //! `CompiledFlow::run` must be observationally identical to
 //! `Executor::run` — same per-worker kernel invocation orders, same
 //! final store contents — and both must equal the sequential oracle.
-//! Coalescing only changes *how* private state is updated between a
-//! worker's own tasks, never which tasks run where in what order.
+//! A compiled program holds a worker's own tasks only and keeps no
+//! private state; what replaces the private view is pinned here too: the
+//! precomputed word of every own access is exactly what that worker's
+//! interpreted walk would have packed at that point of the flow.
 
 use proptest::prelude::*;
-use rio::core::{Executor, RioConfig, WaitStrategy};
-use rio::stf::{
-    Access, AccessMode, DataId, DataStore, ExecError, RoundRobin, TableMapping, TaskDesc,
-    TaskGraph, TaskId, WorkerId,
+use rio::core::protocol::{
+    declare_batch, expected_read_word, expected_write_word, terminate_read, terminate_write,
+    LocalDataState, SharedDataState, READ_EPOCH_MASK,
 };
-use std::sync::Mutex;
+use rio::core::{Executor, RioConfig, StealPolicy, Topology, WaitStrategy};
+use rio::stf::{
+    Access, AccessMode, DataId, DataStore, ExecError, Mapping, RoundRobin, StallSite, TableMapping,
+    TaskDesc, TaskGraph, TaskId, WorkerId,
+};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Strategy: a random well-formed task flow over `num_data` objects.
 fn arb_graph(max_tasks: usize, num_data: usize) -> impl Strategy<Value = TaskGraph> {
@@ -112,8 +119,171 @@ fn observe(
     )
 }
 
+/// Replays `worker`'s *interpreted* walk of `graph` — the real protocol
+/// calls on a private table: declares for foreign tasks, terminates for
+/// its own — and checks every own access against the compiled program:
+/// the precomputed word must be the private view the walk holds at that
+/// access, which is what both of its guards compare.
+fn check_program_against_interpreted_view(
+    graph: &TaskGraph,
+    cfg: &RioConfig,
+    mapping: &TableMapping,
+    worker: WorkerId,
+) {
+    let flow = Executor::new(cfg.clone()).mapping(mapping).compile(graph);
+    let mut program = flow.own_tasks(worker);
+    let shared = SharedDataState::new_table(graph.num_data());
+    let mut view = vec![LocalDataState::default(); graph.num_data()];
+    for t in graph.tasks() {
+        if mapping.worker_of(t.id, cfg.workers) != worker {
+            declare_batch(&mut view, t.id, &t.accesses);
+            continue;
+        }
+        let compiled = program
+            .next()
+            .expect("an own task is missing from the program");
+        assert_eq!(compiled.task.id, t.id, "own tasks out of flow order");
+        assert_eq!(compiled.expected.len(), t.accesses.len());
+        for (a, &word) in t.accesses.iter().zip(compiled.expected) {
+            let l = &view[a.data.index()];
+            assert_eq!(word, expected_write_word(l), "{} on {}", t.id, a.data);
+            assert_eq!(word & READ_EPOCH_MASK, expected_read_word(l));
+        }
+        for a in &t.accesses {
+            let (s, l) = (&shared[a.data.index()], &mut view[a.data.index()]);
+            if a.mode.writes() {
+                terminate_write(s, l, t.id, WaitStrategy::Spin);
+            } else {
+                terminate_read(s, l, WaitStrategy::Spin);
+            }
+        }
+    }
+    assert!(program.next().is_none(), "a foreign task is in the program");
+}
+
+/// Runs `graph` on two workers to its watchdog stall — a "slow" task
+/// outlasts the deadline, so whoever depends on it gives up — and returns
+/// where that worker was blocked.
+fn stall_site(graph: &TaskGraph, mapping: &TableMapping, compiled: bool) -> StallSite {
+    let exec = Executor::new(RioConfig::with_workers(2).wait(WaitStrategy::Park))
+        .mapping(mapping)
+        .watchdog(Duration::from_millis(100));
+    let kernel = |_: WorkerId, t: &TaskDesc| {
+        if t.kind == "slow" {
+            std::thread::sleep(Duration::from_millis(500));
+        }
+    };
+    let err = if compiled {
+        exec.compile(graph).try_run(kernel)
+    } else {
+        exec.try_run(graph, kernel)
+    }
+    .expect_err("the slow task must stall its dependents past the deadline");
+    match err {
+        ExecError::Stalled(diag) => diag.site,
+        other => panic!("expected Stalled, got {other}"),
+    }
+}
+
+/// A compiled worker keeps no private view, yet its stall diagnostic
+/// shows the same private/shared pair as the interpreted walk of the same
+/// flow and mapping: the view is unpacked from the expected word.
+#[test]
+fn compiled_stall_renders_the_interpreted_private_view() {
+    let d0 = DataId(0);
+    let on_w1 = |tasks: usize, w1: &[usize]| {
+        TableMapping::from_fn(tasks, |i| WorkerId(u32::from(w1.contains(&(i + 1)))))
+    };
+
+    // Stalled in get_write: T1 writes; T2, T3 (slow, on W0), T4 read; T5
+    // (W1) writes — its view registers three reads, and while T3 is still
+    // in its body only two have been performed.
+    let mut b = TaskGraph::builder(1);
+    b.task(&[Access::write(d0)], 1, "w");
+    b.task(&[Access::read(d0)], 1, "r");
+    b.task(&[Access::read(d0)], 1, "slow");
+    b.task(&[Access::read(d0)], 1, "r");
+    b.task(&[Access::write(d0)], 1, "w");
+    let g = b.build();
+    let m = on_w1(5, &[2, 4, 5]);
+    let interpreted = stall_site(&g, &m, false);
+    assert_eq!(
+        interpreted,
+        StallSite::DataWait {
+            task: TaskId(5),
+            data: d0,
+            write: true,
+            local_reads_since_write: 3,
+            local_last_registered_write: TaskId(1),
+            shared_reads_since_write: 2,
+            shared_last_executed_write: TaskId(1),
+            shared_epoch_word: (1 << 32) | 2,
+        }
+    );
+    assert_eq!(stall_site(&g, &m, true), interpreted);
+
+    // Stalled in get_read, with a read count the guard itself ignores:
+    // T1 (slow, W1) writes, T2 (W1, behind it) and T3 (W0) read. W0 gives
+    // up with one foreign read registered since the unperformed write.
+    let mut b = TaskGraph::builder(1);
+    b.task(&[Access::write(d0)], 1, "slow");
+    b.task(&[Access::read(d0)], 1, "r");
+    b.task(&[Access::read(d0)], 1, "r");
+    let g = b.build();
+    let m = on_w1(3, &[1, 2]);
+    let interpreted = stall_site(&g, &m, false);
+    assert_eq!(
+        interpreted,
+        StallSite::DataWait {
+            task: TaskId(3),
+            data: d0,
+            write: false,
+            local_reads_since_write: 1,
+            local_last_registered_write: TaskId(1),
+            shared_reads_since_write: 0,
+            shared_last_executed_write: TaskId::NONE,
+            shared_epoch_word: 0,
+        }
+    );
+    assert_eq!(stall_site(&g, &m, true), interpreted);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// What replaced the private view: for random graphs and mappings, at
+    /// 1, 2 and 64 workers, with stealing armed and under a mocked 2×2
+    /// topology, every worker's program is exactly its own tasks and every
+    /// precomputed word is that worker's interpreted view.
+    #[test]
+    fn compiled_words_are_each_workers_interpreted_view(
+        graph in arb_graph(40, 5),
+        map_seed in 0u64..1000,
+        probe in 0usize..64,
+    ) {
+        let configs = [
+            RioConfig::with_workers(1),
+            RioConfig::with_workers(2),
+            RioConfig::with_workers(64),
+            RioConfig::with_workers(2).stealing(StealPolicy::new()),
+            RioConfig::with_workers(4).topology(Arc::new(Topology::mock(2, 2))),
+        ];
+        for cfg in configs {
+            let mapping = arb_table_mapping(graph.len(), cfg.workers, map_seed);
+            let flow = Executor::new(cfg.clone()).mapping(&mapping).compile(&graph);
+            prop_assert_eq!(flow.stats().instructions(), graph.len());
+            prop_assert_eq!(flow.stats().folded_declares, 0);
+            let foreign = (cfg.workers as u64 - 1) * graph.total_accesses() as u64;
+            prop_assert_eq!(flow.stats().irrelevant_declares, foreign);
+            // Every worker up to four, and one more picked at random.
+            let few = (0..cfg.workers.min(4)).chain([probe % cfg.workers]);
+            for w in few {
+                check_program_against_interpreted_view(
+                    &graph, &cfg, &mapping, WorkerId::from_index(w),
+                );
+            }
+        }
+    }
 
     /// The tentpole equivalence: compiled and interpreted runs agree on
     /// per-worker kernel invocation orders and final store contents —
