@@ -403,6 +403,8 @@ pub fn compiled(
         "compiled",
         "interp/comp",
         "pruned/comp",
+        "elided gets/publishes",
+        "shared objects",
     ]);
     let mut rows = Vec::with_capacity(worker_counts.len());
     for &w in worker_counts {
@@ -475,6 +477,14 @@ pub fn compiled(
             format!("{:.1}ns", row.compiled_ns),
             format!("{:.2}", row.interpreted_ns / row.compiled_ns.max(1e-9)),
             format!("{:.2}", row.pruned_ns / row.compiled_ns.max(1e-9)),
+            // Static: what the compiler left of the synchronisation.
+            format!(
+                "{}/{} of {}",
+                flow.stats().elided_gets,
+                flow.stats().elided_publishes,
+                graph.total_accesses()
+            ),
+            format!("{} of {}", flow.stats().shared_objects, graph.num_data()),
         ]);
         rows.push(row);
     }
@@ -1407,8 +1417,41 @@ pub fn protocol_table(opt: &Options) -> String {
                 fmt_dur(proto.elapsed),
                 proto.ok().to_string(),
             ]);
+            // What a CompiledFlow runs: own tasks only, and none of the
+            // guards and publications the compiler elided for this mapping.
+            let compiled = rio_mc::explore_compiled_protocol_with(&g, workers, &m);
+            table.row([
+                format!("{rows}x{cols}"),
+                workers.to_string(),
+                "compiled (elided micro-steps)".into(),
+                compiled.generated.to_string(),
+                compiled.distinct.to_string(),
+                fmt_dur(compiled.elapsed),
+                compiled.ok().to_string(),
+            ]);
         }
     }
+    // Past exhaustive reach: random walks of the compiled protocol.
+    let (grid, workers) = (12, 4);
+    let g = rio_mc::lu_model::graph(grid, grid);
+    let m = rio_mc::lu_model::mapping(grid, grid, workers);
+    let n_walks = if opt.quick { 5 } else { 20 };
+    let start = std::time::Instant::now();
+    let walks = rio_mc::random_walks(
+        &rio_mc::ProtocolSpec::compiled(&g, workers, &m),
+        n_walks,
+        5_000_000,
+        2026,
+    );
+    table.row([
+        format!("{grid}x{grid}"),
+        workers.to_string(),
+        format!("compiled, {}/{n_walks} random walks", walks.completed),
+        walks.steps.to_string(),
+        "-".into(),
+        fmt_dur(start.elapsed()),
+        walks.ok().to_string(),
+    ]);
     opt.emit(
         "Extension — model checking Algorithm 1/2 micro-steps (hold races, body-start consistency, termination)",
         &table,

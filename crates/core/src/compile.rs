@@ -1,6 +1,7 @@
 //! Ahead-of-time flow compilation: lowering `(TaskGraph, Mapping,
 //! workers)` into one flat program per worker that holds **that worker's
-//! own tasks and nothing else**.
+//! own tasks and nothing else** — and, of their synchronisation, only the
+//! halves somebody on another worker depends on.
 //!
 //! ## Why compile the flow?
 //!
@@ -26,16 +27,53 @@
 //! The `n·t_r` term of cost model (2) — every worker replaying everyone
 //! else's tasks on every run — becomes a one-thread, one-time compile
 //! cost; per run a worker pays for its own `n/w` tasks only. Pruning
-//! (§3.5) is subsumed entirely.
+//! (§3.5) is subsumed entirely. The same walk validates the mapping
+//! ([`RioConfig::preflight`]: two probes per task) and the epoch word's
+//! representation limits, which it reads off the view it keeps anyway.
+//!
+//! ## Worker-local synchronisation is compiled away
+//!
+//! The same static mapping says *who* each guard waits for and *who*
+//! waits for each publication. Per data object the flow is a sequence of
+//! **epochs** — a writer, the reads that follow it, the next writer — and
+//! an in-order worker has finished every earlier task of its own before
+//! it starts the next. So, with `w` the worker of the access:
+//!
+//! * a **guard is elided** when everything it would wait for ran on `w`
+//!   (or does not exist): a read whose epoch's writer is absent or on
+//!   `w`; a write whose previous writer and every read since are absent
+//!   or on `w`. Program order already gives what the Acquire load would;
+//! * a **publication is elided** when no kept guard compares against it:
+//!   a write none of whose consumers (its epoch's reads, the next writer)
+//!   keeps a guard; a read whose next writer is absent or keeps no guard.
+//!
+//! The marks ride in each arena entry ([`AccessPlan`]) and the one engine
+//! skips the marked halves. (A publication's fate is only known when its
+//! epoch ends, so during the walk an entry names its epoch, and one
+//! sweep over the emitted entries afterwards turns the name into the
+//! verdict.) A kept guard always finds every publication
+//! it compares against kept (keeping a guard is what keeps them), and a
+//! kept write is a whole-word store of a unique task id, so whatever an
+//! elided epoch left in the word is overwritten before anyone compares
+//! against it. An object none of whose accesses keeps a half gets no
+//! shared word at all: a run's table holds [`CompileStats::shared_objects`]
+//! entries, reached through the slot compiled into the entry.
+//!
+//! With [`RioConfig::stealing`] armed nothing is elided: a thief runs a
+//! task out of its owner's program order, and the steal scan prices
+//! every guard. A task mapped to a worker that does not exist
+//! (preflight off) is local to nobody: its dependents keep their guards
+//! and stall, as they do interpreted.
 //!
 //! Execution ([`CompiledFlow::run`]) drives the same per-worker engine
 //! ([`crate::graph`]'s `WorkerCtx`) as the interpreted paths — same
 //! `get → kernel → terminate` sequence, same fault containment, watchdog
-//! and tracing — so the shared protocol history is byte-identical to the
-//! uncompiled walk. Preflight mapping validation is paid once at compile
-//! time: a [`CompiledFlow`] can be re-run any number of times (the
-//! per-run protocol state is allocated per run, so a run that aborts —
-//! e.g. [`ExecError::TaskPanicked`] — leaves the program reusable).
+//! and tracing — so every word somebody can wait on goes through the
+//! history the uncompiled walk gives it. Preflight mapping validation is
+//! paid once at compile time: a [`CompiledFlow`] can be re-run any number
+//! of times (the per-run protocol state is allocated per run, so a run
+//! that aborts — e.g. [`ExecError::TaskPanicked`] — leaves the program
+//! reusable).
 //!
 //! ```
 //! use rio_core::prelude::*;
@@ -59,14 +97,12 @@
 
 use std::time::Instant;
 
-use rio_stf::{Access, ExecError, Mapping, TaskDesc, TaskGraph, WorkerId};
+use rio_stf::{DataId, ExecError, GraphError, Mapping, TaskDesc, TaskGraph, TaskId, WorkerId};
 
 use crate::config::RioConfig;
 use crate::executor::Execution;
-use crate::graph::WorkerCtx;
-use crate::protocol::{
-    declare_batch, expected_write_word, AbortFlag, LocalDataState, SharedDataState,
-};
+use crate::graph::{TaskAccesses, WorkerCtx};
+use crate::protocol::{pack_epoch, AbortFlag, SharedDataState};
 use crate::report::ExecReport;
 use crate::status::StatusTable;
 
@@ -83,7 +119,8 @@ pub(crate) struct RunInstr {
 /// steal layer's published cursor is an index into it.
 pub(crate) type WorkerProgram = Vec<RunInstr>;
 
-/// What the compiler did, per worker and in aggregate.
+/// What the compiler did, per worker and in aggregate. Every count is
+/// static: a function of the flow, the mapping and the configuration.
 #[derive(Debug, Clone)]
 pub struct CompileStats {
     /// Flow length (tasks every worker would visit uncompiled).
@@ -98,6 +135,14 @@ pub struct CompileStats {
     /// worker does not own, summed over workers — what the interpreted
     /// walk pays in private updates on *every* run.
     pub irrelevant_declares: u64,
+    /// Own accesses whose guard was decided at compile time: everything
+    /// the `get_*` would wait for runs earlier on the same worker.
+    pub elided_gets: u64,
+    /// Own accesses whose publication no kept guard compares against.
+    pub elided_publishes: u64,
+    /// Data objects with at least one kept guard or publication: the
+    /// length of a run's shared table.
+    pub shared_objects: usize,
 }
 
 impl CompileStats {
@@ -114,21 +159,91 @@ impl CompileStats {
     }
 }
 
-/// One NUMA node's slice of the compiled flow: the access entries and
-/// precomputed expected epoch words of every `Run` instruction owned by a
-/// worker of that node, in flow order.
+/// One own access as compiled: the object, and which halves of its
+/// synchronisation the run performs. 8 bytes beside the 8-byte expected
+/// word, so an arena entry stays 16 bytes per access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct AccessPlan {
+    pub(crate) data: DataId,
+    /// `slot << 3 | PUBLISH | GUARD | WRITES`. The slot — the object's
+    /// index in a run's shared table — means something only when a half
+    /// is kept.
+    bits: u32,
+}
+
+const WRITES: u32 = 1;
+const GUARD: u32 = 2;
+const PUBLISH: u32 = 4;
+const SLOT_SHIFT: u32 = 3;
+
+impl AccessPlan {
+    #[inline]
+    pub(crate) fn writes(self) -> bool {
+        self.bits & WRITES != 0
+    }
+
+    /// Does the run perform this access's `get_*`?
+    #[inline]
+    pub(crate) fn guard(self) -> bool {
+        self.bits & GUARD != 0
+    }
+
+    /// Does the run perform this access's shared publication?
+    #[inline]
+    pub(crate) fn publish(self) -> bool {
+        self.bits & PUBLISH != 0
+    }
+
+    #[inline]
+    pub(crate) fn slot(self) -> usize {
+        (self.bits >> SLOT_SHIFT) as usize
+    }
+}
+
+/// One NUMA node's slice of the compiled flow: the entries of every `Run`
+/// instruction owned by a worker of that node, in flow order.
 ///
 /// `expected[k]` is the packed private view
-/// ([`crate::protocol::expected_write_word`]) that `accesses[k]`'s `get_*`
+/// ([`crate::protocol::expected_write_word`]) that `plans[k]`'s `get_*`
 /// compares the epoch word against — whole for a write, the write half
 /// only for a read — computed once by replaying the flow's declares at
-/// compile time. A [`RunInstr`]'s `start..end` indexes the arena of the
+/// compile time (for an elided guard it is what the guard would have
+/// compared). A [`RunInstr`]'s `start..end` indexes the arena of the
 /// *owning worker's node*. On a single-node topology the one arena is
 /// laid out exactly like [`rio_stf::FlatAccesses`].
 #[derive(Debug, Default)]
 pub(crate) struct NodeArena {
-    pub(crate) accesses: Vec<Access>,
+    pub(crate) plans: Vec<AccessPlan>,
     pub(crate) expected: Vec<u64>,
+}
+
+/// What an arena is filled with until the pass writes its entries.
+const BLANK: AccessPlan = AccessPlan {
+    data: DataId(0),
+    bits: 0,
+};
+
+impl NodeArena {
+    fn blank(len: usize) -> NodeArena {
+        NodeArena {
+            plans: vec![BLANK; len],
+            expected: vec![0; len],
+        }
+    }
+
+    /// Only a multi-node topology's arenas can prove too short: how the
+    /// accesses spread over the nodes is the mapping's business.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, len: usize) {
+        self.plans.resize(len, BLANK);
+        self.expected.resize(len, 0);
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.plans.truncate(len);
+        self.expected.truncate(len);
+    }
 }
 
 /// A flow compiled for a fixed `(graph, mapping, config)` triple —
@@ -136,11 +251,14 @@ pub(crate) struct NodeArena {
 /// with [`CompiledFlow::run`]/[`CompiledFlow::try_run`].
 ///
 /// Everything interpretation pays per run and per worker is paid once
-/// here, on one thread: mapping evaluation (one call per task), preflight
-/// validation ([`RioConfig::preflight`]) and the replay of every declare
-/// (into the precomputed expected words). The per-run state — the shared
-/// protocol table, reports — is allocated fresh on every run, so runs are
-/// independent: a run that aborts leaves the program intact.
+/// here, on one thread: mapping evaluation and preflight validation
+/// ([`RioConfig::preflight`]; two probes per task, one without it), the
+/// replay of every declare (into the precomputed expected words) and the
+/// decision which guards and publications a run performs at all. The
+/// per-run state — a shared protocol table of
+/// [`CompileStats::shared_objects`] entries, reports — is allocated fresh
+/// on every run, so runs are independent: a run that aborts leaves the
+/// program intact.
 ///
 /// With a multi-node [`RioConfig::topology`], each worker's access
 /// entries and expected words live in its node's [`NodeArena`] so the
@@ -169,30 +287,123 @@ pub struct CompiledTask<'a> {
     pub task: &'a TaskDesc,
     /// `expected[i]` is the packed private view `(last registered write,
     /// reads registered since)` that `task.accesses[i]` waits for
-    /// ([`crate::protocol::pack_epoch`]).
+    /// ([`crate::protocol::pack_epoch`]) — or would, had its guard not
+    /// been elided.
     pub expected: &'a [u64],
+    plans: &'a [AccessPlan],
 }
+
+impl CompiledTask<'_> {
+    /// Does a run perform the `get_*` of `task.accesses[i]`? `false`:
+    /// everything it would wait for runs earlier on the same worker.
+    pub fn keeps_guard(&self, i: usize) -> bool {
+        self.plans[i].guard()
+    }
+
+    /// Does a run perform the shared publication of `task.accesses[i]`?
+    /// `false`: no kept guard compares against it.
+    pub fn keeps_publication(&self, i: usize) -> bool {
+        self.plans[i].publish()
+    }
+}
+
+/// Where no worker is: the writer of an object's initial epoch. Local to
+/// everyone — nobody ever waits for it.
+const NOBODY: u32 = u32::MAX;
+/// Where several workers are, or one that does not exist. Local to no
+/// one.
+const SPREAD: u32 = u32::MAX - 1;
+/// Where a task mapped to a worker that does not exist looks for its
+/// predecessors: nothing is ever there, so it is local to nothing.
+const UNMAPPED: u32 = u32::MAX - 2;
+
+/// Did everything at `on` run on the worker at `w`, or not exist?
+/// (Branch-free, like the rest of the per-access analysis: on an
+/// irregular flow its answers are coin flips.)
+#[inline]
+fn local_to(on: u32, w: u32) -> bool {
+    (on == NOBODY) | (on == w)
+}
+
+/// The pass's state of one data object: the simulated private view — what
+/// *every* worker's view would be before the current task, since declares
+/// and terminates update a private view identically — plus who runs the
+/// open epoch, so that an access can tell whether it waits for anyone
+/// but its own worker.
+#[derive(Clone, Copy)]
+struct Epoch {
+    /// The packed view `(last registered write, reads since)`.
+    word: u64,
+    /// Where the epoch's writer runs (what a read waits for), and where
+    /// the writer and all its reads so far run (what a write waits for).
+    on: [u32; 2],
+    /// The open epoch's index into the [`Verdict`]s, in an entry's slot
+    /// bits. The initial epoch of object `d` is epoch `d`; every write
+    /// opens a fresh one.
+    named: u32,
+    /// 0 until an epoch of the object ends with a guard kept on it; from
+    /// then on [`HAS_SLOT`] and, in an entry's slot bits, the object's
+    /// slot in a run's shared table.
+    slot: u32,
+}
+
+const HAS_SLOT: u32 = 1;
+
+/// What [`finish`] ORs into the entries that named an epoch: the
+/// object's slot and, if somebody compares against their publications,
+/// [`PUBLISH`] — or [`WRITE_ONLY`]. A publication can only be judged once
+/// its last consumer has been seen, which is why entries name their
+/// epoch while the walk lasts.
+///
+/// The next writer's guard decides a closed epoch. It compares the whole
+/// word, read count included, so if it is kept every read and the write
+/// publish; if it is elided, the whole epoch ran on its worker and no
+/// read kept a guard either. An epoch still open when the flow ends has
+/// no next writer: its reads publish for nobody, its write for any read
+/// on another worker.
+type Verdict = u32;
+/// Only the epoch's write publishes (in the place of an entry's
+/// [`WRITES`], so that `verdict & bits` picks writes out).
+const WRITE_ONLY: Verdict = WRITES;
 
 /// Lowers `graph` under `mapping` into per-worker programs, in one pass
 /// over the flow. Behind [`crate::Executor::try_compile`].
+///
+/// # Errors
+/// What the separate checks used to return, in their precedence: the
+/// first [`rio_stf::MappingError`] of the flow (with
+/// [`RioConfig::preflight`]), else [`GraphError::TaskIdOverflow`] for the
+/// first task id the packed epoch word cannot represent.
 pub(crate) fn try_compile<'g>(
     cfg: &RioConfig,
     graph: &'g TaskGraph,
     mapping: &dyn Mapping,
 ) -> Result<CompiledFlow<'g>, ExecError> {
+    lower(cfg, graph, mapping, u32::MAX)
+}
+
+/// [`try_compile`] with the epoch word's limit — the largest task id a
+/// half of it holds — as a parameter, so that tests reach the rejection
+/// path with a handful of tasks.
+fn lower<'g>(
+    cfg: &RioConfig,
+    graph: &'g TaskGraph,
+    mapping: &dyn Mapping,
+    limit: u32,
+) -> Result<CompiledFlow<'g>, ExecError> {
     cfg.validate();
-    if cfg.preflight {
-        rio_stf::validate_mapping(mapping, graph.len(), cfg.workers)?;
-    }
-    // The packed epoch word caps task ids and per-epoch read counts at
-    // u32; reject anything the expected-word simulation below could not
-    // represent. (Targeted — a full `graph.validate()` would also reject
-    // structural defects this path has historically tolerated.)
-    graph.validate_limits(u64::from(u32::MAX), u64::from(u32::MAX))?;
-    let total = graph.total_accesses();
+    let (total, widest) = graph.tasks().iter().fold((0, 0), |(total, widest), t| {
+        (total + t.accesses.len(), t.accesses.len().max(widest))
+    });
     assert!(
         u32::try_from(total).is_ok(),
         "flow declares more than u32::MAX accesses"
+    );
+    // One epoch per object to begin with, and one per write at most.
+    let max_epochs = graph.num_data() + total;
+    assert!(
+        max_epochs <= (u32::MAX >> SLOT_SHIFT) as usize,
+        "flow has more epochs than a compiled entry can name"
     );
     let workers = cfg.workers;
     let node_of_worker = cfg.node_assignment();
@@ -201,51 +412,148 @@ pub(crate) fn try_compile<'g>(
         .map(|&n| n as usize + 1)
         .max()
         .unwrap_or(1);
-    let mut arenas: Vec<NodeArena> = (0..num_nodes)
-        .map(|_| NodeArena {
-            accesses: Vec::with_capacity(total / num_nodes),
-            expected: Vec::with_capacity(total / num_nodes),
-        })
+    // Filled in place, up to `filled[node]`, and cut to size at the end.
+    // One more than there are nodes: tasks mapped to no existing worker
+    // are lowered like any other, into an arena no program indexes.
+    let mut arenas: Vec<NodeArena> = (0..=num_nodes)
+        .map(|n| NodeArena::blank(if n < num_nodes { total / num_nodes } else { 0 }))
         .collect();
+    let mut filled = vec![0usize; num_nodes + 1];
     let mut programs: Vec<WorkerProgram> = (0..workers)
         .map(|_| Vec::with_capacity(graph.len() / workers + 1))
         .collect();
-    // The simulated private view. Before task `t` it is what *every*
-    // worker's view would be — declares and terminates update a private
-    // view identically — and all of a task's gets use the pre-task view
-    // (its own terminates happen after the body; a task never declares
-    // one data object twice), so one replay serves all workers.
-    let mut view = vec![LocalDataState::default(); graph.num_data()];
-    let mut owned = 0u64;
+    let mut view: Vec<Epoch> = (0..graph.num_data() as u32)
+        .map(|d| Epoch {
+            word: pack_epoch(TaskId::NONE, 0),
+            on: [NOBODY; 2],
+            named: d << SLOT_SHIFT,
+            slot: 0,
+        })
+        .collect();
+    // Room for a write per task, checked a task ahead; a flow with more
+    // makes more.
+    let mut verdicts: Vec<Verdict> = vec![0; graph.num_data() + graph.len() + widest];
+    let mut next_named = (graph.num_data() as u32) << SLOT_SHIFT;
+    let mut shared_objects = 0u32;
+    // A thief runs a task out of its owner's program order and prices
+    // every guard of its candidates: with stealing armed, all is kept.
+    let elide = cfg.stealing.is_none();
+    let (mut owned, mut kept_gets) = (0u64, 0u64);
     for (i, t) in graph.tasks().iter().enumerate() {
-        let w = mapping.worker_of(t.id, workers).index();
+        let w = if cfg.preflight {
+            rio_stf::mapping::probe(mapping, TaskId::from_index(i), workers)?
+        } else {
+            mapping.worker_of(t.id, workers)
+        };
+        // Ids are dense, so an epoch's read count stays below the ids of
+        // its readers: this check covers both halves of the word.
+        if t.id.0 > u64::from(limit) {
+            // The mapping used to be validated before the limits: a
+            // mapping error anywhere in the flow still outranks this one.
+            if cfg.preflight {
+                for j in i + 1..graph.len() {
+                    rio_stf::mapping::probe(mapping, TaskId::from_index(j), workers)?;
+                }
+            }
+            return Err(GraphError::TaskIdOverflow {
+                task: t.id,
+                max: u64::from(limit),
+            }
+            .into());
+        }
         // Only with preflight off can a task name a worker that does not
         // exist. It lands in nobody's program — every walker would declare
-        // it and none run it — so its dependents stall into the watchdog
-        // exactly as they do interpreted.
-        if let Some(&node) = node_of_worker.get(w) {
-            let arena = &mut arenas[node as usize];
-            let start = arena.accesses.len() as u32;
-            arena.accesses.extend_from_slice(&t.accesses);
-            arena.expected.extend(
-                t.accesses
-                    .iter()
-                    .map(|a| expected_write_word(&view[a.data.index()])),
-            );
-            programs[w].push(RunInstr {
+        // it and none run it — and is local to nothing, so its dependents
+        // keep their guards and stall into the watchdog exactly as they
+        // do interpreted.
+        let (node, w, on) = match node_of_worker.get(w.index()) {
+            Some(&node) => (node as usize, w.0, w.0),
+            None => (num_nodes, UNMAPPED, SPREAD),
+        };
+        let arena = &mut arenas[node];
+        let start = filled[node];
+        let end = start + t.accesses.len();
+        if end > arena.plans.len() {
+            arena.grow(2 * end);
+        }
+        let epochs = (next_named >> SLOT_SHIFT) as usize + t.accesses.len();
+        if epochs > verdicts.len() {
+            more_verdicts(&mut verdicts, 2 * epochs);
+        }
+        let entries = arena.plans[start..end]
+            .iter_mut()
+            .zip(&mut arena.expected[start..end]);
+        let opened = t.id.0 << 32;
+        let mut guards = 0;
+        // All of a task's gets use the pre-task view (its own terminates
+        // happen after the body; a task never declares one data object
+        // twice), so entries are emitted as the view advances.
+        for (a, (plan, expected)) in t.accesses.iter().zip(entries) {
+            let e = &mut view[a.data.index()];
+            let writes = a.mode.writes();
+            // Does this access wait for anyone but its own worker?
+            let guard = !elide | !local_to(e.on[usize::from(writes)], w);
+            guards += u64::from(guard);
+            *expected = e.word;
+            if writes {
+                let named = e.named;
+                (e.word, e.on, e.named) = (opened, [on; 2], next_named);
+                next_named += 1 << SLOT_SHIFT;
+                // If a read of the closed epoch kept its guard, so does
+                // this write: it is on another worker than the writer.
+                verdicts[(named >> SLOT_SHIFT) as usize] =
+                    close(e, guard, &mut shared_objects) | (u32::from(guard) * PUBLISH);
+            } else {
+                e.word += 1;
+                e.on[1] = if local_to(e.on[1], w) { on } else { SPREAD };
+            }
+            // The publication half and the slot are [`finish`]'s: until
+            // then the entry names the epoch whose verdict holds them —
+            // the one a write opens, the one a read reads in.
+            *plan = AccessPlan {
+                data: a.data,
+                bits: e.named | (u32::from(writes) * WRITES) | (u32::from(guard) * GUARD),
+            };
+        }
+        filled[node] = end;
+        if node < num_nodes {
+            programs[w as usize].push(RunInstr {
                 task: i as u32,
-                start,
-                end: arena.accesses.len() as u32,
+                start: start as u32,
+                end: end as u32,
             });
             owned += t.accesses.len() as u64;
+            kept_gets += guards;
         }
-        declare_batch(&mut view, t.id, &t.accesses);
     }
+    arenas.truncate(num_nodes);
+    for (arena, &len) in arenas.iter_mut().zip(&filled) {
+        arena.truncate(len);
+    }
+    // The epochs still open have no next writer: the only guards kept on
+    // them are those of reads on another worker than a writer's (or, with
+    // stealing armed, of any access at all).
+    for e in &mut view {
+        let read_elsewhere = (e.on[1] == SPREAD) & (e.on[0] != NOBODY);
+        verdicts[(e.named >> SLOT_SHIFT) as usize] = close(
+            e,
+            (!elide & (e.on[1] != NOBODY)) | read_elsewhere,
+            &mut shared_objects,
+        ) | (u32::from(read_elsewhere) * WRITE_ONLY);
+    }
+    let force = u32::from(!elide) * PUBLISH;
+    let kept_publishes: u64 = arenas
+        .iter_mut()
+        .map(|arena| finish(&mut arena.plans, &verdicts, force))
+        .sum();
     let stats = CompileStats {
         flow_len: graph.len(),
         runs_per_worker: programs.iter().map(Vec::len).collect(),
         folded_declares: 0,
         irrelevant_declares: workers as u64 * total as u64 - owned,
+        elided_gets: owned - kept_gets,
+        elided_publishes: owned - kept_publishes,
+        shared_objects: shared_objects as usize,
     };
     Ok(CompiledFlow {
         cfg: cfg.clone(),
@@ -255,6 +563,40 @@ pub(crate) fn try_compile<'g>(
         programs,
         stats,
     })
+}
+
+#[cold]
+#[inline(never)]
+fn more_verdicts(verdicts: &mut Vec<Verdict>, len: usize) {
+    verdicts.resize(len, 0);
+}
+
+/// An epoch boundary of `e`'s object: if a guard was kept on the epoch
+/// (`waited_on`) and the object has no slot in a run's shared table yet,
+/// it gets the next one. Returns the slot as an entry's slot bits (none:
+/// 0 — nothing is waited on, so nothing will look).
+#[inline]
+fn close(e: &mut Epoch, waited_on: bool, shared_objects: &mut u32) -> u32 {
+    // Once per object at most: a branch, for once, predicts well.
+    if waited_on & (e.slot == 0) {
+        e.slot = *shared_objects << SLOT_SHIFT | HAS_SLOT;
+        *shared_objects += 1;
+    }
+    e.slot & !HAS_SLOT
+}
+
+/// Gives every entry what the epoch it named came to: the object's slot
+/// and the publication half (`force`: [`PUBLISH`] regardless). Returns
+/// how many publications are kept.
+fn finish(plans: &mut [AccessPlan], verdicts: &[Verdict], force: u32) -> u64 {
+    let mut publishes = 0;
+    for p in plans {
+        let verdict = verdicts[p.slot()];
+        let write_only = (verdict & p.bits & WRITE_ONLY) * (PUBLISH / WRITE_ONLY);
+        p.bits = (p.bits & (WRITES | GUARD)) | (verdict & !WRITE_ONLY) | write_only | force;
+        publishes += u64::from(p.publish());
+    }
+    publishes
 }
 
 impl<'g> CompiledFlow<'g> {
@@ -269,14 +611,15 @@ impl<'g> CompiledFlow<'g> {
         &self.cfg
     }
 
-    /// What the compiler did: instruction counts and the declares it
-    /// compiled away.
+    /// What the compiler did: instruction counts, the declares it
+    /// compiled away, the guards and publications it elided.
     pub fn stats(&self) -> &CompileStats {
         &self.stats
     }
 
     /// `worker`'s whole program: its own tasks in flow order, each with
-    /// the precomputed word every access waits for.
+    /// the precomputed word every access waits for and which halves of
+    /// its synchronisation a run performs.
     ///
     /// # Panics
     /// If `worker` is not one of the compiled configuration's workers.
@@ -285,6 +628,7 @@ impl<'g> CompiledFlow<'g> {
         self.programs[worker.index()].iter().map(|r| CompiledTask {
             task: &self.graph.tasks()[r.task as usize],
             expected: &arena.expected[r.start as usize..r.end as usize],
+            plans: &arena.plans[r.start as usize..r.end as usize],
         })
     }
 
@@ -315,7 +659,8 @@ impl<'g> CompiledFlow<'g> {
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
         let cfg = &self.cfg;
-        let shared = SharedDataState::new_table(self.graph.num_data());
+        // Only objects somebody can wait on have a word.
+        let shared = SharedDataState::new_table(self.stats.shared_objects);
         let shared = &shared;
         let kernel = &kernel;
         let abort = &AbortFlag::new();
@@ -467,8 +812,7 @@ impl<'g> CompiledFlow<'g> {
             if !ctx.exec_task(
                 kernel,
                 &tasks[r.task as usize],
-                &arena.accesses[range.clone()],
-                Some(&arena.expected[range]),
+                TaskAccesses::Compiled(&arena.plans[range.clone()], &arena.expected[range]),
             ) {
                 break;
             }
@@ -618,6 +962,267 @@ mod tests {
         assert_eq!(flow.stats().instructions(), 3);
         let t4 = flow.own_tasks(WorkerId(1)).last().unwrap();
         assert_eq!(t4.expected, [crate::protocol::pack_epoch(TaskId(3), 0)]);
+        // T3 is local to nobody: T4 keeps the guard that stalls it, and T2
+        // publishes for the guard T3 would have had. The static counts
+        // cover the three tasks somebody runs.
+        assert!(t4.keeps_guard(0));
+        assert_eq!(
+            marks(&flow),
+            [vec![PUBLISH], vec![KEPT], vec![], vec![GUARD]]
+        );
+        let stats = flow.stats();
+        assert_eq!((stats.elided_gets, stats.elided_publishes), (1, 1));
+        assert_eq!(stats.shared_objects, 1);
+    }
+
+    /// `(guard kept, publication kept)` of every own access, per task in
+    /// flow order.
+    fn marks(flow: &CompiledFlow<'_>) -> Vec<Vec<(bool, bool)>> {
+        let mut out = vec![Vec::new(); flow.graph().len()];
+        for w in 0..flow.config().workers {
+            for ct in flow.own_tasks(WorkerId::from_index(w)) {
+                out[ct.task.id.index()] = (0..ct.expected.len())
+                    .map(|i| (ct.keeps_guard(i), ct.keeps_publication(i)))
+                    .collect();
+            }
+        }
+        out
+    }
+
+    /// One object, one single-access task per `(mode, worker)`.
+    fn epochs(accesses: &[(char, u32)]) -> (TaskGraph, TableMapping) {
+        let mut b = TaskGraph::builder(1);
+        for &(mode, _) in accesses {
+            let a = match mode {
+                'r' => Access::read(DataId(0)),
+                _ => Access::write(DataId(0)),
+            };
+            b.task(&[a], 1, "t");
+        }
+        let owners = accesses
+            .iter()
+            .map(|&(_, w)| rio_stf::WorkerId(w))
+            .collect();
+        (b.build(), TableMapping::new(owners))
+    }
+
+    const KEPT: (bool, bool) = (true, true);
+    const GUARD: (bool, bool) = (true, false);
+    const PUBLISH: (bool, bool) = (false, true);
+    const ELIDED: (bool, bool) = (false, false);
+
+    #[test]
+    fn private_objects_share_nothing() {
+        // Every object is touched once: a first write of an untouched
+        // object waits for nobody, and nobody waits for it — whatever the
+        // mapping. The run allocates no word at all.
+        let n = 40;
+        let mut b = TaskGraph::builder(n);
+        for i in 0..n {
+            b.task(&[Access::write(DataId::from_index(i))], 1, "ind");
+        }
+        let g = b.build();
+        let flow = compile(cfg(4), &g);
+        let stats = flow.stats();
+        assert_eq!((stats.elided_gets, stats.elided_publishes), (40, 40));
+        assert_eq!(stats.shared_objects, 0);
+        let store = DataStore::filled(n, 0u64);
+        let run = flow.run(|_, t| *store.write(t.accesses[0].data) = t.id.0);
+        assert_eq!(store.into_vec(), (1..=n as u64).collect::<Vec<_>>());
+        // The books still count every access, and no terminate ran a wake.
+        let ops = run.report.total_ops();
+        assert_eq!((ops.gets, ops.terminates, ops.waits), (40, 40, 0));
+        assert_eq!(run.counters.total().wakes_elided, 40);
+    }
+
+    #[test]
+    fn one_workers_chain_is_all_program_order() {
+        // Reads and writes of one object, all on W1 of two.
+        let (g, m) = epochs(&[('w', 1), ('r', 1), ('r', 1), ('w', 1), ('r', 1)]);
+        let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
+        assert_eq!(marks(&flow), vec![vec![ELIDED]; 5]);
+        assert_eq!(flow.stats().shared_objects, 0);
+        // The words are still the whole private view, reads included.
+        use crate::protocol::pack_epoch;
+        let words: Vec<u64> = flow.own_tasks(WorkerId(1)).map(|t| t.expected[0]).collect();
+        assert_eq!(
+            words,
+            [
+                pack_epoch(TaskId::NONE, 0),
+                pack_epoch(TaskId(1), 0),
+                pack_epoch(TaskId(1), 1),
+                pack_epoch(TaskId(1), 2),
+                pack_epoch(TaskId(4), 0),
+            ]
+        );
+    }
+
+    #[test]
+    fn initial_epoch_reads_publish_once_a_remote_writer_waits_for_them() {
+        // No writer to wait for: both reads elide their guard, wherever
+        // they run. T3 (W1) must wait for T1 (W0), and its guard compares
+        // the whole word — so T2, on its own worker, publishes too.
+        let (g, m) = epochs(&[('r', 0), ('r', 1), ('w', 1)]);
+        let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
+        assert_eq!(marks(&flow), [[PUBLISH], [PUBLISH], [GUARD]]);
+        assert_eq!(flow.stats().shared_objects, 1);
+        assert_eq!(
+            (flow.stats().elided_gets, flow.stats().elided_publishes),
+            (2, 1)
+        );
+        // With the first writer on the readers' worker instead, nothing
+        // of the epoch is shared.
+        let (g, m) = epochs(&[('r', 0), ('r', 0), ('w', 0)]);
+        let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
+        assert_eq!(marks(&flow), vec![vec![ELIDED]; 3]);
+    }
+
+    #[test]
+    fn readers_split_across_the_next_writers_worker_and_another() {
+        // T3 (W1) waits for T1; T4 (W0) waits for T3 — and thereby for
+        // the count T2, its own worker's read, must add to.
+        let (g, m) = epochs(&[('w', 0), ('r', 0), ('r', 1), ('w', 0)]);
+        let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
+        assert_eq!(marks(&flow), [[PUBLISH], [PUBLISH], [KEPT], [GUARD]]);
+        let store = DataStore::from_vec(vec![0u64]);
+        flow.run(|_, t| match t.id.0 {
+            1 => *store.write(DataId(0)) = 5,
+            4 => *store.write(DataId(0)) += 1,
+            _ => assert_eq!(*store.read(DataId(0)), 5),
+        });
+        assert_eq!(store.into_vec(), vec![6]);
+    }
+
+    #[test]
+    fn the_last_epochs_reads_publish_for_nobody() {
+        // T3 (W1) keeps its guard, so T1 publishes; no writer follows.
+        let (g, m) = epochs(&[('w', 0), ('r', 0), ('r', 1)]);
+        let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
+        assert_eq!(marks(&flow), [[PUBLISH], [ELIDED], [GUARD]]);
+        assert_eq!(flow.stats().shared_objects, 1);
+        // The open epoch's words were restored when the flow ended.
+        use crate::protocol::pack_epoch;
+        let t3 = flow.own_tasks(WorkerId(1)).next().unwrap();
+        assert_eq!(t3.expected, [pack_epoch(TaskId(1), 1)]);
+    }
+
+    #[test]
+    fn kept_and_elided_epochs_of_one_object_mix() {
+        // D0: two epochs on W0 alone, one that W1 reads, a remote
+        // overwrite, and W1 alone again — stale words in between are
+        // overwritten by the next kept write before anyone compares.
+        let plan = [
+            ('w', 0),
+            ('r', 0),
+            ('w', 0),
+            ('r', 0), // W0 only
+            ('w', 0),
+            ('r', 1),
+            ('r', 0), // T5 publishes for T6
+            ('w', 1), // waits for T5, T6, T7
+            ('r', 1),
+            ('w', 1),
+            ('r', 1), // W1 only
+        ];
+        let (g, m) = epochs(&plan);
+        let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
+        let expect = [
+            ELIDED, ELIDED, ELIDED, ELIDED, PUBLISH, KEPT, PUBLISH, GUARD, ELIDED, ELIDED, ELIDED,
+        ];
+        assert_eq!(marks(&flow), expect.map(|m| vec![m]));
+        for wait in [
+            WaitStrategy::Spin,
+            WaitStrategy::SpinYield,
+            WaitStrategy::Park,
+        ] {
+            let flow = Executor::new(RioConfig::with_workers(2).wait(wait))
+                .mapping(&m)
+                .compile(&g);
+            let store = DataStore::from_vec(vec![0u64]);
+            let sums = AtomicU64::new(0);
+            flow.run(|_, t| {
+                if t.accesses[0].mode.writes() {
+                    *store.write(DataId(0)) = t.id.0;
+                } else {
+                    sums.fetch_add(*store.read(DataId(0)), Ordering::Relaxed);
+                }
+            });
+            // Each read saw its epoch's writer: T2→1, T4→3, T6/T7→5, T9→8, T11→10.
+            assert_eq!(
+                sums.load(Ordering::Relaxed),
+                1 + 3 + 5 + 5 + 8 + 10,
+                "{wait}"
+            );
+            assert_eq!(store.into_vec(), vec![10]);
+        }
+    }
+
+    #[test]
+    fn stealing_keeps_every_guard_and_publication() {
+        // A thief breaks same-worker order, and its scan prices every
+        // guard: the same flows as above elide nothing.
+        let (g, m) = epochs(&[('w', 1), ('r', 1), ('r', 1), ('w', 1), ('r', 1)]);
+        let flow = Executor::new(cfg(2).stealing(crate::steal::StealPolicy::new()))
+            .mapping(&m)
+            .compile(&g);
+        assert_eq!(marks(&flow), vec![vec![KEPT]; 5]);
+        let stats = flow.stats();
+        assert_eq!((stats.elided_gets, stats.elided_publishes), (0, 0));
+        assert_eq!(stats.shared_objects, 1);
+    }
+
+    /// A mapping that counts its calls.
+    struct Counting(std::sync::atomic::AtomicUsize);
+    impl Mapping for Counting {
+        fn worker_of(&self, task: TaskId, workers: usize) -> rio_stf::WorkerId {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            rio_stf::WorkerId((task.index() % workers) as u32)
+        }
+    }
+
+    #[test]
+    fn the_one_walk_probes_the_mapping_twice_per_task() {
+        let (g, _) = epochs(&[('w', 0); 20]);
+        let m = Counting(Default::default());
+        let _ = Executor::new(cfg(2)).mapping(&m).compile(&g);
+        assert_eq!(m.0.load(Ordering::Relaxed), 2 * 20, "preflight: two probes");
+        let m = Counting(Default::default());
+        let _ = Executor::new(cfg(2).preflight(false))
+            .mapping(&m)
+            .compile(&g);
+        assert_eq!(m.0.load(Ordering::Relaxed), 20, "no preflight: one call");
+    }
+
+    #[test]
+    fn limits_are_read_off_the_view_and_rank_below_the_mapping() {
+        use rio_stf::{GraphError, MappingError};
+        // Against a limit of 2, the value `TaskGraph::validate_limits`
+        // reports: T3's id overflows (before any read count could).
+        let (g, _) = epochs(&[('w', 0), ('r', 0), ('r', 0), ('r', 0)]);
+        let err = lower(&cfg(2), &g, &RoundRobin, 2).unwrap_err();
+        assert!(matches!(
+            err,
+            ExecError::InvalidGraph(GraphError::TaskIdOverflow {
+                task: TaskId(3),
+                max: 2
+            })
+        ));
+        // A mapping error later in the flow still comes first, as when
+        // preflight ran before the limit check...
+        let late = rio_stf::mapping::FnMapping(|t: TaskId, _| {
+            rio_stf::WorkerId(if t == TaskId(4) { 7 } else { 0 })
+        });
+        let err = lower(&cfg(2), &g, &late, 2).unwrap_err();
+        assert!(matches!(
+            err,
+            ExecError::InvalidMapping(MappingError::OutOfRange {
+                task: TaskId(4),
+                ..
+            })
+        ));
+        // ... unless nobody asked for preflight.
+        let err = lower(&cfg(2).preflight(false), &g, &late, 2).unwrap_err();
+        assert!(matches!(err, ExecError::InvalidGraph(_)));
     }
 
     #[test]
@@ -702,20 +1307,12 @@ mod tests {
 
     #[test]
     fn preflight_validation_happens_at_compile_time_only() {
-        use std::sync::atomic::AtomicUsize;
-        struct Counting(AtomicUsize);
-        impl Mapping for Counting {
-            fn worker_of(&self, task: TaskId, workers: usize) -> rio_stf::WorkerId {
-                self.0.fetch_add(1, Ordering::Relaxed);
-                rio_stf::WorkerId((task.index() % workers) as u32)
-            }
-        }
         let mut b = TaskGraph::builder(1);
         for _ in 0..20 {
             b.task(&[Access::read_write(DataId(0))], 1, "t");
         }
         let g = b.build();
-        let m = Counting(AtomicUsize::new(0));
+        let m = Counting(Default::default());
         let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
         let after_compile = m.0.load(Ordering::Relaxed);
         assert!(after_compile > 0, "compile evaluates the mapping");
@@ -841,12 +1438,16 @@ mod tests {
                 assert_eq!(r.task, sr.task);
                 let range = r.start as usize..r.end as usize;
                 let srange = sr.start as usize..sr.end as usize;
-                assert_eq!(&arena.accesses[range.clone()], flat.of(r.task as usize));
+                let declared = flat.of(r.task as usize);
+                assert_eq!(range.len(), declared.len());
+                for (p, a) in arena.plans[range.clone()].iter().zip(declared) {
+                    assert_eq!((p.data, p.writes()), (a.data, a.mode.writes()));
+                }
                 assert_eq!(&arena.expected[range], &single.arenas[0].expected[srange]);
             }
         }
         // Both arenas together cover exactly the owned Runs' accesses.
-        let total: usize = numa.arenas.iter().map(|a| a.accesses.len()).sum();
+        let total: usize = numa.arenas.iter().map(|a| a.plans.len()).sum();
         assert_eq!(total, flat.arena().len());
         // And the run produces the same store.
         let store = DataStore::filled(4, 0u64);

@@ -82,6 +82,14 @@ impl WorkerCounters {
         bump(&self.wakes_elided, 1);
     }
 
+    /// `n` such terminates: a task's worth, in one bump.
+    #[inline]
+    pub fn add_wakes_elided(&self, n: u64) {
+        if n != 0 {
+            bump(&self.wakes_elided, n);
+        }
+    }
+
     /// One abort detected by this worker (body panic or watchdog stall).
     #[inline]
     pub fn inc_aborts(&self) {

@@ -451,7 +451,8 @@ impl<'a, T> FlowCtx<'a, T> {
                         let diag = stall_diagnostic(
                             self.me,
                             id,
-                            a,
+                            a.data,
+                            a.mode.writes(),
                             expected_write_word(l),
                             s,
                             waited,

@@ -22,6 +22,7 @@ use rio_stf::{
 
 use rio_stf::Access;
 
+use crate::compile::AccessPlan;
 use crate::config::RioConfig;
 use crate::counters::{CounterRegistry, WorkerCounters};
 use crate::flight::{FlightRecorder, FlightRing};
@@ -52,7 +53,8 @@ use crate::wait::WaitStrategy;
 pub(crate) fn stall_diagnostic(
     me: WorkerId,
     task: rio_stf::TaskId,
-    access: &rio_stf::Access,
+    data: rio_stf::DataId,
+    write: bool,
     private: u64,
     shared: &SharedDataState,
     waited: Duration,
@@ -71,8 +73,8 @@ pub(crate) fn stall_diagnostic(
         waited,
         site: StallSite::DataWait {
             task,
-            data: access.data,
-            write: access.mode.writes(),
+            data,
+            write,
             local_reads_since_write: local_reads,
             local_last_registered_write: local_write,
             shared_reads_since_write: shared_reads,
@@ -84,17 +86,94 @@ pub(crate) fn stall_diagnostic(
     })
 }
 
+/// One access as the engine executes it, whoever prepared it.
+#[derive(Clone, Copy)]
+pub(crate) struct Step {
+    pub(crate) data: rio_stf::DataId,
+    /// Index of the object's word in the run's shared table.
+    pub(crate) slot: usize,
+    pub(crate) writes: bool,
+    /// Perform the `get_*`? Off when the compiler proved everything it
+    /// would wait for runs earlier on this worker.
+    pub(crate) guard: bool,
+    /// Perform the shared publication? Off when the compiler proved no
+    /// kept guard compares against it.
+    pub(crate) publish: bool,
+}
+
+/// A task's accesses as handed to [`WorkerCtx::exec_task`] — what tells a
+/// compiled program from a walker.
+#[derive(Clone, Copy)]
+pub(crate) enum TaskAccesses<'a> {
+    /// A walker's: the declared list. Every guard and publication is
+    /// performed, an object's word sits at the object's own index, and
+    /// the word a get waits for is packed from the context's private
+    /// views, which every terminate (and every declare of a foreign
+    /// task) keeps current.
+    Declared(&'a [Access]),
+    /// A compiled program's ([`crate::compile`]): per access, which
+    /// halves to perform and through which slot, and the precomputed
+    /// packed private view it waits for. The context keeps no private
+    /// state at all.
+    Compiled(&'a [AccessPlan], &'a [u64]),
+}
+
+impl TaskAccesses<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        match self {
+            TaskAccesses::Declared(a) => a.len(),
+            TaskAccesses::Compiled(p, _) => p.len(),
+        }
+    }
+
+    /// Does any access keep its guard, does any keep its publication?
+    /// One pass over the entries' bits, so that a task all of whose
+    /// synchronisation is worker-local skips both per-access loops.
+    #[inline]
+    fn kept(&self) -> (bool, bool) {
+        match self {
+            TaskAccesses::Declared(_) => (true, true),
+            TaskAccesses::Compiled(p, _) => p
+                .iter()
+                .fold((false, false), |(g, s), p| (g | p.guard(), s | p.publish())),
+        }
+    }
+
+    #[inline]
+    fn step(&self, i: usize) -> Step {
+        match self {
+            TaskAccesses::Declared(a) => Step {
+                data: a[i].data,
+                slot: a[i].data.index(),
+                writes: a[i].mode.writes(),
+                guard: true,
+                publish: true,
+            },
+            TaskAccesses::Compiled(p, _) => Step {
+                data: p[i].data,
+                slot: p[i].slot(),
+                writes: p[i].writes(),
+                guard: p[i].guard(),
+                publish: p[i].publish(),
+            },
+        }
+    }
+}
+
 /// Is every guard of one task open right now? One masked acquire-load per
-/// access against its packed private view — how a thief prices a
-/// candidate.
-fn guards_open(shared: &[SharedDataState], accesses: &[Access], expected: &[u64]) -> bool {
-    accesses.iter().zip(expected).all(|(a, &e)| {
-        let mask = if a.mode.writes() {
+/// `(slot, writes, expected)` — how a thief prices a candidate.
+fn guards_open(
+    shared: &[SharedDataState],
+    mut guards: impl Iterator<Item = (usize, bool, u64)>,
+) -> bool {
+    guards.all(|(slot, writes, expected)| {
+        let mask = if writes {
             WRITE_EPOCH_MASK
         } else {
             READ_EPOCH_MASK
         };
-        shared[a.data.index()].satisfied(e, mask)
+        shared[slot].satisfied(expected, mask)
     })
 }
 
@@ -278,7 +357,8 @@ where
 /// and the compiled-program interpreter of [`crate::compile`] all drive
 /// it. Keeping the `get → kernel → terminate` sequence (with its fault
 /// containment, watchdog and tracing) in one place is what lets the
-/// compiled path claim byte-identical protocol semantics.
+/// compiled path claim the interpreter's protocol semantics for every
+/// word somebody can wait on.
 pub(crate) struct WorkerCtx<'a> {
     cfg: &'a RioConfig,
     shared: &'a [SharedDataState],
@@ -442,27 +522,16 @@ impl<'a> WorkerCtx<'a> {
         }
     }
 
-    /// Executes one task mapped to this worker: acquire every access in
-    /// `accesses` (declaration order), run the kernel under fault
-    /// containment, publish the completions. Returns `false` when the run
-    /// aborted and the worker must abandon the flow.
-    ///
-    /// `accesses` equals the task's declared list; it is passed separately
-    /// so callers holding an access arena slice avoid touching
-    /// `t.accesses`' heap allocation.
-    ///
-    /// `pre` is what tells a compiled program from a walker. `Some`:
-    /// `pre[i]` is the packed private view access `i` waits for,
-    /// precomputed by [`crate::compile`]'s flow simulation, and this
-    /// context keeps no private state at all. `None`: the view is packed
-    /// from `self.locals`, which every terminate (and every declare of a
-    /// foreign task) keeps current.
+    /// Executes one task mapped to this worker: acquire every access of
+    /// `accesses` (`t`'s, in declaration order) whose guard is kept, run
+    /// the kernel under fault containment, publish the completions
+    /// somebody can wait on. Returns `false` when the run aborted and the
+    /// worker must abandon the flow.
     pub(crate) fn exec_task<K>(
         &mut self,
         kernel: &K,
         t: &TaskDesc,
-        accesses: &[Access],
-        pre: Option<&[u64]>,
+        accesses: TaskAccesses<'_>,
     ) -> bool
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
@@ -485,8 +554,8 @@ impl<'a> WorkerCtx<'a> {
                 .claims
                 .try_claim(t.id.index(), st.epoch, self.me.index() as u32)
             {
-                if pre.is_none() {
-                    self.declare_task_accesses(t.id, accesses);
+                if let TaskAccesses::Declared(declared) = accesses {
+                    self.declare_task_accesses(t.id, declared);
                 }
                 self.tick(t.id);
                 return true;
@@ -495,13 +564,20 @@ impl<'a> WorkerCtx<'a> {
         // Acquire every declared access, in declaration order. The
         // waits are pure condition polls (no resource is held), so no
         // acquisition order can deadlock.
-        for (i, a) in accesses.iter().enumerate() {
-            self.ops.gets += 1;
-            let s = &self.shared[a.data.index()];
-            let writes = a.mode.writes();
-            let expected = match pre {
-                Some(words) => words[i],
-                None => expected_write_word(&self.locals[a.data.index()]),
+        // An elided guard is a get all the same: one decided at compile
+        // time.
+        self.ops.gets += accesses.len() as u64;
+        let guarded = if accesses.kept().0 { accesses.len() } else { 0 };
+        for i in 0..guarded {
+            let a = accesses.step(i);
+            if !a.guard {
+                continue;
+            }
+            let s = &self.shared[a.slot];
+            let writes = a.writes;
+            let expected = match accesses {
+                TaskAccesses::Compiled(_, words) => words[i],
+                TaskAccesses::Declared(_) => expected_write_word(&self.locals[a.data.index()]),
             };
             let cx = self.wait_cx(a.data);
             let wr = if self.steal.is_some() {
@@ -541,7 +617,8 @@ impl<'a> WorkerCtx<'a> {
                     let diag = stall_diagnostic(
                         self.me,
                         t.id,
-                        a,
+                        a.data,
+                        writes,
                         expected,
                         s,
                         waited,
@@ -558,13 +635,14 @@ impl<'a> WorkerCtx<'a> {
             }
         }
 
-        if !self.run_body(kernel, t, accesses) {
+        if !self.run_body(kernel, t) {
             return false;
         }
         // Skipped and permanently-failed tasks still report watchdog
         // progress: the worker is alive and the flow is advancing.
         self.tick(t.id);
-        self.publish_task(t.id, accesses, pre.is_none());
+        let keep_view = matches!(accesses, TaskAccesses::Declared(_));
+        self.publish_task(t.id, accesses, keep_view);
 
         #[cfg(feature = "fault-inject")]
         if let Some(hook) = self.cfg.fault_hook.as_ref() {
@@ -585,10 +663,11 @@ impl<'a> WorkerCtx<'a> {
     /// counted as executed, but the caller publishes their terminates all
     /// the same. Returns `false` when the run is aborting: no terminate
     /// may follow.
-    fn run_body<K>(&mut self, kernel: &K, t: &TaskDesc, accesses: &[Access]) -> bool
+    fn run_body<K>(&mut self, kernel: &K, t: &TaskDesc) -> bool
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
+        let accesses = &t.accesses;
         self.flight_event(FlightEventKind::TaskStart, t.id, None);
         let timed = self.measure || self.record || self.tracer.is_some();
         // `None`: skipped or permanently failed. `Some(span)`: ran.
@@ -627,7 +706,8 @@ impl<'a> WorkerCtx<'a> {
             }
             // The gets already admitted every access, so any poison a
             // producer published before its terminate is visible here
-            // (the bit rides the protocol's own Release/Acquire edge).
+            // (the bit rides the protocol's own Release/Acquire edge —
+            // or, behind an elided guard, this worker's program order).
             // Recovery is keyed on the task, not the worker: a stolen
             // task retries, fails, poisons and skips exactly as it would
             // on its owner.
@@ -665,36 +745,49 @@ impl<'a> WorkerCtx<'a> {
         true
     }
 
-    /// Publishes every epoch advance `task` owes the protocol — with each
-    /// data object's own strategy (shared run-wide), so §10 wake elision
+    /// Publishes every epoch advance `task` owes anyone — with each data
+    /// object's own strategy (shared run-wide), so §10 wake elision
     /// behaves the same whoever ran the body. Skip-but-sync: this runs
     /// whether or not the body did. A skipped or permanently-failed task
     /// still publishes, so no downstream worker ever stalls on a failure
     /// — they observe the poison bits instead (set before these stores,
-    /// so the Release edge of each publication carries them).
+    /// so the Release edge of each publication carries them). A
+    /// publication the compiler elided has no waiter to stall: it stays a
+    /// counted terminate that, like any other that found no waiter, ran
+    /// no wake.
     ///
     /// `keep_view`: a walker terminating a task of its own also registers
     /// it in its private view — a terminate's private half *is* the
     /// declare. Off for a compiled program (no view) and for a stolen
     /// task (the thief's walk declares it when it gets there).
-    fn publish_task(&mut self, task: rio_stf::TaskId, accesses: &[Access], keep_view: bool) {
-        for a in accesses {
-            self.ops.terminates += 1;
+    fn publish_task(&mut self, task: rio_stf::TaskId, accesses: TaskAccesses<'_>, keep_view: bool) {
+        let n = accesses.len();
+        self.ops.terminates += n as u64;
+        if !accesses.kept().1 && self.policies.is_none() {
+            // Nothing to publish, and one strategy for every object.
+            if let (WaitStrategy::Park, Some(c)) = (self.cfg.wait, self.ctr) {
+                c.add_wakes_elided(n as u64);
+            }
+            return;
+        }
+        let mut wakes_elided = 0;
+        for i in 0..n {
+            let a = accesses.step(i);
             let strategy = self.strategy_of(a.data.index());
-            let s = &self.shared[a.data.index()];
-            let elided = if a.mode.writes() {
-                publish_write(s, task, strategy)
+            let elided = if !a.publish {
+                strategy == WaitStrategy::Park
+            } else if a.writes {
+                publish_write(&self.shared[a.slot], task, strategy)
             } else {
-                publish_read(s, strategy)
+                publish_read(&self.shared[a.slot], strategy)
             };
-            if keep_view {
-                declare_batch(&mut self.locals, task, std::slice::from_ref(a));
+            if let (true, TaskAccesses::Declared(declared)) = (keep_view, accesses) {
+                declare_batch(&mut self.locals, task, std::slice::from_ref(&declared[i]));
             }
-            if elided {
-                if let Some(c) = self.ctr {
-                    c.inc_wakes_elided();
-                }
-            }
+            wakes_elided += u64::from(elided);
+        }
+        if let Some(c) = self.ctr {
+            c.add_wakes_elided(wakes_elided);
         }
     }
 
@@ -851,13 +944,18 @@ impl<'a> WorkerCtx<'a> {
                 budget -= 1;
                 let t = &tasks[j];
                 let range = offsets[j] as usize..offsets[j + 1] as usize;
-                if guards_open(shared, &t.accesses, &expected[range]) {
+                let guards = t
+                    .accesses
+                    .iter()
+                    .zip(&expected[range])
+                    .map(|(a, &e)| (a.data.index(), a.mode.writes(), e));
+                if guards_open(shared, guards) {
                     if st.claims.try_claim(j, st.epoch, me) {
                         if let Some(c) = self.ctr {
                             c.inc_steals();
                         }
                         self.flight_event(FlightEventKind::Steal, t.id, None);
-                        self.execute_stolen(kernel, t, &t.accesses);
+                        self.execute_stolen(kernel, t, TaskAccesses::Declared(&t.accesses));
                         return true;
                     }
                     if let Some(c) = self.ctr {
@@ -873,7 +971,8 @@ impl<'a> WorkerCtx<'a> {
     /// Compiled-path scan: walk victims' instruction streams from their
     /// published cursors. Expected words are precompiled (in the victim's
     /// node arena), so pricing a candidate is one masked acquire-load
-    /// per access with no simulation. Stale cursors are safe: everything
+    /// per access with no simulation — every access: a program compiled
+    /// with stealing armed elides no guard. Stale cursors are safe: everything
     /// a victim already executed is claimed (the owner claims before
     /// running), so re-scanning it merely wastes window budget.
     #[allow(clippy::too_many_arguments)]
@@ -927,9 +1026,13 @@ impl<'a> WorkerCtx<'a> {
                     continue;
                 }
                 let range = r.start as usize..r.end as usize;
-                let acc = &varena.accesses[range.clone()];
+                let plans = &varena.plans[range.clone()];
                 let exp = &varena.expected[range];
-                if !guards_open(shared, acc, exp) {
+                let guards = plans
+                    .iter()
+                    .zip(exp)
+                    .map(|(p, &e)| (p.slot(), p.writes(), e));
+                if !guards_open(shared, guards) {
                     continue;
                 }
                 if st.claims.try_claim(ti, st.epoch, me as u32) {
@@ -937,7 +1040,7 @@ impl<'a> WorkerCtx<'a> {
                         c.inc_steals();
                     }
                     self.flight_event(FlightEventKind::Steal, tasks[ti].id, None);
-                    self.execute_stolen(kernel, &tasks[ti], acc);
+                    self.execute_stolen(kernel, &tasks[ti], TaskAccesses::Compiled(plans, exp));
                     return true;
                 }
                 if let Some(c) = self.ctr {
@@ -953,11 +1056,11 @@ impl<'a> WorkerCtx<'a> {
     /// guard waits (readiness was verified and is monotonic until these
     /// publications) and no private declares — a walking thief registers
     /// this task as foreign work when its own walk reaches it.
-    fn execute_stolen<K>(&mut self, kernel: &K, t: &TaskDesc, accesses: &[Access])
+    fn execute_stolen<K>(&mut self, kernel: &K, t: &TaskDesc, accesses: TaskAccesses<'_>)
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
-        if self.run_body(kernel, t, accesses) {
+        if self.run_body(kernel, t) {
             self.publish_task(t.id, accesses, false);
         }
     }
@@ -1255,7 +1358,7 @@ where
             if let Some(c) = cursor {
                 c.store(t.id.index(), std::sync::atomic::Ordering::Relaxed);
             }
-            ctx.exec_task(kernel, t, &t.accesses, None)
+            ctx.exec_task(kernel, t, TaskAccesses::Declared(&t.accesses))
         } else {
             ctx.declare_task(t);
             true
@@ -1848,12 +1951,14 @@ mod steal_tests {
         assert_eq!(hits.len(), 6, "every task ran exactly once");
         assert_eq!(report.tasks_executed(), 6);
         // W0 sleeps 30ms on T1 while W1 (blocked on D0 with a zero steal
-        // fuse) scans forward and claims W0's ready independent tasks.
+        // fuse) scans forward and claims W0's ready independent tasks —
+        // or T1 itself, when W1's scan beats W0's thread to its first
+        // claim.
         let t = report.counters.total();
         assert!(t.steals >= 1, "expected at least one steal, got {t:?}");
         let stolen: Vec<_> = hits
             .iter()
-            .filter(|(w, id)| w.index() == 1 && (id.0 == 3 || id.0 == 5))
+            .filter(|(w, id)| w.index() == 1 && id.0 % 2 == 1)
             .collect();
         assert!(
             !stolen.is_empty(),

@@ -335,7 +335,7 @@ where
         };
         if !mine {
             ctx.declare_task(t);
-        } else if !ctx.exec_task(kernel, t, &t.accesses, None) {
+        } else if !ctx.exec_task(kernel, t, crate::graph::TaskAccesses::Declared(&t.accesses)) {
             // The run is aborting (a dynamically claimed task is simply
             // dropped — nobody else will run it, but nothing starts past
             // the abort anyway).

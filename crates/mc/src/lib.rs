@@ -41,7 +41,9 @@ pub mod stf_spec;
 pub mod walk;
 
 pub use explorer::{explore, ExploreReport, TransitionSystem};
-pub use protocol_spec::{explore_protocol, explore_protocol_with, ProtocolSpec};
+pub use protocol_spec::{
+    explore_compiled_protocol_with, explore_protocol, explore_protocol_with, ProtocolSpec,
+};
 pub use rio_spec::{explore_rio, RioSpec};
 pub use stf_spec::{explore_stf, StfSpec};
 pub use walk::{random_walks, WalkReport};

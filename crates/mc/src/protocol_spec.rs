@@ -50,6 +50,18 @@
 //! [`READ_EPOCH_MASK`]/[`WRITE_EPOCH_MASK`] masks the runtime compares
 //! with, so a divergence between the model's guard and the shipped guard
 //! is a compile-time impossibility rather than a transcription hazard.
+//!
+//! **The compiled protocol.** [`ProtocolSpec::compiled`] models what a
+//! [`rio_core::CompiledFlow`] executes instead, taken from the compiler's
+//! own output for the `(flow, mapping)` at hand: a worker steps through
+//! its own tasks only, a get compares the *precompiled* expected word,
+//! and exactly the micro-steps the compiler elided are gone — an elided
+//! guard is no step at all (nothing is compared), an elided publication
+//! never reaches the shared word. The three properties are checked
+//! unchanged, so they cover the elision argument itself: a body behind
+//! an elided guard must still find every earlier conflicting access
+//! terminated, and no kept guard may be fooled by a word the elided
+//! publications left stale.
 
 use rio_core::protocol::{
     expected_read_word, expected_write_word, pack_epoch, LocalDataState, READ_EPOCH_MASK,
@@ -77,6 +89,17 @@ pub struct ProtocolSpec<'g> {
     workers: usize,
     /// Task index → owner worker.
     owner: Vec<usize>,
+    /// `Some`: the compiled protocol — per task, what the compiler
+    /// emitted for each access.
+    compiled: Option<Vec<Vec<CompiledAccess>>>,
+}
+
+/// One access of a compiled program, as the model needs it.
+#[derive(Clone, Copy)]
+struct CompiledAccess {
+    expected: u64,
+    guard: bool,
+    publish: bool,
 }
 
 // The private per-worker view is the implementation's own
@@ -100,6 +123,77 @@ impl<'g> ProtocolSpec<'g> {
             graph,
             workers,
             owner,
+            compiled: None,
+        }
+    }
+
+    /// The system a [`rio_core::CompiledFlow`] of `graph` under `mapping`
+    /// executes (module docs): own tasks only, precompiled expected
+    /// words, and none of the guards and publications the compiler
+    /// elided.
+    pub fn compiled(
+        graph: &'g TaskGraph,
+        workers: usize,
+        mapping: &dyn Mapping,
+    ) -> ProtocolSpec<'g> {
+        let mut spec = ProtocolSpec::new(graph, workers, mapping);
+        let flow = rio_core::Executor::new(rio_core::RioConfig::with_workers(workers))
+            .mapping(mapping)
+            .compile(graph);
+        let mut compiled = vec![Vec::new(); graph.len()];
+        for w in 0..workers {
+            for ct in flow.own_tasks(rio_stf::WorkerId::from_index(w)) {
+                compiled[ct.task.id.index()] = (0..ct.expected.len())
+                    .map(|i| CompiledAccess {
+                        expected: ct.expected[i],
+                        guard: ct.keeps_guard(i),
+                        publish: ct.keeps_publication(i),
+                    })
+                    .collect();
+            }
+        }
+        spec.compiled = Some(compiled);
+        spec
+    }
+
+    /// Does the `acc_idx`-th publication of task `task_idx` reach the
+    /// shared word?
+    fn publishes(&self, task_idx: usize, acc_idx: usize) -> bool {
+        self.compiled
+            .as_ref()
+            .is_none_or(|c| c[task_idx][acc_idx].publish)
+    }
+
+    /// The control point worker `w` rests at once it reaches
+    /// `(pos, step)`: a finished task rolls over to the next one, and a
+    /// compiled worker passes everything that is no step for it — foreign
+    /// tasks, elided gets, elided publications after the first (the first
+    /// rides on the body's completion step).
+    fn settle(&self, w: usize, mut pos: usize, mut step: usize) -> ControlPoint {
+        let n = self.graph.len();
+        loop {
+            if pos >= n {
+                return (n as u16, 0);
+            }
+            let k = self.accesses_of(pos).len();
+            if step > 0 && step >= 2 * k {
+                (pos, step) = (pos + 1, 0);
+                continue;
+            }
+            let Some(compiled) = &self.compiled else {
+                return (pos as u16, step as u16);
+            };
+            let elided = |step: usize| {
+                let a = &compiled[pos];
+                (step < k && !a[step].guard) || (step > k && !a[step - k].publish)
+            };
+            if self.owner[pos] != w {
+                pos += 1;
+            } else if elided(step) {
+                step += 1;
+            } else {
+                return (pos as u16, step as u16);
+            }
         }
     }
 
@@ -132,7 +226,7 @@ impl<'g> ProtocolSpec<'g> {
         let mut reads_since = 0u64;
         for (ti, t) in self.graph.tasks().iter().enumerate() {
             for (ai, a) in t.accesses.iter().enumerate() {
-                if a.data != d || !self.terminate_done(state, ti, ai) {
+                if a.data != d || !self.publishes(ti, ai) || !self.terminate_done(state, ti, ai) {
                     continue;
                 }
                 if a.mode.writes() {
@@ -195,13 +289,24 @@ impl<'g> ProtocolSpec<'g> {
     fn get_ready(&self, state: &[ControlPoint], w: usize, acc_idx: usize) -> bool {
         let pos = state[w].0 as usize;
         let a = self.accesses_of(pos)[acc_idx];
-        let local = self.local_view(state, w, a.data);
         let word = self.shared_word(state, a.data);
-        if a.mode.writes() {
-            word & WRITE_EPOCH_MASK == expected_write_word(&local)
+        let mask = if a.mode.writes() {
+            WRITE_EPOCH_MASK
         } else {
-            word & READ_EPOCH_MASK == expected_read_word(&local)
-        }
+            READ_EPOCH_MASK
+        };
+        let expected = match &self.compiled {
+            Some(compiled) => compiled[pos][acc_idx].expected & mask,
+            None => {
+                let local = self.local_view(state, w, a.data);
+                if a.mode.writes() {
+                    expected_write_word(&local)
+                } else {
+                    expected_read_word(&local)
+                }
+            }
+        };
+        word & mask == expected
     }
 
     /// Objects currently *held* by worker `w` (gotten, not yet
@@ -248,7 +353,7 @@ impl TransitionSystem for ProtocolSpec<'_> {
     type State = Vec<ControlPoint>;
 
     fn initial(&self) -> Self::State {
-        vec![(0, 0); self.workers]
+        (0..self.workers).map(|w| self.settle(w, 0, 0)).collect()
     }
 
     fn successors(&self, state: &Self::State, out: &mut Vec<Self::State>) {
@@ -264,24 +369,16 @@ impl TransitionSystem for ProtocolSpec<'_> {
             let mut next = state.clone();
             if !owned || k == 0 {
                 // One private step: declares (or an access-free body).
-                next[w] = (pos + 1, 0);
+                next[w] = self.settle(w, posu + 1, 0);
                 out.push(next);
                 continue;
             }
             let stepu = step as usize;
-            if stepu < k {
-                // Next blocking get.
-                if self.get_ready(state, w, stepu) {
-                    next[w] = (pos, step + 1);
-                    out.push(next);
-                }
-            } else if stepu < 2 * k - 1 {
-                // Next terminate (not the last).
-                next[w] = (pos, step + 1);
-                out.push(next);
-            } else {
-                // Final terminate completes the task.
-                next[w] = (pos + 1, 0);
+            // A blocking get, or — past the gets — the body's completion
+            // with the first terminate, then the other terminates (the
+            // last one completes the task).
+            if stepu >= k || self.get_ready(state, w, stepu) {
+                next[w] = self.settle(w, posu, stepu + 1);
                 out.push(next);
             }
         }
@@ -335,6 +432,16 @@ impl TransitionSystem for ProtocolSpec<'_> {
 /// `workers` workers and a round-robin mapping.
 pub fn explore_protocol(graph: &TaskGraph, workers: usize) -> ExploreReport {
     explore(&ProtocolSpec::new(graph, workers, &RoundRobin))
+}
+
+/// Exhaustively checks the compiled protocol ([`ProtocolSpec::compiled`])
+/// with an explicit mapping.
+pub fn explore_compiled_protocol_with(
+    graph: &TaskGraph,
+    workers: usize,
+    mapping: &dyn Mapping,
+) -> ExploreReport {
+    explore(&ProtocolSpec::compiled(graph, workers, mapping))
 }
 
 /// Exhaustively checks the implementation protocol with an explicit
@@ -457,6 +564,95 @@ mod tests {
         let g = b.build();
         let r = explore_protocol(&g, 2);
         assert!(r.ok(), "{:?}", r.violations);
+    }
+
+    #[test]
+    fn compiled_lu_models_pass_exhaustively() {
+        // What a CompiledFlow executes — own tasks only, the compiler's
+        // expected words, its elided guards and publications gone — keeps
+        // all three properties on every interleaving.
+        for (rows, cols) in [(3, 3), (4, 4)] {
+            let g = crate::lu_model::graph(rows, cols);
+            for workers in [2, 3] {
+                let m = crate::lu_model::mapping(rows, cols, workers);
+                let r = explore_compiled_protocol_with(&g, workers, &m);
+                assert!(r.ok(), "LU {rows}x{cols}/{workers}: {:?}", r.violations);
+                assert!(r.distinct > 10);
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_lu_12x12_walks_stay_clean() {
+        // Past exhaustive reach: random walks of the compiled protocol.
+        let g = crate::lu_model::graph(12, 12);
+        let m = crate::lu_model::mapping(12, 12, 4);
+        let spec = ProtocolSpec::compiled(&g, 4, &m);
+        let r = crate::random_walks(&spec, 3, 1_000_000, 14);
+        assert!(r.ok(), "{:?}", r.violations);
+        assert_eq!((r.completed, r.truncated), (3, 0));
+    }
+
+    #[test]
+    fn compiled_model_drops_the_elided_steps() {
+        let g = crate::lu_model::graph(3, 3);
+        let m = crate::lu_model::mapping(3, 3, 2);
+        let spec = ProtocolSpec::compiled(&g, 2, &m);
+        let elided = spec
+            .compiled
+            .as_ref()
+            .unwrap()
+            .iter()
+            .flatten()
+            .filter(|a| !a.guard || !a.publish)
+            .count();
+        assert!(elided > 0, "block-cyclic LU keeps some edges on one worker");
+        // Fewer micro-steps (and no foreign tasks): a smaller state space.
+        let walked = explore_protocol_with(&g, 2, &m);
+        let compiled = explore(&spec);
+        assert!(compiled.ok(), "{:?}", compiled.violations);
+        assert!(compiled.distinct < walked.distinct);
+        // One worker elides everything: its only path is its program, one
+        // body per state.
+        let solo = ProtocolSpec::compiled(&g, 1, &m_all_on_w0(g.len()));
+        assert!(solo
+            .compiled
+            .as_ref()
+            .unwrap()
+            .iter()
+            .flatten()
+            .all(|a| !a.guard && !a.publish));
+        let r = explore(&solo);
+        assert!(r.ok());
+        assert_eq!(r.distinct, g.len() as u64 + 1);
+    }
+
+    fn m_all_on_w0(tasks: usize) -> TableMapping {
+        TableMapping::new(vec![WorkerId(0); tasks])
+    }
+
+    /// The compiled model is not vacuous: take away one thing the
+    /// compiler kept and a property breaks.
+    #[test]
+    fn a_wrong_elision_is_caught() {
+        // T1 (W0) writes, T2 (W1) reads, T3 (W0) writes again.
+        let mut b = TaskGraph::builder(1);
+        b.task(&[Access::write(DataId(0))], 1, "w");
+        b.task(&[Access::read(DataId(0))], 1, "r");
+        b.task(&[Access::write(DataId(0))], 1, "w2");
+        let g = b.build();
+        let m = TableMapping::new(vec![WorkerId(0), WorkerId(1), WorkerId(0)]);
+        assert!(explore_compiled_protocol_with(&g, 2, &m).ok());
+        // T2's guard is all that orders it after T1's body.
+        let mut spec = ProtocolSpec::compiled(&g, 2, &m);
+        assert!(spec.compiled.as_ref().unwrap()[1][0].guard);
+        spec.compiled.as_mut().unwrap()[1][0].guard = false;
+        assert!(!explore(&spec).violations.is_empty());
+        // T1's publication is what T2's guard waits for.
+        let mut spec = ProtocolSpec::compiled(&g, 2, &m);
+        assert!(spec.compiled.as_ref().unwrap()[0][0].publish);
+        spec.compiled.as_mut().unwrap()[0][0].publish = false;
+        assert!(explore(&spec).deadlocks > 0);
     }
 
     /// The masked single-word guard must decide exactly like the

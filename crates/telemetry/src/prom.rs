@@ -248,6 +248,48 @@ pub fn render_quality(
     );
 }
 
+/// Renders what the compiler did to a flow
+/// ([`rio_core::CompiledFlow::stats`]) as `rio_compile_*` gauges: every
+/// value is static — a function of the flow, the mapping and the
+/// configuration — so a scrape of a compiled run says how much of its
+/// synchronisation was left to perform at all.
+pub fn render_compile_stats(
+    buf: &mut PromBuffer,
+    stats: &rio_core::CompileStats,
+    base: &[(&str, &str)],
+) {
+    let gauges = [
+        (
+            "rio_compile_instructions",
+            "Run instructions across all worker programs (one per mapped task).",
+            stats.instructions() as f64,
+        ),
+        (
+            "rio_compile_irrelevant_declares",
+            "Per-access declares of foreign tasks compiled away, summed over workers.",
+            stats.irrelevant_declares as f64,
+        ),
+        (
+            "rio_compile_elided_gets",
+            "Own accesses whose guard only waits for their own worker: decided at compile time.",
+            stats.elided_gets as f64,
+        ),
+        (
+            "rio_compile_elided_publishes",
+            "Own accesses whose publication no kept guard compares against.",
+            stats.elided_publishes as f64,
+        ),
+        (
+            "rio_compile_shared_objects",
+            "Data objects with a kept guard or publication: the length of a run's shared table.",
+            stats.shared_objects as f64,
+        ),
+    ];
+    for (name, help, value) in gauges {
+        buf.gauge(name, help, base, value);
+    }
+}
+
 /// One parsed sample line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
@@ -645,6 +687,42 @@ mod tests {
         assert_eq!(samples[0].value, 1.25);
         assert_eq!(samples[1].name, "rio_weighted_locality_cost");
         assert_eq!(samples[1].value, 42.0);
+    }
+
+    #[test]
+    fn compile_gauges_render() {
+        use rio_core::prelude::*;
+        // D0 goes back and forth between two workers; D1 stays on W1.
+        let mut b = TaskGraph::builder(2);
+        for _ in 0..2 {
+            b.task(&[Access::read_write(DataId(0))], 1, "t");
+            b.task(
+                &[Access::read_write(DataId(0)), Access::read_write(DataId(1))],
+                1,
+                "t",
+            );
+        }
+        let g = b.build();
+        let flow = Executor::new(RioConfig::with_workers(2))
+            .mapping(&RoundRobin)
+            .compile(&g);
+        let mut buf = PromBuffer::new();
+        render_compile_stats(&mut buf, flow.stats(), &[("workload", "demo")]);
+        let text = buf.finish();
+        validate_exposition(&text).unwrap();
+        let samples = parse_exposition(&text).unwrap();
+        let value = |name: &str| samples.iter().find(|s| s.name == name).unwrap().value;
+        assert_eq!(value("rio_compile_instructions"), 4.0);
+        assert_eq!(
+            value("rio_compile_elided_gets"),
+            flow.stats().elided_gets as f64
+        );
+        assert_eq!(
+            value("rio_compile_elided_publishes"),
+            flow.stats().elided_publishes as f64
+        );
+        assert_eq!(value("rio_compile_shared_objects"), 1.0);
+        assert!(samples.iter().all(|s| s.label("workload") == Some("demo")));
     }
 
     #[test]

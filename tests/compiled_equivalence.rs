@@ -6,7 +6,10 @@
 //! A compiled program holds a worker's own tasks only and keeps no
 //! private state; what replaces the private view is pinned here too: the
 //! precomputed word of every own access is exactly what that worker's
-//! interpreted walk would have packed at that point of the flow.
+//! interpreted walk would have packed at that point of the flow. So is
+//! what it leaves out: the guards and publications the compiler elides
+//! are checked against the flow's dependencies, derived here from the
+//! graph alone.
 
 use proptest::prelude::*;
 use rio::core::protocol::{
@@ -161,6 +164,122 @@ fn check_program_against_interpreted_view(
     assert!(program.next().is_none(), "a foreign task is in the program");
 }
 
+/// One own access as compiled, and who runs it.
+#[derive(Clone, Copy, Debug)]
+struct Mark {
+    worker: usize,
+    guard: bool,
+    publish: bool,
+}
+
+/// `marks[task][access]` over the whole flow, read back from every
+/// worker's program.
+fn compiled_marks(
+    graph: &TaskGraph,
+    cfg: &RioConfig,
+    mapping: &TableMapping,
+) -> (Vec<Vec<Mark>>, usize) {
+    let flow = Executor::new(cfg.clone()).mapping(mapping).compile(graph);
+    let mut marks = vec![Vec::new(); graph.len()];
+    for worker in 0..cfg.workers {
+        for ct in flow.own_tasks(WorkerId::from_index(worker)) {
+            marks[ct.task.id.index()] = (0..ct.expected.len())
+                .map(|i| Mark {
+                    worker,
+                    guard: ct.keeps_guard(i),
+                    publish: ct.keeps_publication(i),
+                })
+                .collect();
+        }
+    }
+    let stats = flow.stats();
+    let (mut kept_guards, mut kept_publishes) = (0, 0);
+    for m in marks.iter().flatten() {
+        kept_guards += u64::from(m.guard);
+        kept_publishes += u64::from(m.publish);
+    }
+    let accesses = graph.total_accesses() as u64;
+    assert_eq!(stats.elided_gets, accesses - kept_guards);
+    assert_eq!(stats.elided_publishes, accesses - kept_publishes);
+    (marks, stats.shared_objects)
+}
+
+/// Checks the marks against the flow's dependencies, recomputed here per
+/// object as epochs — a writer, the reads that follow it, the next writer
+/// — from the graph and the mapping alone.
+fn check_marks_against_the_flow(graph: &TaskGraph, marks: &[Vec<Mark>], shared_objects: usize) {
+    let mut shared = 0;
+    for d in 0..graph.num_data() {
+        let data = DataId::from_index(d);
+        // (task, access) of the open epoch's writer and reads.
+        let mut writer: Option<(usize, usize)> = None;
+        let mut reads: Vec<(usize, usize)> = Vec::new();
+        let mut any_kept = false;
+        let mark = |&(t, a): &(usize, usize)| marks[t][a];
+        // What the end of an epoch decides: `closing` is the next writer.
+        let close = |writer: Option<(usize, usize)>,
+                     reads: &[(usize, usize)],
+                     closing: Option<Mark>| {
+            let waited_on = closing.is_some_and(|c| c.guard);
+            for r in reads {
+                assert_eq!(
+                    mark(r).publish,
+                    waited_on,
+                    "a read publishes exactly for a next writer that keeps its guard: {r:?} on {data}"
+                );
+            }
+            if let Some(w) = writer {
+                let consumed = waited_on || reads.iter().any(|r| mark(r).guard);
+                assert_eq!(
+                    mark(&w).publish,
+                    consumed,
+                    "a write publishes exactly for consumers that keep a guard: {w:?} on {data}"
+                );
+                if !mark(&w).publish {
+                    assert!(reads.iter().all(|r| !mark(r).publish));
+                }
+            }
+        };
+        for (t, task) in graph.tasks().iter().enumerate() {
+            let Some(a) = task.accesses.iter().position(|a| a.data == data) else {
+                continue;
+            };
+            let me = marks[t][a];
+            any_kept |= me.guard | me.publish;
+            let producers: Vec<Mark> = if task.accesses[a].mode.writes() {
+                writer.iter().chain(&reads).map(mark).collect()
+            } else {
+                writer.iter().map(mark).collect()
+            };
+            let local = producers.iter().all(|p| p.worker == me.worker);
+            assert_eq!(
+                me.guard,
+                !local,
+                "a guard is elided exactly when every producer is absent or on its worker: \
+                 T{} on {data}",
+                t + 1
+            );
+            if me.guard {
+                assert!(
+                    producers.iter().all(|p| p.publish),
+                    "a kept guard compares against an elided publication: T{} on {data}",
+                    t + 1
+                );
+            }
+            if task.accesses[a].mode.writes() {
+                close(writer, &reads, Some(me));
+                writer = Some((t, a));
+                reads.clear();
+            } else {
+                reads.push((t, a));
+            }
+        }
+        close(writer, &reads, None);
+        shared += usize::from(any_kept);
+    }
+    assert_eq!(shared_objects, shared, "objects with a kept half");
+}
+
 /// Runs `graph` on two workers to its watchdog stall — a "slow" task
 /// outlasts the deadline, so whoever depends on it gives up — and returns
 /// where that worker was blocked.
@@ -248,8 +367,98 @@ fn compiled_stall_renders_the_interpreted_private_view() {
     assert_eq!(stall_site(&g, &m, true), interpreted);
 }
 
+/// A task mapped to a worker that does not exist (preflight off) is local
+/// to nobody: whoever depends on it keeps its guard and stalls into the
+/// watchdog showing the private/shared pair the interpreted walk of the
+/// same flow and mapping shows — every walker declares the task and none
+/// runs it. (The pair is spelled out rather than taken from an interpreted
+/// run: the walker's `debug_assert` on the mapping panics a debug build
+/// before it can stall.)
+#[test]
+fn a_task_mapped_nowhere_stalls_its_dependents_as_interpreted() {
+    let d0 = DataId(0);
+    // One RW chain; T3 is mapped to W9 of two. T4 waits for T3's write
+    // with T2's still in the word — whether T1 and T2 ran on one worker
+    // (their own edge elided) or two.
+    for owners in [[0, 1, 9, 1], [1, 1, 9, 1], [1, 1, 9, 0]] {
+        let mut b = TaskGraph::builder(1);
+        for _ in 0..4 {
+            b.task(&[Access::read_write(d0)], 1, "inc");
+        }
+        let g = b.build();
+        let m = rio::stf::mapping::FnMapping(|t: TaskId, _| WorkerId(owners[t.index()]));
+        let err = Executor::new(
+            RioConfig::with_workers(2)
+                .wait(WaitStrategy::Park)
+                .preflight(false),
+        )
+        .mapping(&m)
+        .watchdog(Duration::from_millis(100))
+        .compile(&g)
+        .try_run(|_, _| {})
+        .expect_err("T4 waits for a write nobody performs");
+        let ExecError::Stalled(diag) = err else {
+            panic!("expected Stalled, got {err}");
+        };
+        assert_eq!(diag.worker, WorkerId(owners[3]), "owners {owners:?}");
+        assert_eq!(
+            diag.site,
+            StallSite::DataWait {
+                task: TaskId(4),
+                data: d0,
+                write: true,
+                local_reads_since_write: 0,
+                local_last_registered_write: TaskId(3),
+                shared_reads_since_write: 0,
+                shared_last_executed_write: TaskId(2),
+                shared_epoch_word: 2 << 32,
+            },
+            "owners {owners:?}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// What the compiler leaves out: for random graphs and mappings, at
+    /// 1, 2, 3 and 64 workers and under a mocked 2×2 topology, a guard is
+    /// elided exactly when every producer it would wait for is absent or
+    /// on its own worker, every kept guard finds all its producers'
+    /// publications kept, publications are kept exactly for the consumers
+    /// that keep a guard, and the run's table holds exactly the objects
+    /// with a kept half. With stealing armed nothing is elided at all.
+    #[test]
+    fn elided_synchronisation_is_exactly_the_worker_local_part(
+        graph in arb_graph(40, 5),
+        map_seed in 0u64..1000,
+    ) {
+        let configs = [
+            RioConfig::with_workers(1),
+            RioConfig::with_workers(2),
+            RioConfig::with_workers(3),
+            RioConfig::with_workers(64),
+            RioConfig::with_workers(4).topology(Arc::new(Topology::mock(2, 2))),
+        ];
+        for cfg in configs {
+            let mapping = arb_table_mapping(graph.len(), cfg.workers, map_seed);
+            let (marks, shared_objects) = compiled_marks(&graph, &cfg, &mapping);
+            check_marks_against_the_flow(&graph, &marks, shared_objects);
+            if cfg.workers == 1 {
+                prop_assert!(marks.iter().flatten().all(|m| !m.guard && !m.publish));
+                prop_assert_eq!(shared_objects, 0);
+            }
+            let armed = cfg.clone().stealing(StealPolicy::new());
+            let stats = Executor::new(armed).mapping(&mapping).compile(&graph).stats().clone();
+            prop_assert_eq!((stats.elided_gets, stats.elided_publishes), (0, 0));
+            let touched = (0..graph.num_data())
+                .filter(|&d| graph.tasks().iter().any(|t| {
+                    t.accesses.iter().any(|a| a.data.index() == d)
+                }))
+                .count();
+            prop_assert_eq!(stats.shared_objects, touched);
+        }
+    }
 
     /// What replaced the private view: for random graphs and mappings, at
     /// 1, 2 and 64 workers, with stealing armed and under a mocked 2×2
@@ -368,5 +577,41 @@ proptest! {
         let run = flow.run(|_, t: &TaskDesc| hash_kernel(&store, t));
         prop_assert_eq!(run.report.tasks_executed(), graph.len() as u64);
         prop_assert_eq!(store.into_vec(), run_sequential(&graph));
+    }
+}
+
+proptest! {
+    // Fifteen pairs of runs per case, one of them on 64 threads.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// What the compiler leaves out is not missed: at the same worker
+    /// counts and under every wait strategy, the compiled run invokes
+    /// the kernels in the interpreted run's per-worker order and leaves
+    /// the sequential oracle's store.
+    #[test]
+    fn elided_runs_match_interpreted_runs_and_the_oracle(
+        graph in arb_graph(30, 4),
+        map_seed in 0u64..1000,
+    ) {
+        let oracle = run_sequential(&graph);
+        let configs = [
+            RioConfig::with_workers(1),
+            RioConfig::with_workers(2),
+            RioConfig::with_workers(3),
+            RioConfig::with_workers(64),
+            RioConfig::with_workers(4).topology(Arc::new(Topology::mock(2, 2))),
+        ];
+        for cfg in configs {
+            let mapping = arb_table_mapping(graph.len(), cfg.workers, map_seed);
+            for wait in WAITS {
+                let cfg = cfg.clone().wait(wait);
+                let (interp_store, interp_orders) = observe(&graph, &cfg, &mapping, false);
+                let (comp_store, comp_orders) = observe(&graph, &cfg, &mapping, true);
+                prop_assert_eq!(&comp_orders, &interp_orders,
+                    "per-worker kernel orders diverged at {} workers, {}", cfg.workers, wait);
+                prop_assert_eq!(&comp_store, &interp_store);
+                prop_assert_eq!(&comp_store, &oracle);
+            }
+        }
     }
 }
