@@ -1,5 +1,5 @@
 //! Ablations of the design choices DESIGN.md calls out: wait strategy,
-//! mapping quality, task pruning, and the reduction extension.
+//! mapping quality, compile-once reuse, and the reduction extension.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rio_core::redux::{RAccess, ReduxRio};
@@ -95,32 +95,25 @@ fn bench_sched_policy(c: &mut Criterion) {
     g.finish();
 }
 
-/// Task pruning on independent private-data tasks (the Fig. 7 regime).
-fn bench_pruning(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation/pruning");
+/// One-shot vs reused flow on independent private-data tasks (the Fig. 7
+/// regime).
+fn bench_compile_reuse(c: &mut Criterion) {
+    let mut g = c.benchmark_group("ablation/compile-reuse");
     let n = 4096;
     let graph = independent::graph_private_data(n);
     let cfg = RioConfig::with_workers(4)
         .wait(WaitStrategy::Park)
         .measure_time(false)
         .check_determinism(false);
-    g.bench_function("unpruned", |bch| {
+    g.bench_function("oneshot", |bch| {
         bch.iter(|| {
             Executor::new(cfg.clone())
                 .mapping(&RoundRobin)
                 .run(&graph, |_, _| {})
         });
     });
-    g.bench_function("pruned", |bch| {
-        bch.iter(|| {
-            Executor::new(cfg.clone())
-                .mapping(&RoundRobin)
-                .pruning(true)
-                .run(&graph, |_, _| {})
-        });
-    });
-    // Compile once outside the measurement loop — the whole point of the
-    // compiled path is amortizing the pre-pass over repeated runs.
+    // Compile once outside the measurement loop: what a flow that runs
+    // more than once pays per run.
     let flow = Executor::new(cfg.clone())
         .mapping(&RoundRobin)
         .compile(&graph);
@@ -211,6 +204,6 @@ fn bench_redux(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_wait_strategies, bench_mapping_quality, bench_sched_policy, bench_pruning, bench_hybrid_claiming, bench_redux
+    targets = bench_wait_strategies, bench_mapping_quality, bench_sched_policy, bench_compile_reuse, bench_hybrid_claiming, bench_redux
 }
 criterion_main!(benches);

@@ -293,16 +293,17 @@ pub fn fig6(opt: &Options) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Fig. 7 — scaling tasks with workers; pruning ablation
+// Fig. 7 — scaling tasks with workers
 // ---------------------------------------------------------------------
 
 /// Fig. 7: total execution time of `tasks_per_worker` independent tasks
 /// *per worker* against the worker count (paper: 2¹⁵ per worker on a
-/// 64-core EPYC). Includes the §3.5 task-pruning variant, which removes
-/// the quadratic unrolling term.
+/// 64-core EPYC). The `rio` column is the one-shot: compile included,
+/// which is where the unrolling term went (serial, once) — §3.5's pruning
+/// is subsumed by own-task-only programs.
 pub fn fig7(opt: &Options, tasks_per_worker: usize, worker_counts: &[usize]) -> String {
     let task_size = 1u64 << 8;
-    let mut table = Table::new(["workers", "total_tasks", "rio", "rio_pruned", "central"]);
+    let mut table = Table::new(["workers", "total_tasks", "rio", "central"]);
     for &w in worker_counts {
         let n = independent::tasks_for_workers(tasks_per_worker, w);
         let graph = independent::graph_private_data(n);
@@ -317,14 +318,6 @@ pub fn fig7(opt: &Options, tasks_per_worker: usize, worker_counts: &[usize]) -> 
                 .run(&graph, |_, _| counter_kernel(task_size));
             t0.elapsed()
         };
-        let run_pruned = || {
-            let t0 = Instant::now();
-            rio_core::Executor::new(rio_cfg.clone())
-                .mapping(&RoundRobin)
-                .pruning(true)
-                .run(&graph, |_, _| counter_kernel(task_size));
-            t0.elapsed()
-        };
         let cen_cfg = CentralConfig::with_threads(w + 1);
         let run_central = || {
             let t0 = Instant::now();
@@ -333,15 +326,13 @@ pub fn fig7(opt: &Options, tasks_per_worker: usize, worker_counts: &[usize]) -> 
         };
 
         let mut rio = Duration::MAX;
-        let mut pruned = Duration::MAX;
         let mut central = Duration::MAX;
         for _ in 0..opt.reps {
             rio = rio.min(run_plain());
-            pruned = pruned.min(run_pruned());
             central = central.min(run_central());
         }
         let per_task = |d: Duration| d.as_nanos() as f64 / n.max(1) as f64;
-        for (runtime, wall) in [("rio", rio), ("rio_pruned", pruned), ("central", central)] {
+        for (runtime, wall) in [("rio", rio), ("central", central)] {
             json::record(json::Record {
                 figure: "fig7".into(),
                 workload: format!("independent-private/tpw={tasks_per_worker}"),
@@ -351,13 +342,7 @@ pub fn fig7(opt: &Options, tasks_per_worker: usize, worker_counts: &[usize]) -> 
                 ns_per_task: per_task(wall),
             });
         }
-        table.row([
-            w.to_string(),
-            n.to_string(),
-            fmt_dur(rio),
-            fmt_dur(pruned),
-            fmt_dur(central),
-        ]);
+        table.row([w.to_string(), n.to_string(), fmt_dur(rio), fmt_dur(central)]);
     }
     opt.emit(
         &format!("Fig. 7 — {tasks_per_worker} independent tasks per worker vs workers (task size {task_size})"),
@@ -366,30 +351,27 @@ pub fn fig7(opt: &Options, tasks_per_worker: usize, worker_counts: &[usize]) -> 
 }
 
 // ---------------------------------------------------------------------
-// Compiled-flow ablation — interpreted vs pruned vs compiled
+// Compiled-flow ablation — one-shot vs reused flow
 // ---------------------------------------------------------------------
 
 /// One row of the compiled-flow ablation: per-task management cost of
-/// the three execution paths at one worker count.
+/// a one-shot and of a reused flow at one worker count.
 #[derive(Debug, Clone)]
 pub struct CompiledRow {
     /// Worker count.
     pub workers: usize,
     /// Total tasks in the flow.
     pub tasks: usize,
-    /// Interpreted, unpruned walk (every worker unrolls everything).
-    pub interpreted_ns: f64,
-    /// Interpreted walk over §3.5 visit lists.
-    pub pruned_ns: f64,
-    /// Ahead-of-time compiled program (`Executor::compile`).
+    /// One-shot `Executor::run`: compile, then run the fresh flow.
+    pub oneshot_ns: f64,
+    /// A run of a flow compiled beforehand (`Executor::compile`).
     pub compiled_ns: f64,
 }
 
-/// Ablation: per-task management cost of interpreted (unpruned), pruned
-/// and compiled execution on the Fig. 7 independent-task workload, with
-/// an **empty kernel** so the measurement is pure runtime management.
-/// The compiled timing excludes compilation itself (paid once, amortized
-/// over repeated runs — which is the point of compiling).
+/// Ablation: per-task management cost of a one-shot (compile included)
+/// and of a steady run of a reused flow on the Fig. 7 independent-task
+/// workload, with an **empty kernel** so the measurement is pure runtime
+/// management. The gap is what compiling once buys every later run.
 pub fn compiled(
     opt: &Options,
     tasks_per_worker: usize,
@@ -398,11 +380,9 @@ pub fn compiled(
     let mut table = Table::new([
         "workers",
         "total_tasks",
-        "interpreted",
-        "pruned",
+        "oneshot",
         "compiled",
-        "interp/comp",
-        "pruned/comp",
+        "oneshot/comp",
         "elided gets/publishes",
         "shared objects",
     ]);
@@ -415,18 +395,10 @@ pub fn compiled(
             .measure_time(false)
             .check_determinism(false);
 
-        let run_interpreted = || {
+        let run_oneshot = || {
             let t0 = Instant::now();
             rio_core::Executor::new(cfg.clone())
                 .mapping(&RoundRobin)
-                .run(&graph, |_, _| {});
-            t0.elapsed()
-        };
-        let run_pruned = || {
-            let t0 = Instant::now();
-            rio_core::Executor::new(cfg.clone())
-                .mapping(&RoundRobin)
-                .pruning(true)
                 .run(&graph, |_, _| {});
             t0.elapsed()
         };
@@ -439,27 +411,20 @@ pub fn compiled(
             t0.elapsed()
         };
 
-        let mut interpreted = Duration::MAX;
-        let mut pruned = Duration::MAX;
+        let mut oneshot = Duration::MAX;
         let mut comp = Duration::MAX;
         for _ in 0..opt.reps.max(1) {
-            interpreted = interpreted.min(run_interpreted());
-            pruned = pruned.min(run_pruned());
+            oneshot = oneshot.min(run_oneshot());
             comp = comp.min(run_compiled());
         }
         let per_task = |d: Duration| d.as_nanos() as f64 / n.max(1) as f64;
         let row = CompiledRow {
             workers: w,
             tasks: n,
-            interpreted_ns: per_task(interpreted),
-            pruned_ns: per_task(pruned),
+            oneshot_ns: per_task(oneshot),
             compiled_ns: per_task(comp),
         };
-        for (runtime, ns) in [
-            ("rio", row.interpreted_ns),
-            ("rio_pruned", row.pruned_ns),
-            ("rio_compiled", row.compiled_ns),
-        ] {
+        for (runtime, ns) in [("rio", row.oneshot_ns), ("rio_compiled", row.compiled_ns)] {
             json::record(json::Record {
                 figure: "compiled".into(),
                 workload: format!("independent-private/tpw={tasks_per_worker}"),
@@ -472,11 +437,9 @@ pub fn compiled(
         table.row([
             w.to_string(),
             n.to_string(),
-            format!("{:.1}ns", row.interpreted_ns),
-            format!("{:.1}ns", row.pruned_ns),
+            format!("{:.1}ns", row.oneshot_ns),
             format!("{:.1}ns", row.compiled_ns),
-            format!("{:.2}", row.interpreted_ns / row.compiled_ns.max(1e-9)),
-            format!("{:.2}", row.pruned_ns / row.compiled_ns.max(1e-9)),
+            format!("{:.2}", row.oneshot_ns / row.compiled_ns.max(1e-9)),
             // Static: what the compiler left of the synchronisation.
             format!(
                 "{}/{} of {}",
@@ -668,7 +631,7 @@ impl CountersRow {
 }
 
 /// `repro counters`: the cost of the always-on counters registry on the
-/// fig7 interpreted row — same workload, same mapping, counters on
+/// fig7 `rio` row — same workload, same mapping, counters on
 /// (default) vs off. A handful of relaxed single-writer increments per
 /// task must stay in the measurement noise; `repro counters
 /// --assert-overhead` gates CI on it (threshold `RIO_COUNTERS_THRESHOLD`
@@ -744,7 +707,7 @@ pub fn counters_overhead(opt: &Options, tasks_per_worker: usize) -> (String, Vec
     let mut out = opt.emit(
         &format!(
             "Counters overhead — {tasks_per_worker} independent tasks per worker, \
-             task size {task_size}, interpreted walk"
+             task size {task_size}, one-shot runs"
         ),
         &table,
     );
@@ -780,7 +743,7 @@ impl FaultsRow {
 }
 
 /// `repro faults`: the cost of the graceful-degradation layer on the
-/// fig7 interpreted row — same workload, same mapping, recovery disabled
+/// fig7 `rio` row — same workload, same mapping, recovery disabled
 /// (default) vs a retrying `RecoveryPolicy` armed on a fault-free run.
 ///
 /// Arming recovery routes every task through the retrying body wrapper
@@ -860,7 +823,7 @@ pub fn faults(opt: &Options, tasks_per_worker: usize) -> (String, Vec<FaultsRow>
     let out = opt.emit(
         &format!(
             "Recovery overhead — {tasks_per_worker} independent tasks per worker, \
-             task size {task_size}, interpreted walk, zero faults"
+             task size {task_size}, one-shot runs, zero faults"
         ),
         &table,
     );
@@ -1682,7 +1645,7 @@ pub struct TelemetryOutcome {
 }
 
 /// `repro telemetry`: the cost of the full live-telemetry stack, armed
-/// but idle, on the fig7 interpreted row — flight recorder + external
+/// but idle, on the fig7 `rio` row — flight recorder + external
 /// counter registry + run registry + bound scrape listener, vs
 /// everything off. Nobody scrapes during the timed reps (that is the
 /// steady state: a Prometheus server polls every few seconds, not every
@@ -1904,12 +1867,11 @@ mod tests {
     fn compiled_ablation_reports_all_three_paths() {
         let opt = quick_opt();
         let (out, rows) = compiled(&opt, 64, &[2]);
-        assert!(out.contains("interpreted"));
+        assert!(out.contains("oneshot"));
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].workers, 2);
         assert_eq!(rows[0].tasks, 128);
-        assert!(rows[0].interpreted_ns > 0.0);
-        assert!(rows[0].pruned_ns > 0.0);
+        assert!(rows[0].oneshot_ns > 0.0);
         assert!(rows[0].compiled_ns > 0.0);
     }
 

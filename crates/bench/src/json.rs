@@ -39,8 +39,8 @@ pub struct Record {
     pub figure: String,
     /// Workload identity, including the parameters that shaped it.
     pub workload: String,
-    /// Execution path (`seq`, `rio`, `rio_pruned`, `rio_compiled`,
-    /// `central`).
+    /// Execution path (`seq`, `rio` — the one-shot, compile included —
+    /// `rio_compiled`, `central`).
     pub runtime: String,
     /// Thread/worker count the measurement ran with.
     pub threads: usize,

@@ -14,7 +14,7 @@
 //! | `repro fig8 --exp N` | Fig. 8 rows 1–4 — efficiency decomposition vs task size |
 //! | `repro table1` | Table 1 — model-checking state counts for STF and Run-In-Order |
 //! | `repro costmodel` | §3.3 — validation of cost models (1) and (2) |
-//! | `repro compiled` | Extension — interpreted vs pruned vs compiled per-task management cost |
+//! | `repro compiled` | Extension — one-shot (compile + run) vs reused-flow per-task management cost |
 //! | `repro counters` | Extension — always-on counters overhead gate ([`figures::counters_overhead`]) |
 //! | `repro telemetry` | Extension — live-telemetry overhead gate + mid-run scrape check ([`figures::telemetry`]) |
 //! | `repro doctor` | Extension — critical-path / mapping-quality diagnosis + remap ([`doctor`]) |

@@ -1,9 +1,12 @@
-//! Ahead-of-time flow compilation: lowering `(TaskGraph, Mapping,
-//! workers)` into one flat program per worker that holds **that worker's
-//! own tasks and nothing else** — and, of their synchronisation, only the
-//! halves somebody on another worker depends on.
+//! The engine: lowering `(TaskGraph, mapping, workers)` into one flat
+//! program per worker that holds **that worker's own tasks and nothing
+//! else** — and, of their synchronisation, only the halves somebody on
+//! another worker depends on — and running those programs.
+//! [`crate::Executor::run`] is `compile` followed by `run`; a flow that
+//! runs more than once keeps the [`CompiledFlow`] and pays for the
+//! lowering once.
 //!
-//! ## Why compile the flow?
+//! ## Why lower the flow?
 //!
 //! Cost model (2) charges every worker O(n_total) for unrolling the whole
 //! flow: even a task mapped elsewhere costs a mapping evaluation plus one
@@ -25,11 +28,11 @@
 //! private state at all — a terminate is just the shared publication
 //! ([`crate::protocol::publish_write`]/[`crate::protocol::publish_read`]).
 //! The `n·t_r` term of cost model (2) — every worker replaying everyone
-//! else's tasks on every run — becomes a one-thread, one-time compile
-//! cost; per run a worker pays for its own `n/w` tasks only. Pruning
-//! (§3.5) is subsumed entirely. The same walk validates the mapping
-//! ([`RioConfig::preflight`]: two probes per task) and the epoch word's
-//! representation limits, which it reads off the view it keeps anyway.
+//! else's tasks — is a one-thread, one-time cost; a worker pays for its
+//! own `n/w` tasks only, which is where §3.5's pruning converges. The
+//! same walk validates the mapping ([`RioConfig::preflight`]: two probes
+//! per task) and the epoch word's representation limits, which it reads
+//! off the view it keeps anyway.
 //!
 //! ## Worker-local synchronisation is compiled away
 //!
@@ -47,7 +50,7 @@
 //!   a write none of whose consumers (its epoch's reads, the next writer)
 //!   keeps a guard; a read whose next writer is absent or keeps no guard.
 //!
-//! The marks ride in each arena entry ([`AccessPlan`]) and the one engine
+//! The marks ride in each arena entry ([`AccessPlan`]) and the engine
 //! skips the marked halves. (A publication's fate is only known when its
 //! epoch ends, so during the walk an entry names its epoch, and one
 //! sweep over the emitted entries afterwards turns the name into the
@@ -59,21 +62,25 @@
 //! shared word at all: a run's table holds [`CompileStats::shared_objects`]
 //! entries, reached through the slot compiled into the entry.
 //!
-//! With [`RioConfig::stealing`] armed nothing is elided: a thief runs a
-//! task out of its owner's program order, and the steal scan prices
-//! every guard. A task mapped to a worker that does not exist
-//! (preflight off) is local to nobody: its dependents keep their guards
-//! and stall, as they do interpreted.
+//! ## Tasks nobody owns: claim-marked entries
 //!
-//! Execution ([`CompiledFlow::run`]) drives the same per-worker engine
-//! ([`crate::graph`]'s `WorkerCtx`) as the interpreted paths — same
-//! `get → kernel → terminate` sequence, same fault containment, watchdog
-//! and tracing — so every word somebody can wait on goes through the
-//! history the uncompiled walk gives it. Preflight mapping validation is
-//! paid once at compile time: a [`CompiledFlow`] can be re-run any number
-//! of times (the per-run protocol state is allocated per run, so a run
-//! that aborts — e.g. [`ExecError::TaskPanicked`] — leaves the program
-//! reusable).
+//! A task is *local to nobody* when its worker is not known to the walk:
+//! one a [`crate::hybrid::PartialMapping`] leaves unmapped, or one mapped
+//! to a worker that does not exist (preflight off). Such a task keeps its
+//! guards, its dependents keep theirs, and every publication those
+//! compare against is kept. The second kind lands in nobody's program and
+//! its dependents stall into the watchdog. The first kind is emitted once,
+//! into an arena of its own, and as a **claim-marked** instruction into
+//! *every* worker's program: whoever reaches it first takes its slot of
+//! the run's [`crate::steal::ClaimTable`] — before any guard wait — and
+//! runs it; the others move on. With [`RioConfig::stealing`] armed every
+//! instruction is claim-marked and nothing is elided: a thief runs a task
+//! out of its owner's program order, and the steal scan prices every
+//! guard.
+//!
+//! A [`CompiledFlow`] can be re-run any number of times: the per-run
+//! protocol state is allocated per run, so a run that aborts — e.g.
+//! [`ExecError::TaskPanicked`] — leaves the program reusable.
 //!
 //! ```
 //! use rio_core::prelude::*;
@@ -97,43 +104,95 @@
 
 use std::time::Instant;
 
-use rio_stf::{DataId, ExecError, GraphError, Mapping, TaskDesc, TaskGraph, TaskId, WorkerId};
+use rio_stf::{
+    DataId, ExecError, GraphError, Mapping, MappingError, TaskDesc, TaskGraph, TaskId, WorkerId,
+};
 
 use crate::config::RioConfig;
 use crate::executor::Execution;
-use crate::graph::{TaskAccesses, WorkerCtx};
+use crate::graph::WorkerCtx;
+use crate::hybrid::{HybridStats, PartialMapping};
 use crate::protocol::{pack_epoch, AbortFlag, SharedDataState};
 use crate::report::ExecReport;
 use crate::status::StatusTable;
+use crate::steal::{ClaimTable, Claims, Cursor, StealState};
 
 /// `Run` instruction: execute the task at flow index `task`; its accesses
-/// and their expected words are `arena[start..end]` of the owner's node.
+/// and their expected words are `arena[start..end]` — of the owner's
+/// node, or of the flow's claimable arena when claim-marked. 12 bytes: a
+/// program is streamed once per run and written once per compile.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RunInstr {
     pub(crate) task: u32,
-    pub(crate) start: u32,
-    pub(crate) end: u32,
+    /// `start`, and in the top bit [`CLAIM_MARK`] (an arena holds fewer
+    /// than 2²⁹ entries: each can name an epoch of its own).
+    marked_start: u32,
+    end: u32,
 }
 
-/// One worker's compiled program: its own tasks, in flow order. The
-/// steal layer's published cursor is an index into it.
+/// Claim-marked by the mapping: the task has no owner, the instruction is
+/// in every worker's program, and whoever claims the task's slot first
+/// runs it.
+const CLAIM_MARK: u32 = 1 << 31;
+
+impl RunInstr {
+    #[inline]
+    pub(crate) fn unmapped(&self) -> bool {
+        self.marked_start & CLAIM_MARK != 0
+    }
+
+    #[inline]
+    fn range(&self) -> std::ops::Range<usize> {
+        (self.marked_start & !CLAIM_MARK) as usize..self.end as usize
+    }
+}
+
+/// One worker's compiled program: its own tasks and the claim-marked
+/// ones, in flow order. The steal layer's published cursor is an index
+/// into it.
 pub(crate) type WorkerProgram = Vec<RunInstr>;
+
+/// One instruction's entries as the engine ([`WorkerCtx::exec_task`])
+/// takes them: per access, which halves of its synchronisation to perform
+/// and through which slot, and the precomputed packed private view it
+/// waits for.
+#[derive(Clone, Copy)]
+pub(crate) struct TaskAccesses<'a> {
+    pub(crate) plans: &'a [AccessPlan],
+    pub(crate) expected: &'a [u64],
+    /// The instruction is claim-marked: claim before running, whoever
+    /// runs it.
+    pub(crate) unmapped: bool,
+}
+
+impl TaskAccesses<'_> {
+    /// Does any access keep its guard, does any keep its publication?
+    /// One pass over the entries' bits, so that a task all of whose
+    /// synchronisation is worker-local skips both per-access loops.
+    #[inline]
+    pub(crate) fn kept(&self) -> (bool, bool) {
+        self.plans
+            .iter()
+            .fold((false, false), |(g, s), p| (g | p.guard(), s | p.publish()))
+    }
+}
 
 /// What the compiler did, per worker and in aggregate. Every count is
 /// static: a function of the flow, the mapping and the configuration.
 #[derive(Debug, Clone)]
 pub struct CompileStats {
-    /// Flow length (tasks every worker would visit uncompiled).
+    /// Flow length.
     pub flow_len: usize,
-    /// `Run` instructions per worker (== tasks mapped to it).
+    /// `Run` instructions per worker: the tasks mapped to it, plus every
+    /// claim-marked task of a partial mapping (those sit in all programs).
     pub runs_per_worker: Vec<usize>,
     /// Always 0: no declare survives compilation in any form. (Kept
     /// because the repository's benchmark reads it; it counted the
     /// declares folded into the `Sync` instructions programs once had.)
     pub folded_declares: u64,
     /// Per-access declares compiled away: every access of every task a
-    /// worker does not own, summed over workers — what the interpreted
-    /// walk pays in private updates on *every* run.
+    /// worker does not own, summed over workers — what each worker
+    /// unrolling the whole flow would pay in private updates.
     pub irrelevant_declares: u64,
     /// Own accesses whose guard was decided at compile time: everything
     /// the `get_*` would wait for runs earlier on the same worker.
@@ -146,7 +205,8 @@ pub struct CompileStats {
 }
 
 impl CompileStats {
-    /// Total instructions across workers: one `Run` per mapped task.
+    /// Total instructions across workers: one `Run` per mapped task (and
+    /// one per worker per claim-marked task).
     pub fn instructions(&self) -> usize {
         self.runs_per_worker.iter().sum()
     }
@@ -250,8 +310,8 @@ impl NodeArena {
 /// produced by [`crate::Executor::compile`], executed any number of times
 /// with [`CompiledFlow::run`]/[`CompiledFlow::try_run`].
 ///
-/// Everything interpretation pays per run and per worker is paid once
-/// here, on one thread: mapping evaluation and preflight validation
+/// Everything a worker unrolling the whole flow would pay per run is paid
+/// once here, on one thread: mapping evaluation and preflight validation
 /// ([`RioConfig::preflight`]; two probes per task, one without it), the
 /// replay of every declare (into the precomputed expected words) and the
 /// decision which guards and publications a run performs at all. The
@@ -271,11 +331,17 @@ pub struct CompiledFlow<'g> {
     /// One arena per NUMA node of the compiled topology (exactly one
     /// without a topology).
     arenas: Vec<NodeArena>,
+    /// The entries of the claim-marked instructions, emitted once for all
+    /// the programs that hold them.
+    claimable: NodeArena,
     /// The node each worker's `Run` offsets index into, parallel to
     /// `programs` (node-major assignment from the topology; all zeros
     /// without one).
-    node_of_worker: Vec<u32>,
-    programs: Vec<WorkerProgram>,
+    pub(crate) node_of_worker: Vec<u32>,
+    pub(crate) programs: Vec<WorkerProgram>,
+    /// How many tasks a partial mapping left to be claimed; `None` for a
+    /// total mapping.
+    unmapped: Option<usize>,
     stats: CompileStats,
 }
 
@@ -291,9 +357,16 @@ pub struct CompiledTask<'a> {
     /// been elided.
     pub expected: &'a [u64],
     plans: &'a [AccessPlan],
+    unmapped: bool,
 }
 
 impl CompiledTask<'_> {
+    /// Is the task claim-marked — left unmapped by a partial mapping, in
+    /// every worker's program, run by whoever claims it first?
+    pub fn claim_marked(&self) -> bool {
+        self.unmapped
+    }
+
     /// Does a run perform the `get_*` of `task.accesses[i]`? `false`:
     /// everything it would wait for runs earlier on the same worker.
     pub fn keeps_guard(&self, i: usize) -> bool {
@@ -310,11 +383,12 @@ impl CompiledTask<'_> {
 /// Where no worker is: the writer of an object's initial epoch. Local to
 /// everyone — nobody ever waits for it.
 const NOBODY: u32 = u32::MAX;
-/// Where several workers are, or one that does not exist. Local to no
+/// Where several workers are, or one the walk does not know. Local to no
 /// one.
 const SPREAD: u32 = u32::MAX - 1;
-/// Where a task mapped to a worker that does not exist looks for its
-/// predecessors: nothing is ever there, so it is local to nothing.
+/// Where a task nobody owns — unmapped, or mapped to a worker that does
+/// not exist — looks for its predecessors: nothing is ever there, so it
+/// is local to nothing.
 const UNMAPPED: u32 = u32::MAX - 2;
 
 /// Did everything at `on` run on the worker at `w`, or not exist?
@@ -366,30 +440,76 @@ type Verdict = u32;
 /// [`WRITES`], so that `verdict & bits` picks writes out).
 const WRITE_ONLY: Verdict = WRITES;
 
-/// Lowers `graph` under `mapping` into per-worker programs, in one pass
-/// over the flow. Behind [`crate::Executor::try_compile`].
+/// Lowers `graph` under `mapping` — total, or partial: the tasks it leaves
+/// unmapped become claim-marked instructions of every program — into
+/// per-worker programs, in one pass over the flow. Behind
+/// [`crate::Executor::try_compile`].
 ///
 /// # Errors
 /// What the separate checks used to return, in their precedence: the
 /// first [`rio_stf::MappingError`] of the flow (with
 /// [`RioConfig::preflight`]), else [`GraphError::TaskIdOverflow`] for the
 /// first task id the packed epoch word cannot represent.
-pub(crate) fn try_compile<'g>(
+pub(crate) fn try_compile<'g, M: ?Sized>(
     cfg: &RioConfig,
     graph: &'g TaskGraph,
-    mapping: &dyn Mapping,
-) -> Result<CompiledFlow<'g>, ExecError> {
-    lower(cfg, graph, mapping, u32::MAX)
+    mapping: &M,
+) -> Result<CompiledFlow<'g>, ExecError>
+where
+    for<'a> Owners<'a, M>: OwnerOf,
+{
+    lower(cfg, graph, u32::MAX, Owners(mapping, cfg))
 }
 
-/// [`try_compile`] with the epoch word's limit — the largest task id a
-/// half of it holds — as a parameter, so that tests reach the rejection
-/// path with a handful of tasks.
-fn lower<'g>(
+/// A mapping as [`lower`] asks it for owners: probed twice per task with
+/// [`RioConfig::preflight`], evaluated once without.
+pub(crate) struct Owners<'a, M: ?Sized>(&'a M, &'a RioConfig);
+
+/// Who runs `task`? `None`: whoever claims it.
+pub(crate) trait OwnerOf {
+    /// Can the answer be `None`?
+    const PARTIAL: bool;
+    fn owner_of(&self, task: TaskId) -> Result<Option<WorkerId>, MappingError>;
+}
+
+// Inlined by force, like the probes: the walk asks at two sites, and out
+// of line the `Result` goes through memory on every task.
+impl OwnerOf for Owners<'_, dyn Mapping + '_> {
+    const PARTIAL: bool = false;
+    #[inline(always)]
+    fn owner_of(&self, task: TaskId) -> Result<Option<WorkerId>, MappingError> {
+        let Owners(mapping, cfg) = *self;
+        Ok(Some(if cfg.preflight {
+            rio_stf::mapping::probe(mapping, task, cfg.workers)?
+        } else {
+            mapping.worker_of(task, cfg.workers)
+        }))
+    }
+}
+
+impl OwnerOf for Owners<'_, dyn PartialMapping + '_> {
+    const PARTIAL: bool = true;
+    #[inline(always)]
+    fn owner_of(&self, task: TaskId) -> Result<Option<WorkerId>, MappingError> {
+        let Owners(partial, cfg) = *self;
+        if cfg.preflight {
+            crate::hybrid::probe_partial(partial, task, cfg.workers)
+        } else {
+            Ok(partial.worker_of(task, cfg.workers))
+        }
+    }
+}
+
+/// The one walk. `limit` is the epoch word's — the largest task id a half
+/// of it holds — as a parameter, so that tests reach the rejection path
+/// with a handful of tasks.
+// Generic over the mapping kind so that a total one, which never answers
+// `None`, compiles to the walk without the claim-marked arm.
+fn lower<'g, O: OwnerOf>(
     cfg: &RioConfig,
     graph: &'g TaskGraph,
-    mapping: &dyn Mapping,
     limit: u32,
+    owners: O,
 ) -> Result<CompiledFlow<'g>, ExecError> {
     cfg.validate();
     let (total, widest) = graph.tasks().iter().fold((0, 0), |(total, widest), t| {
@@ -413,8 +533,8 @@ fn lower<'g>(
         .max()
         .unwrap_or(1);
     // Filled in place, up to `filled[node]`, and cut to size at the end.
-    // One more than there are nodes: tasks mapped to no existing worker
-    // are lowered like any other, into an arena no program indexes.
+    // One more than there are nodes: tasks nobody owns are lowered like
+    // any other, into the claimable arena.
     let mut arenas: Vec<NodeArena> = (0..=num_nodes)
         .map(|n| NodeArena::blank(if n < num_nodes { total / num_nodes } else { 0 }))
         .collect();
@@ -438,21 +558,17 @@ fn lower<'g>(
     // A thief runs a task out of its owner's program order and prices
     // every guard of its candidates: with stealing armed, all is kept.
     let elide = cfg.stealing.is_none();
-    let (mut owned, mut kept_gets) = (0u64, 0u64);
+    let (mut owned, mut kept_gets, mut unmapped) = (0u64, 0u64, 0usize);
     for (i, t) in graph.tasks().iter().enumerate() {
-        let w = if cfg.preflight {
-            rio_stf::mapping::probe(mapping, TaskId::from_index(i), workers)?
-        } else {
-            mapping.worker_of(t.id, workers)
-        };
+        let owner = owners.owner_of(t.id)?;
         // Ids are dense, so an epoch's read count stays below the ids of
         // its readers: this check covers both halves of the word.
         if t.id.0 > u64::from(limit) {
             // The mapping used to be validated before the limits: a
             // mapping error anywhere in the flow still outranks this one.
             if cfg.preflight {
-                for j in i + 1..graph.len() {
-                    rio_stf::mapping::probe(mapping, TaskId::from_index(j), workers)?;
+                for later in &graph.tasks()[i + 1..] {
+                    owners.owner_of(later.id)?;
                 }
             }
             return Err(GraphError::TaskIdOverflow {
@@ -461,13 +577,14 @@ fn lower<'g>(
             }
             .into());
         }
-        // Only with preflight off can a task name a worker that does not
-        // exist. It lands in nobody's program — every walker would declare
-        // it and none run it — and is local to nothing, so its dependents
-        // keep their guards and stall into the watchdog exactly as they
-        // do interpreted.
-        let (node, w, on) = match node_of_worker.get(w.index()) {
-            Some(&node) => (node as usize, w.0, w.0),
+        // A task nobody owns is local to nothing, so it and its
+        // dependents keep their guards. Left unmapped, it goes into every
+        // program and whoever claims it runs it. Mapped to a worker that
+        // does not exist — only with preflight off — it lands in nobody's
+        // program, and its dependents stall into the watchdog.
+        let placed = owner.and_then(|w| Some((w, *node_of_worker.get(w.index())?)));
+        let (node, w, on) = match placed {
+            Some((w, node)) => (node as usize, w.0, w.0),
             None => (num_nodes, UNMAPPED, SPREAD),
         };
         let arena = &mut arenas[node];
@@ -515,18 +632,24 @@ fn lower<'g>(
                 bits: e.named | (u32::from(writes) * WRITES) | (u32::from(guard) * GUARD),
             };
         }
-        filled[node] = end;
+        let run = RunInstr {
+            task: i as u32,
+            marked_start: start as u32 | (u32::from(owner.is_none()) * CLAIM_MARK),
+            end: end as u32,
+        };
         if node < num_nodes {
-            programs[w as usize].push(RunInstr {
-                task: i as u32,
-                start: start as u32,
-                end: end as u32,
-            });
-            owned += t.accesses.len() as u64;
-            kept_gets += guards;
+            programs[w as usize].push(run);
+        } else if owner.is_none() {
+            programs.iter_mut().for_each(|p| p.push(run));
+            unmapped += 1;
+        } else {
+            // In nobody's program: the next such task overwrites it.
+            continue;
         }
+        filled[node] = end;
+        owned += t.accesses.len() as u64;
+        kept_gets += guards;
     }
-    arenas.truncate(num_nodes);
     for (arena, &len) in arenas.iter_mut().zip(&filled) {
         arena.truncate(len);
     }
@@ -534,7 +657,8 @@ fn lower<'g>(
     // them are those of reads on another worker than a writer's (or, with
     // stealing armed, of any access at all).
     for e in &mut view {
-        let read_elsewhere = (e.on[1] == SPREAD) & (e.on[0] != NOBODY);
+        // (A writer nobody owns is `SPREAD` before anything has read.)
+        let read_elsewhere = (e.on[1] == SPREAD) & (e.on[0] != NOBODY) & (e.word as u32 != 0);
         verdicts[(e.named >> SLOT_SHIFT) as usize] = close(
             e,
             (!elide & (e.on[1] != NOBODY)) | read_elsewhere,
@@ -546,6 +670,7 @@ fn lower<'g>(
         .iter_mut()
         .map(|arena| finish(&mut arena.plans, &verdicts, force))
         .sum();
+    let claimable = arenas.pop().expect("one arena more than there are nodes");
     let stats = CompileStats {
         flow_len: graph.len(),
         runs_per_worker: programs.iter().map(Vec::len).collect(),
@@ -559,8 +684,10 @@ fn lower<'g>(
         cfg: cfg.clone(),
         graph,
         arenas,
+        claimable,
         node_of_worker,
         programs,
+        unmapped: O::PARTIAL.then_some(unmapped),
         stats,
     })
 }
@@ -617,30 +744,51 @@ impl<'g> CompiledFlow<'g> {
         &self.stats
     }
 
-    /// `worker`'s whole program: its own tasks in flow order, each with
-    /// the precomputed word every access waits for and which halves of
-    /// its synchronisation a run performs.
+    /// `worker`'s whole program: its own tasks — and the claim-marked
+    /// ones, which are in everybody's — in flow order, each with the
+    /// precomputed word every access waits for and which halves of its
+    /// synchronisation a run performs.
     ///
     /// # Panics
     /// If `worker` is not one of the compiled configuration's workers.
     pub fn own_tasks(&self, worker: WorkerId) -> impl Iterator<Item = CompiledTask<'_>> {
-        let arena = &self.arenas[self.node_of_worker[worker.index()] as usize];
-        self.programs[worker.index()].iter().map(|r| CompiledTask {
-            task: &self.graph.tasks()[r.task as usize],
-            expected: &arena.expected[r.start as usize..r.end as usize],
-            plans: &arena.plans[r.start as usize..r.end as usize],
+        self.programs[worker.index()].iter().map(move |r| {
+            let a = self.accesses(worker.index(), r);
+            CompiledTask {
+                task: &self.graph.tasks()[r.task as usize],
+                expected: a.expected,
+                plans: a.plans,
+                unmapped: a.unmapped,
+            }
         })
     }
 
-    /// Executes the compiled program. Like [`crate::Executor::run`] for
-    /// the same `(graph, mapping)` pair — identical kernel invocations on
-    /// identical workers in identical per-worker order — minus the
-    /// per-run preflight and per-task interpretation.
+    /// The entries of `r`, an instruction of `worker`'s program: in the
+    /// claimable arena if claim-marked, else in the arena of the worker's
+    /// node.
+    #[inline]
+    pub(crate) fn accesses(&self, worker: usize, r: &RunInstr) -> TaskAccesses<'_> {
+        let arena = if r.unmapped() {
+            &self.claimable
+        } else {
+            &self.arenas[self.node_of_worker[worker] as usize]
+        };
+        TaskAccesses {
+            plans: &arena.plans[r.range()],
+            expected: &arena.expected[r.range()],
+            unmapped: r.unmapped(),
+        }
+    }
+
+    /// Executes the compiled program: `kernel(worker, task)` exactly once
+    /// per task, on the worker the mapping names (or, for a claim-marked
+    /// task, on whichever claimed it), in flow order per worker.
     ///
     /// # Panics
     /// Propagates task-body panics (original payload); panics with the
-    /// diagnostic rendering of any other [`ExecError`]. Use
-    /// [`CompiledFlow::try_run`] to handle failures structurally.
+    /// diagnostic rendering of any other [`ExecError`], or if the
+    /// Chrome-trace file cannot be written. Use [`CompiledFlow::try_run`]
+    /// to handle failures structurally.
     pub fn run<K>(&self, kernel: K) -> Execution
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
@@ -674,58 +822,56 @@ impl<'g> CompiledFlow<'g> {
             .clone()
             .map(|p| crate::protocol::RecoveryCtx::new(p, self.graph.num_data()));
         let rec = recovery.as_ref();
-        // Per-run steal state: a claim slot per task plus one published
-        // program cursor per worker (thieves scan victims' remaining
-        // tasks from there). All per-run, so the program stays reusable.
-        let steal_claims = cfg
+        // Per-run claim state, iff some instruction is claim-marked: with
+        // stealing armed all are, else the unmapped ones. A slot per task,
+        // and for thieves one published program cursor per worker (they
+        // scan a victim's remaining tasks from there).
+        let table = (cfg.stealing.is_some() || self.unmapped.is_some_and(|n| n > 0))
+            .then(|| ClaimTable::new(self.graph.len()));
+        let claims = table.as_ref().map(|table| Claims {
+            table,
+            epoch: table.begin_run(),
+        });
+        let cursors = cfg
             .stealing
             .as_ref()
-            .map(|_| crate::steal::ClaimTable::new(self.graph.len()));
-        let steal_epoch = steal_claims
-            .as_ref()
-            .map_or(0, crate::steal::ClaimTable::begin_run);
-        let steal_cursors = cfg
+            .map(|_| Cursor::new_table(cfg.workers));
+        let steal = cfg
             .stealing
             .as_ref()
-            .map(|_| crate::steal::Cursor::new_table(cfg.workers));
-        let steal_claims = steal_claims.as_ref();
-        let steal_cursors = steal_cursors.as_deref();
+            .zip(cursors.as_deref())
+            .map(|(policy, cursors)| StealState {
+                policy,
+                flow: self,
+                cursors,
+            });
 
         let start = Instant::now();
-        let workers = std::thread::scope(|s| {
+        let (workers, claimed): (Vec<_>, Vec<_>) = std::thread::scope(|s| {
             let handles: Vec<_> = (0..cfg.workers)
                 .map(|w| {
-                    let prog = &self.programs[w];
                     s.spawn(move || {
-                        let me = WorkerId::from_index(w);
-                        let steal = match (cfg.stealing.as_ref(), steal_claims, steal_cursors) {
-                            (Some(policy), Some(claims), Some(cursors)) => {
-                                Some(crate::steal::StealState {
-                                    policy,
-                                    claims,
-                                    epoch: steal_epoch,
-                                    scan: crate::steal::ScanSource::Compiled {
-                                        tasks: self.graph.tasks(),
-                                        arenas: &self.arenas,
-                                        nodes: &self.node_of_worker,
-                                        programs: &self.programs,
-                                        cursors,
-                                    },
-                                })
-                            }
-                            _ => None,
-                        };
-                        self.run_program(
-                            prog, shared, kernel, me, abort, status, start, registry, flight, rec,
-                            steal,
-                        )
+                        let mut ctx = WorkerCtx::new(
+                            cfg,
+                            shared,
+                            WorkerId::from_index(w),
+                            abort,
+                            status,
+                            start,
+                            registry,
+                            flight,
+                            rec,
+                        );
+                        ctx.claims = claims;
+                        ctx.steal = steal;
+                        self.run_program(ctx, kernel)
                     })
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
+                .unzip()
         });
         if let Some(cause) = abort.take_cause() {
             return Err(cause.into_error());
@@ -748,6 +894,13 @@ impl<'g> CompiledFlow<'g> {
                     p
                 })
                 .into(),
+            hybrid: self.unmapped.map(|_| {
+                let (claimed_per_worker, lost_races_per_worker) = claimed.into_iter().unzip();
+                HybridStats {
+                    claimed_per_worker,
+                    lost_races_per_worker,
+                }
+            }),
             ..Execution::default()
         };
         run.counters = run.report.counters.clone();
@@ -763,41 +916,24 @@ impl<'g> CompiledFlow<'g> {
         Ok(run)
     }
 
-    /// One worker's interpreter: a linear walk of its own tasks through
-    /// the shared [`WorkerCtx`] engine, which keeps no private state here
-    /// (`tasks_visited` == own tasks; `ops.declares` and `ops.syncs` stay
-    /// zero).
-    #[allow(clippy::too_many_arguments)]
+    /// One worker's loop: a linear walk of its program through the
+    /// [`WorkerCtx`] engine, which keeps no private state. Returns the
+    /// worker's report and its `(won, lost)` claims of unmapped tasks.
     fn run_program<K>(
         &self,
-        prog: &WorkerProgram,
-        shared: &[SharedDataState],
+        mut ctx: WorkerCtx<'_>,
         kernel: &K,
-        me: WorkerId,
-        abort: &AbortFlag,
-        status: &StatusTable,
-        epoch: Instant,
-        registry: Option<&crate::counters::CounterRegistry>,
-        flight: Option<&crate::flight::FlightRecorder>,
-        rec: Option<&crate::protocol::RecoveryCtx>,
-        steal: Option<crate::steal::StealState<'_>>,
-    ) -> crate::report::WorkerReport
+    ) -> (crate::report::WorkerReport, (u64, u64))
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
+        let me = ctx.me.index();
         // Bind this thread to its node's parking shard (and optionally
         // its core) before any protocol traffic.
-        crate::topo::enter_worker(&self.cfg, me.index());
+        crate::topo::enter_worker(&self.cfg, me);
         let tasks = self.graph.tasks();
-        let arena = &self.arenas[self.node_of_worker[me.index()] as usize];
-        let mut ctx = WorkerCtx::new(
-            &self.cfg, 0, shared, me, abort, status, epoch, registry, flight, rec,
-        );
-        ctx.steal = steal;
-        let cursor = steal.and_then(|st| match st.scan {
-            crate::steal::ScanSource::Compiled { cursors, .. } => Some(&cursors[me.index()].0),
-            _ => None,
-        });
+        let prog = &self.programs[me];
+        let cursor = ctx.steal.map(|st| &st.cursors[me].0);
         let loop_start = Instant::now();
         for (pc, r) in prog.iter().enumerate() {
             if let Some(c) = cursor {
@@ -808,12 +944,7 @@ impl<'g> CompiledFlow<'g> {
                 c.store(pc, std::sync::atomic::Ordering::Relaxed);
             }
             ctx.tasks_visited += 1;
-            let range = r.start as usize..r.end as usize;
-            if !ctx.exec_task(
-                kernel,
-                &tasks[r.task as usize],
-                TaskAccesses::Compiled(&arena.plans[range.clone()], &arena.expected[range]),
-            ) {
+            if !ctx.exec_task(kernel, &tasks[r.task as usize], self.accesses(me, r)) {
                 break;
             }
         }
@@ -823,7 +954,8 @@ impl<'g> CompiledFlow<'g> {
         if let Some(c) = cursor {
             c.store(prog.len(), std::sync::atomic::Ordering::Relaxed);
         }
-        ctx.finish(loop_start.elapsed())
+        let claimed = ctx.unmapped_claims;
+        (ctx.finish(loop_start.elapsed()), claimed)
     }
 }
 
@@ -859,21 +991,16 @@ mod tests {
         // tasks in flow order: independent data or one shared chain give
         // the same instruction counts.
         let n = 40;
-        let mut independent = TaskGraph::builder(n);
-        let mut chain = TaskGraph::builder(1);
-        for i in 0..n {
-            independent.task(&[Access::write(DataId::from_index(i))], 1, "ind");
-            chain.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        for g in [independent.build(), chain.build()] {
+        for g in [crate::testing::independent(n), crate::testing::chain(n)] {
             let flow = compile(cfg(4), &g);
             let stats = flow.stats();
             assert_eq!(stats.runs_per_worker, vec![10; 4]);
             assert_eq!(stats.instructions(), g.len());
             assert_eq!(stats.folded_declares, 0);
             assert_eq!(stats.coalesce_factor(), 0.0);
-            // 4 workers × 30 foreign single-access tasks each: what every
-            // interpreted run would pay in private declares.
+            // 4 workers × 30 foreign single-access tasks each: what
+            // unrolling the whole flow on every worker would pay in
+            // private declares.
             assert_eq!(stats.irrelevant_declares, 120);
             for (w, prog) in flow.programs.iter().enumerate() {
                 let mine: Vec<u32> = (0..n as u32).filter(|i| *i as usize % 4 == w).collect();
@@ -888,11 +1015,7 @@ mod tests {
         // W1's, all on the same datum. W0's program is two instructions,
         // and its last task's expected word already accounts for all 98.
         let n = 100;
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..n {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        let g = b.build();
+        let g = crate::testing::chain(n);
         let m = TableMapping::from_fn(n, |i| rio_stf::WorkerId(u32::from(!(i == 0 || i == n - 1))));
         let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
         assert_eq!(flow.stats().runs_per_worker, vec![2, 98]);
@@ -911,13 +1034,7 @@ mod tests {
     fn foreign_reads_land_in_the_next_writers_expected_word() {
         // T1 (W0) writes; T2..T9 (W1) read; T10 (W0) writes again. W0's
         // program: Run(T1), Run(T10) — the 8 reads are in T10's word.
-        let mut b = TaskGraph::builder(1);
-        b.task(&[Access::write(DataId(0))], 1, "w");
-        for _ in 0..8 {
-            b.task(&[Access::read(DataId(0))], 1, "r");
-        }
-        b.task(&[Access::write(DataId(0))], 1, "w2");
-        let g = b.build();
+        let g = crate::testing::fanout(8);
         let m = TableMapping::from_fn(10, |i| rio_stf::WorkerId(u32::from(!(i == 0 || i == 9))));
         let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
         let last = flow.own_tasks(WorkerId(0)).last().unwrap();
@@ -941,13 +1058,8 @@ mod tests {
     fn a_task_mapped_nowhere_is_in_nobodys_program() {
         // Preflight off, T3 mapped to a worker that does not exist: the
         // compiler drops it from every program but still replays its
-        // declare, so T4 waits for a write nobody will perform — the same
-        // stall the interpreted walk of this mapping produces.
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..4 {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        let g = b.build();
+        // declare, so T4 waits for a write nobody will perform.
+        let g = crate::testing::chain(4);
         let m = rio_stf::mapping::FnMapping(|t: TaskId, _| {
             rio_stf::WorkerId(if t == TaskId(3) {
                 9
@@ -1017,11 +1129,7 @@ mod tests {
         // object waits for nobody, and nobody waits for it — whatever the
         // mapping. The run allocates no word at all.
         let n = 40;
-        let mut b = TaskGraph::builder(n);
-        for i in 0..n {
-            b.task(&[Access::write(DataId::from_index(i))], 1, "ind");
-        }
-        let g = b.build();
+        let g = crate::testing::independent(n);
         let flow = compile(cfg(4), &g);
         let stats = flow.stats();
         assert_eq!((stats.elided_gets, stats.elided_publishes), (40, 40));
@@ -1130,11 +1238,7 @@ mod tests {
             ELIDED, ELIDED, ELIDED, ELIDED, PUBLISH, KEPT, PUBLISH, GUARD, ELIDED, ELIDED, ELIDED,
         ];
         assert_eq!(marks(&flow), expect.map(|m| vec![m]));
-        for wait in [
-            WaitStrategy::Spin,
-            WaitStrategy::SpinYield,
-            WaitStrategy::Park,
-        ] {
+        for wait in crate::testing::WAITS {
             let flow = Executor::new(RioConfig::with_workers(2).wait(wait))
                 .mapping(&m)
                 .compile(&g);
@@ -1199,7 +1303,8 @@ mod tests {
         // Against a limit of 2, the value `TaskGraph::validate_limits`
         // reports: T3's id overflows (before any read count could).
         let (g, _) = epochs(&[('w', 0), ('r', 0), ('r', 0), ('r', 0)]);
-        let err = lower(&cfg(2), &g, &RoundRobin, 2).unwrap_err();
+        let lower = |c: RioConfig, m: &dyn Mapping| lower(&c, &g, 2, Owners(m, &c));
+        let err = lower(cfg(2), &RoundRobin).unwrap_err();
         assert!(matches!(
             err,
             ExecError::InvalidGraph(GraphError::TaskIdOverflow {
@@ -1212,7 +1317,7 @@ mod tests {
         let late = rio_stf::mapping::FnMapping(|t: TaskId, _| {
             rio_stf::WorkerId(if t == TaskId(4) { 7 } else { 0 })
         });
-        let err = lower(&cfg(2), &g, &late, 2).unwrap_err();
+        let err = lower(cfg(2), &late).unwrap_err();
         assert!(matches!(
             err,
             ExecError::InvalidMapping(MappingError::OutOfRange {
@@ -1221,53 +1326,44 @@ mod tests {
             })
         ));
         // ... unless nobody asked for preflight.
-        let err = lower(&cfg(2).preflight(false), &g, &late, 2).unwrap_err();
+        let err = lower(cfg(2).preflight(false), &late).unwrap_err();
         assert!(matches!(err, ExecError::InvalidGraph(_)));
     }
 
     #[test]
     fn compiled_run_matches_interpreted_results() {
-        // Mixed mesh over 4 data objects; compiled and interpreted must
-        // produce the same store (both equal the sequential result).
-        let mut b = TaskGraph::builder(4);
-        for i in 0..200u32 {
-            let r = DataId(i % 4);
-            let w = DataId((i / 2) % 4);
-            if r == w {
-                b.task(&[Access::read_write(w)], 1, "rw");
-            } else {
-                b.task(&[Access::read(r), Access::write(w)], 1, "mix");
-            }
-        }
-        let g = b.build();
-        let run_store = |compiled: bool| {
+        // Mixed mesh over 4 data objects: a one-shot, and a reused flow's
+        // second run, must leave the store the flow leaves when
+        // interpreted task by task in flow order.
+        let g = crate::testing::mesh(200);
+        // 0: sequential; 1: one-shot; 2: reused flow.
+        let run_store = |how: u8| {
             let store = DataStore::filled(4, 0u64);
-            let kernel = |_: WorkerId, t: &TaskDesc| {
-                for a in &t.accesses {
-                    if a.mode.writes() {
-                        *store.write(a.data) += u64::from(a.data.0) + t.id.0;
-                    } else {
-                        std::hint::black_box(*store.read(a.data));
-                    }
+            let body = |t: &TaskDesc| {
+                let seen: u64 = t.reads().map(|d| *store.read(d)).sum();
+                for d in t.writes() {
+                    *store.write(d) = seen.wrapping_mul(31) + u64::from(d.0) + t.id.0;
                 }
             };
-            if compiled {
-                compile(cfg(3), &g).run(kernel);
-            } else {
-                Executor::new(cfg(3)).mapping(&RoundRobin).run(&g, kernel);
+            let kernel = |_: WorkerId, t: &TaskDesc| body(t);
+            match how {
+                0 => drop(rio_stf::sequential::run_graph(&g, |id| body(g.task(id)))),
+                1 => drop(Executor::new(cfg(3)).mapping(&RoundRobin).run(&g, kernel)),
+                _ => {
+                    let flow = compile(cfg(3), &g);
+                    flow.run(|_, _| {});
+                    flow.run(kernel);
+                }
             }
             store.into_vec()
         };
-        assert_eq!(run_store(true), run_store(false));
+        assert_eq!(run_store(1), run_store(0));
+        assert_eq!(run_store(2), run_store(0));
     }
 
     #[test]
     fn compiled_report_counts_own_tasks_only() {
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..10 {
-            b.task(&[Access::read_write(DataId(0))], 1, "t");
-        }
-        let g = b.build();
+        let g = crate::testing::chain(10);
         let flow = compile(cfg(2), &g);
         let run = flow.run(|_, _| {});
         assert_eq!(run.report.tasks_executed(), 10);
@@ -1276,7 +1372,7 @@ mod tests {
             assert_eq!(w.tasks_visited, 5, "visited == own Run instructions");
             assert_eq!(w.ops.gets, 5);
             assert_eq!(w.ops.terminates, 5);
-            assert_eq!(w.ops.declares, 0, "a compiled run declares nothing");
+            assert_eq!(w.ops.declares, 0, "a run declares nothing");
             assert_eq!(w.ops.syncs, 0);
         }
     }
@@ -1292,11 +1388,7 @@ mod tests {
 
     #[test]
     fn compiled_flow_is_reusable_across_runs() {
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..60 {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        let g = b.build();
+        let g = crate::testing::chain(60);
         let flow = compile(cfg(3), &g);
         let store = DataStore::from_vec(vec![0u64]);
         for _ in 0..5 {
@@ -1307,11 +1399,7 @@ mod tests {
 
     #[test]
     fn preflight_validation_happens_at_compile_time_only() {
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..20 {
-            b.task(&[Access::read_write(DataId(0))], 1, "t");
-        }
-        let g = b.build();
+        let g = crate::testing::chain(20);
         let m = Counting(Default::default());
         let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
         let after_compile = m.0.load(Ordering::Relaxed);
@@ -1345,11 +1433,7 @@ mod tests {
 
     #[test]
     fn failed_run_leaves_the_program_reusable() {
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..30 {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        let g = b.build();
+        let g = crate::testing::chain(30);
         let flow = compile(cfg(2), &g);
         let err = flow
             .try_run(|_, t| {
@@ -1368,16 +1452,8 @@ mod tests {
 
     #[test]
     fn all_wait_strategies_agree_under_compilation() {
-        for wait in [
-            WaitStrategy::Spin,
-            WaitStrategy::SpinYield,
-            WaitStrategy::Park,
-        ] {
-            let mut b = TaskGraph::builder(2);
-            for i in 0..100u32 {
-                b.task(&[Access::read_write(DataId(i % 2))], 1, "inc");
-            }
-            let g = b.build();
+        for wait in crate::testing::WAITS {
+            let g = crate::testing::chains(100, 2);
             let store = DataStore::from_vec(vec![0u64, 0]);
             let flow = compile(RioConfig::with_workers(2).wait(wait), &g);
             flow.run(|_, t| {
@@ -1392,12 +1468,7 @@ mod tests {
     fn expected_words_follow_the_flow_simulation() {
         use crate::protocol::pack_epoch;
         // T1 writes d0; T2, T3 read it; T4 writes it again.
-        let mut b = TaskGraph::builder(1);
-        b.task(&[Access::write(DataId(0))], 1, "w");
-        b.task(&[Access::read(DataId(0))], 1, "r");
-        b.task(&[Access::read(DataId(0))], 1, "r");
-        b.task(&[Access::write(DataId(0))], 1, "w2");
-        let g = b.build();
+        let g = crate::testing::fanout(2);
         let flow = compile(cfg(2), &g);
         // Single-node: one arena in exact flat order.
         let expected = &flow.arenas[0].expected;
@@ -1419,11 +1490,7 @@ mod tests {
         // 2×2 mock topology, 4 workers: every Run's accesses live in the
         // owning worker's node arena, offsets remapped; the run result is
         // identical to the single-arena layout.
-        let mut b = TaskGraph::builder(4);
-        for i in 0..80u32 {
-            b.task(&[Access::read_write(DataId(i % 4))], 1, "inc");
-        }
-        let g = b.build();
+        let g = crate::testing::chains(80, 4);
         let single = compile(cfg(4), &g);
         assert_eq!(single.arenas.len(), 1, "no topology → one arena");
         let numa = compile(cfg(4).topology(Arc::new(Topology::mock(2, 2))), &g);
@@ -1436,8 +1503,8 @@ mod tests {
             let arena = &numa.arenas[numa.node_of_worker[w] as usize];
             for (r, sr) in prog.iter().zip(&single.programs[w]) {
                 assert_eq!(r.task, sr.task);
-                let range = r.start as usize..r.end as usize;
-                let srange = sr.start as usize..sr.end as usize;
+                let range = r.range();
+                let srange = sr.range();
                 let declared = flat.of(r.task as usize);
                 assert_eq!(range.len(), declared.len());
                 for (p, a) in arena.plans[range.clone()].iter().zip(declared) {
@@ -1456,22 +1523,88 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "static total mapping")]
-    fn hybrid_executors_cannot_compile() {
-        let g = TaskGraph::builder(0).build();
-        let _ = Executor::new(cfg(2))
-            .hybrid(&crate::hybrid::Unmapped)
-            .compile(&g);
+    fn hybrid_executors_compile_once_and_rerun() {
+        use crate::hybrid::{PartialFn, Unmapped};
+        // Two RW chains; compile once, run three times, under a fully
+        // dynamic mapping and a mixed one (every third task pinned to W1).
+        let g = crate::testing::chains(90, 2);
+        let mixed = PartialFn(|t: TaskId, _| t.0.is_multiple_of(3).then_some(WorkerId(1)));
+        let partials: [(&dyn PartialMapping, usize); 2] = [(&Unmapped, 90), (&mixed, 60)];
+        for (partial, unmapped) in partials {
+            let flow = Executor::new(cfg(3)).hybrid(partial).compile(&g);
+            assert_eq!(flow.unmapped, Some(unmapped));
+            // A claim-marked task is in every program, a pinned one in
+            // its worker's.
+            let pinned = 90 - unmapped;
+            assert_eq!(
+                flow.stats().runs_per_worker,
+                [unmapped, unmapped + pinned, unmapped]
+            );
+            assert_eq!(flow.claimable.plans.len(), unmapped);
+            let store = DataStore::from_vec(vec![0u64, 0]);
+            for _ in 0..3 {
+                let run = flow.run(|_, t| *store.write(t.accesses[0].data) += 1);
+                assert_eq!(run.report.tasks_executed(), 90);
+                let stats = run.hybrid.expect("a partial mapping reports claims");
+                assert_eq!(
+                    stats.claimed_per_worker.iter().sum::<u64>(),
+                    unmapped as u64
+                );
+                assert_eq!(
+                    stats.lost_races_per_worker.iter().sum::<u64>(),
+                    2 * unmapped as u64,
+                    "two of three workers lose every race"
+                );
+            }
+            assert_eq!(store.into_vec(), vec![135, 135]);
+        }
+    }
+
+    #[test]
+    fn unmapped_tasks_keep_the_synchronisation_of_the_epochs_they_touch() {
+        use crate::hybrid::PartialFn;
+        // D0: T1 (W0) writes, T2 (unmapped) reads, T3 (W0) writes. D1: a
+        // chain on W0 alone. Nothing of D1 is shared; on D0, T2 keeps its
+        // guard, so T1 publishes, and T3 — which waits for a read it
+        // cannot place — keeps its guard, so T2 publishes.
+        let mut b = TaskGraph::builder(2);
+        b.task(&[Access::write(DataId(0))], 1, "w");
+        b.task(&[Access::read(DataId(0))], 1, "r");
+        b.task(&[Access::write(DataId(0))], 1, "w");
+        b.task(&[Access::read_write(DataId(1))], 1, "rw");
+        b.task(&[Access::read_write(DataId(1))], 1, "rw");
+        let g = b.build();
+        let pm = PartialFn(|t: TaskId, _| (t != TaskId(2)).then_some(WorkerId(0)));
+        let flow = Executor::new(cfg(2)).hybrid(&pm).compile(&g);
+        assert_eq!(
+            marks(&flow),
+            [[PUBLISH], [KEPT], [GUARD], [ELIDED], [ELIDED]]
+        );
+        assert_eq!(flow.stats().shared_objects, 1);
+        assert_eq!(
+            (flow.stats().elided_gets, flow.stats().elided_publishes),
+            (3, 3)
+        );
+        let claim_marked: Vec<bool> = flow
+            .own_tasks(WorkerId(1))
+            .map(|t| t.claim_marked())
+            .collect();
+        assert_eq!(claim_marked, [true], "W1's program is T2 alone");
+        // No claim-marked instruction, no claim table: a total mapping
+        // dressed as a partial one runs like the total one.
+        let all = crate::hybrid::Total(RoundRobin);
+        let flow = Executor::new(cfg(2)).hybrid(&all).compile(&g);
+        assert_eq!(flow.unmapped, Some(0));
+        let run = flow.run(|_, _| {});
+        let stats = run.hybrid.expect("still a hybrid run");
+        assert_eq!(stats.claimed_per_worker, [0, 0]);
+        assert_eq!(stats.lost_races_per_worker, [0, 0]);
     }
 
     #[cfg(feature = "trace")]
     #[test]
     fn compiled_runs_can_be_traced() {
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..40 {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        let g = b.build();
+        let g = crate::testing::chain(40);
         let flow = Executor::new(cfg(2))
             .mapping(&RoundRobin)
             .trace(crate::trace_api::TraceConfig::new())

@@ -177,7 +177,7 @@ pub struct RioConfig {
     /// cache-line-padded `Relaxed` atomics counting tasks,
     /// epoch-guard spins, parks, elided wakes and aborts. On by default —
     /// the increments cost a few nanoseconds per event on a worker-owned
-    /// line (gated <1% on the fig7 interpreted row by `repro counters`).
+    /// line (gated <1% on the fig7 row by `repro counters`).
     /// Disable only for peak-overhead measurements.
     pub counters: bool,
     /// Always-on flight recorder ([`crate::flight`]): a tiny fixed-size
@@ -207,9 +207,8 @@ pub struct RioConfig {
     /// and claims one through a per-task CAS slot, executing it in place
     /// while the owner skips-but-syncs (see [`crate::steal`] and
     /// DESIGN.md §14). `None` (the default) keeps the static mapping
-    /// exact. Honoured by the interpreted and compiled paths; the pruned
-    /// and hybrid walkers ignore it. The armed-but-idle cost is one claim
-    /// CAS per owned task (gated ≤2% by `repro steal`).
+    /// exact. The armed-but-idle cost is one claim CAS per owned task
+    /// (gated ≤2% by `repro steal`).
     pub stealing: Option<StealPolicy>,
     /// External [`CounterRegistry`] for the run to publish into, enabling
     /// mid-run sampling from a monitoring thread. `None` (the default):

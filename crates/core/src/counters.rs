@@ -5,7 +5,7 @@
 //! is the complementary layer: ten monotonic counters per worker, each a
 //! plain `Relaxed` increment on a cache line owned by that worker, cheap
 //! enough to stay on under full traffic (the `repro counters` gate bounds
-//! the overhead to <1% on the fig7 interpreted row). A
+//! the overhead to <1% on the fig7 row). A
 //! [`CounterRegistry`] can be handed to the runtime through
 //! [`crate::RioConfig::counter_registry`] and sampled from any thread
 //! *while the run executes* ([`CounterRegistry::snapshot`]); without an

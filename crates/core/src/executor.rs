@@ -1,12 +1,12 @@
-//! The unified entry point: one builder for every execution variant.
+//! The entry point: one builder, one engine.
 //!
-//! Historically the crate exposed one free function per variant
-//! (`execute_graph`, `execute_graph_pruned`, `execute_graph_hybrid`),
-//! each with its own signature and return type. [`Executor`] subsumes
-//! them (the free functions are gone): configure a [`RioConfig`], choose
-//! a mapping (total or partial), toggle pruning and tracing, and
-//! [`Executor::run`] — one call shape for every variant, one
-//! [`Execution`] result carrying whatever the chosen variant produces.
+//! Configure a [`RioConfig`], choose a mapping (total, or partial with
+//! [`Executor::hybrid`]), optionally trace, and [`Executor::run`]. A run
+//! is [`Executor::compile`] followed by [`CompiledFlow::run`]: the flow
+//! is lowered once, on the calling thread, into one program per worker
+//! ([`crate::compile`]), and the workers run their programs. A flow that
+//! executes more than once keeps the [`CompiledFlow`] and skips the first
+//! half.
 //!
 //! ```
 //! use rio_core::prelude::*;
@@ -20,11 +20,10 @@
 //!
 //! let run = Executor::new(RioConfig::with_workers(2))
 //!     .mapping(&RoundRobin)
-//!     .pruning(true)
 //!     .run(&g, |_, _| *store.write(DataId(0)) += 1);
 //!
 //! assert_eq!(run.report.tasks_executed(), 100);
-//! assert!(run.prune.is_some());
+//! assert!(run.outcome.is_complete());
 //! assert_eq!(store.into_vec(), vec![100]);
 //! ```
 
@@ -36,32 +35,22 @@ use rio_stf::{ExecError, Mapping, RoundRobin, TaskDesc, TaskGraph, WorkerId};
 use crate::compile::CompiledFlow;
 use crate::config::RioConfig;
 use crate::counters::CountersSnapshot;
-use crate::graph::try_execute_graph_impl;
-use crate::hybrid::{try_execute_graph_hybrid_impl, HybridStats, PartialMapping};
-use crate::pruning::{try_execute_graph_pruned_impl, PruneStats};
+use crate::hybrid::{HybridStats, PartialMapping};
 use crate::report::ExecReport;
 use crate::trace_api::{Trace, TraceConfig};
 use crate::tune::{TuneIteration, TuneOptions, TunedRun, Tuner, TuningPlan};
 
 /// Builder for a RIO execution. See the [module docs](self).
 ///
-/// Variant selection:
-///
-/// * default — plain decentralized in-order execution under the total
-///   [`Mapping`] set with [`Executor::mapping`] ([`RoundRobin`] if none);
-/// * [`Executor::pruning`]`(true)` — same, with per-worker flow pruning
-///   (§3.5); [`Execution::prune`] reports the statistics;
-/// * [`Executor::hybrid`] — partial mapping with dynamic claiming of the
-///   unmapped tasks; [`Execution::hybrid`] reports the claim statistics.
-///   A partial mapping *replaces* the total mapping, and pruning does not
-///   apply (pruning needs the complete access history per worker, which a
-///   run-time claim cannot provide in advance).
+/// The mapping is either total — [`Executor::mapping`], [`RoundRobin`] if
+/// none is set — or partial: [`Executor::hybrid`] replaces the total
+/// mapping, the tasks it leaves unmapped are claimed at run time, and
+/// [`Execution::hybrid`] reports the claims.
 #[must_use = "an Executor does nothing until `.run()` is called"]
 pub struct Executor<'a> {
     cfg: RioConfig,
     mapping: Option<&'a dyn Mapping>,
     partial: Option<&'a dyn PartialMapping>,
-    pruning: bool,
 }
 
 /// How an [`Execution`] finished: cleanly, or degraded by permanent task
@@ -101,8 +90,8 @@ impl From<Option<rio_stf::PartialReport>> for RunOutcome {
     }
 }
 
-/// Result of an [`Executor::run`]: the report plus whatever the selected
-/// variant additionally produced.
+/// Result of an [`Executor::run`] or [`CompiledFlow::run`]: the report
+/// plus what tracing and a partial mapping additionally produce.
 #[derive(Debug, Default)]
 pub struct Execution {
     /// The execution report (wall time, per-worker times, op counts).
@@ -111,14 +100,12 @@ pub struct Execution {
     /// [`crate::RecoveryPolicy`] (always [`RunOutcome::Complete`] without
     /// one).
     pub outcome: RunOutcome,
-    /// The run's always-on counters snapshot — present for every variant
-    /// (plain, pruned, hybrid, compiled; empty only when
-    /// [`RioConfig::counters`] was disabled), so tuner input
-    /// ([`crate::tune`]) is uniform regardless of how the run executed.
+    /// The run's always-on counters snapshot (empty only when
+    /// [`RioConfig::counters`] was disabled): the tuner's input
+    /// ([`crate::tune`]).
     pub counters: CountersSnapshot,
-    /// Pruning statistics (`Some` iff pruning was enabled).
-    pub prune: Option<PruneStats>,
-    /// Dynamic-claim statistics (`Some` iff a hybrid run).
+    /// Dynamic-claim statistics (`Some` iff the mapping was a partial
+    /// one).
     pub hybrid: Option<HybridStats>,
     /// The event trace (`Some` iff tracing was enabled).
     pub trace: Option<Trace>,
@@ -126,7 +113,7 @@ pub struct Execution {
 
 impl<'a> Executor<'a> {
     /// An executor with the given configuration and defaults elsewhere:
-    /// [`RoundRobin`] mapping, no pruning, no tracing.
+    /// [`RoundRobin`] mapping, no tracing.
     ///
     /// # Panics
     /// If the configuration is invalid.
@@ -136,7 +123,6 @@ impl<'a> Executor<'a> {
             cfg,
             mapping: None,
             partial: None,
-            pruning: false,
         }
     }
 
@@ -147,15 +133,9 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Enables per-worker flow pruning (§3.5). Ignored for hybrid runs.
-    pub fn pruning(mut self, on: bool) -> Executor<'a> {
-        self.pruning = on;
-        self
-    }
-
     /// Switches to the hybrid model: tasks `partial` maps run on their
     /// fixed worker, the rest are claimed dynamically. Takes precedence
-    /// over [`Executor::mapping`] and [`Executor::pruning`].
+    /// over [`Executor::mapping`].
     pub fn hybrid(mut self, partial: &'a dyn PartialMapping) -> Executor<'a> {
         self.partial = Some(partial);
         self
@@ -163,7 +143,7 @@ impl<'a> Executor<'a> {
 
     /// Enables event tracing for this run (shorthand for setting
     /// [`RioConfig::trace`]). When the config names a Chrome-trace output
-    /// path, [`Executor::run`] writes the file after the run.
+    /// path, every run writes the file when it ends.
     pub fn trace(mut self, trace: TraceConfig) -> Executor<'a> {
         self.cfg.trace = Some(trace);
         self
@@ -182,23 +162,20 @@ impl<'a> Executor<'a> {
         &self.cfg
     }
 
-    /// Compiles `graph` ahead of time into one program per worker holding
-    /// that worker's own tasks only (see [`crate::compile`]): mapping
-    /// evaluation and preflight validation are paid once, in one pass over
-    /// the flow, and the epoch word every access waits for is precomputed,
-    /// so non-local tasks leave nothing behind to replay. The returned
-    /// [`CompiledFlow`] can be [run](CompiledFlow::run) any number of
-    /// times and borrows only `graph` (the configuration is captured).
-    ///
-    /// [`Executor::pruning`] is irrelevant here: compilation subsumes
-    /// pruning (a task a visit list would skip compiles to no
-    /// instruction at all).
+    /// Compiles `graph` into one program per worker holding that worker's
+    /// own tasks only (see [`crate::compile`]): mapping evaluation and
+    /// preflight validation are paid once, in one pass over the flow, and
+    /// the epoch word every access waits for is precomputed, so non-local
+    /// tasks leave nothing behind to replay. Under a partial mapping
+    /// ([`Executor::hybrid`]) the unmapped tasks are in every program,
+    /// claim-marked. The returned [`CompiledFlow`] can be
+    /// [run](CompiledFlow::run) any number of times and borrows only
+    /// `graph` (the configuration is captured).
     ///
     /// # Panics
-    /// If a partial mapping was set with [`Executor::hybrid`] — flow
-    /// compilation requires a static total mapping — or if the mapping
-    /// fails preflight validation ([`RioConfig::preflight`]). Use
-    /// [`Executor::try_compile`] to handle the latter structurally.
+    /// If the mapping fails preflight validation
+    /// ([`RioConfig::preflight`]). Use [`Executor::try_compile`] to handle
+    /// that structurally.
     pub fn compile<'g>(&self, graph: &'g TaskGraph) -> CompiledFlow<'g> {
         self.try_compile(graph).unwrap_or_else(|e| e.resume())
     }
@@ -208,23 +185,22 @@ impl<'a> Executor<'a> {
     /// a panic.
     ///
     /// # Errors
-    /// [`ExecError::InvalidMapping`] from the preflight check.
-    ///
-    /// # Panics
-    /// If a partial mapping was set with [`Executor::hybrid`].
+    /// [`ExecError::InvalidMapping`] from the preflight check;
+    /// [`ExecError::InvalidGraph`] for a flow the packed epoch word cannot
+    /// represent.
     pub fn try_compile<'g>(&self, graph: &'g TaskGraph) -> Result<CompiledFlow<'g>, ExecError> {
-        assert!(
-            self.partial.is_none(),
-            "flow compilation requires a static total mapping: a hybrid \
-             executor claims its unmapped tasks at run time, so its \
-             per-worker programs are not known in advance"
-        );
-        let mapping: &dyn Mapping = self.mapping.unwrap_or(&RoundRobin);
-        crate::compile::try_compile(&self.cfg, graph, mapping)
+        match self.partial {
+            Some(partial) => crate::compile::try_compile(&self.cfg, graph, partial),
+            None => {
+                crate::compile::try_compile(&self.cfg, graph, self.mapping.unwrap_or(&RoundRobin))
+            }
+        }
     }
 
     /// Executes `graph`, invoking `kernel(worker, task)` exactly once per
-    /// task on the worker the selected variant designates.
+    /// task on the worker the mapping designates (or, for a task a
+    /// partial mapping leaves unmapped, on whichever worker claims it):
+    /// [`Executor::compile`], then one [`CompiledFlow::run`].
     ///
     /// # Panics
     /// Propagates task-body panics (with their original payload); panics
@@ -257,46 +233,7 @@ impl<'a> Executor<'a> {
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
-        let mut run = if let Some(partial) = self.partial {
-            let (report, stats, degraded) =
-                try_execute_graph_hybrid_impl(&self.cfg, graph, partial, kernel)?;
-            Execution {
-                report,
-                outcome: degraded.into(),
-                hybrid: Some(stats),
-                ..Execution::default()
-            }
-        } else {
-            let mapping: &dyn Mapping = self.mapping.unwrap_or(&RoundRobin);
-            if self.pruning {
-                let (report, stats, degraded) =
-                    try_execute_graph_pruned_impl(&self.cfg, graph, mapping, kernel)?;
-                Execution {
-                    report,
-                    outcome: degraded.into(),
-                    prune: Some(stats),
-                    ..Execution::default()
-                }
-            } else {
-                let (report, degraded) = try_execute_graph_impl(&self.cfg, graph, mapping, kernel)?;
-                Execution {
-                    report,
-                    outcome: degraded.into(),
-                    ..Execution::default()
-                }
-            }
-        };
-        run.counters = run.report.counters.clone();
-        run.trace = run.report.take_trace();
-        if let (Some(trace), Some(path)) = (
-            run.trace.as_ref(),
-            self.cfg.trace.as_ref().and_then(|t| t.chrome_path.as_ref()),
-        ) {
-            trace
-                .write_chrome(path)
-                .unwrap_or_else(|e| panic!("cannot write Chrome trace to {}: {e}", path.display()));
-        }
-        Ok(run)
+        self.try_compile(graph)?.try_run(kernel)
     }
 
     /// Diagnoses a finished `run` of `graph` into a [`TuningPlan`]:
@@ -304,10 +241,28 @@ impl<'a> Executor<'a> {
     /// executor's worker count and its configured mapping. Feed the plan
     /// to [`Executor::apply`] to get an executor that runs under it —
     /// or let [`Executor::tuned_run`] drive the whole loop.
+    ///
+    /// # Panics
+    /// If a partial mapping was set with [`Executor::hybrid`].
     pub fn plan(&self, graph: &TaskGraph, run: &Execution) -> TuningPlan {
         Tuner::new(graph, self.cfg.workers)
             .nodes(self.worker_nodes())
-            .plan(self.mapping.unwrap_or(&RoundRobin), run)
+            .plan(self.total_mapping(), run)
+    }
+
+    /// The mapping tuning remaps.
+    ///
+    /// # Panics
+    /// If a partial mapping was set with [`Executor::hybrid`]: tuning
+    /// presupposes a static total mapping.
+    fn total_mapping(&self) -> &'a dyn Mapping {
+        assert!(
+            self.partial.is_none(),
+            "tuning requires a static total mapping: a hybrid executor \
+             claims its unmapped tasks at run time, so there is no \
+             mapping to remap"
+        );
+        self.mapping.unwrap_or(&RoundRobin)
     }
 
     /// The configured topology's worker→node table, or `None` when the
@@ -320,26 +275,19 @@ impl<'a> Executor<'a> {
     /// A new executor with `plan` baked in: the plan's remap replaces
     /// the mapping, and its per-object wait-policy table is installed
     /// into the configuration ([`RioConfig::wait_policies`]). Everything
-    /// else — worker count, run-wide wait strategy, tracing, watchdog,
-    /// pruning — carries over from `self`.
+    /// else — worker count, run-wide wait strategy, tracing, watchdog —
+    /// carries over from `self`.
     ///
     /// # Panics
-    /// If a partial mapping was set with [`Executor::hybrid`]: tuning
-    /// presupposes a static total mapping to remap.
+    /// If a partial mapping was set with [`Executor::hybrid`].
     pub fn apply<'p>(&self, plan: &'p TuningPlan) -> Executor<'p> {
-        assert!(
-            self.partial.is_none(),
-            "tuning requires a static total mapping: a hybrid executor \
-             claims its unmapped tasks at run time, so there is no \
-             mapping to remap"
-        );
+        self.total_mapping();
         let mut cfg = self.cfg.clone();
         cfg.wait_policies = Some(Arc::clone(&plan.policies));
         Executor {
             cfg,
             mapping: Some(&plan.mapping),
             partial: None,
-            pruning: self.pruning,
         }
     }
 
@@ -383,6 +331,7 @@ impl<'a> Executor<'a> {
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
         opts.validate();
+        let mapping = self.total_mapping();
         let tuner = Tuner::new(graph, self.cfg.workers)
             .options(opts.clone())
             .nodes(self.worker_nodes());
@@ -395,7 +344,7 @@ impl<'a> Executor<'a> {
             let (run, next) = match &applied {
                 None => {
                     let run = self.compile(graph).run(&kernel);
-                    let next = tuner.plan(self.mapping.unwrap_or(&RoundRobin), &run);
+                    let next = tuner.plan(mapping, &run);
                     (run, next)
                 }
                 Some(plan) => {
@@ -434,18 +383,12 @@ impl<'a> Executor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hybrid::Unmapped;
+    use crate::hybrid::{PartialFn, Total, Unmapped};
     use crate::wait::WaitStrategy;
-    use rio_stf::{Access, DataId, DataStore};
+    use rio_stf::{DataId, DataStore};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn chain_graph(n: u32) -> TaskGraph {
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..n {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        b.build()
-    }
+    use crate::testing::chain as chain_graph;
 
     #[test]
     fn default_mapping_is_round_robin() {
@@ -457,39 +400,19 @@ mod tests {
         assert_eq!(run.report.tasks_executed(), 100);
         // Round-robin over 2 workers: both executed half.
         assert_eq!(run.report.workers[0].tasks_executed, 50);
-        assert!(run.prune.is_none());
         assert!(run.hybrid.is_none());
         assert!(run.trace.is_none());
         assert_eq!(store.into_vec(), vec![100]);
     }
 
     #[test]
-    fn pruning_reports_stats() {
-        // Independent tasks: pruning removes all foreign flow entries.
-        let n = 40;
-        let mut b = TaskGraph::builder(n);
-        for i in 0..n {
-            b.task(&[Access::write(DataId::from_index(i))], 1, "ind");
-        }
-        let g = b.build();
-        let count = AtomicU64::new(0);
-        let run = Executor::new(RioConfig::with_workers(4))
-            .mapping(&RoundRobin)
-            .pruning(true)
-            .run(&g, |_, _| {
-                count.fetch_add(1, Ordering::Relaxed);
-            });
-        assert_eq!(count.load(Ordering::Relaxed), 40);
-        let prune = run.prune.expect("pruning stats present");
-        assert!((prune.pruned_fraction() - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hybrid_reports_stats_and_wins_over_pruning() {
+    fn hybrid_reports_stats_and_replaces_the_total_mapping() {
         let g = chain_graph(200);
         let store = DataStore::from_vec(vec![0u64]);
+        // Everything on W2 — had the partial mapping not taken precedence.
+        let all_on_2 = rio_stf::TableMapping::from_fn(200, |_| WorkerId(2));
         let run = Executor::new(RioConfig::with_workers(3))
-            .pruning(true) // documented: ignored under hybrid
+            .mapping(&all_on_2)
             .hybrid(&Unmapped)
             .run(&g, |_, _| {
                 *store.write(DataId(0)) += 1;
@@ -497,7 +420,15 @@ mod tests {
         assert_eq!(store.into_vec(), vec![200]);
         let stats = run.hybrid.expect("hybrid stats present");
         assert_eq!(stats.claimed_per_worker.iter().sum::<u64>(), 200);
-        assert!(run.prune.is_none(), "pruning does not apply to hybrid");
+        // Every program held all 200 claim-marked tasks, and each worker
+        // either won or lost each of them.
+        for w in 0..3 {
+            assert_eq!(run.report.workers[w].tasks_visited, 200);
+            assert_eq!(
+                stats.claimed_per_worker[w] + stats.lost_races_per_worker[w],
+                200
+            );
+        }
     }
 
     #[test]
@@ -509,22 +440,28 @@ mod tests {
             (store.into_vec()[0], run.report.tasks_executed())
         };
         let cfg = || RioConfig::with_workers(3).wait(WaitStrategy::Park);
+        let odd = PartialFn(|t: rio_stf::TaskId, _| (t.0 % 2 == 1).then_some(WorkerId(1)));
         assert_eq!(run_with(Executor::new(cfg())), (300, 300));
-        assert_eq!(run_with(Executor::new(cfg()).pruning(true)), (300, 300));
         assert_eq!(run_with(Executor::new(cfg()).hybrid(&Unmapped)), (300, 300));
+        assert_eq!(run_with(Executor::new(cfg()).hybrid(&odd)), (300, 300));
+        assert_eq!(
+            run_with(Executor::new(cfg()).hybrid(&Total(RoundRobin))),
+            (300, 300)
+        );
     }
 
     #[test]
     fn every_variant_carries_the_counters_snapshot() {
-        // Tuner input is uniform: plain, pruned, hybrid and compiled runs
-        // all surface the same always-on counters on the Execution.
+        // Tuner input is uniform: one-shot, hybrid and reused-flow runs all
+        // surface the same always-on counters on the Execution.
         let g = chain_graph(60);
         let base = || RioConfig::with_workers(2).wait(WaitStrategy::Park);
         let plain = Executor::new(base()).run(&g, |_, _| {});
-        let pruned = Executor::new(base()).pruning(true).run(&g, |_, _| {});
         let hybrid = Executor::new(base()).hybrid(&Unmapped).run(&g, |_, _| {});
-        let compiled = Executor::new(base()).compile(&g).run(|_, _| {});
-        for run in [&plain, &pruned, &hybrid, &compiled] {
+        let flow = Executor::new(base()).compile(&g);
+        flow.run(|_, _| {});
+        let reused = flow.run(|_, _| {});
+        for run in [&plain, &hybrid, &reused] {
             assert_eq!(run.counters.total().tasks, 60);
             assert_eq!(
                 run.counters, run.report.counters,
@@ -586,10 +523,10 @@ mod tests {
             }
         }
         let g = chain_graph(4);
-        for pruning in [false, true] {
-            let err = Executor::new(RioConfig::with_workers(2))
-                .mapping(&Bad)
-                .pruning(pruning)
+        let as_partial = Total(Bad);
+        let exec = || Executor::new(RioConfig::with_workers(2));
+        for exec in [exec().mapping(&Bad), exec().hybrid(&as_partial)] {
+            let err = exec
                 .try_run(&g, |_, _| {})
                 .expect_err("out-of-range mapping must be rejected");
             match err {

@@ -1,40 +1,33 @@
-//! Decentralized in-order execution of a *recorded* task graph
-//! (Algorithm 1, generalized from one access per task to access lists).
+//! The per-worker engine every compiled program runs through
+//! (Algorithm 1, generalized from one access per task to access lists):
+//! for each instruction, acquire the task's accesses whose guard was kept
+//! (`get_read`/`get_write` on the precomputed word), run the kernel under
+//! fault containment, and publish the completions somebody can wait on
+//! (`terminate_read`/`terminate_write`'s shared halves).
 //!
-//! This entry point mirrors how the paper's evaluation runs: the task
-//! graphs are real (matmul, LU, …) while the task bodies are supplied as a
-//! kernel closure — synthetic counters for the benchmarks, real
-//! linear-algebra kernels for the examples.
-//!
-//! Every worker thread walks the full flow. For each task it evaluates the
-//! mapping; if the task is its own it acquires each declared access
-//! (`get_read`/`get_write`), runs the kernel, and releases
-//! (`terminate_read`/`terminate_write`); otherwise it merely declares the
-//! accesses in its private state — the whole per-task cost of somebody
-//! else's task.
+//! This mirrors how the paper's evaluation runs: the task graphs are real
+//! (matmul, LU, …) while the task bodies are supplied as a kernel closure
+//! — synthetic counters for the benchmarks, real linear-algebra kernels
+//! for the examples. What the paper's workers do for a task mapped
+//! elsewhere — declare its accesses privately — [`crate::compile`] did
+//! once, ahead of the run, for all of them.
 
 use std::time::{Duration, Instant};
 
-use rio_stf::{
-    ExecError, FlightEventKind, Mapping, PartialReport, StallDiagnostic, StallSite, TaskDesc,
-    TaskGraph, WorkerId,
-};
+use rio_stf::{Access, FlightEventKind, StallDiagnostic, StallSite, TaskDesc, WorkerId};
 
-use rio_stf::Access;
-
-use crate::compile::AccessPlan;
+use crate::compile::TaskAccesses;
 use crate::config::RioConfig;
 use crate::counters::{CounterRegistry, WorkerCounters};
 use crate::flight::{FlightRecorder, FlightRing};
 use crate::protocol::{
-    declare_batch, expected_write_word, get_read_word_cx, get_write_word_cx, publish_read,
-    publish_write, unpack_epoch, AbortCause, AbortFlag, LocalDataState, RecoveryCtx,
-    SharedDataState, WaitCx, WaitOutcome, WaitResult, WaitVerdict, READ_EPOCH_MASK,
-    WRITE_EPOCH_MASK,
+    get_read_word_cx, get_write_word_cx, publish_read, publish_write, unpack_epoch, AbortCause,
+    AbortFlag, RecoveryCtx, SharedDataState, WaitCx, WaitOutcome, WaitResult, WaitVerdict,
+    READ_EPOCH_MASK, WRITE_EPOCH_MASK,
 };
-use crate::report::{ExecReport, OpCounts, WorkerReport};
+use crate::report::{OpCounts, WorkerReport};
 use crate::status::{StatusTable, WaitWatch};
-use crate::steal::{ClaimTable, ScanSource, StealState, EMPTY_SCAN_LIMIT};
+use crate::steal::{Claims, StealState, EMPTY_SCAN_LIMIT};
 use crate::trace_api::WorkerTracer;
 use crate::wait::WaitStrategy;
 
@@ -46,9 +39,9 @@ use crate::wait::WaitStrategy;
 /// leading up to the stall.
 ///
 /// `private` is the packed private view the blocked get compared the
-/// epoch word against ([`expected_write_word`]) — a walker packs it from
-/// its own table, a compiled program holds it precomputed — so both
-/// render the same private/shared pair.
+/// epoch word against ([`crate::protocol::expected_write_word`]) — a
+/// closure flow packs it from its own table, a compiled program holds it
+/// precomputed — so both render the same private/shared pair.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn stall_diagnostic(
     me: WorkerId,
@@ -86,94 +79,13 @@ pub(crate) fn stall_diagnostic(
     })
 }
 
-/// One access as the engine executes it, whoever prepared it.
-#[derive(Clone, Copy)]
-pub(crate) struct Step {
-    pub(crate) data: rio_stf::DataId,
-    /// Index of the object's word in the run's shared table.
-    pub(crate) slot: usize,
-    pub(crate) writes: bool,
-    /// Perform the `get_*`? Off when the compiler proved everything it
-    /// would wait for runs earlier on this worker.
-    pub(crate) guard: bool,
-    /// Perform the shared publication? Off when the compiler proved no
-    /// kept guard compares against it.
-    pub(crate) publish: bool,
-}
-
-/// A task's accesses as handed to [`WorkerCtx::exec_task`] — what tells a
-/// compiled program from a walker.
-#[derive(Clone, Copy)]
-pub(crate) enum TaskAccesses<'a> {
-    /// A walker's: the declared list. Every guard and publication is
-    /// performed, an object's word sits at the object's own index, and
-    /// the word a get waits for is packed from the context's private
-    /// views, which every terminate (and every declare of a foreign
-    /// task) keeps current.
-    Declared(&'a [Access]),
-    /// A compiled program's ([`crate::compile`]): per access, which
-    /// halves to perform and through which slot, and the precomputed
-    /// packed private view it waits for. The context keeps no private
-    /// state at all.
-    Compiled(&'a [AccessPlan], &'a [u64]),
-}
-
-impl TaskAccesses<'_> {
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            TaskAccesses::Declared(a) => a.len(),
-            TaskAccesses::Compiled(p, _) => p.len(),
-        }
-    }
-
-    /// Does any access keep its guard, does any keep its publication?
-    /// One pass over the entries' bits, so that a task all of whose
-    /// synchronisation is worker-local skips both per-access loops.
-    #[inline]
-    fn kept(&self) -> (bool, bool) {
-        match self {
-            TaskAccesses::Declared(_) => (true, true),
-            TaskAccesses::Compiled(p, _) => p
-                .iter()
-                .fold((false, false), |(g, s), p| (g | p.guard(), s | p.publish())),
-        }
-    }
-
-    #[inline]
-    fn step(&self, i: usize) -> Step {
-        match self {
-            TaskAccesses::Declared(a) => Step {
-                data: a[i].data,
-                slot: a[i].data.index(),
-                writes: a[i].mode.writes(),
-                guard: true,
-                publish: true,
-            },
-            TaskAccesses::Compiled(p, _) => Step {
-                data: p[i].data,
-                slot: p[i].slot(),
-                writes: p[i].writes(),
-                guard: p[i].guard(),
-                publish: p[i].publish(),
-            },
-        }
-    }
-}
-
 /// Is every guard of one task open right now? One masked acquire-load per
-/// `(slot, writes, expected)` — how a thief prices a candidate.
-fn guards_open(
-    shared: &[SharedDataState],
-    mut guards: impl Iterator<Item = (usize, bool, u64)>,
-) -> bool {
-    guards.all(|(slot, writes, expected)| {
-        let mask = if writes {
-            WRITE_EPOCH_MASK
-        } else {
-            READ_EPOCH_MASK
-        };
-        shared[slot].satisfied(expected, mask)
+/// access — how a thief prices a candidate.
+fn guards_open(shared: &[SharedDataState], accesses: TaskAccesses<'_>) -> bool {
+    let mut guards = accesses.plans.iter().zip(accesses.expected);
+    guards.all(|(p, &expected)| {
+        let mask = [READ_EPOCH_MASK, WRITE_EPOCH_MASK][usize::from(p.writes())];
+        shared[p.slot()].satisfied(expected, mask)
     })
 }
 
@@ -188,177 +100,11 @@ fn get_word_cx(s: &SharedDataState, expected: u64, writes: bool, cx: &WaitCx<'_>
     }
 }
 
-/// Executes `graph` with `cfg.workers` decentralized in-order workers:
-/// the panicking test shorthand over [`try_execute_graph_impl`] (the
-/// production shell is [`crate::Executor::run`]).
-///
-/// `kernel(worker, task)` is invoked exactly once per task, on the worker
-/// the `mapping` designates, only after all of the task's dependencies
-/// have been performed; conflicting invocations never overlap.
-///
-/// # Panics
-/// If the mapping designates a worker `>= cfg.workers`, or `cfg` is
-/// invalid.
-#[cfg(test)]
-pub(crate) fn execute_graph_impl<M, K>(
-    cfg: &RioConfig,
-    graph: &TaskGraph,
-    mapping: &M,
-    kernel: K,
-) -> ExecReport
-where
-    M: Mapping + ?Sized,
-    K: Fn(WorkerId, &TaskDesc) + Sync,
-{
-    try_execute_graph_impl(cfg, graph, mapping, kernel)
-        .unwrap_or_else(|e| e.resume())
-        .0
-}
-
-/// Fallible execution behind [`crate::Executor::try_run`]: instead of
-/// panicking, a failed run returns a structured [`ExecError`] — after
-/// joining every worker, with no task body started past the abort. With
-/// a [`crate::config::RecoveryPolicy`] installed, panics degrade instead
-/// of aborting; the second tuple element is the resulting
-/// [`PartialReport`] (`None` when the run completed cleanly).
-pub(crate) fn try_execute_graph_impl<M, K>(
-    cfg: &RioConfig,
-    graph: &TaskGraph,
-    mapping: &M,
-    kernel: K,
-) -> Result<(ExecReport, Option<PartialReport>), ExecError>
-where
-    M: Mapping + ?Sized,
-    K: Fn(WorkerId, &TaskDesc) + Sync,
-{
-    cfg.validate();
-    if cfg.preflight {
-        rio_stf::validate_mapping(mapping, graph.len(), cfg.workers)?;
-        // The packed epoch word caps task ids and per-epoch read counts
-        // at u32; reject flows the protocol cannot represent.
-        graph.validate_limits(u64::from(u32::MAX), u64::from(u32::MAX))?;
-    }
-    let shared = SharedDataState::new_table(graph.num_data());
-    let kernel = &kernel;
-    let shared = &shared;
-    let abort = &AbortFlag::new();
-    let status = &StatusTable::new(cfg.workers);
-    let registry = CounterRegistry::for_run(cfg);
-    let registry = registry.as_deref();
-    let flight = FlightRecorder::for_run(cfg);
-    let flight = flight.as_ref();
-    let recovery = cfg
-        .recovery
-        .clone()
-        .map(|p| RecoveryCtx::new(p, graph.num_data()));
-    let rec = recovery.as_ref();
-    // Bounded stealing (interpreted path): one claim slot per flow entry,
-    // the owner of every task (one mapping evaluation, shared by all
-    // workers — the thief scan must price tasks it would never map), and
-    // the packed private view every access waits for, precomputed by one
-    // flow simulation. The simulated view at task `j` is what *any*
-    // worker's view will be at flow position `j` (§3.4 assumption 2), so
-    // one shared table prices guards for every thief.
-    let steal_pre = cfg.stealing.as_ref().map(|_| {
-        let tasks = graph.tasks();
-        let mut owners = Vec::with_capacity(tasks.len());
-        let mut offsets = Vec::with_capacity(tasks.len() + 1);
-        let mut expected = Vec::new();
-        let mut sim: Vec<LocalDataState> = vec![LocalDataState::default(); graph.num_data()];
-        offsets.push(0u32);
-        for t in tasks {
-            owners.push(mapping.worker_of(t.id, cfg.workers).index() as u32);
-            expected.extend(
-                t.accesses
-                    .iter()
-                    .map(|a| expected_write_word(&sim[a.data.index()])),
-            );
-            offsets.push(expected.len() as u32);
-            declare_batch(&mut sim, t.id, &t.accesses);
-        }
-        (
-            owners,
-            offsets,
-            expected,
-            crate::steal::Cursor::new_table(cfg.workers),
-        )
-    });
-    let steal_claims = cfg.stealing.as_ref().map(|_| ClaimTable::new(graph.len()));
-    let steal_epoch = steal_claims.as_ref().map_or(0, ClaimTable::begin_run);
-    let steal_pre = steal_pre.as_ref();
-    let steal_claims = steal_claims.as_ref();
-
-    let start = Instant::now();
-    let workers = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.workers)
-            .map(|w| {
-                s.spawn(move || {
-                    let me = WorkerId::from_index(w);
-                    let steal = match (cfg.stealing.as_ref(), steal_claims, steal_pre) {
-                        (
-                            Some(policy),
-                            Some(claims),
-                            Some((owners, offsets, expected, cursors)),
-                        ) => Some(StealState {
-                            policy,
-                            claims,
-                            epoch: steal_epoch,
-                            scan: ScanSource::Flow {
-                                tasks: graph.tasks(),
-                                owners,
-                                expected,
-                                offsets,
-                                cursors,
-                            },
-                        }),
-                        _ => None,
-                    };
-                    worker_loop(
-                        cfg, graph, mapping, shared, kernel, me, None, abort, status, start,
-                        registry, flight, rec, steal,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    if let Some(cause) = abort.take_cause() {
-        return Err(cause.into_error());
-    }
-    Ok((
-        ExecReport {
-            wall: start.elapsed(),
-            workers,
-            counters: registry
-                .map(|r| r.snapshot().with_topology(cfg))
-                .unwrap_or_default(),
-        },
-        recovery.and_then(RecoveryCtx::into_report).map(|mut p| {
-            // Workers joined above, so this dump is exact: the degraded
-            // run's report carries the protocol history that led to every
-            // skip and failure, not just the final tallies.
-            if let Some(f) = flight {
-                p.flight = f.dump();
-            }
-            p
-        }),
-    ))
-}
-
-/// Per-worker execution context: the private protocol state, counters,
-/// timers and tracing of one worker in one run.
-///
-/// This is the single task-execution engine behind every flow walker:
-/// the interpreted [`worker_loop`] (plain and pruned — a visit list is
-/// just a restricted walk), the hybrid claim walk of [`crate::hybrid`]
-/// and the compiled-program interpreter of [`crate::compile`] all drive
-/// it. Keeping the `get → kernel → terminate` sequence (with its fault
-/// containment, watchdog and tracing) in one place is what lets the
-/// compiled path claim the interpreter's protocol semantics for every
-/// word somebody can wait on.
+/// Per-worker execution context: the counters, timers and tracing of one
+/// worker in one run, and the `get → kernel → terminate` sequence with
+/// its fault containment, watchdog, claims and recovery. It keeps no
+/// private protocol state: every word a get waits for is precomputed
+/// ([`crate::compile`]).
 pub(crate) struct WorkerCtx<'a> {
     cfg: &'a RioConfig,
     shared: &'a [SharedDataState],
@@ -373,10 +119,6 @@ pub(crate) struct WorkerCtx<'a> {
     /// `policies[d]` overrides `cx`'s strategy/spin budget for waits and
     /// terminates on data object `d`. Shared by every worker of the run.
     policies: Option<&'a [crate::wait::WaitPolicy]>,
-    /// The private views of a walker that declares foreign tasks. Empty
-    /// for a compiled program: every expected word is precomputed, so
-    /// nothing would ever read them.
-    locals: Vec<LocalDataState>,
     pub ops: OpCounts,
     pub tasks_executed: u64,
     pub tasks_visited: u64,
@@ -398,23 +140,25 @@ pub(crate) struct WorkerCtx<'a> {
     /// [`crate::config::RecoveryPolicy`] is installed — the abort-on-panic
     /// fast path costs exactly one branch per executed task).
     rec: Option<&'a RecoveryCtx>,
+    /// The run's claim slots (`None` when no instruction of the flow is
+    /// claim-marked). Installed by the runtime shell after construction,
+    /// like `steal`.
+    pub(crate) claims: Option<Claims<'a>>,
     /// Steal state shared by every worker of the run (`None` when no
-    /// [`crate::steal::StealPolicy`] is installed, or on paths that don't
-    /// support stealing — pruned/hybrid). Installed by the runtime shell
-    /// after construction.
+    /// [`crate::steal::StealPolicy`] is installed). Implies `claims`.
     pub(crate) steal: Option<StealState<'a>>,
+    /// Claims of unmapped tasks this worker `(won, lost)`: what
+    /// [`crate::hybrid::HybridStats`] reports.
+    pub(crate) unmapped_claims: (u64, u64),
     measure: bool,
     record: bool,
     wd: bool,
 }
 
 impl<'a> WorkerCtx<'a> {
-    /// `private_views` is how many private views to allocate:
-    /// `graph.num_data()` for a walker, 0 for a compiled program.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         cfg: &'a RioConfig,
-        private_views: usize,
         shared: &'a [SharedDataState],
         me: WorkerId,
         abort: &'a AbortFlag,
@@ -446,7 +190,6 @@ impl<'a> WorkerCtx<'a> {
                 watch: None,
             },
             policies: cfg.wait_policies.as_deref(),
-            locals: vec![LocalDataState::default(); private_views],
             ops: OpCounts::default(),
             tasks_executed: 0,
             tasks_visited: 0,
@@ -459,7 +202,9 @@ impl<'a> WorkerCtx<'a> {
             ring,
             flight,
             rec,
+            claims: None,
             steal: None,
+            unmapped_claims: (0, 0),
             measure: cfg.measure_time,
             record: cfg.record_spans,
             wd: cfg.watchdog.is_some(),
@@ -522,11 +267,12 @@ impl<'a> WorkerCtx<'a> {
         }
     }
 
-    /// Executes one task mapped to this worker: acquire every access of
-    /// `accesses` (`t`'s, in declaration order) whose guard is kept, run
-    /// the kernel under fault containment, publish the completions
-    /// somebody can wait on. Returns `false` when the run aborted and the
-    /// worker must abandon the flow.
+    /// Executes one instruction of this worker's program: claim the task
+    /// if it is claim-marked, acquire every access of `accesses` (`t`'s,
+    /// in declaration order) whose guard is kept, run the kernel under
+    /// fault containment, publish the completions somebody can wait on.
+    /// Returns `false` when the run aborted and the worker must abandon
+    /// the flow.
     pub(crate) fn exec_task<K>(
         &mut self,
         kernel: &K,
@@ -541,22 +287,27 @@ impl<'a> WorkerCtx<'a> {
         if self.abort.armed() {
             return false;
         }
-        // With stealing armed, the owner must CAS-claim its own task
-        // *before* waiting on any guard: a thief only claims tasks whose
-        // guards are already satisfied, so deciding by a plain load here
-        // would race the claim against the thief's and run the body
-        // twice. Losing the CAS means a thief holds the body and will
-        // publish its terminates: a walker registers the task like any
-        // foreign one, a compiled program has nothing left to do. See
-        // DESIGN.md §14.
-        if let Some(st) = self.steal {
-            if !st
-                .claims
-                .try_claim(t.id.index(), st.epoch, self.me.index() as u32)
-            {
-                if let TaskAccesses::Declared(declared) = accesses {
-                    self.declare_task_accesses(t.id, declared);
-                }
+        // A claim-marked task is CAS-claimed *before* waiting on any
+        // guard. With stealing armed that is every task: a thief only
+        // claims tasks whose guards are already satisfied, so deciding by
+        // a plain load here would race the claim against the thief's and
+        // run the body twice. Without, it is the tasks a partial mapping
+        // left unmapped, which sit in every program: the first worker to
+        // get there wins. Losing the CAS means somebody else holds the
+        // body and will publish its terminates; this worker has nothing
+        // left to do. See DESIGN.md §9 and §14.
+        if let Some(c) = self
+            .claims
+            .filter(|_| self.steal.is_some() | accesses.unmapped)
+        {
+            let won = c
+                .table
+                .try_claim(t.id.index(), c.epoch, self.me.index() as u32);
+            if accesses.unmapped {
+                self.unmapped_claims.0 += u64::from(won);
+                self.unmapped_claims.1 += u64::from(!won);
+            }
+            if !won {
                 self.tick(t.id);
                 return true;
             }
@@ -566,19 +317,17 @@ impl<'a> WorkerCtx<'a> {
         // acquisition order can deadlock.
         // An elided guard is a get all the same: one decided at compile
         // time.
-        self.ops.gets += accesses.len() as u64;
-        let guarded = if accesses.kept().0 { accesses.len() } else { 0 };
+        let n = accesses.plans.len();
+        self.ops.gets += n as u64;
+        let guarded = if accesses.kept().0 { n } else { 0 };
         for i in 0..guarded {
-            let a = accesses.step(i);
-            if !a.guard {
+            let a = accesses.plans[i];
+            if !a.guard() {
                 continue;
             }
-            let s = &self.shared[a.slot];
-            let writes = a.writes;
-            let expected = match accesses {
-                TaskAccesses::Compiled(_, words) => words[i],
-                TaskAccesses::Declared(_) => expected_write_word(&self.locals[a.data.index()]),
-            };
+            let s = &self.shared[a.slot()];
+            let writes = a.writes();
+            let expected = accesses.expected[i];
             let cx = self.wait_cx(a.data);
             let wr = if self.steal.is_some() {
                 self.wait_or_steal(kernel, s, expected, writes, &cx)
@@ -641,8 +390,7 @@ impl<'a> WorkerCtx<'a> {
         // Skipped and permanently-failed tasks still report watchdog
         // progress: the worker is alive and the flow is advancing.
         self.tick(t.id);
-        let keep_view = matches!(accesses, TaskAccesses::Declared(_));
-        self.publish_task(t.id, accesses, keep_view);
+        self.publish_task(t.id, accesses);
 
         #[cfg(feature = "fault-inject")]
         if let Some(hook) = self.cfg.fault_hook.as_ref() {
@@ -755,13 +503,8 @@ impl<'a> WorkerCtx<'a> {
     /// publication the compiler elided has no waiter to stall: it stays a
     /// counted terminate that, like any other that found no waiter, ran
     /// no wake.
-    ///
-    /// `keep_view`: a walker terminating a task of its own also registers
-    /// it in its private view — a terminate's private half *is* the
-    /// declare. Off for a compiled program (no view) and for a stolen
-    /// task (the thief's walk declares it when it gets there).
-    fn publish_task(&mut self, task: rio_stf::TaskId, accesses: TaskAccesses<'_>, keep_view: bool) {
-        let n = accesses.len();
+    fn publish_task(&mut self, task: rio_stf::TaskId, accesses: TaskAccesses<'_>) {
+        let n = accesses.plans.len();
         self.ops.terminates += n as u64;
         if !accesses.kept().1 && self.policies.is_none() {
             // Nothing to publish, and one strategy for every object.
@@ -771,19 +514,15 @@ impl<'a> WorkerCtx<'a> {
             return;
         }
         let mut wakes_elided = 0;
-        for i in 0..n {
-            let a = accesses.step(i);
+        for a in accesses.plans {
             let strategy = self.strategy_of(a.data.index());
-            let elided = if !a.publish {
+            let elided = if !a.publish() {
                 strategy == WaitStrategy::Park
-            } else if a.writes {
-                publish_write(&self.shared[a.slot], task, strategy)
+            } else if a.writes() {
+                publish_write(&self.shared[a.slot()], task, strategy)
             } else {
-                publish_read(&self.shared[a.slot], strategy)
+                publish_read(&self.shared[a.slot()], strategy)
             };
-            if let (true, TaskAccesses::Declared(declared)) = (keep_view, accesses) {
-                declare_batch(&mut self.locals, task, std::slice::from_ref(&declared[i]));
-            }
             wakes_elided += u64::from(elided);
         }
         if let Some(c) = self.ctr {
@@ -860,8 +599,14 @@ impl<'a> WorkerCtx<'a> {
         then(agg, get_word_cx(s, expected, writes, &rest))
     }
 
-    /// One scan-and-claim attempt. Returns `true` when a foreign task was
-    /// claimed and executed in place.
+    /// One scan-and-claim attempt: walk victims' programs from their
+    /// published cursors. Expected words are precompiled, so pricing a
+    /// candidate is one masked acquire-load per access with no simulation
+    /// — every access: a program compiled with stealing armed elides no
+    /// guard. Stale cursors are safe: everything a victim already executed
+    /// is claimed (the owner claims before running), so re-scanning it
+    /// merely wastes window budget. Returns `true` when a foreign task
+    /// was claimed and executed in place.
     fn try_steal_one<K>(&mut self, kernel: &K) -> bool
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
@@ -872,123 +617,9 @@ impl<'a> WorkerCtx<'a> {
         if self.abort.armed() {
             return false;
         }
-        let st = self.steal.expect("armed");
-        match st.scan {
-            ScanSource::Flow {
-                tasks,
-                owners,
-                expected,
-                offsets,
-                cursors,
-            } => self.steal_scan_flow(kernel, st, tasks, owners, expected, offsets, cursors),
-            ScanSource::Compiled {
-                tasks,
-                arenas,
-                nodes,
-                programs,
-                cursors,
-            } => self.steal_scan_compiled(kernel, st, tasks, arenas, nodes, programs, cursors),
-        }
-    }
-
-    /// Interpreted-path scan: walk the sequential flow from the ready
-    /// frontier, pricing every unclaimed foreign task's guards with the
-    /// precomputed expected words (one masked acquire-load per access).
-    ///
-    /// The start is sound by construction: a worker's published cursor
-    /// only passes a task once that task is claimed (the owner claims
-    /// before its guard waits), so no unclaimed task sits below the
-    /// minimum cursor; and the claim-table frontier only advances over
-    /// prefixes observed fully claimed. `window` bounds the candidates
-    /// priced; a larger cap bounds the total indices walked so claimed
-    /// stretches cannot make a scan O(flow).
-    #[allow(clippy::too_many_arguments)]
-    fn steal_scan_flow<K>(
-        &mut self,
-        kernel: &K,
-        st: StealState<'a>,
-        tasks: &'a [TaskDesc],
-        owners: &'a [u32],
-        expected: &'a [u64],
-        offsets: &'a [u32],
-        cursors: &'a [crate::steal::Cursor],
-    ) -> bool
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
-        let me = self.me.index() as u32;
-        let shared = self.shared;
-        let min_cursor = cursors
-            .iter()
-            .map(|c| c.0.load(std::sync::atomic::Ordering::Relaxed))
-            .min()
-            .unwrap_or(0);
-        let start = st.claims.frontier().max(min_cursor);
-        let mut budget = st.policy.window;
-        let mut walk = st.policy.window.saturating_mul(8);
-        let mut prefix_claimed = true;
-        let mut j = start;
-        while j < tasks.len() && budget > 0 && walk > 0 {
-            walk -= 1;
-            if st.claims.claimant(j, st.epoch).is_some() {
-                j += 1;
-                continue;
-            }
-            if prefix_claimed {
-                // First unclaimed entry: everything in [start, j) is
-                // claimed, so later scans can start here.
-                st.claims.advance_frontier(j);
-                prefix_claimed = false;
-            }
-            if owners[j] != me {
-                budget -= 1;
-                let t = &tasks[j];
-                let range = offsets[j] as usize..offsets[j + 1] as usize;
-                let guards = t
-                    .accesses
-                    .iter()
-                    .zip(&expected[range])
-                    .map(|(a, &e)| (a.data.index(), a.mode.writes(), e));
-                if guards_open(shared, guards) {
-                    if st.claims.try_claim(j, st.epoch, me) {
-                        if let Some(c) = self.ctr {
-                            c.inc_steals();
-                        }
-                        self.flight_event(FlightEventKind::Steal, t.id, None);
-                        self.execute_stolen(kernel, t, TaskAccesses::Declared(&t.accesses));
-                        return true;
-                    }
-                    if let Some(c) = self.ctr {
-                        c.inc_steal_aborts();
-                    }
-                }
-            }
-            j += 1;
-        }
-        false
-    }
-
-    /// Compiled-path scan: walk victims' instruction streams from their
-    /// published cursors. Expected words are precompiled (in the victim's
-    /// node arena), so pricing a candidate is one masked acquire-load
-    /// per access with no simulation — every access: a program compiled
-    /// with stealing armed elides no guard. Stale cursors are safe: everything
-    /// a victim already executed is claimed (the owner claims before
-    /// running), so re-scanning it merely wastes window budget.
-    #[allow(clippy::too_many_arguments)]
-    fn steal_scan_compiled<K>(
-        &mut self,
-        kernel: &K,
-        st: StealState<'a>,
-        tasks: &'a [TaskDesc],
-        arenas: &'a [crate::compile::NodeArena],
-        nodes: &'a [u32],
-        programs: &'a [crate::compile::WorkerProgram],
-        cursors: &'a [crate::steal::Cursor],
-    ) -> bool
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
+        let (st, claims) = self.steal.zip(self.claims).expect("armed");
+        let (programs, nodes) = (&st.flow.programs, &st.flow.node_of_worker);
+        let tasks = st.flow.graph().tasks();
         let me = self.me.index();
         let workers = programs.len();
         let shared = self.shared;
@@ -998,49 +629,47 @@ impl<'a> WorkerCtx<'a> {
         // same-node victims are cheaper on a multi-socket machine (and
         // on a single node the split is a no-op: every worker is in the
         // `same` half). Duplicates only waste window budget.
-        let my_node = nodes.get(me).copied().unwrap_or(0);
-        let node_of = move |v: u32| nodes.get(v as usize).copied().unwrap_or(0);
+        let my_node = nodes[me];
         let preferred = st.policy.victims.as_deref().unwrap_or(&[]).iter().copied();
         let same = (0..workers)
             .map(move |i| ((me + 1 + i) % workers) as u32)
-            .filter(move |&v| node_of(v) == my_node);
+            .filter(move |&v| nodes[v as usize] == my_node);
         let cross = (0..workers)
             .map(move |i| ((me + 1 + i) % workers) as u32)
-            .filter(move |&v| node_of(v) != my_node);
+            .filter(move |&v| nodes[v as usize] != my_node);
         let mut budget = st.policy.window;
         for v in preferred.chain(same).chain(cross) {
             let v = v as usize;
             if v == me || v >= workers || budget == 0 {
                 continue;
             }
-            let varena = &arenas[nodes.get(v).copied().unwrap_or(0) as usize];
-            let prog = &programs[v];
-            let pc = cursors[v].0.load(std::sync::atomic::Ordering::Relaxed);
-            for r in prog.iter().skip(pc) {
+            let pc = st.cursors[v].0.load(std::sync::atomic::Ordering::Relaxed);
+            for r in programs[v].iter().skip(pc) {
                 if budget == 0 {
                     break;
                 }
                 budget -= 1;
                 let ti = r.task as usize;
-                if st.claims.claimant(ti, st.epoch).is_some() {
+                if claims.table.claimant(ti, claims.epoch).is_some() {
                     continue;
                 }
-                let range = r.start as usize..r.end as usize;
-                let plans = &varena.plans[range.clone()];
-                let exp = &varena.expected[range];
-                let guards = plans
-                    .iter()
-                    .zip(exp)
-                    .map(|(p, &e)| (p.slot(), p.writes(), e));
-                if !guards_open(shared, guards) {
+                let accesses = st.flow.accesses(v, r);
+                if !guards_open(shared, accesses) {
                     continue;
                 }
-                if st.claims.try_claim(ti, st.epoch, me as u32) {
+                if claims.table.try_claim(ti, claims.epoch, me as u32) {
                     if let Some(c) = self.ctr {
                         c.inc_steals();
                     }
+                    self.unmapped_claims.0 += u64::from(accesses.unmapped);
                     self.flight_event(FlightEventKind::Steal, tasks[ti].id, None);
-                    self.execute_stolen(kernel, &tasks[ti], TaskAccesses::Compiled(plans, exp));
+                    // The body under the same containment/recovery as an
+                    // owned task, then its terminates. No guard waits:
+                    // readiness was verified and is monotonic until these
+                    // publications.
+                    if self.run_body(kernel, &tasks[ti]) {
+                        self.publish_task(tasks[ti].id, accesses);
+                    }
                     return true;
                 }
                 if let Some(c) = self.ctr {
@@ -1049,33 +678,6 @@ impl<'a> WorkerCtx<'a> {
             }
         }
         false
-    }
-
-    /// Runs a claimed foreign task in place: the body under the same
-    /// containment/recovery as an owned task, then its terminates. No
-    /// guard waits (readiness was verified and is monotonic until these
-    /// publications) and no private declares — a walking thief registers
-    /// this task as foreign work when its own walk reaches it.
-    fn execute_stolen<K>(&mut self, kernel: &K, t: &TaskDesc, accesses: TaskAccesses<'_>)
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
-        if self.run_body(kernel, t) {
-            self.publish_task(t.id, accesses, false);
-        }
-    }
-
-    /// Registers one non-local task in the interpreted walk: one or two
-    /// private writes per access, nothing else.
-    #[inline]
-    pub(crate) fn declare_task(&mut self, t: &TaskDesc) {
-        self.declare_task_accesses(t.id, &t.accesses);
-    }
-
-    #[inline]
-    fn declare_task_accesses(&mut self, task: rio_stf::TaskId, accesses: &[Access]) {
-        self.ops.declares += accesses.len() as u64;
-        declare_batch(&mut self.locals, task, accesses);
     }
 
     /// Consumes the context into the worker's report.
@@ -1129,9 +731,7 @@ pub(crate) fn poison_writes(
     }
 }
 
-/// Runs one task body under `rec`'s retry policy — shared by the
-/// interpreted/compiled engine ([`WorkerCtx`]) and the hybrid worker
-/// loop. Panicking attempts are retried with capped exponential backoff
+/// Runs one task body under `rec`'s retry policy. Panicking attempts are retried with capped exponential backoff
 /// until the policy's `max_retries` or per-task `deadline` is exhausted;
 /// a permanent failure is recorded in `rec` and the task's written data
 /// poisoned. Returns `None` on permanent failure (the caller still
@@ -1280,127 +880,28 @@ where
     }
 }
 
-/// The per-worker flow loop shared by [`execute_graph_impl`] and the
-/// pruned variant: when `visit` is `Some`, only the listed flow indices are
-/// walked (they must include every task whose accesses this worker needs
-/// to register — see [`crate::pruning`]). Both cases interpret the flow
-/// through the same [`WorkerCtx`] engine; a visit list merely restricts
-/// the walk ([`crate::compile`] takes it to the limit: own tasks only,
-/// no declare at all).
-///
-/// Fault containment: the kernel runs under `catch_unwind`; the first
-/// failure (body panic, or watchdog-diagnosed stall) records its
-/// [`AbortCause`] in `abort` and wakes every parked worker. Every worker
-/// abandons the flow at its next wait or before its next own task, so no
-/// task body starts after the abort is observed. The caller converts the
-/// recorded cause into an [`ExecError`] after joining.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn worker_loop<M, K>(
+/// How this module's tests drive the engine: the one-shot
+/// [`crate::Executor::run`] — compile, then run the fresh flow once.
+#[cfg(test)]
+fn execute_graph(
     cfg: &RioConfig,
-    graph: &TaskGraph,
-    mapping: &M,
-    shared: &[SharedDataState],
-    kernel: &K,
-    me: WorkerId,
-    visit: Option<&[u32]>,
-    abort: &AbortFlag,
-    status: &StatusTable,
-    epoch: Instant,
-    registry: Option<&CounterRegistry>,
-    flight: Option<&FlightRecorder>,
-    rec: Option<&RecoveryCtx>,
-    steal: Option<StealState<'_>>,
-) -> WorkerReport
-where
-    M: Mapping + ?Sized,
-    K: Fn(WorkerId, &TaskDesc) + Sync,
-{
-    // Bind this thread to its node's parking shard (and optionally its
-    // core) before any protocol traffic.
-    crate::topo::enter_worker(cfg, me.index());
-    let mut ctx = WorkerCtx::new(
-        cfg,
-        graph.num_data(),
-        shared,
-        me,
-        abort,
-        status,
-        epoch,
-        registry,
-        flight,
-        rec,
-    );
-    ctx.steal = steal;
-    let cursor = steal.and_then(|st| match st.scan {
-        ScanSource::Flow { cursors, .. } => Some(&cursors[me.index()].0),
-        _ => None,
-    });
-
-    let loop_start = Instant::now();
-    // Returns `false` when the run aborted and the worker must stop.
-    let step = |ctx: &mut WorkerCtx<'_>, t: &TaskDesc| -> bool {
-        ctx.tasks_visited += 1;
-        let executor = mapping.worker_of(t.id, cfg.workers);
-        debug_assert!(
-            executor.index() < cfg.workers,
-            "mapping sent {} to non-existent {executor}",
-            t.id
-        );
-        if executor == me {
-            // Publish this worker's flow position so thieves know where
-            // the unclaimed frontier can start. Publishing on own tasks
-            // only keeps the armed-but-idle cost off the declare fast
-            // path and is still sound: every own task is claimed (by
-            // owner or thief) before the cursor passes it, and foreign
-            // tasks never wait on this worker's cursor. Relaxed:
-            // staleness only makes a scan start earlier and skip
-            // already-claimed entries.
-            if let Some(c) = cursor {
-                c.store(t.id.index(), std::sync::atomic::Ordering::Relaxed);
-            }
-            ctx.exec_task(kernel, t, TaskAccesses::Declared(&t.accesses))
-        } else {
-            ctx.declare_task(t);
-            true
-        }
-    };
-
-    match visit {
-        None => {
-            for t in graph.tasks() {
-                if !step(&mut ctx, t) {
-                    break;
-                }
-            }
-        }
-        Some(indices) => {
-            let tasks = graph.tasks();
-            for &i in indices {
-                if !step(&mut ctx, &tasks[i as usize]) {
-                    break;
-                }
-            }
-        }
-    }
-
-    // Release the min-cursor: once this worker's walk is over, every one
-    // of its own tasks is claimed (or the run aborted, after which no
-    // thief executes anything), so it must not pin other workers' scan
-    // start at its last own task.
-    if let Some(c) = cursor {
-        c.store(graph.len(), std::sync::atomic::Ordering::Relaxed);
-    }
-
-    ctx.finish(loop_start.elapsed())
+    graph: &rio_stf::TaskGraph,
+    mapping: &dyn rio_stf::Mapping,
+    kernel: impl Fn(WorkerId, &TaskDesc) + Sync,
+) -> crate::report::ExecReport {
+    crate::executor::Executor::new(cfg.clone())
+        .mapping(mapping)
+        .run(graph, kernel)
+        .report
 }
 
 #[cfg(test)]
 mod tests {
-    use super::execute_graph_impl as execute_graph;
     use super::*;
+    use crate::report::ExecReport;
     use crate::wait::WaitStrategy;
     use rio_stf::validate::{validate_spans, Span};
-    use rio_stf::{Access, DataId, DataStore, RoundRobin, TableMapping, TaskId};
+    use rio_stf::{Access, DataId, DataStore, RoundRobin, TableMapping, TaskGraph, TaskId};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
@@ -1410,11 +911,7 @@ mod tests {
 
     #[test]
     fn executes_every_task_exactly_once() {
-        let mut b = TaskGraph::builder(0);
-        for _ in 0..100 {
-            b.task(&[], 1, "t");
-        }
-        let g = b.build();
+        let g = crate::testing::bare(100);
         let count = AtomicU64::new(0);
         let report = execute_graph(&cfg(3), &g, &RoundRobin, |_, _| {
             count.fetch_add(1, Ordering::Relaxed);
@@ -1422,19 +919,15 @@ mod tests {
         assert_eq!(count.load(Ordering::Relaxed), 100);
         assert_eq!(report.tasks_executed(), 100);
         assert_eq!(report.num_workers(), 3);
-        // Every worker visited the whole flow.
+        // Every worker visited its own tasks and nothing else.
         for w in &report.workers {
-            assert_eq!(w.tasks_visited, 100);
+            assert_eq!(w.tasks_visited, w.tasks_executed);
         }
     }
 
     #[test]
     fn respects_the_mapping() {
-        let mut b = TaskGraph::builder(0);
-        for _ in 0..10 {
-            b.task(&[], 1, "t");
-        }
-        let g = b.build();
+        let g = crate::testing::bare(10);
         let m = TableMapping::from_fn(10, |i| WorkerId::from_index(usize::from(i >= 7)));
         let report = execute_graph(&cfg(2), &g, &m, |_, _| {});
         assert_eq!(report.workers[0].tasks_executed, 7);
@@ -1446,11 +939,7 @@ mod tests {
         // A single counter incremented by 1000 tasks alternating workers:
         // any missed synchronization loses increments.
         let n = 1000u64;
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..n {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        let g = b.build();
+        let g = crate::testing::chain(n as usize);
         let store = DataStore::from_vec(vec![0u64]);
         execute_graph(&cfg(4), &g, &RoundRobin, |_, t| {
             let mut v = store.write(DataId(0));
@@ -1463,13 +952,7 @@ mod tests {
     #[test]
     fn reader_fanout_sees_the_written_value() {
         // T1 writes 42; T2..T9 read and check; T10 overwrites.
-        let mut b = TaskGraph::builder(1);
-        b.task(&[Access::write(DataId(0))], 1, "w");
-        for _ in 0..8 {
-            b.task(&[Access::read(DataId(0))], 1, "r");
-        }
-        b.task(&[Access::write(DataId(0))], 1, "w2");
-        let g = b.build();
+        let g = crate::testing::fanout(8);
         let store = DataStore::from_vec(vec![0u64]);
         let seen = AtomicU64::new(0);
         execute_graph(&cfg(3), &g, &RoundRobin, |_, t| match t.kind {
@@ -1489,17 +972,7 @@ mod tests {
     fn recorded_spans_are_sequentially_consistent() {
         // Random-ish dependency mesh over 4 data objects, spans audited by
         // the STF validator.
-        let mut b = TaskGraph::builder(4);
-        for i in 0..200u32 {
-            let r = DataId(i % 4);
-            let w = DataId((i / 2) % 4);
-            if r == w {
-                b.task(&[Access::read_write(w)], 1, "rw");
-            } else {
-                b.task(&[Access::read(r), Access::write(w)], 1, "mix");
-            }
-        }
-        let g = b.build();
+        let g = crate::testing::mesh(200);
         let spans = Mutex::new(Vec::new());
         let epoch = Instant::now();
         execute_graph(&cfg(3), &g, &RoundRobin, |_, t| {
@@ -1520,11 +993,7 @@ mod tests {
 
     #[test]
     fn single_worker_degenerates_to_sequential() {
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..50 {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        let g = b.build();
+        let g = crate::testing::chain(50);
         let order = Mutex::new(Vec::new());
         let report = execute_graph(&cfg(1), &g, &RoundRobin, |_, t| {
             order.lock().unwrap().push(t.id);
@@ -1539,16 +1008,8 @@ mod tests {
 
     #[test]
     fn all_wait_strategies_agree_on_results() {
-        for wait in [
-            WaitStrategy::Spin,
-            WaitStrategy::SpinYield,
-            WaitStrategy::Park,
-        ] {
-            let mut b = TaskGraph::builder(2);
-            for i in 0..100u32 {
-                b.task(&[Access::read_write(DataId(i % 2))], 1, "inc");
-            }
-            let g = b.build();
+        for wait in crate::testing::WAITS {
+            let g = crate::testing::chains(100, 2);
             let store = DataStore::from_vec(vec![0u64, 0]);
             let c = RioConfig::with_workers(2).wait(wait);
             execute_graph(&c, &g, &RoundRobin, |_, t| {
@@ -1562,28 +1023,20 @@ mod tests {
     #[test]
     fn op_counts_match_the_flow_shape() {
         // 2 workers, 10 tasks each with 1 RW access, round-robin: each
-        // worker gets 5 tasks (5 gets + 5 terminates) and declares the
-        // other 5.
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..10 {
-            b.task(&[Access::read_write(DataId(0))], 1, "t");
-        }
-        let g = b.build();
+        // worker gets 5 tasks (5 gets + 5 terminates); the other 5 were
+        // declared once, by the compile walk, and cost it nothing.
+        let g = crate::testing::chain(10);
         let report = execute_graph(&cfg(2), &g, &RoundRobin, |_, _| {});
         for w in &report.workers {
             assert_eq!(w.ops.gets, 5);
             assert_eq!(w.ops.terminates, 5);
-            assert_eq!(w.ops.declares, 5);
+            assert_eq!(w.ops.declares, 0);
         }
     }
 
     #[test]
     fn measure_time_accumulates_task_time() {
-        let mut b = TaskGraph::builder(0);
-        for _ in 0..4 {
-            b.task(&[], 1, "sleep");
-        }
-        let g = b.build();
+        let g = crate::testing::bare(4);
         let c = RioConfig::with_workers(1).measure_time(true);
         let report = execute_graph(&c, &g, &RoundRobin, |_, _| {
             std::thread::sleep(Duration::from_millis(2));
@@ -1593,16 +1046,19 @@ mod tests {
     }
 
     /// Runs `g` on two round-robin workers with `measure_time` on, once
-    /// interpreted and once compiled.
+    /// as a one-shot and once as the second run of a reused flow.
     fn timed_reports(
         g: &TaskGraph,
         kernel: impl Fn(WorkerId, &TaskDesc) + Sync,
     ) -> [ExecReport; 2] {
         let c = cfg(2).measure_time(true);
-        let exec = crate::executor::Executor::new(c.clone()).mapping(&RoundRobin);
+        let flow = crate::executor::Executor::new(c.clone())
+            .mapping(&RoundRobin)
+            .compile(g);
+        flow.run(&kernel);
         [
             execute_graph(&c, g, &RoundRobin, &kernel),
-            exec.compile(g).run(&kernel).report,
+            flow.run(&kernel).report,
         ]
     }
 
@@ -1610,11 +1066,7 @@ mod tests {
     fn measured_independent_tasks_never_wait_or_idle() {
         // Every guard is open at its first probe: timing on, yet no wait
         // is counted and no idle time booked (nor any clock read for it).
-        let mut b = TaskGraph::builder(64);
-        for i in 0..64 {
-            b.task(&[Access::write(DataId(i))], 1, "ind");
-        }
-        let g = b.build();
+        let g = crate::testing::independent(64);
         for report in timed_reports(&g, |_, _| {
             std::hint::black_box(0u64);
         }) {
@@ -1628,11 +1080,7 @@ mod tests {
     fn measured_cross_worker_chain_books_idle_time_inside_the_loop() {
         // A read-write chain alternating between two workers: while one
         // sleeps in a body the other is blocked on its guard.
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..10 {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        let g = b.build();
+        let g = crate::testing::chain(10);
         for report in timed_reports(&g, |_, _| std::thread::sleep(Duration::from_millis(1))) {
             assert!(report.total_ops().waits > 0);
             assert!(report.cumulative_idle_time() > Duration::ZERO);
@@ -1645,11 +1093,7 @@ mod tests {
 
     #[test]
     fn timing_is_off_by_default() {
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..10 {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        let g = b.build();
+        let g = crate::testing::chain(10);
         let report = execute_graph(&cfg(2), &g, &RoundRobin, |_, _| {});
         assert_eq!(report.cumulative_task_time(), Duration::ZERO);
         assert_eq!(report.cumulative_idle_time(), Duration::ZERO);
@@ -1660,11 +1104,7 @@ mod tests {
     fn always_on_counters_ride_along() {
         // A serialized RW chain over two Park workers: tasks are counted
         // exactly, and at least some terminates elide their wake.
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..100 {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        let g = b.build();
+        let g = crate::testing::chain(100);
         let report = execute_graph(&cfg(2), &g, &RoundRobin, |_, _| {});
         let total = report.counters.total();
         assert_eq!(total.tasks, 100);
@@ -1686,11 +1126,7 @@ mod tests {
         // hot (never park) both counters must stay at zero — waits spin,
         // terminates skip the waiter check — and the result stays exact.
         use crate::wait::WaitPolicy;
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..200 {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        let g = b.build();
+        let g = crate::testing::chain(200);
 
         let park = execute_graph(&cfg(2).spin_limit(4), &g, &RoundRobin, |_, _| {});
         let t = park.counters.total();
@@ -1717,11 +1153,7 @@ mod tests {
         use crate::counters::CounterRegistry;
         use std::sync::Arc;
         let reg = Arc::new(CounterRegistry::new(2));
-        let mut b = TaskGraph::builder(0);
-        for _ in 0..10 {
-            b.task(&[], 1, "t");
-        }
-        let g = b.build();
+        let g = crate::testing::bare(10);
         let c = cfg(2).counter_registry(Arc::clone(&reg));
         execute_graph(&c, &g, &RoundRobin, |_, _| {});
         execute_graph(&c, &g, &RoundRobin, |_, _| {});
@@ -1754,20 +1186,16 @@ mod tests {
 
 #[cfg(test)]
 mod poison_tests {
-    use super::execute_graph_impl as execute_graph;
     use super::*;
+    use crate::executor::Executor;
     use crate::wait::WaitStrategy;
-    use rio_stf::{Access, DataId, RoundRobin};
+    use rio_stf::{Access, DataId, RoundRobin, TaskGraph};
 
     /// A panicking task body must propagate without stranding workers that
     /// are blocked waiting on its (now never-published) completion.
     #[test]
     fn task_panic_propagates_and_unblocks_waiters() {
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..20 {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        let g = b.build();
+        let g = crate::testing::chain(20);
         for wait in [WaitStrategy::SpinYield, WaitStrategy::Park] {
             let cfg = RioConfig::with_workers(3).wait(wait);
             let result = std::panic::catch_unwind(|| {
@@ -1788,11 +1216,7 @@ mod poison_tests {
     #[test]
     fn tasks_after_the_panic_point_do_not_run() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..50 {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        let g = b.build();
+        let g = crate::testing::chain(50);
         let highest = AtomicU64::new(0);
         let cfg = RioConfig::with_workers(2).wait(WaitStrategy::Park);
         let _ = std::panic::catch_unwind(|| {
@@ -1815,32 +1239,29 @@ mod poison_tests {
         use crate::config::RecoveryPolicy;
         use rio_stf::DataStore;
         use std::sync::atomic::{AtomicU64, Ordering};
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..20 {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        let g = b.build();
+        let g = crate::testing::chain(20);
         let store = DataStore::from_vec(vec![0u64]);
         let failures_left = AtomicU64::new(2);
         let cfg = RioConfig::with_workers(2)
             .wait(WaitStrategy::Park)
             .recovery(RecoveryPolicy::default().backoff(std::time::Duration::from_micros(1)));
-        let (report, partial) = try_execute_graph_impl(&cfg, &g, &RoundRobin, |_, t| {
-            if t.id.0 == 5
-                && failures_left
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
-                    .is_ok()
-            {
-                panic!("flaky");
-            }
-            *store.write(DataId(0)) += 1;
-        })
-        .expect("recovered run must not abort");
-        assert!(partial.is_none(), "a recovered run is not degraded");
+        let run = Executor::new(cfg)
+            .try_run(&g, |_, t| {
+                if t.id.0 == 5
+                    && failures_left
+                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
+                        .is_ok()
+                {
+                    panic!("flaky");
+                }
+                *store.write(DataId(0)) += 1;
+            })
+            .expect("recovered run must not abort");
+        assert!(run.outcome.is_complete(), "a recovered run is not degraded");
         assert_eq!(store.into_vec(), vec![20]);
-        assert_eq!(report.tasks_executed(), 20);
-        assert_eq!(report.counters.total().retries, 2);
-        assert_eq!(report.counters.total().poisoned, 0);
+        assert_eq!(run.report.tasks_executed(), 20);
+        assert_eq!(run.counters.total().retries, 2);
+        assert_eq!(run.counters.total().poisoned, 0);
     }
 
     /// A permanently-failing task degrades the run instead of aborting
@@ -1863,14 +1284,19 @@ mod poison_tests {
         let cfg = RioConfig::with_workers(2)
             .wait(WaitStrategy::Park)
             .recovery(RecoveryPolicy::no_retries());
-        let (report, partial) = try_execute_graph_impl(&cfg, &g, &RoundRobin, |_, t| {
-            if t.id.0 == 5 {
-                panic!("T5 is beyond saving");
-            }
-            *store.write(t.accesses[0].data) += 1;
-        })
-        .expect("degraded run must not abort");
-        let partial = partial.expect("a permanent failure degrades the run");
+        let run = Executor::new(cfg)
+            .try_run(&g, |_, t| {
+                if t.id.0 == 5 {
+                    panic!("T5 is beyond saving");
+                }
+                *store.write(t.accesses[0].data) += 1;
+            })
+            .expect("degraded run must not abort");
+        let report = &run.report;
+        let partial = run
+            .outcome
+            .partial()
+            .expect("a permanent failure degrades the run");
         assert_eq!(partial.failed.len(), 1);
         assert_eq!(partial.failed[0].task, TaskId(5));
         assert_eq!(partial.failed[0].retries, 0);
@@ -1885,35 +1311,13 @@ mod poison_tests {
         assert_eq!(report.counters.total().poisoned, 1);
         assert_eq!(report.counters.total().retries, 0);
     }
-
-    /// Pruned execution propagates panics the same way.
-    #[test]
-    fn pruned_execution_propagates_panics() {
-        let g = {
-            let mut b = TaskGraph::builder(8);
-            for i in 0..40u32 {
-                b.task(&[Access::read_write(DataId(i % 8))], 1, "t");
-            }
-            b.build()
-        };
-        let cfg = RioConfig::with_workers(2);
-        let result = std::panic::catch_unwind(|| {
-            crate::pruning::execute_graph_pruned_impl(&cfg, &g, &RoundRobin, |_, t| {
-                if t.id.0 == 7 {
-                    panic!("pruned boom");
-                }
-            });
-        });
-        assert!(result.is_err());
-    }
 }
 
 #[cfg(test)]
 mod steal_tests {
-    use super::execute_graph_impl as execute_graph;
     use super::*;
     use crate::wait::WaitStrategy;
-    use rio_stf::{Access, DataId, DataStore, RoundRobin};
+    use rio_stf::{Access, DataId, DataStore, RoundRobin, TaskGraph};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
     use std::time::Duration;
@@ -1985,16 +1389,39 @@ mod steal_tests {
     }
 
     #[test]
+    fn unmapped_tasks_are_stolen_like_any_other() {
+        // The bait with only its dependent pair pinned: the independent
+        // tasks have no home worker, sit in both programs behind the
+        // pair, and W1 — blocked on T2 — finds them in W0's.
+        use crate::hybrid::PartialFn;
+        let g = steal_bait();
+        let pair = PartialFn(|t: rio_stf::TaskId, _| (t.0 <= 2).then(|| WorkerId(t.0 as u32 - 1)));
+        let flow = crate::executor::Executor::new(steal_cfg())
+            .hybrid(&pair)
+            .compile(&g);
+        let hits = Mutex::new(Vec::new());
+        let run = flow.run(|w, t| {
+            if t.kind == "slow" {
+                std::thread::sleep(Duration::from_millis(30));
+            }
+            hits.lock().unwrap().push((w, t.id));
+        });
+        let mut ran: Vec<u64> = hits.into_inner().unwrap().iter().map(|h| h.1 .0).collect();
+        ran.sort_unstable();
+        assert_eq!(ran, [1, 2, 3, 4, 5, 6], "every task ran exactly once");
+        let t = run.counters.total();
+        assert!(t.steals >= 1, "expected at least one steal, got {t:?}");
+        let stats = run.hybrid.expect("a partial mapping reports claims");
+        assert_eq!(stats.claimed_per_worker.iter().sum::<u64>(), 4);
+    }
+
+    #[test]
     fn stealing_preserves_sequential_semantics_under_contention() {
         // The 1000-task increment chain, now with stealing armed and an
         // aggressive fuse: any double execution or missed claim breaks the
         // final count.
         let n = 1000u64;
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..n {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        let g = b.build();
+        let g = crate::testing::chain(n as usize);
         let store = DataStore::from_vec(vec![0u64]);
         let cfg = RioConfig::with_workers(4)
             .wait(WaitStrategy::SpinYield)

@@ -6,39 +6,39 @@
 //!
 //! ## Execution model (paper §3)
 //!
-//! * **No master thread.** Every worker independently unrolls the *entire*
-//!   task flow (same tasks, same ids, same order — §3.4 assumptions 1–2)
-//!   but executes only the tasks assigned to it by a deterministic, static
-//!   [`Mapping`] supplied by the programmer (§3.2).
+//! * **No master thread.** Every worker executes only the tasks assigned
+//!   to it by a deterministic, static [`Mapping`] supplied by the
+//!   programmer (§3.2). In the paper every worker independently unrolls
+//!   the *entire* task flow to find them (same tasks, same ids, same
+//!   order — §3.4 assumptions 1–2); for a recorded [`TaskGraph`] those
+//!   assumptions make every worker's unrolling the same computation, so
+//!   it is done once, ahead of the run ([`compile`]), and a worker's
+//!   program holds its own tasks only.
 //! * **In-order.** Each worker executes its own tasks in flow order. There
-//!   is no scheduler and no pending-task storage: per-task management for a
-//!   task mapped elsewhere boils down to one or two *private* memory writes
-//!   per dependency ([`protocol`]).
-//! * **Decentralized data synchronization** (Algorithms 1–2). Each data
-//!   object carries two shared counters (`nb_reads_since_write`,
-//!   `last_executed_write`) — packed into a single 64-bit epoch word — and
-//!   two private integers per worker. `get_*` operations wait until the
-//!   private view matches the shared state (one atomic load against one
-//!   expected word); `terminate_*` operations publish completions (one
-//!   atomic store or add).
+//!   is no scheduler and no pending-task storage.
+//! * **Decentralized data synchronization** (Algorithms 1–2,
+//!   [`protocol`]). Each data object carries two shared counters
+//!   (`nb_reads_since_write`, `last_executed_write`) — packed into a
+//!   single 64-bit epoch word — and, per worker, a private view of them.
+//!   `get_*` operations wait until the private view matches the shared
+//!   state (one atomic load against one expected word); `terminate_*`
+//!   operations publish completions (one atomic store or add).
 //!
 //! ## Entry points
 //!
-//! * [`Executor`] — **the** entry point: one builder covering plain,
-//!   pruned and hybrid execution of a recorded [`TaskGraph`], with
-//!   optional event tracing ([`executor`] module docs have an example).
+//! * [`Executor`] — **the** entry point for a recorded [`TaskGraph`]:
+//!   [`Executor::run`] is [`Executor::compile`] + [`CompiledFlow::run`],
+//!   under a total mapping or a partial one ([`hybrid`]: unmapped tasks
+//!   are claimed at run time), with optional event tracing ([`executor`]
+//!   module docs have an example).
 //! * [`flow::Rio`] — the ergonomic typed API: a *flow closure* replayed by
 //!   every worker, with dynamically-checked access to a
-//!   [`rio_stf::DataStore`].
+//!   [`rio_stf::DataStore`]. Closure flows are not recorded, so here each
+//!   worker does unroll the whole flow, on the protocol's private views.
 //! * [`redux`] — a data-versioning-inspired extension (§3.4's discussion of
 //!   SuperGlue): commutative *accumulation* accesses that relax in-order
 //!   execution for reductions.
 //!
-//! [`Executor`] is the only run entry point — the historical free
-//! functions (`execute_graph`, `execute_graph_pruned`,
-//! `execute_graph_hybrid`) have been removed. The variant modules
-//! ([`pruning`] §3.5, [`hybrid`] partial mappings with CAS-based claiming)
-//! still expose their statistics types and pre-pass helpers, and
 //! [`tune`] closes the loop: a finished run's counters (and optional
 //! trace) feed a [`tune::Tuner`] whose [`tune::TuningPlan`] — a remap
 //! plus per-object wait policies — recompiles into a faster next run
@@ -82,7 +82,6 @@ pub mod graph;
 pub mod hybrid;
 mod park;
 pub mod protocol;
-pub mod pruning;
 pub mod redux;
 pub mod report;
 pub mod status;
@@ -99,7 +98,6 @@ pub use executor::{Execution, Executor, RunOutcome};
 pub use flight::{FlightRecorder, FlightRing};
 pub use flow::{FlowCtx, Rio, TaskView};
 pub use hybrid::{validate_partial_mapping, HybridStats, PartialMapping};
-pub use pruning::PruneStats;
 pub use report::{ExecReport, OpCounts, WorkerReport};
 pub use status::StatusTable;
 pub use steal::StealPolicy;
@@ -107,6 +105,66 @@ pub use topo::{NodeId, Topology};
 pub use trace_api::{Trace, TraceConfig, WorkerTrace};
 pub use tune::{TuneIteration, TuneOptions, TunedRun, Tuner, TuningPlan};
 pub use wait::{WaitPolicy, WaitStrategy};
+
+/// The flows the unit tests keep building.
+#[cfg(test)]
+pub(crate) mod testing {
+    use crate::wait::WaitStrategy::{self, Park, Spin, SpinYield};
+    use rio_stf::{Access, DataId, TaskGraph};
+
+    pub(crate) const WAITS: [WaitStrategy; 3] = [Spin, SpinYield, Park];
+
+    fn flow(n: usize, data: usize, accesses: impl Fn(u32) -> Vec<Access>) -> TaskGraph {
+        let mut b = TaskGraph::builder(data);
+        for i in 0..n as u32 {
+            b.task(&accesses(i), 1, "t");
+        }
+        b.build()
+    }
+
+    /// `n` tasks that access nothing.
+    pub(crate) fn bare(n: usize) -> TaskGraph {
+        flow(n, 0, |_| Vec::new())
+    }
+
+    /// `n` tasks, task `i` writing its own `D_i`.
+    pub(crate) fn independent(n: usize) -> TaskGraph {
+        flow(n, n, |i| vec![Access::write(DataId(i))])
+    }
+
+    /// `n` read-write tasks over `data` objects, task `i` on `D_(i % data)`:
+    /// `data` interleaved chains.
+    pub(crate) fn chains(n: usize, data: u32) -> TaskGraph {
+        flow(n, data as usize, |i| {
+            vec![Access::read_write(DataId(i % data))]
+        })
+    }
+
+    /// `n` read-write tasks chained on `D0`.
+    pub(crate) fn chain(n: usize) -> TaskGraph {
+        chains(n, 1)
+    }
+
+    /// A dependency mesh over 4 objects: task `i` reads `D_(i % 4)` and
+    /// writes `D_((i / 2) % 4)`.
+    pub(crate) fn mesh(n: usize) -> TaskGraph {
+        flow(n, 4, |i| match (DataId(i % 4), DataId((i / 2) % 4)) {
+            (r, w) if r == w => vec![Access::read_write(w)],
+            (r, w) => vec![Access::read(r), Access::write(w)],
+        })
+    }
+
+    /// On `D0`: a write (kind "w"), `readers` reads ("r"), a write ("w2").
+    pub(crate) fn fanout(readers: usize) -> TaskGraph {
+        let mut b = TaskGraph::builder(1);
+        b.task(&[Access::write(DataId(0))], 1, "w");
+        for _ in 0..readers {
+            b.task(&[Access::read(DataId(0))], 1, "r");
+        }
+        b.task(&[Access::write(DataId(0))], 1, "w2");
+        b.build()
+    }
+}
 
 /// Everything a typical RIO program needs, in one `use`.
 ///
@@ -134,7 +192,6 @@ pub mod prelude {
     pub use crate::hybrid::{
         validate_partial_mapping, HybridStats, PartialFn, PartialMapping, Total, Unmapped,
     };
-    pub use crate::pruning::PruneStats;
     pub use crate::report::{ExecReport, OpCounts, WorkerReport};
     pub use crate::status::StatusTable;
     pub use crate::steal::StealPolicy;

@@ -62,7 +62,7 @@ static TABLE: [Bucket; MAX_NODE_SHARDS * BUCKETS] = [EMPTY_BUCKET; MAX_NODE_SHAR
 thread_local! {
     /// The shard this thread parks in. Worker threads set it on entry
     /// ([`crate::topo::enter_worker`]); threads that never do (tests,
-    /// hybrid callers) default to shard 0, which reproduces the
+    /// closure-flow callers) default to shard 0, which reproduces the
     /// pre-sharding global table.
     static CURRENT_SHARD: Cell<usize> = const { Cell::new(0) };
 }

@@ -300,8 +300,7 @@ impl AbortFlag {
 /// epochs — data writes are serialized by the protocol — so whether a
 /// task observes a poisoned input is a pure function of the flow, the
 /// mapping and the failure set: the poisoned cone is deterministic
-/// across wait strategies and across the interpreted/compiled/hybrid
-/// paths.
+/// across wait strategies and across fresh and reused flows.
 pub(crate) struct RecoveryCtx {
     /// The installed policy.
     pub(crate) policy: crate::config::RecoveryPolicy,
@@ -853,8 +852,8 @@ pub fn apply_sync(local: &mut LocalDataState, delta: SyncDelta) {
 
 /// Declares every access of one non-local task in a single call
 /// (Algorithm 2's per-access declares, batched over the access list).
-/// Semantically identical to the per-access loop the interpreted worker
-/// runs; exists so callers holding a flat access slice don't repeat it.
+/// Semantically identical to the per-access loop a worker unrolling the
+/// flow runs; exists so callers holding an access slice don't repeat it.
 #[inline]
 pub fn declare_batch(locals: &mut [LocalDataState], task: TaskId, accesses: &[rio_stf::Access]) {
     for a in accesses {
@@ -982,10 +981,8 @@ pub fn terminate_read(
 
 /// The shared half of [`terminate_read`] alone: publish the performed
 /// read without touching any private view. What a compiled program's
-/// terminate is (it keeps no private view), and what the graph engine
-/// calls for every task — owned or stolen — leaving the declare half to
-/// whoever keeps a view: a walking owner declares a stolen task like any
-/// foreign one. Wake-elision behaviour is identical to
+/// terminate is (it keeps no private view), for every task — owned,
+/// claimed or stolen. Wake-elision behaviour is identical to
 /// [`terminate_read`]'s: the strategy is the data object's (shared by
 /// every worker of the run), not the caller's.
 #[inline]

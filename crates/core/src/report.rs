@@ -53,10 +53,11 @@ impl OpCounts {
 pub struct WorkerReport {
     /// The worker.
     pub worker: WorkerId,
-    /// Tasks this worker executed (mapped to it).
+    /// Tasks this worker executed (mapped to it, claimed or stolen).
     pub tasks_executed: u64,
-    /// Tasks this worker *visited* in the flow (executed + declared +
-    /// pruned-but-seen). Equals the flow length without pruning.
+    /// Instructions of its program this worker reached: its own tasks,
+    /// plus the claim-marked ones of a partial mapping (whether or not it
+    /// won them), up to where an abort stopped it.
     pub tasks_visited: u64,
     /// Cumulative time inside task bodies (`τ_{p,t}` share). Zero unless
     /// `RioConfig::measure_time` was on.

@@ -27,9 +27,8 @@
 //!   before executing it. Losing the race means a thief has the body:
 //!   the owner treats the task exactly like any foreign task — no
 //!   kernel, no terminates (skip-but-sync, the recovery layer's shape
-//!   with the *thief* as the publisher). A walking owner declares it
-//!   privately, as it does every foreign task; a compiled owner keeps no
-//!   private view and has nothing left to do;
+//!   with the *thief* as the publisher). It keeps no private view, so it
+//!   has nothing left to do;
 //! * the thief publishes every `terminate_*` ([`crate::protocol`]'s
 //!   publish-only halves), so downstream guards and §10 wake elision see
 //!   the identical protocol history.
@@ -41,12 +40,16 @@
 //! publication exactly as they do for an owner-executed task. See
 //! DESIGN.md §14 for the full argument.
 //!
-//! Stealing is **opt-in** ([`crate::RioConfig::stealing`]), off by
-//! default, and currently layered over the interpreted and compiled
-//! paths (the pruned and hybrid walkers ignore the policy: a pruned
-//! worker's private view is partial, so it cannot price foreign guards).
+//! Stealing is **opt-in** ([`crate::RioConfig::stealing`]) and off by
+//! default. The claim slots are also how a [`crate::hybrid`] run decides
+//! who executes a task its partial mapping left unmapped — a task with
+//! no home worker, claimed under the owner's rule by whichever worker's
+//! program reaches it first — so the two compose: an unmapped task a
+//! thief finds ready is stolen like any other.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+
+use crate::compile::CompiledFlow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,9 +59,8 @@ use std::time::Duration;
 /// beyond the owner-side claim CAS.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StealPolicy {
-    /// Scan budget per steal attempt: how many candidate flow entries
-    /// (interpreted) or `Run` instructions across victims (compiled) one
-    /// scan examines before giving up. Default 128.
+    /// Scan budget per steal attempt: how many `Run` instructions across
+    /// victims one scan examines before giving up. Default 128.
     pub window: usize,
     /// Successful steals per blocked wait before the worker falls back
     /// to its plain wait strategy. Default 16.
@@ -67,7 +69,7 @@ pub struct StealPolicy {
     /// its first scan — short waits should resolve without paying for a
     /// scan. Also the re-arm interval between scans. Default 20µs.
     pub min_wait_before_steal: Duration,
-    /// Preferred victim order for the compiled-path scan, e.g. seeded
+    /// Preferred victim order for the scan, e.g. seeded
     /// from the doctor's cross-worker-edge data
     /// (`DoctorReport::steal_victims`). Workers not listed are appended
     /// in round-robin order; `None` (default) scans round-robin from the
@@ -157,11 +159,6 @@ pub struct ClaimTable {
     len: usize,
     /// Last issued run epoch; `begin_run` hands out `epoch + 1`.
     epoch: AtomicU32,
-    /// Scan-start hint: every slot below it is claimed in the current
-    /// epoch. Claims never release within an epoch, so the bound is
-    /// monotone; thieves advance it as they walk claimed prefixes and
-    /// later scans skip straight past them.
-    frontier: AtomicUsize,
 }
 
 #[inline]
@@ -183,18 +180,7 @@ impl ClaimTable {
                 .collect(),
             len: tasks,
             epoch: AtomicU32::new(0),
-            frontier: AtomicUsize::new(0),
         }
-    }
-
-    /// Number of claim slots.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Is the table empty?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Starts a new run: returns its epoch, implicitly releasing every
@@ -202,23 +188,9 @@ impl ClaimTable {
     /// Epochs are never 0; recycling a table for more than `u32::MAX`
     /// runs would alias old claims and is not supported.
     pub fn begin_run(&self) -> u32 {
-        self.frontier.store(0, Ordering::Relaxed);
         let e = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         assert!(e != 0, "claim-table run epoch overflow");
         e
-    }
-
-    /// The current scan-start hint: every slot below it is claimed.
-    #[inline]
-    pub fn frontier(&self) -> usize {
-        self.frontier.load(Ordering::Relaxed)
-    }
-
-    /// Raises the scan-start hint to `to` (never lowers it). Callers must
-    /// have observed every slot below `to` claimed in the current epoch.
-    #[inline]
-    pub fn advance_frontier(&self, to: usize) {
-        self.frontier.fetch_max(to, Ordering::Relaxed);
     }
 
     #[inline]
@@ -259,11 +231,10 @@ impl ClaimTable {
     }
 }
 
-/// One worker's published position — flow index when walking, index into
-/// its own-task program when compiled: thieves read it (`Relaxed` —
-/// staleness only shrinks the scan window, claims carry the correctness)
-/// to know where a victim's unexecuted tail starts. Padded: the owner
-/// stores on every own task.
+/// One worker's published position, an index into its program: thieves
+/// read it (`Relaxed` — staleness only shrinks the scan window, claims
+/// carry the correctness) to know where a victim's unexecuted tail
+/// starts. Padded: the owner stores on every own task.
 #[repr(align(128))]
 #[derive(Debug, Default)]
 pub struct Cursor(pub AtomicUsize);
@@ -280,54 +251,27 @@ impl Cursor {
 /// (under `Park`, this is the moment it actually parks).
 pub(crate) const EMPTY_SCAN_LIMIT: usize = 8;
 
-/// Everything one worker's steal attempts need, threaded through
-/// [`crate::graph::WorkerCtx`]. `Copy`: plain references into per-run
-/// state owned by the runtime shell.
+/// A run's claim slots as [`crate::graph::WorkerCtx`] holds them: there
+/// iff some instruction of the flow is claim-marked.
+#[derive(Clone, Copy)]
+pub(crate) struct Claims<'a> {
+    pub(crate) table: &'a ClaimTable,
+    /// This run's epoch in `table`.
+    pub(crate) epoch: u32,
+}
+
+/// What one worker's steal attempts need beyond the [`Claims`]. `Copy`:
+/// plain references into per-run state owned by
+/// [`CompiledFlow::try_run`].
 #[derive(Clone, Copy)]
 pub(crate) struct StealState<'a> {
     pub(crate) policy: &'a StealPolicy,
-    pub(crate) claims: &'a ClaimTable,
-    /// This run's epoch in `claims`.
-    pub(crate) epoch: u32,
-    pub(crate) scan: ScanSource<'a>,
-}
-
-/// Where a thief looks for ready foreign tasks.
-#[derive(Clone, Copy)]
-pub(crate) enum ScanSource<'a> {
-    /// Interpreted walk: scan the sequential flow from the ready
-    /// frontier (the minimum of every worker's published flow cursor —
-    /// a worker's cursor only passes a task once it is claimed, so no
-    /// unclaimed task can sit behind the minimum), pricing foreign
-    /// guards with expected epoch words precomputed by one flow
-    /// simulation at run start.
-    Flow {
-        tasks: &'a [rio_stf::TaskDesc],
-        /// Owner worker of every flow entry (one mapping evaluation per
-        /// task, shared by all workers of the run).
-        owners: &'a [u32],
-        /// Flat per-access expected words, task-major; task `j`'s
-        /// accesses price against `expected[offsets[j]..offsets[j+1]]`.
-        expected: &'a [u64],
-        /// Prefix sums into `expected` (`tasks.len() + 1` entries).
-        offsets: &'a [u32],
-        /// Every worker's published flow position.
-        cursors: &'a [Cursor],
-    },
-    /// Compiled programs: scan victims' own-task programs from their
-    /// published cursors; expected words are precompiled. A victim's
-    /// `Run` offsets index the arena of *its* node
-    /// ([`crate::compile::NodeArena`], one per topology node), so a
-    /// thief prices task `t` of victim `v` against
-    /// `arenas[nodes[v]]`.
-    Compiled {
-        tasks: &'a [rio_stf::TaskDesc],
-        arenas: &'a [crate::compile::NodeArena],
-        /// Node of every worker, parallel to `programs`.
-        nodes: &'a [u32],
-        programs: &'a [crate::compile::WorkerProgram],
-        cursors: &'a [Cursor],
-    },
+    /// Where a thief looks for ready foreign tasks: its victims'
+    /// programs, from their published cursors on. Expected words are
+    /// precompiled, and every guard is kept.
+    pub(crate) flow: &'a CompiledFlow<'a>,
+    /// Every worker's published program position.
+    pub(crate) cursors: &'a [Cursor],
 }
 
 #[cfg(test)]
@@ -376,8 +320,6 @@ mod tests {
     #[test]
     fn uncontended_claims_succeed_once() {
         let t = ClaimTable::new(40);
-        assert_eq!(t.len(), 40);
-        assert!(!t.is_empty());
         let e = t.begin_run();
         assert_eq!(t.claimant(7, e), None);
         assert!(t.try_claim(7, e, 3));

@@ -3,10 +3,10 @@
 //! The node-sharded parking table and the node-local compiled arenas are
 //! pure layout: which bucket a waiter parks in and which arena slice a
 //! worker scans must not affect what the run computes. For random small
-//! flows and mock topology shapes {1×N, 2×N, 4×N}, a run under the
-//! topology produces byte-identical per-datum stores and the identical
-//! per-datum *writer* order as the topology-blind baseline, under every
-//! wait strategy, on both the interpreted and the compiled path.
+//! flows and mock topology shapes {none, 1×N, 2×N, 4×N}, a run produces
+//! the per-datum stores and the per-datum *writer* order of the flow run
+//! sequentially, under every wait strategy, on a fresh and on a reused
+//! flow.
 //!
 //! (Only writers are compared: readers within one epoch are legitimately
 //! unordered even between two identical baseline runs. Since every
@@ -48,13 +48,15 @@ fn graph_from(seeds: &[u64]) -> TaskGraph {
     b.build()
 }
 
-/// Runs `g` under `cfg` with a kernel that mutates every written object
-/// deterministically from its previous value and the writer's id,
-/// recording the per-datum writer order. Returns (stores, order).
-fn observe(cfg: RioConfig, g: &TaskGraph, compiled: bool) -> (Vec<u64>, Vec<Vec<u64>>) {
+/// Runs `g` — under `cfg` as a one-shot or (`reused`) as the second run
+/// of a flow compiled once; sequentially without a `cfg` — with a kernel
+/// that mutates every written object deterministically from its previous
+/// value and the writer's id, recording the per-datum writer order.
+/// Returns (stores, order).
+fn observe(cfg: Option<RioConfig>, g: &TaskGraph, reused: bool) -> (Vec<u64>, Vec<Vec<u64>>) {
     let store = DataStore::new_with(NUM_DATA, |i| i as u64);
     let order: Vec<Mutex<Vec<u64>>> = (0..NUM_DATA).map(|_| Mutex::new(Vec::new())).collect();
-    let kernel = |_w, t: &rio_stf::TaskDesc| {
+    let body = |t: &rio_stf::TaskDesc| {
         for d in t.writes() {
             let mut w = store.write(d);
             *w = (*w ^ t.id.0)
@@ -63,11 +65,14 @@ fn observe(cfg: RioConfig, g: &TaskGraph, compiled: bool) -> (Vec<u64>, Vec<Vec<
             order[d.index()].lock().unwrap().push(t.id.0);
         }
     };
-    let ex = Executor::new(cfg).mapping(&RoundRobin);
-    if compiled {
-        ex.compile(g).run(kernel);
-    } else {
-        ex.run(g, kernel);
+    match cfg.map(|cfg| Executor::new(cfg).mapping(&RoundRobin)) {
+        None => drop(rio_stf::sequential::run_graph(g, |id| body(g.task(id)))),
+        Some(ex) if reused => {
+            let flow = ex.compile(g);
+            flow.run(|_, _| {});
+            flow.run(|_, t| body(t));
+        }
+        Some(ex) => drop(ex.run(g, |_, t| body(t))),
     }
     (
         store.into_vec(),
@@ -79,31 +84,36 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Global (topology-blind) vs node-sharded parking and single-arena
-    /// vs node-arena compiled flows: identical results for every mock
-    /// shape, wait strategy and execution path.
+    /// vs node-arena compiled flows: the sequential results for every
+    /// mock shape and wait strategy, fresh flow and reused.
     #[test]
     fn topology_never_changes_results(
         seeds in proptest::collection::vec(0u64..u64::MAX, 1..40),
         workers in 2usize..5,
     ) {
         let g = graph_from(&seeds);
+        let (base_store, base_order) = observe(None, &g, false);
         for wait in [WaitStrategy::Spin, WaitStrategy::SpinYield, WaitStrategy::Park] {
-            for compiled in [false, true] {
+            for reused in [false, true] {
                 let base_cfg = RioConfig::with_workers(workers).wait(wait);
-                let (base_store, base_order) = observe(base_cfg.clone(), &g, compiled);
-                for nodes in [1usize, 2, 4] {
-                    let topo = Arc::new(Topology::mock(nodes, workers.div_ceil(nodes)));
-                    let cfg = base_cfg.clone().topology(topo);
-                    let (store, order) = observe(cfg, &g, compiled);
+                for nodes in [0usize, 1, 2, 4] {
+                    let cfg = match nodes {
+                        0 => base_cfg.clone(),
+                        _ => base_cfg.clone().topology(Arc::new(Topology::mock(
+                            nodes,
+                            workers.div_ceil(nodes),
+                        ))),
+                    };
+                    let (store, order) = observe(Some(cfg), &g, reused);
                     prop_assert_eq!(
                         &store, &base_store,
-                        "stores diverge under {} / {} nodes / compiled={}",
-                        wait, nodes, compiled
+                        "stores diverge under {} / {} nodes / reused={}",
+                        wait, nodes, reused
                     );
                     prop_assert_eq!(
                         &order, &base_order,
-                        "writer order diverges under {} / {} nodes / compiled={}",
-                        wait, nodes, compiled
+                        "writer order diverges under {} / {} nodes / reused={}",
+                        wait, nodes, reused
                     );
                 }
             }
@@ -120,8 +130,8 @@ proptest! {
 #[test]
 fn single_node_topology_is_the_identity() {
     let g = graph_from(&(0..64).map(|i| i * 0x9E37_79B9).collect::<Vec<u64>>());
-    let base = observe(RioConfig::with_workers(4), &g, true);
+    let base = observe(Some(RioConfig::with_workers(4)), &g, true);
     let topo = Arc::new(Topology::mock(1, 4));
-    let one = observe(RioConfig::with_workers(4).topology(topo), &g, true);
+    let one = observe(Some(RioConfig::with_workers(4).topology(topo)), &g, true);
     assert_eq!(base, one);
 }

@@ -7,6 +7,7 @@
 //! assertion instead of a wedged CI job. The CI harness additionally
 //! wraps the whole suite in a hard `timeout`.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use rio_centralized::CentralConfig;
@@ -79,13 +80,15 @@ fn a_seeded_panic_is_contained_on_every_seed() {
 /// somebody else owns it — yields a structured error naming the blocked
 /// data object, never a hang.
 ///
-/// The mapping must defeat pre-flight validation to reach run time, so it
-/// lies *consistently on the probing thread* and only diverges on the
-/// workers: it answers through a thread-local that the kernel sets to the
-/// executing worker's id. The main-thread probes see the unset sentinel
-/// twice (deterministic ⇒ pre-flight passes); at run time worker `i`
-/// computes owner `(i + 1) % workers` for the victim, so nobody executes
-/// it and the victim's datum is never written.
+/// The mapping answers through a thread-local that the task bodies set to
+/// the executing worker's id: worker `i` computes owner `(i + 1) %
+/// workers` for the victim, so where every worker evaluates the mapping
+/// itself nobody executes it and the victim's datum is never written.
+///
+/// That is the closure-flow `Rio`, whose workers each replay the flow. A
+/// recorded graph is mapped once, by the thread that compiles it — which
+/// sees the unset sentinel and one consistent owner — so the same mapping
+/// can no longer drop a graph task: the `Executor` run completes.
 #[test]
 fn a_dropped_task_is_diagnosed_as_a_stall_not_a_hang() {
     use std::cell::Cell;
@@ -124,15 +127,33 @@ fn a_dropped_task_is_diagnosed_as_a_stall_not_a_hang() {
         }
     }
 
-    let err = Executor::new(
-        RioConfig::with_workers(WORKERS)
-            .wait(WaitStrategy::Park)
-            .spin_limit(16),
-    )
-    .mapping(&Lying)
-    .watchdog(Duration::from_millis(100))
-    .try_run(&g, |me, _| SELF.set(me.0))
-    .unwrap_err();
+    let cfg = RioConfig::with_workers(WORKERS)
+        .wait(WaitStrategy::Park)
+        .spin_limit(16)
+        .watchdog(Duration::from_millis(100));
+
+    // One evaluation, on this thread: every task has one owner.
+    let ran: Vec<_> = (0..g.len()).map(|_| AtomicU64::new(0)).collect();
+    let run = Executor::new(cfg.clone())
+        .mapping(&Lying)
+        .try_run(&g, |me, t| {
+            SELF.set(me.0);
+            ran[t.id.index()].fetch_add(1, Ordering::Relaxed);
+        })
+        .expect("mapped once, the flow drops nothing");
+    assert_eq!(run.report.tasks_executed(), g.len() as u64);
+    assert!(ran.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+
+    // One evaluation per worker: the same flow as a closure.
+    let store = DataStore::filled(WORKERS + 1, 0u64);
+    let err = Rio::new(cfg)
+        .try_run(&store, &Lying, |ctx| {
+            let me = ctx.worker().0;
+            for t in g.tasks() {
+                ctx.task(&t.accesses, |_| SELF.set(me));
+            }
+        })
+        .unwrap_err();
 
     let diag = match err {
         ExecError::Stalled(diag) => diag,

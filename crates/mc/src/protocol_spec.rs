@@ -62,6 +62,17 @@
 //! an elided guard must still find every earlier conflicting access
 //! terminated, and no kept guard may be fooled by a word the elided
 //! publications left stale.
+//!
+//! **Claim-marked entries.** Under a partial mapping
+//! ([`ProtocolSpec::compiled_partial`]) an unmapped task is in every
+//! worker's program, and who runs it is no longer a function of the
+//! control points: the state grows one claim slot per unmapped task.
+//! Reaching the task is a step of its own — the compare-and-swap, before
+//! any get: the first worker there takes the slot and goes on as the
+//! task's owner, every later one moves on. Exactly-once is then hold-race
+//! freedom (a second runner would hold the same objects), and the other
+//! two properties cover what the compiler kept for a task it could not
+//! place.
 
 use rio_core::protocol::{
     expected_read_word, expected_write_word, pack_epoch, LocalDataState, READ_EPOCH_MASK,
@@ -87,8 +98,11 @@ pub type ControlPoint = (u16, u16);
 pub struct ProtocolSpec<'g> {
     graph: &'g TaskGraph,
     workers: usize,
-    /// Task index → owner worker.
-    owner: Vec<usize>,
+    /// Task index → owner worker; `None`: claim-marked, in every program.
+    owner: Vec<Option<usize>>,
+    /// Task index → its claim slot's index past the control points (only
+    /// meaningful for claim-marked tasks).
+    slot: Vec<usize>,
     /// `Some`: the compiled protocol — per task, what the compiler
     /// emitted for each access.
     compiled: Option<Vec<Vec<CompiledAccess>>>,
@@ -117,12 +131,13 @@ impl<'g> ProtocolSpec<'g> {
         let owner = graph
             .tasks()
             .iter()
-            .map(|t| mapping.worker_of(t.id, workers).index())
+            .map(|t| Some(mapping.worker_of(t.id, workers).index()))
             .collect();
         ProtocolSpec {
             graph,
             workers,
             owner,
+            slot: vec![0; graph.len()],
             compiled: None,
         }
     }
@@ -136,13 +151,35 @@ impl<'g> ProtocolSpec<'g> {
         workers: usize,
         mapping: &dyn Mapping,
     ) -> ProtocolSpec<'g> {
-        let mut spec = ProtocolSpec::new(graph, workers, mapping);
         let flow = rio_core::Executor::new(rio_core::RioConfig::with_workers(workers))
             .mapping(mapping)
             .compile(graph);
+        ProtocolSpec::of_flow(&flow)
+    }
+
+    /// [`ProtocolSpec::compiled`] under a partial mapping: the tasks it
+    /// leaves unmapped are claim-marked, and any worker whose program
+    /// reaches one may run it (module docs).
+    pub fn compiled_partial(
+        graph: &'g TaskGraph,
+        workers: usize,
+        partial: &dyn rio_core::PartialMapping,
+    ) -> ProtocolSpec<'g> {
+        let flow = rio_core::Executor::new(rio_core::RioConfig::with_workers(workers))
+            .hybrid(partial)
+            .compile(graph);
+        ProtocolSpec::of_flow(&flow)
+    }
+
+    /// The system `flow` executes, read back from its programs.
+    fn of_flow(flow: &rio_core::CompiledFlow<'g>) -> ProtocolSpec<'g> {
+        let (graph, workers) = (flow.graph(), flow.config().workers);
+        assert!(graph.len() < u16::MAX as usize);
+        let mut owner = vec![None; graph.len()];
         let mut compiled = vec![Vec::new(); graph.len()];
         for w in 0..workers {
             for ct in flow.own_tasks(rio_stf::WorkerId::from_index(w)) {
+                owner[ct.task.id.index()] = (!ct.claim_marked()).then_some(w);
                 compiled[ct.task.id.index()] = (0..ct.expected.len())
                     .map(|i| CompiledAccess {
                         expected: ct.expected[i],
@@ -152,8 +189,28 @@ impl<'g> ProtocolSpec<'g> {
                     .collect();
             }
         }
-        spec.compiled = Some(compiled);
-        spec
+        // A claim slot per claim-marked task, after the control points.
+        let mut next = workers;
+        let slot = owner
+            .iter()
+            .map(|o| {
+                next += usize::from(o.is_none());
+                next - 1
+            })
+            .collect();
+        ProtocolSpec {
+            graph,
+            workers,
+            owner,
+            slot,
+            compiled: Some(compiled),
+        }
+    }
+
+    /// Who runs task `task_idx` in `state`: its owner, or whoever holds
+    /// its claim slot (`None`: nobody yet).
+    fn runner(&self, state: &[ControlPoint], task_idx: usize) -> Option<usize> {
+        self.owner[task_idx].or_else(|| (state[self.slot[task_idx]].0 as usize).checked_sub(1))
     }
 
     /// Does the `acc_idx`-th publication of task `task_idx` reach the
@@ -168,8 +225,11 @@ impl<'g> ProtocolSpec<'g> {
     /// `(pos, step)`: a finished task rolls over to the next one, and a
     /// compiled worker passes everything that is no step for it — foreign
     /// tasks, elided gets, elided publications after the first (the first
-    /// rides on the body's completion step).
-    fn settle(&self, w: usize, mut pos: usize, mut step: usize) -> ControlPoint {
+    /// rides on the body's completion step). It rests before a
+    /// claim-marked task — the claim is a step — unless it just `claimed`
+    /// the one at `pos`.
+    fn settle(&self, w: usize, mut pos: usize, mut step: usize, claimed: bool) -> ControlPoint {
+        let claimed_at = claimed.then_some(pos);
         let n = self.graph.len();
         loop {
             if pos >= n {
@@ -187,8 +247,10 @@ impl<'g> ProtocolSpec<'g> {
                 let a = &compiled[pos];
                 (step < k && !a[step].guard) || (step > k && !a[step - k].publish)
             };
-            if self.owner[pos] != w {
+            if self.owner[pos].is_some_and(|o| o != w) {
                 pos += 1;
+            } else if self.owner[pos].is_none() && step == 0 && claimed_at != Some(pos) {
+                return (pos as u16, 0);
             } else if elided(step) {
                 step += 1;
             } else {
@@ -204,7 +266,9 @@ impl<'g> ProtocolSpec<'g> {
     /// Has worker `w` (at `state[w]`) performed the `acc_idx`-th terminate
     /// of task `task_idx`?
     fn terminate_done(&self, state: &[ControlPoint], task_idx: usize, acc_idx: usize) -> bool {
-        let w = self.owner[task_idx];
+        let Some(w) = self.runner(state, task_idx) else {
+            return false; // nobody has even claimed it
+        };
         let (pos, step) = state[w];
         let pos = pos as usize;
         if pos > task_idx {
@@ -269,7 +333,7 @@ impl<'g> ProtocolSpec<'g> {
         // Current task: only its performed terminates are registered (and
         // only when this worker owns it; a non-owned task registers
         // atomically when passed, handled above).
-        if pos < self.graph.len() && self.owner[pos] == w {
+        if pos < self.graph.len() && self.owner[pos] == Some(w) {
             let t = &self.graph.tasks()[pos];
             let k = t.accesses.len();
             let step = step as usize;
@@ -314,7 +378,7 @@ impl<'g> ProtocolSpec<'g> {
     fn holds(&self, state: &[ControlPoint], w: usize) -> Vec<rio_stf::Access> {
         let (pos, step) = state[w];
         let pos = pos as usize;
-        if pos >= self.graph.len() || self.owner[pos] != w {
+        if pos >= self.graph.len() || self.runner(state, pos) != Some(w) {
             return Vec::new();
         }
         let accesses = self.accesses_of(pos);
@@ -353,7 +417,11 @@ impl TransitionSystem for ProtocolSpec<'_> {
     type State = Vec<ControlPoint>;
 
     fn initial(&self) -> Self::State {
-        (0..self.workers).map(|w| self.settle(w, 0, 0)).collect()
+        let unclaimed = self.owner.iter().filter(|o| o.is_none()).map(|_| (0, 0));
+        (0..self.workers)
+            .map(|w| self.settle(w, 0, 0, false))
+            .chain(unclaimed)
+            .collect()
     }
 
     fn successors(&self, state: &Self::State, out: &mut Vec<Self::State>) {
@@ -365,11 +433,22 @@ impl TransitionSystem for ProtocolSpec<'_> {
                 continue;
             }
             let k = self.accesses_of(posu).len();
-            let owned = self.owner[posu] == w;
+            let runner = self.runner(state, posu);
             let mut next = state.clone();
-            if !owned || k == 0 {
-                // One private step: declares (or an access-free body).
-                next[w] = self.settle(w, posu + 1, 0);
+            if runner.is_none() && k > 0 {
+                // The claim, before any get: from here on `w` owns it.
+                next[self.slot[posu]] = (w as u16 + 1, 0);
+                next[w] = self.settle(w, posu, 0, true);
+                out.push(next);
+                continue;
+            }
+            if runner.is_some_and(|r| r != w) || k == 0 {
+                // One private step: declares, a lost claim, or an
+                // access-free body (with its claim, if it takes one).
+                if runner.is_none() {
+                    next[self.slot[posu]] = (w as u16 + 1, 0);
+                }
+                next[w] = self.settle(w, posu + 1, 0, false);
                 out.push(next);
                 continue;
             }
@@ -378,7 +457,7 @@ impl TransitionSystem for ProtocolSpec<'_> {
             // with the first terminate, then the other terminates (the
             // last one completes the task).
             if stepu >= k || self.get_ready(state, w, stepu) {
-                next[w] = self.settle(w, posu, stepu + 1);
+                next[w] = self.settle(w, posu, stepu + 1, false);
                 out.push(next);
             }
         }
@@ -408,7 +487,7 @@ impl TransitionSystem for ProtocolSpec<'_> {
         for w in 0..self.workers {
             let (pos, step) = state[w];
             let posu = pos as usize;
-            if posu < self.graph.len() && self.owner[posu] == w {
+            if posu < self.graph.len() && self.runner(state, posu) == Some(w) {
                 let k = self.accesses_of(posu).len();
                 if k > 0 && step as usize == k && !self.body_start_consistent(state, posu) {
                     return Err(format!(
@@ -424,7 +503,9 @@ impl TransitionSystem for ProtocolSpec<'_> {
 
     fn is_final(&self, state: &Self::State) -> bool {
         let n = self.graph.len() as u16;
-        state.iter().all(|&(pos, step)| pos == n && step == 0)
+        state[..self.workers]
+            .iter()
+            .all(|&(pos, step)| pos == n && step == 0)
     }
 }
 
@@ -655,6 +736,91 @@ mod tests {
         assert!(explore(&spec).deadlocks > 0);
     }
 
+    /// LU 3×3 under its block-cyclic mapping with every third task left
+    /// to be claimed.
+    fn lu_3x3_a_third_unmapped(workers: usize) -> (TaskGraph, impl rio_core::PartialMapping) {
+        let m = crate::lu_model::mapping(3, 3, workers);
+        let partial = rio_core::hybrid::PartialFn(move |t: TaskId, w: usize| {
+            (!t.0.is_multiple_of(3)).then(|| m.worker_of(t, w))
+        });
+        (crate::lu_model::graph(3, 3), partial)
+    }
+
+    #[test]
+    fn claim_marked_lu_passes_exhaustively() {
+        for workers in [2, 3] {
+            let (g, partial) = lu_3x3_a_third_unmapped(workers);
+            let spec = ProtocolSpec::compiled_partial(&g, workers, &partial);
+            let unmapped = spec.owner.iter().filter(|o| o.is_none()).count();
+            assert_eq!(unmapped, g.len() / 3);
+            let r = explore(&spec);
+            assert!(r.ok(), "LU 3x3/{workers}: {:?}", r.violations);
+            // Who runs a task is part of the state now.
+            let m = crate::lu_model::mapping(3, 3, workers);
+            let mapped = explore_compiled_protocol_with(&g, workers, &m);
+            assert!(r.distinct > mapped.distinct);
+        }
+        // Nothing mapped at all: any worker may run anything.
+        let g = crate::lu_model::graph(2, 2);
+        let r = explore(&ProtocolSpec::compiled_partial(
+            &g,
+            2,
+            &rio_core::hybrid::Unmapped,
+        ));
+        assert!(r.ok(), "{:?}", r.violations);
+    }
+
+    /// Nothing is elided on an epoch a claim-marked task touches, and the
+    /// model says why: flip one such mark and a property breaks.
+    #[test]
+    fn a_flipped_mark_on_a_claim_marked_epoch_is_caught() {
+        // T1 (W0) writes, T2 (anybody) reads, T3 (W0) writes again. Had T2
+        // been W0's, nothing here would be shared.
+        let mut b = TaskGraph::builder(1);
+        b.task(&[Access::write(DataId(0))], 1, "w");
+        b.task(&[Access::read(DataId(0))], 1, "r");
+        b.task(&[Access::write(DataId(0))], 1, "w2");
+        let g = b.build();
+        let partial =
+            rio_core::hybrid::PartialFn(|t: TaskId, _| (t != TaskId(2)).then_some(WorkerId(0)));
+        let flipped = |task: usize, guard: bool| {
+            let mut spec = ProtocolSpec::compiled_partial(&g, 2, &partial);
+            let mark = &mut spec.compiled.as_mut().unwrap()[task][0];
+            let kept = if guard {
+                &mut mark.guard
+            } else {
+                &mut mark.publish
+            };
+            assert!(*kept, "T{} keeps it", task + 1);
+            *kept = false;
+            explore(&spec)
+        };
+        assert!(explore(&ProtocolSpec::compiled_partial(&g, 2, &partial)).ok());
+        // T2's guard orders it after T1's body, T3's after T2's.
+        assert!(!flipped(1, true).violations.is_empty());
+        assert!(!flipped(2, true).violations.is_empty());
+        // And what those guards compare must be published.
+        assert!(flipped(0, false).deadlocks > 0);
+        assert!(flipped(1, false).deadlocks > 0);
+
+        // On LU 3×3 a task's guards overlap (one may imply another), but
+        // not all of a claim-marked task's are redundant.
+        let (g, partial) = lu_3x3_a_third_unmapped(2);
+        let spec = ProtocolSpec::compiled_partial(&g, 2, &partial);
+        let marks = spec.compiled.as_ref().unwrap();
+        let caught = (0..g.len())
+            .filter(|&t| spec.owner[t].is_none())
+            .flat_map(|t| (0..marks[t].len()).map(move |a| (t, a)))
+            .filter(|&(t, a)| marks[t][a].guard)
+            .filter(|&(t, a)| {
+                let mut spec = ProtocolSpec::compiled_partial(&g, 2, &partial);
+                spec.compiled.as_mut().unwrap()[t][a].guard = false;
+                !explore(&spec).violations.is_empty()
+            })
+            .count();
+        assert!(caught > 0);
+    }
+
     /// The masked single-word guard must decide exactly like the
     /// two-counter condition of Algorithm 2 it replaced. Enumerate a grid
     /// of control points (reachable or not — both sides are pure
@@ -682,7 +848,7 @@ mod tests {
                         for w in 0..2usize {
                             let (pos, step) = state[w];
                             let posu = pos as usize;
-                            if posu >= g.len() || spec.owner[posu] != w {
+                            if posu >= g.len() || spec.owner[posu] != Some(w) {
                                 continue;
                             }
                             let accesses = &g.tasks()[posu].accesses;

@@ -21,8 +21,8 @@ pub fn graph(n: usize) -> TaskGraph {
 /// `n` tasks, each writing its own private data object. Still conflict-free
 /// (tasks share nothing), but every task exercises the full protocol:
 /// declare on non-owners, get/terminate on the owner. This variant is also
-/// the one task pruning collapses completely (each worker's visit list is
-/// exactly its own tasks).
+/// the one compilation collapses completely: each worker's program is
+/// exactly its own tasks, none of which keeps a guard or a publication.
 pub fn graph_private_data(n: usize) -> TaskGraph {
     graph_private_data_cost(n, 1)
 }

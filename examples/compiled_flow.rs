@@ -1,17 +1,17 @@
-//! Ahead-of-time flow compilation: compile once, run repeatedly.
+//! Flow compilation: compile once, run repeatedly.
 //!
 //! Run with: `cargo run --release --example compiled_flow`
 //!
-//! A solver that replays the same task flow every iteration (time
-//! stepping, iterative refinement, …) pays the interpreted walk — one
-//! mapping evaluation and one private declare per access, for every
-//! task, on every worker — on **every** run. `Executor::compile` lowers
-//! the `(graph, mapping, workers)` triple up front, in one pass over the
-//! flow, into one flat program per worker that holds that worker's own
-//! tasks and nothing else: the epoch word every access waits for is
-//! precomputed, so foreign tasks leave no instruction behind (pruning is
-//! subsumed), a run keeps no private state, and preflight validation
-//! happens once instead of per run. The same pass knows who waits for
+//! `Executor::run` is `Executor::compile` + `CompiledFlow::run`: the
+//! `(graph, mapping, workers)` triple is lowered, in one pass over the
+//! flow on the calling thread, into one flat program per worker that
+//! holds that worker's own tasks and nothing else — the epoch word every
+//! access waits for is precomputed, so foreign tasks leave no instruction
+//! behind and a run keeps no private state. A solver that replays the
+//! same task flow every iteration (time stepping, iterative refinement,
+//! …) keeps the `CompiledFlow` and pays for that pass — one mapping
+//! evaluation (two with preflight validation) and one declare per access,
+//! for every task — once instead of per run. The same pass knows who waits for
 //! whom: a guard that only waits for its own worker's earlier tasks, and
 //! a publication nobody on another worker compares against, are not
 //! performed at all, and objects nobody can wait on get no shared word.
@@ -30,8 +30,8 @@ fn main() {
     // the shape of a time-stepping solver. Owner-computes mapping: the
     // chain on datum d runs on worker d % workers, so between two of a
     // worker's own chains the flow registers long runs of *foreign*
-    // updates — which an interpreted worker declares one by one on every
-    // run, and a compiled one never sees.
+    // updates — which the compile pass replays once, and no worker ever
+    // sees.
     let workers = 16;
     let acc = DataId(NUM_DATA);
     let mut b = TaskGraph::builder(NUM_DATA as usize + 1);
@@ -78,7 +78,7 @@ fn main() {
     );
     println!("  own tasks per worker: {:?}", stats.runs_per_worker);
     println!(
-        "  {} foreign declares compiled away (paid on every interpreted run)",
+        "  {} foreign declares compiled away (what unrolling the flow on every worker would pay)",
         stats.irrelevant_declares,
     );
     // An update chain lives on one worker: only its ends — the reduce
@@ -106,7 +106,7 @@ fn main() {
     for _ in 0..reps {
         flow.run(kernel);
     }
-    let compiled = t0.elapsed();
+    let reused = t0.elapsed();
 
     let t0 = Instant::now();
     for _ in 0..reps {
@@ -114,16 +114,16 @@ fn main() {
             .mapping(&mapping)
             .run(&graph, kernel);
     }
-    let interpreted = t0.elapsed();
+    let oneshot = t0.elapsed();
 
-    println!("{reps} runs compiled:    {compiled:?}");
-    println!("{reps} runs interpreted: {interpreted:?}");
+    println!("{reps} runs of one flow:  {reused:?}");
+    println!("{reps} one-shot runs:     {oneshot:?}");
     println!(
-        "steady-state speedup here: {:.2}x (controlled measurement: `repro compiled --json`)",
-        interpreted.as_secs_f64() / compiled.as_secs_f64().max(1e-12)
+        "compiling once is worth {:.2}x here (controlled measurement: `repro compiled --json`)",
+        oneshot.as_secs_f64() / reused.as_secs_f64().max(1e-12)
     );
 
-    // Both paths executed the identical schedule 2x`reps` times.
+    // Both loops executed the identical schedule `reps` times.
     let values = store.into_vec();
     let per_datum = u64::from(CHAIN * SWEEPS);
     assert!(values[..NUM_DATA as usize]

@@ -8,8 +8,10 @@
 //! perfectly mappable) with an *irregular* phase (tasks of wildly varying
 //! cost, where any static mapping leaves workers idle). The partial
 //! mapping pins the regular tasks owner-computes and leaves the irregular
-//! ones unmapped; whichever worker reaches an unmapped task first claims
-//! it with one CAS.
+//! ones unmapped: those are compiled into every worker's program, and
+//! whichever worker reaches one first claims it with one CAS. The flow is
+//! compiled once per mapping and run twice — a partial mapping is a kind
+//! of mapping, not a separate runtime.
 
 use std::time::Instant;
 
@@ -50,12 +52,14 @@ fn run(
     regular: &[bool],
 ) {
     let exec = |partial: &dyn rio::core::PartialMapping| {
-        Executor::new(RioConfig::with_workers(WORKERS))
+        let flow = Executor::new(RioConfig::with_workers(WORKERS))
             .hybrid(partial)
-            .run(graph, &body)
+            .compile(graph);
+        flow.run(&body); // warm-up; claims start afresh on every run
+        let t0 = Instant::now();
+        (flow.run(&body), t0.elapsed())
     };
-    let t0 = Instant::now();
-    let run = match pmap_kind {
+    let (run, elapsed) = match pmap_kind {
         0 => exec(&Total(RoundRobin)),
         1 => exec(&Unmapped),
         _ => {
@@ -75,8 +79,7 @@ fn run(
     };
     let (report, stats) = (run.report, run.hybrid.expect("hybrid stats"));
     println!(
-        "{label:<28} {:>10?}  claims per worker {:?}",
-        t0.elapsed(),
+        "{label:<28} {elapsed:>10?}  claims per worker {:?}",
         stats.claimed_per_worker
     );
     assert_eq!(report.tasks_executed() as usize, graph.len());
@@ -104,6 +107,6 @@ fn main() {
     run("hybrid (pin regular only)", &graph, body, 2, &regular);
 
     let totals = store.into_vec();
-    assert!(totals.iter().all(|&v| v == 3 * ROUNDS as u64));
-    println!("\nall three variants executed every task exactly once (chains verified)");
+    assert!(totals.iter().all(|&v| v == 6 * ROUNDS as u64));
+    println!("\nall three mappings executed every task exactly once per run (chains verified)");
 }

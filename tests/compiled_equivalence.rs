@@ -1,26 +1,29 @@
-//! Equivalence of compiled and interpreted execution: on random flows,
-//! mappings, worker counts and wait strategies, `Executor::compile` +
-//! `CompiledFlow::run` must be observationally identical to
-//! `Executor::run` — same per-worker kernel invocation orders, same
-//! final store contents — and both must equal the sequential oracle.
-//! A compiled program holds a worker's own tasks only and keeps no
-//! private state; what replaces the private view is pinned here too: the
-//! precomputed word of every own access is exactly what that worker's
-//! interpreted walk would have packed at that point of the flow. So is
-//! what it leaves out: the guards and publications the compiler elides
-//! are checked against the flow's dependencies, derived here from the
-//! graph alone.
+//! Equivalence of compiled execution and the flow's two interpretations:
+//! on random flows, mappings, worker counts and wait strategies, a run —
+//! the one-shot `Executor::run`, or a later run of a reused
+//! `CompiledFlow` — must invoke the kernels in the per-worker order the
+//! mapping dictates (each worker's own tasks, in flow order) and leave the
+//! store `sequential::run_graph` leaves. A compiled program holds a
+//! worker's own tasks only and keeps no private state; what replaces the
+//! private view is pinned here too: the precomputed word of every own
+//! access is exactly what that worker would have packed at that point of
+//! the flow had it unrolled all of it through the protocol's primitives
+//! (Algorithms 1–2, replayed here). So is what it leaves out: the guards
+//! and publications the compiler elides are checked against the flow's
+//! dependencies, derived here from the graph alone.
 
 use proptest::prelude::*;
+use rio::core::hybrid::PartialFn;
 use rio::core::protocol::{
     declare_batch, expected_read_word, expected_write_word, terminate_read, terminate_write,
     LocalDataState, SharedDataState, READ_EPOCH_MASK,
 };
-use rio::core::{Executor, RioConfig, StealPolicy, Topology, WaitStrategy};
+use rio::core::{CompiledFlow, Executor, RioConfig, StealPolicy, Topology, WaitStrategy};
 use rio::stf::{
     Access, AccessMode, DataId, DataStore, ExecError, Mapping, RoundRobin, StallSite, TableMapping,
     TaskDesc, TaskGraph, TaskId, WorkerId,
 };
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -88,13 +91,14 @@ const WAITS: [WaitStrategy; 3] = [
     WaitStrategy::Park,
 ];
 
-/// Runs `graph` under `cfg`/`mapping`, compiled or interpreted, and
-/// returns `(final store, per-worker kernel invocation orders)`.
+/// Runs `graph` under `cfg`/`mapping` — as a one-shot, or (`reused`) as
+/// the second run of a flow compiled once — and returns `(final store,
+/// per-worker kernel invocation orders)`.
 fn observe(
     graph: &TaskGraph,
     cfg: &RioConfig,
     mapping: &TableMapping,
-    compiled: bool,
+    reused: bool,
 ) -> (Vec<u64>, Vec<Vec<TaskId>>) {
     let store = DataStore::filled(graph.num_data(), 0u64);
     let orders: Vec<Mutex<Vec<TaskId>>> =
@@ -103,15 +107,13 @@ fn observe(
         orders[w.index()].lock().unwrap().push(t.id);
         hash_kernel(&store, t);
     };
-    if compiled {
-        Executor::new(cfg.clone())
-            .mapping(mapping)
-            .compile(graph)
-            .run(kernel);
+    let exec = Executor::new(cfg.clone()).mapping(mapping);
+    if reused {
+        let flow = exec.compile(graph);
+        flow.run(|_, _| {});
+        flow.run(kernel);
     } else {
-        Executor::new(cfg.clone())
-            .mapping(mapping)
-            .run(graph, kernel);
+        exec.run(graph, kernel);
     }
     (
         store.into_vec(),
@@ -122,11 +124,22 @@ fn observe(
     )
 }
 
-/// Replays `worker`'s *interpreted* walk of `graph` — the real protocol
-/// calls on a private table: declares for foreign tasks, terminates for
-/// its own — and checks every own access against the compiled program:
-/// the precomputed word must be the private view the walk holds at that
-/// access, which is what both of its guards compare.
+/// The per-worker kernel orders the mapping dictates: each worker's own
+/// tasks, in flow order.
+fn mapped_orders(graph: &TaskGraph, mapping: &TableMapping, workers: usize) -> Vec<Vec<TaskId>> {
+    let mut orders = vec![Vec::new(); workers];
+    for t in graph.tasks() {
+        orders[mapping.worker_of(t.id, workers).index()].push(t.id);
+    }
+    orders
+}
+
+/// Replays `worker` unrolling all of `graph` as the paper's Algorithm 1
+/// has it — the real protocol calls on a private table: declares for
+/// foreign tasks, terminates for its own — and checks every own access
+/// against the compiled program: the precomputed word must be the private
+/// view the walk holds at that access, which is what both of its guards
+/// compare.
 fn check_program_against_interpreted_view(
     graph: &TaskGraph,
     cfg: &RioConfig,
@@ -167,6 +180,8 @@ fn check_program_against_interpreted_view(
 /// One own access as compiled, and who runs it.
 #[derive(Clone, Copy, Debug)]
 struct Mark {
+    /// A claim-marked task's is a worker of its own: whoever ends up
+    /// running it, the compiler could count on nobody.
     worker: usize,
     guard: bool,
     publish: bool,
@@ -179,13 +194,22 @@ fn compiled_marks(
     cfg: &RioConfig,
     mapping: &TableMapping,
 ) -> (Vec<Vec<Mark>>, usize) {
-    let flow = Executor::new(cfg.clone()).mapping(mapping).compile(graph);
+    marks_of(&Executor::new(cfg.clone()).mapping(mapping).compile(graph))
+}
+
+fn marks_of(flow: &CompiledFlow<'_>) -> (Vec<Vec<Mark>>, usize) {
+    let graph = flow.graph();
     let mut marks = vec![Vec::new(); graph.len()];
-    for worker in 0..cfg.workers {
+    for worker in 0..flow.config().workers {
         for ct in flow.own_tasks(WorkerId::from_index(worker)) {
-            marks[ct.task.id.index()] = (0..ct.expected.len())
+            let task = ct.task.id.index();
+            marks[task] = (0..ct.expected.len())
                 .map(|i| Mark {
-                    worker,
+                    worker: if ct.claim_marked() {
+                        usize::MAX - task
+                    } else {
+                        worker
+                    },
                     guard: ct.keeps_guard(i),
                     publish: ct.keeps_publication(i),
                 })
@@ -282,8 +306,8 @@ fn check_marks_against_the_flow(graph: &TaskGraph, marks: &[Vec<Mark>], shared_o
 
 /// Runs `graph` on two workers to its watchdog stall — a "slow" task
 /// outlasts the deadline, so whoever depends on it gives up — and returns
-/// where that worker was blocked.
-fn stall_site(graph: &TaskGraph, mapping: &TableMapping, compiled: bool) -> StallSite {
+/// where that worker was blocked. `reused`: on a flow that already ran.
+fn stall_site(graph: &TaskGraph, mapping: &TableMapping, reused: bool) -> StallSite {
     let exec = Executor::new(RioConfig::with_workers(2).wait(WaitStrategy::Park))
         .mapping(mapping)
         .watchdog(Duration::from_millis(100));
@@ -292,8 +316,10 @@ fn stall_site(graph: &TaskGraph, mapping: &TableMapping, compiled: bool) -> Stal
             std::thread::sleep(Duration::from_millis(500));
         }
     };
-    let err = if compiled {
-        exec.compile(graph).try_run(kernel)
+    let err = if reused {
+        let flow = exec.compile(graph);
+        flow.run(|_, _| {});
+        flow.try_run(kernel)
     } else {
         exec.try_run(graph, kernel)
     }
@@ -305,8 +331,9 @@ fn stall_site(graph: &TaskGraph, mapping: &TableMapping, compiled: bool) -> Stal
 }
 
 /// A compiled worker keeps no private view, yet its stall diagnostic
-/// shows the same private/shared pair as the interpreted walk of the same
-/// flow and mapping: the view is unpacked from the expected word.
+/// shows the private/shared pair of a worker that unrolled the whole flow
+/// under the same mapping (spelled out below): the view is unpacked from
+/// the expected word. A flow that ran before stalls the same way.
 #[test]
 fn compiled_stall_renders_the_interpreted_private_view() {
     let d0 = DataId(0);
@@ -325,20 +352,17 @@ fn compiled_stall_renders_the_interpreted_private_view() {
     b.task(&[Access::write(d0)], 1, "w");
     let g = b.build();
     let m = on_w1(5, &[2, 4, 5]);
-    let interpreted = stall_site(&g, &m, false);
-    assert_eq!(
-        interpreted,
-        StallSite::DataWait {
-            task: TaskId(5),
-            data: d0,
-            write: true,
-            local_reads_since_write: 3,
-            local_last_registered_write: TaskId(1),
-            shared_reads_since_write: 2,
-            shared_last_executed_write: TaskId(1),
-            shared_epoch_word: (1 << 32) | 2,
-        }
-    );
+    let interpreted = StallSite::DataWait {
+        task: TaskId(5),
+        data: d0,
+        write: true,
+        local_reads_since_write: 3,
+        local_last_registered_write: TaskId(1),
+        shared_reads_since_write: 2,
+        shared_last_executed_write: TaskId(1),
+        shared_epoch_word: (1 << 32) | 2,
+    };
+    assert_eq!(stall_site(&g, &m, false), interpreted);
     assert_eq!(stall_site(&g, &m, true), interpreted);
 
     // Stalled in get_read, with a read count the guard itself ignores:
@@ -350,32 +374,27 @@ fn compiled_stall_renders_the_interpreted_private_view() {
     b.task(&[Access::read(d0)], 1, "r");
     let g = b.build();
     let m = on_w1(3, &[1, 2]);
-    let interpreted = stall_site(&g, &m, false);
-    assert_eq!(
-        interpreted,
-        StallSite::DataWait {
-            task: TaskId(3),
-            data: d0,
-            write: false,
-            local_reads_since_write: 1,
-            local_last_registered_write: TaskId(1),
-            shared_reads_since_write: 0,
-            shared_last_executed_write: TaskId::NONE,
-            shared_epoch_word: 0,
-        }
-    );
+    let interpreted = StallSite::DataWait {
+        task: TaskId(3),
+        data: d0,
+        write: false,
+        local_reads_since_write: 1,
+        local_last_registered_write: TaskId(1),
+        shared_reads_since_write: 0,
+        shared_last_executed_write: TaskId::NONE,
+        shared_epoch_word: 0,
+    };
+    assert_eq!(stall_site(&g, &m, false), interpreted);
     assert_eq!(stall_site(&g, &m, true), interpreted);
 }
 
 /// A task mapped to a worker that does not exist (preflight off) is local
 /// to nobody: whoever depends on it keeps its guard and stalls into the
-/// watchdog showing the private/shared pair the interpreted walk of the
-/// same flow and mapping shows — every walker declares the task and none
-/// runs it. (The pair is spelled out rather than taken from an interpreted
-/// run: the walker's `debug_assert` on the mapping panics a debug build
-/// before it can stall.)
+/// watchdog showing the private/shared pair of a flow in which everybody
+/// declares the task and nobody runs it — private: T3's write registered;
+/// shared: T2's still the last one performed.
 #[test]
-fn a_task_mapped_nowhere_stalls_its_dependents_as_interpreted() {
+fn a_task_mapped_nowhere_stalls_its_dependents() {
     let d0 = DataId(0);
     // One RW chain; T3 is mapped to W9 of two. T4 waits for T3's write
     // with T2's still in the word — whether T1 and T2 ran on one worker
@@ -494,10 +513,12 @@ proptest! {
         }
     }
 
-    /// The tentpole equivalence: compiled and interpreted runs agree on
-    /// per-worker kernel invocation orders and final store contents —
-    /// and both match the sequential oracle — for random graphs, random
-    /// table mappings, any worker count and every wait strategy.
+    /// The tentpole equivalence: a run — fresh or of a reused flow —
+    /// invokes the kernels in the per-worker orders the mapping dictates
+    /// and leaves the store the sequentially interpreted flow leaves, and
+    /// every worker's program is what its protocol-primitive walk of the
+    /// flow would hold — for random graphs, random table mappings, any
+    /// worker count and every wait strategy.
     #[test]
     fn compiled_matches_interpreted(
         graph in arb_graph(40, 5),
@@ -507,44 +528,16 @@ proptest! {
     ) {
         let cfg = RioConfig::with_workers(workers).wait(WAITS[wait_idx]);
         let mapping = arb_table_mapping(graph.len(), workers, map_seed);
-        let (interp_store, interp_orders) = observe(&graph, &cfg, &mapping, false);
-        let (comp_store, comp_orders) = observe(&graph, &cfg, &mapping, true);
-        prop_assert_eq!(&comp_orders, &interp_orders,
-            "per-worker kernel invocation orders diverged");
-        prop_assert_eq!(&comp_store, &interp_store);
-        prop_assert_eq!(comp_store, run_sequential(&graph), "oracle mismatch");
-    }
-
-    /// Compilation is also equivalent to the *pruned* interpreted path
-    /// (which it subsumes): same orders, same stores.
-    #[test]
-    fn compiled_matches_pruned(
-        graph in arb_graph(35, 4),
-        workers in 1usize..4,
-        map_seed in 0u64..1000,
-    ) {
-        let cfg = RioConfig::with_workers(workers).wait(WaitStrategy::Park);
-        let mapping = arb_table_mapping(graph.len(), workers, map_seed);
-
-        let store = DataStore::filled(graph.num_data(), 0u64);
-        let orders: Vec<Mutex<Vec<TaskId>>> =
-            (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-        Executor::new(cfg.clone())
-            .mapping(&mapping)
-            .pruning(true)
-            .run(&graph, |w: WorkerId, t: &TaskDesc| {
-                orders[w.index()].lock().unwrap().push(t.id);
-                hash_kernel(&store, t);
-            });
-        let pruned_store = store.into_vec();
-        let pruned_orders: Vec<Vec<TaskId>> = orders
-            .into_iter()
-            .map(|m| m.into_inner().unwrap())
-            .collect();
-
-        let (comp_store, comp_orders) = observe(&graph, &cfg, &mapping, true);
-        prop_assert_eq!(comp_orders, pruned_orders);
-        prop_assert_eq!(comp_store, pruned_store);
+        let (orders, oracle) = (mapped_orders(&graph, &mapping, workers), run_sequential(&graph));
+        for reused in [false, true] {
+            let (store, ran) = observe(&graph, &cfg, &mapping, reused);
+            prop_assert_eq!(&ran, &orders,
+                "per-worker kernel invocation orders diverged (reused: {})", reused);
+            prop_assert_eq!(&store, &oracle, "oracle mismatch (reused: {})", reused);
+        }
+        for w in 0..workers {
+            check_program_against_interpreted_view(&graph, &cfg, &mapping, WorkerId::from_index(w));
+        }
     }
 
     /// Compiled state is per-run: after a run aborts with
@@ -581,13 +574,14 @@ proptest! {
 }
 
 proptest! {
-    // Fifteen pairs of runs per case, one of them on 64 threads.
+    // Fifteen pairs of runs per case, three of them on 64 threads.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// What the compiler leaves out is not missed: at the same worker
-    /// counts and under every wait strategy, the compiled run invokes
-    /// the kernels in the interpreted run's per-worker order and leaves
-    /// the sequential oracle's store.
+    /// counts and under every wait strategy, a run — fresh or reused —
+    /// invokes the kernels in the per-worker order the mapping dictates,
+    /// which is the order a worker interpreting the whole flow runs its
+    /// own tasks in, and leaves the sequential oracle's store.
     #[test]
     fn elided_runs_match_interpreted_runs_and_the_oracle(
         graph in arb_graph(30, 4),
@@ -603,14 +597,109 @@ proptest! {
         ];
         for cfg in configs {
             let mapping = arb_table_mapping(graph.len(), cfg.workers, map_seed);
+            let orders = mapped_orders(&graph, &mapping, cfg.workers);
             for wait in WAITS {
                 let cfg = cfg.clone().wait(wait);
-                let (interp_store, interp_orders) = observe(&graph, &cfg, &mapping, false);
-                let (comp_store, comp_orders) = observe(&graph, &cfg, &mapping, true);
-                prop_assert_eq!(&comp_orders, &interp_orders,
-                    "per-worker kernel orders diverged at {} workers, {}", cfg.workers, wait);
-                prop_assert_eq!(&comp_store, &interp_store);
-                prop_assert_eq!(&comp_store, &oracle);
+                for reused in [false, true] {
+                    let (store, ran) = observe(&graph, &cfg, &mapping, reused);
+                    prop_assert_eq!(&ran, &orders,
+                        "per-worker kernel orders diverged at {} workers, {}", cfg.workers, wait);
+                    prop_assert_eq!(&store, &oracle);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    // Thirty-six runs per case.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Partial mappings on the one engine: for random flows and a random
+    /// total mapping of which nothing, some or everything is left
+    /// unmapped, under every wait strategy, with stealing off and on, on
+    /// a fresh flow and a reused one — every task runs exactly once
+    /// (mapped ones, unless stolen, where they are mapped), the store is
+    /// the sequential oracle's, the claims add up, and nothing is elided
+    /// on an epoch a claim-marked task touches while the rest of the flow
+    /// elides as it does under the total mapping.
+    #[test]
+    fn partial_mappings_run_every_task_exactly_once(
+        graph in arb_graph(30, 4),
+        workers in 1usize..5,
+        map_seed in 0u64..1000,
+    ) {
+        let oracle = run_sequential(&graph);
+        let total = arb_table_mapping(graph.len(), workers, map_seed);
+        for unmapped_share in [0u64, 2, 5] {
+            // Of every five tasks, scattered by the seed.
+            let claimable = |t: TaskId| (t.0 ^ map_seed).wrapping_mul(0x9E37_79B9) % 5 < unmapped_share;
+            let partial = PartialFn(|t: TaskId, w: usize| {
+                (!claimable(t)).then(|| total.worker_of(t, w))
+            });
+            let unmapped = graph.tasks().iter().filter(|t| claimable(t.id)).count() as u64;
+
+            let cfg = RioConfig::with_workers(workers);
+            let flow = Executor::new(cfg.clone()).hybrid(&partial).compile(&graph);
+            let (marks, shared_objects) = marks_of(&flow);
+            check_marks_against_the_flow(&graph, &marks, shared_objects);
+            if unmapped == 0 {
+                let mapped = Executor::new(cfg).mapping(&total).compile(&graph);
+                let (partial, mapped) = (flow.stats(), mapped.stats());
+                prop_assert_eq!(
+                    (partial.elided_gets, partial.elided_publishes, partial.shared_objects),
+                    (mapped.elided_gets, mapped.elided_publishes, mapped.shared_objects)
+                );
+            }
+
+            for wait in WAITS {
+                for stealing in [false, true] {
+                    let mut cfg = RioConfig::with_workers(workers).wait(wait);
+                    if stealing {
+                        let storm = StealPolicy::new().min_wait_before_steal(Duration::ZERO);
+                        cfg = cfg.stealing(storm);
+                    }
+                    let flow = Executor::new(cfg).hybrid(&partial).compile(&graph);
+                    for reused in [false, true] {
+                        let store = DataStore::filled(graph.num_data(), 0u64);
+                        let ran: Vec<AtomicU32> =
+                            graph.tasks().iter().map(|_| AtomicU32::new(0)).collect();
+                        let run = flow.run(|w: WorkerId, t: &TaskDesc| {
+                            ran[t.id.index()].fetch_add(1, Ordering::Relaxed);
+                            if !stealing && !claimable(t.id) {
+                                assert_eq!(w, total.worker_of(t.id, workers), "{} strayed", t.id);
+                            }
+                            hash_kernel(&store, t);
+                        });
+                        let how = format!(
+                            "{unmapped} unmapped, {wait}, stealing={stealing}, reused={reused}"
+                        );
+                        prop_assert!(
+                            ran.iter().all(|n| n.load(Ordering::Relaxed) == 1),
+                            "a task ran twice or never ({})", how
+                        );
+                        prop_assert_eq!(&store.into_vec(), &oracle, "{}", how);
+                        let stats = run.hybrid.expect("a partial mapping reports its claims");
+                        prop_assert_eq!(
+                            stats.claimed_per_worker.iter().sum::<u64>(), unmapped,
+                            "{}", how
+                        );
+                        let races = stats.claimed_per_worker.iter().zip(&stats.lost_races_per_worker);
+                        for (won, lost) in races {
+                            // Every program holds every claim-marked task;
+                            // a thief also loses the ones it stole.
+                            prop_assert!(*lost <= unmapped, "{}", how);
+                            if stealing {
+                                prop_assert!(won + lost >= unmapped, "{}", how);
+                            } else {
+                                prop_assert_eq!(won + lost, unmapped, "{}", how);
+                            }
+                        }
+                        if !stealing {
+                            prop_assert_eq!(run.counters.total().steals, 0);
+                        }
+                    }
+                }
             }
         }
     }

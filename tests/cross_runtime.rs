@@ -8,7 +8,9 @@ use rio::stf::{DataId, DataStore, Mapping, RoundRobin, TaskDesc, TaskGraph, Work
 use rio::workloads::random_deps::{self, RandomDepsConfig};
 
 /// Runs `graph` with a state-hashing kernel on all three executors and
-/// returns the three final store contents.
+/// returns the three final store contents. The RIO leg runs twice — the
+/// one-shot `Executor::run`, and the second run of a flow compiled once —
+/// and the two must agree.
 ///
 /// Each task writes `hash(task_id, values it reads)` into its written
 /// data objects, so the final state is sensitive to any ordering
@@ -33,11 +35,15 @@ fn run_all_three<M: Mapping>(
     rio::stf::sequential::run_graph(graph, |tid| kernel(&seq_store, graph.task(tid)));
     let seq = seq_store.into_vec();
 
+    let exec = Executor::new(RioConfig::with_workers(workers)).mapping(mapping);
     let rio_store = DataStore::filled(graph.num_data(), 0u64);
-    Executor::new(RioConfig::with_workers(workers))
-        .mapping(mapping)
-        .run(graph, |_: WorkerId, t: &TaskDesc| kernel(&rio_store, t));
+    exec.run(graph, |_: WorkerId, t: &TaskDesc| kernel(&rio_store, t));
     let rio = rio_store.into_vec();
+    let reused_store = DataStore::filled(graph.num_data(), 0u64);
+    let flow = exec.compile(graph);
+    flow.run(|_, _| {});
+    flow.run(|_, t| kernel(&reused_store, t));
+    assert_eq!(reused_store.into_vec(), rio, "a reused flow diverged");
 
     let cen_store = DataStore::filled(graph.num_data(), 0u64);
     let cfg = CentralConfig::with_threads(workers.max(2));
@@ -224,21 +230,4 @@ fn hybrid_agrees_with_sequential_on_workload_dags() {
             }
         });
     assert_eq!(store.into_vec(), seq);
-}
-
-#[test]
-fn pruned_rio_agrees_with_sequential() {
-    let graph = rio::workloads::independent::graph_private_data(200);
-    let store = DataStore::filled(graph.num_data(), 0u64);
-    Executor::new(RioConfig::with_workers(4))
-        .mapping(&RoundRobin)
-        .pruning(true)
-        .run(&graph, |_, t: &TaskDesc| {
-            *store.write(t.accesses[0].data) = t.id.0;
-        });
-    let out = store.into_vec();
-    for (i, v) in out.iter().enumerate() {
-        assert_eq!(*v, i as u64 + 1);
-    }
-    let _ = DataId(0);
 }

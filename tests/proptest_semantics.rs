@@ -175,17 +175,16 @@ proptest! {
 
     /// Pre-flight robustness: a mapping that sends any one task out of
     /// range is rejected with `ExecError::InvalidMapping` naming that
-    /// task — before a single worker spawns or kernel runs — for both the
-    /// plain and the pruned variant.
+    /// task — before a single worker spawns or kernel runs — whether it
+    /// is given as a total mapping or dressed as a partial one.
     #[test]
     fn out_of_range_mappings_are_rejected_before_any_worker_spawns(
         graph in arb_graph(30, 4),
         workers in 1usize..5,
         excess in 0u32..3,
         bad_seed in 0usize..1000,
-        pruning_bit in 0u8..2,
+        as_partial in 0u8..2,
     ) {
-        let pruning = pruning_bit == 1;
         struct OneBad { bad: usize, excess: u32 }
         impl rio::stf::Mapping for OneBad {
             fn worker_of(&self, task: TaskId, workers: usize) -> WorkerId {
@@ -199,9 +198,10 @@ proptest! {
         let bad = bad_seed % graph.len();
         let mapping = OneBad { bad, excess };
         let ran = std::sync::atomic::AtomicU64::new(0);
-        let err = rio::core::Executor::new(RioConfig::with_workers(workers))
-            .mapping(&mapping)
-            .pruning(pruning)
+        let partial = rio::core::hybrid::Total(&mapping);
+        let exec = rio::core::Executor::new(RioConfig::with_workers(workers));
+        let exec = if as_partial == 1 { exec.hybrid(&partial) } else { exec.mapping(&mapping) };
+        let err = exec
             .try_run(&graph, |_, _| {
                 ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             })
@@ -226,9 +226,8 @@ proptest! {
         graph in arb_graph(30, 4),
         workers in 2usize..5,
         bad_seed in 0usize..1000,
-        pruning_bit in 0u8..2,
+        as_partial in 0u8..2,
     ) {
-        let pruning = pruning_bit == 1;
         use std::sync::atomic::{AtomicU32, Ordering};
         // Answers W0, W1, W0, ... on successive probes of the chosen task
         // (both in range, so only determinism can reject it); honest
@@ -246,9 +245,10 @@ proptest! {
         let bad = bad_seed % graph.len();
         let mapping = Flaky { bad, calls: AtomicU32::new(0) };
         let ran = std::sync::atomic::AtomicU64::new(0);
-        let err = rio::core::Executor::new(RioConfig::with_workers(workers))
-            .mapping(&mapping)
-            .pruning(pruning)
+        let partial = rio::core::hybrid::Total(&mapping);
+        let exec = rio::core::Executor::new(RioConfig::with_workers(workers));
+        let exec = if as_partial == 1 { exec.hybrid(&partial) } else { exec.mapping(&mapping) };
+        let err = exec
             .try_run(&graph, |_, _| {
                 ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             })

@@ -6,9 +6,10 @@
 //! * every store value **outside the poisoned cone** is byte-identical
 //!   to the fault-free run (executed tasks read only healthy data, so
 //!   they compute exactly the fault-free values);
-//! * the partial report (failed task, poisoned data, skipped cone) is
-//!   identical across `Spin`/`SpinYield`/`Park` and across the
-//!   interpreted, pruned, hybrid and compiled execution paths — poison
+//! * the partial report (failed task, poisoned data, skipped cone) and
+//!   the store are those of the **sequential oracle** — the flow run in
+//!   order with the skip-on-poison rule — across `Spin`/`SpinYield`/
+//!   `Park`, total and partial mappings, fresh and reused flows: poison
 //!   is decided at serialized write epochs, never by scheduling races.
 //!
 //! The failure is injected by the kernel itself (an unconditional panic
@@ -17,6 +18,7 @@
 //! a kernel panic exercises the identical retry/poison machinery.
 
 use proptest::prelude::*;
+use rio::core::hybrid::{Total, Unmapped};
 use rio::core::{Executor, RecoveryPolicy, RioConfig, WaitStrategy};
 use rio::stf::{
     Access, AccessMode, DataId, DataStore, PartialReport, TableMapping, TaskDesc, TaskGraph,
@@ -81,20 +83,26 @@ const WAITS: [WaitStrategy; 3] = [
     WaitStrategy::Park,
 ];
 
-/// The execution paths that must agree on degradation.
+/// The ways to run a flow that must agree on degradation.
 #[derive(Clone, Copy, Debug)]
 enum Path {
-    Interpreted,
-    Pruned,
-    Hybrid,
-    Compiled,
+    /// `Executor::run` under the total mapping.
+    Fresh,
+    /// The second run of a flow compiled once under the total mapping.
+    Reused,
+    /// The total mapping as a partial one: nothing is claim-marked.
+    HybridTotal,
+    /// Every task claim-marked, on a fresh and on a reused flow.
+    Unmapped,
+    UnmappedReused,
 }
 
-const PATHS: [Path; 4] = [
-    Path::Interpreted,
-    Path::Pruned,
-    Path::Hybrid,
-    Path::Compiled,
+const PATHS: [Path; 5] = [
+    Path::Fresh,
+    Path::Reused,
+    Path::HybridTotal,
+    Path::Unmapped,
+    Path::UnmappedReused,
 ];
 
 /// The stable fingerprint of a degraded run: the worker that happened to
@@ -111,6 +119,31 @@ fn fingerprint(p: &PartialReport) -> Fingerprint {
     )
 }
 
+/// Runs `graph` under `path`.
+fn run_on(
+    graph: &TaskGraph,
+    cfg: &RioConfig,
+    mapping: &TableMapping,
+    path: Path,
+    kernel: impl Fn(WorkerId, &TaskDesc) + Sync,
+) -> rio::core::Execution {
+    let as_partial = Total(mapping);
+    let exec = Executor::new(cfg.clone());
+    let (exec, reused) = match path {
+        Path::Fresh => (exec.mapping(mapping), false),
+        Path::Reused => (exec.mapping(mapping), true),
+        Path::HybridTotal => (exec.hybrid(&as_partial), false),
+        Path::Unmapped => (exec.hybrid(&Unmapped), false),
+        Path::UnmappedReused => (exec.hybrid(&Unmapped), true),
+    };
+    let flow = exec.compile(graph);
+    if reused {
+        flow.run(|_, _| {});
+    }
+    flow.try_run(kernel)
+        .expect("a recovered run must degrade, not abort")
+}
+
 /// Runs `graph` with a kernel that permanently fails at `victim`; returns
 /// the final store and the degradation fingerprint.
 fn observe_degraded(
@@ -121,34 +154,40 @@ fn observe_degraded(
     path: Path,
 ) -> (Vec<u64>, Fingerprint) {
     let store = DataStore::filled(graph.num_data(), 0u64);
-    let kernel = |_: WorkerId, t: &TaskDesc| {
+    let run = run_on(graph, cfg, mapping, path, |_, t| {
         if t.id == victim {
             panic!("injected permanent failure");
         }
         hash_kernel(&store, t);
-    };
-    let run = match path {
-        Path::Interpreted => Executor::new(cfg.clone())
-            .mapping(mapping)
-            .try_run(graph, kernel),
-        Path::Pruned => Executor::new(cfg.clone())
-            .mapping(mapping)
-            .pruning(true)
-            .try_run(graph, kernel),
-        Path::Hybrid => Executor::new(cfg.clone())
-            .hybrid(&rio::core::hybrid::Total(mapping))
-            .try_run(graph, kernel),
-        Path::Compiled => Executor::new(cfg.clone())
-            .mapping(mapping)
-            .compile(graph)
-            .try_run(kernel),
-    }
-    .expect("a recovered run must degrade, not abort");
+    });
     let partial = run
         .outcome
         .partial()
         .expect("the victim fails permanently, so the run must be degraded");
     (store.into_vec(), fingerprint(partial))
+}
+
+/// The oracle: the flow in order on one thread, `victim` failing without
+/// a retry, and every task one of whose data is poisoned skipped — both
+/// poisoning what they write.
+fn sequential_degraded(graph: &TaskGraph, victim: TaskId) -> (Vec<u64>, Fingerprint) {
+    let store = DataStore::filled(graph.num_data(), 0u64);
+    let mut poisoned = std::collections::BTreeSet::new();
+    let mut skipped = Vec::new();
+    rio::stf::sequential::run_graph(graph, |id| {
+        let t = graph.task(id);
+        let skip = t.accesses.iter().any(|a| poisoned.contains(&a.data));
+        if skip {
+            skipped.push(id);
+        }
+        if skip || id == victim {
+            poisoned.extend(t.writes());
+        } else {
+            hash_kernel(&store, t);
+        }
+    });
+    let fp = (vec![(victim, 0)], poisoned.into_iter().collect(), skipped);
+    (store.into_vec(), fp)
 }
 
 /// The fault-free baseline under the same configuration.
@@ -183,7 +222,7 @@ proptest! {
                 .recovery(RecoveryPolicy::no_retries());
             let baseline = observe_healthy(&graph, &cfg, &mapping);
             let (store, fp) =
-                observe_degraded(&graph, &cfg, &mapping, victim, Path::Interpreted);
+                observe_degraded(&graph, &cfg, &mapping, victim, Path::Fresh);
             prop_assert_eq!(fp.0.len(), 1);
             prop_assert_eq!(fp.0[0].0, victim);
             for d in 0..graph.num_data() {
@@ -205,10 +244,11 @@ proptest! {
             "Park degraded differently from Spin");
     }
 
-    /// Tentpole pin: the interpreted, pruned, hybrid and compiled paths
-    /// agree on how a run degrades — same failed task, same poisoned
-    /// cone, same skipped set, same store — because poison is decided at
-    /// serialized write epochs, not by which path noticed it first.
+    /// Tentpole pin: fresh and reused flows, under the total mapping, the
+    /// same mapping as a partial one and no mapping at all, degrade as
+    /// the sequential oracle does — same failed task, same poisoned cone,
+    /// same skipped set, same store — because poison is decided at
+    /// serialized write epochs, not by who noticed it first.
     #[test]
     fn every_execution_path_degrades_identically(
         graph in arb_graph(30, 4),
@@ -222,14 +262,13 @@ proptest! {
         let cfg = RioConfig::with_workers(workers)
             .wait(WAITS[wait_idx])
             .recovery(RecoveryPolicy::no_retries());
-        let (ref_store, ref_fp) =
-            observe_degraded(&graph, &cfg, &mapping, victim, Path::Interpreted);
+        let (ref_store, ref_fp) = sequential_degraded(&graph, victim);
         for path in PATHS {
             let (store, fp) = observe_degraded(&graph, &cfg, &mapping, victim, path);
             prop_assert_eq!(&fp, &ref_fp,
-                "{:?} degraded differently from Interpreted", path);
+                "{:?} degraded differently from the oracle", path);
             prop_assert_eq!(&store, &ref_store,
-                "{:?} left a different store from Interpreted", path);
+                "{:?} left a different store from the oracle", path);
         }
     }
 
@@ -248,24 +287,7 @@ proptest! {
         let baseline = observe_healthy(&graph, &plain, &mapping);
         for path in PATHS {
             let store = DataStore::filled(graph.num_data(), 0u64);
-            let kernel = |_: WorkerId, t: &TaskDesc| hash_kernel(&store, t);
-            let run = match path {
-                Path::Interpreted => Executor::new(recovering.clone())
-                    .mapping(&mapping)
-                    .try_run(&graph, kernel),
-                Path::Pruned => Executor::new(recovering.clone())
-                    .mapping(&mapping)
-                    .pruning(true)
-                    .try_run(&graph, kernel),
-                Path::Hybrid => Executor::new(recovering.clone())
-                    .hybrid(&rio::core::hybrid::Total(&mapping))
-                    .try_run(&graph, kernel),
-                Path::Compiled => Executor::new(recovering.clone())
-                    .mapping(&mapping)
-                    .compile(&graph)
-                    .try_run(kernel),
-            }
-            .expect("a healthy run must complete");
+            let run = run_on(&graph, &recovering, &mapping, path, |_, t| hash_kernel(&store, t));
             prop_assert!(run.outcome.is_complete(), "{:?} reported degradation", path);
             prop_assert_eq!(run.report.tasks_executed(), graph.len() as u64);
             prop_assert_eq!(&store.into_vec(), &baseline, "{:?} store mismatch", path);

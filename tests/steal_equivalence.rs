@@ -2,9 +2,9 @@
 //! bodies onto different workers, but it must never move the program.
 //! On random flows, mappings, worker counts and wait strategies:
 //!
-//! * the final store is byte-identical between steal-on and steal-off —
-//!   on the interpreted and the compiled path, under `Spin`, `SpinYield`
-//!   and `Park`;
+//! * the final store is the sequential oracle's, steal-on and steal-off —
+//!   on a fresh and on a reused flow, under `Spin`, `SpinYield` and
+//!   `Park`;
 //! * per-datum writer order is exactly the sequential order of the flow
 //!   even under steal storms (claims hand a task to one executor, and
 //!   its guards still serialize on write epochs);
@@ -102,21 +102,37 @@ fn cfg(workers: usize, wait: WaitStrategy, stealing: bool) -> RioConfig {
     cfg
 }
 
-/// Runs `graph` on the interpreted or compiled path and returns the
-/// final store.
-fn observe(graph: &TaskGraph, cfg: &RioConfig, mapping: &TableMapping, compiled: bool) -> Vec<u64> {
-    let store = DataStore::filled(graph.num_data(), 0u64);
-    let kernel = |_: WorkerId, t: &TaskDesc| hash_kernel(&store, t);
-    if compiled {
-        Executor::new(cfg.clone())
-            .mapping(mapping)
-            .compile(graph)
-            .run(kernel);
+/// Runs `kernel` over `graph` — as a one-shot, or (`reused`) as the second
+/// run of a flow compiled once.
+fn run(
+    graph: &TaskGraph,
+    cfg: RioConfig,
+    mapping: &TableMapping,
+    reused: bool,
+    kernel: impl Fn(WorkerId, &TaskDesc) + Sync,
+) {
+    let exec = Executor::new(cfg).mapping(mapping);
+    if reused {
+        let flow = exec.compile(graph);
+        flow.run(|_, _| {});
+        flow.run(kernel);
     } else {
-        Executor::new(cfg.clone())
-            .mapping(mapping)
-            .run(graph, kernel);
+        exec.run(graph, kernel);
     }
+}
+
+/// [`run`] with the state-hashing kernel; returns the final store.
+fn observe(graph: &TaskGraph, cfg: &RioConfig, mapping: &TableMapping, reused: bool) -> Vec<u64> {
+    let store = DataStore::filled(graph.num_data(), 0u64);
+    run(graph, cfg.clone(), mapping, reused, |_, t| {
+        hash_kernel(&store, t)
+    });
+    store.into_vec()
+}
+
+fn run_sequential(graph: &TaskGraph) -> Vec<u64> {
+    let store = DataStore::filled(graph.num_data(), 0u64);
+    rio::stf::sequential::run_graph(graph, |tid| hash_kernel(&store, graph.task(tid)));
     store.into_vec()
 }
 
@@ -145,8 +161,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Tentpole pin: arming the steal layer changes *which worker* runs a
-    /// body, never *what the program computes*. Byte-identical stores,
-    /// steal-on vs steal-off, interpreted and compiled, all strategies.
+    /// body, never *what the program computes*: the sequential oracle's
+    /// store, steal-on and steal-off, fresh and reused flow, all
+    /// strategies.
     #[test]
     fn stealing_never_changes_the_store(
         graph in arb_graph(30, 5),
@@ -154,15 +171,17 @@ proptest! {
         map_seed in 0u64..1000,
     ) {
         let mapping = arb_table_mapping(graph.len(), workers, map_seed);
+        let oracle = run_sequential(&graph);
         for wait in WAITS {
-            for compiled in [false, true] {
-                let off = observe(&graph, &cfg(workers, wait, false), &mapping, compiled);
-                let on = observe(&graph, &cfg(workers, wait, true), &mapping, compiled);
-                prop_assert_eq!(
-                    &on, &off,
-                    "steal-on diverged from steal-off ({:?}, compiled={})",
-                    wait, compiled
-                );
+            for reused in [false, true] {
+                for stealing in [false, true] {
+                    let store = observe(&graph, &cfg(workers, wait, stealing), &mapping, reused);
+                    prop_assert_eq!(
+                        &store, &oracle,
+                        "diverged from the oracle ({:?}, reused={}, stealing={})",
+                        wait, reused, stealing
+                    );
+                }
             }
         }
     }
@@ -177,9 +196,8 @@ proptest! {
         workers in 2usize..5,
         map_seed in 0u64..1000,
         wait_idx in 0usize..3,
-        compiled_idx in 0usize..2,
+        reused_idx in 0usize..2,
     ) {
-        let compiled = compiled_idx == 1;
         let mapping = arb_table_mapping(graph.len(), workers, map_seed);
         let observed: Vec<Mutex<Vec<TaskId>>> =
             (0..graph.num_data()).map(|_| Mutex::new(Vec::new())).collect();
@@ -188,12 +206,7 @@ proptest! {
                 observed[d.index()].lock().unwrap().push(t.id);
             }
         };
-        let c = cfg(workers, WAITS[wait_idx], true);
-        if compiled {
-            Executor::new(c).mapping(&mapping).compile(&graph).run(kernel);
-        } else {
-            Executor::new(c).mapping(&mapping).run(&graph, kernel);
-        }
+        run(&graph, cfg(workers, WAITS[wait_idx], true), &mapping, reused_idx == 1, kernel);
         let expected = sequential_writers(&graph);
         for (d, seq) in expected.iter().enumerate() {
             let got = observed[d].lock().unwrap();

@@ -3,9 +3,9 @@
 //! quadruple must feed the efficiency decomposition, and the Chrome-trace
 //! export must materialize on disk via the `Executor` alone.
 
-use rio::core::hybrid::Unmapped;
+use rio::core::hybrid::{PartialFn, Unmapped};
 use rio::core::{Execution, Executor, RioConfig, TraceConfig, WaitStrategy};
-use rio::stf::{DataStore, RoundRobin, TaskDesc, TaskGraph};
+use rio::stf::{DataStore, RoundRobin, TaskDesc, TaskGraph, TaskId, WorkerId};
 use rio::workloads::random_deps::{self, RandomDepsConfig};
 
 fn workload() -> TaskGraph {
@@ -18,43 +18,73 @@ fn workload() -> TaskGraph {
     })
 }
 
-/// Runs `configure(Executor)` with a state-hashing kernel; returns the
+fn hash_kernel(store: &DataStore<u64>, t: &TaskDesc) {
+    let mut h = t.id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    for d in t.reads() {
+        h = (h ^ *store.read(d)).wrapping_mul(0x100_0000_01b3);
+    }
+    for d in t.writes() {
+        *store.write(d) = h;
+    }
+}
+
+/// Runs `configure(Executor)` with a state-hashing kernel — as a one-shot,
+/// or (`reused`) as the second run of a flow compiled once; returns the
 /// final store contents and the execution.
+fn run_flow(
+    graph: &TaskGraph,
+    configure: impl Fn(Executor<'_>) -> Executor<'_>,
+    reused: bool,
+) -> (Vec<u64>, Execution) {
+    let store = DataStore::filled(graph.num_data(), 0u64);
+    let cfg = RioConfig::with_workers(3).wait(WaitStrategy::Park);
+    let exec = configure(Executor::new(cfg));
+    let kernel = |_: WorkerId, t: &TaskDesc| hash_kernel(&store, t);
+    let run = if reused {
+        let flow = exec.compile(graph);
+        flow.run(|_, _| {});
+        flow.run(kernel)
+    } else {
+        exec.run(graph, kernel)
+    };
+    (store.into_vec(), run)
+}
+
 fn run(
     graph: &TaskGraph,
     configure: impl Fn(Executor<'_>) -> Executor<'_>,
 ) -> (Vec<u64>, Execution) {
-    let store = DataStore::filled(graph.num_data(), 0u64);
-    let cfg = RioConfig::with_workers(3).wait(WaitStrategy::Park);
-    let exec = configure(Executor::new(cfg)).run(graph, |_, t: &TaskDesc| {
-        let mut h = t.id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        for d in t.reads() {
-            h = (h ^ *store.read(d)).wrapping_mul(0x100_0000_01b3);
-        }
-        for d in t.writes() {
-            *store.write(d) = h;
-        }
-    });
-    (store.into_vec(), exec)
+    run_flow(graph, configure, false)
 }
 
 #[test]
 fn tracing_changes_neither_results_nor_op_counts() {
     let graph = workload();
-    // Variant x tracing matrix: results and protocol op counts must be
-    // invariant under tracing for every execution variant.
+    let oracle = {
+        let store = DataStore::filled(graph.num_data(), 0u64);
+        rio::stf::sequential::run_graph(&graph, |id| hash_kernel(&store, graph.task(id)));
+        store.into_vec()
+    };
+    // Mapping kind × fresh/reused flow × tracing matrix: results (the
+    // sequential oracle's) and protocol op counts must be invariant under
+    // tracing everywhere.
     type Cfg<'a> = (&'a str, Box<dyn Fn(Executor<'_>) -> Executor<'_>>);
-    let variants: Vec<Cfg<'_>> = vec![
-        ("plain", Box::new(|e: Executor<'_>| e.mapping(&RoundRobin))),
-        (
-            "pruned",
-            Box::new(|e: Executor<'_>| e.mapping(&RoundRobin).pruning(true)),
-        ),
+    static HALF: PartialFn<fn(TaskId, usize) -> Option<WorkerId>> =
+        PartialFn(|t, w| (t.0 % 2 == 0).then(|| WorkerId((t.0 % w as u64) as u32)));
+    let kinds: Vec<Cfg<'_>> = vec![
+        ("total", Box::new(|e: Executor<'_>| e.mapping(&RoundRobin))),
         ("hybrid", Box::new(|e: Executor<'_>| e.hybrid(&Unmapped))),
+        ("half-mapped", Box::new(|e: Executor<'_>| e.hybrid(&HALF))),
     ];
-    for (name, configure) in &variants {
-        let (plain_store, plain) = run(&graph, configure);
-        let (traced_store, traced) = run(&graph, |e| configure(e).trace(TraceConfig::new()));
+    let matrix = kinds
+        .iter()
+        .flat_map(|(kind, configure)| [false, true].map(|reused| (kind, configure, reused)));
+    for (kind, configure, reused) in matrix {
+        let name = format!("{kind}, {}", if reused { "reused" } else { "fresh" });
+        let (plain_store, plain) = run_flow(&graph, configure, reused);
+        let (traced_store, traced) =
+            run_flow(&graph, |e| configure(e).trace(TraceConfig::new()), reused);
+        assert_eq!(plain_store, oracle, "{name}: not the sequential result");
         assert_eq!(plain_store, traced_store, "{name}: results diverged");
         assert!(plain.trace.is_none(), "{name}: untraced run has no trace");
         let trace = traced
