@@ -1074,8 +1074,8 @@ pub struct NumaRow {
 /// `intra + DEFAULT_CROSS_NODE_COST × cross`. The score is a pure
 /// function of flow + mapping + node table (no clocks), so the
 /// `--assert-no-regress` CI gate is deterministic; one real run per
-/// mapping (workers bound to the topology: node-major placement, sharded
-/// parking, same-node-first stealing) supplies wall-time context.
+/// mapping (workers bound to the topology: node-major placement,
+/// same-node-first stealing) supplies wall-time context.
 ///
 /// Runs against the detected topology when the host really is
 /// multi-node; otherwise a mocked two-node split of the worker count, so

@@ -928,8 +928,8 @@ impl<'g> CompiledFlow<'g> {
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
         let me = ctx.me.index();
-        // Bind this thread to its node's parking shard (and optionally
-        // its core) before any protocol traffic.
+        // Pin this thread to its core, if asked, before any protocol
+        // traffic.
         crate::topo::enter_worker(&self.cfg, me);
         let tasks = self.graph.tasks();
         let prog = &self.programs[me];

@@ -119,8 +119,11 @@ pub struct RioConfig {
     pub wait: WaitStrategy,
     /// Pure-spin polls inside `get_read`/`get_write` before escalating to
     /// the configured [`RioConfig::wait`] strategy (yield or park).
-    /// Default: [`WaitStrategy::DEFAULT_SPIN_LIMIT`].
-    pub spin_limit: u32,
+    /// Default: `None` — about one park's worth of polls on this machine
+    /// when every worker has a hardware thread of its own,
+    /// [`WaitStrategy::DEFAULT_SPIN_LIMIT`] when they share threads (see
+    /// [`crate::wait`]).
+    pub spin_limit: Option<u32>,
     /// Per-object wait policies, indexed by [`rio_stf::DataId`]: entry
     /// `d` overrides [`RioConfig::wait`]/[`RioConfig::spin_limit`] for
     /// every wait *and* terminate on data object `d`. Objects past the
@@ -219,7 +222,6 @@ pub struct RioConfig {
     /// Machine topology ([`crate::topo::Topology`]) used for NUMA-aware
     /// placement: workers are assigned to nodes node-major
     /// ([`Topology::node_assignment`](crate::topo::Topology::node_assignment)),
-    /// each worker parks in its own node's shard of the parking table,
     /// `CompiledFlow` lays out per-worker epoch words and access slices
     /// in node-local arenas, and the steal layer prefers same-node
     /// victims. `None` (the default) behaves exactly like a single-node
@@ -253,8 +255,16 @@ impl RioConfig {
 
     /// Sets the pure-spin poll budget (builder style).
     pub fn spin_limit(mut self, polls: u32) -> RioConfig {
-        self.spin_limit = polls;
+        self.spin_limit = Some(polls);
         self
+    }
+
+    /// The pure-spin polls this run's waits get: the explicit
+    /// [`RioConfig::spin_limit`], or the default sized for this machine
+    /// and worker count.
+    pub(crate) fn spin_polls(&self) -> u32 {
+        self.spin_limit
+            .unwrap_or_else(|| crate::wait::default_spin_limit(self.workers))
     }
 
     /// Installs a per-object wait-policy table (builder style): entry `d`
@@ -406,7 +416,7 @@ impl Default for RioConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             wait: WaitStrategy::default(),
-            spin_limit: WaitStrategy::DEFAULT_SPIN_LIMIT,
+            spin_limit: None,
             wait_policies: None,
             watchdog: None,
             preflight: true,
@@ -463,7 +473,7 @@ mod tests {
         assert!(c.trace.is_none(), "tracing is opt-in");
         assert!(c.watchdog.is_none(), "watchdog is opt-in");
         assert!(c.preflight, "pre-flight validation is on by default");
-        assert_eq!(c.spin_limit, WaitStrategy::DEFAULT_SPIN_LIMIT);
+        assert_eq!(c.spin_limit, None, "sized per run, not a constant");
     }
 
     #[test]
@@ -472,7 +482,11 @@ mod tests {
             .spin_limit(8)
             .watchdog(Duration::from_millis(100))
             .preflight(false);
-        assert_eq!(c.spin_limit, 8);
+        assert_eq!(c.spin_limit, Some(8));
+        assert_eq!(c.spin_polls(), 8, "explicit budgets override the default");
+        assert_eq!(RioConfig::with_workers(2).spin_limit(0).spin_polls(), 0);
+        let shared_threads = RioConfig::with_workers(1 << 16).spin_polls();
+        assert_eq!(shared_threads, WaitStrategy::DEFAULT_SPIN_LIMIT);
         assert_eq!(c.watchdog, Some(Duration::from_millis(100)));
         assert!(!c.preflight);
         c.validate();

@@ -179,9 +179,12 @@ impl Rio {
                         let mut ctx = FlowCtx {
                             me,
                             num_workers: cfg.workers,
-                            wait: cfg.wait,
-                            spin_limit: cfg.spin_limit,
-                            watchdog: cfg.watchdog,
+                            cx: WaitCx {
+                                spin_limit: cfg.spin_polls(),
+                                deadline: cfg.watchdog,
+                                timed: cfg.measure_time || cfg.trace.is_some(),
+                                ..WaitCx::new(cfg.wait, abort)
+                            },
                             measure: cfg.measure_time,
                             record_spans: cfg.record_spans,
                             mapping,
@@ -194,7 +197,6 @@ impl Rio {
                             idle_time: Duration::ZERO,
                             tasks_executed: 0,
                             checksum: FNV_OFFSET,
-                            abort,
                             status,
                             epoch: start,
                             spans: Vec::new(),
@@ -304,9 +306,8 @@ fn fnv_fold(hash: u64, value: u64) -> u64 {
 pub struct FlowCtx<'a, T> {
     me: WorkerId,
     num_workers: usize,
-    wait: crate::wait::WaitStrategy,
-    spin_limit: u32,
-    watchdog: Option<Duration>,
+    /// The run-wide wait context (each wait adds its own watch mark).
+    cx: WaitCx<'a>,
     measure: bool,
     record_spans: bool,
     mapping: &'a (dyn Mapping + 'a),
@@ -319,7 +320,6 @@ pub struct FlowCtx<'a, T> {
     idle_time: Duration,
     tasks_executed: u64,
     checksum: u64,
-    abort: &'a AbortFlag,
     status: &'a StatusTable,
     epoch: Instant,
     spans: Vec<rio_stf::validate::Span>,
@@ -387,21 +387,13 @@ impl<'a, T> FlowCtx<'a, T> {
             executor.index() < self.num_workers,
             "mapping sent {id} to non-existent {executor}"
         );
-        if self.abort.armed() {
+        if self.cx.abort.armed() {
             panic!("RIO run poisoned: a sibling worker's task body panicked");
         }
 
         if executor == self.me {
             let traced = self.tracer.is_some();
-            let wd = self.watchdog.is_some();
-            let cx = WaitCx {
-                strategy: self.wait,
-                spin_limit: self.spin_limit,
-                deadline: self.watchdog,
-                abort: self.abort,
-                timed: self.measure || traced,
-                watch: None,
-            };
+            let (cx, wd) = (self.cx, self.cx.deadline.is_some());
             for a in accesses {
                 self.ops.gets += 1;
                 let s = &self.shared[a.data.index()];
@@ -463,7 +455,7 @@ impl<'a, T> FlowCtx<'a, T> {
                         if let Some(c) = self.ctr {
                             c.inc_aborts();
                         }
-                        self.abort.abort(AbortCause::Stall(diag), self.shared);
+                        self.cx.abort.abort(AbortCause::Stall(diag), self.shared);
                         panic!(
                             "RIO run stalled: {id} waited past the watchdog deadline on {}",
                             a.data
@@ -516,7 +508,7 @@ impl<'a, T> FlowCtx<'a, T> {
                             if let Some(c) = self.ctr {
                                 c.inc_aborts();
                             }
-                            self.abort.abort(
+                            self.cx.abort.abort(
                                 AbortCause::Panic {
                                     task: id,
                                     worker: self.me,
@@ -566,9 +558,9 @@ impl<'a, T> FlowCtx<'a, T> {
                 let s = &self.shared[a.data.index()];
                 let l = &mut self.locals[a.data.index()];
                 let elided = if a.mode.writes() {
-                    terminate_write(s, l, id, self.wait)
+                    terminate_write(s, l, id, self.cx.strategy)
                 } else {
-                    terminate_read(s, l, self.wait)
+                    terminate_read(s, l, self.cx.strategy)
                 };
                 if elided {
                     if let Some(c) = self.ctr {

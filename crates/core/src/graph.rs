@@ -183,7 +183,7 @@ impl<'a> WorkerCtx<'a> {
             epoch,
             cx: WaitCx {
                 strategy: cfg.wait,
-                spin_limit: cfg.spin_limit,
+                spin_limit: cfg.spin_polls(),
                 deadline: cfg.watchdog,
                 abort,
                 timed: cfg.measure_time || tracer.is_some(),

@@ -78,9 +78,9 @@ pub mod counters;
 pub mod executor;
 pub mod flight;
 pub mod flow;
+mod futex;
 pub mod graph;
 pub mod hybrid;
-mod park;
 pub mod protocol;
 pub mod redux;
 pub mod report;

@@ -63,52 +63,32 @@
 //! Publications use `Release` stores and `get_*` uses `Acquire` loads, so
 //! observing an expected epoch word also makes the task body's data writes
 //! visible. Under [`WaitStrategy::Park`] both sides upgrade to `SeqCst`
-//! to support **waiter-aware wake elision**: a terminate only wakes anyone
-//! if the sibling `waiters` counter is non-zero, so the uncontended
-//! completion path does zero mutex traffic and zero wakes. The lost-wakeup
-//! argument needs a total order between four accesses — the terminator's
-//! word store `S` then waiters load `L`, and the waiter's waiters
-//! increment `I` then word re-check `R`:
-//!
-//! * if `L` reads 0, then `I` is after `L` in the SeqCst total order, so
-//!   `R` (after `I`) observes `S` (before `L`) — the waiter never parks;
-//! * if `L` reads ≥ 1, the terminator unparks through the waiter's bucket
-//!   ([`crate::park`]): it acquires the bucket lock before notifying, so a
-//!   waiter that re-checked before `S` is either already inside
-//!   `Condvar::wait` (and receives the notify; the mutex handover makes
-//!   `S` visible to its next re-check) or still holds the bucket lock (the
-//!   unpark blocks until the waiter parks, then notifies).
-//!
-//! **Node-sharded extension** (DESIGN.md §15). The parking table is
-//! sharded per NUMA node, so "the waiter's bucket" is no longer unique:
-//! a waiter parks in its *own node's* shard. Two more SeqCst accesses
-//! extend the argument — the waiter's shard-mask `fetch_or` `M` on the
-//! object's `node_mask` (issued *before* `I`), and the terminator's mask
-//! load `LM` (issued *after* `L`):
-//!
-//! * if `L` reads ≥ 1 for some parked waiter, that waiter's `I` precedes
-//!   `L` in the SeqCst total order, hence `M` (before `I`) precedes `LM`
-//!   (after `L`) — the terminator's mask includes the waiter's shard bit
-//!   and the unpark walks that shard's bucket, restoring the single-table
-//!   argument verbatim;
-//! * shard bits are never cleared during a run ([`SharedDataState`] is
-//!   per-run state), so a stale bit only costs a spurious extra bucket
-//!   visit, never a lost wake. A zero mask with a non-zero counter cannot
-//!   occur under this order, but [`crate::park::unpark_shards`] falls
-//!   back to walking every shard anyway.
+//! to support **waiter-aware wake elision**: a worker that exhausted its
+//! spin budget ([`crate::wait`] sizes it) sleeps on the object's own
+//! futex event-count (`crate::futex`, next to the epoch word in the
+//! same cache line), and a terminate only wakes anyone if that
+//! event-count advertises a waiter — so the uncontended completion path
+//! is the `SeqCst` publication plus one load, with no lock, no table and
+//! no syscall. The lost-wakeup argument (four `SeqCst` accesses — the
+//! terminator's word store then waiters load, the waiter's waiters
+//! increment then word re-check — plus the futex's compare of the wake
+//! sequence) is stated in `crate::futex` and explored exhaustively by
+//! `rio-mc`.
 //!
 //! Abort broadcast and spurious-wake storms bypass the waiters check and
-//! unpark *every* bucket of *every* shard — they are cold paths whose job
-//! is to guarantee that every wait terminates (abort, watchdog deadline)
-//! no matter what.
+//! wake every object of the table they are given — cold paths whose job
+//! is to guarantee that every wait of *that run* terminates (abort,
+//! watchdog deadline) no matter what; waiters of other runs in the
+//! process are not disturbed.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{LockResult, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rio_stf::{DataId, ExecError, FailedTask, PartialReport, StallDiagnostic, TaskId, WorkerId};
 
-use crate::park;
+use crate::futex::EventCount;
 use crate::status::WaitWatch;
 use crate::wait::WaitStrategy;
 
@@ -207,6 +187,13 @@ impl std::fmt::Debug for AbortCause {
     }
 }
 
+/// What a failure-path lock guards, poisoned or not: a panic while one is
+/// held (an allocation failure inside `push`) leaves a valid `Vec` /
+/// `Option` behind.
+pub(crate) fn unpoisoned<T>(locked: LockResult<T>) -> T {
+    locked.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Run-wide abort flag. When a task body panics (or a watchdog deadline
 /// expires), the detecting worker records the [`AbortCause`], *arms* the
 /// flag and wakes every parked waiter; other workers observe it inside
@@ -244,24 +231,28 @@ impl AbortFlag {
         self.armed.load(Ordering::Acquire)
     }
 
-    /// Arms the flag and wakes every worker parked on any data object of
-    /// `_table` so they can observe it.
+    /// Arms the flag and wakes every worker asleep on a data object of
+    /// `table` so it can observe it — that run's waiters and nobody
+    /// else's. O(objects), on a path taken once per failed run.
     ///
-    /// With address-keyed parking this broadcasts through every parking
-    /// bucket — O(buckets), independent of the table size — rather than
-    /// walking the data objects. Waiters of unrelated runs absorb the
-    /// resulting spurious wakes by re-checking their own condition.
+    /// No sleeper misses the abort, on `Release`/`Acquire` alone: the arm
+    /// is sequenced before each object's sequence bump (a `SeqCst` RMW),
+    /// and a waiter loads the sequence before it checks the flag
+    /// (`crate::futex::EventCount::sleep_until`). A waiter that read
+    /// the bumped sequence therefore sees the flag armed and leaves; one
+    /// that read the old sequence either fails the futex compare or is
+    /// already queued when the wake that follows the bump runs.
     #[cold]
-    pub fn arm_and_wake(&self, _table: &[SharedDataState]) {
+    pub fn arm_and_wake(&self, table: &[SharedDataState]) {
         self.arm();
-        park::unpark_everything();
+        spurious_wake_all(table);
     }
 
     /// Records `cause` (first failure wins), arms the flag and wakes every
     /// parked worker. Returns `true` if this call's cause was recorded.
     #[cold]
     pub fn abort(&self, cause: AbortCause, table: &[SharedDataState]) -> bool {
-        let mut slot = self.cause.lock();
+        let mut slot = unpoisoned(self.cause.lock());
         let won = slot.is_none();
         if won {
             *slot = Some(cause);
@@ -274,7 +265,7 @@ impl AbortFlag {
     /// Takes the recorded cause, if any. Called once by the runtime after
     /// joining the workers.
     pub fn take_cause(&self) -> Option<AbortCause> {
-        self.cause.lock().take()
+        unpoisoned(self.cause.lock()).take()
     }
 }
 
@@ -348,13 +339,13 @@ impl RecoveryCtx {
     /// Records one permanently-failed task.
     #[cold]
     pub(crate) fn record_failed(&self, ft: FailedTask) {
-        self.failed.lock().push(ft);
+        unpoisoned(self.failed.lock()).push(ft);
     }
 
     /// Records one dependent whose kernel was skipped.
     #[cold]
     pub(crate) fn record_skipped(&self, task: TaskId) {
-        self.skipped.lock().push(task);
+        unpoisoned(self.skipped.lock()).push(task);
     }
 
     /// Accumulates time spent in failed attempts and backoff sleeps.
@@ -367,8 +358,8 @@ impl RecoveryCtx {
     /// when nothing failed (the run completed cleanly despite the policy
     /// being installed).
     pub(crate) fn into_report(self) -> Option<PartialReport> {
-        let mut failed = self.failed.into_inner();
-        let mut skipped = self.skipped.into_inner();
+        let mut failed = unpoisoned(self.failed.into_inner());
+        let mut skipped = unpoisoned(self.skipped.into_inner());
         if failed.is_empty() && skipped.is_empty() {
             return None;
         }
@@ -519,30 +510,15 @@ impl Default for LocalDataState {
 ///
 /// The initial state packs to word `0`: no write performed
 /// (`TaskId::NONE = 0`), no reads in the current epoch.
+#[derive(Default)]
 #[repr(align(128))]
 pub struct SharedDataState {
     /// `last_executed_write << 32 | nb_reads_since_write` (see the module
     /// docs for the layout and ordering arguments).
     word: AtomicU64,
-    /// Number of workers parked (or about to park) on this object. A
-    /// terminate only unparks when this is non-zero.
-    waiters: AtomicU32,
-    /// Parking shards (bit `n` = node shard `n`, see
-    /// [`crate::park::MAX_NODE_SHARDS`]) that ever held a waiter of this
-    /// object. Advertised *before* the waiter increments `waiters` so a
-    /// terminate that observes the counter also observes the shard bit
-    /// (module docs, node-sharded extension); never cleared within a run.
-    node_mask: AtomicU32,
-}
-
-impl Default for SharedDataState {
-    fn default() -> Self {
-        SharedDataState {
-            word: AtomicU64::new(pack_epoch(TaskId::NONE, 0)),
-            waiters: AtomicU32::new(0),
-            node_mask: AtomicU32::new(0),
-        }
-    }
+    /// Who sleeps on this object, and the word they sleep on. A
+    /// terminate only wakes when it advertises a waiter.
+    event: EventCount,
 }
 
 impl std::fmt::Debug for SharedDataState {
@@ -553,8 +529,7 @@ impl std::fmt::Debug for SharedDataState {
             .field("nb_reads_since_write", &reads)
             .field("last_executed_write", &write.0)
             .field("epoch_word", &format_args!("{word:#018x}"))
-            .field("waiters", &self.waiters.load(Ordering::Relaxed))
-            .field("node_mask", &self.node_mask.load(Ordering::Relaxed))
+            .field("event", &self.event)
             .finish()
     }
 }
@@ -596,26 +571,6 @@ impl SharedDataState {
         (self.word.load(order) ^ expected) & mask == 0
     }
 
-    /// Unparks this object's waiters if — and only if — there are any.
-    /// The caller must already have published its state update with
-    /// `SeqCst` (see the module-level wake-elision argument). Returns
-    /// `true` when the wake actually ran (a waiter was advertised),
-    /// `false` when it was elided.
-    #[inline]
-    fn wake_if_waiters(&self) -> bool {
-        if self.waiters.load(Ordering::SeqCst) != 0 {
-            // Any waiter the counter load observed advertised its shard
-            // bit first (module docs, node-sharded extension), so this
-            // mask covers every parked waiter; unpark_shards falls back
-            // to all shards on a zero mask regardless.
-            let mask = self.node_mask.load(Ordering::SeqCst);
-            park::unpark_shards(self.word.as_ptr(), mask);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Waits until the epoch word agrees with `expected` under `mask`
     /// ([`SharedDataState::satisfied`]), the run aborts, or the deadline
     /// (if any) expires, according to `cx`.
@@ -629,151 +584,117 @@ impl SharedDataState {
         if self.satisfied(expected, mask) {
             return WaitResult::READY;
         }
-        self.wait_blocked(cx, expected, mask)
+        wait_blocked(&self.event, cx, |order| self.ready(expected, mask, order))
     }
+}
 
-    /// The blocked half of [`SharedDataState::wait_until_cx`]. The abort
-    /// flag is re-checked on every poll.
-    ///
-    /// Spurious wake-ups are harmless by construction: every strategy —
-    /// including the `Park` branch, whose `Condvar::wait`/`wait_for` may
-    /// return without a matching notify (bucket collisions guarantee some)
-    /// — loops back to re-check the word before concluding anything, and
-    /// only a *timed* wait can yield [`WaitVerdict::DeadlineExceeded`]
-    /// (after the full deadline, never on a stray wake).
-    ///
-    /// Ordering: the spinning paths load with `Acquire` (enough to
-    /// synchronize with the `Release`/`SeqCst` publication they match);
-    /// the parked path re-checks with `SeqCst` after announcing itself in
-    /// `waiters`, which the elision argument requires.
-    #[cold]
-    fn wait_blocked(&self, cx: &WaitCx<'_>, expected: u64, mask: u64) -> WaitResult {
-        let blocked_at = (cx.timed || cx.deadline.is_some()).then(Instant::now);
-        if let Some(w) = cx.watch {
-            w.status.begin_wait(w.worker, w.data);
+/// The blocked half of every wait — [`SharedDataState`]'s and the
+/// reduction extension's ([`crate::redux`]) alike: until `ready` holds,
+/// the run aborts or the deadline expires. `ready` is handed the ordering
+/// its loads must use. The abort flag is re-checked on every poll.
+///
+/// Spurious wake-ups are harmless by construction: every strategy —
+/// including the `Park` branch, whose futex sleep may return without a
+/// matching wake (a signal, an abort or storm aimed at the table) —
+/// loops back to re-check before concluding anything, and only a *timed*
+/// wait can yield [`WaitVerdict::DeadlineExceeded`] (after the full
+/// deadline, never on a stray wake).
+///
+/// Ordering: the spinning paths load with `Acquire` (enough to
+/// synchronize with the `Release`/`SeqCst` publication they match); a
+/// wait about to sleep re-checks with `SeqCst` after announcing itself in
+/// `event`, which the elision argument requires (`crate::futex`).
+#[cold]
+pub(crate) fn wait_blocked(
+    event: &EventCount,
+    cx: &WaitCx<'_>,
+    ready: impl Fn(Ordering) -> bool,
+) -> WaitResult {
+    let blocked_at = (cx.timed || cx.deadline.is_some()).then(Instant::now);
+    if let Some(w) = cx.watch {
+        w.status.begin_wait(w.worker, w.data);
+    }
+    let (outcome, verdict) = wait_loop(event, cx, ready, blocked_at);
+    if let Some(w) = cx.watch {
+        w.status.end_wait(w.worker);
+    }
+    WaitResult {
+        outcome,
+        verdict,
+        blocked_at,
+    }
+}
+
+fn wait_loop(
+    event: &EventCount,
+    cx: &WaitCx<'_>,
+    ready: impl Fn(Ordering) -> bool,
+    blocked_at: Option<Instant>,
+) -> (WaitOutcome, WaitVerdict) {
+    let done = |polls, parks, verdict| (WaitOutcome { polls, parks }, verdict);
+    // The watchdog runs on the stamp taken when the first probe failed (a
+    // deadline always takes one).
+    let timer = cx.deadline.zip(blocked_at);
+    let left = || timer.map(|(d, start)| d.saturating_sub(start.elapsed()));
+    // One poll: the condition, the flag and — when asked — the clock.
+    let poll = |order, clock: bool| {
+        if ready(order) {
+            Some(WaitVerdict::Ready)
+        } else if cx.abort.armed() {
+            Some(WaitVerdict::Aborted)
+        } else if clock && left() == Some(Duration::ZERO) {
+            Some(WaitVerdict::DeadlineExceeded)
+        } else {
+            None
         }
-        let (outcome, verdict) = self.wait_loop(cx, expected, mask, blocked_at);
-        if let Some(w) = cx.watch {
-            w.status.end_wait(w.worker);
-        }
-        WaitResult {
-            outcome,
-            verdict,
-            blocked_at,
+    };
+    // The pure-spin phase common to all strategies — all there is to
+    // `Spin`. It honours the deadline too: a budget sized to a park
+    // (`crate::wait`) would otherwise swallow the steal layer's short
+    // slices whole. The clock read is amortized over `CLOCK_EVERY` polls,
+    // about a microsecond of spinning.
+    const CLOCK_EVERY: u64 = 64;
+    let mut polls: u64 = 0;
+    while cx.strategy == WaitStrategy::Spin || polls < u64::from(cx.spin_limit) {
+        std::hint::spin_loop();
+        polls += 1;
+        if let Some(verdict) = poll(Ordering::Acquire, polls.is_multiple_of(CLOCK_EVERY)) {
+            return done(polls, 0, verdict);
         }
     }
-
-    fn wait_loop(
-        &self,
-        cx: &WaitCx<'_>,
-        expected: u64,
-        mask: u64,
-        blocked_at: Option<Instant>,
-    ) -> (WaitOutcome, WaitVerdict) {
-        let done = |polls, parks, verdict| (WaitOutcome { polls, parks }, verdict);
-        let ready = |order: Ordering| self.ready(expected, mask, order);
-        let mut polls: u64 = 0;
-        // Short pure-spin phase common to all strategies.
-        while polls < u64::from(cx.spin_limit) {
-            std::hint::spin_loop();
-            polls += 1;
-            if ready(Ordering::Acquire) {
-                return done(polls, 0, WaitVerdict::Ready);
-            }
-            if cx.abort.armed() {
-                return done(polls, 0, WaitVerdict::Aborted);
-            }
-        }
-        // The watchdog runs on the stamp taken when the first probe
-        // failed (a deadline always takes one).
-        let timer = cx.deadline.zip(blocked_at);
-        let expired = || matches!(timer, Some((d, start)) if start.elapsed() >= d);
-        match cx.strategy {
-            WaitStrategy::Spin => loop {
-                std::hint::spin_loop();
-                polls += 1;
-                if ready(Ordering::Acquire) {
-                    return done(polls, 0, WaitVerdict::Ready);
-                }
-                if cx.abort.armed() {
-                    return done(polls, 0, WaitVerdict::Aborted);
-                }
-                // Amortize the clock read; precision is irrelevant for a
-                // watchdog that fires after entire missing dependencies.
-                if polls.is_multiple_of(1024) && expired() {
-                    return done(polls, 0, WaitVerdict::DeadlineExceeded);
-                }
-            },
-            WaitStrategy::SpinYield => loop {
-                std::thread::yield_now();
-                polls += 1;
-                if ready(Ordering::Acquire) {
-                    return done(polls, 0, WaitVerdict::Ready);
-                }
-                if cx.abort.armed() {
-                    return done(polls, 0, WaitVerdict::Aborted);
-                }
-                // Check the clock on *every* poll: each poll already paid
-                // for a `sched_yield` syscall, so the read costs nothing
-                // relative to it — and on an oversubscribed machine one
-                // yield can swallow a whole scheduling quantum, so an
-                // amortized check would let short deadlines (the steal
-                // layer's scan slices) blow past their budget unnoticed.
-                if expired() {
-                    return done(polls, 0, WaitVerdict::DeadlineExceeded);
-                }
-            },
-            WaitStrategy::Park => {
-                // Announce before parking; terminates elide their wake
-                // only when this counter is zero. The shard bit goes
-                // first: a terminate that observes the counter must also
-                // observe which shard to wake (module docs, node-sharded
-                // extension). The shard index is read once and used for
-                // both the bit and the bucket, so they always agree.
-                let shard = park::current_shard();
-                self.node_mask.fetch_or(1u32 << shard, Ordering::SeqCst);
-                self.waiters.fetch_add(1, Ordering::SeqCst);
-                let bucket = park::bucket_for_shard(self.word.as_ptr(), shard);
-                let mut parks: u64 = 0;
-                let mut guard = bucket.lock.lock();
-                let result = loop {
-                    if ready(Ordering::SeqCst) {
-                        break done(polls, parks, WaitVerdict::Ready);
-                    }
-                    if cx.abort.armed() {
-                        break done(polls, parks, WaitVerdict::Aborted);
-                    }
-                    match timer {
-                        None => bucket.cond.wait(&mut guard),
-                        Some((d, start)) => {
-                            let remaining = d.saturating_sub(start.elapsed());
-                            if remaining.is_zero() {
-                                break done(polls, parks, WaitVerdict::DeadlineExceeded);
-                            }
-                            // Timed-out or woken, the loop re-checks the
-                            // condition either way.
-                            let _ = bucket.cond.wait_for(&mut guard, remaining);
-                        }
-                    }
-                    polls += 1;
-                    parks += 1;
-                };
-                drop(guard);
-                self.waiters.fetch_sub(1, Ordering::Release);
-                result
-            }
+    if cx.strategy == WaitStrategy::Park {
+        // Announce, re-check with `SeqCst`, sleep on the object's own
+        // event-count for what is left of the deadline. Timed out or
+        // woken, the re-check runs either way.
+        let (verdict, parks) = event.sleep_until(|| match poll(Ordering::SeqCst, true) {
+            Some(verdict) => ControlFlow::Break(verdict),
+            None => ControlFlow::Continue(left()),
+        });
+        return done(polls + parks, parks, verdict);
+    }
+    loop {
+        std::thread::yield_now();
+        polls += 1;
+        // The clock on *every* poll: each already paid for a `sched_yield`
+        // syscall, and on an oversubscribed machine one yield can swallow
+        // a whole scheduling quantum, so an amortized check would let
+        // short deadlines (the steal layer's scan slices) blow past their
+        // budget unnoticed.
+        if let Some(verdict) = poll(Ordering::Acquire, true) {
+            return done(polls, 0, verdict);
         }
     }
 }
 
-/// Wakes every parked waiter of every data object **without any state
-/// change** — a spurious-wakeup storm. A correct `Park` wait loop absorbs
-/// this by re-checking its condition; the `fault-inject` runtimes call it
+/// Wakes every waiter asleep on a data object of `table` **without any
+/// state change** — a spurious-wakeup storm. A correct `Park` wait absorbs
+/// it by re-checking its condition; the `fault-inject` runtimes call it
 /// when a [`rio_stf::FaultHook`] requests a storm, and tests may hammer it
-/// directly. Broadcasts through every parking bucket, so it reaches (at
-/// least) every waiter of `_table` regardless of bucket collisions.
-pub fn spurious_wake_all(_table: &[SharedDataState]) {
-    park::unpark_everything();
+/// directly.
+pub fn spurious_wake_all(table: &[SharedDataState]) {
+    for s in table {
+        s.event.notify_all();
+    }
 }
 
 /// Declares (without executing) a read encountered in the flow
@@ -989,7 +910,7 @@ pub fn terminate_read(
 pub fn publish_read(shared: &SharedDataState, strategy: WaitStrategy) -> bool {
     if strategy == WaitStrategy::Park {
         shared.word.fetch_add(1, Ordering::SeqCst);
-        !shared.wake_if_waiters()
+        !shared.event.notify_if_waiters()
     } else {
         shared.word.fetch_add(1, Ordering::Release);
         false
@@ -1023,7 +944,7 @@ pub fn publish_write(shared: &SharedDataState, task: TaskId, strategy: WaitStrat
     let word = pack_epoch(task, 0);
     if strategy == WaitStrategy::Park {
         shared.word.store(word, Ordering::SeqCst);
-        !shared.wake_if_waiters()
+        !shared.event.notify_if_waiters()
     } else {
         shared.word.store(word, Ordering::Release);
         false
@@ -1290,11 +1211,7 @@ mod tests {
         let mut local_a = LocalDataState::default();
         terminate_write(&shared, &mut local_a, TaskId(1), WaitStrategy::Park);
         waiter.join().unwrap();
-        assert_eq!(
-            shared.waiters.load(Ordering::SeqCst),
-            0,
-            "every wait exit deregisters"
-        );
+        assert_eq!(shared.event.waiters(), 0, "every wait exit deregisters");
     }
 
     #[test]
@@ -1405,8 +1322,8 @@ mod tests {
 
     #[test]
     fn shared_state_is_cache_line_padded() {
-        assert!(std::mem::align_of::<SharedDataState>() >= 128);
-        assert!(std::mem::size_of::<SharedDataState>() <= 128, "one line");
+        assert_eq!(std::mem::align_of::<SharedDataState>(), 128);
+        assert_eq!(std::mem::size_of::<SharedDataState>(), 128, "one line");
     }
 
     #[test]
@@ -1486,6 +1403,126 @@ mod tests {
             // The deadline ran on the stamp the failed probe took.
             assert!(r.blocked_at.unwrap().elapsed() >= Duration::from_millis(10));
         }
+    }
+
+    /// A `Park` wait for T1 under `spin_limit`, published once the waiter
+    /// is blocked — and, with `asleep`, registered to sleep. Returns the
+    /// wait's outcome and whether the publication's wake was elided.
+    fn blocked_wait(spin_limit: u32, asleep: bool) -> (WaitOutcome, bool) {
+        use crate::status::{StatusTable, WaitWatch};
+        let (shared, flag, status) = (SharedDataState::default(), ok(), StatusTable::new(1));
+        let cx = WaitCx {
+            spin_limit,
+            watch: Some(WaitWatch {
+                status: &status,
+                worker: WorkerId(0),
+                data: DataId(0),
+            }),
+            ..WaitCx::new(WaitStrategy::Park, &flag)
+        };
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| get_read_word_cx(&shared, pack_epoch(TaskId(1), 0), &cx));
+            while status.snapshot()[0].waiting_on.is_none()
+                || (asleep && shared.event.waiters() == 0)
+            {
+                std::thread::yield_now();
+            }
+            if asleep {
+                // Registered is not yet asleep: give the syscall time.
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let elided = publish_write(&shared, TaskId(1), WaitStrategy::Park);
+            let r = waiter.join().unwrap();
+            assert_eq!(r.verdict, WaitVerdict::Ready);
+            (r.outcome, elided)
+        })
+    }
+
+    #[test]
+    fn a_publication_within_the_spin_budget_costs_no_park() {
+        // The budget outlasts any scheduling delay of this test, so the
+        // waiter must pick the publication up spinning.
+        let (outcome, elided) = blocked_wait(u32::MAX, false);
+        assert!(outcome.polls > 0 && outcome.parks == 0, "{outcome:?}");
+        assert!(elided, "nobody sleeps, nobody is woken");
+    }
+
+    #[test]
+    fn a_zero_spin_budget_sleeps_at_once() {
+        // A registered waiter may still catch the publication on its last
+        // re-check, so sleeping is observed over a few tries; that no poll
+        // is ever a spin holds on every one of them.
+        let slept = (0..20).any(|_| {
+            let (outcome, _) = blocked_wait(0, true);
+            assert_eq!(outcome.polls, outcome.parks, "every poll was a sleep");
+            outcome.parks >= 1
+        });
+        assert!(slept, "no spin phase to resolve in");
+    }
+
+    #[test]
+    fn the_spin_phase_honours_a_short_deadline() {
+        // The steal layer's slices: a deadline far shorter than the spin
+        // budget must end the wait on time, for every strategy. Timing on
+        // a shared host is noisy, so the fastest of a few tries counts.
+        let slice = Duration::from_micros(20);
+        let (shared, flag) = (SharedDataState::default(), ok());
+        for (strategy, spin_limit) in [
+            (WaitStrategy::SpinYield, 4096),
+            (WaitStrategy::Park, 4096),
+            (WaitStrategy::Park, u32::MAX),
+        ] {
+            let cx = WaitCx {
+                spin_limit,
+                deadline: Some(slice),
+                ..WaitCx::new(strategy, &flag)
+            };
+            let try_once = |_| {
+                let r = get_read_word_cx(&shared, pack_epoch(TaskId(1), 0), &cx);
+                assert_eq!(r.verdict, WaitVerdict::DeadlineExceeded);
+                r.blocked_at.expect("a deadline stamps").elapsed()
+            };
+            let took = (0..50).map(try_once).min().expect("fifty tries");
+            assert!(
+                slice <= took && took <= 2 * slice,
+                "{strategy}/{spin_limit}: {took:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn arm_and_wake_reaches_every_waiter_of_its_table_and_no_other() {
+        // Two runs in one process: aborting one wakes its sleepers — on
+        // whichever object they sleep — and leaves the other's asleep.
+        let (ours, theirs) = (SharedDataState::new_table(3), SharedDataState::new_table(1));
+        let (our_flag, their_flag) = (ok(), ok());
+        let wait_on = |s, flag| {
+            let cx = WaitCx {
+                spin_limit: 0,
+                ..WaitCx::new(WaitStrategy::Park, flag)
+            };
+            get_read_word_cx(s, pack_epoch(TaskId(1), 0), &cx)
+        };
+        std::thread::scope(|s| {
+            let aborted: Vec<_> = ours
+                .iter()
+                .map(|o| s.spawn(|| wait_on(o, &our_flag)))
+                .collect();
+            let bystander = s.spawn(|| wait_on(&theirs[0], &their_flag));
+            let asleep = |t: &[SharedDataState]| t.iter().all(|o| o.event.waiters() == 1);
+            while !(asleep(&ours) && asleep(&theirs)) {
+                std::thread::yield_now();
+            }
+            our_flag.arm_and_wake(&ours);
+            for w in aborted {
+                assert_eq!(w.join().unwrap().verdict, WaitVerdict::Aborted);
+            }
+            assert!(!bystander.is_finished());
+            publish_write(&theirs[0], TaskId(1), WaitStrategy::Park);
+            let r = bystander.join().unwrap();
+            assert_eq!(r.verdict, WaitVerdict::Ready);
+            assert!(r.outcome.parks <= 1, "slept through the other run's abort");
+        });
     }
 
     #[test]

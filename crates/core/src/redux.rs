@@ -21,11 +21,10 @@
 //! | write        | last write, all prior reads **and** accs performed    |
 //!
 //! Accumulations never wait for each other; their bodies are serialized by
-//! a per-object mutex. Blocked waits use the same waiter-aware wake
-//! elision as the base protocol (see [`crate::protocol`]): a terminator
-//! only touches the process-wide parking table (see `park.rs`) when a
-//! waiter has advertised itself first, so uncontended completions do no
-//! mutex traffic at all.
+//! a per-object mutex. Blocked waits use the same spin budget and the same
+//! waiter-aware wake elision as the base protocol (see [`crate::wait`],
+//! `crate::futex`): a terminator only enters the kernel when a waiter
+//! has advertised itself first.
 //!
 //! ```
 //! use rio_core::redux::{RAccess, ReduxRio};
@@ -47,15 +46,16 @@
 //! });
 //! ```
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rio_stf::store::{ReadGuard, WriteGuard};
 use rio_stf::{DataId, DataStore, Mapping, TaskId, WorkerId};
 
 use crate::config::RioConfig;
-use crate::park;
+use crate::futex::EventCount;
+use crate::protocol::{unpoisoned, wait_blocked, AbortFlag, WaitCx};
 use crate::report::{ExecReport, OpCounts, WorkerReport};
 use crate::wait::WaitStrategy;
 
@@ -124,111 +124,36 @@ struct RLocal {
 /// Shared state of one data object in the extended protocol.
 ///
 /// Like [`crate::protocol::SharedDataState`] this carries no mutex or
-/// condvar for *waiting*: parked waiters sit in the process-wide bucket
-/// table keyed by the address of `last_executed_write`, and advertise
-/// themselves in `waiters` so terminators can elide the wake entirely
-/// when nobody is parked. (The `body_lock` is unrelated: it serializes
+/// condvar for *waiting*: blocked waiters sleep on the object's own
+/// event-count, which also lets terminators elide the wake entirely when
+/// nobody sleeps. (The `body_lock` is unrelated: it serializes
 /// accumulation *bodies*, not protocol waits.)
+#[derive(Default)]
 #[repr(align(128))]
 struct RShared {
     nb_reads_since_write: AtomicU64,
     nb_accs_since_write: AtomicU64,
+    /// Starts at `TaskId::NONE`, which is 0.
     last_executed_write: AtomicU64,
-    /// Number of threads that are parked (or committing to park) on this
-    /// object. See the wake-elision argument in `protocol.rs`.
-    waiters: AtomicU32,
+    /// Who sleeps on this object, and the word they sleep on.
+    event: EventCount,
     /// Serializes accumulation bodies.
     body_lock: Mutex<()>,
 }
 
-impl Default for RShared {
-    fn default() -> Self {
-        RShared {
-            nb_reads_since_write: AtomicU64::new(0),
-            nb_accs_since_write: AtomicU64::new(0),
-            last_executed_write: AtomicU64::new(TaskId::NONE.0),
-            waiters: AtomicU32::new(0),
-            body_lock: Mutex::new(()),
-        }
-    }
-}
-
 impl RShared {
-    /// Wakes parked waiters only if at least one advertised itself. The
-    /// `SeqCst` load pairs with the waiter's `SeqCst` increment exactly as
-    /// in the base protocol's elision proof (`protocol.rs`): the
-    /// terminator publishes with `SeqCst` *before* this load, so either it
-    /// sees the waiter here, or the waiter's post-increment re-check sees
-    /// the published state and never parks. Returns `true` when the wake
-    /// actually ran, `false` when it was elided.
-    #[inline]
-    fn wake_if_waiters(&self) -> bool {
-        if self.waiters.load(Ordering::SeqCst) != 0 {
-            park::unpark_all(self.last_executed_write.as_ptr());
-            true
-        } else {
-            false
-        }
-    }
-
     /// Waits until `cond` holds. The closure receives the memory ordering
-    /// it must use for its loads: `Acquire` on the fast/spin paths,
-    /// `SeqCst` for the parked re-check that anchors the wake-elision
-    /// argument. Returns the polls spent and — with `timed`, and only when
-    /// the first probe failed — how long the wait was blocked: a ready
-    /// get reads no clock.
+    /// it must use for its loads (see [`wait_blocked`]). Returns the polls
+    /// spent and — with `cx.timed`, and only when the first probe failed —
+    /// how long the wait was blocked: a ready get reads no clock.
     #[inline]
-    fn wait_until(
-        &self,
-        strategy: WaitStrategy,
-        timed: bool,
-        cond: impl Fn(Ordering) -> bool,
-    ) -> (u64, Duration) {
+    fn wait_until(&self, cx: &WaitCx<'_>, cond: impl Fn(Ordering) -> bool) -> (u64, Duration) {
         if cond(Ordering::Acquire) {
             return (0, Duration::ZERO);
         }
-        let blocked_at = timed.then(Instant::now);
-        let polls = self.wait_blocked(strategy, cond);
-        (polls, blocked_at.map_or(Duration::ZERO, |t0| t0.elapsed()))
-    }
-
-    fn wait_blocked(&self, strategy: WaitStrategy, cond: impl Fn(Ordering) -> bool) -> u64 {
-        let mut polls = 0u64;
-        while polls < u64::from(WaitStrategy::DEFAULT_SPIN_LIMIT) {
-            std::hint::spin_loop();
-            polls += 1;
-            if cond(Ordering::Acquire) {
-                return polls;
-            }
-        }
-        match strategy {
-            WaitStrategy::Spin => loop {
-                std::hint::spin_loop();
-                polls += 1;
-                if cond(Ordering::Acquire) {
-                    return polls;
-                }
-            },
-            WaitStrategy::SpinYield => loop {
-                std::thread::yield_now();
-                polls += 1;
-                if cond(Ordering::Acquire) {
-                    return polls;
-                }
-            },
-            WaitStrategy::Park => {
-                self.waiters.fetch_add(1, Ordering::SeqCst);
-                let bucket = park::bucket_for(self.last_executed_write.as_ptr());
-                let mut guard = bucket.lock.lock();
-                while !cond(Ordering::SeqCst) {
-                    bucket.cond.wait(&mut guard);
-                    polls += 1;
-                }
-                drop(guard);
-                self.waiters.fetch_sub(1, Ordering::Release);
-                polls
-            }
-        }
+        let r = wait_blocked(&self.event, cx, cond);
+        let blocked = r.blocked_at.map_or(Duration::ZERO, |t0| t0.elapsed());
+        (r.outcome.polls, blocked)
     }
 }
 
@@ -260,6 +185,8 @@ impl ReduxRio {
         let flow = &flow;
         let registry = crate::counters::CounterRegistry::for_run(cfg);
         let registry = registry.as_deref();
+        // Nothing aborts a reduction run; the shared wait loop wants a flag.
+        let abort = &AbortFlag::new();
 
         let start = Instant::now();
         let workers: Vec<WorkerReport> = std::thread::scope(|s| {
@@ -270,8 +197,11 @@ impl ReduxRio {
                         let mut ctx = ReduxCtx {
                             me,
                             num_workers: cfg.workers,
-                            wait: cfg.wait,
-                            measure: cfg.measure_time,
+                            cx: WaitCx {
+                                spin_limit: cfg.spin_polls(),
+                                timed: cfg.measure_time,
+                                ..WaitCx::new(cfg.wait, abort)
+                            },
                             mapping,
                             shared,
                             locals: vec![RLocal::default(); store.len()],
@@ -318,8 +248,7 @@ impl ReduxRio {
 pub struct ReduxCtx<'a, T> {
     me: WorkerId,
     num_workers: usize,
-    wait: WaitStrategy,
-    measure: bool,
+    cx: WaitCx<'a>,
     mapping: &'a (dyn Mapping + 'a),
     shared: &'a [RShared],
     locals: Vec<RLocal>,
@@ -361,17 +290,17 @@ impl<'a, T> ReduxCtx<'a, T> {
                 let expected_write = l.last_registered_write;
                 let expected_reads = l.nb_reads_since_write;
                 let expected_accs = l.nb_accs_since_write;
-                let (wait, timed) = (self.wait, self.measure);
+                let cx = &self.cx;
                 let (polls, blocked) = match a.mode {
-                    RMode::Read => s.wait_until(wait, timed, |o| {
+                    RMode::Read => s.wait_until(cx, |o| {
                         s.last_executed_write.load(o) == expected_write
                             && s.nb_accs_since_write.load(o) == expected_accs
                     }),
-                    RMode::Accumulate => s.wait_until(wait, timed, |o| {
+                    RMode::Accumulate => s.wait_until(cx, |o| {
                         s.last_executed_write.load(o) == expected_write
                             && s.nb_reads_since_write.load(o) == expected_reads
                     }),
-                    RMode::Write | RMode::ReadWrite => s.wait_until(wait, timed, |o| {
+                    RMode::Write | RMode::ReadWrite => s.wait_until(cx, |o| {
                         s.last_executed_write.load(o) == expected_write
                             && s.nb_reads_since_write.load(o) == expected_reads
                             && s.nb_accs_since_write.load(o) == expected_accs
@@ -398,14 +327,14 @@ impl<'a, T> ReduxCtx<'a, T> {
             acc_targets.sort_unstable();
             let _body_guards: Vec<_> = acc_targets
                 .iter()
-                .map(|d| self.shared[d.index()].body_lock.lock())
+                .map(|d| unpoisoned(self.shared[d.index()].body_lock.lock()))
                 .collect();
 
             let view = ReduxView {
                 accesses,
                 store: self.store,
             };
-            if self.measure {
+            if self.cx.timed {
                 let t0 = Instant::now();
                 body(&view);
                 self.task_time += t0.elapsed();
@@ -424,8 +353,8 @@ impl<'a, T> ReduxCtx<'a, T> {
                 let l = &mut self.locals[a.data.index()];
                 // Under Park the publishing store is SeqCst so it takes a
                 // place in the total order against the waiter's SeqCst
-                // increment-then-re-check (see `wake_if_waiters`).
-                let park = self.wait == WaitStrategy::Park;
+                // increment-then-re-check (see `crate::futex`).
+                let park = self.cx.strategy == WaitStrategy::Park;
                 let publish = if park {
                     Ordering::SeqCst
                 } else {
@@ -449,7 +378,7 @@ impl<'a, T> ReduxCtx<'a, T> {
                         l.last_registered_write = id.0;
                     }
                 }
-                if park && !s.wake_if_waiters() {
+                if park && !s.event.notify_if_waiters() {
                     if let Some(c) = self.ctr {
                         c.inc_wakes_elided();
                     }

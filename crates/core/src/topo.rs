@@ -1,9 +1,8 @@
 //! Machine-topology detection and NUMA-aware worker placement.
 //!
-//! All of the runtime's shared state — the parking table
-//! ([`crate::park`]), the per-datum epoch words, a [`CompiledFlow`]'s
-//! access arenas ([`crate::compile`]) — is socket-blind by default: one
-//! global allocation, one global bucket array. On a multi-socket machine
+//! All of the runtime's shared state — the per-datum epoch words, a
+//! [`CompiledFlow`]'s access arenas ([`crate::compile`]) — is
+//! socket-blind by default: one global allocation. On a multi-socket machine
 //! a cross-node epoch-word bounce costs several times a local one, so
 //! this module gives the runtime a [`Topology`]: which cores belong to
 //! which NUMA node, how far apart the nodes are, and (node-major) which
@@ -13,10 +12,6 @@
 //! * workers are assigned to cores **node-major** (fill node 0's cores,
 //!   then node 1's, wrapping) and optionally pinned
 //!   ([`crate::RioConfig::pin_workers`]);
-//! * the parking table shards per node — a waiter parks in its own
-//!   node's buckets and terminates walk only the shards that advertised
-//!   waiters (see `DESIGN.md` §15 for the extended lost-wakeup
-//!   argument);
 //! * compiled flows lay each worker's access arena out per node
 //!   (first-toucher-style grouping keyed by the owning worker's node);
 //! * the steal layer's default victim order becomes same-node-first, and
@@ -297,19 +292,11 @@ fn detect_sysfs() -> Option<Topology> {
     Some(Topology { nodes, distance })
 }
 
-/// Called on every worker thread before it enters its flow walk: records
-/// the worker's node in the parking layer's thread-local (so its parks
-/// land in the right shard) and, when the config asks, pins the thread
-/// to its node-major core.
+/// Called on every worker thread before it enters its flow walk: when
+/// the config asks, pins the thread to its node-major core.
 pub(crate) fn enter_worker(cfg: &crate::config::RioConfig, w: usize) {
-    match cfg.topology.as_ref() {
-        Some(t) => {
-            crate::park::set_current_node(t.node_of_worker(w).index());
-            if cfg.pin_workers {
-                let _ = Topology::pin_current_thread(t.core_of_worker(w));
-            }
-        }
-        None => crate::park::set_current_node(0),
+    if let (Some(t), true) = (cfg.topology.as_ref(), cfg.pin_workers) {
+        let _ = Topology::pin_current_thread(t.core_of_worker(w));
     }
 }
 

@@ -71,11 +71,12 @@ pub struct TuneOptions {
     /// Default: 0.05.
     pub tolerance: f64,
     /// Spin budget granted to hot objects' [`WaitPolicy::hot`] entries.
-    /// Default: 4 × [`WaitStrategy::DEFAULT_SPIN_LIMIT`].
+    /// Default: 256.
     pub hot_spin_limit: u32,
     /// An object is hot only if its mean recorded polls-per-wait stays at
-    /// or below this (and it never parked). Default:
-    /// 4 × [`WaitStrategy::DEFAULT_SPIN_LIMIT`].
+    /// or below this (and it never parked) — "resolved within a few
+    /// hundred polls", whatever budget the diagnosed run spun under.
+    /// Default: 256.
     pub hot_poll_cutoff: u64,
 }
 
@@ -84,8 +85,8 @@ impl Default for TuneOptions {
         TuneOptions {
             max_iters: 3,
             tolerance: 0.05,
-            hot_spin_limit: 4 * WaitStrategy::DEFAULT_SPIN_LIMIT,
-            hot_poll_cutoff: 4 * u64::from(WaitStrategy::DEFAULT_SPIN_LIMIT),
+            hot_spin_limit: 256,
+            hot_poll_cutoff: 256,
         }
     }
 }
@@ -232,6 +233,13 @@ impl<'g> Tuner<'g> {
         self
     }
 
+    /// The policy of a cold object: park, after the spin phase an untuned
+    /// run gets — tuning must not make an object park sooner.
+    fn cold(&self) -> WaitPolicy {
+        let spin = crate::wait::default_spin_limit(self.workers);
+        WaitPolicy::new(WaitStrategy::Park, spin)
+    }
+
     /// Diagnoses `run` (executed under `mapping`) into a [`TuningPlan`].
     pub fn plan(&self, mapping: &dyn Mapping, run: &Execution) -> TuningPlan {
         #[cfg(feature = "trace")]
@@ -291,7 +299,7 @@ impl<'g> Tuner<'g> {
                 if hot {
                     WaitPolicy::hot(self.opts.hot_spin_limit)
                 } else {
-                    WaitPolicy::cold()
+                    self.cold()
                 }
             })
             .collect()
@@ -316,7 +324,7 @@ impl<'g> Tuner<'g> {
         let policy = if total.waited() && total.park_fraction() == 0.0 {
             WaitPolicy::hot(self.opts.hot_spin_limit)
         } else {
-            WaitPolicy::cold()
+            self.cold()
         };
         TuningPlan {
             mapping: report.suggested_mapping(),
@@ -479,8 +487,8 @@ mod tests {
         let plan = ex.plan(&g, &run);
         assert_eq!(plan.policies.len(), 2);
         assert_eq!(
-            plan.policies[1],
-            WaitPolicy::cold(),
+            plan.policies[1].strategy,
+            WaitStrategy::Park,
             "an uncontended object stays cold"
         );
     }

@@ -1,7 +1,6 @@
 //! Property: NUMA placement never changes results (DESIGN.md §15).
 //!
-//! The node-sharded parking table and the node-local compiled arenas are
-//! pure layout: which bucket a waiter parks in and which arena slice a
+//! The node-local compiled arenas are pure layout: which arena slice a
 //! worker scans must not affect what the run computes. For random small
 //! flows and mock topology shapes {none, 1×N, 2×N, 4×N}, a run produces
 //! the per-datum stores and the per-datum *writer* order of the flow run
@@ -83,9 +82,8 @@ fn observe(cfg: Option<RioConfig>, g: &TaskGraph, reused: bool) -> (Vec<u64>, Ve
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Global (topology-blind) vs node-sharded parking and single-arena
-    /// vs node-arena compiled flows: the sequential results for every
-    /// mock shape and wait strategy, fresh flow and reused.
+    /// Single-arena vs node-arena compiled flows: the sequential results
+    /// for every mock shape and wait strategy, fresh flow and reused.
     #[test]
     fn topology_never_changes_results(
         seeds in proptest::collection::vec(0u64..u64::MAX, 1..40),
@@ -122,11 +120,10 @@ proptest! {
 }
 
 /// The single-node topology must be bit-for-bit the pre-topology layout:
-/// one compiled arena, flat counters table, and the default parking
-/// shard — asserted here end-to-end by running with an explicit 1×N mock
-/// and checking the run is complete and correct (the layout-level
-/// assertions live in the unit tests of `compile`, `park` and
-/// `counters`).
+/// one compiled arena and a flat counters table — asserted here
+/// end-to-end by running with an explicit 1×N mock and checking the run
+/// is complete and correct (the layout-level assertions live in the unit
+/// tests of `compile` and `counters`).
 #[test]
 fn single_node_topology_is_the_identity() {
     let g = graph_from(&(0..64).map(|i| i * 0x9E37_79B9).collect::<Vec<u64>>());

@@ -33,6 +33,7 @@
 //! assert!(rio.ok(), "Run-In-Order refines STF");
 //! ```
 
+pub mod eventcount_spec;
 pub mod explorer;
 pub mod lu_model;
 pub mod protocol_spec;
@@ -40,6 +41,7 @@ pub mod rio_spec;
 pub mod stf_spec;
 pub mod walk;
 
+pub use eventcount_spec::{explore_eventcount, EventCountSpec, Mutant};
 pub use explorer::{explore, ExploreReport, TransitionSystem};
 pub use protocol_spec::{
     explore_compiled_protocol_with, explore_protocol, explore_protocol_with, ProtocolSpec,
