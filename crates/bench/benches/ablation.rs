@@ -21,10 +21,7 @@ fn bench_wait_strategies(c: &mut Criterion) {
         WaitStrategy::SpinYield,
         WaitStrategy::Park,
     ] {
-        let cfg = RioConfig::with_workers(2)
-            .wait(wait)
-            .measure_time(false)
-            .check_determinism(false);
+        let cfg = RioConfig::with_workers(2).wait(wait).measure_time(false);
         g.bench_with_input(BenchmarkId::from_parameter(wait), &graph, |bch, graph| {
             bch.iter(|| {
                 Executor::new(cfg.clone())
@@ -46,8 +43,7 @@ fn bench_mapping_quality(c: &mut Criterion) {
     let workers = 2;
     let cfg = RioConfig::with_workers(workers)
         .wait(WaitStrategy::Park)
-        .measure_time(false)
-        .check_determinism(false);
+        .measure_time(false);
 
     let owner = lu::mapping(grid, workers);
     g.bench_function("block-cyclic-owner", |bch| {
@@ -103,8 +99,7 @@ fn bench_compile_reuse(c: &mut Criterion) {
     let graph = independent::graph_private_data(n);
     let cfg = RioConfig::with_workers(4)
         .wait(WaitStrategy::Park)
-        .measure_time(false)
-        .check_determinism(false);
+        .measure_time(false);
     g.bench_function("oneshot", |bch| {
         bch.iter(|| {
             Executor::new(cfg.clone())
@@ -142,8 +137,7 @@ fn bench_hybrid_claiming(c: &mut Criterion) {
     };
     let cfg = RioConfig::with_workers(2)
         .wait(WaitStrategy::Park)
-        .measure_time(false)
-        .check_determinism(false);
+        .measure_time(false);
     g.bench_function("static-round-robin", |bch| {
         bch.iter(|| {
             Executor::new(cfg.clone())
@@ -169,8 +163,7 @@ fn bench_redux(c: &mut Criterion) {
 
     let cfg = RioConfig::with_workers(2)
         .wait(WaitStrategy::Park)
-        .measure_time(false)
-        .check_determinism(false);
+        .measure_time(false);
     let rio = rio_core::Rio::new(cfg.clone());
     g.bench_function("strict-rw-chain", |bch| {
         bch.iter(|| {

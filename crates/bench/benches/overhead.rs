@@ -16,8 +16,7 @@ fn bench_per_task_overhead(c: &mut Criterion) {
 
         let rio_cfg = RioConfig::with_workers(2)
             .wait(WaitStrategy::Park)
-            .measure_time(false)
-            .check_determinism(false);
+            .measure_time(false);
         g.bench_with_input(BenchmarkId::new("rio", n), &graph, |b, graph| {
             b.iter(|| {
                 Executor::new(rio_cfg.clone())
@@ -28,8 +27,7 @@ fn bench_per_task_overhead(c: &mut Criterion) {
 
         let rio1_cfg = RioConfig::with_workers(1)
             .wait(WaitStrategy::Park)
-            .measure_time(false)
-            .check_determinism(false);
+            .measure_time(false);
         g.bench_with_input(BenchmarkId::new("rio-1worker", n), &graph, |b, graph| {
             b.iter(|| {
                 Executor::new(rio1_cfg.clone())
@@ -65,8 +63,7 @@ fn bench_dependent_chain(c: &mut Criterion) {
 
     let rio_cfg = RioConfig::with_workers(2)
         .wait(WaitStrategy::Park)
-        .measure_time(false)
-        .check_determinism(false);
+        .measure_time(false);
     g.bench_function("rio-2workers-roundrobin", |bch| {
         bch.iter(|| {
             Executor::new(rio_cfg.clone())
@@ -106,8 +103,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
 
     let cfg = RioConfig::with_workers(2)
         .wait(WaitStrategy::Park)
-        .measure_time(false)
-        .check_determinism(false);
+        .measure_time(false);
     g.bench_function("runtime-off", |bch| {
         bch.iter(|| {
             Executor::new(cfg.clone())

@@ -4,8 +4,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rio_core::protocol::{
-    declare_read, declare_write, get_read, get_write, terminate_read, terminate_write,
-    LocalDataState, Poison, SharedDataState,
+    declare_read, declare_write, expected_read_word, expected_write_word, get_read_word_cx,
+    get_write_word_cx, terminate_read, terminate_write, AbortFlag, LocalDataState, SharedDataState,
+    WaitCx,
 };
 use rio_core::WaitStrategy;
 use rio_stf::{DataId, DataStore, TaskId};
@@ -35,19 +36,27 @@ fn bench_get_terminate_cycle(c: &mut Criterion) {
     g.bench_function("get+terminate_read", |b| {
         let shared = SharedDataState::default();
         let mut local = LocalDataState::default();
-        let poison = Poison::new();
+        let abort = AbortFlag::new();
         b.iter(|| {
-            black_box(get_read(&shared, &local, WaitStrategy::SpinYield, &poison));
+            black_box(get_read_word_cx(
+                &shared,
+                expected_read_word(&local),
+                &WaitCx::new(WaitStrategy::SpinYield, &abort),
+            ));
             terminate_read(&shared, &mut local, WaitStrategy::SpinYield);
         });
     });
     g.bench_function("get+terminate_write", |b| {
         let shared = SharedDataState::default();
         let mut local = LocalDataState::default();
-        let poison = Poison::new();
+        let abort = AbortFlag::new();
         let mut id = 1u64;
         b.iter(|| {
-            black_box(get_write(&shared, &local, WaitStrategy::SpinYield, &poison));
+            black_box(get_write_word_cx(
+                &shared,
+                expected_write_word(&local),
+                &WaitCx::new(WaitStrategy::SpinYield, &abort),
+            ));
             terminate_write(&shared, &mut local, TaskId(id), WaitStrategy::SpinYield);
             id += 1;
         });
@@ -56,10 +65,14 @@ fn bench_get_terminate_cycle(c: &mut Criterion) {
     g.bench_function("get+terminate_write_park", |b| {
         let shared = SharedDataState::default();
         let mut local = LocalDataState::default();
-        let poison = Poison::new();
+        let abort = AbortFlag::new();
         let mut id = 1u64;
         b.iter(|| {
-            black_box(get_write(&shared, &local, WaitStrategy::Park, &poison));
+            black_box(get_write_word_cx(
+                &shared,
+                expected_write_word(&local),
+                &WaitCx::new(WaitStrategy::Park, &abort),
+            ));
             terminate_write(&shared, &mut local, TaskId(id), WaitStrategy::Park);
             id += 1;
         });

@@ -73,9 +73,7 @@ fn traced_run(
     mapping: &dyn Mapping,
     workers: usize,
 ) -> (Duration, Trace) {
-    let cfg = RioConfig::with_workers(workers)
-        .wait(WaitStrategy::Park)
-        .check_determinism(false);
+    let cfg = RioConfig::with_workers(workers).wait(WaitStrategy::Park);
     let mut best: Option<(Duration, Trace)> = None;
     for _ in 0..opt.reps.max(1) {
         let run = Executor::new(cfg.clone())

@@ -308,9 +308,7 @@ pub fn fig7(opt: &Options, tasks_per_worker: usize, worker_counts: &[usize]) -> 
         let n = independent::tasks_for_workers(tasks_per_worker, w);
         let graph = independent::graph_private_data(n);
 
-        let rio_cfg = RioConfig::with_workers(w)
-            .wait(WaitStrategy::Park)
-            .check_determinism(false);
+        let rio_cfg = RioConfig::with_workers(w).wait(WaitStrategy::Park);
         let run_plain = || {
             let t0 = Instant::now();
             rio_core::Executor::new(rio_cfg.clone())
@@ -392,8 +390,7 @@ pub fn compiled(
         let graph = independent::graph_private_data(n);
         let cfg = RioConfig::with_workers(w)
             .wait(WaitStrategy::Park)
-            .measure_time(false)
-            .check_determinism(false);
+            .measure_time(false);
 
         let run_oneshot = || {
             let t0 = Instant::now();
@@ -487,8 +484,8 @@ pub struct ParkRow {
 /// the old `SharedDataState` performed.
 pub fn park(opt: &Options) -> (String, Vec<ParkRow>) {
     use rio_core::protocol::{
-        get_read, get_write, terminate_read, terminate_write, LocalDataState, Poison,
-        SharedDataState,
+        expected_read_word, expected_write_word, get_read_word_cx, get_write_word_cx,
+        terminate_read, terminate_write, AbortFlag, LocalDataState, SharedDataState, WaitCx,
     };
     use rio_stf::TaskId;
     use std::sync::{Condvar, Mutex};
@@ -519,10 +516,14 @@ pub fn park(opt: &Options) -> (String, Vec<ParkRow>) {
     let write_elided = || {
         let shared = SharedDataState::default();
         let mut local = LocalDataState::default();
-        let poison = Poison::new();
+        let abort = AbortFlag::new();
         let t0 = Instant::now();
         for id in 1..=iters {
-            get_write(&shared, &local, wait, &poison);
+            get_write_word_cx(
+                &shared,
+                expected_write_word(&local),
+                &WaitCx::new(wait, &abort),
+            );
             terminate_write(&shared, &mut local, TaskId(id), wait);
         }
         t0.elapsed()
@@ -530,10 +531,14 @@ pub fn park(opt: &Options) -> (String, Vec<ParkRow>) {
     let read_elided = || {
         let shared = SharedDataState::default();
         let mut local = LocalDataState::default();
-        let poison = Poison::new();
+        let abort = AbortFlag::new();
         let t0 = Instant::now();
         for _ in 0..iters {
-            get_read(&shared, &local, wait, &poison);
+            get_read_word_cx(
+                &shared,
+                expected_read_word(&local),
+                &WaitCx::new(wait, &abort),
+            );
             terminate_read(&shared, &mut local, wait);
         }
         t0.elapsed()
@@ -541,10 +546,14 @@ pub fn park(opt: &Options) -> (String, Vec<ParkRow>) {
     let write_always = || {
         let shared = SharedDataState::default();
         let mut local = LocalDataState::default();
-        let poison = Poison::new();
+        let abort = AbortFlag::new();
         let t0 = Instant::now();
         for id in 1..=iters {
-            get_write(&shared, &local, wait, &poison);
+            get_write_word_cx(
+                &shared,
+                expected_write_word(&local),
+                &WaitCx::new(wait, &abort),
+            );
             terminate_write(&shared, &mut local, TaskId(id), wait);
             always_wake();
         }
@@ -553,10 +562,14 @@ pub fn park(opt: &Options) -> (String, Vec<ParkRow>) {
     let read_always = || {
         let shared = SharedDataState::default();
         let mut local = LocalDataState::default();
-        let poison = Poison::new();
+        let abort = AbortFlag::new();
         let t0 = Instant::now();
         for _ in 0..iters {
-            get_read(&shared, &local, wait, &poison);
+            get_read_word_cx(
+                &shared,
+                expected_read_word(&local),
+                &WaitCx::new(wait, &abort),
+            );
             terminate_read(&shared, &mut local, wait);
             always_wake();
         }
@@ -648,7 +661,6 @@ pub fn counters_overhead(opt: &Options, tasks_per_worker: usize) -> (String, Vec
     let run_with = |counters: bool| {
         let cfg = RioConfig::with_workers(w)
             .wait(WaitStrategy::Park)
-            .check_determinism(false)
             .counters(counters);
         let t0 = Instant::now();
         let run = rio_core::Executor::new(cfg)
@@ -761,9 +773,7 @@ pub fn faults(opt: &Options, tasks_per_worker: usize) -> (String, Vec<FaultsRow>
     let graph = independent::graph_private_data(n);
 
     let run_with = |recovery: bool| {
-        let mut cfg = RioConfig::with_workers(w)
-            .wait(WaitStrategy::Park)
-            .check_determinism(false);
+        let mut cfg = RioConfig::with_workers(w).wait(WaitStrategy::Park);
         if recovery {
             cfg = cfg.recovery(rio_core::RecoveryPolicy::default());
         }
@@ -892,9 +902,7 @@ pub fn steal(opt: &Options, grid: usize, cost: u64) -> (String, Vec<StealRow>) {
         p
     };
     let cfg_for = |workers: usize, stealing: Option<rio_core::StealPolicy>| {
-        let mut cfg = RioConfig::with_workers(workers)
-            .wait(WaitStrategy::Park)
-            .check_determinism(false);
+        let mut cfg = RioConfig::with_workers(workers).wait(WaitStrategy::Park);
         if let Some(p) = stealing {
             cfg = cfg.stealing(p);
         }
@@ -1120,7 +1128,6 @@ pub fn numa(opt: &Options, grid: usize, cost: u64) -> (String, Vec<NumaRow>) {
         for _ in 0..opt.reps.max(1) {
             let cfg = RioConfig::with_workers(w)
                 .wait(WaitStrategy::Park)
-                .check_determinism(false)
                 .topology(topo.clone());
             let t0 = Instant::now();
             rio_core::Executor::new(cfg)
@@ -1676,7 +1683,6 @@ pub fn telemetry(
     let run_off = || {
         let cfg = RioConfig::with_workers(w)
             .wait(WaitStrategy::Park)
-            .check_determinism(false)
             .counters(false)
             .flight(false);
         let t0 = Instant::now();
@@ -1699,7 +1705,6 @@ pub fn telemetry(
     let run_armed = || {
         let cfg = RioConfig::with_workers(w)
             .wait(WaitStrategy::Park)
-            .check_determinism(false)
             .counter_registry(Arc::clone(&counters))
             .flight(true);
         let t0 = Instant::now();
@@ -1742,7 +1747,6 @@ pub fn telemetry(
         let done_flag = Arc::clone(&done);
         let cfg = RioConfig::with_workers(w)
             .wait(WaitStrategy::Park)
-            .check_determinism(false)
             .counter_registry(Arc::clone(&counters))
             .flight(true);
         let graph = independent::graph_private_data(n);

@@ -49,8 +49,7 @@ pub fn measure_sequential(spec: &RunSpec, graph: &TaskGraph) -> Duration {
 pub fn measure_rio<M: Mapping>(spec: &RunSpec, graph: &TaskGraph, mapping: &M) -> CumulativeTimes {
     let cfg = RioConfig::with_workers(spec.threads)
         .wait(WaitStrategy::Park)
-        .measure_time(true)
-        .check_determinism(false);
+        .measure_time(true);
     let mut best: Option<CumulativeTimes> = None;
     for _ in 0..spec.reps {
         let report = rio_core::Executor::new(cfg.clone())

@@ -31,8 +31,6 @@ pub struct TuneOutcome {
     pub converged: bool,
     /// Remap moves of the applied plan (0 when no plan was applied).
     pub moves: usize,
-    /// Objects the applied plan marks hot (spin, never park).
-    pub hot_objects: usize,
     /// Best-of-reps wall time under untuned round-robin, ns.
     pub baseline_wall_ns: u64,
     /// Best-of-reps wall time under the final plan, ns.
@@ -78,7 +76,6 @@ impl TuneOutcome {
         }
         o.push_str("],\n");
         let _ = writeln!(o, "\"moves\": {},", self.moves);
-        let _ = writeln!(o, "\"hot_objects\": {},", self.hot_objects);
         let _ = writeln!(o, "\"baseline_wall_ns\": {},", self.baseline_wall_ns);
         let _ = writeln!(o, "\"tuned_wall_ns\": {},", self.tuned_wall_ns);
         let _ = writeln!(o, "\"tune_delta_pct\": {:.3}", self.delta_pct());
@@ -93,12 +90,10 @@ impl TuneOutcome {
 pub fn tune(opt: &Options, grid: usize, cost: u64) -> (String, TuneOutcome) {
     let workers = opt.threads.max(1);
     let graph = cholesky::graph(grid, cost);
-    let cfg = RioConfig::with_workers(workers)
-        .wait(WaitStrategy::Park)
-        .check_determinism(false);
+    let cfg = RioConfig::with_workers(workers).wait(WaitStrategy::Park);
 
     // The closed loop itself: traced rounds, so each diagnosis sees
-    // measured durations and per-object wait shapes. The cap is wider
+    // measured durations. The cap is wider
     // than the library default: at low worker counts the remap keeps
     // finding real (>tolerance) wall improvements for a round or two
     // longer before it stalls, and the CI gate requires convergence,
@@ -123,20 +118,15 @@ pub fn tune(opt: &Options, grid: usize, cost: u64) -> (String, TuneOutcome) {
     };
     let base_ex = Executor::new(cfg).mapping(&RoundRobin);
     let base_wall = measure(&base_ex);
-    let (tuned_wall, moves, hot_objects) = match tuned.plan.as_ref() {
-        Some(plan) => (
-            measure(&base_ex.apply(plan)),
-            plan.moves,
-            plan.hot_objects(),
-        ),
-        None => (base_wall, 0, 0),
+    let (tuned_wall, moves) = match tuned.plan.as_ref() {
+        Some(plan) => (measure(&base_ex.apply(plan)), plan.moves),
+        None => (base_wall, 0),
     };
 
     let outcome = TuneOutcome {
         iterations: tuned.iterations,
         converged: tuned.converged,
         moves,
-        hot_objects,
         baseline_wall_ns: base_wall.as_nanos() as u64,
         tuned_wall_ns: tuned_wall.as_nanos() as u64,
         grid,
@@ -167,7 +157,7 @@ pub fn tune(opt: &Options, grid: usize, cost: u64) -> (String, TuneOutcome) {
     }
     let _ = writeln!(
         out,
-        "{} after {} iteration{} (applied plan: {} moves, {} hot objects)",
+        "{} after {} iteration{} (applied plan: {} moves)",
         if outcome.converged {
             "converged"
         } else {
@@ -179,8 +169,7 @@ pub fn tune(opt: &Options, grid: usize, cost: u64) -> (String, TuneOutcome) {
         } else {
             "s"
         },
-        outcome.moves,
-        outcome.hot_objects
+        outcome.moves
     );
     let _ = writeln!(
         out,

@@ -110,11 +110,9 @@ use rio_stf::{
 
 use crate::config::RioConfig;
 use crate::executor::Execution;
-use crate::graph::WorkerCtx;
+use crate::graph::{RunShell, WorkerCtx};
 use crate::hybrid::{HybridStats, PartialMapping};
-use crate::protocol::{pack_epoch, AbortFlag, SharedDataState};
-use crate::report::ExecReport;
-use crate::status::StatusTable;
+use crate::protocol::{pack_epoch, spurious_wake_all, SharedDataState};
 use crate::steal::{ClaimTable, Claims, Cursor, StealState};
 
 /// `Run` instruction: execute the task at flow index `task`; its accesses
@@ -237,6 +235,17 @@ const PUBLISH: u32 = 4;
 const SLOT_SHIFT: u32 = 3;
 
 impl AccessPlan {
+    /// An access both of whose halves the run performs, on the object's
+    /// own index as its slot: what a front-end that compiles nothing
+    /// hands the engine.
+    #[inline]
+    pub(crate) fn kept(data: DataId, writes: bool) -> AccessPlan {
+        AccessPlan {
+            data,
+            bits: (data.0 << SLOT_SHIFT) | PUBLISH | GUARD | (u32::from(writes) * WRITES),
+        }
+    }
+
     #[inline]
     pub(crate) fn writes(self) -> bool {
         self.bits & WRITES != 0
@@ -809,19 +818,8 @@ impl<'g> CompiledFlow<'g> {
         let cfg = &self.cfg;
         // Only objects somebody can wait on have a word.
         let shared = SharedDataState::new_table(self.stats.shared_objects);
-        let shared = &shared;
+        let shared = &shared[..];
         let kernel = &kernel;
-        let abort = &AbortFlag::new();
-        let status = &StatusTable::new(cfg.workers);
-        let registry = crate::counters::CounterRegistry::for_run(cfg);
-        let registry = registry.as_deref();
-        let flight = crate::flight::FlightRecorder::for_run(cfg);
-        let flight = flight.as_ref();
-        let recovery = cfg
-            .recovery
-            .clone()
-            .map(|p| crate::protocol::RecoveryCtx::new(p, self.graph.num_data()));
-        let rec = recovery.as_ref();
         // Per-run claim state, iff some instruction is claim-marked: with
         // stealing armed all are, else the unmapped ones. A slot per task,
         // and for thieves one published program cursor per worker (they
@@ -844,56 +842,21 @@ impl<'g> CompiledFlow<'g> {
                 policy,
                 flow: self,
                 cursors,
+                kernel,
             });
 
-        let start = Instant::now();
-        let (workers, claimed): (Vec<_>, Vec<_>) = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..cfg.workers)
-                .map(|w| {
-                    s.spawn(move || {
-                        let mut ctx = WorkerCtx::new(
-                            cfg,
-                            shared,
-                            WorkerId::from_index(w),
-                            abort,
-                            status,
-                            start,
-                            registry,
-                            flight,
-                            rec,
-                        );
-                        ctx.claims = claims;
-                        ctx.steal = steal;
-                        self.run_program(ctx, kernel)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .unzip()
-        });
-        if let Some(cause) = abort.take_cause() {
-            return Err(cause.into_error());
-        }
-        let mut run = Execution {
-            report: ExecReport {
-                wall: start.elapsed(),
-                workers,
-                counters: registry
-                    .map(|r| r.snapshot().with_topology(cfg))
-                    .unwrap_or_default(),
+        let (report, outcome, claimed) = RunShell::new(cfg, self.graph.num_data()).run(
+            shared,
+            &|| spurious_wake_all(shared),
+            |mut ctx| {
+                ctx.claims = claims;
+                ctx.steal = steal;
+                self.run_program(ctx, kernel)
             },
-            outcome: recovery
-                .and_then(crate::protocol::RecoveryCtx::into_report)
-                .map(|mut p| {
-                    // Workers joined: the dump is exact recording order.
-                    if let Some(f) = flight {
-                        p.flight = f.dump();
-                    }
-                    p
-                })
-                .into(),
+        )?;
+        let mut run = Execution {
+            report,
+            outcome,
             hybrid: self.unmapped.map(|_| {
                 let (claimed_per_worker, lost_races_per_worker) = claimed.into_iter().unzip();
                 HybridStats {
@@ -927,7 +890,7 @@ impl<'g> CompiledFlow<'g> {
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
-        let me = ctx.me.index();
+        let (worker, me) = (ctx.me, ctx.me.index());
         // Pin this thread to its core, if asked, before any protocol
         // traffic.
         crate::topo::enter_worker(&self.cfg, me);
@@ -944,7 +907,8 @@ impl<'g> CompiledFlow<'g> {
                 c.store(pc, std::sync::atomic::Ordering::Relaxed);
             }
             ctx.tasks_visited += 1;
-            if !ctx.exec_task(kernel, &tasks[r.task as usize], self.accesses(me, r)) {
+            let t = &tasks[r.task as usize];
+            if !ctx.exec_task(t.id, self.accesses(me, r), || kernel(worker, t)) {
                 break;
             }
         }

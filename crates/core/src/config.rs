@@ -6,7 +6,7 @@ use std::time::Duration;
 use crate::counters::CounterRegistry;
 use crate::steal::StealPolicy;
 use crate::trace_api::TraceConfig;
-use crate::wait::{WaitPolicy, WaitStrategy};
+use crate::wait::WaitStrategy;
 
 /// Graceful-degradation policy: retry failed task bodies, then
 /// **skip-but-sync** on exhaustion.
@@ -124,16 +124,6 @@ pub struct RioConfig {
     /// [`WaitStrategy::DEFAULT_SPIN_LIMIT`] when they share threads (see
     /// [`crate::wait`]).
     pub spin_limit: Option<u32>,
-    /// Per-object wait policies, indexed by [`rio_stf::DataId`]: entry
-    /// `d` overrides [`RioConfig::wait`]/[`RioConfig::spin_limit`] for
-    /// every wait *and* terminate on data object `d`. Objects past the
-    /// end of the table (and all objects when `None`, the default) use
-    /// the run-wide pair. Shared by every worker of the run, which is
-    /// what makes mixed policies safe: an object whose policy never
-    /// parks never has a parked waiter, so its terminates may skip the
-    /// wake (see [`WaitPolicy`]). Typically produced by the tuner
-    /// ([`crate::tune`]) rather than written by hand.
-    pub wait_policies: Option<Arc<[WaitPolicy]>>,
     /// Stall watchdog: when `Some(d)`, a worker blocked in a `get_*` for
     /// longer than `d` (past its spin phase) aborts the run with
     /// [`rio_stf::ExecError::Stalled`], carrying a diagnostic dump of the
@@ -161,10 +151,6 @@ pub struct RioConfig {
     /// itself. With it off the reports' `task_time` and `idle_time` stay
     /// zero (`loop_time` and `wall` are always measured).
     pub measure_time: bool,
-    /// In debug-style runs, verify at join time that every worker unrolled
-    /// the same flow (same task count and access checksum) — assumption 2
-    /// of §3.4. Cheap (one u64 hash fold per declared access).
-    pub check_determinism: bool,
     /// Record one `(task, start, end)` span per executed task (relative to
     /// run start, in nanoseconds) into the worker reports, so the run can
     /// be audited with [`rio_stf::validate::validate_spans`] afterwards.
@@ -192,12 +178,6 @@ pub struct RioConfig {
     /// cache line (gated with the rest of the telemetry layer under
     /// `RIO_TELEMETRY_THRESHOLD` by `repro telemetry`).
     pub flight: bool,
-    /// Slots per worker in the flight-recorder ring (rounded up to a
-    /// power of two). The default
-    /// ([`crate::flight::DEFAULT_FLIGHT_CAPACITY`]) keeps a dump small
-    /// enough to read in a terminal while still spanning several task
-    /// cycles per worker.
-    pub flight_capacity: usize,
     /// Graceful-degradation policy ([`RecoveryPolicy`]): retry failed
     /// task bodies with backoff, then skip-but-sync into a
     /// [`rio_stf::PartialReport`]. `None` (the default) keeps the PR 2
@@ -267,14 +247,6 @@ impl RioConfig {
             .unwrap_or_else(|| crate::wait::default_spin_limit(self.workers))
     }
 
-    /// Installs a per-object wait-policy table (builder style): entry `d`
-    /// governs every wait and terminate on [`rio_stf::DataId`] `d`. See
-    /// [`RioConfig::wait_policies`].
-    pub fn wait_policies(mut self, table: impl Into<Arc<[WaitPolicy]>>) -> RioConfig {
-        self.wait_policies = Some(table.into());
-        self
-    }
-
     /// Arms the stall watchdog with the given deadline (builder style).
     pub fn watchdog(mut self, deadline: Duration) -> RioConfig {
         self.watchdog = Some(deadline);
@@ -301,12 +273,6 @@ impl RioConfig {
         self
     }
 
-    /// Enables/disables the determinism check (builder style).
-    pub fn check_determinism(mut self, on: bool) -> RioConfig {
-        self.check_determinism = on;
-        self
-    }
-
     /// Enables/disables span recording (builder style).
     pub fn record_spans(mut self, on: bool) -> RioConfig {
         self.record_spans = on;
@@ -328,13 +294,6 @@ impl RioConfig {
     /// Enables/disables the always-on flight recorder (builder style).
     pub fn flight(mut self, on: bool) -> RioConfig {
         self.flight = on;
-        self
-    }
-
-    /// Sets the per-worker flight-recorder ring capacity (builder
-    /// style); rounded up to a power of two by the recorder.
-    pub fn flight_capacity(mut self, slots: usize) -> RioConfig {
-        self.flight_capacity = slots;
         self
     }
 
@@ -417,18 +376,15 @@ impl Default for RioConfig {
                 .unwrap_or(1),
             wait: WaitStrategy::default(),
             spin_limit: None,
-            wait_policies: None,
             watchdog: None,
             preflight: true,
             #[cfg(feature = "fault-inject")]
             fault_hook: None,
             measure_time: false,
-            check_determinism: cfg!(debug_assertions),
             record_spans: false,
             trace: None,
             counters: true,
             flight: true,
-            flight_capacity: crate::flight::DEFAULT_FLIGHT_CAPACITY,
             recovery: None,
             stealing: None,
             counter_registry: None,
@@ -459,11 +415,9 @@ mod tests {
     fn builder_style() {
         let c = RioConfig::with_workers(2)
             .wait(WaitStrategy::Spin)
-            .measure_time(true)
-            .check_determinism(true);
+            .measure_time(true);
         assert_eq!(c.wait, WaitStrategy::Spin);
         assert!(c.measure_time);
-        assert!(c.check_determinism);
     }
 
     #[test]
@@ -498,17 +452,6 @@ mod tests {
         RioConfig::with_workers(1)
             .watchdog(Duration::ZERO)
             .validate();
-    }
-
-    #[test]
-    fn wait_policy_table_builds() {
-        let c = RioConfig::with_workers(1);
-        assert!(c.wait_policies.is_none(), "per-object policies are opt-in");
-        let c = c.wait_policies(vec![WaitPolicy::hot(256), WaitPolicy::cold()]);
-        let table = c.wait_policies.as_deref().expect("table installed");
-        assert_eq!(table.len(), 2);
-        assert_eq!(table[0], WaitPolicy::hot(256));
-        c.validate();
     }
 
     #[test]

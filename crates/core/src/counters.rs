@@ -284,28 +284,6 @@ impl CounterRow {
         self.steal_aborts += other.steal_aborts;
     }
 
-    /// Fraction of blocking progress checks that escalated to a park:
-    /// `parks / (spins + parks)`, `0.0` when nothing ever waited.
-    ///
-    /// The tuner's ([`crate::tune`]) counters-only contention signal: a
-    /// run whose waits all resolve inside the spin phase has zero park
-    /// fraction (spinning is cheap — raise the budget), while a high
-    /// fraction means waits are long (parking is right, and the elided
-    /// wakes say the waiter advertisement is already paying off).
-    pub fn park_fraction(&self) -> f64 {
-        let polls = self.spins + self.parks;
-        if polls == 0 {
-            0.0
-        } else {
-            self.parks as f64 / polls as f64
-        }
-    }
-
-    /// Did this row record any blocking wait at all?
-    pub fn waited(&self) -> bool {
-        self.spins + self.parks > 0
-    }
-
     /// Every counter as a `(name, value)` pair, in table-column order —
     /// the iteration surface consumers that render *all* counters
     /// (e.g. the Prometheus exporter in `rio-telemetry`) build on, so
@@ -509,17 +487,6 @@ mod tests {
 
     #[test]
     fn heuristic_inputs_derive_from_the_rows() {
-        let quiet = CounterRow::default();
-        assert!(!quiet.waited());
-        assert_eq!(quiet.park_fraction(), 0.0);
-        let spinny = CounterRow {
-            spins: 90,
-            parks: 10,
-            ..CounterRow::default()
-        };
-        assert!(spinny.waited());
-        assert!((spinny.park_fraction() - 0.1).abs() < 1e-9);
-
         let snap = CountersSnapshot {
             workers: vec![
                 CounterRow {

@@ -27,7 +27,6 @@
 //! assert_eq!(store.into_vec(), vec![100]);
 //! ```
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use rio_stf::{ExecError, Mapping, RoundRobin, TaskDesc, TaskGraph, WorkerId};
@@ -237,10 +236,10 @@ impl<'a> Executor<'a> {
     }
 
     /// Diagnoses a finished `run` of `graph` into a [`TuningPlan`]:
-    /// shorthand for [`Tuner::plan`] with default [`TuneOptions`], this
-    /// executor's worker count and its configured mapping. Feed the plan
-    /// to [`Executor::apply`] to get an executor that runs under it —
-    /// or let [`Executor::tuned_run`] drive the whole loop.
+    /// shorthand for [`Tuner::plan`] with this executor's worker count and
+    /// its configured mapping. Feed the plan to [`Executor::apply`] to get
+    /// an executor that runs under it — or let [`Executor::tuned_run`]
+    /// drive the whole loop.
     ///
     /// # Panics
     /// If a partial mapping was set with [`Executor::hybrid`].
@@ -273,19 +272,15 @@ impl<'a> Executor<'a> {
     }
 
     /// A new executor with `plan` baked in: the plan's remap replaces
-    /// the mapping, and its per-object wait-policy table is installed
-    /// into the configuration ([`RioConfig::wait_policies`]). Everything
-    /// else — worker count, run-wide wait strategy, tracing, watchdog —
-    /// carries over from `self`.
+    /// the mapping. Everything else — worker count, wait strategy,
+    /// tracing, watchdog — carries over from `self`.
     ///
     /// # Panics
     /// If a partial mapping was set with [`Executor::hybrid`].
     pub fn apply<'p>(&self, plan: &'p TuningPlan) -> Executor<'p> {
         self.total_mapping();
-        let mut cfg = self.cfg.clone();
-        cfg.wait_policies = Some(Arc::clone(&plan.policies));
         Executor {
-            cfg,
+            cfg: self.cfg.clone(),
             mapping: Some(&plan.mapping),
             partial: None,
         }
@@ -305,7 +300,7 @@ impl<'a> Executor<'a> {
     /// Closed-loop self-optimizing execution (see [`crate::tune`]).
     ///
     /// Each round compiles the current plan (round 0: this executor's
-    /// own mapping, no policy table) into per-worker instruction
+    /// own mapping) into per-worker instruction
     /// streams, runs it, and diagnoses the run into the next
     /// [`TuningPlan`] — from its trace when tracing is enabled
     /// ([`Executor::trace`]), else from its always-on counters. The loop
@@ -320,8 +315,7 @@ impl<'a> Executor<'a> {
     /// The kernel runs once per task per round — `max_iters` full
     /// executions in the worst case — so every round mutating shared
     /// data must either be idempotent across runs or reset by the
-    /// caller; determinism checking across rounds is the
-    /// `check_determinism` harness's job, not this one's.
+    /// caller.
     ///
     /// # Panics
     /// As [`Executor::run`]; additionally if a partial mapping was set
@@ -332,9 +326,7 @@ impl<'a> Executor<'a> {
     {
         opts.validate();
         let mapping = self.total_mapping();
-        let tuner = Tuner::new(graph, self.cfg.workers)
-            .options(opts.clone())
-            .nodes(self.worker_nodes());
+        let tuner = Tuner::new(graph, self.cfg.workers).nodes(self.worker_nodes());
         let mut iterations = Vec::new();
         let mut applied: Option<TuningPlan> = None;
         let mut converged = false;

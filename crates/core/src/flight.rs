@@ -39,7 +39,7 @@ use rio_stf::{DataId, FlightEvent, FlightEventKind, FlightLog, TaskId, WorkerFli
 
 use crate::config::RioConfig;
 
-/// Default per-worker ring capacity ([`RioConfig::flight_capacity`]):
+/// Slots per worker in a run's rings ([`FlightRecorder::for_run`]):
 /// enough history to see a whole task cycle per worker without growing
 /// the dump beyond what a terminal diagnostic can carry.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 32;
@@ -174,7 +174,7 @@ impl FlightRecorder {
     /// [`RioConfig::flight`] is on (the default), `None` when disabled.
     pub(crate) fn for_run(cfg: &RioConfig) -> Option<FlightRecorder> {
         cfg.flight
-            .then(|| FlightRecorder::new(cfg.workers, cfg.flight_capacity))
+            .then(|| FlightRecorder::new(cfg.workers, DEFAULT_FLIGHT_CAPACITY))
     }
 
     /// Worker `w`'s ring.
@@ -286,11 +286,9 @@ mod tests {
         let on = RioConfig::with_workers(3);
         let rec = FlightRecorder::for_run(&on).expect("flight recorder defaults on");
         assert_eq!(rec.rings.len(), 3);
+        assert_eq!(rec.ring(0).slots.len(), DEFAULT_FLIGHT_CAPACITY);
         let off = RioConfig::with_workers(3).flight(false);
         assert!(FlightRecorder::for_run(&off).is_none());
-        let sized = RioConfig::with_workers(1).flight_capacity(16);
-        let rec = FlightRecorder::for_run(&sized).unwrap();
-        assert_eq!(rec.ring(0).slots.len(), 16);
     }
 
     #[test]

@@ -38,25 +38,29 @@
 //! objects the task *declared*, in the declared mode — mis-declarations
 //! panic immediately instead of racing. The closure runs once per worker;
 //! it must be deterministic (same tasks, same accesses, same order on every
-//! replay). With [`RioConfig::check_determinism`] enabled the runtime
-//! verifies this by comparing per-worker flow checksums at join time.
+//! replay), which the runtime verifies by comparing per-worker flow
+//! checksums at join time.
+//!
+//! This front-end owns what is particular to unrolling a flow at run time
+//! — each worker's private view of every data object ([`LocalDataState`]),
+//! the flow checksum, the access-checked [`TaskView`]. The rest it
+//! borrows (`crate::graph`): a run goes through the shell, and a worker's
+//! own task through the engine, that compiled programs use, on expected
+//! words packed from the private view instead of precomputed.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rio_stf::store::{ReadGuard, WriteGuard};
-use rio_stf::{Access, DataId, DataStore, ExecError, FlightEventKind, Mapping, TaskId, WorkerId};
+use rio_stf::{Access, DataId, DataStore, ExecError, Mapping, TaskId, WorkerId};
 
+use crate::compile::{AccessPlan, TaskAccesses};
 use crate::config::RioConfig;
 use crate::executor::RunOutcome;
-use crate::graph::stall_diagnostic;
+use crate::graph::{unwind_aborted, RunShell, WorkerCtx};
 use crate::protocol::{
-    declare_read, declare_write, expected_write_word, get_read_cx, get_write_cx, terminate_read,
-    terminate_write, AbortCause, AbortFlag, LocalDataState, RecoveryCtx, SharedDataState, WaitCx,
-    WaitVerdict,
+    declare_batch, expected_write_word, spurious_wake_all, LocalDataState, SharedDataState,
 };
-use crate::report::{ExecReport, OpCounts, WorkerReport};
-use crate::status::{StatusTable, WaitWatch};
-use crate::trace_api::WorkerTracer;
+use crate::report::ExecReport;
 
 /// The RIO runtime handle for the typed flow API.
 #[derive(Debug, Clone)]
@@ -65,12 +69,16 @@ pub struct Rio {
 }
 
 impl Rio {
-    /// Creates a runtime with the given configuration.
+    /// Creates a runtime with the given configuration. A dynamic task
+    /// body is `FnOnce` and cannot be replayed, so an installed
+    /// [`crate::RecoveryPolicy`] is held to one attempt
+    /// ([`Rio::try_run_with_outcome`]).
     ///
     /// # Panics
     /// If the configuration is invalid.
-    pub fn new(cfg: RioConfig) -> Rio {
+    pub fn new(mut cfg: RioConfig) -> Rio {
         cfg.validate();
+        cfg.recovery = cfg.recovery.map(|p| p.max_retries(0));
         Rio { cfg }
     }
 
@@ -89,8 +97,7 @@ impl Rio {
     /// # Panics
     /// * if a task declares a data object outside the store;
     /// * if a body accesses an undeclared object or uses the wrong mode;
-    /// * if determinism checking is enabled and workers disagree on the
-    ///   flow;
+    /// * if workers disagree on the flow;
     /// * if a worker panics (the panic is propagated).
     pub fn run<T, M, F>(&self, store: &DataStore<T>, mapping: &M, flow: F) -> ExecReport
     where
@@ -153,141 +160,36 @@ impl Rio {
         M: Mapping,
         F: Fn(&mut FlowCtx<'_, T>) + Sync,
     {
-        let cfg = &self.cfg;
         let mapping: &dyn Mapping = mapping;
         let shared = SharedDataState::new_table(store.len());
-        let shared = &shared;
-        let flow = &flow;
-        let abort = &AbortFlag::new();
-        let status = &StatusTable::new(cfg.workers);
-        let registry = crate::counters::CounterRegistry::for_run(cfg);
-        let registry = registry.as_deref();
-        let flight = crate::flight::FlightRecorder::for_run(cfg);
-        let flight = flight.as_ref();
-        let recovery = cfg
-            .recovery
-            .clone()
-            .map(|p| RecoveryCtx::new(p, store.len()));
-        let rec = recovery.as_ref();
-
-        let start = Instant::now();
-        let joined: Vec<std::thread::Result<(WorkerReport, u64)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..cfg.workers)
-                .map(|w| {
-                    s.spawn(move || {
-                        let me = WorkerId::from_index(w);
-                        let mut ctx = FlowCtx {
-                            me,
-                            num_workers: cfg.workers,
-                            cx: WaitCx {
-                                spin_limit: cfg.spin_polls(),
-                                deadline: cfg.watchdog,
-                                timed: cfg.measure_time || cfg.trace.is_some(),
-                                ..WaitCx::new(cfg.wait, abort)
-                            },
-                            measure: cfg.measure_time,
-                            record_spans: cfg.record_spans,
-                            mapping,
-                            shared,
-                            locals: vec![LocalDataState::default(); store.len()],
-                            store,
-                            next_task: TaskId::FIRST,
-                            ops: OpCounts::default(),
-                            task_time: Duration::ZERO,
-                            idle_time: Duration::ZERO,
-                            tasks_executed: 0,
-                            checksum: FNV_OFFSET,
-                            status,
-                            epoch: start,
-                            spans: Vec::new(),
-                            tracer: cfg
-                                .trace
-                                .as_ref()
-                                .map(|tc| WorkerTracer::new(tc, w as u32, start)),
-                            ctr: registry.map(|r| r.worker(w)),
-                            registry,
-                            ring: flight.map(|f| f.ring(w)),
-                            flight,
-                            rec,
-                        };
-                        let loop_start = Instant::now();
-                        flow(&mut ctx);
-                        let loop_time = loop_start.elapsed();
-                        let trace = ctx.tracer.map(|tr| {
-                            let mut wt = tr.finish();
-                            wt.declares = ctx.ops.declares;
-                            wt.gets = ctx.ops.gets;
-                            wt.terminates = ctx.ops.terminates;
-                            wt.loop_ns = loop_time.as_nanos() as u64;
-                            wt
-                        });
-                        let report = WorkerReport {
-                            worker: me,
-                            tasks_executed: ctx.tasks_executed,
-                            tasks_visited: ctx.next_task.0 - 1,
-                            task_time: ctx.task_time,
-                            idle_time: ctx.idle_time,
-                            loop_time,
-                            ops: ctx.ops,
-                            spans: ctx.spans,
-                            trace,
-                        };
-                        (report, ctx.checksum)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        let wall = start.elapsed();
-
-        // A contained failure (task-body panic, watchdog stall) aborts the
-        // whole run: surface the recorded first cause as a structured error
-        // and discard the secondary "poisoned" unwinds of the workers.
-        if let Some(cause) = abort.take_cause() {
-            return Err(cause.into_error());
-        }
-        let workers: Vec<(WorkerReport, u64)> = joined
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect();
-
-        if cfg.check_determinism {
-            let (first_report, first_sum) = &workers[0];
-            for (r, sum) in &workers[1..] {
-                assert!(
-                    r.tasks_visited == first_report.tasks_visited && sum == first_sum,
-                    "non-deterministic flow: {} visited {} tasks (checksum {:#x}), \
-                     {} visited {} (checksum {:#x}); every worker must unroll the \
-                     same task sequence",
-                    first_report.worker,
-                    first_report.tasks_visited,
-                    first_sum,
-                    r.worker,
-                    r.tasks_visited,
-                    sum,
-                );
-            }
-        }
-
-        Ok((
-            ExecReport {
-                wall,
-                workers: workers.into_iter().map(|(r, _)| r).collect(),
-                counters: registry
-                    .map(|r| r.snapshot().with_topology(cfg))
-                    .unwrap_or_default(),
+        let shared = &shared[..];
+        let (report, outcome, checksums) = RunShell::new(&self.cfg, store.len()).run(
+            shared,
+            &|| spurious_wake_all(shared),
+            |wk| {
+                let mut ctx = FlowCtx {
+                    wk,
+                    mapping,
+                    locals: vec![LocalDataState::default(); store.len()],
+                    store,
+                    checksum: FNV_OFFSET,
+                    plans: Vec::new(),
+                    expected: Vec::new(),
+                };
+                let loop_start = Instant::now();
+                flow(&mut ctx);
+                (ctx.wk.finish(loop_start.elapsed()), ctx.checksum)
             },
-            recovery
-                .and_then(RecoveryCtx::into_report)
-                .map(|mut p| {
-                    // Workers joined: the dump is exact recording order.
-                    if let Some(f) = flight {
-                        p.flight = f.dump();
-                    }
-                    p
-                })
-                .into(),
-        ))
+        )?;
+        // §3.4, assumption 2: every worker unrolled the same flow.
+        let visited = report.workers.iter().map(|w| w.tasks_visited);
+        let seen: Vec<(u64, u64)> = visited.zip(checksums).collect();
+        assert!(
+            seen.iter().all(|w| *w == seen[0]),
+            "non-deterministic flow: per worker, (tasks visited, flow checksum) = {seen:x?}; \
+             every worker must unroll the same task sequence"
+        );
+        Ok((report, outcome))
     }
 }
 
@@ -304,56 +206,32 @@ fn fnv_fold(hash: u64, value: u64) -> u64 {
 /// All workers hold one; calling [`FlowCtx::task`] *submits* the task on
 /// every worker but *executes* it only on the mapped one.
 pub struct FlowCtx<'a, T> {
-    me: WorkerId,
-    num_workers: usize,
-    /// The run-wide wait context (each wait adds its own watch mark).
-    cx: WaitCx<'a>,
-    measure: bool,
-    record_spans: bool,
+    wk: WorkerCtx<'a>,
     mapping: &'a (dyn Mapping + 'a),
-    shared: &'a [SharedDataState],
+    /// This worker's private view of every data object.
     locals: Vec<LocalDataState>,
     store: &'a DataStore<T>,
-    next_task: TaskId,
-    ops: OpCounts,
-    task_time: Duration,
-    idle_time: Duration,
-    tasks_executed: u64,
     checksum: u64,
-    status: &'a StatusTable,
-    epoch: Instant,
-    spans: Vec<rio_stf::validate::Span>,
-    tracer: Option<WorkerTracer>,
-    ctr: Option<&'a crate::counters::WorkerCounters>,
-    registry: Option<&'a crate::counters::CounterRegistry>,
-    ring: Option<&'a crate::flight::FlightRing>,
-    flight: Option<&'a crate::flight::FlightRecorder>,
-    rec: Option<&'a RecoveryCtx>,
+    /// Scratch, reused from task to task: an own task's accesses as the
+    /// engine takes them, and the word each waits for.
+    plans: Vec<AccessPlan>,
+    expected: Vec<u64>,
 }
 
 impl<'a, T> FlowCtx<'a, T> {
     /// The worker replaying this flow instance.
     pub fn worker(&self) -> WorkerId {
-        self.me
+        self.wk.me
     }
 
     /// Total number of workers.
     pub fn num_workers(&self) -> usize {
-        self.num_workers
+        self.wk.cfg.workers
     }
 
     /// Id the *next* submitted task will receive.
     pub fn next_task_id(&self) -> TaskId {
-        self.next_task
-    }
-
-    /// Appends one event to this worker's flight ring (no-op with the
-    /// recorder disabled).
-    #[inline]
-    fn flight_event(&self, kind: FlightEventKind, task: TaskId, data: Option<DataId>) {
-        if let Some(r) = self.ring {
-            r.record(kind, task, data);
-        }
+        TaskId(self.wk.tasks_visited + 1)
     }
 
     /// Submits the next task of the flow.
@@ -364,17 +242,7 @@ impl<'a, T> FlowCtx<'a, T> {
     ///
     /// Returns the task's id (identical on every worker).
     pub fn task(&mut self, accesses: &[Access], body: impl FnOnce(&TaskView<'_, T>)) -> TaskId {
-        let id = self.next_task;
-        // The packed epoch word stores task ids in 32 bits. Dynamic flows
-        // have no graph-build validation, so the limit is enforced here
-        // (one perfectly-predicted compare; reads-per-epoch is bounded by
-        // the task count, so this check covers the read half too).
-        assert!(
-            id.0 <= u64::from(u32::MAX),
-            "flow exceeds the u32 task-id limit of the packed epoch protocol"
-        );
-        self.next_task = id.next();
-
+        let (id, own) = self.wk.next_flow_task(self.mapping);
         // Fold the task shape into the determinism checksum.
         let mut sum = fnv_fold(self.checksum, id.0);
         for a in accesses {
@@ -382,203 +250,37 @@ impl<'a, T> FlowCtx<'a, T> {
         }
         self.checksum = sum;
 
-        let executor = self.mapping.worker_of(id, self.num_workers);
-        assert!(
-            executor.index() < self.num_workers,
-            "mapping sent {id} to non-existent {executor}"
-        );
-        if self.cx.abort.armed() {
-            panic!("RIO run poisoned: a sibling worker's task body panicked");
-        }
-
-        if executor == self.me {
-            let traced = self.tracer.is_some();
-            let (cx, wd) = (self.cx, self.cx.deadline.is_some());
+        if own {
+            // The engine's view of an own task: every guard and every
+            // publication kept, each get on the word this worker's private
+            // view packs to (a read ignores the read half).
+            self.plans.clear();
+            self.expected.clear();
             for a in accesses {
-                self.ops.gets += 1;
-                let s = &self.shared[a.data.index()];
-                let l = &self.locals[a.data.index()];
-                let cx = WaitCx {
-                    watch: wd.then_some(WaitWatch {
-                        status: self.status,
-                        worker: self.me,
-                        data: a.data,
-                    }),
-                    ..cx
-                };
-                let wr = if a.mode.writes() {
-                    get_write_cx(s, l, &cx)
-                } else {
-                    get_read_cx(s, l, &cx)
-                };
-                let wo = wr.outcome;
-                if wo.polls > 0 {
-                    self.ops.waits += 1;
-                    self.ops.poll_loops += wo.polls;
-                    if let Some(c) = self.ctr {
-                        c.add_spins(wo.polls);
-                        c.add_parks(wo.parks);
-                    }
-                    if wo.parks > 0 {
-                        self.flight_event(FlightEventKind::Park, id, Some(a.data));
-                    }
-                }
-                if let (true, Some(t0)) = (cx.timed, wr.blocked_at) {
-                    let t1 = Instant::now();
-                    if self.measure {
-                        self.idle_time += t1.duration_since(t0);
-                    }
-                    if let Some(tr) = self.tracer.as_mut() {
-                        tr.wait(id, a.data, a.mode.writes(), t0, t1, wo.polls, wo.parks);
-                    }
-                }
-                match wr.verdict {
-                    WaitVerdict::Ready => {}
-                    WaitVerdict::Aborted => {
-                        panic!("RIO run poisoned: a sibling worker's task body panicked")
-                    }
-                    WaitVerdict::DeadlineExceeded => {
-                        let waited = wr.blocked_at.map_or(Duration::ZERO, |t0| t0.elapsed());
-                        self.flight_event(FlightEventKind::Abort, id, Some(a.data));
-                        let diag = stall_diagnostic(
-                            self.me,
-                            id,
-                            a.data,
-                            a.mode.writes(),
-                            expected_write_word(l),
-                            s,
-                            waited,
-                            self.status,
-                            self.registry,
-                            self.flight,
-                        );
-                        if let Some(c) = self.ctr {
-                            c.inc_aborts();
-                        }
-                        self.cx.abort.abort(AbortCause::Stall(diag), self.shared);
-                        panic!(
-                            "RIO run stalled: {id} waited past the watchdog deadline on {}",
-                            a.data
-                        );
-                    }
-                }
+                self.plans.push(AccessPlan::kept(a.data, a.mode.writes()));
+                self.expected
+                    .push(expected_write_word(&self.locals[a.data.index()]));
             }
-
-            // Degraded mode: a poisoned input means the body is skipped
-            // outright (the gets above admitted every access, so upstream
-            // poison is visible here).
-            self.flight_event(FlightEventKind::TaskStart, id, None);
-            let skip = self
-                .rec
-                .is_some_and(|rec| accesses.iter().any(|a| rec.is_poisoned(a.data)));
-            let ran = if skip {
-                let rec = self.rec.unwrap();
-                rec.record_skipped(id);
-                crate::graph::poison_writes(rec, id, accesses, self.ctr, self.ring);
-                false
-            } else {
-                let view = TaskView {
-                    accesses,
-                    store: self.store,
-                };
-                let run = std::panic::AssertUnwindSafe(|| body(&view));
-                // The same opt-in rule as the graph engine: no clock
-                // around the body unless something asked for the span.
-                let body_start = (self.measure || self.record_spans || traced).then(Instant::now);
-                let outcome = std::panic::catch_unwind(run);
-                let span = body_start.map(|t0| (t0, Instant::now()));
-                match outcome {
-                    Err(payload) => match self.rec {
-                        Some(rec) => {
-                            // A dynamic body is `FnOnce` — it cannot be
-                            // replayed, so the retry budget does not apply
-                            // here: the first panic fails the task
-                            // permanently (see `try_run_with_outcome`).
-                            rec.record_failed(rio_stf::FailedTask {
-                                task: id,
-                                worker: self.me,
-                                retries: 0,
-                                detail: rio_stf::FailureDetail::TaskFailed { payload },
-                            });
-                            crate::graph::poison_writes(rec, id, accesses, self.ctr, self.ring);
-                            false
-                        }
-                        None => {
-                            self.flight_event(FlightEventKind::Abort, id, None);
-                            if let Some(c) = self.ctr {
-                                c.inc_aborts();
-                            }
-                            self.cx.abort.abort(
-                                AbortCause::Panic {
-                                    task: id,
-                                    worker: self.me,
-                                    payload,
-                                },
-                                self.shared,
-                            );
-                            panic!("RIO run poisoned: this worker's task body panicked");
-                        }
-                    },
-                    Ok(()) => {
-                        if let Some((t0, t1)) = span {
-                            if self.measure {
-                                self.task_time += t1.duration_since(t0);
-                            }
-                            if self.record_spans {
-                                self.spans.push(rio_stf::validate::Span {
-                                    task: id,
-                                    start: t0.duration_since(self.epoch).as_nanos() as u64,
-                                    end: t1.duration_since(self.epoch).as_nanos() as u64,
-                                });
-                            }
-                            if let Some(tr) = self.tracer.as_mut() {
-                                tr.task(id, t0, t1);
-                            }
-                        }
-                        true
-                    }
-                }
+            let kept = TaskAccesses {
+                plans: &self.plans,
+                expected: &self.expected,
+                unmapped: false,
             };
-            if ran {
-                self.tasks_executed += 1;
-                if let Some(c) = self.ctr {
-                    c.inc_tasks();
-                }
-                self.flight_event(FlightEventKind::TaskEnd, id, None);
-            }
-            if wd {
-                let (steals, retries) = self.ctr.map_or((0, 0), |c| (c.steals(), c.retries()));
-                self.status
-                    .completed(self.me, id, self.tasks_executed, steals, retries);
-            }
-
-            // Skip-but-sync: terminates run regardless of `ran`.
-            for a in accesses {
-                self.ops.terminates += 1;
-                let s = &self.shared[a.data.index()];
-                let l = &mut self.locals[a.data.index()];
-                let elided = if a.mode.writes() {
-                    terminate_write(s, l, id, self.cx.strategy)
-                } else {
-                    terminate_read(s, l, self.cx.strategy)
-                };
-                if elided {
-                    if let Some(c) = self.ctr {
-                        c.inc_wakes_elided();
-                    }
-                }
+            let view = TaskView {
+                accesses,
+                store: self.store,
+            };
+            let mut body = Some(body);
+            let once = || (body.take().expect("a flow body gets one attempt"))(&view);
+            if !self.wk.exec_task(id, kept, once) {
+                unwind_aborted();
             }
         } else {
-            for a in accesses {
-                self.ops.declares += 1;
-                let l = &mut self.locals[a.data.index()];
-                if a.mode.writes() {
-                    declare_write(l, id);
-                } else {
-                    declare_read(l);
-                }
-            }
+            self.wk.ops.declares += accesses.len() as u64;
         }
+        // A `terminate_*` is the shared publication, which the engine ran,
+        // plus the `declare_*` every worker runs for every task.
+        declare_batch(&mut self.locals, id, accesses);
         id
     }
 }
@@ -646,11 +348,7 @@ mod tests {
     use rio_stf::RoundRobin;
 
     fn rio(workers: usize) -> Rio {
-        Rio::new(
-            RioConfig::with_workers(workers)
-                .wait(WaitStrategy::Park)
-                .check_determinism(true),
-        )
+        Rio::new(RioConfig::with_workers(workers).wait(WaitStrategy::Park))
     }
 
     #[test]
@@ -829,7 +527,7 @@ mod poison_tests {
     #[test]
     fn body_panic_propagates_original_payload() {
         let store = DataStore::from_vec(vec![0u64]);
-        let rio = Rio::new(RioConfig::with_workers(3).check_determinism(false));
+        let rio = Rio::new(RioConfig::with_workers(3));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rio.run(&store, &RoundRobin, |ctx| {
                 for i in 0..30u64 {
@@ -852,7 +550,7 @@ mod poison_tests {
     #[test]
     fn store_remains_usable_after_poisoned_run() {
         let store = DataStore::from_vec(vec![0u64]);
-        let rio = Rio::new(RioConfig::with_workers(2).check_determinism(false));
+        let rio = Rio::new(RioConfig::with_workers(2));
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rio.run(&store, &RoundRobin, |ctx| {
                 for i in 0..10u64 {

@@ -1,82 +1,125 @@
-//! The per-worker engine every compiled program runs through
-//! (Algorithm 1, generalized from one access per task to access lists):
-//! for each instruction, acquire the task's accesses whose guard was kept
-//! (`get_read`/`get_write` on the precomputed word), run the kernel under
-//! fault containment, and publish the completions somebody can wait on
-//! (`terminate_read`/`terminate_write`'s shared halves).
+//! The one run shell and the one per-worker engine behind every front-end
+//! — compiled programs ([`crate::compile`]), the closure flow
+//! ([`crate::flow`]) and its reduction extension ([`crate::redux`]).
 //!
-//! This mirrors how the paper's evaluation runs: the task graphs are real
-//! (matmul, LU, …) while the task bodies are supplied as a kernel closure
-//! — synthetic counters for the benchmarks, real linear-algebra kernels
-//! for the examples. What the paper's workers do for a task mapped
-//! elsewhere — declare its accesses privately — [`crate::compile`] did
-//! once, ahead of the run, for all of them.
+//! [`RunShell`] is the only place a run is set up and torn down: abort
+//! flag, progress table, counters, flight recorder and recovery state in;
+//! one scoped thread per worker; the first recorded abort cause, or the
+//! reports, out. [`WorkerCtx`] is the only place the paper's per-task
+//! sequence `get_* → body → terminate_*` (Algorithm 2, generalized from
+//! one access per task to access lists) is instrumented: it acquires the
+//! accesses whose guard is kept and accounts for the wait, runs the body
+//! under fault containment, recovery and timing, ticks the watchdog and
+//! publishes the completions somebody can wait on. A front-end supplies
+//! what to wait for — words precomputed by the compiler, or packed from a
+//! private view it keeps — and the body.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rio_stf::{Access, FlightEventKind, StallDiagnostic, StallSite, TaskDesc, WorkerId};
+use rio_stf::{
+    DataId, ExecError, FlightEventKind, Mapping, StallDiagnostic, StallSite, TaskId, WorkerId,
+};
 
-use crate::compile::TaskAccesses;
+use crate::compile::{AccessPlan, TaskAccesses};
 use crate::config::RioConfig;
 use crate::counters::{CounterRegistry, WorkerCounters};
+use crate::executor::RunOutcome;
 use crate::flight::{FlightRecorder, FlightRing};
 use crate::protocol::{
     get_read_word_cx, get_write_word_cx, publish_read, publish_write, unpack_epoch, AbortCause,
     AbortFlag, RecoveryCtx, SharedDataState, WaitCx, WaitOutcome, WaitResult, WaitVerdict,
     READ_EPOCH_MASK, WRITE_EPOCH_MASK,
 };
-use crate::report::{OpCounts, WorkerReport};
+use crate::report::{ExecReport, OpCounts, WorkerReport};
 use crate::status::{StatusTable, WaitWatch};
 use crate::steal::{Claims, StealState, EMPTY_SCAN_LIMIT};
 use crate::trace_api::WorkerTracer;
 use crate::wait::WaitStrategy;
 
-/// Builds the stall diagnostic for a `get_*` whose watchdog deadline
-/// expired: the blocked worker, the private-vs-shared counters of the
-/// blocked data object, every worker's progress snapshot (with
-/// steal/retry deltas since its last tick when `registry` is armed), and
-/// the flight-recorder bundle — the last protocol events of every worker
-/// leading up to the stall.
-///
-/// `private` is the packed private view the blocked get compared the
-/// epoch word against ([`crate::protocol::expected_write_word`]) — a
-/// closure flow packs it from its own table, a compiled program holds it
-/// precomputed — so both render the same private/shared pair.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stall_diagnostic(
-    me: WorkerId,
-    task: rio_stf::TaskId,
-    data: rio_stf::DataId,
-    write: bool,
-    private: u64,
-    shared: &SharedDataState,
-    waited: Duration,
-    status: &StatusTable,
-    registry: Option<&CounterRegistry>,
-    flight: Option<&FlightRecorder>,
-) -> Box<StallDiagnostic> {
-    // One coherent load: both shared counters are decoded from the same
-    // packed epoch word, so the dump can never pair a new write id with a
-    // stale read count.
-    let word = shared.epoch_word();
-    let (shared_reads, shared_write) = unpack_epoch(word);
-    let (local_reads, local_write) = unpack_epoch(private);
-    Box::new(StallDiagnostic {
-        worker: me,
-        waited,
-        site: StallSite::DataWait {
-            task,
-            data,
-            write,
-            local_reads_since_write: local_reads,
-            local_last_registered_write: local_write,
-            shared_reads_since_write: shared_reads,
-            shared_last_executed_write: shared_write,
-            shared_epoch_word: word,
-        },
-        workers: status.snapshot_with(registry),
-        flight: flight.map(FlightRecorder::dump).unwrap_or_default(),
-    })
+/// The state of one run that its workers share, whichever front-end
+/// started it.
+pub(crate) struct RunShell<'c> {
+    cfg: &'c RioConfig,
+    abort: AbortFlag,
+    status: StatusTable,
+    registry: Option<Arc<CounterRegistry>>,
+    flight: Option<FlightRecorder>,
+    recovery: Option<RecoveryCtx>,
+}
+
+impl<'c> RunShell<'c> {
+    /// Fresh state for a run under `cfg` over `num_data` data objects.
+    pub(crate) fn new(cfg: &'c RioConfig, num_data: usize) -> RunShell<'c> {
+        RunShell {
+            cfg,
+            abort: AbortFlag::new(),
+            status: StatusTable::new(cfg.workers),
+            registry: CounterRegistry::for_run(cfg),
+            flight: FlightRecorder::for_run(cfg),
+            recovery: cfg.recovery.clone().map(|p| RecoveryCtx::new(p, num_data)),
+        }
+    }
+
+    /// Runs `worker` once per worker, each on a thread of its own with a
+    /// fresh [`WorkerCtx`] over `shared`, and joins them. `wake` must wake
+    /// every sleeper of this run (an abort calls it). Returns the
+    /// assembled report, how the run finished under the recovery policy,
+    /// and what each worker returned beside its report.
+    ///
+    /// # Errors
+    /// The first recorded abort cause — a contained body panic, a watchdog
+    /// stall. It wins over whatever the workers unwound with afterwards; a
+    /// worker panic with no cause recorded (outside any task body) is
+    /// propagated.
+    pub(crate) fn run<'a, R: Send>(
+        &'a self,
+        shared: &'a [SharedDataState],
+        wake: &'a (dyn Fn() + Sync),
+        worker: impl Fn(WorkerCtx<'a>) -> (WorkerReport, R) + Sync,
+    ) -> Result<(ExecReport, RunOutcome, Vec<R>), ExecError> {
+        let worker = &worker;
+        let start = Instant::now();
+        let joined: Vec<std::thread::Result<(WorkerReport, R)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..self.cfg.workers)
+                .map(|w| {
+                    s.spawn(move || {
+                        let me = WorkerId::from_index(w);
+                        worker(WorkerCtx::new(self, shared, wake, me, start))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        let wall = start.elapsed();
+        if let Some(cause) = self.abort.take_cause() {
+            return Err(cause.into_error());
+        }
+        let (workers, extras) = joined
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .unzip();
+        let recovery = self.recovery.as_ref();
+        let outcome = recovery.and_then(|r| r.take_report(self.flight.as_ref()));
+        let counters = self
+            .registry
+            .as_ref()
+            .map(|r| r.snapshot().with_topology(self.cfg))
+            .unwrap_or_default();
+        let report = ExecReport {
+            wall,
+            workers,
+            counters,
+        };
+        Ok((report, outcome.into(), extras))
+    }
+}
+
+/// What a worker of an aborted run leaves the user's flow closure with.
+/// The shell discards it for the recorded cause.
+#[cold]
+pub(crate) fn unwind_aborted() -> ! {
+    panic!("RIO run aborted: a task body panicked or a wait stalled on a sibling worker")
 }
 
 /// Is every guard of one task open right now? One masked acquire-load per
@@ -101,24 +144,22 @@ fn get_word_cx(s: &SharedDataState, expected: u64, writes: bool, cx: &WaitCx<'_>
 }
 
 /// Per-worker execution context: the counters, timers and tracing of one
-/// worker in one run, and the `get → kernel → terminate` sequence with
-/// its fault containment, watchdog, claims and recovery. It keeps no
-/// private protocol state: every word a get waits for is precomputed
-/// ([`crate::compile`]).
+/// worker in one run, and the `get → body → terminate` sequence with its
+/// fault containment, watchdog, claims and recovery. It keeps no private
+/// protocol state: every word a get waits for is handed to it.
 pub(crate) struct WorkerCtx<'a> {
-    cfg: &'a RioConfig,
+    /// The whole run, for diagnostics that look at *every* worker.
+    run: &'a RunShell<'a>,
+    pub cfg: &'a RioConfig,
     shared: &'a [SharedDataState],
+    /// Wakes every sleeper of the run: what an abort calls.
+    wake: &'a (dyn Fn() + Sync),
     pub me: WorkerId,
     abort: &'a AbortFlag,
-    status: &'a StatusTable,
     epoch: Instant,
     /// The run-wide wait context; `cx.timed` is also the rule for reading
     /// the clock at the *end* of a blocked get.
     cx: WaitCx<'a>,
-    /// Per-object wait-policy table ([`RioConfig::wait_policies`]):
-    /// `policies[d]` overrides `cx`'s strategy/spin budget for waits and
-    /// terminates on data object `d`. Shared by every worker of the run.
-    policies: Option<&'a [crate::wait::WaitPolicy]>,
     pub ops: OpCounts,
     pub tasks_executed: u64,
     pub tasks_visited: u64,
@@ -128,21 +169,16 @@ pub(crate) struct WorkerCtx<'a> {
     tracer: Option<WorkerTracer>,
     /// Always-on counter line of this worker (`None` when disabled).
     ctr: Option<&'a WorkerCounters>,
-    /// The run's whole counter registry, for diagnostics that snapshot
-    /// *every* worker (stall dumps render steal/retry deltas per worker).
-    registry: Option<&'a CounterRegistry>,
     /// This worker's flight-recorder ring (`None` when disabled): the
     /// single-writer event log the hot path appends to.
     ring: Option<&'a FlightRing>,
-    /// The run's whole flight recorder, dumped into stall diagnostics.
-    flight: Option<&'a FlightRecorder>,
     /// Recovery state shared by every worker of the run (`None` when no
     /// [`crate::config::RecoveryPolicy`] is installed — the abort-on-panic
     /// fast path costs exactly one branch per executed task).
     rec: Option<&'a RecoveryCtx>,
     /// The run's claim slots (`None` when no instruction of the flow is
-    /// claim-marked). Installed by the runtime shell after construction,
-    /// like `steal`.
+    /// claim-marked). Installed by the front-end after construction, like
+    /// `steal`.
     pub(crate) claims: Option<Claims<'a>>,
     /// Steal state shared by every worker of the run (`None` when no
     /// [`crate::steal::StealPolicy`] is installed). Implies `claims`.
@@ -156,30 +192,25 @@ pub(crate) struct WorkerCtx<'a> {
 }
 
 impl<'a> WorkerCtx<'a> {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        cfg: &'a RioConfig,
+    fn new(
+        run: &'a RunShell<'a>,
         shared: &'a [SharedDataState],
+        wake: &'a (dyn Fn() + Sync),
         me: WorkerId,
-        abort: &'a AbortFlag,
-        status: &'a StatusTable,
         epoch: Instant,
-        registry: Option<&'a CounterRegistry>,
-        flight: Option<&'a FlightRecorder>,
-        rec: Option<&'a RecoveryCtx>,
     ) -> WorkerCtx<'a> {
-        let ctr = registry.map(|r| r.worker(me.index()));
-        let ring = flight.map(|f| f.ring(me.index()));
+        let (cfg, abort) = (run.cfg, &run.abort);
         let tracer = cfg
             .trace
             .as_ref()
             .map(|tc| WorkerTracer::new(tc, me.index() as u32, epoch));
         WorkerCtx {
+            run,
             cfg,
             shared,
+            wake,
             me,
             abort,
-            status,
             epoch,
             cx: WaitCx {
                 strategy: cfg.wait,
@@ -189,7 +220,6 @@ impl<'a> WorkerCtx<'a> {
                 timed: cfg.measure_time || tracer.is_some(),
                 watch: None,
             },
-            policies: cfg.wait_policies.as_deref(),
             ops: OpCounts::default(),
             tasks_executed: 0,
             tasks_visited: 0,
@@ -197,11 +227,9 @@ impl<'a> WorkerCtx<'a> {
             idle_time: Duration::ZERO,
             spans: Vec::new(),
             tracer,
-            ctr,
-            registry,
-            ring,
-            flight,
-            rec,
+            ctr: run.registry.as_ref().map(|r| r.worker(me.index())),
+            ring: run.flight.as_ref().map(|f| f.ring(me.index())),
+            rec: run.recovery.as_ref(),
             claims: None,
             steal: None,
             unmapped_claims: (0, 0),
@@ -211,19 +239,42 @@ impl<'a> WorkerCtx<'a> {
         }
     }
 
-    /// The wait context governing `data`: the per-object policy when the
-    /// table names one, the run-wide `cx` otherwise; with a watchdog
-    /// armed, the progress mark a blocked wait leaves.
-    #[inline]
-    fn wait_cx(&self, data: rio_stf::DataId) -> WaitCx<'a> {
-        let mut cx = self.cx;
-        if let Some(p) = self.policies.and_then(|p| p.get(data.index())) {
-            cx.strategy = p.strategy;
-            cx.spin_limit = p.spin_limit;
+    /// The next task of a flow that every worker unrolls for itself: its
+    /// id — its position in the flow, from 1 — and whether `mapping` gives
+    /// it to this worker. Unwinds out of the caller, which is the user's
+    /// flow closure, once the run has aborted.
+    pub(crate) fn next_flow_task(&mut self, mapping: &dyn Mapping) -> (TaskId, bool) {
+        self.tasks_visited += 1;
+        let id = TaskId(self.tasks_visited);
+        // The packed epoch word stores task ids in 32 bits (and so do the
+        // flight ring and a stall diagnostic). Dynamic flows have no
+        // graph-build validation, so the limit is enforced here (one
+        // perfectly-predicted compare; reads-per-epoch is bounded by the
+        // task count, so this check covers the read half too).
+        assert!(
+            id.0 <= u64::from(u32::MAX),
+            "flow exceeds the u32 task-id limit of the packed epoch protocol"
+        );
+        let workers = self.cfg.workers;
+        let executor = mapping.worker_of(id, workers);
+        assert!(
+            executor.index() < workers,
+            "mapping sent {id} to non-existent {executor}"
+        );
+        if self.abort.armed() {
+            unwind_aborted();
         }
+        (id, executor == self.me)
+    }
+
+    /// The wait context of a get on `data`: the run-wide one and, with a
+    /// watchdog armed, the progress mark a blocked wait leaves.
+    #[inline]
+    pub(crate) fn wait_cx(&self, data: DataId) -> WaitCx<'a> {
+        let mut cx = self.cx;
         if self.wd {
             cx.watch = Some(WaitWatch {
-                status: self.status,
+                status: &self.run.status,
                 worker: self.me,
                 data,
             });
@@ -231,25 +282,10 @@ impl<'a> WorkerCtx<'a> {
         cx
     }
 
-    /// The wait strategy `terminate_*` on `data` must assume its waiters
-    /// use. Must agree with [`WorkerCtx::wait_cx`]: a terminate that
-    /// believes waiters never park skips the waiter check and the wake.
-    #[inline]
-    fn strategy_of(&self, data: usize) -> crate::wait::WaitStrategy {
-        self.policies
-            .and_then(|p| p.get(data))
-            .map_or(self.cfg.wait, |p| p.strategy)
-    }
-
     /// Appends one event to this worker's flight ring (no-op with the
     /// recorder disabled). Single-writer: only `self` ever records here.
     #[inline]
-    fn flight_event(
-        &self,
-        kind: FlightEventKind,
-        task: rio_stf::TaskId,
-        data: Option<rio_stf::DataId>,
-    ) {
+    fn flight_event(&self, kind: FlightEventKind, task: TaskId, data: Option<DataId>) {
         if let Some(r) = self.ring {
             r.record(kind, task, data);
         }
@@ -259,29 +295,26 @@ impl<'a> WorkerCtx<'a> {
     /// advancing past `task`. The steal/retry counters ride along so a
     /// later stall diagnostic can show activity since this tick.
     #[inline]
-    fn tick(&self, task: rio_stf::TaskId) {
+    pub(crate) fn tick(&self, task: TaskId) {
         if self.wd {
             let (steals, retries) = self.ctr.map_or((0, 0), |c| (c.steals(), c.retries()));
-            self.status
+            self.run
+                .status
                 .completed(self.me, task, self.tasks_executed, steals, retries);
         }
     }
 
-    /// Executes one instruction of this worker's program: claim the task
-    /// if it is claim-marked, acquire every access of `accesses` (`t`'s,
-    /// in declaration order) whose guard is kept, run the kernel under
-    /// fault containment, publish the completions somebody can wait on.
-    /// Returns `false` when the run aborted and the worker must abandon
-    /// the flow.
-    pub(crate) fn exec_task<K>(
+    /// Executes one task of this worker: claim it if it is claim-marked,
+    /// acquire every access of `accesses` (in declaration order) whose
+    /// guard is kept, run `body` under fault containment, publish the
+    /// completions somebody can wait on. Returns `false` when the run
+    /// aborted and the worker must abandon the flow.
+    pub(crate) fn exec_task(
         &mut self,
-        kernel: &K,
-        t: &TaskDesc,
+        task: TaskId,
         accesses: TaskAccesses<'_>,
-    ) -> bool
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
+        body: impl FnMut(),
+    ) -> bool {
         // Containment guarantee: no body starts once the abort is
         // observed.
         if self.abort.armed() {
@@ -302,13 +335,13 @@ impl<'a> WorkerCtx<'a> {
         {
             let won = c
                 .table
-                .try_claim(t.id.index(), c.epoch, self.me.index() as u32);
+                .try_claim(task.index(), c.epoch, self.me.index() as u32);
             if accesses.unmapped {
                 self.unmapped_claims.0 += u64::from(won);
                 self.unmapped_claims.1 += u64::from(!won);
             }
             if !won {
-                self.tick(t.id);
+                self.tick(task);
                 return true;
             }
         }
@@ -330,124 +363,173 @@ impl<'a> WorkerCtx<'a> {
             let expected = accesses.expected[i];
             let cx = self.wait_cx(a.data);
             let wr = if self.steal.is_some() {
-                self.wait_or_steal(kernel, s, expected, writes, &cx)
+                self.wait_or_steal(s, expected, writes, &cx)
             } else {
                 get_word_cx(s, expected, writes, &cx)
             };
-            let wo = wr.outcome;
-            if wo.polls > 0 {
-                self.ops.waits += 1;
-                self.ops.poll_loops += wo.polls;
-                if let Some(c) = self.ctr {
-                    c.add_spins(wo.polls);
-                    c.add_parks(wo.parks);
-                }
-                if wo.parks > 0 {
-                    self.flight_event(FlightEventKind::Park, t.id, Some(a.data));
-                }
-            }
-            if let (true, Some(t0)) = (self.cx.timed, wr.blocked_at) {
-                let t1 = Instant::now();
-                if self.measure {
-                    self.idle_time += t1.duration_since(t0);
-                }
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.wait(t.id, a.data, writes, t0, t1, wo.polls, wo.parks);
-                }
-            }
-            match wr.verdict {
-                WaitVerdict::Ready => {}
-                WaitVerdict::Aborted => return false,
-                WaitVerdict::DeadlineExceeded => {
-                    let waited = wr.blocked_at.map_or(Duration::ZERO, |t0| t0.elapsed());
-                    // Record the abort *before* dumping, so the stalling
-                    // worker's own ring shows it as the final event.
-                    self.flight_event(FlightEventKind::Abort, t.id, Some(a.data));
-                    let diag = stall_diagnostic(
-                        self.me,
-                        t.id,
-                        a.data,
-                        writes,
-                        expected,
-                        s,
-                        waited,
-                        self.status,
-                        self.registry,
-                        self.flight,
-                    );
-                    if let Some(c) = self.ctr {
-                        c.inc_aborts();
-                    }
-                    self.abort.abort(AbortCause::Stall(diag), self.shared);
-                    return false;
-                }
+            if !self.settle_wait(task, a.data, writes, wr, || (expected, s.epoch_word())) {
+                return false;
             }
         }
 
-        if !self.run_body(kernel, t) {
+        if !self.run_body(task, accesses.plans, body) {
             return false;
         }
         // Skipped and permanently-failed tasks still report watchdog
         // progress: the worker is alive and the flow is advancing.
-        self.tick(t.id);
-        self.publish_task(t.id, accesses);
+        self.tick(task);
+        self.publish_task(task, accesses);
 
         #[cfg(feature = "fault-inject")]
         if let Some(hook) = self.cfg.fault_hook.as_ref() {
-            if hook.spurious_wake_after(self.me, t.id) {
-                crate::protocol::spurious_wake_all(self.shared);
+            if hook.spurious_wake_after(self.me, task) {
+                (self.wake)();
             }
         }
         true
     }
 
-    /// The one body-execution block, behind owned and stolen tasks alike:
-    /// the kernel under fault containment — abort-on-panic without a
-    /// recovery policy; with one, skip on a poisoned input (the failure
-    /// already happened upstream and this task's outputs would be
-    /// garbage), otherwise retry — and the timing rule: the clock is read
-    /// around the body only when `measure_time`, `record_spans` or the
-    /// tracer asked for it. Skipped and permanently-failed tasks are not
-    /// counted as executed, but the caller publishes their terminates all
-    /// the same. Returns `false` when the run is aborting: no terminate
-    /// may follow.
-    fn run_body<K>(&mut self, kernel: &K, t: &TaskDesc) -> bool
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
-        let accesses = &t.accesses;
-        self.flight_event(FlightEventKind::TaskStart, t.id, None);
+    /// Books one finished guard wait of `task` on `data` — counters,
+    /// flight ring, idle time, tracer — and acts on its verdict. Returns
+    /// `false` when the run is aborting, which on an expired watchdog
+    /// deadline this call itself sees to: `views` then supplies the packed
+    /// private view the get compared and the shared word it compared it
+    /// against, for the stall diagnostic.
+    #[inline]
+    pub(crate) fn settle_wait(
+        &mut self,
+        task: TaskId,
+        data: DataId,
+        writes: bool,
+        wr: WaitResult,
+        views: impl FnOnce() -> (u64, u64),
+    ) -> bool {
+        let wo = wr.outcome;
+        if wo.polls > 0 {
+            self.ops.waits += 1;
+            self.ops.poll_loops += wo.polls;
+            if let Some(c) = self.ctr {
+                c.add_spins(wo.polls);
+                c.add_parks(wo.parks);
+            }
+            if wo.parks > 0 {
+                self.flight_event(FlightEventKind::Park, task, Some(data));
+            }
+        }
+        if let (true, Some(t0)) = (self.cx.timed, wr.blocked_at) {
+            let t1 = Instant::now();
+            if self.measure {
+                self.idle_time += t1.duration_since(t0);
+            }
+            if let Some(tr) = self.tracer.as_mut() {
+                tr.wait(task, data, writes, t0, t1, wo.polls, wo.parks);
+            }
+        }
+        match wr.verdict {
+            WaitVerdict::Ready => true,
+            WaitVerdict::Aborted => false,
+            WaitVerdict::DeadlineExceeded => {
+                let waited = wr.blocked_at.map_or(Duration::ZERO, |t0| t0.elapsed());
+                self.stalled(task, data, writes, waited, views());
+                false
+            }
+        }
+    }
+
+    /// Aborts the run with the diagnostic of a get whose watchdog
+    /// deadline expired: the blocked worker, the private-vs-shared
+    /// counters of the blocked data object (both decoded from one packed
+    /// word each, so the dump can never pair a new write id with a stale
+    /// read count), every worker's progress snapshot (with steal/retry
+    /// deltas since its last tick when counters are on), and the
+    /// flight-recorder bundle — the last protocol events of every worker
+    /// leading up to the stall.
+    #[cold]
+    fn stalled(
+        &self,
+        task: TaskId,
+        data: DataId,
+        write: bool,
+        waited: Duration,
+        views: (u64, u64),
+    ) {
+        // Record the abort *before* dumping, so the stalling worker's own
+        // ring shows it as the final event.
+        self.flight_event(FlightEventKind::Abort, task, Some(data));
+        let (private, word) = views;
+        let (local_reads, local_write) = unpack_epoch(private);
+        let (shared_reads, shared_write) = unpack_epoch(word);
+        let diag = Box::new(StallDiagnostic {
+            worker: self.me,
+            waited,
+            site: StallSite::DataWait {
+                task,
+                data,
+                write,
+                local_reads_since_write: local_reads,
+                local_last_registered_write: local_write,
+                shared_reads_since_write: shared_reads,
+                shared_last_executed_write: shared_write,
+                shared_epoch_word: word,
+            },
+            workers: self.run.status.snapshot_with(self.run.registry.as_deref()),
+            flight: (self.run.flight.as_ref())
+                .map(FlightRecorder::dump)
+                .unwrap_or_default(),
+        });
+        if let Some(c) = self.ctr {
+            c.inc_aborts();
+        }
+        self.abort.abort(AbortCause::Stall(diag), self.wake);
+    }
+
+    /// The one body-execution block, behind owned and stolen tasks of
+    /// every front-end alike: `body` under fault containment —
+    /// abort-on-panic without a recovery policy; with one, skip on a
+    /// poisoned input (the failure already happened upstream and this
+    /// task's outputs would be garbage), otherwise retry — and the timing
+    /// rule: the clock is read around the body only when `measure_time`,
+    /// `record_spans` or the tracer asked for it. `plans` is what the task
+    /// declared (object and mode are all that is read here). Skipped and
+    /// permanently-failed tasks are not counted as executed, but the
+    /// caller publishes their terminates all the same. Returns `false`
+    /// when the run is aborting: no terminate may follow.
+    pub(crate) fn run_body(
+        &mut self,
+        task: TaskId,
+        plans: &[AccessPlan],
+        mut body: impl FnMut(),
+    ) -> bool {
+        self.flight_event(FlightEventKind::TaskStart, task, None);
         let timed = self.measure || self.record || self.tracer.is_some();
         // `None`: skipped or permanently failed. `Some(span)`: ran.
         let ran = match self.rec {
             None => {
-                let body = std::panic::AssertUnwindSafe(|| {
+                let contained = std::panic::AssertUnwindSafe(|| {
                     #[cfg(feature = "fault-inject")]
                     if let Some(hook) = self.cfg.fault_hook.as_ref() {
-                        hook.before_task(self.me, t.id);
+                        hook.before_task(self.me, task);
                     }
-                    kernel(self.me, t)
+                    body()
                 });
                 let t0 = timed.then(Instant::now);
-                let outcome = std::panic::catch_unwind(body);
+                let outcome = std::panic::catch_unwind(contained);
                 let span = t0.map(|t0| (t0, Instant::now()));
                 if let Err(payload) = outcome {
                     // The first panic records its cause and ends the
                     // whole run. A thief aborts with its claim held, so
                     // the owner never re-runs the body; the abort wakes
                     // every waiter the missing terminates would have.
-                    self.flight_event(FlightEventKind::Abort, t.id, None);
+                    self.flight_event(FlightEventKind::Abort, task, None);
                     if let Some(c) = self.ctr {
                         c.inc_aborts();
                     }
-                    self.abort.abort(
-                        AbortCause::Panic {
-                            task: t.id,
-                            worker: self.me,
-                            payload,
-                        },
-                        self.shared,
-                    );
+                    let cause = AbortCause::Panic {
+                        task,
+                        worker: self.me,
+                        payload,
+                    };
+                    self.abort.abort(cause, self.wake);
                     return false;
                 }
                 Some(span)
@@ -459,13 +541,13 @@ impl<'a> WorkerCtx<'a> {
             // Recovery is keyed on the task, not the worker: a stolen
             // task retries, fails, poisons and skips exactly as it would
             // on its owner.
-            Some(rec) if accesses.iter().any(|a| rec.is_poisoned(a.data)) => {
-                rec.record_skipped(t.id);
-                poison_writes(rec, t.id, accesses, self.ctr, self.ring);
+            Some(rec) if plans.iter().any(|a| rec.is_poisoned(a.data)) => {
+                rec.record_skipped(task);
+                poison_writes(rec, task, plans, self.ctr, self.ring);
                 None
             }
             Some(rec) => run_body_with_recovery(
-                self.cfg, rec, kernel, self.me, t, accesses, self.ctr, self.ring, timed,
+                self.cfg, rec, &mut body, self.me, task, plans, self.ctr, self.ring, timed,
             ),
         };
         if let Some(span) = ran {
@@ -475,47 +557,55 @@ impl<'a> WorkerCtx<'a> {
                 }
                 if self.record {
                     self.spans.push(rio_stf::validate::Span {
-                        task: t.id,
+                        task,
                         start: t0.duration_since(self.epoch).as_nanos() as u64,
                         end: t1.duration_since(self.epoch).as_nanos() as u64,
                     });
                 }
                 if let Some(tr) = self.tracer.as_mut() {
-                    tr.task(t.id, t0, t1);
+                    tr.task(task, t0, t1);
                 }
             }
             self.tasks_executed += 1;
             if let Some(c) = self.ctr {
                 c.inc_tasks();
             }
-            self.flight_event(FlightEventKind::TaskEnd, t.id, None);
+            self.flight_event(FlightEventKind::TaskEnd, task, None);
         }
         true
     }
 
-    /// Publishes every epoch advance `task` owes anyone — with each data
-    /// object's own strategy (shared run-wide), so §10 wake elision
-    /// behaves the same whoever ran the body. Skip-but-sync: this runs
-    /// whether or not the body did. A skipped or permanently-failed task
-    /// still publishes, so no downstream worker ever stalls on a failure
-    /// — they observe the poison bits instead (set before these stores,
-    /// so the Release edge of each publication carries them). A
+    /// Credits `n` terminates that ran no wake to the worker's counter
+    /// line.
+    #[inline]
+    pub(crate) fn add_wakes_elided(&self, n: u64) {
+        if let Some(c) = self.ctr {
+            c.add_wakes_elided(n);
+        }
+    }
+
+    /// Publishes every epoch advance `task` owes anyone, so §10 wake
+    /// elision behaves the same whoever ran the body. Skip-but-sync: this
+    /// runs whether or not the body did. A skipped or permanently-failed
+    /// task still publishes, so no downstream worker ever stalls on a
+    /// failure — they observe the poison bits instead (set before these
+    /// stores, so the Release edge of each publication carries them). A
     /// publication the compiler elided has no waiter to stall: it stays a
     /// counted terminate that, like any other that found no waiter, ran
     /// no wake.
-    fn publish_task(&mut self, task: rio_stf::TaskId, accesses: TaskAccesses<'_>) {
+    fn publish_task(&mut self, task: TaskId, accesses: TaskAccesses<'_>) {
         let n = accesses.plans.len();
         self.ops.terminates += n as u64;
-        if !accesses.kept().1 && self.policies.is_none() {
-            // Nothing to publish, and one strategy for every object.
-            if let (WaitStrategy::Park, Some(c)) = (self.cfg.wait, self.ctr) {
-                c.add_wakes_elided(n as u64);
+        let strategy = self.cfg.wait;
+        if !accesses.kept().1 {
+            // Nothing to publish.
+            if strategy == WaitStrategy::Park {
+                self.add_wakes_elided(n as u64);
             }
             return;
         }
         let mut wakes_elided = 0;
         for a in accesses.plans {
-            let strategy = self.strategy_of(a.data.index());
             let elided = if !a.publish() {
                 strategy == WaitStrategy::Park
             } else if a.writes() {
@@ -525,28 +615,22 @@ impl<'a> WorkerCtx<'a> {
             };
             wakes_elided += u64::from(elided);
         }
-        if let Some(c) = self.ctr {
-            c.add_wakes_elided(wakes_elided);
-        }
+        self.add_wakes_elided(wakes_elided);
     }
 
     /// A guard wait with the steal layer interleaved: bounded non-parking
     /// slices of the wait alternate with scans for ready foreign tasks,
     /// until the guard opens, the steal budget runs dry, or scans keep
-    /// coming up empty — only then does the wait fall back to the
-    /// object's real strategy (under `Park`, this is the moment the
-    /// worker actually parks: "park only after a failed scan").
-    fn wait_or_steal<K>(
+    /// coming up empty — only then does the wait fall back to the run's
+    /// real strategy (under `Park`, this is the moment the worker
+    /// actually parks: "park only after a failed scan").
+    fn wait_or_steal(
         &mut self,
-        kernel: &K,
         s: &SharedDataState,
         expected: u64,
         writes: bool,
         cx: &WaitCx<'a>,
-    ) -> WaitResult
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
+    ) -> WaitResult {
         let st = self
             .steal
             .expect("wait_or_steal requires an armed steal layer");
@@ -583,14 +667,14 @@ impl<'a> WorkerCtx<'a> {
             {
                 return agg;
             }
-            if self.try_steal_one(kernel) {
+            if self.try_steal_one() {
                 steals += 1;
                 empty = 0;
             } else {
                 empty += 1;
             }
         }
-        // Budget exhausted: the rest of the wait runs under the object's
+        // Budget exhausted: the rest of the wait runs under the run's
         // configured strategy (minus the watchdog time already burned).
         let rest = WaitCx {
             deadline: cx.deadline.map(|d| d.saturating_sub(burned(&agg))),
@@ -607,10 +691,7 @@ impl<'a> WorkerCtx<'a> {
     /// is claimed (the owner claims before running), so re-scanning it
     /// merely wastes window budget. Returns `true` when a foreign task
     /// was claimed and executed in place.
-    fn try_steal_one<K>(&mut self, kernel: &K) -> bool
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
+    fn try_steal_one(&mut self) -> bool {
         // A tearing-down run must not start new bodies: the abort wakes
         // every waiter, so stealing past it would run a task whose owner
         // (and its waiters) already abandoned the flow.
@@ -662,13 +743,14 @@ impl<'a> WorkerCtx<'a> {
                         c.inc_steals();
                     }
                     self.unmapped_claims.0 += u64::from(accesses.unmapped);
-                    self.flight_event(FlightEventKind::Steal, tasks[ti].id, None);
+                    let (t, worker) = (&tasks[ti], self.me);
+                    self.flight_event(FlightEventKind::Steal, t.id, None);
                     // The body under the same containment/recovery as an
                     // owned task, then its terminates. No guard waits:
                     // readiness was verified and is monotonic until these
                     // publications.
-                    if self.run_body(kernel, &tasks[ti]) {
-                        self.publish_task(tasks[ti].id, accesses);
+                    if self.run_body(t.id, accesses.plans, || (st.kernel)(worker, t)) {
+                        self.publish_task(t.id, accesses);
                     }
                     return true;
                 }
@@ -705,21 +787,21 @@ impl<'a> WorkerCtx<'a> {
     }
 }
 
-/// Poisons every datum `accesses` writes, crediting newly-set bits to
-/// the worker's `poisoned` counter (re-poisoning an already-poisoned
-/// datum is counted once, by whoever set the bit first). Each newly-set
-/// bit is also recorded in the worker's flight ring, attributed to
-/// `task` — the producer whose failure (or poisoned input) spread it.
-pub(crate) fn poison_writes(
+/// Poisons every datum `plans` writes, crediting newly-set bits to the
+/// worker's `poisoned` counter (re-poisoning an already-poisoned datum is
+/// counted once, by whoever set the bit first). Each newly-set bit is
+/// also recorded in the worker's flight ring, attributed to `task` — the
+/// producer whose failure (or poisoned input) spread it.
+fn poison_writes(
     rec: &RecoveryCtx,
-    task: rio_stf::TaskId,
-    accesses: &[Access],
+    task: TaskId,
+    plans: &[AccessPlan],
     ctr: Option<&WorkerCounters>,
     ring: Option<&FlightRing>,
 ) {
     let mut newly = 0u64;
-    for a in accesses {
-        if a.mode.writes() && rec.poison(a.data) {
+    for a in plans {
+        if a.writes() && rec.poison(a.data) {
             newly += 1;
             if let Some(r) = ring {
                 r.record(FlightEventKind::Poison, task, Some(a.data));
@@ -743,43 +825,40 @@ pub(crate) fn poison_writes(
 /// later attempt and every backoff sleep is timed regardless.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn run_body_with_recovery<K>(
+fn run_body_with_recovery(
     cfg: &RioConfig,
     rec: &RecoveryCtx,
-    kernel: &K,
+    body: &mut impl FnMut(),
     me: WorkerId,
-    t: &TaskDesc,
-    accesses: &[Access],
+    task: TaskId,
+    plans: &[AccessPlan],
     ctr: Option<&WorkerCounters>,
     ring: Option<&FlightRing>,
     timed: bool,
-) -> Option<Option<(Instant, Instant)>>
-where
-    K: Fn(WorkerId, &TaskDesc) + Sync,
-{
+) -> Option<Option<(Instant, Instant)>> {
     // Fast path: attempt 0, shaped exactly like the abort path — one
     // `catch_unwind`, the same `timed`-gated clocks, no retry
     // bookkeeping. An armed-but-unused policy must cost nothing
     // measurable per task; the deadline clock is the one extra a policy
     // that sets a deadline opts into.
     let first_start = rec.policy.deadline.is_some().then(Instant::now);
-    let body = std::panic::AssertUnwindSafe(|| {
+    let attempt = std::panic::AssertUnwindSafe(|| {
         #[cfg(feature = "fault-inject")]
         if let Some(hook) = cfg.fault_hook.as_ref() {
-            hook.before_attempt(me, t.id, 0);
+            hook.before_attempt(me, task, 0);
         }
-        kernel(me, t)
+        body()
     });
     let t0 = (timed || first_start.is_some()).then(Instant::now);
-    match std::panic::catch_unwind(body) {
+    match std::panic::catch_unwind(attempt) {
         Ok(()) => Some(t0.map(|t0| (t0, Instant::now()))),
         Err(payload) => retry_after_failure(
             cfg,
             rec,
-            kernel,
+            body,
             me,
-            t,
-            accesses,
+            task,
+            plans,
             ctr,
             ring,
             payload,
@@ -796,22 +875,19 @@ where
 /// body when the run wasn't measuring.
 #[cold]
 #[allow(clippy::too_many_arguments)]
-fn retry_after_failure<K>(
+fn retry_after_failure(
     cfg: &RioConfig,
     rec: &RecoveryCtx,
-    kernel: &K,
+    body: &mut impl FnMut(),
     me: WorkerId,
-    t: &TaskDesc,
-    accesses: &[Access],
+    task: TaskId,
+    plans: &[AccessPlan],
     ctr: Option<&WorkerCounters>,
     ring: Option<&FlightRing>,
     mut payload: Box<dyn std::any::Any + Send>,
     first_start: Option<Instant>,
     first_t0: Option<Instant>,
-) -> Option<Option<(Instant, Instant)>>
-where
-    K: Fn(WorkerId, &TaskDesc) + Sync,
-{
+) -> Option<Option<(Instant, Instant)>> {
     #[cfg(not(feature = "fault-inject"))]
     let _ = cfg;
     let policy = &rec.policy;
@@ -836,13 +912,13 @@ where
                 _ => rio_stf::FailureDetail::TaskFailed { payload },
             };
             rec.record_failed(rio_stf::FailedTask {
-                task: t.id,
+                task,
                 worker: me,
                 retries: attempt,
                 detail,
             });
             rec.add_retry_ns(recover_ns);
-            poison_writes(rec, t.id, accesses, ctr, ring);
+            poison_writes(rec, task, plans, ctr, ring);
             return None;
         }
         attempt += 1;
@@ -850,7 +926,7 @@ where
             c.inc_retries();
         }
         if let Some(r) = ring {
-            r.record(FlightEventKind::Retry, t.id, None);
+            r.record(FlightEventKind::Retry, task, None);
         }
         let backoff = policy.backoff_for(attempt);
         if !backoff.is_zero() {
@@ -858,15 +934,15 @@ where
             std::thread::sleep(backoff);
             recover_ns += s0.elapsed().as_nanos() as u64;
         }
-        let body = std::panic::AssertUnwindSafe(|| {
+        let retry = std::panic::AssertUnwindSafe(|| {
             #[cfg(feature = "fault-inject")]
             if let Some(hook) = cfg.fault_hook.as_ref() {
-                hook.before_attempt(me, t.id, attempt);
+                hook.before_attempt(me, task, attempt);
             }
-            kernel(me, t)
+            body()
         });
         let t0 = Instant::now();
-        match std::panic::catch_unwind(body) {
+        match std::panic::catch_unwind(retry) {
             Ok(()) => {
                 let t1 = Instant::now();
                 rec.add_retry_ns(recover_ns);
@@ -887,7 +963,7 @@ fn execute_graph(
     cfg: &RioConfig,
     graph: &rio_stf::TaskGraph,
     mapping: &dyn rio_stf::Mapping,
-    kernel: impl Fn(WorkerId, &TaskDesc) + Sync,
+    kernel: impl Fn(WorkerId, &rio_stf::TaskDesc) + Sync,
 ) -> crate::report::ExecReport {
     crate::executor::Executor::new(cfg.clone())
         .mapping(mapping)
@@ -1049,7 +1125,7 @@ mod tests {
     /// as a one-shot and once as the second run of a reused flow.
     fn timed_reports(
         g: &TaskGraph,
-        kernel: impl Fn(WorkerId, &TaskDesc) + Sync,
+        kernel: impl Fn(WorkerId, &rio_stf::TaskDesc) + Sync,
     ) -> [ExecReport; 2] {
         let c = cfg(2).measure_time(true);
         let flow = crate::executor::Executor::new(c.clone())
@@ -1117,35 +1193,6 @@ mod tests {
         // With counters disabled the snapshot is empty.
         let report = execute_graph(&cfg(2).counters(false), &g, &RoundRobin, |_, _| {});
         assert!(report.counters.is_empty());
-    }
-
-    #[test]
-    fn per_object_wait_policies_override_the_run_wide_strategy() {
-        // A serialized RW chain on D0 under Park workers. Without a
-        // policy table the chain parks or elides wakes; with D0 marked
-        // hot (never park) both counters must stay at zero — waits spin,
-        // terminates skip the waiter check — and the result stays exact.
-        use crate::wait::WaitPolicy;
-        let g = crate::testing::chain(200);
-
-        let park = execute_graph(&cfg(2).spin_limit(4), &g, &RoundRobin, |_, _| {});
-        let t = park.counters.total();
-        assert!(
-            t.parks + t.wakes_elided > 0,
-            "a Park-mode chain either parks or elides wakes"
-        );
-
-        let store = DataStore::from_vec(vec![0u64]);
-        let c = cfg(2)
-            .spin_limit(4)
-            .wait_policies(vec![WaitPolicy::hot(1 << 20)]);
-        let hot = execute_graph(&c, &g, &RoundRobin, |_, _| {
-            *store.write(DataId(0)) += 1;
-        });
-        assert_eq!(store.into_vec(), vec![200]);
-        let t = hot.counters.total();
-        assert_eq!(t.parks, 0, "hot policy never parks");
-        assert_eq!(t.wakes_elided, 0, "hot terminates never consider waking");
     }
 
     #[test]

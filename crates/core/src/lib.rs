@@ -41,7 +41,7 @@
 //!
 //! [`tune`] closes the loop: a finished run's counters (and optional
 //! trace) feed a [`tune::Tuner`] whose [`tune::TuningPlan`] — a remap
-//! plus per-object wait policies — recompiles into a faster next run
+//! — recompiles into a faster next run
 //! ([`Executor::tuned_run`]).
 //!
 //! ## Observability
@@ -104,7 +104,7 @@ pub use steal::StealPolicy;
 pub use topo::{NodeId, Topology};
 pub use trace_api::{Trace, TraceConfig, WorkerTrace};
 pub use tune::{TuneIteration, TuneOptions, TunedRun, Tuner, TuningPlan};
-pub use wait::{WaitPolicy, WaitStrategy};
+pub use wait::WaitStrategy;
 
 /// The flows the unit tests keep building.
 #[cfg(test)]
@@ -198,7 +198,7 @@ pub mod prelude {
     pub use crate::topo::{NodeId, Topology};
     pub use crate::trace_api::{Trace, TraceConfig, WorkerTrace};
     pub use crate::tune::{TuneIteration, TuneOptions, TunedRun, Tuner, TuningPlan};
-    pub use crate::wait::{WaitPolicy, WaitStrategy};
+    pub use crate::wait::WaitStrategy;
     pub use rio_stf::{
         validate_mapping, Access, AccessMode, DataId, DataStore, ExecError, FailedTask,
         FailureDetail, FlightEvent, FlightEventKind, FlightLog, Mapping, MappingError,

@@ -16,8 +16,9 @@
 //! Every worker unrolls the whole flow. For a task mapped elsewhere it only
 //! calls [`declare_read`]/[`declare_write`] — one or two private writes, the
 //! entire per-task overhead of a non-local task. For its own tasks it calls
-//! [`get_read`]/[`get_write`] (blocking until the private view matches the
-//! shared state), runs the body, then [`terminate_read`]/[`terminate_write`]
+//! [`get_read_word_cx`]/[`get_write_word_cx`] on its packed private view
+//! (blocking until it matches the shared state), runs the body, then
+//! [`terminate_read`]/[`terminate_write`]
 //! (which publish to the shared state *and* update the private view, per
 //! Algorithm 2 lines 26 and 32).
 //!
@@ -88,6 +89,7 @@ use std::time::{Duration, Instant};
 
 use rio_stf::{DataId, ExecError, FailedTask, PartialReport, StallDiagnostic, TaskId, WorkerId};
 
+use crate::flight::FlightRecorder;
 use crate::futex::EventCount;
 use crate::status::WaitWatch;
 use crate::wait::WaitStrategy;
@@ -210,9 +212,6 @@ pub struct AbortFlag {
     cause: Mutex<Option<AbortCause>>,
 }
 
-/// Historical name of [`AbortFlag`] (it only covered the panic case).
-pub type Poison = AbortFlag;
-
 impl AbortFlag {
     /// A fresh, un-armed abort flag.
     pub fn new() -> AbortFlag {
@@ -248,17 +247,21 @@ impl AbortFlag {
         spurious_wake_all(table);
     }
 
-    /// Records `cause` (first failure wins), arms the flag and wakes every
-    /// parked worker. Returns `true` if this call's cause was recorded.
+    /// Records `cause` (first failure wins), arms the flag, then calls
+    /// `wake`, which must wake every worker asleep in the run —
+    /// [`spurious_wake_all`] on its table, or whatever else its waiters
+    /// sleep on — in that order ([`AbortFlag::arm_and_wake`] has the
+    /// argument). Returns `true` if this call's cause was recorded.
     #[cold]
-    pub fn abort(&self, cause: AbortCause, table: &[SharedDataState]) -> bool {
+    pub fn abort(&self, cause: AbortCause, wake: impl FnOnce()) -> bool {
         let mut slot = unpoisoned(self.cause.lock());
         let won = slot.is_none();
         if won {
             *slot = Some(cause);
         }
         drop(slot);
-        self.arm_and_wake(table);
+        self.arm();
+        wake();
         won
     }
 
@@ -354,12 +357,13 @@ impl RecoveryCtx {
         self.retry_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Assembles the partial report after every worker joined. `None`
-    /// when nothing failed (the run completed cleanly despite the policy
-    /// being installed).
-    pub(crate) fn into_report(self) -> Option<PartialReport> {
-        let mut failed = unpoisoned(self.failed.into_inner());
-        let mut skipped = unpoisoned(self.skipped.into_inner());
+    /// Assembles the partial report after every worker joined, draining
+    /// the records; `flight` is the run's recorder, whose dump is then
+    /// exact recording order. `None` when nothing failed (the run completed
+    /// cleanly despite the policy being installed).
+    pub(crate) fn take_report(&self, flight: Option<&FlightRecorder>) -> Option<PartialReport> {
+        let mut failed = std::mem::take(&mut *unpoisoned(self.failed.lock()));
+        let mut skipped = std::mem::take(&mut *unpoisoned(self.skipped.lock()));
         if failed.is_empty() && skipped.is_empty() {
             return None;
         }
@@ -377,15 +381,13 @@ impl RecoveryCtx {
             failed,
             poisoned,
             skipped,
-            retry_time: Duration::from_nanos(self.retry_ns.into_inner()),
-            // The run shell attaches the flight-recorder dump after the
-            // workers joined; the recovery context never sees the rings.
-            flight: Default::default(),
+            retry_time: Duration::from_nanos(self.retry_ns.load(Ordering::Relaxed)),
+            flight: flight.map(FlightRecorder::dump).unwrap_or_default(),
         })
     }
 }
 
-/// Outcome of one blocking `get_read`/`get_write` call.
+/// What one blocking `get_*` cost.
 ///
 /// `polls` counts condition re-checks (0 = fast path, condition already
 /// true). Under [`WaitStrategy::Park`], every poll past the initial
@@ -407,7 +409,7 @@ impl WaitOutcome {
     }
 }
 
-/// How a context-aware wait ([`get_read_cx`]/[`get_write_cx`]) ended.
+/// How a wait ([`get_read_word_cx`]/[`get_write_word_cx`]) ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitVerdict {
     /// The protocol condition became true: the access may proceed.
@@ -423,7 +425,7 @@ pub enum WaitVerdict {
 /// Outcome and verdict of one context-aware wait.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitResult {
-    /// Poll/park counts, as in the plain [`get_read_ex`]/[`get_write_ex`].
+    /// Poll and park counts.
     pub outcome: WaitOutcome,
     /// How the wait ended.
     pub verdict: WaitVerdict,
@@ -471,8 +473,8 @@ pub struct WaitCx<'a> {
 }
 
 impl<'a> WaitCx<'a> {
-    /// A context with the default spin budget and no deadline — exactly
-    /// the semantics of the historical `get_*_ex` calls.
+    /// A context with the default spin budget, no deadline, no clock and
+    /// no progress mark.
     pub fn new(strategy: WaitStrategy, abort: &'a AbortFlag) -> WaitCx<'a> {
         WaitCx {
             strategy,
@@ -574,24 +576,34 @@ impl SharedDataState {
     /// Waits until the epoch word agrees with `expected` under `mask`
     /// ([`SharedDataState::satisfied`]), the run aborts, or the deadline
     /// (if any) expires, according to `cx`.
-    ///
-    /// A first probe that succeeds is the whole cost of a ready get: no
-    /// clock read, no progress-slot store. Everything else — the stamp
-    /// that serves idle accounting, the tracer and the watchdog, and the
-    /// [`WaitWatch`] marks — lives behind the failed probe.
     #[inline]
     fn wait_until_cx(&self, cx: &WaitCx<'_>, expected: u64, mask: u64) -> WaitResult {
-        if self.satisfied(expected, mask) {
-            return WaitResult::READY;
-        }
-        wait_blocked(&self.event, cx, |order| self.ready(expected, mask, order))
+        wait_until(&self.event, cx, |order| self.ready(expected, mask, order))
     }
 }
 
-/// The blocked half of every wait — [`SharedDataState`]'s and the
-/// reduction extension's ([`crate::redux`]) alike: until `ready` holds,
-/// the run aborts or the deadline expires. `ready` is handed the ordering
-/// its loads must use. The abort flag is re-checked on every poll.
+/// Every wait — [`SharedDataState`]'s and the reduction extension's
+/// ([`crate::redux`]) alike: until `ready` holds, the run aborts or the
+/// deadline expires. `ready` is handed the ordering its loads must use.
+///
+/// A first probe that succeeds is the whole cost of a ready get: no
+/// clock read, no progress-slot store. Everything else — the stamp
+/// that serves idle accounting, the tracer and the watchdog, and the
+/// [`WaitWatch`] marks — lives behind the failed probe.
+#[inline]
+pub(crate) fn wait_until(
+    event: &EventCount,
+    cx: &WaitCx<'_>,
+    ready: impl Fn(Ordering) -> bool,
+) -> WaitResult {
+    if ready(Ordering::Acquire) {
+        return WaitResult::READY;
+    }
+    wait_blocked(event, cx, ready)
+}
+
+/// The blocked half of [`wait_until`]. The abort flag is re-checked on
+/// every poll.
 ///
 /// Spurious wake-ups are harmless by construction: every strategy —
 /// including the `Park` branch, whose futex sleep may return without a
@@ -605,7 +617,7 @@ impl SharedDataState {
 /// wait about to sleep re-checks with `SeqCst` after announcing itself in
 /// `event`, which the elision argument requires (`crate::futex`).
 #[cold]
-pub(crate) fn wait_blocked(
+fn wait_blocked(
     event: &EventCount,
     cx: &WaitCx<'_>,
     ready: impl Fn(Ordering) -> bool,
@@ -804,83 +816,6 @@ pub fn get_write_word_cx(shared: &SharedDataState, expected: u64, cx: &WaitCx<'_
     shared.wait_until_cx(cx, expected, WRITE_EPOCH_MASK)
 }
 
-/// Blocks until the data object may be read by the current task
-/// (Algorithm 2, `get_read`), the run aborts, or `cx`'s deadline expires:
-/// every flow-earlier write must have been performed. The full-featured
-/// entry point behind [`get_read_ex`]/[`get_read`].
-#[inline]
-pub fn get_read_cx(
-    shared: &SharedDataState,
-    local: &LocalDataState,
-    cx: &WaitCx<'_>,
-) -> WaitResult {
-    get_read_word_cx(shared, expected_read_word(local), cx)
-}
-
-/// Blocks until the data object may be read by the current task
-/// (Algorithm 2, `get_read`): every flow-earlier write must have been
-/// performed. Returns the full [`WaitOutcome`] (polls and parks); an abort
-/// of the run also ends the wait (check `poison.armed()` afterwards).
-#[inline]
-pub fn get_read_ex(
-    shared: &SharedDataState,
-    local: &LocalDataState,
-    strategy: WaitStrategy,
-    poison: &Poison,
-) -> WaitOutcome {
-    get_read_cx(shared, local, &WaitCx::new(strategy, poison)).outcome
-}
-
-/// [`get_read_ex`] reduced to its poll count (0 = no waiting).
-#[inline]
-pub fn get_read(
-    shared: &SharedDataState,
-    local: &LocalDataState,
-    strategy: WaitStrategy,
-    poison: &Poison,
-) -> u64 {
-    get_read_ex(shared, local, strategy, poison).polls
-}
-
-/// Blocks until the data object may be written by the current task
-/// (Algorithm 2, `get_write`), the run aborts, or `cx`'s deadline expires:
-/// every flow-earlier write *and read* must have been performed. The
-/// full-featured entry point behind [`get_write_ex`]/[`get_write`].
-#[inline]
-pub fn get_write_cx(
-    shared: &SharedDataState,
-    local: &LocalDataState,
-    cx: &WaitCx<'_>,
-) -> WaitResult {
-    get_write_word_cx(shared, expected_write_word(local), cx)
-}
-
-/// Blocks until the data object may be written by the current task
-/// (Algorithm 2, `get_write`): every flow-earlier write *and read* must
-/// have been performed. Returns the full [`WaitOutcome`] (polls and
-/// parks); an abort of the run also ends the wait (check `poison.armed()`
-/// afterwards).
-#[inline]
-pub fn get_write_ex(
-    shared: &SharedDataState,
-    local: &LocalDataState,
-    strategy: WaitStrategy,
-    poison: &Poison,
-) -> WaitOutcome {
-    get_write_cx(shared, local, &WaitCx::new(strategy, poison)).outcome
-}
-
-/// [`get_write_ex`] reduced to its poll count (0 = no waiting).
-#[inline]
-pub fn get_write(
-    shared: &SharedDataState,
-    local: &LocalDataState,
-    strategy: WaitStrategy,
-    poison: &Poison,
-) -> u64 {
-    get_write_ex(shared, local, strategy, poison).polls
-}
-
 /// Publishes a performed read (Algorithm 2, `terminate_read`) and updates
 /// the executing worker's private view. One `fetch_add(1)` on the epoch
 /// word: the low (reader-count) half increments; validation caps per-epoch
@@ -958,8 +893,18 @@ mod tests {
 
     const S: WaitStrategy = WaitStrategy::SpinYield;
 
-    fn ok() -> Poison {
-        Poison::new()
+    fn ok() -> AbortFlag {
+        AbortFlag::new()
+    }
+
+    /// The `get_*` of a worker that unrolls the flow: the guard on the
+    /// word its private view packs to, under a bare context.
+    fn get_read(s: &SharedDataState, l: &LocalDataState, strategy: WaitStrategy) -> WaitResult {
+        get_read_word_cx(s, expected_read_word(l), &WaitCx::new(strategy, &ok()))
+    }
+
+    fn get_write(s: &SharedDataState, l: &LocalDataState, strategy: WaitStrategy) -> WaitResult {
+        get_write_word_cx(s, expected_write_word(l), &WaitCx::new(strategy, &ok()))
     }
 
     #[test]
@@ -1003,9 +948,9 @@ mod tests {
         assert_eq!(shared.snapshot(), (0, TaskId::NONE));
         assert_eq!(local.last_registered_write, TaskId::NONE);
         // A read of never-written data is immediately ready.
-        assert_eq!(get_read(&shared, &local, S, &ok()), 0);
+        assert_eq!(get_read(&shared, &local, S), WaitResult::READY);
         // So is a write.
-        assert_eq!(get_write(&shared, &local, S, &ok()), 0);
+        assert_eq!(get_write(&shared, &local, S), WaitResult::READY);
     }
 
     #[test]
@@ -1116,13 +1061,13 @@ mod tests {
         let shared = SharedDataState::default();
         let mut local = LocalDataState::default();
 
-        assert_eq!(get_write(&shared, &local, S, &ok()), 0);
+        assert_eq!(get_write(&shared, &local, S), WaitResult::READY);
         terminate_write(&shared, &mut local, TaskId(1), S);
 
-        assert_eq!(get_read(&shared, &local, S, &ok()), 0);
+        assert_eq!(get_read(&shared, &local, S), WaitResult::READY);
         terminate_read(&shared, &mut local, S);
 
-        assert_eq!(get_write(&shared, &local, S, &ok()), 0);
+        assert_eq!(get_write(&shared, &local, S), WaitResult::READY);
         terminate_write(&shared, &mut local, TaskId(3), S);
 
         assert_eq!(shared.snapshot(), (0, TaskId(3)));
@@ -1140,13 +1085,13 @@ mod tests {
         let a = std::thread::spawn(move || {
             let mut local_a = LocalDataState::default();
             // A owns T1: ready immediately (no prior accesses).
-            assert_eq!(get_write(&s, &local_a, S, &ok()), 0);
+            assert_eq!(get_write(&s, &local_a, S), WaitResult::READY);
             std::thread::sleep(std::time::Duration::from_millis(10));
             terminate_write(&s, &mut local_a, TaskId(1), S);
         });
 
         // B's get_read must block until A terminates.
-        get_read(&shared, &local_b, S, &ok());
+        get_read(&shared, &local_b, S);
         assert_eq!(shared.snapshot().1, TaskId(1));
         a.join().unwrap();
     }
@@ -1166,13 +1111,13 @@ mod tests {
             let s = Arc::clone(&shared);
             readers.push(std::thread::spawn(move || {
                 let mut local = LocalDataState::default();
-                assert_eq!(get_read(&s, &local, S, &ok()), 0);
+                assert_eq!(get_read(&s, &local, S), WaitResult::READY);
                 std::thread::sleep(std::time::Duration::from_millis(5));
                 terminate_read(&s, &mut local, S);
             }));
         }
 
-        get_write(&shared, &local_c, S, &ok());
+        get_write(&shared, &local_c, S);
         assert_eq!(shared.snapshot().0, 2, "both reads were performed");
         for r in readers {
             r.join().unwrap();
@@ -1187,7 +1132,7 @@ mod tests {
 
         let s = Arc::clone(&shared);
         let waiter = std::thread::spawn(move || {
-            get_read(&s, &local_b, WaitStrategy::Park, &ok());
+            get_read(&s, &local_b, WaitStrategy::Park);
             s.snapshot().1
         });
 
@@ -1205,7 +1150,7 @@ mod tests {
 
         let s = Arc::clone(&shared);
         let waiter = std::thread::spawn(move || {
-            get_read(&s, &local_b, WaitStrategy::Park, &ok());
+            get_read(&s, &local_b, WaitStrategy::Park);
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
         let mut local_a = LocalDataState::default();
@@ -1232,7 +1177,7 @@ mod tests {
                     spin_limit: 0,
                     ..WaitCx::new(WaitStrategy::Park, &flag)
                 };
-                get_write_cx(&s, &local_b, &cx).verdict
+                get_write_word_cx(&s, expected_write_word(&local_b), &cx).verdict
             });
             if round % 2 == 0 {
                 std::thread::yield_now();
@@ -1248,7 +1193,7 @@ mod tests {
         // Fast path: no polls, no parks.
         let shared = SharedDataState::default();
         let local = LocalDataState::default();
-        let out = get_read_ex(&shared, &local, S, &ok());
+        let out = get_read(&shared, &local, S).outcome;
         assert_eq!(out, WaitOutcome::default());
         assert!(!out.waited());
 
@@ -1258,8 +1203,7 @@ mod tests {
         let mut local_b = LocalDataState::default();
         declare_write(&mut local_b, TaskId(1));
         let s = Arc::clone(&shared);
-        let waiter =
-            std::thread::spawn(move || get_read_ex(&s, &local_b, WaitStrategy::Park, &ok()));
+        let waiter = std::thread::spawn(move || get_read(&s, &local_b, WaitStrategy::Park).outcome);
         std::thread::sleep(std::time::Duration::from_millis(20));
         let mut local_a = LocalDataState::default();
         terminate_write(&shared, &mut local_a, TaskId(1), WaitStrategy::Park);
@@ -1274,7 +1218,7 @@ mod tests {
         declare_write(&mut local_b, TaskId(1));
         let s = Arc::clone(&shared);
         let waiter =
-            std::thread::spawn(move || get_write_ex(&s, &local_b, WaitStrategy::SpinYield, &ok()));
+            std::thread::spawn(move || get_write(&s, &local_b, WaitStrategy::SpinYield).outcome);
         std::thread::sleep(std::time::Duration::from_millis(5));
         let mut local_a = LocalDataState::default();
         terminate_write(&shared, &mut local_a, TaskId(1), WaitStrategy::SpinYield);
@@ -1291,7 +1235,7 @@ mod tests {
 
         let s = Arc::clone(&shared);
         let waiter = std::thread::spawn(move || {
-            get_read(&s, &local_b, WaitStrategy::Spin, &ok());
+            get_read(&s, &local_b, WaitStrategy::Spin);
         });
         std::thread::sleep(std::time::Duration::from_millis(5));
         let mut local_a = LocalDataState::default();
@@ -1316,7 +1260,7 @@ mod tests {
         // Epoch 2.
         terminate_read(&shared, &mut local, S);
         terminate_read(&shared, &mut local, S);
-        assert_eq!(get_write(&shared, &local, S, &ok()), 0);
+        assert_eq!(get_write(&shared, &local, S), WaitResult::READY);
         assert_eq!(shared.snapshot(), (2, TaskId(4)));
     }
 
@@ -1337,7 +1281,7 @@ mod tests {
                 worker: WorkerId(1),
                 payload: Box::new("first"),
             },
-            &table,
+            || spurious_wake_all(&table),
         );
         assert!(won);
         assert!(flag.armed());
@@ -1347,7 +1291,7 @@ mod tests {
                 worker: WorkerId(0),
                 payload: Box::new("second"),
             },
-            &table,
+            || spurious_wake_all(&table),
         );
         assert!(!lost, "first failure wins");
         match flag.take_cause() {
@@ -1370,7 +1314,7 @@ mod tests {
         let (s, f) = (Arc::clone(&shared), Arc::clone(&flag));
         let waiter = std::thread::spawn(move || {
             let cx = WaitCx::new(WaitStrategy::Park, &f);
-            get_read_cx(&s, &local, &cx).verdict
+            get_read_word_cx(&s, expected_read_word(&local), &cx).verdict
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
         flag.arm_and_wake(std::slice::from_ref(&shared));
@@ -1393,7 +1337,7 @@ mod tests {
                 deadline: Some(Duration::from_millis(10)),
                 ..WaitCx::new(strategy, &flag)
             };
-            let r = get_write_cx(&shared, &local, &cx);
+            let r = get_write_word_cx(&shared, expected_write_word(&local), &cx);
             assert_eq!(
                 r.verdict,
                 WaitVerdict::DeadlineExceeded,
@@ -1543,15 +1487,21 @@ mod tests {
             ..WaitCx::new(WaitStrategy::Park, &flag)
         };
         // Guard open: the probe is the whole get.
-        assert_eq!(get_write_cx(&shared, &local, &cx), WaitResult::READY);
-        assert_eq!(get_read_cx(&shared, &local, &cx), WaitResult::READY);
+        assert_eq!(
+            get_write_word_cx(&shared, expected_write_word(&local), &cx),
+            WaitResult::READY
+        );
+        assert_eq!(
+            get_read_word_cx(&shared, expected_read_word(&local), &cx),
+            WaitResult::READY
+        );
         assert_eq!(status.snapshot()[0].waiting_on, None);
         // Guard closed: the wait is stamped, and the slot names the datum
         // for exactly as long as it blocks — the waiter cannot return
         // before the publication below, which waits for the mark.
         declare_write(&mut local, TaskId(1));
         std::thread::scope(|s| {
-            let blocked = s.spawn(|| get_write_cx(&shared, &local, &cx));
+            let blocked = s.spawn(|| get_write_word_cx(&shared, expected_write_word(&local), &cx));
             let patience = Instant::now();
             while status.snapshot()[0].waiting_on != Some(DataId(7)) {
                 assert!(patience.elapsed() < Duration::from_secs(30), "never marked");
@@ -1592,7 +1542,7 @@ mod tests {
         let (s, f) = (Arc::clone(&shared), Arc::clone(&flag));
         let waiter = std::thread::spawn(move || {
             let cx = WaitCx::new(WaitStrategy::Park, &f);
-            get_read_cx(&s, &local, &cx)
+            get_read_word_cx(&s, expected_read_word(&local), &cx)
         });
         // Hammer the waiter with wake-ups that change nothing.
         for _ in 0..100 {
@@ -1644,9 +1594,8 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let report = Arc::into_inner(rec).unwrap();
-        report.record_skipped(TaskId(1)); // make the report non-empty
-        let report = report.into_report().expect("non-empty");
+        rec.record_skipped(TaskId(1)); // make the report non-empty
+        let report = rec.take_report(None).expect("non-empty");
         assert_eq!(report.poisoned.len(), 512, "no bit lost");
         assert!(report.is_poisoned(DataId(511)));
     }
@@ -1667,7 +1616,7 @@ mod tests {
 
             let (s, r) = (Arc::clone(&shared), Arc::clone(&rec));
             let consumer = std::thread::spawn(move || {
-                get_read(&s, &local_b, WaitStrategy::Spin, &ok());
+                get_read(&s, &local_b, WaitStrategy::Spin);
                 r.is_poisoned(DataId(0))
             });
             let mut local_a = LocalDataState::default();
@@ -1705,7 +1654,7 @@ mod tests {
         rec.poison(DataId(2));
         rec.add_retry_ns(1_000);
         rec.add_retry_ns(500);
-        let report = rec.into_report().expect("non-empty");
+        let report = rec.take_report(None).expect("non-empty");
         assert_eq!(report.failed[0].task, TaskId(3));
         assert_eq!(report.failed[1].task, TaskId(7));
         assert_eq!(report.skipped, vec![TaskId(8), TaskId(9)]);
@@ -1713,7 +1662,10 @@ mod tests {
         assert_eq!(report.retry_time, Duration::from_nanos(1_500));
 
         let clean = RecoveryCtx::new(crate::config::RecoveryPolicy::default(), 8);
-        assert!(clean.into_report().is_none(), "clean run yields no report");
+        assert!(
+            clean.take_report(None).is_none(),
+            "clean run yields no report"
+        );
     }
 
     #[test]
@@ -1726,7 +1678,7 @@ mod tests {
         let local = LocalDataState::default();
         let cx = WaitCx::new(WaitStrategy::SpinYield, &flag);
         assert_eq!(
-            get_read_cx(&shared, &local, &cx).verdict,
+            get_read_word_cx(&shared, expected_read_word(&local), &cx).verdict,
             WaitVerdict::Ready
         );
     }

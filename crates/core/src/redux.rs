@@ -24,7 +24,8 @@
 //! a per-object mutex. Blocked waits use the same spin budget and the same
 //! waiter-aware wake elision as the base protocol (see [`crate::wait`],
 //! `crate::futex`): a terminator only enters the kernel when a waiter
-//! has advertised itself first.
+//! has advertised itself first. A panicking body aborts the run, waking
+//! its siblings, exactly as in the other front-ends (DESIGN.md §8).
 //!
 //! ```
 //! use rio_core::redux::{RAccess, ReduxRio};
@@ -48,15 +49,17 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rio_stf::store::{ReadGuard, WriteGuard};
 use rio_stf::{DataId, DataStore, Mapping, TaskId, WorkerId};
 
+use crate::compile::AccessPlan;
 use crate::config::RioConfig;
 use crate::futex::EventCount;
-use crate::protocol::{unpoisoned, wait_blocked, AbortFlag, WaitCx};
-use crate::report::{ExecReport, OpCounts, WorkerReport};
+use crate::graph::{unwind_aborted, RunShell, WorkerCtx};
+use crate::protocol::{pack_epoch, unpoisoned, wait_until};
+use crate::report::ExecReport;
 use crate::wait::WaitStrategy;
 
 /// Access modes of the reduction-extended model.
@@ -121,6 +124,22 @@ struct RLocal {
     last_registered_write: u64,
 }
 
+impl RLocal {
+    /// Registers an access of `task` in `mode`, on every worker alike.
+    fn declare(&mut self, mode: RMode, task: TaskId) {
+        match mode {
+            RMode::Read => self.nb_reads_since_write += 1,
+            RMode::Accumulate => self.nb_accs_since_write += 1,
+            RMode::Write | RMode::ReadWrite => {
+                *self = RLocal {
+                    last_registered_write: task.0,
+                    ..RLocal::default()
+                }
+            }
+        }
+    }
+}
+
 /// Shared state of one data object in the extended protocol.
 ///
 /// Like [`crate::protocol::SharedDataState`] this carries no mutex or
@@ -142,22 +161,40 @@ struct RShared {
 }
 
 impl RShared {
-    /// Waits until `cond` holds. The closure receives the memory ordering
-    /// it must use for its loads (see [`wait_blocked`]). Returns the polls
-    /// spent and — with `cx.timed`, and only when the first probe failed —
-    /// how long the wait was blocked: a ready get reads no clock.
-    #[inline]
-    fn wait_until(&self, cx: &WaitCx<'_>, cond: impl Fn(Ordering) -> bool) -> (u64, Duration) {
-        if cond(Ordering::Acquire) {
-            return (0, Duration::ZERO);
+    /// Publishes a performed access of `task` in `mode`. Returns whether a
+    /// `Park`-mode wake was elided.
+    fn publish(&self, mode: RMode, task: TaskId, strategy: WaitStrategy) -> bool {
+        // Under Park the publishing store is SeqCst so it takes a place in
+        // the total order against the waiter's SeqCst increment-then-
+        // re-check (see `crate::futex`).
+        let park = strategy == WaitStrategy::Park;
+        let publish = if park {
+            Ordering::SeqCst
+        } else {
+            Ordering::Release
+        };
+        match mode {
+            RMode::Read => {
+                self.nb_reads_since_write.fetch_add(1, publish);
+            }
+            RMode::Accumulate => {
+                self.nb_accs_since_write.fetch_add(1, publish);
+            }
+            RMode::Write | RMode::ReadWrite => {
+                self.nb_reads_since_write.store(0, Ordering::Relaxed);
+                self.nb_accs_since_write.store(0, Ordering::Relaxed);
+                self.last_executed_write.store(task.0, publish);
+            }
         }
-        let r = wait_blocked(&self.event, cx, cond);
-        let blocked = r.blocked_at.map_or(Duration::ZERO, |t0| t0.elapsed());
-        (r.outcome.polls, blocked)
+        park && !self.event.notify_if_waiters()
     }
 }
 
-/// Runtime handle for the reduction-extended flow API.
+/// Runtime handle for the reduction-extended flow API. It owns the
+/// three-counter guard, the private views and the accumulation body
+/// locks; the run shell and everything around a body — containment,
+/// recovery (one attempt: a body is `FnOnce`), watchdog, accounting — are
+/// the ones every front-end shares (`crate::graph`).
 #[derive(Debug, Clone)]
 pub struct ReduxRio {
     cfg: RioConfig,
@@ -165,241 +202,152 @@ pub struct ReduxRio {
 
 impl ReduxRio {
     /// Creates a runtime with the given configuration.
-    pub fn new(cfg: RioConfig) -> ReduxRio {
+    pub fn new(mut cfg: RioConfig) -> ReduxRio {
         cfg.validate();
+        cfg.recovery = cfg.recovery.map(|p| p.max_retries(0));
         ReduxRio { cfg }
     }
 
     /// Replays `flow` on every worker (see [`crate::Rio::run`]); tasks may
     /// additionally declare [`RMode::Accumulate`] accesses.
+    ///
+    /// # Panics
+    /// Propagates a task-body panic (original payload) once every worker
+    /// has left the flow; panics with the rendered diagnostic of a
+    /// watchdog stall ([`RioConfig::watchdog`]).
     pub fn run<T, M, F>(&self, store: &DataStore<T>, mapping: &M, flow: F) -> ExecReport
     where
         T: Send,
         M: Mapping,
         F: Fn(&mut ReduxCtx<'_, T>) + Sync,
     {
-        let cfg = &self.cfg;
         let mapping: &dyn Mapping = mapping;
         let shared: Box<[RShared]> = (0..store.len()).map(|_| RShared::default()).collect();
-        let shared = &shared;
-        let flow = &flow;
-        let registry = crate::counters::CounterRegistry::for_run(cfg);
-        let registry = registry.as_deref();
-        // Nothing aborts a reduction run; the shared wait loop wants a flag.
-        let abort = &AbortFlag::new();
-
-        let start = Instant::now();
-        let workers: Vec<WorkerReport> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..cfg.workers)
-                .map(|w| {
-                    s.spawn(move || {
-                        let me = WorkerId::from_index(w);
-                        let mut ctx = ReduxCtx {
-                            me,
-                            num_workers: cfg.workers,
-                            cx: WaitCx {
-                                spin_limit: cfg.spin_polls(),
-                                timed: cfg.measure_time,
-                                ..WaitCx::new(cfg.wait, abort)
-                            },
-                            mapping,
-                            shared,
-                            locals: vec![RLocal::default(); store.len()],
-                            store,
-                            next_task: TaskId::FIRST,
-                            ops: OpCounts::default(),
-                            task_time: Duration::ZERO,
-                            idle_time: Duration::ZERO,
-                            tasks_executed: 0,
-                            ctr: registry.map(|r| r.worker(w)),
-                        };
-                        let loop_start = Instant::now();
-                        flow(&mut ctx);
-                        WorkerReport {
-                            worker: me,
-                            tasks_executed: ctx.tasks_executed,
-                            tasks_visited: ctx.next_task.0 - 1,
-                            task_time: ctx.task_time,
-                            idle_time: ctx.idle_time,
-                            loop_time: loop_start.elapsed(),
-                            ops: ctx.ops,
-                            spans: Vec::new(),
-                            trace: None,
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
+        let shared = &shared[..];
+        let wake = || shared.iter().for_each(|s| s.event.notify_all());
+        // No word table: the engine performs no get or publication here.
+        let run = RunShell::new(&self.cfg, store.len()).run(&[], &wake, |wk| {
+            let mut ctx = ReduxCtx {
+                wk,
+                mapping,
+                shared,
+                locals: vec![RLocal::default(); store.len()],
+                store,
+                plans: Vec::new(),
+            };
+            let loop_start = Instant::now();
+            flow(&mut ctx);
+            (ctx.wk.finish(loop_start.elapsed()), ())
         });
-        ExecReport {
-            wall: start.elapsed(),
-            workers,
-            counters: registry
-                .map(|r| r.snapshot().with_topology(cfg))
-                .unwrap_or_default(),
-        }
+        run.unwrap_or_else(|e| e.resume()).0
     }
 }
 
 /// Per-worker replay context of the reduction-extended model.
 pub struct ReduxCtx<'a, T> {
-    me: WorkerId,
-    num_workers: usize,
-    cx: WaitCx<'a>,
+    wk: WorkerCtx<'a>,
     mapping: &'a (dyn Mapping + 'a),
     shared: &'a [RShared],
     locals: Vec<RLocal>,
     store: &'a DataStore<T>,
-    next_task: TaskId,
-    ops: OpCounts,
-    task_time: Duration,
-    idle_time: Duration,
-    tasks_executed: u64,
-    /// Always-on counter line (`None` when disabled). Redux's `wait_until`
-    /// reports polls only, so its parks counter stays zero.
-    ctr: Option<&'a crate::counters::WorkerCounters>,
+    /// Scratch: an own task's accesses as the engine's body block reads them.
+    plans: Vec<AccessPlan>,
 }
 
 impl<'a, T> ReduxCtx<'a, T> {
     /// The worker replaying this flow instance.
     pub fn worker(&self) -> WorkerId {
-        self.me
+        self.wk.me
     }
 
     /// Total number of workers.
     pub fn num_workers(&self) -> usize {
-        self.num_workers
+        self.wk.cfg.workers
     }
 
     /// Submits the next task. Semantics as [`crate::FlowCtx::task`], with
     /// accumulate accesses relaxed as described in the module docs.
     pub fn task(&mut self, accesses: &[RAccess], body: impl FnOnce(&ReduxView<'_, T>)) -> TaskId {
-        let id = self.next_task;
-        self.next_task = id.next();
-        let executor = self.mapping.worker_of(id, self.num_workers);
-        assert!(executor.index() < self.num_workers);
-
-        if executor == self.me {
-            for a in accesses {
-                self.ops.gets += 1;
-                let s = &self.shared[a.data.index()];
-                let l = &self.locals[a.data.index()];
-                let expected_write = l.last_registered_write;
-                let expected_reads = l.nb_reads_since_write;
-                let expected_accs = l.nb_accs_since_write;
-                let cx = &self.cx;
-                let (polls, blocked) = match a.mode {
-                    RMode::Read => s.wait_until(cx, |o| {
-                        s.last_executed_write.load(o) == expected_write
-                            && s.nb_accs_since_write.load(o) == expected_accs
-                    }),
-                    RMode::Accumulate => s.wait_until(cx, |o| {
-                        s.last_executed_write.load(o) == expected_write
-                            && s.nb_reads_since_write.load(o) == expected_reads
-                    }),
-                    RMode::Write | RMode::ReadWrite => s.wait_until(cx, |o| {
-                        s.last_executed_write.load(o) == expected_write
-                            && s.nb_reads_since_write.load(o) == expected_reads
-                            && s.nb_accs_since_write.load(o) == expected_accs
-                    }),
-                };
-                self.idle_time += blocked;
-                if polls > 0 {
-                    self.ops.waits += 1;
-                    self.ops.poll_loops += polls;
-                    if let Some(c) = self.ctr {
-                        c.add_spins(polls);
-                    }
-                }
-            }
-
-            // Serialize accumulation bodies: take the body locks of every
-            // accumulated object in ascending DataId order (global order =>
-            // no deadlock among concurrent accumulators).
-            let mut acc_targets: Vec<DataId> = accesses
-                .iter()
-                .filter(|a| a.mode == RMode::Accumulate)
-                .map(|a| a.data)
-                .collect();
-            acc_targets.sort_unstable();
-            let _body_guards: Vec<_> = acc_targets
-                .iter()
-                .map(|d| unpoisoned(self.shared[d.index()].body_lock.lock()))
-                .collect();
-
-            let view = ReduxView {
-                accesses,
-                store: self.store,
-            };
-            if self.cx.timed {
-                let t0 = Instant::now();
-                body(&view);
-                self.task_time += t0.elapsed();
-            } else {
-                body(&view);
-            }
-            self.tasks_executed += 1;
-            if let Some(c) = self.ctr {
-                c.inc_tasks();
-            }
-            drop(_body_guards);
-
-            for a in accesses {
-                self.ops.terminates += 1;
-                let s = &self.shared[a.data.index()];
-                let l = &mut self.locals[a.data.index()];
-                // Under Park the publishing store is SeqCst so it takes a
-                // place in the total order against the waiter's SeqCst
-                // increment-then-re-check (see `crate::futex`).
-                let park = self.cx.strategy == WaitStrategy::Park;
-                let publish = if park {
-                    Ordering::SeqCst
-                } else {
-                    Ordering::Release
-                };
-                match a.mode {
-                    RMode::Read => {
-                        s.nb_reads_since_write.fetch_add(1, publish);
-                        l.nb_reads_since_write += 1;
-                    }
-                    RMode::Accumulate => {
-                        s.nb_accs_since_write.fetch_add(1, publish);
-                        l.nb_accs_since_write += 1;
-                    }
-                    RMode::Write | RMode::ReadWrite => {
-                        s.nb_reads_since_write.store(0, Ordering::Relaxed);
-                        s.nb_accs_since_write.store(0, Ordering::Relaxed);
-                        s.last_executed_write.store(id.0, publish);
-                        l.nb_reads_since_write = 0;
-                        l.nb_accs_since_write = 0;
-                        l.last_registered_write = id.0;
-                    }
-                }
-                if park && !s.event.notify_if_waiters() {
-                    if let Some(c) = self.ctr {
-                        c.inc_wakes_elided();
-                    }
-                }
-            }
+        let (id, own) = self.wk.next_flow_task(self.mapping);
+        if own {
+            self.run_own(id, accesses, body);
         } else {
-            for a in accesses {
-                self.ops.declares += 1;
-                let l = &mut self.locals[a.data.index()];
-                match a.mode {
-                    RMode::Read => l.nb_reads_since_write += 1,
-                    RMode::Accumulate => l.nb_accs_since_write += 1,
-                    RMode::Write | RMode::ReadWrite => {
-                        l.nb_reads_since_write = 0;
-                        l.nb_accs_since_write = 0;
-                        l.last_registered_write = id.0;
-                    }
-                }
-            }
+            self.wk.ops.declares += accesses.len() as u64;
+        }
+        for a in accesses {
+            self.locals[a.data.index()].declare(a.mode, id);
         }
         id
+    }
+
+    /// `get_* → body → terminate_*` of a task of this worker's own.
+    fn run_own(&mut self, id: TaskId, accesses: &[RAccess], body: impl FnOnce(&ReduxView<'_, T>)) {
+        self.wk.ops.gets += accesses.len() as u64;
+        self.plans.clear();
+        for a in accesses {
+            let s = &self.shared[a.data.index()];
+            let l = self.locals[a.data.index()];
+            let writes = a.mode != RMode::Read;
+            self.plans.push(AccessPlan::kept(a.data, writes));
+            let written = |o| s.last_executed_write.load(o) == l.last_registered_write;
+            let read = |o| s.nb_reads_since_write.load(o) == l.nb_reads_since_write;
+            let accumulated = |o| s.nb_accs_since_write.load(o) == l.nb_accs_since_write;
+            let cx = self.wk.wait_cx(a.data);
+            let wr = match a.mode {
+                RMode::Read => wait_until(&s.event, &cx, |o| written(o) && accumulated(o)),
+                RMode::Accumulate => wait_until(&s.event, &cx, |o| written(o) && read(o)),
+                RMode::Write | RMode::ReadWrite => {
+                    wait_until(&s.event, &cx, |o| written(o) && read(o) && accumulated(o))
+                }
+            };
+            // What a stall diagnostic has fields for: writes and reads.
+            let views = || {
+                let write = s.last_executed_write.load(Ordering::Acquire);
+                let reads = s.nb_reads_since_write.load(Ordering::Acquire);
+                let registered =
+                    pack_epoch(TaskId(l.last_registered_write), l.nb_reads_since_write);
+                (registered, pack_epoch(TaskId(write), reads))
+            };
+            if !self.wk.settle_wait(id, a.data, writes, wr, views) {
+                unwind_aborted();
+            }
+        }
+
+        // Serialize accumulation bodies: take the body locks of every
+        // accumulated object in ascending DataId order (global order =>
+        // no deadlock among concurrent accumulators). They are released
+        // however the body ends: the engine contains its panic.
+        let mut acc_targets: Vec<DataId> = accesses
+            .iter()
+            .filter(|a| a.mode == RMode::Accumulate)
+            .map(|a| a.data)
+            .collect();
+        acc_targets.sort_unstable();
+        let body_guards: Vec<_> = acc_targets
+            .iter()
+            .map(|d| unpoisoned(self.shared[d.index()].body_lock.lock()))
+            .collect();
+        let view = ReduxView {
+            accesses,
+            store: self.store,
+        };
+        let mut body = Some(body);
+        let once = || (body.take().expect("a flow body gets one attempt"))(&view);
+        let alive = self.wk.run_body(id, &self.plans, once);
+        drop(body_guards);
+        if !alive {
+            unwind_aborted();
+        }
+        self.wk.tick(id);
+
+        // Skip-but-sync: whether or not the body ran.
+        self.wk.ops.terminates += accesses.len() as u64;
+        let strategy = self.wk.cfg.wait;
+        let elided = accesses
+            .iter()
+            .filter(|a| self.shared[a.data.index()].publish(a.mode, id, strategy))
+            .count();
+        self.wk.add_wakes_elided(elided as u64);
     }
 }
 

@@ -272,6 +272,9 @@ pub(crate) struct StealState<'a> {
     pub(crate) flow: &'a CompiledFlow<'a>,
     /// Every worker's published program position.
     pub(crate) cursors: &'a [Cursor],
+    /// The run's kernel, for a task a thief claimed: an indirect call per
+    /// *stolen* body keeps the engine generic in the owned body alone.
+    pub(crate) kernel: &'a (dyn Fn(rio_stf::WorkerId, &rio_stf::TaskDesc) + Sync),
 }
 
 #[cfg(test)]

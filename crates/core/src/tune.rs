@@ -7,24 +7,17 @@
 //! Cholesky/round-robin). This module closes that loop behind the
 //! [`Executor`](crate::Executor): a run's [`Execution`] — its always-on
 //! counters snapshot plus, when tracing was enabled, its event trace —
-//! feeds a [`Tuner`] that produces a [`TuningPlan`]:
-//!
-//! * a **remap** — the doctor's greedy earliest-finish
-//!   [`TableMapping`], keeping dependency chains on one worker and
-//!   balancing the rest;
-//! * **per-object wait policies** — data objects whose recorded waits
-//!   resolve within a few polls and never park are marked *hot*
-//!   ([`WaitPolicy::hot`]: spin with a raised budget, never park — so
-//!   their terminates skip the waiter check and the wake entirely),
-//!   everything else stays *cold* ([`WaitPolicy::cold`]: park). Decided
-//!   per object from the trace's wait events, or globally from the
-//!   spins/parks/elided-wakes counters when no trace was recorded.
+//! feeds a [`Tuner`] that produces a [`TuningPlan`]: a **remap** — the
+//! doctor's greedy earliest-finish [`TableMapping`], keeping dependency
+//! chains on one worker and balancing the rest — and the two numbers that
+//! justified it. (How to wait is not part of a plan: with the default spin
+//! phase sized to what a park costs, per-object strategies and budgets
+//! bought nothing over the remap alone — EXPERIMENTS.md "PR 18".)
 //!
 //! Because the paper's mapping is **static**, applying a plan is just a
 //! recompile: [`Executor::apply`] yields a new executor whose
 //! [`compile`](crate::Executor::compile) bakes the remap into fresh
-//! per-worker instruction streams and the policy table into the run's
-//! configuration. [`Executor::tuned_run`] iterates the whole loop until
+//! per-worker instruction streams. [`Executor::tuned_run`] iterates the whole loop until
 //! it converges — nothing left to move, or the measured wall time stops
 //! improving — or the iteration cap hits.
 //!
@@ -46,14 +39,12 @@
 //! assert_eq!(tuned.execution.report.tasks_executed(), 100);
 //! ```
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use rio_stf::{Mapping, TableMapping, TaskGraph};
 
 use crate::counters::CountersSnapshot;
 use crate::executor::Execution;
-use crate::wait::{WaitPolicy, WaitStrategy};
 
 /// Knobs of the closed tuning loop.
 #[derive(Debug, Clone)]
@@ -70,14 +61,6 @@ pub struct TuneOptions {
     /// chain hops workers, and the remap fixes exactly that.
     /// Default: 0.05.
     pub tolerance: f64,
-    /// Spin budget granted to hot objects' [`WaitPolicy::hot`] entries.
-    /// Default: 256.
-    pub hot_spin_limit: u32,
-    /// An object is hot only if its mean recorded polls-per-wait stays at
-    /// or below this (and it never parked) — "resolved within a few
-    /// hundred polls", whatever budget the diagnosed run spun under.
-    /// Default: 256.
-    pub hot_poll_cutoff: u64,
 }
 
 impl Default for TuneOptions {
@@ -85,8 +68,6 @@ impl Default for TuneOptions {
         TuneOptions {
             max_iters: 3,
             tolerance: 0.05,
-            hot_spin_limit: 256,
-            hot_poll_cutoff: 256,
         }
     }
 }
@@ -102,9 +83,8 @@ impl TuneOptions {
     }
 }
 
-/// What one diagnosis round decided: the remap and the per-object wait
-/// policies to compile the next run with, plus the numbers the decision
-/// was based on. Produced by [`Tuner::plan`] /
+/// What one diagnosis round decided: the remap to compile the next run
+/// with, plus the numbers the decision was based on. Produced by [`Tuner::plan`] /
 /// [`Executor::plan`](crate::Executor::plan); consumed by
 /// [`Executor::apply`](crate::Executor::apply).
 #[derive(Debug, Clone)]
@@ -114,24 +94,11 @@ pub struct TuningPlan {
     /// deadlock-free under the RIO protocol, so applying it is always
     /// safe.
     pub mapping: TableMapping,
-    /// Per-object wait policies, indexed by [`rio_stf::DataId`] — the
-    /// table [`crate::RioConfig::wait_policies`] installs.
-    pub policies: Arc<[WaitPolicy]>,
     /// Imbalance factor of the diagnosed run (max busy / mean busy;
     /// 1.0 = perfect balance).
     pub imbalance: f64,
     /// Tasks whose worker changes under [`TuningPlan::mapping`].
     pub moves: usize,
-}
-
-impl TuningPlan {
-    /// How many objects the plan marks hot (spin, never park).
-    pub fn hot_objects(&self) -> usize {
-        self.policies
-            .iter()
-            .filter(|p| p.strategy != WaitStrategy::Park)
-            .count()
-    }
 }
 
 /// One round of a [tuned run](crate::Executor::tuned_run).
@@ -190,36 +157,25 @@ impl TunedRun {
 
 /// Derives a [`TuningPlan`] from one finished run.
 ///
-/// Prefers the run's event trace (per-object wait shapes, measured task
-/// durations); falls back to the always-on counters snapshot — hint-
-/// weighted remap via `rio_doctor::diagnose_counters`, one global wait
-/// policy from the aggregate spins/parks split — when no trace was
-/// recorded (or the `trace` feature is off).
+/// Prefers the run's event trace (measured task durations weight the
+/// remap); falls back to the always-on counters snapshot — hint-weighted
+/// remap via `rio_doctor::diagnose_counters` — when no trace was recorded
+/// (or the `trace` feature is off).
 #[derive(Debug)]
 pub struct Tuner<'g> {
     graph: &'g TaskGraph,
     workers: usize,
-    opts: TuneOptions,
     nodes: Option<Vec<u32>>,
 }
 
 impl<'g> Tuner<'g> {
-    /// A tuner for runs of `graph` on `workers` workers, with default
-    /// [`TuneOptions`].
+    /// A tuner for runs of `graph` on `workers` workers.
     pub fn new(graph: &'g TaskGraph, workers: usize) -> Tuner<'g> {
         Tuner {
             graph,
             workers,
-            opts: TuneOptions::default(),
             nodes: None,
         }
-    }
-
-    /// Replaces the options (builder style).
-    pub fn options(mut self, opts: TuneOptions) -> Tuner<'g> {
-        opts.validate();
-        self.opts = opts;
-        self
     }
 
     /// Supplies the NUMA placement of the run's workers (`nodes[w]` =
@@ -233,13 +189,6 @@ impl<'g> Tuner<'g> {
         self
     }
 
-    /// The policy of a cold object: park, after the spin phase an untuned
-    /// run gets — tuning must not make an object park sooner.
-    fn cold(&self) -> WaitPolicy {
-        let spin = crate::wait::default_spin_limit(self.workers);
-        WaitPolicy::new(WaitStrategy::Park, spin)
-    }
-
     /// Diagnoses `run` (executed under `mapping`) into a [`TuningPlan`].
     pub fn plan(&self, mapping: &dyn Mapping, run: &Execution) -> TuningPlan {
         #[cfg(feature = "trace")]
@@ -249,8 +198,7 @@ impl<'g> Tuner<'g> {
         self.plan_from_counters(mapping, &run.counters)
     }
 
-    /// Trace-fed path: measured durations weight the remap, and each
-    /// object's recorded wait events decide its policy individually.
+    /// Trace-fed path: measured durations weight the remap.
     #[cfg(feature = "trace")]
     fn plan_from_trace(&self, mapping: &dyn Mapping, trace: &rio_trace::Trace) -> TuningPlan {
         let report = rio_doctor::diagnose_with_nodes(
@@ -262,55 +210,15 @@ impl<'g> Tuner<'g> {
         );
         TuningPlan {
             mapping: report.suggested_mapping(),
-            policies: self.policies_from_trace(trace),
             imbalance: report.quality.imbalance,
             moves: report.moves,
         }
     }
 
-    /// Per-object policies from the trace's wait events: an object is hot
-    /// — spin with a raised budget, never park — iff it was waited on,
-    /// never parked anyone, and its waits resolved within
-    /// [`TuneOptions::hot_poll_cutoff`] polls on average. Objects that
-    /// parked (long waits) or were never waited on (no contention to
-    /// speed up) stay cold.
-    #[cfg(feature = "trace")]
-    fn policies_from_trace(&self, trace: &rio_trace::Trace) -> Arc<[WaitPolicy]> {
-        let n = self.graph.num_data();
-        let mut waits = vec![0u64; n];
-        let mut polls = vec![0u64; n];
-        let mut parks = vec![0u64; n];
-        for w in &trace.workers {
-            for e in &w.events {
-                if e.kind.is_wait() {
-                    if let Some(d) = waits.get_mut(e.id as usize) {
-                        *d += 1;
-                        polls[e.id as usize] += u64::from(e.polls);
-                        parks[e.id as usize] += u64::from(e.parks);
-                    }
-                }
-            }
-        }
-        (0..n)
-            .map(|d| {
-                let hot = waits[d] > 0
-                    && parks[d] == 0
-                    && polls[d] / waits[d] <= self.opts.hot_poll_cutoff;
-                if hot {
-                    WaitPolicy::hot(self.opts.hot_spin_limit)
-                } else {
-                    self.cold()
-                }
-            })
-            .collect()
-    }
-
     /// Counters-only path: the remap comes from the doctor's trace-free
     /// fast path (cost hints weight the schedule, the counters supply the
-    /// per-worker task counts), and one global policy covers every
-    /// object — hot when the run waited without ever parking (all waits
-    /// resolved inside the spin phase), cold otherwise. Coarser than the
-    /// trace path, but requires nothing beyond the always-on counters.
+    /// per-worker task counts). Coarser than the trace path, but requires
+    /// nothing beyond the always-on counters.
     fn plan_from_counters(&self, mapping: &dyn Mapping, counters: &CountersSnapshot) -> TuningPlan {
         let tasks = counters.tasks_per_worker();
         let report = rio_doctor::diagnose_counters_with_nodes(
@@ -320,15 +228,8 @@ impl<'g> Tuner<'g> {
             &tasks,
             self.nodes.as_deref(),
         );
-        let total = counters.total();
-        let policy = if total.waited() && total.park_fraction() == 0.0 {
-            WaitPolicy::hot(self.opts.hot_spin_limit)
-        } else {
-            self.cold()
-        };
         TuningPlan {
             mapping: report.suggested_mapping(),
-            policies: vec![policy; self.graph.num_data()].into(),
             imbalance: report.quality.imbalance,
             moves: report.moves,
         }
@@ -367,29 +268,7 @@ mod tests {
             assert_eq!(w_of(20 + i), w_of(20), "chain B stays together");
         }
         assert_ne!(w_of(0), w_of(20), "chains on different workers");
-        assert_eq!(plan.policies.len(), 2);
         assert!(plan.moves > 0);
-    }
-
-    #[test]
-    fn plan_marks_spin_resolved_runs_hot() {
-        // Spin strategy: waits resolve without parking, so the counters
-        // path must grant the raised spin budget.
-        let g = two_chains(10);
-        let ex = Executor::new(RioConfig::with_workers(2).wait(crate::wait::WaitStrategy::Spin))
-            .mapping(&RoundRobin);
-        let run = ex.run(&g, |_, _| {});
-        let plan = ex.plan(&g, &run);
-        let t = run.counters.total();
-        if t.waited() && t.parks == 0 {
-            assert_eq!(plan.hot_objects(), 2, "all objects hot");
-            assert_eq!(
-                plan.policies[0],
-                WaitPolicy::hot(TuneOptions::default().hot_spin_limit)
-            );
-        } else {
-            assert_eq!(plan.hot_objects(), 0);
-        }
     }
 
     #[test]
@@ -399,7 +278,6 @@ mod tests {
         let run = ex.run(&g, |_, _| {});
         let plan = ex.plan(&g, &run);
         let tuned = ex.apply(&plan);
-        assert!(tuned.config().wait_policies.is_some());
         let rerun = tuned.run(&g, |_, _| {});
         assert_eq!(rerun.report.tasks_executed(), 30);
         // The remap really is in effect: per-worker executed counts match
@@ -463,12 +341,11 @@ mod tests {
 
     #[cfg(feature = "trace")]
     #[test]
-    fn traced_plan_decides_policies_per_object() {
+    fn traced_run_plans_from_its_trace() {
         use crate::trace_api::TraceConfig;
-        // D0 carries a cross-worker chain (contended); D1 is written by
-        // one worker only (never waited on). The trace-fed plan must
-        // leave the never-waited object cold while deciding D0 from its
-        // recorded wait shape.
+        // D0 carries a cross-worker chain; D1 is written by one worker
+        // only. The trace-fed path must yield a total remap of the same
+        // flow that an executor can run under.
         let mut b = TaskGraph::builder(2);
         for i in 0..60u32 {
             if i % 3 == 2 {
@@ -485,12 +362,10 @@ mod tests {
         let run = ex.run(&g, |_, _| {});
         assert!(run.trace.is_some());
         let plan = ex.plan(&g, &run);
-        assert_eq!(plan.policies.len(), 2);
-        assert_eq!(
-            plan.policies[1].strategy,
-            WaitStrategy::Park,
-            "an uncontended object stays cold"
-        );
+        assert!(plan.imbalance >= 1.0 - 1e-9);
+        rio_stf::validate_mapping(&plan.mapping, 60, 2).expect("a plan is a total mapping");
+        let rerun = ex.apply(&plan).run(&g, |_, _| {});
+        assert_eq!(rerun.report.tasks_executed(), 60);
     }
 
     #[test]
@@ -505,8 +380,7 @@ mod tests {
 }
 
 /// Property: tuning never changes results. For random small flows, a
-/// plan-applied run — remapped, per-object wait policies installed,
-/// recompiled — produces byte-identical per-datum stores and the
+/// plan-applied run — remapped, recompiled — produces byte-identical per-datum stores and the
 /// identical per-datum *writer* order as the untuned baseline, under
 /// every wait strategy. (Only writers are compared: readers within one
 /// epoch are legitimately unordered even between two identical baseline

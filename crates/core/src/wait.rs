@@ -33,9 +33,11 @@
 //! Oversubscription flips the argument — a spinner may sit on the core
 //! its producer needs — so runs with more workers than hardware threads
 //! keep the short [`WaitStrategy::DEFAULT_SPIN_LIMIT`]. Either default
-//! yields to an explicit [`crate::RioConfig::spin_limit`],
-//! [`WaitPolicy::spin_limit`] or [`crate::protocol::WaitCx::spin_limit`]
-//! — zero included, which sleeps at once.
+//! yields to an explicit [`crate::RioConfig::spin_limit`] or
+//! [`crate::protocol::WaitCx::spin_limit`] — zero included, which sleeps
+//! at once. Strategy and budget are one pair per run, shared by every
+//! worker, which is what lets a `terminate_*` under a strategy that never
+//! parks skip the waiter check.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -57,7 +59,7 @@ pub enum WaitStrategy {
 impl WaitStrategy {
     /// The pure-spin polls a wait gets when spinning for a whole park
     /// would be wrong or nobody sized a budget for it: an oversubscribed
-    /// run, a bare [`crate::protocol::WaitCx::new`], [`WaitPolicy::cold`].
+    /// run, a bare [`crate::protocol::WaitCx::new`].
     /// Override per run with [`crate::RioConfig::spin_limit`] or per wait
     /// with [`crate::protocol::WaitCx::spin_limit`].
     pub const DEFAULT_SPIN_LIMIT: u32 = 64;
@@ -127,68 +129,6 @@ impl std::fmt::Display for WaitStrategy {
     }
 }
 
-/// Per-object wait policy: how waits (and the matching `terminate_*`
-/// publishes) on *one data object* behave, overriding the run-wide
-/// [`crate::RioConfig::wait`]/[`crate::RioConfig::spin_limit`] pair.
-///
-/// A table of these — one entry per [`rio_stf::DataId`], installed with
-/// [`crate::RioConfig::wait_policies`] — lets the tuner
-/// ([`crate::tune`]) treat objects differently: *hot* objects whose
-/// waits resolve within a few polls spin with a raised budget (their
-/// waiters never park, so their terminates skip the waiter check and the
-/// wake entirely), while *cold* objects keep parking.
-///
-/// Safety of mixing: the table lives in the shared config, so **every**
-/// worker applies the same policy to a given object. An object whose
-/// policy never parks therefore never has a parked waiter, which is
-/// exactly the condition under which its `terminate_*` may use the
-/// cheaper non-waking publish (see `DESIGN.md` §10/§12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WaitPolicy {
-    /// How waiters on this object wait past the spin phase.
-    pub strategy: WaitStrategy,
-    /// Pure-spin polls before escalating to `strategy`.
-    pub spin_limit: u32,
-}
-
-impl WaitPolicy {
-    /// A policy with the given strategy and spin budget.
-    pub fn new(strategy: WaitStrategy, spin_limit: u32) -> WaitPolicy {
-        WaitPolicy {
-            strategy,
-            spin_limit,
-        }
-    }
-
-    /// The *hot* policy: spin up to `spin_limit` polls, then yield
-    /// between polls — never park. [`WaitStrategy::SpinYield`] rather
-    /// than pure [`WaitStrategy::Spin`] so an unexpectedly long wait on
-    /// an oversubscribed machine degrades to yielding instead of
-    /// monopolizing a hardware thread.
-    pub fn hot(spin_limit: u32) -> WaitPolicy {
-        WaitPolicy::new(WaitStrategy::SpinYield, spin_limit)
-    }
-
-    /// The *cold* policy: park after the default spin phase.
-    pub fn cold() -> WaitPolicy {
-        WaitPolicy::new(WaitStrategy::Park, WaitStrategy::DEFAULT_SPIN_LIMIT)
-    }
-}
-
-impl Default for WaitPolicy {
-    /// Matches [`RioConfig`](crate::RioConfig)'s defaults: park after
-    /// [`WaitStrategy::DEFAULT_SPIN_LIMIT`] polls.
-    fn default() -> Self {
-        WaitPolicy::cold()
-    }
-}
-
-impl std::fmt::Display for WaitPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}", self.strategy, self.spin_limit)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,17 +157,5 @@ mod tests {
         assert_eq!(WaitStrategy::Spin.to_string(), "spin");
         assert_eq!(WaitStrategy::SpinYield.to_string(), "spin-yield");
         assert_eq!(WaitStrategy::Park.to_string(), "park");
-    }
-
-    #[test]
-    fn policy_constructors_and_default() {
-        let hot = WaitPolicy::hot(256);
-        assert_eq!(hot.strategy, WaitStrategy::SpinYield);
-        assert_eq!(hot.spin_limit, 256);
-        let cold = WaitPolicy::cold();
-        assert_eq!(cold.strategy, WaitStrategy::Park);
-        assert_eq!(cold.spin_limit, WaitStrategy::DEFAULT_SPIN_LIMIT);
-        assert_eq!(WaitPolicy::default(), cold);
-        assert_eq!(hot.to_string(), "spin-yield/256");
     }
 }

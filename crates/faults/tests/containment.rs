@@ -182,6 +182,131 @@ fn a_dropped_task_is_diagnosed_as_a_stall_not_a_hang() {
     }
 }
 
+/// The reduction front-end shares the containment of the other two: a
+/// body that panics while a sibling is asleep on the publication it will
+/// now never make must end the run — `run` re-raises the original payload
+/// — under a parking and a yielding wait alike. (Before `ReduxRio` ran on
+/// the shared engine this was a hang: nothing caught the panic, nothing
+/// woke the reader.) The watchdog is the backstop: a regression surfaces
+/// as a stall diagnostic in place of the payload.
+#[test]
+fn a_redux_body_panic_ends_the_run_instead_of_stranding_the_reader() {
+    use rio_core::redux::{RAccess, ReduxRio};
+    for wait in [WaitStrategy::Park, WaitStrategy::SpinYield] {
+        let store = DataStore::from_vec(vec![0u64]);
+        let cfg = RioConfig::with_workers(2)
+            .wait(wait)
+            .spin_limit(0) // under Park, the reader is asleep when the abort comes
+            .watchdog(BACKSTOP);
+        let t0 = Instant::now();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ReduxRio::new(cfg).run(&store, &RoundRobin, |ctx| {
+                // T1 on W0 writes D0 — and panics; T2 on W1 reads it.
+                ctx.task(&[RAccess::write(DataId(0))], |v| {
+                    *v.write(DataId(0)) = 1;
+                    std::thread::sleep(Duration::from_millis(20));
+                    panic!("redux writer exploded");
+                });
+                ctx.task(&[RAccess::read(DataId(0))], |v| {
+                    let _ = *v.read(DataId(0));
+                    unreachable!("the write it waits for was never published");
+                });
+            });
+        }));
+        let payload = result.expect_err("the panic must propagate");
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(msg, "redux writer exploded", "strategy {wait}");
+        assert!(t0.elapsed() < BACKSTOP, "strategy {wait}: not contained");
+    }
+}
+
+/// The same inside an accumulation group: an accumulator that panics
+/// holds the object's body lock at that moment. It must release it — the
+/// other accumulators are not wedged behind it — and the reader waiting
+/// for the whole group must be woken by the abort.
+#[test]
+fn a_panicking_accumulator_releases_its_body_locks() {
+    use rio_core::redux::{RAccess, ReduxRio};
+    let store = DataStore::from_vec(vec![0u64, 0]);
+    let cfg = RioConfig::with_workers(3)
+        .wait(WaitStrategy::Park)
+        .spin_limit(0)
+        .watchdog(BACKSTOP);
+    let t0 = Instant::now();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        ReduxRio::new(cfg).run(&store, &RoundRobin, |ctx| {
+            for i in 1..=6u64 {
+                let both = [
+                    RAccess::accumulate(DataId(0)),
+                    RAccess::accumulate(DataId(1)),
+                ];
+                ctx.task(&both, move |v| {
+                    *v.accumulate(DataId(0)) += 1;
+                    if i == 2 {
+                        panic!("accumulator exploded");
+                    }
+                    *v.accumulate(DataId(1)) += 1;
+                });
+            }
+            ctx.task(&[RAccess::read(DataId(0))], |v| {
+                let _ = *v.read(DataId(0));
+            });
+        });
+    }));
+    let payload = result.expect_err("the panic must propagate");
+    let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+    assert_eq!(msg, "accumulator exploded");
+    assert!(t0.elapsed() < BACKSTOP, "not contained");
+    // No lock outlived the run, and no store guard either.
+    let _ = (store.write(DataId(0)), store.write(DataId(1)));
+}
+
+/// A reduction flow whose producer every worker believes somebody else
+/// owns: with the watchdog armed the reader's wait ends in the rendered
+/// stall diagnostic (`ReduxRio::run` panics with it, as `Rio::run` does),
+/// not in an unbounded wait.
+#[test]
+fn a_redux_dropped_producer_trips_the_watchdog() {
+    use rio_core::redux::{RAccess, ReduxRio};
+    use std::cell::Cell;
+    thread_local! {
+        static SELF: Cell<usize> = const { Cell::new(0) };
+    }
+    struct Lying;
+    impl Mapping for Lying {
+        fn worker_of(&self, task: TaskId, workers: usize) -> WorkerId {
+            match task {
+                // The producer: "my neighbour owns it".
+                TaskId(1) => WorkerId::from_index((SELF.with(Cell::get) + 1) % workers),
+                _ => WorkerId(0),
+            }
+        }
+    }
+    let store = DataStore::from_vec(vec![0u64]);
+    let cfg = RioConfig::with_workers(2)
+        .wait(WaitStrategy::Park)
+        .spin_limit(16)
+        .watchdog(Duration::from_millis(100));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        ReduxRio::new(cfg).run(&store, &Lying, |ctx| {
+            SELF.set(ctx.worker().index());
+            ctx.task(&[RAccess::write(DataId(0))], |v| *v.write(DataId(0)) = 1);
+            ctx.task(&[RAccess::read(DataId(0))], |v| {
+                let _ = *v.read(DataId(0));
+            });
+        });
+    }));
+    let payload = result.expect_err("the stall must end the run");
+    let text = payload
+        .downcast_ref::<String>()
+        .expect("a rendered diagnostic");
+    assert!(text.starts_with("stalled: W0 waited"), "{text}");
+    // The smoking gun: T1's write was registered and never performed.
+    let site = "get_read of D0 for T2: registered (reads=0, write=T1) vs performed \
+                (reads=0, write=T(none)";
+    assert!(text.contains(site), "{text}");
+}
+
 /// Post-abort store containment, exactly: a panic at `Tk` in an RW chain
 /// leaves the store at `k - 1` — `Tk`'s write is never observed and no
 /// later task runs.

@@ -54,9 +54,7 @@ fn main() {
         }
     });
 
-    let cfg = RioConfig::with_workers(workers)
-        .wait(WaitStrategy::Park)
-        .check_determinism(false);
+    let cfg = RioConfig::with_workers(workers).wait(WaitStrategy::Park);
     let store = DataStore::filled(NUM_DATA as usize + 1, 0u64);
     let kernel = |_: WorkerId, t: &rio::stf::TaskDesc| match t.kind {
         "update" => *store.write(t.accesses[0].data) += 1,

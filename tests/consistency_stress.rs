@@ -95,7 +95,7 @@ fn flow_api_stress_with_many_objects() {
     let n_data = 64u32;
     let tasks = 2000u32;
     let store = DataStore::filled(n_data as usize, 0u64);
-    let rio = rio::core::Rio::new(RioConfig::with_workers(4).check_determinism(true));
+    let rio = rio::core::Rio::new(RioConfig::with_workers(4));
     rio.run(&store, &RoundRobin, |ctx| {
         for i in 0..tasks {
             let d = rio::stf::DataId(i % n_data);
@@ -225,11 +225,7 @@ fn built_in_span_audit_centralized() {
 fn flow_api_spans_are_recorded_and_consistent() {
     use rio::stf::{Access, DataId};
     let store = DataStore::from_vec(vec![0u64; 4]);
-    let rio = rio::core::Rio::new(
-        RioConfig::with_workers(3)
-            .record_spans(true)
-            .check_determinism(false),
-    );
+    let rio = rio::core::Rio::new(RioConfig::with_workers(3).record_spans(true));
     // Rebuild the equivalent graph for auditing.
     let mut b = rio::stf::TaskGraph::builder(4);
     for i in 0..200u32 {

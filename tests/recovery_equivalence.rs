@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 use rio::core::hybrid::{Total, Unmapped};
-use rio::core::{Executor, RecoveryPolicy, RioConfig, WaitStrategy};
+use rio::core::{Executor, RecoveryPolicy, Rio, RioConfig, WaitStrategy};
 use rio::stf::{
     Access, AccessMode, DataId, DataStore, PartialReport, TableMapping, TaskDesc, TaskGraph,
     TaskId, WorkerId,
@@ -167,6 +167,34 @@ fn observe_degraded(
     (store.into_vec(), fingerprint(partial))
 }
 
+/// The same flow unrolled as a closure by every worker (`Rio`): the other
+/// front-end of the one engine. Its bodies are `FnOnce`, so whatever
+/// retry budget `cfg` grants, the victim gets one attempt.
+fn observe_degraded_closure_flow(
+    graph: &TaskGraph,
+    cfg: &RioConfig,
+    mapping: &TableMapping,
+    victim: TaskId,
+) -> (Vec<u64>, rio::core::ExecReport, PartialReport) {
+    let store = DataStore::filled(graph.num_data(), 0u64);
+    let (report, outcome) = Rio::new(cfg.clone())
+        .try_run_with_outcome(&store, mapping, |ctx| {
+            for t in graph.tasks() {
+                ctx.task(&t.accesses, |_| {
+                    if t.id == victim {
+                        panic!("injected permanent failure");
+                    }
+                    hash_kernel(&store, t);
+                });
+            }
+        })
+        .expect("a recovered run must degrade, not abort");
+    let rio::core::RunOutcome::Degraded(partial) = outcome else {
+        panic!("the victim fails permanently, so the run must be degraded");
+    };
+    (store.into_vec(), report, partial)
+}
+
 /// The oracle: the flow in order on one thread, `victim` failing without
 /// a retry, and every task one of whose data is poisoned skipped — both
 /// poisoning what they write.
@@ -270,6 +298,17 @@ proptest! {
             prop_assert_eq!(&store, &ref_store,
                 "{:?} left a different store from the oracle", path);
         }
+        // The closure flow goes through the same body block: one attempt
+        // (`retries: 0`) even with retries granted, the same cone, and
+        // every task outside it finished.
+        let retrying = cfg.recovery(RecoveryPolicy::default());
+        let (store, report, partial) =
+            observe_degraded_closure_flow(&graph, &retrying, &mapping, victim);
+        prop_assert_eq!(&fingerprint(&partial), &ref_fp);
+        prop_assert_eq!(&store, &ref_store);
+        let lost = 1 + ref_fp.2.len() as u64;
+        prop_assert_eq!(report.tasks_executed(), graph.len() as u64 - lost);
+        prop_assert_eq!(report.counters.total().retries, 0);
     }
 
     /// A `RecoveryPolicy` with zero faults is invisible: the run
@@ -293,4 +332,45 @@ proptest! {
             prop_assert_eq!(&store.into_vec(), &baseline, "{:?} store mismatch", path);
         }
     }
+}
+
+/// One instrumentation point per protocol event: the same Cholesky flow,
+/// the same mapping and the same failing task through the compiled
+/// `Executor` and through the closure-flow `Rio` leave the same `get` and
+/// `terminate` totals, the same `tasks` / `poisoned` counters and —
+/// worker by worker, event by event — the same flight log. (A spinning
+/// wait, so that no timing-dependent `Park` event is recorded; 20 tasks
+/// on 2 workers, so that no ring wraps.)
+#[test]
+fn closure_flow_and_compiled_runs_record_the_same_events() {
+    let graph = rio::workloads::cholesky::graph(4, 1);
+    let mapping = rio::workloads::cholesky::mapping(4, 2);
+    let victim = TaskId(3);
+    let cfg = RioConfig::with_workers(2)
+        .wait(WaitStrategy::SpinYield)
+        .recovery(RecoveryPolicy::no_retries());
+    let store = DataStore::filled(graph.num_data(), 0u64);
+    let compiled = run_on(&graph, &cfg, &mapping, Path::Fresh, |_, t| {
+        if t.id == victim {
+            panic!("injected permanent failure");
+        }
+        hash_kernel(&store, t);
+    });
+    let compiled_partial = compiled.outcome.partial().expect("degraded");
+    let (flow_store, flow, flow_partial) =
+        observe_degraded_closure_flow(&graph, &cfg, &mapping, victim);
+
+    assert_eq!(flow_store, store.into_vec());
+    let accesses: u64 = graph.tasks().iter().map(|t| t.accesses.len() as u64).sum();
+    for ops in [compiled.report.total_ops(), flow.total_ops()] {
+        assert_eq!((ops.gets, ops.terminates), (accesses, accesses));
+    }
+    let (c, f) = (compiled.counters.total(), flow.counters.total());
+    assert_eq!(
+        (c.tasks, c.poisoned, c.retries),
+        (f.tasks, f.poisoned, f.retries)
+    );
+    assert_eq!(c.tasks, flow.tasks_executed());
+    assert!(!flow_partial.flight.is_empty());
+    assert_eq!(flow_partial.flight, compiled_partial.flight);
 }
