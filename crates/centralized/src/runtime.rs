@@ -503,6 +503,7 @@ fn execute_task<K>(
             task: task.id,
             worker: me,
             payload,
+            flight: rio_stf::FlightLog::default(),
         });
         return;
     }

@@ -122,8 +122,8 @@ use crate::steal::{ClaimTable, Claims, Cursor, StealState};
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RunInstr {
     pub(crate) task: u32,
-    /// `start`, and in the top bit [`CLAIM_MARK`] (an arena holds fewer
-    /// than 2²⁹ entries: each can name an epoch of its own).
+    /// `start`, and in the top bits [`CLAIM_MARK`] and [`QUIET`] (an arena
+    /// holds fewer than 2²⁹ entries: each can name an epoch of its own).
     marked_start: u32,
     end: u32,
 }
@@ -132,6 +132,13 @@ pub(crate) struct RunInstr {
 /// in every worker's program, and whoever claims the task's slot first
 /// runs it.
 const CLAIM_MARK: u32 = 1 << 31;
+/// The task is its worker's own and none of its accesses keeps a guard or
+/// a publication: all a run owes it is its body. Consecutive quiet
+/// instructions run as blocks ([`WorkerCtx::exec_block`]).
+const QUIET: u32 = 1 << 30;
+/// The most instructions one block holds: how stale a live observer's
+/// picture of a worker inside a quiet stretch can get (DESIGN.md §16).
+const BLOCK: usize = 1024;
 
 impl RunInstr {
     #[inline]
@@ -140,8 +147,14 @@ impl RunInstr {
     }
 
     #[inline]
-    fn range(&self) -> std::ops::Range<usize> {
-        (self.marked_start & !CLAIM_MARK) as usize..self.end as usize
+    pub(crate) fn quiet(&self) -> bool {
+        self.marked_start & QUIET != 0
+    }
+
+    /// Where the task's entries are: one per access it declares.
+    #[inline]
+    pub(crate) fn range(&self) -> std::ops::Range<usize> {
+        (self.marked_start & !(CLAIM_MARK | QUIET)) as usize..self.end as usize
     }
 }
 
@@ -161,18 +174,6 @@ pub(crate) struct TaskAccesses<'a> {
     /// The instruction is claim-marked: claim before running, whoever
     /// runs it.
     pub(crate) unmapped: bool,
-}
-
-impl TaskAccesses<'_> {
-    /// Does any access keep its guard, does any keep its publication?
-    /// One pass over the entries' bits, so that a task all of whose
-    /// synchronisation is worker-local skips both per-access loops.
-    #[inline]
-    pub(crate) fn kept(&self) -> (bool, bool) {
-        self.plans
-            .iter()
-            .fold((false, false), |(g, s), p| (g | p.guard(), s | p.publish()))
-    }
 }
 
 /// What the compiler did, per worker and in aggregate. Every count is
@@ -367,9 +368,16 @@ pub struct CompiledTask<'a> {
     pub expected: &'a [u64],
     plans: &'a [AccessPlan],
     unmapped: bool,
+    quiet: bool,
 }
 
 impl CompiledTask<'_> {
+    /// Is the task quiet — not claim-marked, no access keeping a guard
+    /// or a publication? Stretches of such tasks run as blocks.
+    pub fn quiet(&self) -> bool {
+        self.quiet
+    }
+
     /// Is the task claim-marked — left unmapped by a partial mapping, in
     /// every worker's program, run by whoever claims it first?
     pub fn claim_marked(&self) -> bool {
@@ -641,9 +649,12 @@ fn lower<'g, O: OwnerOf>(
                 bits: e.named | (u32::from(writes) * WRITES) | (u32::from(guard) * GUARD),
             };
         }
+        // Quiet, unless [`settle_quiet`] finds a publication kept.
+        let quiet = owner.is_some() & (guards == 0);
+        let marks = (u32::from(owner.is_none()) * CLAIM_MARK) | (u32::from(quiet) * QUIET);
         let run = RunInstr {
             task: i as u32,
-            marked_start: start as u32 | (u32::from(owner.is_none()) * CLAIM_MARK),
+            marked_start: start as u32 | marks,
             end: end as u32,
         };
         if node < num_nodes {
@@ -679,6 +690,12 @@ fn lower<'g, O: OwnerOf>(
         .iter_mut()
         .map(|arena| finish(&mut arena.plans, &verdicts, force))
         .sum();
+    // Nothing published, nothing to take back.
+    if kept_publishes > 0 {
+        for (prog, &node) in programs.iter_mut().zip(&node_of_worker) {
+            settle_quiet(prog, &arenas[node as usize].plans);
+        }
+    }
     let claimable = arenas.pop().expect("one arena more than there are nodes");
     let stats = CompileStats {
         flow_len: graph.len(),
@@ -735,6 +752,19 @@ fn finish(plans: &mut [AccessPlan], verdicts: &[Verdict], force: u32) -> u64 {
     publishes
 }
 
+/// The walk marks an owned task that keeps no guard [`QUIET`]; it stays so
+/// unless [`finish`] found one of its entries to publish. Out of line and
+/// reading only: what the walk and the sweep compile to is untouched, and
+/// an instruction that was never quiet costs one load.
+#[inline(never)]
+fn settle_quiet(prog: &mut [RunInstr], plans: &[AccessPlan]) {
+    for r in prog {
+        if r.quiet() && plans[r.range()].iter().any(|p| p.publish()) {
+            r.marked_start &= !QUIET;
+        }
+    }
+}
+
 impl<'g> CompiledFlow<'g> {
     /// The graph this program was compiled from.
     pub fn graph(&self) -> &'g TaskGraph {
@@ -768,6 +798,7 @@ impl<'g> CompiledFlow<'g> {
                 expected: a.expected,
                 plans: a.plans,
                 unmapped: a.unmapped,
+                quiet: r.quiet(),
             }
         })
     }
@@ -897,8 +928,19 @@ impl<'g> CompiledFlow<'g> {
         let tasks = self.graph.tasks();
         let prog = &self.programs[me];
         let cursor = ctx.steal.map(|st| &st.cursors[me].0);
+        let blocks = ctx.takes_blocks();
         let loop_start = Instant::now();
-        for (pc, r) in prog.iter().enumerate() {
+        let mut pc = 0;
+        while let Some(r) = prog.get(pc) {
+            if blocks && r.quiet() {
+                // A quiet stretch, at most `BLOCK` instructions at a time.
+                let chunk = &prog[pc..prog.len().min(pc + BLOCK)];
+                match ctx.exec_block(chunk, |r| kernel(worker, &tasks[r.task as usize])) {
+                    0 => break,
+                    ran => pc += ran,
+                }
+                continue;
+            }
             if let Some(c) = cursor {
                 // Publish where this worker's remaining program starts so
                 // thieves scan forward from here. Relaxed is enough —
@@ -907,10 +949,11 @@ impl<'g> CompiledFlow<'g> {
                 c.store(pc, std::sync::atomic::Ordering::Relaxed);
             }
             ctx.tasks_visited += 1;
-            let t = &tasks[r.task as usize];
-            if !ctx.exec_task(t.id, self.accesses(me, r), || kernel(worker, t)) {
+            let (id, t) = (TaskId::from_index(r.task as usize), &tasks[r.task as usize]);
+            if !ctx.exec_task(id, self.accesses(me, r), || kernel(worker, t)) {
                 break;
             }
+            pc += 1;
         }
         // Release: this worker's program is over (or the run aborted and
         // no thief will execute past the abort), so thieves should skip

@@ -214,7 +214,8 @@ pub struct RioConfig {
     /// pins itself to its assigned core via `sched_setaffinity` on entry
     /// — best-effort: pinning failures (non-Linux, restricted cgroups)
     /// are ignored. Default `false`: placement is advisory only, which
-    /// keeps runs well-behaved on oversubscribed CI machines.
+    /// keeps runs well-behaved on oversubscribed CI machines. Also what
+    /// lets worker 0 run on the calling thread (pinned: a thread each).
     pub pin_workers: bool,
 }
 

@@ -58,6 +58,12 @@ impl WorkerCounters {
         bump(&self.tasks, 1);
     }
 
+    /// `n` task bodies executed: a block's worth, in one bump.
+    #[inline]
+    pub fn add_tasks(&self, n: u64) {
+        bump(&self.tasks, n);
+    }
+
     /// `n` epoch-guard condition re-checks performed while blocked in a
     /// `get_read`/`get_write`.
     #[inline]
@@ -75,14 +81,8 @@ impl WorkerCounters {
         }
     }
 
-    /// One `terminate_*` that skipped its wake because no waiter was
-    /// advertised (Park strategy only).
-    #[inline]
-    pub fn inc_wakes_elided(&self) {
-        bump(&self.wakes_elided, 1);
-    }
-
-    /// `n` such terminates: a task's worth, in one bump.
+    /// `n` `terminate_*` that skipped their wake because no waiter was
+    /// advertised (Park strategy only): a task's worth, in one bump.
     #[inline]
     pub fn add_wakes_elided(&self, n: u64) {
         if n != 0 {
@@ -457,7 +457,7 @@ mod tests {
         reg.worker(0).inc_tasks();
         reg.worker(0).add_spins(5);
         reg.worker(1).add_parks(3);
-        reg.worker(1).inc_wakes_elided();
+        reg.worker(1).add_wakes_elided(1);
         reg.worker(1).inc_aborts();
         reg.worker(0).inc_retries();
         reg.worker(0).add_poisoned(2);

@@ -480,6 +480,7 @@ mod tests {
                 task,
                 worker,
                 payload,
+                ..
             } => {
                 assert_eq!(task, rio_stf::TaskId(7));
                 // Round-robin over 2 workers: T7 is flow index 6 → worker 0.

@@ -4,16 +4,17 @@
 //!
 //! [`RunShell`] is the only place a run is set up and torn down: abort
 //! flag, progress table, counters, flight recorder and recovery state in;
-//! one scoped thread per worker; the first recorded abort cause, or the
-//! reports, out. [`WorkerCtx`] is the only place the paper's per-task
-//! sequence `get_* → body → terminate_*` (Algorithm 2, generalized from
-//! one access per task to access lists) is instrumented: it acquires the
-//! accesses whose guard is kept and accounts for the wait, runs the body
-//! under fault containment, recovery and timing, ticks the watchdog and
-//! publishes the completions somebody can wait on. A front-end supplies
-//! what to wait for — words precomputed by the compiler, or packed from a
-//! private view it keeps — and the body.
+//! worker 0 on the calling thread, a scoped thread per other worker; the
+//! first recorded abort cause, or the reports, out. [`WorkerCtx`] is the
+//! only place the paper's per-task sequence `get_* → body → terminate_*`
+//! (Algorithm 2, generalized from one access per task to access lists) is
+//! instrumented: it acquires the accesses whose guard is kept and accounts
+//! for the wait, runs the body under fault containment, recovery and
+//! timing, ticks the watchdog and publishes the completions somebody can
+//! wait on. A front-end supplies what to wait for — words precomputed by
+//! the compiler, or packed from a private view it keeps — and the body.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -21,7 +22,7 @@ use rio_stf::{
     DataId, ExecError, FlightEventKind, Mapping, StallDiagnostic, StallSite, TaskId, WorkerId,
 };
 
-use crate::compile::{AccessPlan, TaskAccesses};
+use crate::compile::{AccessPlan, RunInstr, TaskAccesses};
 use crate::config::RioConfig;
 use crate::counters::{CounterRegistry, WorkerCounters};
 use crate::executor::RunOutcome;
@@ -61,11 +62,11 @@ impl<'c> RunShell<'c> {
         }
     }
 
-    /// Runs `worker` once per worker, each on a thread of its own with a
-    /// fresh [`WorkerCtx`] over `shared`, and joins them. `wake` must wake
-    /// every sleeper of this run (an abort calls it). Returns the
-    /// assembled report, how the run finished under the recovery policy,
-    /// and what each worker returned beside its report.
+    /// Runs `worker` once per worker — worker 0 on the calling thread, the
+    /// others on a thread each — with a fresh [`WorkerCtx`] over `shared`.
+    /// `wake` must wake every sleeper of this run (an abort calls it).
+    /// Returns the assembled report, how the run finished under the
+    /// recovery policy, and what each worker returned beside its report.
     ///
     /// # Errors
     /// The first recorded abort cause — a contained body panic, a watchdog
@@ -80,32 +81,30 @@ impl<'c> RunShell<'c> {
     ) -> Result<(ExecReport, RunOutcome, Vec<R>), ExecError> {
         let worker = &worker;
         let start = Instant::now();
+        let ctx = move |w| WorkerCtx::new(self, shared, wake, WorkerId::from_index(w), start);
+        // Worker 0 runs on the calling thread, which would only sleep: one
+        // launch fewer, and never more threads than workers for the
+        // scheduler to place. Not when workers are to be pinned: the
+        // caller's affinity is not this run's to change.
+        let inline = !self.cfg.pin_workers;
         let joined: Vec<std::thread::Result<(WorkerReport, R)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..self.cfg.workers)
-                .map(|w| {
-                    s.spawn(move || {
-                        let me = WorkerId::from_index(w);
-                        worker(WorkerCtx::new(self, shared, wake, me, start))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
+            let spawn = |w| s.spawn(move || worker(ctx(w)));
+            let handles: Vec<_> = (usize::from(inline)..self.cfg.workers).map(spawn).collect();
+            let mine = inline.then(|| catch_unwind(AssertUnwindSafe(|| worker(ctx(0)))));
+            let joins = handles.into_iter().map(|h| h.join());
+            mine.into_iter().chain(joins).collect()
         });
         let wall = start.elapsed();
         if let Some(cause) = self.abort.take_cause() {
-            return Err(cause.into_error());
+            let flight = self.flight.as_ref().map(FlightRecorder::dump);
+            return Err(cause.into_error(flight.unwrap_or_default()));
         }
-        let (workers, extras) = joined
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .unzip();
+        let resume = |r: std::thread::Result<_>| r.unwrap_or_else(|p| resume_unwind(p));
+        let (workers, extras) = joined.into_iter().map(resume).unzip();
         let recovery = self.recovery.as_ref();
         let outcome = recovery.and_then(|r| r.take_report(self.flight.as_ref()));
-        let counters = self
-            .registry
-            .as_ref()
-            .map(|r| r.snapshot().with_topology(self.cfg))
-            .unwrap_or_default();
+        let snapshot = |r: &Arc<CounterRegistry>| r.snapshot().with_topology(self.cfg);
+        let counters = self.registry.as_ref().map(snapshot).unwrap_or_default();
         let report = ExecReport {
             wall,
             workers,
@@ -186,9 +185,6 @@ pub(crate) struct WorkerCtx<'a> {
     /// Claims of unmapped tasks this worker `(won, lost)`: what
     /// [`crate::hybrid::HybridStats`] reports.
     pub(crate) unmapped_claims: (u64, u64),
-    measure: bool,
-    record: bool,
-    wd: bool,
 }
 
 impl<'a> WorkerCtx<'a> {
@@ -233,9 +229,6 @@ impl<'a> WorkerCtx<'a> {
             claims: None,
             steal: None,
             unmapped_claims: (0, 0),
-            measure: cfg.measure_time,
-            record: cfg.record_spans,
-            wd: cfg.watchdog.is_some(),
         }
     }
 
@@ -272,7 +265,7 @@ impl<'a> WorkerCtx<'a> {
     #[inline]
     pub(crate) fn wait_cx(&self, data: DataId) -> WaitCx<'a> {
         let mut cx = self.cx;
-        if self.wd {
+        if self.cx.deadline.is_some() {
             cx.watch = Some(WaitWatch {
                 status: &self.run.status,
                 worker: self.me,
@@ -296,7 +289,7 @@ impl<'a> WorkerCtx<'a> {
     /// later stall diagnostic can show activity since this tick.
     #[inline]
     pub(crate) fn tick(&self, task: TaskId) {
-        if self.wd {
+        if self.cx.deadline.is_some() {
             let (steals, retries) = self.ctr.map_or((0, 0), |c| (c.steals(), c.retries()));
             self.run
                 .status
@@ -315,8 +308,7 @@ impl<'a> WorkerCtx<'a> {
         accesses: TaskAccesses<'_>,
         body: impl FnMut(),
     ) -> bool {
-        // Containment guarantee: no body starts once the abort is
-        // observed.
+        // Containment guarantee: no body starts once the abort is observed.
         if self.abort.armed() {
             return false;
         }
@@ -345,22 +337,17 @@ impl<'a> WorkerCtx<'a> {
                 return true;
             }
         }
-        // Acquire every declared access, in declaration order. The
-        // waits are pure condition polls (no resource is held), so no
-        // acquisition order can deadlock.
-        // An elided guard is a get all the same: one decided at compile
-        // time.
-        let n = accesses.plans.len();
-        self.ops.gets += n as u64;
-        let guarded = if accesses.kept().0 { n } else { 0 };
-        for i in 0..guarded {
-            let a = accesses.plans[i];
+        // Acquire every declared access, in declaration order. The waits
+        // are pure condition polls (no resource is held), so no order can
+        // deadlock. An elided guard is a get all the same: one decided at
+        // compile time.
+        self.ops.gets += accesses.plans.len() as u64;
+        for (&a, &expected) in accesses.plans.iter().zip(accesses.expected) {
             if !a.guard() {
                 continue;
             }
             let s = &self.shared[a.slot()];
             let writes = a.writes();
-            let expected = accesses.expected[i];
             let cx = self.wait_cx(a.data);
             let wr = if self.steal.is_some() {
                 self.wait_or_steal(s, expected, writes, &cx)
@@ -418,7 +405,7 @@ impl<'a> WorkerCtx<'a> {
         }
         if let (true, Some(t0)) = (self.cx.timed, wr.blocked_at) {
             let t1 = Instant::now();
-            if self.measure {
+            if self.cfg.measure_time {
                 self.idle_time += t1.duration_since(t0);
             }
             if let Some(tr) = self.tracer.as_mut() {
@@ -483,17 +470,96 @@ impl<'a> WorkerCtx<'a> {
         self.abort.abort(AbortCause::Stall(diag), self.wake);
     }
 
+    /// Aborts the run because the body of `task` panicked. The first
+    /// panic records its cause and ends the whole run. A thief aborts with
+    /// its claim held, so the owner never re-runs the body; the abort
+    /// wakes every waiter the missing terminates would have.
+    #[cold]
+    fn body_panicked(&self, task: TaskId, payload: Box<dyn std::any::Any + Send>) {
+        self.flight_event(FlightEventKind::Abort, task, None);
+        if let Some(c) = self.ctr {
+            c.inc_aborts();
+        }
+        let cause = AbortCause::Panic {
+            task,
+            worker: self.me,
+            payload,
+        };
+        self.abort.abort(cause, self.wake);
+    }
+
+    /// May this run execute quiet stretches as blocks? Decided once per
+    /// run: a block claims nothing, reads no clock, calls no hook and
+    /// consults no recovery policy. (A watchdog may be armed: it fires
+    /// inside blocked waits, which a quiet task never enters.)
+    pub(crate) fn takes_blocks(&self) -> bool {
+        #[cfg(feature = "fault-inject")]
+        if self.cfg.fault_hook.is_some() {
+            return false;
+        }
+        self.rec.is_none() && self.claims.is_none() && !self.cx.timed && !self.cfg.record_spans
+    }
+
+    /// Executes the quiet instructions `chunk` begins with (its first is
+    /// one) inside one containment frame, and keeps the books once for
+    /// the lot: counters, one flight record (the end of the last body, as
+    /// a progress mark), one watchdog tick. What stays per body is the
+    /// containment guarantee — none starts once the abort is observed —
+    /// and a count of the bodies finished, which names the one running
+    /// should it panic. Returns how many ran; none: the run is aborting.
+    pub(crate) fn exec_block(
+        &mut self,
+        chunk: &[RunInstr],
+        mut body: impl FnMut(&RunInstr),
+    ) -> usize {
+        let (abort, finished) = (self.abort, std::cell::Cell::new(0));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            for r in chunk {
+                if !r.quiet() || abort.armed() {
+                    break;
+                }
+                body(r);
+                finished.set(finished.get() + 1);
+            }
+        }));
+        let ran = finished.get();
+        let id = |r: &RunInstr| TaskId::from_index(r.task as usize);
+        if let Some(last) = chunk[..ran].last() {
+            // Elided gets and terminates count all the same; no wake ran.
+            let entries: u64 = chunk[..ran].iter().map(|r| r.range().len() as u64).sum();
+            self.tasks_visited += ran as u64;
+            self.tasks_executed += ran as u64;
+            self.ops.gets += entries;
+            self.ops.terminates += entries;
+            if let Some(c) = self.ctr {
+                c.add_tasks(ran as u64);
+                if self.cfg.wait == WaitStrategy::Park {
+                    c.add_wakes_elided(entries);
+                }
+            }
+            self.flight_event(FlightEventKind::TaskEnd, id(last), None);
+            self.tick(id(last));
+        }
+        if let Err(payload) = outcome {
+            let running = id(&chunk[ran]);
+            self.flight_event(FlightEventKind::TaskStart, running, None);
+            self.body_panicked(running, payload);
+            return 0;
+        }
+        ran
+    }
+
     /// The one body-execution block, behind owned and stolen tasks of
     /// every front-end alike: `body` under fault containment —
     /// abort-on-panic without a recovery policy; with one, skip on a
     /// poisoned input (the failure already happened upstream and this
     /// task's outputs would be garbage), otherwise retry — and the timing
     /// rule: the clock is read around the body only when `measure_time`,
-    /// `record_spans` or the tracer asked for it. `plans` is what the task
-    /// declared (object and mode are all that is read here). Skipped and
-    /// permanently-failed tasks are not counted as executed, but the
-    /// caller publishes their terminates all the same. Returns `false`
-    /// when the run is aborting: no terminate may follow.
+    /// `record_spans`, the tracer or a policy's deadline asked for it.
+    /// `plans` is what the task declared (object and mode are all that is
+    /// read here). Skipped and permanently-failed tasks are not counted as
+    /// executed, but the caller publishes their terminates all the same.
+    /// Returns `false` when the run is aborting: no terminate may follow.
     pub(crate) fn run_body(
         &mut self,
         task: TaskId,
@@ -501,39 +567,9 @@ impl<'a> WorkerCtx<'a> {
         mut body: impl FnMut(),
     ) -> bool {
         self.flight_event(FlightEventKind::TaskStart, task, None);
-        let timed = self.measure || self.record || self.tracer.is_some();
+        let timed = self.cx.timed || self.cfg.record_spans;
         // `None`: skipped or permanently failed. `Some(span)`: ran.
         let ran = match self.rec {
-            None => {
-                let contained = std::panic::AssertUnwindSafe(|| {
-                    #[cfg(feature = "fault-inject")]
-                    if let Some(hook) = self.cfg.fault_hook.as_ref() {
-                        hook.before_task(self.me, task);
-                    }
-                    body()
-                });
-                let t0 = timed.then(Instant::now);
-                let outcome = std::panic::catch_unwind(contained);
-                let span = t0.map(|t0| (t0, Instant::now()));
-                if let Err(payload) = outcome {
-                    // The first panic records its cause and ends the
-                    // whole run. A thief aborts with its claim held, so
-                    // the owner never re-runs the body; the abort wakes
-                    // every waiter the missing terminates would have.
-                    self.flight_event(FlightEventKind::Abort, task, None);
-                    if let Some(c) = self.ctr {
-                        c.inc_aborts();
-                    }
-                    let cause = AbortCause::Panic {
-                        task,
-                        worker: self.me,
-                        payload,
-                    };
-                    self.abort.abort(cause, self.wake);
-                    return false;
-                }
-                Some(span)
-            }
             // The gets already admitted every access, so any poison a
             // producer published before its terminate is visible here
             // (the bit rides the protocol's own Release/Acquire edge —
@@ -543,19 +579,40 @@ impl<'a> WorkerCtx<'a> {
             // on its owner.
             Some(rec) if plans.iter().any(|a| rec.is_poisoned(a.data)) => {
                 rec.record_skipped(task);
-                poison_writes(rec, task, plans, self.ctr, self.ring);
+                self.poison_writes(rec, task, plans);
                 None
             }
-            Some(rec) => run_body_with_recovery(
-                self.cfg, rec, &mut body, self.me, task, plans, self.ctr, self.ring, timed,
-            ),
+            // Attempt 0 is one `catch_unwind` whatever the policy: an
+            // armed-but-unused one costs nothing measurable per task (the
+            // deadline clock is what a policy that sets one opts into).
+            rec => {
+                let first_start = rec.and_then(|r| r.policy.deadline).map(|_| Instant::now());
+                let attempt = AssertUnwindSafe(|| {
+                    #[cfg(feature = "fault-inject")]
+                    if let Some(hook) = self.cfg.fault_hook.as_ref() {
+                        hook.before_attempt(self.me, task, 0);
+                    }
+                    body()
+                });
+                let t0 = (timed || first_start.is_some()).then(Instant::now);
+                match (catch_unwind(attempt), rec) {
+                    (Ok(()), _) => Some(t0.map(|t0| (t0, Instant::now()))),
+                    (Err(payload), None) => {
+                        self.body_panicked(task, payload);
+                        return false;
+                    }
+                    (Err(payload), Some(rec)) => {
+                        self.retry(rec, &mut body, task, plans, payload, first_start, t0)
+                    }
+                }
+            }
         };
         if let Some(span) = ran {
             if let Some((t0, t1)) = span {
-                if self.measure {
+                if self.cfg.measure_time {
                     self.task_time += t1.duration_since(t0);
                 }
-                if self.record {
+                if self.cfg.record_spans {
                     self.spans.push(rio_stf::validate::Span {
                         task,
                         start: t0.duration_since(self.epoch).as_nanos() as u64,
@@ -573,6 +630,111 @@ impl<'a> WorkerCtx<'a> {
             self.flight_event(FlightEventKind::TaskEnd, task, None);
         }
         true
+    }
+
+    /// Poisons every datum `plans` writes, crediting newly-set bits to the
+    /// worker's `poisoned` counter (re-poisoning an already-poisoned datum
+    /// is counted once, by whoever set the bit first). Each newly-set bit
+    /// is also recorded in the worker's flight ring, attributed to `task`
+    /// — the producer whose failure (or poisoned input) spread it.
+    fn poison_writes(&self, rec: &RecoveryCtx, task: TaskId, plans: &[AccessPlan]) {
+        let mut newly = 0u64;
+        for a in plans {
+            if a.writes() && rec.poison(a.data) {
+                newly += 1;
+                self.flight_event(FlightEventKind::Poison, task, Some(a.data));
+            }
+        }
+        if let Some(c) = self.ctr {
+            c.add_poisoned(newly);
+        }
+    }
+
+    /// The retry loop of [`WorkerCtx::run_body`] under `rec`'s policy,
+    /// entered only after attempt 0 has panicked with `payload` (so its
+    /// cost is irrelevant to the fault-free path). Panicking attempts are
+    /// retried with capped exponential backoff until the policy's
+    /// `max_retries` or per-task `deadline` is exhausted; a permanent
+    /// failure is recorded in `rec` and the task's written data poisoned.
+    /// Returns `None` on permanent failure (the caller still terminates
+    /// every access — skip-but-sync), `Some(span)` of the winning attempt
+    /// on success. Attempts `1..` are always timed: `retry_time` covers
+    /// every retried body and backoff sleep, missing only attempt 0's body
+    /// when the run took no clock for it (`first_t0`).
+    #[cold]
+    #[allow(clippy::too_many_arguments)]
+    fn retry(
+        &self,
+        rec: &RecoveryCtx,
+        body: &mut impl FnMut(),
+        task: TaskId,
+        plans: &[AccessPlan],
+        mut payload: Box<dyn std::any::Any + Send>,
+        first_start: Option<Instant>,
+        first_t0: Option<Instant>,
+    ) -> Option<Option<(Instant, Instant)>> {
+        let policy = &rec.policy;
+        let mut attempt = 0u32;
+        // Time this task spent failing: failed attempt bodies plus backoff
+        // sleeps. Successful retries report it too — recovery that
+        // eventually worked still cost wall-clock the doctor should see.
+        let mut recover_ns = first_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+        loop {
+            let spent = first_start.map_or(Duration::ZERO, |s| s.elapsed());
+            let timed_out = policy.deadline.is_some_and(|d| spent >= d);
+            if attempt >= policy.max_retries || timed_out {
+                // Retries exhausted (or the deadline passed first): record
+                // the permanent failure — keeping the panic payload when
+                // both bounds tripped at once — and poison the writes
+                // *before* the caller's terminates publish the epoch
+                // advances, so every admitted dependent sees the bits.
+                let detail = match policy.deadline {
+                    Some(deadline) if timed_out && attempt < policy.max_retries => {
+                        rio_stf::FailureDetail::TaskTimedOut { spent, deadline }
+                    }
+                    _ => rio_stf::FailureDetail::TaskFailed { payload },
+                };
+                rec.record_failed(rio_stf::FailedTask {
+                    task,
+                    worker: self.me,
+                    retries: attempt,
+                    detail,
+                });
+                rec.add_retry_ns(recover_ns);
+                self.poison_writes(rec, task, plans);
+                return None;
+            }
+            attempt += 1;
+            if let Some(c) = self.ctr {
+                c.inc_retries();
+            }
+            self.flight_event(FlightEventKind::Retry, task, None);
+            let backoff = policy.backoff_for(attempt);
+            if !backoff.is_zero() {
+                let s0 = Instant::now();
+                std::thread::sleep(backoff);
+                recover_ns += s0.elapsed().as_nanos() as u64;
+            }
+            let retry = AssertUnwindSafe(|| {
+                #[cfg(feature = "fault-inject")]
+                if let Some(hook) = self.cfg.fault_hook.as_ref() {
+                    hook.before_attempt(self.me, task, attempt);
+                }
+                body()
+            });
+            let t0 = Instant::now();
+            match catch_unwind(retry) {
+                Ok(()) => {
+                    let t1 = Instant::now();
+                    rec.add_retry_ns(recover_ns);
+                    return Some(Some((t0, t1)));
+                }
+                Err(p) => {
+                    recover_ns += t0.elapsed().as_nanos() as u64;
+                    payload = p;
+                }
+            }
+        }
     }
 
     /// Credits `n` terminates that ran no wake to the worker's counter
@@ -594,16 +756,8 @@ impl<'a> WorkerCtx<'a> {
     /// counted terminate that, like any other that found no waiter, ran
     /// no wake.
     fn publish_task(&mut self, task: TaskId, accesses: TaskAccesses<'_>) {
-        let n = accesses.plans.len();
-        self.ops.terminates += n as u64;
+        self.ops.terminates += accesses.plans.len() as u64;
         let strategy = self.cfg.wait;
-        if !accesses.kept().1 {
-            // Nothing to publish.
-            if strategy == WaitStrategy::Park {
-                self.add_wakes_elided(n as u64);
-            }
-            return;
-        }
         let mut wakes_elided = 0;
         for a in accesses.plans {
             let elided = if !a.publish() {
@@ -787,175 +941,6 @@ impl<'a> WorkerCtx<'a> {
     }
 }
 
-/// Poisons every datum `plans` writes, crediting newly-set bits to the
-/// worker's `poisoned` counter (re-poisoning an already-poisoned datum is
-/// counted once, by whoever set the bit first). Each newly-set bit is
-/// also recorded in the worker's flight ring, attributed to `task` — the
-/// producer whose failure (or poisoned input) spread it.
-fn poison_writes(
-    rec: &RecoveryCtx,
-    task: TaskId,
-    plans: &[AccessPlan],
-    ctr: Option<&WorkerCounters>,
-    ring: Option<&FlightRing>,
-) {
-    let mut newly = 0u64;
-    for a in plans {
-        if a.writes() && rec.poison(a.data) {
-            newly += 1;
-            if let Some(r) = ring {
-                r.record(FlightEventKind::Poison, task, Some(a.data));
-            }
-        }
-    }
-    if let Some(c) = ctr {
-        c.add_poisoned(newly);
-    }
-}
-
-/// Runs one task body under `rec`'s retry policy. Panicking attempts are retried with capped exponential backoff
-/// until the policy's `max_retries` or per-task `deadline` is exhausted;
-/// a permanent failure is recorded in `rec` and the task's written data
-/// poisoned. Returns `None` on permanent failure (the caller still
-/// terminates every access — skip-but-sync), `Some(span)` on success,
-/// where the span of the winning attempt is only taken when `timed` asked
-/// for one — the fault-free fast path stays clock-free so an armed policy
-/// costs nothing measurable per task. With `timed` off, the first failed
-/// attempt's body is the one interval `retry_time` cannot include; every
-/// later attempt and every backoff sleep is timed regardless.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn run_body_with_recovery(
-    cfg: &RioConfig,
-    rec: &RecoveryCtx,
-    body: &mut impl FnMut(),
-    me: WorkerId,
-    task: TaskId,
-    plans: &[AccessPlan],
-    ctr: Option<&WorkerCounters>,
-    ring: Option<&FlightRing>,
-    timed: bool,
-) -> Option<Option<(Instant, Instant)>> {
-    // Fast path: attempt 0, shaped exactly like the abort path — one
-    // `catch_unwind`, the same `timed`-gated clocks, no retry
-    // bookkeeping. An armed-but-unused policy must cost nothing
-    // measurable per task; the deadline clock is the one extra a policy
-    // that sets a deadline opts into.
-    let first_start = rec.policy.deadline.is_some().then(Instant::now);
-    let attempt = std::panic::AssertUnwindSafe(|| {
-        #[cfg(feature = "fault-inject")]
-        if let Some(hook) = cfg.fault_hook.as_ref() {
-            hook.before_attempt(me, task, 0);
-        }
-        body()
-    });
-    let t0 = (timed || first_start.is_some()).then(Instant::now);
-    match std::panic::catch_unwind(attempt) {
-        Ok(()) => Some(t0.map(|t0| (t0, Instant::now()))),
-        Err(payload) => retry_after_failure(
-            cfg,
-            rec,
-            body,
-            me,
-            task,
-            plans,
-            ctr,
-            ring,
-            payload,
-            first_start,
-            t0,
-        ),
-    }
-}
-
-/// The retry loop behind [`run_body_with_recovery`], entered only after
-/// attempt 0 has already panicked (so its cost is irrelevant to the
-/// fault-free path). Attempts `1..` are always timed: `retry_time`
-/// covers every retried body and backoff sleep, missing only attempt 0's
-/// body when the run wasn't measuring.
-#[cold]
-#[allow(clippy::too_many_arguments)]
-fn retry_after_failure(
-    cfg: &RioConfig,
-    rec: &RecoveryCtx,
-    body: &mut impl FnMut(),
-    me: WorkerId,
-    task: TaskId,
-    plans: &[AccessPlan],
-    ctr: Option<&WorkerCounters>,
-    ring: Option<&FlightRing>,
-    mut payload: Box<dyn std::any::Any + Send>,
-    first_start: Option<Instant>,
-    first_t0: Option<Instant>,
-) -> Option<Option<(Instant, Instant)>> {
-    #[cfg(not(feature = "fault-inject"))]
-    let _ = cfg;
-    let policy = &rec.policy;
-    let mut attempt = 0u32;
-    // Time this task spent failing: failed attempt bodies plus backoff
-    // sleeps. Successful retries report it too — recovery that
-    // eventually worked still cost wall-clock the doctor should see.
-    let mut recover_ns = first_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-    loop {
-        let spent = first_start.map_or(Duration::ZERO, |s| s.elapsed());
-        let timed_out = policy.deadline.is_some_and(|d| spent >= d);
-        if attempt >= policy.max_retries || timed_out {
-            // Retries exhausted (or the deadline passed first): record the
-            // permanent failure — keeping the panic payload when both
-            // bounds tripped at once — and poison the writes *before* the
-            // caller's terminates publish the epoch advances, so every
-            // admitted dependent sees the bits.
-            let detail = match policy.deadline {
-                Some(deadline) if timed_out && attempt < policy.max_retries => {
-                    rio_stf::FailureDetail::TaskTimedOut { spent, deadline }
-                }
-                _ => rio_stf::FailureDetail::TaskFailed { payload },
-            };
-            rec.record_failed(rio_stf::FailedTask {
-                task,
-                worker: me,
-                retries: attempt,
-                detail,
-            });
-            rec.add_retry_ns(recover_ns);
-            poison_writes(rec, task, plans, ctr, ring);
-            return None;
-        }
-        attempt += 1;
-        if let Some(c) = ctr {
-            c.inc_retries();
-        }
-        if let Some(r) = ring {
-            r.record(FlightEventKind::Retry, task, None);
-        }
-        let backoff = policy.backoff_for(attempt);
-        if !backoff.is_zero() {
-            let s0 = Instant::now();
-            std::thread::sleep(backoff);
-            recover_ns += s0.elapsed().as_nanos() as u64;
-        }
-        let retry = std::panic::AssertUnwindSafe(|| {
-            #[cfg(feature = "fault-inject")]
-            if let Some(hook) = cfg.fault_hook.as_ref() {
-                hook.before_attempt(me, task, attempt);
-            }
-            body()
-        });
-        let t0 = Instant::now();
-        match std::panic::catch_unwind(retry) {
-            Ok(()) => {
-                let t1 = Instant::now();
-                rec.add_retry_ns(recover_ns);
-                return Some(Some((t0, t1)));
-            }
-            Err(p) => {
-                recover_ns += t0.elapsed().as_nanos() as u64;
-                payload = p;
-            }
-        }
-    }
-}
-
 /// How this module's tests drive the engine: the one-shot
 /// [`crate::Executor::run`] — compile, then run the fresh flow once.
 #[cfg(test)]
@@ -1083,34 +1068,6 @@ mod tests {
     }
 
     #[test]
-    fn all_wait_strategies_agree_on_results() {
-        for wait in crate::testing::WAITS {
-            let g = crate::testing::chains(100, 2);
-            let store = DataStore::from_vec(vec![0u64, 0]);
-            let c = RioConfig::with_workers(2).wait(wait);
-            execute_graph(&c, &g, &RoundRobin, |_, t| {
-                let d = t.accesses[0].data;
-                *store.write(d) += 1;
-            });
-            assert_eq!(store.into_vec(), vec![50, 50], "strategy {wait}");
-        }
-    }
-
-    #[test]
-    fn op_counts_match_the_flow_shape() {
-        // 2 workers, 10 tasks each with 1 RW access, round-robin: each
-        // worker gets 5 tasks (5 gets + 5 terminates); the other 5 were
-        // declared once, by the compile walk, and cost it nothing.
-        let g = crate::testing::chain(10);
-        let report = execute_graph(&cfg(2), &g, &RoundRobin, |_, _| {});
-        for w in &report.workers {
-            assert_eq!(w.ops.gets, 5);
-            assert_eq!(w.ops.terminates, 5);
-            assert_eq!(w.ops.declares, 0);
-        }
-    }
-
-    #[test]
     fn measure_time_accumulates_task_time() {
         let g = crate::testing::bare(4);
         let c = RioConfig::with_workers(1).measure_time(true);
@@ -1208,13 +1165,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_graph_is_fine() {
-        let g = TaskGraph::builder(0).build();
-        let report = execute_graph(&cfg(2), &g, &RoundRobin, |_, _| unreachable!());
-        assert_eq!(report.tasks_executed(), 0);
-    }
-
-    #[test]
     fn write_only_access_is_exclusive() {
         // Writers on the same datum from different workers must serialize;
         // the DataStore guard would panic otherwise.
@@ -1245,7 +1195,7 @@ mod poison_tests {
         let g = crate::testing::chain(20);
         for wait in [WaitStrategy::SpinYield, WaitStrategy::Park] {
             let cfg = RioConfig::with_workers(3).wait(wait);
-            let result = std::panic::catch_unwind(|| {
+            let result = catch_unwind(|| {
                 execute_graph(&cfg, &g, &RoundRobin, |_, t| {
                     if t.id.0 == 5 {
                         panic!("task 5 exploded");
@@ -1266,7 +1216,7 @@ mod poison_tests {
         let g = crate::testing::chain(50);
         let highest = AtomicU64::new(0);
         let cfg = RioConfig::with_workers(2).wait(WaitStrategy::Park);
-        let _ = std::panic::catch_unwind(|| {
+        let _ = catch_unwind(|| {
             execute_graph(&cfg, &g, &RoundRobin, |_, t| {
                 if t.id.0 == 10 {
                     panic!("boom");
@@ -1483,7 +1433,7 @@ mod steal_tests {
     fn stolen_task_panic_still_aborts_the_run() {
         let g = steal_bait();
         let cfg = steal_cfg();
-        let result = std::panic::catch_unwind(|| {
+        let result = catch_unwind(|| {
             execute_graph(&cfg, &g, &RoundRobin, |_, t| {
                 if t.kind == "slow" {
                     std::thread::sleep(Duration::from_millis(30));

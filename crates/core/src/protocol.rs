@@ -159,8 +159,9 @@ pub enum AbortCause {
 }
 
 impl AbortCause {
-    /// Converts the cause into the error the runtime returns.
-    pub fn into_error(self) -> ExecError {
+    /// Converts the cause into the error the runtime returns. A panic's
+    /// carries `flight`, dumped once every worker has stopped.
+    pub fn into_error(self, flight: rio_stf::FlightLog) -> ExecError {
         match self {
             AbortCause::Panic {
                 task,
@@ -170,6 +171,7 @@ impl AbortCause {
                 task,
                 worker,
                 payload,
+                flight,
             },
             AbortCause::Stall(d) => ExecError::Stalled(d),
         }

@@ -15,6 +15,8 @@ use rio_core::prelude::*;
 use rio_faults::FaultPlan;
 use rio_stf::Mapping;
 
+mod common;
+
 /// A serial RW chain over `D0`: `T1 -> T2 -> ... -> Tn`, the schedule
 /// where one contained failure must stop every downstream task.
 fn chain_graph(n: usize) -> TaskGraph {
@@ -819,4 +821,198 @@ fn centralized_contains_the_seeded_corpus() {
             other => panic!("seed {seed}: expected TaskPanicked, got {other}"),
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Containment inside a block. A run under the default configuration
+// takes quiet stretches of a program — tasks that keep no guard and no
+// publication — a block at a time: one containment frame, one counter
+// flush and one flight mark per 1024 tasks at most. A fault hook forces
+// the per-task path, so none of the tests above ever sees a block; these
+// use none, and inject the panic from the kernel.
+// ---------------------------------------------------------------------
+
+/// A flow of private writes: task `i` writes object `i` and nothing else,
+/// so under any mapping every task is quiet.
+fn private_graph(n: usize) -> TaskGraph {
+    let mut b = TaskGraph::builder(n);
+    for d in 0..n {
+        b.task(&[Access::write(DataId::from_index(d))], 1, "own");
+    }
+    b.build()
+}
+
+/// One worker's dumped ring as `(kind, task)` pairs, oldest first.
+fn ring_of(flight: &FlightLog, worker: WorkerId) -> Vec<(FlightEventKind, TaskId)> {
+    let ring = flight.worker(worker).expect("the worker has a ring");
+    ring.events.iter().map(|e| (e.kind, e.task)).collect()
+}
+
+/// A panic at the first, a middle and the last task of a 1024-chunk of a
+/// quiet stretch: the error names exactly the task and the worker; every
+/// own task of that worker before it ran once and none after it ran; the
+/// worker's ring holds the chunks' progress marks, the start of the
+/// blamed body and the abort — no end for it, and not a start/end pair
+/// per task; and the flow re-runs clean.
+#[test]
+fn a_panic_inside_a_block_blames_exactly_the_running_task() {
+    const OWN: usize = 3000; // W0's tasks: chunks 0..1024, 1024..2048, 2048..3000
+    const TASKS: usize = 2 * OWN;
+    let g = private_graph(TASKS);
+    let flow = Executor::new(RioConfig::with_workers(2))
+        .mapping(&RoundRobin)
+        .watchdog(BACKSTOP)
+        .compile(&g);
+    let w0 = WorkerId(0);
+    assert!(flow.own_tasks(w0).all(|t| t.quiet()), "one quiet stretch");
+    // W0 owns every other task: its `i`-th is at flow position `2 * i`.
+    let own = |i: usize| TaskId::from_index(2 * i);
+    for at in [1024, 1536, 2047] {
+        let k = own(at);
+        let started: Vec<AtomicU64> = (0..TASKS).map(|_| AtomicU64::new(0)).collect();
+        let err = flow
+            .try_run(|_, t| {
+                started[t.id.index()].fetch_add(1, Ordering::Relaxed);
+                if t.id == k {
+                    panic!("boom at {k}");
+                }
+            })
+            .unwrap_err();
+        let ExecError::TaskPanicked {
+            task,
+            worker,
+            flight,
+            ..
+        } = err
+        else {
+            panic!("expected TaskPanicked, got {err}");
+        };
+        assert_eq!((task, worker), (k, w0), "panic at W0's task #{at}");
+        for i in 0..OWN {
+            let runs = started[own(i).index()].load(Ordering::Relaxed);
+            assert_eq!(runs, u64::from(i <= at), "W0's task #{i}, panic at #{at}");
+        }
+        // One mark per finished chunk, one for the finished part of the
+        // chunk that panicked, then the blamed body's start and the abort.
+        let mut expected = vec![(FlightEventKind::TaskEnd, own(1023))];
+        if at > 1024 {
+            expected.push((FlightEventKind::TaskEnd, own(at - 1)));
+        }
+        expected.extend([(FlightEventKind::TaskStart, k), (FlightEventKind::Abort, k)]);
+        assert_eq!(ring_of(&flight, w0), expected, "panic at W0's task #{at}");
+        common::assert_flight_consistent(&flight, "panic inside a block");
+
+        let run = flow.run(|_, _| {});
+        assert_eq!(run.report.tasks_executed(), TASKS as u64, "re-run");
+    }
+}
+
+/// A kept task between two quiet stretches panics: it runs on the
+/// per-task path, and what the blocks beside it did is exact all the same
+/// — the stretch before it ran, the one after it did not.
+#[test]
+fn a_panic_in_a_kept_task_beside_a_quiet_stretch_is_blamed_exactly() {
+    const STRETCH: usize = 10;
+    // T1..T10 (W0) are private writes, T11 (W1) writes D0, T12 (W0) reads
+    // it — across workers, so it keeps its guard — and T13..T22 (W0) are
+    // private writes again.
+    let mut b = TaskGraph::builder(1 + 2 * STRETCH);
+    let private = |b: &mut rio_stf::GraphBuilder, d: usize| {
+        b.task(&[Access::write(DataId::from_index(d))], 1, "own");
+    };
+    (1..=STRETCH).for_each(|d| private(&mut b, d));
+    b.task(&[Access::write(DataId(0))], 1, "produce");
+    b.task(&[Access::read(DataId(0))], 1, "consume");
+    (STRETCH + 1..=2 * STRETCH).for_each(|d| private(&mut b, d));
+    let g = b.build();
+    let (w0, k) = (WorkerId(0), TaskId::from_index(STRETCH + 1));
+    let m = TableMapping::from_fn(g.len(), |i| WorkerId(u32::from(i == STRETCH)));
+    let flow = Executor::new(RioConfig::with_workers(2))
+        .mapping(&m)
+        .watchdog(BACKSTOP)
+        .compile(&g);
+    let quiet: Vec<bool> = flow.own_tasks(w0).map(|t| t.quiet()).collect();
+    let expected: Vec<bool> = (0..=2 * STRETCH).map(|i| i != STRETCH).collect();
+    assert_eq!(quiet, expected, "W0: a stretch, the consumer, a stretch");
+
+    let started: Vec<AtomicU64> = (0..g.len()).map(|_| AtomicU64::new(0)).collect();
+    let err = flow
+        .try_run(|_, t| {
+            started[t.id.index()].fetch_add(1, Ordering::Relaxed);
+            if t.id == k {
+                panic!("boom at {k}");
+            }
+        })
+        .unwrap_err();
+    let ExecError::TaskPanicked {
+        task,
+        worker,
+        flight,
+        ..
+    } = err
+    else {
+        panic!("expected TaskPanicked, got {err}");
+    };
+    assert_eq!((task, worker), (k, w0));
+    let runs: Vec<u64> = started.iter().map(|n| n.load(Ordering::Relaxed)).collect();
+    let expected: Vec<u64> = (0..g.len()).map(|i| u64::from(i <= k.index())).collect();
+    assert_eq!(
+        runs, expected,
+        "everything up to the consumer, nothing after"
+    );
+    // (The consumer may have parked on its guard first: W1 races it.)
+    let mut ring = ring_of(&flight, w0);
+    ring.retain(|e| e.0 != FlightEventKind::Park);
+    assert_eq!(
+        ring,
+        [
+            (FlightEventKind::TaskEnd, TaskId::from_index(STRETCH - 1)),
+            (FlightEventKind::TaskStart, k),
+            (FlightEventKind::Abort, k),
+        ]
+    );
+    common::assert_flight_consistent(&flight, "panic beside a block");
+    let run = flow.run(|_, _| {});
+    assert_eq!(run.report.tasks_executed(), g.len() as u64, "re-run");
+}
+
+/// The abort is polled before every body of a block, not once per block:
+/// a worker inside a 1000-task chunk of slow bodies stops at its next
+/// body once a sibling's panic arms the abort, instead of finishing the
+/// chunk.
+#[test]
+fn a_block_starts_no_body_once_the_abort_is_observed() {
+    const CHUNK: usize = 1000;
+    const BODY: Duration = Duration::from_millis(1); // the chunk: ≥ 1 s
+    const AHEAD: u64 = 10;
+    // T1 is W0's only task; T2.. are W1's, one quiet stretch.
+    let g = private_graph(1 + CHUNK);
+    let m = TableMapping::from_fn(g.len(), |i| WorkerId(u32::from(i > 0)));
+    let flow = Executor::new(RioConfig::with_workers(2))
+        .mapping(&m)
+        .watchdog(BACKSTOP)
+        .compile(&g);
+    let progress = AtomicU64::new(0);
+    let t0 = Instant::now();
+    let err = flow
+        .try_run(|w, _| {
+            if w == WorkerId(0) {
+                // Panic once W1 is well inside its chunk.
+                while progress.load(Ordering::Acquire) < AHEAD {
+                    std::thread::yield_now();
+                }
+                panic!("boom");
+            }
+            progress.fetch_add(1, Ordering::Release);
+            std::thread::sleep(BODY);
+        })
+        .unwrap_err();
+    let elapsed = t0.elapsed();
+    assert_eq!(err.kind(), "task-panicked");
+    let ran = progress.load(Ordering::Relaxed);
+    assert!(
+        (AHEAD..AHEAD + 100).contains(&ran) && elapsed < BODY * CHUNK as u32 / 2,
+        "W1 ran {ran} of its {CHUNK} bodies in {elapsed:?}: the abort must stop \
+         a block at its next body"
+    );
 }

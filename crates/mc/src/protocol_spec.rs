@@ -180,11 +180,14 @@ impl<'g> ProtocolSpec<'g> {
         for w in 0..workers {
             for ct in flow.own_tasks(rio_stf::WorkerId::from_index(w)) {
                 owner[ct.task.id.index()] = (!ct.claim_marked()).then_some(w);
+                // The engine runs a task marked quiet in a block, with no
+                // get and no publication whatever its entries say: so
+                // does the model, and a wrong verdict breaks a property.
                 compiled[ct.task.id.index()] = (0..ct.expected.len())
                     .map(|i| CompiledAccess {
                         expected: ct.expected[i],
-                        guard: ct.keeps_guard(i),
-                        publish: ct.keeps_publication(i),
+                        guard: !ct.quiet() && ct.keeps_guard(i),
+                        publish: !ct.quiet() && ct.keeps_publication(i),
                     })
                     .collect();
             }
@@ -734,6 +737,28 @@ mod tests {
         assert!(spec.compiled.as_ref().unwrap()[0][0].publish);
         spec.compiled.as_mut().unwrap()[0][0].publish = false;
         assert!(explore(&spec).deadlocks > 0);
+    }
+
+    /// The quiet verdict is an input of the model like the marks are:
+    /// taking a task that keeps a half for quiet — all its steps dropped,
+    /// as a block drops them — breaks a property, whichever half it was.
+    #[test]
+    fn a_wrong_quiet_verdict_is_caught() {
+        let g = crate::lu_model::graph(3, 3);
+        let m = crate::lu_model::mapping(3, 3, 2);
+        let marks = ProtocolSpec::compiled(&g, 2, &m).compiled.unwrap();
+        let keeps = |t: &Vec<CompiledAccess>| t.iter().any(|a| a.guard || a.publish);
+        assert!(marks.iter().any(|t| !keeps(t)), "LU 3x3 has quiet tasks");
+        let kept: Vec<usize> = (0..g.len()).filter(|&t| keeps(&marks[t])).collect();
+        assert!(!kept.is_empty());
+        for t in kept {
+            let mut spec = ProtocolSpec::compiled(&g, 2, &m);
+            for a in &mut spec.compiled.as_mut().unwrap()[t] {
+                (a.guard, a.publish) = (false, false);
+            }
+            let r = explore(&spec);
+            assert!(!r.ok(), "T{} taken for quiet goes unnoticed", t + 1);
+        }
     }
 
     /// LU 3×3 under its block-cyclic mapping with every third task left

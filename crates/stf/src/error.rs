@@ -42,6 +42,11 @@ pub enum ExecError {
         worker: WorkerId,
         /// The panic payload, unmodified.
         payload: Box<dyn std::any::Any + Send>,
+        /// Flight-recorder bundle: the last protocol events of every
+        /// worker, dumped after they all stopped (empty when the recorder
+        /// was disabled, or the runtime has none). The panicking worker's
+        /// history ends with the body's `start` and the `abort`.
+        flight: FlightLog,
     },
     /// A worker waited past the configured watchdog deadline. The boxed
     /// diagnostic names the blocked task and data object and snapshots the
@@ -85,6 +90,7 @@ impl fmt::Display for ExecError {
                 task,
                 worker,
                 payload,
+                ..
             } => {
                 let msg = payload
                     .downcast_ref::<&str>()
@@ -570,12 +576,14 @@ mod tests {
             task: TaskId(3),
             worker: WorkerId(1),
             payload: Box::new("boom"),
+            flight: FlightLog::default(),
         };
         assert!(e.to_string().contains("boom"));
         let e = ExecError::TaskPanicked {
             task: TaskId(3),
             worker: WorkerId(1),
             payload: Box::new(String::from("heap boom")),
+            flight: FlightLog::default(),
         };
         assert!(e.to_string().contains("heap boom"));
         assert_eq!(e.kind(), "task-panicked");
@@ -666,6 +674,7 @@ mod tests {
             task: TaskId(1),
             worker: WorkerId(0),
             payload: Box::new(42u32),
+            flight: FlightLog::default(),
         };
         let dbg = format!("{e:?}");
         assert!(dbg.contains("TaskPanicked"));

@@ -18,7 +18,9 @@ use rio::core::protocol::{
     declare_batch, expected_read_word, expected_write_word, terminate_read, terminate_write,
     LocalDataState, SharedDataState, READ_EPOCH_MASK,
 };
-use rio::core::{CompiledFlow, Executor, RioConfig, StealPolicy, Topology, WaitStrategy};
+use rio::core::{
+    CompiledFlow, CounterRegistry, Executor, RioConfig, StealPolicy, Topology, WaitStrategy,
+};
 use rio::stf::{
     Access, AccessMode, DataId, DataStore, ExecError, Mapping, RoundRobin, StallSite, TableMapping,
     TaskDesc, TaskGraph, TaskId, WorkerId,
@@ -632,8 +634,7 @@ proptest! {
         let oracle = run_sequential(&graph);
         let total = arb_table_mapping(graph.len(), workers, map_seed);
         for unmapped_share in [0u64, 2, 5] {
-            // Of every five tasks, scattered by the seed.
-            let claimable = |t: TaskId| (t.0 ^ map_seed).wrapping_mul(0x9E37_79B9) % 5 < unmapped_share;
+            let claimable = |t: TaskId| left_unmapped(t, map_seed, unmapped_share);
             let partial = PartialFn(|t: TaskId, w: usize| {
                 (!claimable(t)).then(|| total.worker_of(t, w))
             });
@@ -701,6 +702,170 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Which tasks a partial mapping leaves to be claimed: `share` of every
+/// five, scattered by the seed.
+fn left_unmapped(t: TaskId, map_seed: u64, share: u64) -> bool {
+    (t.0 ^ map_seed).wrapping_mul(0x9E37_79B9) % 5 < share
+}
+
+/// The tasks a worker's program holds, as the quiet verdict must have
+/// them: quiet exactly when not claim-marked and no access keeps a half.
+fn check_quiet_verdicts(flow: &CompiledFlow<'_>) {
+    for worker in 0..flow.config().workers {
+        for ct in flow.own_tasks(WorkerId::from_index(worker)) {
+            let kept = (0..ct.expected.len()).any(|i| ct.keeps_guard(i) || ct.keeps_publication(i));
+            assert_eq!(
+                ct.quiet(),
+                !ct.claim_marked() && !kept,
+                "{} in W{worker}'s program",
+                ct.task.id
+            );
+        }
+    }
+}
+
+proptest! {
+    // Sixteen flows per case, four of them on 64 threads.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Blocks change no verdict and no count: for random flows and
+    /// mappings — total, and with two tasks in five left to be claimed —
+    /// at 1, 2, 3 and 64 workers, stealing off and on, every instruction
+    /// is quiet exactly when it is its worker's own and keeps no half; a
+    /// run — whose quiet stretches go a block at a time, unless stealing
+    /// or a claim-marked task takes the per-task path — leaves the
+    /// sequential oracle's store and the per-task path's books (every
+    /// task executed and counted once, a get and a terminate per access);
+    /// and what a block skips is safe to skip: the model checker, fed the
+    /// same verdicts, walks the compiled protocol without a violation.
+    #[test]
+    fn quiet_verdicts_and_block_accounting_match_the_per_task_path(
+        graph in arb_graph(40, 5),
+        map_seed in 0u64..1000,
+    ) {
+        let oracle = run_sequential(&graph);
+        let (tasks, accesses) = (graph.len() as u64, graph.total_accesses() as u64);
+        for workers in [1usize, 2, 3, 64] {
+            let total = arb_table_mapping(graph.len(), workers, map_seed);
+            for unmapped_share in [0u64, 2] {
+                let partial = PartialFn(|t: TaskId, w: usize| {
+                    (!left_unmapped(t, map_seed, unmapped_share)).then(|| total.worker_of(t, w))
+                });
+                for stealing in [false, true] {
+                    let mut cfg = RioConfig::with_workers(workers);
+                    if stealing {
+                        cfg = cfg.stealing(StealPolicy::new().min_wait_before_steal(Duration::ZERO));
+                    }
+                    // (The watchdog takes no task off the block path; it
+                    // turns a publication wrongly skipped into an error.)
+                    let flow = Executor::new(cfg)
+                        .hybrid(&partial)
+                        .watchdog(Duration::from_secs(10))
+                        .compile(&graph);
+                    check_quiet_verdicts(&flow);
+                    let store = DataStore::filled(graph.num_data(), 0u64);
+                    let run = flow.run(|_: WorkerId, t: &TaskDesc| hash_kernel(&store, t));
+                    let how = format!("{workers} workers, {unmapped_share}/5 unmapped, stealing={stealing}");
+                    prop_assert_eq!(&store.into_vec(), &oracle, "{}", how);
+                    prop_assert_eq!(run.report.tasks_executed(), tasks, "{}", how);
+                    prop_assert_eq!(run.counters.total().tasks, tasks, "{}", how);
+                    let ops = run.report.total_ops();
+                    prop_assert_eq!(ops.terminates, accesses, "{}", how);
+                    if !stealing {
+                        // (A thief's readiness probe is not a get.)
+                        prop_assert_eq!(ops.gets, accesses, "{}", how);
+                    }
+                }
+            }
+            if (2..=3).contains(&workers) {
+                let spec = rio::mc::ProtocolSpec::compiled(&graph, workers, &total);
+                let walks = rio::mc::random_walks(&spec, 2, 100_000, map_seed);
+                prop_assert!(walks.ok(), "{:?}", walks.violations);
+                prop_assert_eq!((walks.completed, walks.truncated), (2, 0));
+            }
+        }
+    }
+}
+
+/// How stale a live observer's picture of a worker inside a quiet stretch
+/// can get: a block flushes its counters at every 1024th task, so a sample
+/// taken from the body of task 5 000 of a 10 000-task stretch sees all but
+/// the chunk in progress — and after the run, all of them.
+#[test]
+fn live_counters_lag_a_quiet_stretch_by_less_than_one_block() {
+    const BLOCK: u64 = 1024;
+    let n = 10_000;
+    let g = rio::workloads::independent::graph_private_data(n);
+    let registry = Arc::new(CounterRegistry::new(1));
+    let cfg = RioConfig::with_workers(1).counter_registry(Arc::clone(&registry));
+    let flow = Executor::new(cfg).mapping(&RoundRobin).compile(&g);
+    assert!(flow.own_tasks(WorkerId(0)).all(|t| t.quiet()));
+    let seen = AtomicU32::new(u32::MAX);
+    let run = flow.run(|_, t: &TaskDesc| {
+        if t.id == TaskId(5_000) {
+            seen.store(registry.snapshot().total().tasks as u32, Ordering::Relaxed);
+        }
+    });
+    let seen = u64::from(seen.load(Ordering::Relaxed));
+    assert!(
+        (5_000 - BLOCK..5_000).contains(&seen),
+        "{seen} tasks counted while the 5 000th ran"
+    );
+    assert_eq!(seen % BLOCK, 0, "flushed a whole block at a time");
+    assert_eq!(registry.snapshot().total().tasks, n as u64);
+    assert_eq!(run.counters.total().tasks, n as u64);
+
+    // After an abort inside a block, the bodies that finished are counted
+    // and the one that panicked is not.
+    registry.reset();
+    let err = flow
+        .try_run(|_, t: &TaskDesc| {
+            if t.id == TaskId(5_000) {
+                panic!("boom");
+            }
+        })
+        .expect_err("the panic aborts the run");
+    assert_eq!(err.kind(), "task-panicked");
+    let total = registry.snapshot().total();
+    assert_eq!((total.tasks, total.aborts), (4_999, 1));
+}
+
+/// Where the workers run: worker 0 on the thread that called `run` — a run
+/// starts one thread fewer than it has workers, and on a machine with as
+/// many cores as workers no thread is left over for the scheduler to place
+/// — and every other worker on a thread of its own. Workers that are to be
+/// pinned all get their own thread: the caller's affinity stays as it was.
+/// Either way each worker stays on one thread and the store is the
+/// sequential one.
+#[test]
+fn worker_zero_runs_on_the_calling_thread_unless_workers_are_pinned() {
+    let g = rio::workloads::cholesky::graph(4, 1);
+    let oracle = run_sequential(&g);
+    let caller = std::thread::current().id();
+    for (workers, pinned) in [(1, false), (3, false), (3, true)] {
+        let cfg = RioConfig::with_workers(workers)
+            .topology(Arc::new(Topology::mock(1, 2)))
+            .pin_workers(pinned);
+        let flow = Executor::new(cfg).mapping(&RoundRobin).compile(&g);
+        let threads = Mutex::new(vec![Vec::new(); workers]);
+        let store = DataStore::filled(g.num_data(), 0u64);
+        flow.run(|w, t: &TaskDesc| {
+            threads.lock().unwrap()[w.index()].push(std::thread::current().id());
+            hash_kernel(&store, t);
+        });
+        assert_eq!(store.into_vec(), oracle);
+        let threads = threads.into_inner().unwrap();
+        for (w, ids) in threads.iter().enumerate() {
+            assert!(ids.iter().all(|id| *id == ids[0]), "W{w} changed threads");
+            assert_eq!(
+                ids[0] == caller,
+                w == 0 && !pinned,
+                "W{w}, pinned: {pinned}"
+            );
         }
     }
 }
