@@ -102,6 +102,7 @@
 //! assert_eq!(store.into_vec(), vec![300]);
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use rio_stf::{
@@ -112,6 +113,7 @@ use crate::config::RioConfig;
 use crate::executor::Execution;
 use crate::graph::{RunShell, WorkerCtx};
 use crate::hybrid::{HybridStats, PartialMapping};
+use crate::pool::WorkerSet;
 use crate::protocol::{pack_epoch, spurious_wake_all, SharedDataState};
 use crate::steal::{ClaimTable, Claims, Cursor, StealState};
 
@@ -337,6 +339,8 @@ impl NodeArena {
 #[must_use = "a CompiledFlow does nothing until `.run()` is called"]
 pub struct CompiledFlow<'g> {
     cfg: RioConfig,
+    /// The compiling executor's worker set: every run launches on it.
+    set: Arc<WorkerSet>,
     graph: &'g TaskGraph,
     /// One arena per NUMA node of the compiled topology (exactly one
     /// without a topology).
@@ -469,13 +473,14 @@ const WRITE_ONLY: Verdict = WRITES;
 /// first task id the packed epoch word cannot represent.
 pub(crate) fn try_compile<'g, M: ?Sized>(
     cfg: &RioConfig,
+    set: &Arc<WorkerSet>,
     graph: &'g TaskGraph,
     mapping: &M,
 ) -> Result<CompiledFlow<'g>, ExecError>
 where
     for<'a> Owners<'a, M>: OwnerOf,
 {
-    lower(cfg, graph, u32::MAX, Owners(mapping, cfg))
+    lower(cfg, set, graph, u32::MAX, Owners(mapping, cfg))
 }
 
 /// A mapping as [`lower`] asks it for owners: probed twice per task with
@@ -524,6 +529,7 @@ impl OwnerOf for Owners<'_, dyn PartialMapping + '_> {
 // `None`, compiles to the walk without the claim-marked arm.
 fn lower<'g, O: OwnerOf>(
     cfg: &RioConfig,
+    set: &Arc<WorkerSet>,
     graph: &'g TaskGraph,
     limit: u32,
     owners: O,
@@ -708,6 +714,7 @@ fn lower<'g, O: OwnerOf>(
     };
     Ok(CompiledFlow {
         cfg: cfg.clone(),
+        set: Arc::clone(set),
         graph,
         arenas,
         claimable,
@@ -877,6 +884,7 @@ impl<'g> CompiledFlow<'g> {
             });
 
         let (report, outcome, claimed) = RunShell::new(cfg, self.graph.num_data()).run(
+            &self.set,
             shared,
             &|| spurious_wake_all(shared),
             |mut ctx| {
@@ -922,9 +930,6 @@ impl<'g> CompiledFlow<'g> {
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
         let (worker, me) = (ctx.me, ctx.me.index());
-        // Pin this thread to its core, if asked, before any protocol
-        // traffic.
-        crate::topo::enter_worker(&self.cfg, me);
         let tasks = self.graph.tasks();
         let prog = &self.programs[me];
         let cursor = ctx.steal.map(|st| &st.cursors[me].0);
@@ -962,7 +967,7 @@ impl<'g> CompiledFlow<'g> {
             c.store(prog.len(), std::sync::atomic::Ordering::Relaxed);
         }
         let claimed = ctx.unmapped_claims;
-        (ctx.finish(loop_start.elapsed()), claimed)
+        (ctx.finish(loop_start), claimed)
     }
 }
 
@@ -1310,7 +1315,8 @@ mod tests {
         // Against a limit of 2, the value `TaskGraph::validate_limits`
         // reports: T3's id overflows (before any read count could).
         let (g, _) = epochs(&[('w', 0), ('r', 0), ('r', 0), ('r', 0)]);
-        let lower = |c: RioConfig, m: &dyn Mapping| lower(&c, &g, 2, Owners(m, &c));
+        let lower =
+            |c: RioConfig, m: &dyn Mapping| lower(&c, &Arc::default(), &g, 2, Owners(m, &c));
         let err = lower(cfg(2), &RoundRobin).unwrap_err();
         assert!(matches!(
             err,

@@ -372,9 +372,7 @@ impl RioConfig {
 impl Default for RioConfig {
     fn default() -> Self {
         RioConfig {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             wait: WaitStrategy::default(),
             spin_limit: None,
             watchdog: None,

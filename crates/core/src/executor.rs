@@ -27,6 +27,7 @@
 //! assert_eq!(store.into_vec(), vec![100]);
 //! ```
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use rio_stf::{ExecError, Mapping, RoundRobin, TaskDesc, TaskGraph, WorkerId};
@@ -35,6 +36,7 @@ use crate::compile::CompiledFlow;
 use crate::config::RioConfig;
 use crate::counters::CountersSnapshot;
 use crate::hybrid::{HybridStats, PartialMapping};
+use crate::pool::WorkerSet;
 use crate::report::ExecReport;
 use crate::trace_api::{Trace, TraceConfig};
 use crate::tune::{TuneIteration, TuneOptions, TunedRun, Tuner, TuningPlan};
@@ -48,6 +50,9 @@ use crate::tune::{TuneIteration, TuneOptions, TunedRun, Tuner, TuningPlan};
 #[must_use = "an Executor does nothing until `.run()` is called"]
 pub struct Executor<'a> {
     cfg: RioConfig,
+    /// The worker threads, started by the first run and shared with every
+    /// flow this executor compiles and every executor derived from it.
+    set: Arc<WorkerSet>,
     mapping: Option<&'a dyn Mapping>,
     partial: Option<&'a dyn PartialMapping>,
 }
@@ -119,6 +124,7 @@ impl<'a> Executor<'a> {
     pub fn new(cfg: RioConfig) -> Executor<'a> {
         cfg.validate();
         Executor {
+            set: Arc::default(),
             cfg,
             mapping: None,
             partial: None,
@@ -189,9 +195,10 @@ impl<'a> Executor<'a> {
     /// represent.
     pub fn try_compile<'g>(&self, graph: &'g TaskGraph) -> Result<CompiledFlow<'g>, ExecError> {
         match self.partial {
-            Some(partial) => crate::compile::try_compile(&self.cfg, graph, partial),
+            Some(partial) => crate::compile::try_compile(&self.cfg, &self.set, graph, partial),
             None => {
-                crate::compile::try_compile(&self.cfg, graph, self.mapping.unwrap_or(&RoundRobin))
+                let mapping = self.mapping.unwrap_or(&RoundRobin);
+                crate::compile::try_compile(&self.cfg, &self.set, graph, mapping)
             }
         }
     }
@@ -281,6 +288,7 @@ impl<'a> Executor<'a> {
         self.total_mapping();
         Executor {
             cfg: self.cfg.clone(),
+            set: Arc::clone(&self.set),
             mapping: Some(&plan.mapping),
             partial: None,
         }

@@ -48,6 +48,7 @@
 //! own task through the engine, that compiled programs use, on expected
 //! words packed from the private view instead of precomputed.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use rio_stf::store::{ReadGuard, WriteGuard};
@@ -57,6 +58,7 @@ use crate::compile::{AccessPlan, TaskAccesses};
 use crate::config::RioConfig;
 use crate::executor::RunOutcome;
 use crate::graph::{unwind_aborted, RunShell, WorkerCtx};
+use crate::pool::WorkerSet;
 use crate::protocol::{
     declare_batch, expected_write_word, spurious_wake_all, LocalDataState, SharedDataState,
 };
@@ -66,6 +68,8 @@ use crate::report::ExecReport;
 #[derive(Debug, Clone)]
 pub struct Rio {
     cfg: RioConfig,
+    /// The worker threads, started by the first run (clones share them).
+    set: Arc<WorkerSet>,
 }
 
 impl Rio {
@@ -79,7 +83,8 @@ impl Rio {
     pub fn new(mut cfg: RioConfig) -> Rio {
         cfg.validate();
         cfg.recovery = cfg.recovery.map(|p| p.max_retries(0));
-        Rio { cfg }
+        let set = Arc::default();
+        Rio { cfg, set }
     }
 
     /// The configuration in use.
@@ -164,6 +169,7 @@ impl Rio {
         let shared = SharedDataState::new_table(store.len());
         let shared = &shared[..];
         let (report, outcome, checksums) = RunShell::new(&self.cfg, store.len()).run(
+            &self.set,
             shared,
             &|| spurious_wake_all(shared),
             |wk| {
@@ -178,7 +184,7 @@ impl Rio {
                 };
                 let loop_start = Instant::now();
                 flow(&mut ctx);
-                (ctx.wk.finish(loop_start.elapsed()), ctx.checksum)
+                (ctx.wk.finish(loop_start), ctx.checksum)
             },
         )?;
         // §3.4, assumption 2: every worker unrolled the same flow.

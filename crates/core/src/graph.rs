@@ -4,8 +4,9 @@
 //!
 //! [`RunShell`] is the only place a run is set up and torn down: abort
 //! flag, progress table, counters, flight recorder and recovery state in;
-//! worker 0 on the calling thread, a scoped thread per other worker; the
-//! first recorded abort cause, or the reports, out. [`WorkerCtx`] is the
+//! one launch of the owner's worker set ([`crate::pool`]: worker 0 on the
+//! calling thread, the others on threads that outlive the run); the first
+//! recorded abort cause, or the reports, out. [`WorkerCtx`] is the
 //! only place the paper's per-task sequence `get_* → body → terminate_*`
 //! (Algorithm 2, generalized from one access per task to access lists) is
 //! instrumented: it acquires the accesses whose guard is kept and accounts
@@ -15,7 +16,7 @@
 //! the compiler, or packed from a private view it keeps — and the body.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rio_stf::{
@@ -27,16 +28,21 @@ use crate::config::RioConfig;
 use crate::counters::{CounterRegistry, WorkerCounters};
 use crate::executor::RunOutcome;
 use crate::flight::{FlightRecorder, FlightRing};
+use crate::pool::WorkerSet;
 use crate::protocol::{
-    get_read_word_cx, get_write_word_cx, publish_read, publish_write, unpack_epoch, AbortCause,
-    AbortFlag, RecoveryCtx, SharedDataState, WaitCx, WaitOutcome, WaitResult, WaitVerdict,
-    READ_EPOCH_MASK, WRITE_EPOCH_MASK,
+    get_read_word_cx, get_write_word_cx, publish_read, publish_write, unpack_epoch, unpoisoned,
+    AbortCause, AbortFlag, RecoveryCtx, SharedDataState, WaitCx, WaitOutcome, WaitResult,
+    WaitVerdict, READ_EPOCH_MASK, WRITE_EPOCH_MASK,
 };
 use crate::report::{ExecReport, OpCounts, WorkerReport};
 use crate::status::{StatusTable, WaitWatch};
 use crate::steal::{Claims, StealState, EMPTY_SCAN_LIMIT};
 use crate::trace_api::WorkerTracer;
 use crate::wait::WaitStrategy;
+
+/// How a worker's share of a run ended: its report, or what it unwound
+/// with outside any task body.
+type Ended<R> = std::thread::Result<(WorkerReport, R)>;
 
 /// The state of one run that its workers share, whichever front-end
 /// started it.
@@ -62,11 +68,12 @@ impl<'c> RunShell<'c> {
         }
     }
 
-    /// Runs `worker` once per worker — worker 0 on the calling thread, the
-    /// others on a thread each — with a fresh [`WorkerCtx`] over `shared`.
-    /// `wake` must wake every sleeper of this run (an abort calls it).
-    /// Returns the assembled report, how the run finished under the
-    /// recovery policy, and what each worker returned beside its report.
+    /// Runs `worker` once per worker on `set` — worker 0 on the calling
+    /// thread unless workers are pinned — with a fresh [`WorkerCtx`] over
+    /// `shared`. `wake` must wake every sleeper of this run (an abort
+    /// calls it). Returns the assembled report, how the run finished under
+    /// the recovery policy, and what each worker returned beside its
+    /// report.
     ///
     /// # Errors
     /// The first recorded abort cause — a contained body panic, a watchdog
@@ -75,32 +82,32 @@ impl<'c> RunShell<'c> {
     /// propagated.
     pub(crate) fn run<'a, R: Send>(
         &'a self,
+        set: &WorkerSet,
         shared: &'a [SharedDataState],
         wake: &'a (dyn Fn() + Sync),
         worker: impl Fn(WorkerCtx<'a>) -> (WorkerReport, R) + Sync,
     ) -> Result<(ExecReport, RunOutcome, Vec<R>), ExecError> {
-        let worker = &worker;
         let start = Instant::now();
-        let ctx = move |w| WorkerCtx::new(self, shared, wake, WorkerId::from_index(w), start);
-        // Worker 0 runs on the calling thread, which would only sleep: one
-        // launch fewer, and never more threads than workers for the
-        // scheduler to place. Not when workers are to be pinned: the
-        // caller's affinity is not this run's to change.
-        let inline = !self.cfg.pin_workers;
-        let joined: Vec<std::thread::Result<(WorkerReport, R)>> = std::thread::scope(|s| {
-            let spawn = |w| s.spawn(move || worker(ctx(w)));
-            let handles: Vec<_> = (usize::from(inline)..self.cfg.workers).map(spawn).collect();
-            let mine = inline.then(|| catch_unwind(AssertUnwindSafe(|| worker(ctx(0)))));
-            let joins = handles.into_iter().map(|h| h.join());
-            mine.into_iter().chain(joins).collect()
+        // A slot per worker for what its share came to: the set's threads
+        // outlive the run, so nothing is handed back by a join.
+        let slots: Vec<Mutex<Option<Ended<R>>>> =
+            (0..self.cfg.workers).map(|_| Mutex::new(None)).collect();
+        set.run(self.cfg, &|w| {
+            let me = WorkerId::from_index(w);
+            let share = || worker(WorkerCtx::new(self, shared, wake, me, start));
+            let ended = catch_unwind(AssertUnwindSafe(share));
+            *unpoisoned(slots[w].lock()) = Some(ended);
         });
         let wall = start.elapsed();
         if let Some(cause) = self.abort.take_cause() {
             let flight = self.flight.as_ref().map(FlightRecorder::dump);
             return Err(cause.into_error(flight.unwrap_or_default()));
         }
-        let resume = |r: std::thread::Result<_>| r.unwrap_or_else(|p| resume_unwind(p));
-        let (workers, extras) = joined.into_iter().map(resume).unzip();
+        let resume = |slot: Mutex<Option<Ended<R>>>| {
+            let ended = unpoisoned(slot.into_inner()).expect("every worker ran its share");
+            ended.unwrap_or_else(|p| resume_unwind(p))
+        };
+        let (workers, extras) = slots.into_iter().map(resume).unzip();
         let recovery = self.recovery.as_ref();
         let outcome = recovery.and_then(|r| r.take_report(self.flight.as_ref()));
         let snapshot = |r: &Arc<CounterRegistry>| r.snapshot().with_topology(self.cfg);
@@ -916,8 +923,10 @@ impl<'a> WorkerCtx<'a> {
         false
     }
 
-    /// Consumes the context into the worker's report.
-    pub(crate) fn finish(self, loop_time: Duration) -> WorkerReport {
+    /// Consumes the context into the worker's report, at the end of the
+    /// loop that began at `loop_start`.
+    pub(crate) fn finish(self, loop_start: Instant) -> WorkerReport {
+        let loop_time = loop_start.elapsed();
         let ops = self.ops;
         let trace = self.tracer.map(|tr| {
             let mut wt = tr.finish();
@@ -934,6 +943,7 @@ impl<'a> WorkerCtx<'a> {
             task_time: self.task_time,
             idle_time: self.idle_time,
             loop_time,
+            launch_delay: loop_start.duration_since(self.epoch),
             ops,
             spans: self.spans,
             trace,
@@ -1184,29 +1194,8 @@ mod tests {
 #[cfg(test)]
 mod poison_tests {
     use super::*;
-    use crate::executor::Executor;
     use crate::wait::WaitStrategy;
-    use rio_stf::{Access, DataId, RoundRobin, TaskGraph};
-
-    /// A panicking task body must propagate without stranding workers that
-    /// are blocked waiting on its (now never-published) completion.
-    #[test]
-    fn task_panic_propagates_and_unblocks_waiters() {
-        let g = crate::testing::chain(20);
-        for wait in [WaitStrategy::SpinYield, WaitStrategy::Park] {
-            let cfg = RioConfig::with_workers(3).wait(wait);
-            let result = catch_unwind(|| {
-                execute_graph(&cfg, &g, &RoundRobin, |_, t| {
-                    if t.id.0 == 5 {
-                        panic!("task 5 exploded");
-                    }
-                });
-            });
-            let payload = result.expect_err("panic must propagate");
-            let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-            assert_eq!(msg, "task 5 exploded", "strategy {wait}");
-        }
-    }
+    use rio_stf::RoundRobin;
 
     /// The first panic wins; tasks after it on the panicking chain never
     /// execute.
@@ -1226,87 +1215,6 @@ mod poison_tests {
         });
         // The RW chain serializes execution, so nothing past T10 ran.
         assert!(highest.load(Ordering::Relaxed) < 10);
-    }
-
-    /// A flaky task (two failing attempts, then success) recovers under
-    /// the retry policy: the run completes cleanly — no partial report —
-    /// with the sequential result and two retries on the counters.
-    #[test]
-    fn retry_policy_recovers_flaky_tasks() {
-        use crate::config::RecoveryPolicy;
-        use rio_stf::DataStore;
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let g = crate::testing::chain(20);
-        let store = DataStore::from_vec(vec![0u64]);
-        let failures_left = AtomicU64::new(2);
-        let cfg = RioConfig::with_workers(2)
-            .wait(WaitStrategy::Park)
-            .recovery(RecoveryPolicy::default().backoff(std::time::Duration::from_micros(1)));
-        let run = Executor::new(cfg)
-            .try_run(&g, |_, t| {
-                if t.id.0 == 5
-                    && failures_left
-                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
-                        .is_ok()
-                {
-                    panic!("flaky");
-                }
-                *store.write(DataId(0)) += 1;
-            })
-            .expect("recovered run must not abort");
-        assert!(run.outcome.is_complete(), "a recovered run is not degraded");
-        assert_eq!(store.into_vec(), vec![20]);
-        assert_eq!(run.report.tasks_executed(), 20);
-        assert_eq!(run.counters.total().retries, 2);
-        assert_eq!(run.counters.total().poisoned, 0);
-    }
-
-    /// A permanently-failing task degrades the run instead of aborting
-    /// it: the failure is recorded, its written datum poisoned, every
-    /// dependent on the chain skipped — and the independent chain (and
-    /// the run itself) completes, because skipped tasks still sync.
-    #[test]
-    fn permanent_failure_degrades_and_poisons_the_cone() {
-        use crate::config::RecoveryPolicy;
-        use rio_stf::{DataStore, TaskId};
-        let mut b = TaskGraph::builder(2);
-        for _ in 0..10 {
-            b.task(&[Access::read_write(DataId(0))], 1, "a");
-        }
-        for _ in 0..10 {
-            b.task(&[Access::read_write(DataId(1))], 1, "b");
-        }
-        let g = b.build();
-        let store = DataStore::from_vec(vec![0u64, 0]);
-        let cfg = RioConfig::with_workers(2)
-            .wait(WaitStrategy::Park)
-            .recovery(RecoveryPolicy::no_retries());
-        let run = Executor::new(cfg)
-            .try_run(&g, |_, t| {
-                if t.id.0 == 5 {
-                    panic!("T5 is beyond saving");
-                }
-                *store.write(t.accesses[0].data) += 1;
-            })
-            .expect("degraded run must not abort");
-        let report = &run.report;
-        let partial = run
-            .outcome
-            .partial()
-            .expect("a permanent failure degrades the run");
-        assert_eq!(partial.failed.len(), 1);
-        assert_eq!(partial.failed[0].task, TaskId(5));
-        assert_eq!(partial.failed[0].retries, 0);
-        assert_eq!(partial.failed[0].detail.kind(), "task-failed");
-        assert_eq!(partial.poisoned, vec![DataId(0)]);
-        let skipped: Vec<_> = (6..=10).map(TaskId).collect();
-        assert_eq!(partial.skipped, skipped, "the rest of the D0 chain skips");
-        // 20 tasks minus 1 failed minus 5 skipped executed; the healthy
-        // D1 chain is untouched by the poison.
-        assert_eq!(report.tasks_executed(), 14);
-        assert_eq!(store.into_vec(), vec![4, 10]);
-        assert_eq!(report.counters.total().poisoned, 1);
-        assert_eq!(report.counters.total().retries, 0);
     }
 }
 

@@ -81,6 +81,7 @@ pub mod flow;
 mod futex;
 pub mod graph;
 pub mod hybrid;
+mod pool;
 pub mod protocol;
 pub mod redux;
 pub mod report;

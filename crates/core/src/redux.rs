@@ -48,7 +48,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use rio_stf::store::{ReadGuard, WriteGuard};
@@ -58,6 +58,7 @@ use crate::compile::AccessPlan;
 use crate::config::RioConfig;
 use crate::futex::EventCount;
 use crate::graph::{unwind_aborted, RunShell, WorkerCtx};
+use crate::pool::WorkerSet;
 use crate::protocol::{pack_epoch, unpoisoned, wait_until};
 use crate::report::ExecReport;
 use crate::wait::WaitStrategy;
@@ -198,6 +199,8 @@ impl RShared {
 #[derive(Debug, Clone)]
 pub struct ReduxRio {
     cfg: RioConfig,
+    /// The worker threads, started by the first run (clones share them).
+    set: Arc<WorkerSet>,
 }
 
 impl ReduxRio {
@@ -205,7 +208,8 @@ impl ReduxRio {
     pub fn new(mut cfg: RioConfig) -> ReduxRio {
         cfg.validate();
         cfg.recovery = cfg.recovery.map(|p| p.max_retries(0));
-        ReduxRio { cfg }
+        let set = Arc::default();
+        ReduxRio { cfg, set }
     }
 
     /// Replays `flow` on every worker (see [`crate::Rio::run`]); tasks may
@@ -226,7 +230,7 @@ impl ReduxRio {
         let shared = &shared[..];
         let wake = || shared.iter().for_each(|s| s.event.notify_all());
         // No word table: the engine performs no get or publication here.
-        let run = RunShell::new(&self.cfg, store.len()).run(&[], &wake, |wk| {
+        let run = RunShell::new(&self.cfg, store.len()).run(&self.set, &[], &wake, |wk| {
             let mut ctx = ReduxCtx {
                 wk,
                 mapping,
@@ -237,7 +241,7 @@ impl ReduxRio {
             };
             let loop_start = Instant::now();
             flow(&mut ctx);
-            (ctx.wk.finish(loop_start.elapsed()), ())
+            (ctx.wk.finish(loop_start), ())
         });
         run.unwrap_or_else(|e| e.resume()).0
     }

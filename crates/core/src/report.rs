@@ -67,8 +67,14 @@ pub struct WorkerReport {
     /// `RioConfig::measure_time` was on — and, with it on, for a worker
     /// that never found a guard closed.
     pub idle_time: Duration,
-    /// Total time of the worker's flow loop, from first task to join.
+    /// Total time of the worker's flow loop: first instruction to end of
+    /// program. What the run cost outside the loops — set-up, launch,
+    /// join — is `workers × wall − Σ loop_time`.
     pub loop_time: Duration,
+    /// How far into the run this worker's loop began: what reaching it —
+    /// a spin hand-off, a futex wake, on a set's first run a thread start
+    /// — took. Worker 0, on the calling thread, shows the launch itself.
+    pub launch_delay: Duration,
     /// Protocol operation counts.
     pub ops: OpCounts,
     /// Execution spans of this worker's tasks (empty unless
@@ -97,7 +103,8 @@ impl WorkerReport {
 /// Outcome of a complete run.
 #[derive(Debug, Clone, Default)]
 pub struct ExecReport {
-    /// Wall-clock duration of the whole run (spawn to last join).
+    /// Wall-clock duration of the whole run: from before the worker set's
+    /// launch until every worker has left its share.
     pub wall: Duration,
     /// One report per worker.
     pub workers: Vec<WorkerReport>,
@@ -209,8 +216,8 @@ impl std::fmt::Display for ExecReport {
         for w in &self.workers {
             writeln!(
                 f,
-                "  {}: {} tasks (visited {}), task {}, idle {}, runtime {}, loop {:?}, \
-                 ops {{declares: {}, gets: {}, waits: {}, terminates: {}}}",
+                "  {}: {} tasks (visited {}), task {}, idle {}, runtime {}, loop {:?} \
+                 (+{:?}), ops {{declares: {}, gets: {}, waits: {}, terminates: {}}}",
                 w.worker,
                 w.tasks_executed,
                 w.tasks_visited,
@@ -218,6 +225,7 @@ impl std::fmt::Display for ExecReport {
                 split(w.idle_time),
                 split(w.runtime_time()),
                 w.loop_time,
+                w.launch_delay,
                 w.ops.declares,
                 w.ops.gets,
                 w.ops.waits,
@@ -277,7 +285,7 @@ mod tests {
         let text = format!("{r}");
         assert!(text.contains("on 1 workers"));
         assert!(text.contains("W0:"));
-        assert!(text.contains("task 3ms, idle 1ms, runtime 1ms, loop 5ms"));
+        assert!(text.contains("task 3ms, idle 1ms, runtime 1ms, loop 5ms (+0ns)"));
     }
 
     #[test]
@@ -289,7 +297,7 @@ mod tests {
         };
         let text = format!("{r}");
         assert!(
-            text.contains("task -, idle -, runtime -, loop 5ms"),
+            text.contains("task -, idle -, runtime -, loop 5ms (+0ns)"),
             "{text}"
         );
     }

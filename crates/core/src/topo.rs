@@ -102,21 +102,9 @@ impl Topology {
     ///    `cpulist` and `distance` files);
     /// 3. a single node holding `available_parallelism` cores.
     pub fn detect() -> Topology {
-        if let Some(t) = std::env::var("RIO_TOPO_MOCK")
-            .ok()
-            .as_deref()
-            .and_then(parse_mock_spec)
-        {
-            return t;
-        }
-        if let Some(t) = detect_sysfs() {
-            return t;
-        }
-        Topology::single(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
+        let mock = std::env::var("RIO_TOPO_MOCK").ok();
+        let mock = mock.as_deref().and_then(parse_mock_spec);
+        mock.or_else(detect_sysfs).unwrap_or_default()
     }
 
     /// The detected topology of this machine, computed once per process.
@@ -195,11 +183,7 @@ impl Topology {
 impl Default for Topology {
     /// The single-node fallback sized to the machine's parallelism.
     fn default() -> Self {
-        Topology::single(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
+        Topology::single(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 }
 
@@ -224,22 +208,10 @@ fn parse_mock_spec(spec: &str) -> Option<Topology> {
 /// Parses a sysfs `cpulist` string (`"0-3,8,10-11"`) into sorted core ids.
 fn parse_cpulist(list: &str) -> Vec<usize> {
     let mut cores = Vec::new();
-    for part in list.trim().split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        match part.split_once('-') {
-            Some((a, b)) => {
-                if let (Ok(a), Ok(b)) = (a.trim().parse::<usize>(), b.trim().parse::<usize>()) {
-                    cores.extend(a..=b);
-                }
-            }
-            None => {
-                if let Ok(v) = part.parse::<usize>() {
-                    cores.push(v);
-                }
-            }
+    for part in list.split(',').map(str::trim) {
+        let (a, b) = part.split_once('-').unwrap_or((part, part));
+        if let (Ok(a), Ok(b)) = (a.trim().parse::<usize>(), b.trim().parse::<usize>()) {
+            cores.extend(a..=b);
         }
     }
     cores.sort_unstable();
@@ -261,9 +233,6 @@ fn detect_sysfs() -> Option<Topology> {
         })
         .collect();
     ids.sort_unstable();
-    if ids.is_empty() {
-        return None;
-    }
     let mut nodes = Vec::with_capacity(ids.len());
     for &id in &ids {
         let list = std::fs::read_to_string(base.join(format!("node{id}/cpulist"))).ok()?;
@@ -292,26 +261,21 @@ fn detect_sysfs() -> Option<Topology> {
     Some(Topology { nodes, distance })
 }
 
-/// Called on every worker thread before it enters its flow walk: when
-/// the config asks, pins the thread to its node-major core.
-pub(crate) fn enter_worker(cfg: &crate::config::RioConfig, w: usize) {
-    if let (Some(t), true) = (cfg.topology.as_ref(), cfg.pin_workers) {
-        let _ = Topology::pin_current_thread(t.core_of_worker(w));
-    }
-}
-
 #[cfg(target_os = "linux")]
-mod affinity {
+pub(crate) mod affinity {
     /// 1024-bit CPU mask, the glibc `cpu_set_t` layout.
     #[repr(C)]
     struct CpuSet {
         bits: [u64; 16],
     }
+    const SIZE: usize = std::mem::size_of::<CpuSet>();
 
     // std already links the platform libc on linux-gnu targets, so the
-    // symbol resolves without adding a libc crate dependency.
+    // symbols resolve without adding a libc crate dependency.
     extern "C" {
         fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const CpuSet) -> i32;
+        fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut CpuSet) -> i32;
+        fn sched_getcpu() -> i32;
     }
 
     pub(super) fn pin(core: usize) -> bool {
@@ -321,15 +285,39 @@ mod affinity {
         let mut set = CpuSet { bits: [0; 16] };
         set.bits[core / 64] |= 1u64 << (core % 64);
         // pid 0 = the calling thread.
-        unsafe { sched_setaffinity(0, std::mem::size_of::<CpuSet>(), &set) == 0 }
+        unsafe { sched_setaffinity(0, SIZE, &set) == 0 }
+    }
+
+    /// The CPU the calling thread is on (vDSO: no kernel entry).
+    pub(crate) fn current_cpu() -> u32 {
+        unsafe { sched_getcpu() as u32 }
+    }
+
+    /// Moves the calling thread off `cpu`, if it is there and may run
+    /// elsewhere, and hands it its mask back: a placement, not a pin.
+    pub(crate) fn leave(cpu: u32) {
+        let mut all = CpuSet { bits: [0; 16] };
+        let here = cpu < 1024 && current_cpu() == cpu;
+        if here && unsafe { sched_getaffinity(0, SIZE, &mut all) } == 0 {
+            let mut rest = CpuSet { bits: all.bits };
+            rest.bits[cpu as usize / 64] &= !(1u64 << (cpu % 64));
+            if rest.bits != [0; 16] {
+                unsafe { sched_setaffinity(0, SIZE, &rest) };
+                unsafe { sched_setaffinity(0, SIZE, &all) };
+            }
+        }
     }
 }
 
 #[cfg(not(target_os = "linux"))]
-mod affinity {
+pub(crate) mod affinity {
     pub(super) fn pin(_core: usize) -> bool {
         false
     }
+    pub(crate) fn current_cpu() -> u32 {
+        u32::MAX
+    }
+    pub(crate) fn leave(_cpu: u32) {}
 }
 
 #[cfg(test)]

@@ -134,24 +134,15 @@ pub struct TunedRun {
 }
 
 impl TunedRun {
-    /// Wall time of the untuned first round.
-    pub fn baseline_wall(&self) -> Duration {
-        self.iterations.first().map(|i| i.wall).unwrap_or_default()
-    }
-
-    /// Wall time of the final round.
-    pub fn final_wall(&self) -> Duration {
-        self.iterations.last().map(|i| i.wall).unwrap_or_default()
-    }
-
     /// Final-vs-baseline wall-time delta in percent (negative = the
     /// tuned run is faster).
     pub fn delta_pct(&self) -> f64 {
-        let base = self.baseline_wall().as_nanos() as f64;
+        let wall = |i: Option<&TuneIteration>| i.map_or(0.0, |i| i.wall.as_nanos() as f64);
+        let (base, last) = (wall(self.iterations.first()), wall(self.iterations.last()));
         if base == 0.0 {
             return 0.0;
         }
-        (self.final_wall().as_nanos() as f64 - base) / base * 100.0
+        (last - base) / base * 100.0
     }
 }
 

@@ -44,7 +44,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// How a worker waits inside `get_read` / `get_write`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WaitStrategy {
     /// Pure busy-wait.
     Spin,
@@ -53,6 +53,9 @@ pub enum WaitStrategy {
     SpinYield,
     /// Spin for about what a park costs, then sleep on the data object's
     /// event-count until a `terminate_*` (or an abort broadcast) wakes us.
+    /// The default: the paper's choice, and the only strategy that stays
+    /// live when workers outnumber hardware threads.
+    #[default]
     Park,
 }
 
@@ -108,14 +111,6 @@ pub(crate) fn default_spin_limit(workers: usize) -> u32 {
         polls
     } else {
         WaitStrategy::DEFAULT_SPIN_LIMIT
-    }
-}
-
-impl Default for WaitStrategy {
-    /// [`WaitStrategy::Park`]: the paper's choice, and the only strategy
-    /// that stays live when workers outnumber hardware threads.
-    fn default() -> Self {
-        WaitStrategy::Park
     }
 }
 

@@ -1016,3 +1016,136 @@ fn a_block_starts_no_body_once_the_abort_is_observed() {
          a block at its next body"
     );
 }
+
+// ---------------------------------------------------------------------
+// The worker set outlives a run that failed: a panic or a stall tears
+// the run down, not the threads. Whatever ended the run, the same flow
+// and a sibling flow of the same executor re-run clean — the oracle's
+// store — on the very OS threads of the run before.
+// ---------------------------------------------------------------------
+
+/// A kernel whose final store identifies the schedule's semantics.
+fn fold_kernel(store: &DataStore<u64>, t: &TaskDesc) {
+    let mut h = t.id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    for d in t.reads() {
+        h = (h ^ *store.read(d)).wrapping_mul(0x100_0000_01b3);
+    }
+    for d in t.writes() {
+        *store.write(d) = h;
+    }
+}
+
+/// One clean run of `flow`: the store is the sequential oracle's. Returns
+/// the thread each worker ran on.
+fn clean_run(flow: &CompiledFlow<'_>) -> Vec<std::thread::ThreadId> {
+    let g = flow.graph();
+    let oracle = DataStore::filled(g.num_data(), 0u64);
+    rio_stf::sequential::run_graph(g, |id| fold_kernel(&oracle, g.task(id)));
+    let store = DataStore::filled(g.num_data(), 0u64);
+    let threads = std::sync::Mutex::new(vec![None; flow.config().workers]);
+    let run = flow.run(|w, t| {
+        threads.lock().unwrap()[w.index()] = Some(std::thread::current().id());
+        fold_kernel(&store, t);
+    });
+    assert_eq!(run.report.tasks_executed(), g.len() as u64);
+    assert_eq!(store.into_vec(), oracle.into_vec());
+    let threads = threads.into_inner().unwrap();
+    threads
+        .into_iter()
+        .map(|t| t.expect("ran a task"))
+        .collect()
+}
+
+/// Runs `fail` — which must end a run of the flow it is handed badly —
+/// between clean runs of that flow and of a sibling.
+fn assert_the_set_survives(cfg: RioConfig, g: &TaskGraph, fail: impl Fn(&CompiledFlow<'_>)) {
+    let exec = Executor::new(cfg).mapping(&RoundRobin);
+    let (flow, sibling) = (exec.compile(g), exec.compile(g));
+    let threads = clean_run(&flow);
+    assert_eq!(threads[0], std::thread::current().id(), "W0 is the caller");
+    for _ in 0..2 {
+        fail(&flow);
+        assert_eq!(clean_run(&flow), threads, "the same flow, the same threads");
+        assert_eq!(clean_run(&sibling), threads, "a sibling flow too");
+    }
+}
+
+/// The task and worker a failed run blamed.
+fn blamed(err: ExecError) -> (TaskId, WorkerId) {
+    match err {
+        ExecError::TaskPanicked { task, worker, .. } => (task, worker),
+        other => panic!("expected TaskPanicked, got {other}"),
+    }
+}
+
+#[test]
+fn the_set_survives_a_panic_in_a_block_and_in_a_kept_task_on_either_worker() {
+    let cfg = || RioConfig::with_workers(2).watchdog(BACKSTOP);
+    // Private writes run as blocks; a chain across two workers keeps
+    // every guard. Round-robin: T(2i+1) is W0's, T(2i+2) is W1's.
+    for g in [private_graph(4000), chain_graph(64)] {
+        for victim in [TaskId(41), TaskId(42)] {
+            assert_the_set_survives(cfg(), &g, |flow| {
+                let err = flow
+                    .try_run(|_, t| assert!(t.id != victim, "boom at {victim}"))
+                    .unwrap_err();
+                let worker = WorkerId::from_index(victim.index() % 2);
+                assert_eq!(blamed(err), (victim, worker));
+            });
+        }
+    }
+}
+
+#[test]
+fn the_set_survives_a_watchdog_stall() {
+    // W1's T2 waits on T1, which W0 holds far past the deadline.
+    let cfg = RioConfig::with_workers(2)
+        .spin_limit(4)
+        .watchdog(Duration::from_millis(50));
+    assert_the_set_survives(cfg, &chain_graph(8), |flow| {
+        let err = flow
+            .try_run(|_, t| {
+                if t.id == TaskId(1) {
+                    std::thread::sleep(Duration::from_millis(300));
+                }
+            })
+            .unwrap_err();
+        assert_eq!(err.kind(), "stalled");
+    });
+}
+
+/// Panics once, outside any body: after a worker's last task has
+/// published, where no containment frame is open.
+struct PanicAfter(TaskId, std::sync::atomic::AtomicBool);
+
+impl rio_stf::FaultHook for PanicAfter {
+    fn spurious_wake_after(&self, _: WorkerId, task: TaskId) -> bool {
+        let armed = task == self.0 && self.1.swap(false, Ordering::SeqCst);
+        assert!(!armed, "worker lost after {task}");
+        false
+    }
+}
+
+#[test]
+fn the_set_survives_a_worker_panic_outside_any_body() {
+    let g = chain_graph(8);
+    // The last task of W0 (on the caller) and of W1 (on a set thread):
+    // nobody waits for anything the lost worker still owed.
+    for last in [TaskId(7), TaskId(8)] {
+        let hook = std::sync::Arc::new(PanicAfter(last, false.into()));
+        let cfg = RioConfig::with_workers(2)
+            .watchdog(BACKSTOP)
+            .fault_hook(rio_stf::HookHandle(hook.clone()));
+        assert_the_set_survives(cfg, &g, |flow| {
+            hook.1.store(true, Ordering::SeqCst);
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                flow.run(|_, _| {});
+            }));
+            let payload = unwound.expect_err("re-raised on the caller");
+            let msg = payload
+                .downcast_ref::<String>()
+                .expect("the hook's message");
+            assert_eq!(msg, &format!("worker lost after {last}"));
+        });
+    }
+}

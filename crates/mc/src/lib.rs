@@ -40,6 +40,7 @@ pub mod protocol_spec;
 pub mod rio_spec;
 pub mod stf_spec;
 pub mod walk;
+pub mod workerset_spec;
 
 pub use eventcount_spec::{explore_eventcount, EventCountSpec, Mutant};
 pub use explorer::{explore, ExploreReport, TransitionSystem};
@@ -49,3 +50,4 @@ pub use protocol_spec::{
 pub use rio_spec::{explore_rio, RioSpec};
 pub use stf_spec::{explore_stf, StfSpec};
 pub use walk::{random_walks, WalkReport};
+pub use workerset_spec::{explore_workerset, WorkerSetSpec};

@@ -869,3 +869,218 @@ fn worker_zero_runs_on_the_calling_thread_unless_workers_are_pinned() {
         }
     }
 }
+
+/// The worker set (`rio_core`'s `pool.rs`): one run of `flow` under the
+/// hashing kernel, checked against `oracle`; returns the thread each
+/// worker ran on. `first` additionally runs before worker 0's first task.
+fn threads_of_a_run(
+    flow: &CompiledFlow<'_>,
+    oracle: &[u64],
+    first: impl Fn() + Sync,
+) -> Vec<std::thread::ThreadId> {
+    let g = flow.graph();
+    let threads = Mutex::new(vec![None; flow.config().workers]);
+    let store = DataStore::filled(g.num_data(), 0u64);
+    flow.run(|w, t: &TaskDesc| {
+        let me = std::thread::current().id();
+        if threads.lock().unwrap()[w.index()].replace(me).is_none() && w.index() == 0 {
+            first();
+        }
+        hash_kernel(&store, t);
+    });
+    assert_eq!(store.into_vec(), oracle);
+    let threads = threads.into_inner().unwrap();
+    threads
+        .into_iter()
+        .map(|t| t.expect("ran a task"))
+        .collect()
+}
+
+/// A set thread is the same OS thread run after run, for every flow of
+/// its executor — and for a flow that outlives the executor.
+#[test]
+fn worker_set_threads_outlive_the_run_and_the_executor() {
+    let g = rio::workloads::cholesky::graph(4, 1);
+    let oracle = run_sequential(&g);
+    let caller = std::thread::current().id();
+    let exec = Executor::new(RioConfig::with_workers(3)).mapping(&RoundRobin);
+    let (flow, sibling) = (exec.compile(&g), exec.compile(&g));
+    let first = threads_of_a_run(&flow, &oracle, || {});
+    assert_eq!(first[0], caller);
+    assert!(first[1] != caller && first[2] != caller && first[1] != first[2]);
+    drop(exec);
+    for flow in [&flow, &sibling, &flow] {
+        assert_eq!(threads_of_a_run(flow, &oracle, || {}), first);
+    }
+}
+
+/// Two runs in flight on one executor — one flow from two threads, then
+/// two flows — both finish with the oracle's store: one on the set, the
+/// other on threads of its own rather than behind it. (Each run's worker
+/// 0 waits for the other's before its first task, so a run that queued
+/// behind the other would hang here.)
+#[test]
+fn worker_set_busy_means_a_transient_set_not_a_queue() {
+    let g = rio::workloads::cholesky::graph(4, 1);
+    let oracle = run_sequential(&g);
+    let exec = Executor::new(RioConfig::with_workers(2)).mapping(&RoundRobin);
+    let (a, b) = (exec.compile(&g), exec.compile(&g));
+    let resident = threads_of_a_run(&a, &oracle, || {})[1];
+    for pair in [[&a, &a], [&a, &b]] {
+        let gate = std::sync::Barrier::new(2);
+        let on_w1: Vec<_> = std::thread::scope(|s| {
+            let runs = pair.map(|flow| {
+                s.spawn(|| {
+                    threads_of_a_run(flow, &oracle, || {
+                        gate.wait();
+                    })[1]
+                })
+            });
+            runs.map(|r| r.join().unwrap()).into()
+        });
+        assert_ne!(on_w1[0], on_w1[1]);
+        assert_eq!(on_w1.iter().filter(|t| **t == resident).count(), 1);
+    }
+    // The set is whole again.
+    assert_eq!(threads_of_a_run(&b, &oracle, || {})[1], resident);
+}
+
+/// A kernel that runs a flow of its own executor — on the calling thread
+/// (worker 0) and on a set thread (worker 1) — completes.
+#[test]
+fn worker_set_runs_nest() {
+    let g = rio::workloads::cholesky::graph(4, 1);
+    let oracle = run_sequential(&g);
+    let exec = Executor::new(RioConfig::with_workers(2)).mapping(&RoundRobin);
+    let (outer, inner) = (exec.compile(&g), exec.compile(&g));
+    let store = DataStore::filled(g.num_data(), 0u64);
+    let nested = AtomicU32::new(0);
+    outer.run(|_, t: &TaskDesc| {
+        if t.id.0 <= 2 {
+            threads_of_a_run(&inner, &oracle, || {});
+            nested.fetch_add(1, Ordering::Relaxed);
+        }
+        hash_kernel(&store, t);
+    });
+    assert_eq!(store.into_vec(), oracle);
+    assert_eq!(nested.load(Ordering::Relaxed), 2);
+}
+
+/// Counts its drops: planted in a thread-local, it fires when the thread
+/// exits.
+struct Planted(Arc<AtomicU32>);
+
+impl Drop for Planted {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+thread_local! {
+    static PLANTED: std::cell::RefCell<Option<Planted>> = const { std::cell::RefCell::new(None) };
+}
+
+/// Threads start with the first run, not with the executor, and have
+/// exited by the time the last owner's drop returns.
+#[test]
+fn worker_set_starts_lazily_and_is_joined_by_its_last_owner() {
+    let g = rio::workloads::cholesky::graph(4, 1);
+    // No other test of this binary runs a hundred workers.
+    #[cfg(target_os = "linux")]
+    {
+        let named = |name: &str| {
+            let tasks = std::fs::read_dir("/proc/self/task").unwrap();
+            let comm = |t: std::io::Result<std::fs::DirEntry>| {
+                std::fs::read_to_string(t.ok()?.path().join("comm")).ok()
+            };
+            tasks.filter_map(comm).any(|c| c.trim() == name)
+        };
+        let exec = Executor::new(RioConfig::with_workers(100));
+        let flow = exec.compile(&g);
+        assert!(!named("rio-w99"), "compiling starts no thread");
+        flow.run(|_, _| {});
+        assert!(named("rio-w99"), "the first run starts them, by name");
+        drop((exec, flow));
+        assert!(!named("rio-w99"));
+    }
+    let fired = Arc::new(AtomicU32::new(0));
+    let exec = Executor::new(RioConfig::with_workers(3)).mapping(&RoundRobin);
+    let flow = exec.compile(&g);
+    flow.run(|w, _| {
+        if w.index() > 0 {
+            PLANTED.with(|p| {
+                p.borrow_mut()
+                    .get_or_insert_with(|| Planted(Arc::clone(&fired)));
+            });
+        }
+    });
+    drop(exec);
+    assert_eq!(fired.load(Ordering::SeqCst), 0, "the flow owns the set too");
+    drop(flow);
+    assert_eq!(fired.load(Ordering::SeqCst), 2, "both threads have exited");
+}
+
+/// With no spin budget an idle set thread goes to sleep at once — and the
+/// next launch wakes it: the futex path, which a budgeted spin only takes
+/// when the gap between two runs is long enough.
+#[cfg(target_os = "linux")]
+#[test]
+fn worker_set_sleeps_between_runs_and_wakes_for_the_next() {
+    let g = rio::workloads::cholesky::graph(4, 1);
+    let oracle = run_sequential(&g);
+    let cfg = RioConfig::with_workers(2).spin_limit(0);
+    let flow = Executor::new(cfg).mapping(&RoundRobin).compile(&g);
+    let stat = Mutex::new(None);
+    flow.run(|w, _| {
+        if w.index() == 1 {
+            let me = std::fs::read_link("/proc/thread-self").unwrap();
+            *stat.lock().unwrap() = Some(std::path::Path::new("/proc").join(me).join("stat"));
+        }
+    });
+    let stat = stat.into_inner().unwrap().expect("worker 1 ran a task");
+    let asleep = || {
+        let line = std::fs::read_to_string(&stat).unwrap();
+        line.rsplit(')')
+            .next()
+            .unwrap()
+            .trim_start()
+            .starts_with('S')
+    };
+    let resident = threads_of_a_run(&flow, &oracle, || {})[1];
+    for _ in 0..3 {
+        let patience = std::time::Instant::now();
+        while !asleep() {
+            assert!(patience.elapsed() < Duration::from_secs(10), "still awake");
+            std::thread::yield_now();
+        }
+        assert_eq!(threads_of_a_run(&flow, &oracle, || {})[1], resident);
+    }
+}
+
+/// A set thread that finds itself on its launcher's CPU steps off it — a
+/// placement, not a pin: whatever it did, it may still run wherever the
+/// caller may. (No spin budget, so every launch is a wake-up: the case in
+/// which Linux stacks the woken thread on its waker's CPU.)
+#[cfg(target_os = "linux")]
+#[test]
+fn worker_set_threads_keep_the_callers_affinity_mask() {
+    let allowed = || {
+        let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
+        let line = status.lines().find(|l| l.starts_with("Cpus_allowed_list:"));
+        line.expect("the kernel reports the mask").to_string()
+    };
+    let g = rio::workloads::cholesky::graph(4, 1);
+    let cfg = RioConfig::with_workers(2).spin_limit(0);
+    let flow = Executor::new(cfg).mapping(&RoundRobin).compile(&g);
+    let mine = allowed();
+    for _ in 0..20 {
+        let seen = Mutex::new(None);
+        flow.run(|w, _| {
+            if w.index() == 1 {
+                seen.lock().unwrap().get_or_insert_with(allowed);
+            }
+        });
+        assert_eq!(seen.into_inner().unwrap(), Some(mine.clone()));
+        std::thread::sleep(Duration::from_micros(300));
+    }
+}

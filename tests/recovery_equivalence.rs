@@ -374,3 +374,115 @@ fn closure_flow_and_compiled_runs_record_the_same_events() {
     assert!(!flow_partial.flight.is_empty());
     assert_eq!(flow_partial.flight, compiled_partial.flight);
 }
+
+// ---------------------------------------------------------------------
+// Fixed cases (from rio-core's unit tests, where they needed nothing
+// private): what one body panic does without a policy, under a retry
+// policy, and under one that gives up at once.
+// ---------------------------------------------------------------------
+
+/// `n` read-write tasks chained on `D0`.
+fn chain(n: usize) -> TaskGraph {
+    let mut b = TaskGraph::builder(1);
+    for _ in 0..n {
+        b.task(&[Access::read_write(DataId(0))], 1, "t");
+    }
+    b.build()
+}
+
+/// A panicking task body must propagate without stranding workers that
+/// are blocked waiting on its (now never-published) completion.
+#[test]
+fn task_panic_propagates_and_unblocks_waiters() {
+    let g = chain(20);
+    for wait in [WaitStrategy::SpinYield, WaitStrategy::Park] {
+        let exec = Executor::new(RioConfig::with_workers(3).wait(wait));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            exec.run(&g, |_, t| {
+                if t.id.0 == 5 {
+                    panic!("task 5 exploded");
+                }
+            });
+        }));
+        let payload = result.expect_err("panic must propagate");
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(msg, "task 5 exploded", "strategy {wait}");
+    }
+}
+
+/// A flaky task (two failing attempts, then success) recovers under
+/// the retry policy: the run completes cleanly — no partial report —
+/// with the sequential result and two retries on the counters.
+#[test]
+fn retry_policy_recovers_flaky_tasks() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let g = chain(20);
+    let store = DataStore::from_vec(vec![0u64]);
+    let failures_left = AtomicU64::new(2);
+    let cfg = RioConfig::with_workers(2)
+        .wait(WaitStrategy::Park)
+        .recovery(RecoveryPolicy::default().backoff(std::time::Duration::from_micros(1)));
+    let run = Executor::new(cfg)
+        .try_run(&g, |_, t| {
+            if t.id.0 == 5
+                && failures_left
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
+                    .is_ok()
+            {
+                panic!("flaky");
+            }
+            *store.write(DataId(0)) += 1;
+        })
+        .expect("recovered run must not abort");
+    assert!(run.outcome.is_complete(), "a recovered run is not degraded");
+    assert_eq!(store.into_vec(), vec![20]);
+    assert_eq!(run.report.tasks_executed(), 20);
+    assert_eq!(run.counters.total().retries, 2);
+    assert_eq!(run.counters.total().poisoned, 0);
+}
+
+/// A permanently-failing task degrades the run instead of aborting
+/// it: the failure is recorded, its written datum poisoned, every
+/// dependent on the chain skipped — and the independent chain (and
+/// the run itself) completes, because skipped tasks still sync.
+#[test]
+fn permanent_failure_degrades_and_poisons_the_cone() {
+    let mut b = TaskGraph::builder(2);
+    for _ in 0..10 {
+        b.task(&[Access::read_write(DataId(0))], 1, "a");
+    }
+    for _ in 0..10 {
+        b.task(&[Access::read_write(DataId(1))], 1, "b");
+    }
+    let g = b.build();
+    let store = DataStore::from_vec(vec![0u64, 0]);
+    let cfg = RioConfig::with_workers(2)
+        .wait(WaitStrategy::Park)
+        .recovery(RecoveryPolicy::no_retries());
+    let run = Executor::new(cfg)
+        .try_run(&g, |_, t| {
+            if t.id.0 == 5 {
+                panic!("T5 is beyond saving");
+            }
+            *store.write(t.accesses[0].data) += 1;
+        })
+        .expect("degraded run must not abort");
+    let report = &run.report;
+    let partial = run
+        .outcome
+        .partial()
+        .expect("a permanent failure degrades the run");
+    assert_eq!(partial.failed.len(), 1);
+    assert_eq!(partial.failed[0].task, TaskId(5));
+    assert_eq!(partial.failed[0].retries, 0);
+    assert_eq!(partial.failed[0].detail.kind(), "task-failed");
+    assert_eq!(partial.poisoned, vec![DataId(0)]);
+    let skipped: Vec<_> = (6..=10).map(TaskId).collect();
+    assert_eq!(partial.skipped, skipped, "the rest of the D0 chain skips");
+    // 20 tasks minus 1 failed minus 5 skipped executed; the healthy
+    // D1 chain is untouched by the poison.
+    assert_eq!(report.tasks_executed(), 14);
+    assert_eq!(store.into_vec(), vec![4, 10]);
+    assert_eq!(report.counters.total().poisoned, 1);
+    assert_eq!(report.counters.total().retries, 0);
+}
