@@ -724,7 +724,7 @@ pub fn counters_overhead(opt: &Options, tasks_per_worker: usize) -> (String, Vec
         &table,
     );
     if let Some(s) = snapshot {
-        let rendered = s.table().render();
+        let rendered = rio_telemetry::counters::table(&s).render();
         println!("{rendered}");
         out.push_str(&rendered);
     }
@@ -1093,7 +1093,7 @@ pub struct NumaRow {
     /// `intra + DEFAULT_CROSS_NODE_COST × cross` — the deterministic
     /// metric the CI gate compares.
     pub weighted_cost: u64,
-    /// Wall time of one real run under the topology (context, not gated).
+    /// Wall time of one real run under the mapping (context, not gated).
     pub wall_ns: f64,
 }
 
@@ -1108,22 +1108,21 @@ pub struct NumaRow {
 /// `intra + DEFAULT_CROSS_NODE_COST × cross`. The score is a pure
 /// function of flow + mapping + node table (no clocks), so the
 /// `--assert-no-regress` CI gate is deterministic; one real run per
-/// mapping (workers bound to the topology: node-major placement,
-/// same-node-first stealing) supplies wall-time context.
+/// mapping supplies wall-time context.
 ///
 /// Runs against the detected topology when the host really is
 /// multi-node; otherwise a mocked two-node split of the worker count, so
 /// the figure stays meaningful on single-node hosts and in CI
 /// (`RIO_TOPO_MOCK=NxC` overrides detection either way, see
-/// `rio_core::Topology`).
+/// `rio_doctor::topo::Topology`).
 pub fn numa(opt: &Options, grid: usize, cost: u64) -> (String, Vec<NumaRow>) {
     use rio_workloads::cholesky;
     let w = opt.threads.max(2);
-    let detected = rio_core::Topology::detected().clone();
+    let detected = rio_doctor::topo::Topology::detected().clone();
     let topo = if detected.num_nodes() > 1 {
         detected
     } else {
-        std::sync::Arc::new(rio_core::Topology::mock(2, w.div_ceil(2)))
+        std::sync::Arc::new(rio_doctor::topo::Topology::mock(2, w.div_ceil(2)))
     };
     let node_table = topo.node_assignment(w);
     let graph = cholesky::graph(grid, cost);
@@ -1152,9 +1151,7 @@ pub fn numa(opt: &Options, grid: usize, cost: u64) -> (String, Vec<NumaRow>) {
         );
         let mut wall = Duration::MAX;
         for _ in 0..opt.reps.max(1) {
-            let cfg = RioConfig::with_workers(w)
-                .wait(WaitStrategy::Park)
-                .topology(topo.clone());
+            let cfg = RioConfig::with_workers(w).wait(WaitStrategy::Park);
             let t0 = Instant::now();
             rio_core::Executor::new(cfg)
                 .mapping(mapping)

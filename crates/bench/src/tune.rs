@@ -3,17 +3,17 @@
 //! Same demonstration workload as `repro doctor` (tiled Cholesky under a
 //! deliberately DAG-oblivious round-robin mapping), but instead of the
 //! manual diagnose → remap → re-run sequence the whole loop runs inside
-//! the runtime: [`rio_core::Executor::tuned_run_with`] traces each
-//! round, diagnoses it, applies the suggested remap plus per-object
-//! wait policies, recompiles, and stops when the remap runs out of
-//! moves or the wall time stalls. The harness then re-measures the
+//! the process: [`rio_doctor::tune::Tune::tuned_run_with`] traces each
+//! round, diagnoses it, applies the suggested remap, recompiles, and
+//! stops when the remap runs out of moves or the wall time stalls. The harness then re-measures the
 //! untuned baseline and the final plan best-of-reps, for a wall-clock
 //! delta robust against scheduling noise.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use rio_core::{Executor, RioConfig, TuneIteration, TuneOptions, WaitStrategy};
+use rio_core::{Executor, RioConfig, WaitStrategy};
+use rio_doctor::tune::{Tune, TuneIteration, TuneOptions};
 use rio_stf::RoundRobin;
 use rio_trace::TraceConfig;
 use rio_workloads::cholesky;

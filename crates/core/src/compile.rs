@@ -23,7 +23,7 @@
 //! replaying the declares into a single simulated view, and emits for
 //! every task one `Run { task, start..end }` into its owner's program:
 //! the task's accesses and the packed view each of them waits for live at
-//! `start..end` of a contiguous arena ([`NodeArena`]). A foreign task
+//! `start..end` of a contiguous arena ([`Arena`]). A foreign task
 //! contributes *no instruction* to a worker's program, and a run keeps no
 //! private state at all — a terminate is just the shared publication
 //! ([`crate::protocol::publish_write`]/[`crate::protocol::publish_read`]).
@@ -118,8 +118,8 @@ use crate::protocol::{pack_epoch, spurious_wake_all, SharedDataState};
 use crate::steal::{ClaimTable, Claims, Cursor, StealState};
 
 /// `Run` instruction: execute the task at flow index `task`; its accesses
-/// and their expected words are `arena[start..end]` — of the owner's
-/// node, or of the flow's claimable arena when claim-marked. 12 bytes: a
+/// and their expected words are `arena[start..end]` — of the flow's
+/// arena, or of its claimable arena when claim-marked. 12 bytes: a
 /// program is streamed once per run and written once per compile.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RunInstr {
@@ -272,19 +272,17 @@ impl AccessPlan {
     }
 }
 
-/// One NUMA node's slice of the compiled flow: the entries of every `Run`
-/// instruction owned by a worker of that node, in flow order.
+/// The entries of every owned `Run` instruction, in flow order.
 ///
 /// `expected[k]` is the packed private view
 /// ([`crate::protocol::expected_write_word`]) that `plans[k]`'s `get_*`
 /// compares the epoch word against — whole for a write, the write half
 /// only for a read — computed once by replaying the flow's declares at
 /// compile time (for an elided guard it is what the guard would have
-/// compared). A [`RunInstr`]'s `start..end` indexes the arena of the
-/// *owning worker's node*. On a single-node topology the one arena is
-/// laid out exactly like [`rio_stf::FlatAccesses`].
+/// compared). When every task has an owner, the arena is laid out
+/// exactly like [`rio_stf::FlatAccesses`].
 #[derive(Debug, Default)]
-pub(crate) struct NodeArena {
+pub(crate) struct Arena {
     pub(crate) plans: Vec<AccessPlan>,
     pub(crate) expected: Vec<u64>,
 }
@@ -295,16 +293,15 @@ const BLANK: AccessPlan = AccessPlan {
     bits: 0,
 };
 
-impl NodeArena {
-    fn blank(len: usize) -> NodeArena {
-        NodeArena {
+impl Arena {
+    fn blank(len: usize) -> Arena {
+        Arena {
             plans: vec![BLANK; len],
             expected: vec![0; len],
         }
     }
 
-    /// Only a multi-node topology's arenas can prove too short: how the
-    /// accesses spread over the nodes is the mapping's business.
+    /// Only the claimable arena, which starts empty, can prove too short.
     #[cold]
     #[inline(never)]
     fn grow(&mut self, len: usize) {
@@ -331,27 +328,17 @@ impl NodeArena {
 /// [`CompileStats::shared_objects`] entries, reports — is allocated fresh
 /// on every run, so runs are independent: a run that aborts leaves the
 /// program intact.
-///
-/// With a multi-node [`RioConfig::topology`], each worker's access
-/// entries and expected words live in its node's [`NodeArena`] so the
-/// hot `get → kernel → terminate` walk streams node-local memory;
-/// without one there is a single arena in classic flat order.
 #[must_use = "a CompiledFlow does nothing until `.run()` is called"]
 pub struct CompiledFlow<'g> {
     cfg: RioConfig,
     /// The compiling executor's worker set: every run launches on it.
     set: Arc<WorkerSet>,
     graph: &'g TaskGraph,
-    /// One arena per NUMA node of the compiled topology (exactly one
-    /// without a topology).
-    arenas: Vec<NodeArena>,
+    /// The entries of the owned instructions, every worker's.
+    arena: Arena,
     /// The entries of the claim-marked instructions, emitted once for all
     /// the programs that hold them.
-    claimable: NodeArena,
-    /// The node each worker's `Run` offsets index into, parallel to
-    /// `programs` (node-major assignment from the topology; all zeros
-    /// without one).
-    pub(crate) node_of_worker: Vec<u32>,
+    claimable: Arena,
     pub(crate) programs: Vec<WorkerProgram>,
     /// How many tasks a partial mapping left to be claimed; `None` for a
     /// total mapping.
@@ -549,19 +536,11 @@ fn lower<'g, O: OwnerOf>(
         "flow has more epochs than a compiled entry can name"
     );
     let workers = cfg.workers;
-    let node_of_worker = cfg.node_assignment();
-    let num_nodes = node_of_worker
-        .iter()
-        .map(|&n| n as usize + 1)
-        .max()
-        .unwrap_or(1);
-    // Filled in place, up to `filled[node]`, and cut to size at the end.
-    // One more than there are nodes: tasks nobody owns are lowered like
-    // any other, into the claimable arena.
-    let mut arenas: Vec<NodeArena> = (0..=num_nodes)
-        .map(|n| NodeArena::blank(if n < num_nodes { total / num_nodes } else { 0 }))
-        .collect();
-    let mut filled = vec![0usize; num_nodes + 1];
+    // Filled in place, up to `filled[k]`, and cut to size at the end: the
+    // owned tasks' arena, then the claimable one — tasks nobody owns are
+    // lowered like any other.
+    let mut arenas = vec![Arena::blank(total), Arena::blank(0)];
+    let mut filled = vec![0usize; 2];
     let mut programs: Vec<WorkerProgram> = (0..workers)
         .map(|_| Vec::with_capacity(graph.len() / workers + 1))
         .collect();
@@ -605,13 +584,12 @@ fn lower<'g, O: OwnerOf>(
         // program and whoever claims it runs it. Mapped to a worker that
         // does not exist — only with preflight off — it lands in nobody's
         // program, and its dependents stall into the watchdog.
-        let placed = owner.and_then(|w| Some((w, *node_of_worker.get(w.index())?)));
-        let (node, w, on) = match placed {
-            Some((w, node)) => (node as usize, w.0, w.0),
-            None => (num_nodes, UNMAPPED, SPREAD),
+        let (k, w, on) = match owner.filter(|w| w.index() < workers) {
+            Some(w) => (0, w.0, w.0),
+            None => (1, UNMAPPED, SPREAD),
         };
-        let arena = &mut arenas[node];
-        let start = filled[node];
+        let arena = &mut arenas[k];
+        let start = filled[k];
         let end = start + t.accesses.len();
         if end > arena.plans.len() {
             arena.grow(2 * end);
@@ -663,7 +641,7 @@ fn lower<'g, O: OwnerOf>(
             marked_start: start as u32 | marks,
             end: end as u32,
         };
-        if node < num_nodes {
+        if k == 0 {
             programs[w as usize].push(run);
         } else if owner.is_none() {
             programs.iter_mut().for_each(|p| p.push(run));
@@ -672,7 +650,7 @@ fn lower<'g, O: OwnerOf>(
             // In nobody's program: the next such task overwrites it.
             continue;
         }
-        filled[node] = end;
+        filled[k] = end;
         owned += t.accesses.len() as u64;
         kept_gets += guards;
     }
@@ -698,11 +676,12 @@ fn lower<'g, O: OwnerOf>(
         .sum();
     // Nothing published, nothing to take back.
     if kept_publishes > 0 {
-        for (prog, &node) in programs.iter_mut().zip(&node_of_worker) {
-            settle_quiet(prog, &arenas[node as usize].plans);
+        for prog in &mut programs {
+            settle_quiet(prog, &arenas[0].plans);
         }
     }
-    let claimable = arenas.pop().expect("one arena more than there are nodes");
+    let claimable = arenas.pop().expect("two arenas");
+    let arena = arenas.pop().expect("two arenas");
     let stats = CompileStats {
         flow_len: graph.len(),
         runs_per_worker: programs.iter().map(Vec::len).collect(),
@@ -716,9 +695,8 @@ fn lower<'g, O: OwnerOf>(
         cfg: cfg.clone(),
         set: Arc::clone(set),
         graph,
-        arenas,
+        arena,
         claimable,
-        node_of_worker,
         programs,
         unmapped: O::PARTIAL.then_some(unmapped),
         stats,
@@ -799,7 +777,7 @@ impl<'g> CompiledFlow<'g> {
     /// If `worker` is not one of the compiled configuration's workers.
     pub fn own_tasks(&self, worker: WorkerId) -> impl Iterator<Item = CompiledTask<'_>> {
         self.programs[worker.index()].iter().map(move |r| {
-            let a = self.accesses(worker.index(), r);
+            let a = self.accesses(r);
             CompiledTask {
                 task: &self.graph.tasks()[r.task as usize],
                 expected: a.expected,
@@ -810,15 +788,14 @@ impl<'g> CompiledFlow<'g> {
         })
     }
 
-    /// The entries of `r`, an instruction of `worker`'s program: in the
-    /// claimable arena if claim-marked, else in the arena of the worker's
-    /// node.
+    /// The entries of `r`: in the claimable arena if claim-marked, else in
+    /// the flow's.
     #[inline]
-    pub(crate) fn accesses(&self, worker: usize, r: &RunInstr) -> TaskAccesses<'_> {
+    pub(crate) fn accesses(&self, r: &RunInstr) -> TaskAccesses<'_> {
         let arena = if r.unmapped() {
             &self.claimable
         } else {
-            &self.arenas[self.node_of_worker[worker] as usize]
+            &self.arena
         };
         TaskAccesses {
             plans: &arena.plans[r.range()],
@@ -955,7 +932,7 @@ impl<'g> CompiledFlow<'g> {
             }
             ctx.tasks_visited += 1;
             let (id, t) = (TaskId::from_index(r.task as usize), &tasks[r.task as usize]);
-            if !ctx.exec_task(id, self.accesses(me, r), || kernel(worker, t)) {
+            if !ctx.exec_task(id, self.accesses(r), || kernel(worker, t)) {
                 break;
             }
             pc += 1;
@@ -1483,8 +1460,8 @@ mod tests {
         // T1 writes d0; T2, T3 read it; T4 writes it again.
         let g = crate::testing::fanout(2);
         let flow = compile(cfg(2), &g);
-        // Single-node: one arena in exact flat order.
-        let expected = &flow.arenas[0].expected;
+        // Every task owned: the arena in exact flat order.
+        let expected = &flow.arena.expected;
         // T1's write waits for the initial epoch (no write, no reads).
         assert_eq!(expected[0], pack_epoch(TaskId::NONE, 0));
         // The reads wait for T1's write: the word is the whole private
@@ -1494,45 +1471,6 @@ mod tests {
         assert_eq!(expected[2], pack_epoch(TaskId(1), 1));
         // T4's write waits for T1's write AND both reads.
         assert_eq!(expected[3], pack_epoch(TaskId(1), 2));
-    }
-
-    #[test]
-    fn node_arenas_partition_the_flat_arena() {
-        use crate::topo::Topology;
-        use std::sync::Arc;
-        // 2×2 mock topology, 4 workers: every Run's accesses live in the
-        // owning worker's node arena, offsets remapped; the run result is
-        // identical to the single-arena layout.
-        let g = crate::testing::chains(80, 4);
-        let single = compile(cfg(4), &g);
-        assert_eq!(single.arenas.len(), 1, "no topology → one arena");
-        let numa = compile(cfg(4).topology(Arc::new(Topology::mock(2, 2))), &g);
-        assert_eq!(numa.arenas.len(), 2);
-        assert_eq!(numa.node_of_worker, vec![0, 0, 1, 1]);
-        // Arena slices hold exactly the task's accesses, as in the flat
-        // layout, and the expected words match the single-node compile.
-        let flat = g.flat_accesses();
-        for (w, prog) in numa.programs.iter().enumerate() {
-            let arena = &numa.arenas[numa.node_of_worker[w] as usize];
-            for (r, sr) in prog.iter().zip(&single.programs[w]) {
-                assert_eq!(r.task, sr.task);
-                let range = r.range();
-                let srange = sr.range();
-                let declared = flat.of(r.task as usize);
-                assert_eq!(range.len(), declared.len());
-                for (p, a) in arena.plans[range.clone()].iter().zip(declared) {
-                    assert_eq!((p.data, p.writes()), (a.data, a.mode.writes()));
-                }
-                assert_eq!(&arena.expected[range], &single.arenas[0].expected[srange]);
-            }
-        }
-        // Both arenas together cover exactly the owned Runs' accesses.
-        let total: usize = numa.arenas.iter().map(|a| a.plans.len()).sum();
-        assert_eq!(total, flat.arena().len());
-        // And the run produces the same store.
-        let store = DataStore::filled(4, 0u64);
-        numa.run(|_, t| *store.write(t.accesses[0].data) += 1);
-        assert_eq!(store.into_vec(), vec![20; 4]);
     }
 
     #[test]

@@ -199,23 +199,13 @@ pub struct RioConfig {
     /// to the [`crate::ExecReport`]. Must have at least
     /// [`RioConfig::workers`] slots. Ignored when `counters` is `false`.
     pub counter_registry: Option<Arc<CounterRegistry>>,
-    /// Machine topology ([`crate::topo::Topology`]) used for NUMA-aware
-    /// placement: workers are assigned to nodes node-major
-    /// ([`Topology::node_assignment`](crate::topo::Topology::node_assignment)),
-    /// `CompiledFlow` lays out per-worker epoch words and access slices
-    /// in node-local arenas, and the steal layer prefers same-node
-    /// victims. `None` (the default) behaves exactly like a single-node
-    /// topology — every worker on node 0. Use
-    /// [`Topology::detected`](crate::topo::Topology::detected) for the
-    /// real machine or [`Topology::mock`](crate::topo::Topology::mock)
-    /// for a deterministic shape in tests.
-    pub topology: Option<Arc<crate::topo::Topology>>,
-    /// When `true` (and [`RioConfig::topology`] is set), each worker
-    /// pins itself to its assigned core via `sched_setaffinity` on entry
-    /// — best-effort: pinning failures (non-Linux, restricted cgroups)
-    /// are ignored. Default `false`: placement is advisory only, which
-    /// keeps runs well-behaved on oversubscribed CI machines. Also what
-    /// lets worker 0 run on the calling thread (pinned: a thread each).
+    /// When `true`, worker `w` pins itself to the `(w mod k)`-th of the
+    /// `k` CPUs the thread that starts the worker set may run on (its
+    /// affinity mask, read once) via `sched_setaffinity` — best-effort:
+    /// pinning failures (non-Linux, restricted cgroups) are ignored.
+    /// Default `false`: the scheduler places the workers, which keeps runs
+    /// well-behaved on oversubscribed CI machines. Also what lets worker 0
+    /// run on the calling thread (pinned: a thread each).
     pub pin_workers: bool,
 }
 
@@ -319,33 +309,11 @@ impl RioConfig {
         self
     }
 
-    /// Installs a machine topology for NUMA-aware placement (builder
-    /// style). See [`RioConfig::topology`].
-    pub fn topology(mut self, topo: Arc<crate::topo::Topology>) -> RioConfig {
-        self.topology = Some(topo);
-        self
-    }
-
-    /// Enables/disables best-effort core pinning (builder style). Takes
-    /// effect only with a [`RioConfig::topology`] installed.
+    /// Enables/disables best-effort CPU pinning (builder style). See
+    /// [`RioConfig::pin_workers`].
     pub fn pin_workers(mut self, on: bool) -> RioConfig {
         self.pin_workers = on;
         self
-    }
-
-    /// The node each worker runs on under this configuration: the
-    /// topology's node-major assignment, or all-zeros without one.
-    pub(crate) fn node_assignment(&self) -> Vec<u32> {
-        match &self.topology {
-            Some(t) => t.node_assignment(self.workers),
-            None => vec![0; self.workers],
-        }
-    }
-
-    /// The number of NUMA nodes the configured topology spans (1 without
-    /// a topology).
-    pub fn num_nodes(&self) -> usize {
-        self.topology.as_ref().map_or(1, |t| t.num_nodes())
     }
 
     /// Panics on nonsensical configurations.
@@ -387,7 +355,6 @@ impl Default for RioConfig {
             recovery: None,
             stealing: None,
             counter_registry: None,
-            topology: None,
             pin_workers: false,
         }
     }
@@ -427,6 +394,8 @@ mod tests {
         assert!(c.watchdog.is_none(), "watchdog is opt-in");
         assert!(c.preflight, "pre-flight validation is on by default");
         assert_eq!(c.spin_limit, None, "sized per run, not a constant");
+        assert!(!c.pin_workers, "pinning is opt-in");
+        assert!(RioConfig::with_workers(4).pin_workers(true).pin_workers);
     }
 
     #[test]
@@ -509,22 +478,6 @@ mod tests {
         RioConfig::with_workers(1)
             .stealing(StealPolicy::new().window(0))
             .validate();
-    }
-
-    #[test]
-    fn topology_is_opt_in_and_assigns_node_major() {
-        let c = RioConfig::with_workers(4);
-        assert!(c.topology.is_none(), "topology is opt-in");
-        assert!(!c.pin_workers, "pinning is opt-in");
-        assert_eq!(c.num_nodes(), 1);
-        assert_eq!(c.node_assignment(), vec![0, 0, 0, 0]);
-        let c = c
-            .topology(Arc::new(crate::topo::Topology::mock(2, 2)))
-            .pin_workers(true);
-        assert_eq!(c.num_nodes(), 2);
-        assert_eq!(c.node_assignment(), vec![0, 0, 1, 1]);
-        assert!(c.pin_workers);
-        c.validate();
     }
 
     #[test]

@@ -39,7 +39,6 @@ use crate::hybrid::{HybridStats, PartialMapping};
 use crate::pool::WorkerSet;
 use crate::report::ExecReport;
 use crate::trace_api::{Trace, TraceConfig};
-use crate::tune::{TuneIteration, TuneOptions, TunedRun, Tuner, TuningPlan};
 
 /// Builder for a RIO execution. See the [module docs](self).
 ///
@@ -47,6 +46,10 @@ use crate::tune::{TuneIteration, TuneOptions, TunedRun, Tuner, TuningPlan};
 /// none is set — or partial: [`Executor::hybrid`] replaces the total
 /// mapping, the tasks it leaves unmapped are claimed at run time, and
 /// [`Execution::hybrid`] reports the claims.
+///
+/// A clone shares the worker set: `ex.clone().mapping(&other)` runs on
+/// the same threads.
+#[derive(Clone)]
 #[must_use = "an Executor does nothing until `.run()` is called"]
 pub struct Executor<'a> {
     cfg: RioConfig,
@@ -105,8 +108,8 @@ pub struct Execution {
     /// one).
     pub outcome: RunOutcome,
     /// The run's always-on counters snapshot (empty only when
-    /// [`RioConfig::counters`] was disabled): the tuner's input
-    /// ([`crate::tune`]).
+    /// [`RioConfig::counters`] was disabled): what `rio_doctor::tune`
+    /// diagnoses when there is no trace.
     pub counters: CountersSnapshot,
     /// Dynamic-claim statistics (`Some` iff the mapping was a partial
     /// one).
@@ -165,6 +168,15 @@ impl<'a> Executor<'a> {
     /// The configuration this executor will run with.
     pub fn config(&self) -> &RioConfig {
         &self.cfg
+    }
+
+    /// The total mapping this executor runs under — [`RoundRobin`] if none
+    /// was set — or `None` under [`Executor::hybrid`], which has none.
+    pub fn total_mapping(&self) -> Option<&'a dyn Mapping> {
+        match self.partial {
+            Some(_) => None,
+            None => Some(self.mapping.unwrap_or(&RoundRobin)),
+        }
     }
 
     /// Compiles `graph` into one program per worker holding that worker's
@@ -240,143 +252,6 @@ impl<'a> Executor<'a> {
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
         self.try_compile(graph)?.try_run(kernel)
-    }
-
-    /// Diagnoses a finished `run` of `graph` into a [`TuningPlan`]:
-    /// shorthand for [`Tuner::plan`] with this executor's worker count and
-    /// its configured mapping. Feed the plan to [`Executor::apply`] to get
-    /// an executor that runs under it — or let [`Executor::tuned_run`]
-    /// drive the whole loop.
-    ///
-    /// # Panics
-    /// If a partial mapping was set with [`Executor::hybrid`].
-    pub fn plan(&self, graph: &TaskGraph, run: &Execution) -> TuningPlan {
-        Tuner::new(graph, self.cfg.workers)
-            .nodes(self.worker_nodes())
-            .plan(self.total_mapping(), run)
-    }
-
-    /// The mapping tuning remaps.
-    ///
-    /// # Panics
-    /// If a partial mapping was set with [`Executor::hybrid`]: tuning
-    /// presupposes a static total mapping.
-    fn total_mapping(&self) -> &'a dyn Mapping {
-        assert!(
-            self.partial.is_none(),
-            "tuning requires a static total mapping: a hybrid executor \
-             claims its unmapped tasks at run time, so there is no \
-             mapping to remap"
-        );
-        self.mapping.unwrap_or(&RoundRobin)
-    }
-
-    /// The configured topology's worker→node table, or `None` when the
-    /// run is single-node (no topology set, or one node), so planning
-    /// stays byte-identical to the topology-blind path.
-    fn worker_nodes(&self) -> Option<Vec<u32>> {
-        (self.cfg.num_nodes() > 1).then(|| self.cfg.node_assignment())
-    }
-
-    /// A new executor with `plan` baked in: the plan's remap replaces
-    /// the mapping. Everything else — worker count, wait strategy,
-    /// tracing, watchdog — carries over from `self`.
-    ///
-    /// # Panics
-    /// If a partial mapping was set with [`Executor::hybrid`].
-    pub fn apply<'p>(&self, plan: &'p TuningPlan) -> Executor<'p> {
-        self.total_mapping();
-        Executor {
-            cfg: self.cfg.clone(),
-            set: Arc::clone(&self.set),
-            mapping: Some(&plan.mapping),
-            partial: None,
-        }
-    }
-
-    /// Closed-loop self-optimizing execution with default
-    /// [`TuneOptions`]: run → diagnose → remap → recompile, iterated
-    /// until the imbalance factor converges or the iteration cap hits.
-    /// See [`Executor::tuned_run_with`].
-    pub fn tuned_run<K>(&self, graph: &TaskGraph, kernel: K) -> TunedRun
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
-        self.tuned_run_with(graph, kernel, TuneOptions::default())
-    }
-
-    /// Closed-loop self-optimizing execution (see [`crate::tune`]).
-    ///
-    /// Each round compiles the current plan (round 0: this executor's
-    /// own mapping) into per-worker instruction
-    /// streams, runs it, and diagnoses the run into the next
-    /// [`TuningPlan`] — from its trace when tracing is enabled
-    /// ([`Executor::trace`]), else from its always-on counters. The loop
-    /// stops when the diagnosis would move nothing, or a round's wall
-    /// time failed to improve on the previous round's by more than the
-    /// [`TuneOptions::tolerance`] fraction ([`TunedRun::converged`] —
-    /// note wall time, not the imbalance factor: a mapping can be
-    /// perfectly load-balanced yet slow because every dependency chain
-    /// hops workers, and the remap fixes exactly that), or after
-    /// [`TuneOptions::max_iters`] rounds.
-    ///
-    /// The kernel runs once per task per round — `max_iters` full
-    /// executions in the worst case — so every round mutating shared
-    /// data must either be idempotent across runs or reset by the
-    /// caller.
-    ///
-    /// # Panics
-    /// As [`Executor::run`]; additionally if a partial mapping was set
-    /// with [`Executor::hybrid`] or the options are invalid.
-    pub fn tuned_run_with<K>(&self, graph: &TaskGraph, kernel: K, opts: TuneOptions) -> TunedRun
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
-        opts.validate();
-        let mapping = self.total_mapping();
-        let tuner = Tuner::new(graph, self.cfg.workers).nodes(self.worker_nodes());
-        let mut iterations = Vec::new();
-        let mut applied: Option<TuningPlan> = None;
-        let mut converged = false;
-        let mut last: Option<Execution> = None;
-        let mut prev_wall: Option<Duration> = None;
-        for iter in 0..opts.max_iters {
-            let (run, next) = match &applied {
-                None => {
-                    let run = self.compile(graph).run(&kernel);
-                    let next = tuner.plan(mapping, &run);
-                    (run, next)
-                }
-                Some(plan) => {
-                    let run = self.apply(plan).compile(graph).run(&kernel);
-                    let next = tuner.plan(&plan.mapping, &run);
-                    (run, next)
-                }
-            };
-            let wall = run.report.wall;
-            iterations.push(TuneIteration {
-                iter,
-                wall,
-                imbalance: next.imbalance,
-                moves: next.moves,
-            });
-            last = Some(run);
-            let stalled = prev_wall.is_some_and(|prev| {
-                wall.as_secs_f64() >= prev.as_secs_f64() * (1.0 - opts.tolerance)
-            });
-            if next.moves == 0 || stalled {
-                converged = true;
-                break;
-            }
-            prev_wall = Some(wall);
-            applied = Some(next);
-        }
-        TunedRun {
-            execution: last.expect("max_iters >= 1 ensures at least one run"),
-            iterations,
-            converged,
-            plan: applied,
-        }
     }
 }
 

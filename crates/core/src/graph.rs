@@ -110,8 +110,8 @@ impl<'c> RunShell<'c> {
         let (workers, extras) = slots.into_iter().map(resume).unzip();
         let recovery = self.recovery.as_ref();
         let outcome = recovery.and_then(|r| r.take_report(self.flight.as_ref()));
-        let snapshot = |r: &Arc<CounterRegistry>| r.snapshot().with_topology(self.cfg);
-        let counters = self.registry.as_ref().map(snapshot).unwrap_or_default();
+        let counters = self.registry.as_deref().map(CounterRegistry::snapshot);
+        let counters = counters.unwrap_or_default();
         let report = ExecReport {
             wall,
             workers,
@@ -860,27 +860,18 @@ impl<'a> WorkerCtx<'a> {
             return false;
         }
         let (st, claims) = self.steal.zip(self.claims).expect("armed");
-        let (programs, nodes) = (&st.flow.programs, &st.flow.node_of_worker);
+        let programs = &st.flow.programs;
         let tasks = st.flow.graph().tasks();
         let me = self.me.index();
         let workers = programs.len();
         let shared = self.shared;
         // Victim preference: the policy's (doctor-seeded) order first,
-        // then a same-node-first round-robin from our successor — a
-        // stolen body touches the victim's arena and epoch words, so
-        // same-node victims are cheaper on a multi-socket machine (and
-        // on a single node the split is a no-op: every worker is in the
-        // `same` half). Duplicates only waste window budget.
-        let my_node = nodes[me];
+        // then round-robin from our successor. Duplicates only waste
+        // window budget.
         let preferred = st.policy.victims.as_deref().unwrap_or(&[]).iter().copied();
-        let same = (0..workers)
-            .map(move |i| ((me + 1 + i) % workers) as u32)
-            .filter(move |&v| nodes[v as usize] == my_node);
-        let cross = (0..workers)
-            .map(move |i| ((me + 1 + i) % workers) as u32)
-            .filter(move |&v| nodes[v as usize] != my_node);
+        let successors = (0..workers).map(|i| ((me + 1 + i) % workers) as u32);
         let mut budget = st.policy.window;
-        for v in preferred.chain(same).chain(cross) {
+        for v in preferred.chain(successors) {
             let v = v as usize;
             if v == me || v >= workers || budget == 0 {
                 continue;
@@ -895,7 +886,7 @@ impl<'a> WorkerCtx<'a> {
                 if claims.table.claimant(ti, claims.epoch).is_some() {
                     continue;
                 }
-                let accesses = st.flow.accesses(v, r);
+                let accesses = st.flow.accesses(r);
                 if !guards_open(shared, accesses) {
                     continue;
                 }

@@ -39,10 +39,10 @@
 //!   SuperGlue): commutative *accumulation* accesses that relax in-order
 //!   execution for reductions.
 //!
-//! [`tune`] closes the loop: a finished run's counters (and optional
-//! trace) feed a [`tune::Tuner`] whose [`tune::TuningPlan`] — a remap
-//! — recompiles into a faster next run
-//! ([`Executor::tuned_run`]).
+//! Choosing the mapping is the programmer's business, or the doctor's:
+//! `rio_doctor::tune` closes the loop run → diagnose → remap → recompile
+//! over this crate's public API, and `rio_doctor::topo` weighs a mapping
+//! against the machine's NUMA nodes.
 //!
 //! ## Observability
 //!
@@ -72,6 +72,7 @@
 //! assert_eq!(store.into_vec(), vec![50, 50]);
 //! ```
 
+mod affinity;
 pub mod compile;
 pub mod config;
 pub mod counters;
@@ -87,9 +88,7 @@ pub mod redux;
 pub mod report;
 pub mod status;
 pub mod steal;
-pub mod topo;
 pub mod trace_api;
-pub mod tune;
 pub mod wait;
 
 pub use compile::{CompileStats, CompiledFlow, CompiledTask};
@@ -102,9 +101,7 @@ pub use hybrid::{validate_partial_mapping, HybridStats, PartialMapping};
 pub use report::{ExecReport, OpCounts, WorkerReport};
 pub use status::StatusTable;
 pub use steal::StealPolicy;
-pub use topo::{NodeId, Topology};
 pub use trace_api::{Trace, TraceConfig, WorkerTrace};
-pub use tune::{TuneIteration, TuneOptions, TunedRun, Tuner, TuningPlan};
 pub use wait::WaitStrategy;
 
 /// The flows the unit tests keep building.
@@ -196,9 +193,7 @@ pub mod prelude {
     pub use crate::report::{ExecReport, OpCounts, WorkerReport};
     pub use crate::status::StatusTable;
     pub use crate::steal::StealPolicy;
-    pub use crate::topo::{NodeId, Topology};
     pub use crate::trace_api::{Trace, TraceConfig, WorkerTrace};
-    pub use crate::tune::{TuneIteration, TuneOptions, TunedRun, Tuner, TuningPlan};
     pub use crate::wait::WaitStrategy;
     pub use rio_stf::{
         validate_mapping, Access, AccessMode, DataId, DataStore, ExecError, FailedTask,

@@ -17,9 +17,9 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
+use crate::affinity;
 use crate::config::RioConfig;
 use crate::futex::EventCount;
-use crate::topo::{affinity, Topology};
 
 /// One run's share for worker `w`. It contains its own panics.
 type Job<'a> = &'a (dyn Fn(usize) + Sync + 'a);
@@ -122,12 +122,17 @@ impl WorkerSet {
             let seen = shared.generation.load(Ordering::Relaxed);
             let cpus = std::thread::available_parallelism();
             let roomy = !cfg.pin_workers && cpus.is_ok_and(|n| cfg.workers <= n.get());
+            // Pinned workers take turns over the CPUs the launcher may use.
+            let mask = match cfg.pin_workers {
+                true => affinity::allowed(),
+                false => Vec::new(),
+            };
             let start = |w| {
                 let shared = Arc::clone(&self.shared);
-                let pin = cfg.topology.clone().filter(|_| cfg.pin_workers);
+                let pin = mask.get(w % mask.len().max(1)).copied();
                 let main = move || {
-                    if let Some(t) = pin {
-                        let _ = Topology::pin_current_thread(t.core_of_worker(w));
+                    if let Some(cpu) = pin {
+                        let _ = affinity::pin(&[cpu]);
                     }
                     shared.serve(w, seen, spin.saturating_mul(IDLE_BUDGETS), roomy);
                 };

@@ -5,7 +5,7 @@
 //! protocol — but when it mispredicts load (round-robin on Cholesky is
 //! *balanced* yet slow, purely from cross-worker chain waits), the only
 //! remedy used to be an offline trace → diagnose → remap → recompile
-//! round-trip ([`crate::tune`]). This module converts a blocked worker's
+//! round-trip (`rio_doctor::tune`). This module converts a blocked worker's
 //! wait time into useful work on the *first* run: when a `get_*` blocks
 //! on an epoch guard, the worker scans a bounded window of *ready*
 //! foreign tasks — tasks whose expected epoch words are already satisfied

@@ -26,7 +26,10 @@
 //!   fed straight back into the runtime as a [`rio_stf::TableMapping`].
 //!
 //! Any total mapping is deadlock-free under the RIO protocol, so applying
-//! the suggested remap is always safe.
+//! the suggested remap is always safe. [`tune`] applies it in process —
+//! run, diagnose, remap, recompile — over `rio_core::Executor`'s public
+//! API, and [`topo`] supplies the NUMA node table the locality-weighted
+//! variants take.
 //!
 //! ```
 //! use rio_stf::{Access, DataId, RoundRobin, TaskGraph};
@@ -57,6 +60,8 @@ pub mod critical;
 pub mod durations;
 pub mod quality;
 pub mod report;
+pub mod topo;
+pub mod tune;
 pub mod waits;
 
 pub use critical::CriticalPath;
@@ -93,7 +98,7 @@ pub fn diagnose(
 }
 
 /// [`diagnose`] with NUMA placement: `nodes[w]` is the node worker `w`
-/// runs on (e.g. `rio_core::Topology::node_assignment`). The mapping
+/// runs on (e.g. [`topo::Topology::node_assignment`]). The mapping
 /// quality splits cross-worker edges into intra-/cross-node and reports a
 /// weighted cost at [`DEFAULT_CROSS_NODE_COST`], and the suggested remap
 /// penalizes cross-node predecessor hops by the mean task duration times

@@ -6,6 +6,8 @@
 //! `rio-doctor`. This crate adds the live layer on top of the same
 //! primitives:
 //!
+//! * [`counters`] — a counters snapshot as a terminal table, grouped by
+//!   node when the snapshot carries a node table.
 //! * [`prom`] — a Prometheus text-format (version `0.0.4`) exporter over
 //!   [`rio_core::CountersSnapshot`], [`rio_trace::Histogram`] and the
 //!   doctor's mapping-quality gauges, plus a validating parser used by
@@ -42,6 +44,7 @@
 //! // completed when dropped.
 //! ```
 
+pub mod counters;
 pub mod prom;
 pub mod registry;
 pub mod server;

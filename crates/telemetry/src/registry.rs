@@ -29,8 +29,8 @@ struct RunEntry {
     run_id: u64,
     workload: String,
     counters: Arc<CounterRegistry>,
-    /// Node of each worker, when the run was configured with a multi-node
-    /// topology; labels the per-worker samples.
+    /// Node of each worker, when the caller registered one; labels the
+    /// per-worker samples.
     nodes: Option<Vec<u32>>,
     active: Arc<AtomicBool>,
 }
@@ -88,7 +88,7 @@ impl RunRegistry {
     }
 
     /// Like [`RunRegistry::register`], with a worker→node assignment
-    /// (e.g. `RioConfig::node_assignment()` on a multi-node topology) so
+    /// (e.g. `rio_doctor::topo::Topology::node_assignment`) so
     /// per-worker samples carry a `node` label.
     pub fn register_with_nodes(
         &self,

@@ -16,7 +16,11 @@
 //! `volatile` in the original.
 
 /// Runs the synthetic counter task of size `n` (≈ `n` loop iterations).
-#[inline]
+///
+/// Never inlined: a kernel is a call, as a task body behind the runtime's
+/// `Fn` is, so a row that compares two harnesses or two runtime paths
+/// measures the same loop, not wherever the optimizer placed its copy.
+#[inline(never)]
 pub fn counter_kernel(n: u64) {
     let mut counter = 0u64;
     for i in 0..n {

@@ -18,9 +18,7 @@ use rio::core::protocol::{
     declare_batch, expected_read_word, expected_write_word, terminate_read, terminate_write,
     LocalDataState, SharedDataState, READ_EPOCH_MASK,
 };
-use rio::core::{
-    CompiledFlow, CounterRegistry, Executor, RioConfig, StealPolicy, Topology, WaitStrategy,
-};
+use rio::core::{CompiledFlow, CounterRegistry, Executor, RioConfig, StealPolicy, WaitStrategy};
 use rio::stf::{
     Access, AccessMode, DataId, DataStore, ExecError, Mapping, RoundRobin, StallSite, TableMapping,
     TaskDesc, TaskGraph, TaskId, WorkerId,
@@ -443,7 +441,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// What the compiler leaves out: for random graphs and mappings, at
-    /// 1, 2, 3 and 64 workers and under a mocked 2×2 topology, a guard is
+    /// 1, 2, 3, 4 and 64 workers, a guard is
     /// elided exactly when every producer it would wait for is absent or
     /// on its own worker, every kept guard finds all its producers'
     /// publications kept, publications are kept exactly for the consumers
@@ -459,7 +457,7 @@ proptest! {
             RioConfig::with_workers(2),
             RioConfig::with_workers(3),
             RioConfig::with_workers(64),
-            RioConfig::with_workers(4).topology(Arc::new(Topology::mock(2, 2))),
+            RioConfig::with_workers(4),
         ];
         for cfg in configs {
             let mapping = arb_table_mapping(graph.len(), cfg.workers, map_seed);
@@ -482,8 +480,8 @@ proptest! {
     }
 
     /// What replaced the private view: for random graphs and mappings, at
-    /// 1, 2 and 64 workers, with stealing armed and under a mocked 2×2
-    /// topology, every worker's program is exactly its own tasks and every
+    /// 1, 2, 4 and 64 workers and with stealing armed, every worker's
+    /// program is exactly its own tasks and every
     /// precomputed word is that worker's interpreted view.
     #[test]
     fn compiled_words_are_each_workers_interpreted_view(
@@ -496,7 +494,7 @@ proptest! {
             RioConfig::with_workers(2),
             RioConfig::with_workers(64),
             RioConfig::with_workers(2).stealing(StealPolicy::new()),
-            RioConfig::with_workers(4).topology(Arc::new(Topology::mock(2, 2))),
+            RioConfig::with_workers(4),
         ];
         for cfg in configs {
             let mapping = arb_table_mapping(graph.len(), cfg.workers, map_seed);
@@ -595,7 +593,7 @@ proptest! {
             RioConfig::with_workers(2),
             RioConfig::with_workers(3),
             RioConfig::with_workers(64),
-            RioConfig::with_workers(4).topology(Arc::new(Topology::mock(2, 2))),
+            RioConfig::with_workers(4),
         ];
         for cfg in configs {
             let mapping = arb_table_mapping(graph.len(), cfg.workers, map_seed);
@@ -847,9 +845,7 @@ fn worker_zero_runs_on_the_calling_thread_unless_workers_are_pinned() {
     let oracle = run_sequential(&g);
     let caller = std::thread::current().id();
     for (workers, pinned) in [(1, false), (3, false), (3, true)] {
-        let cfg = RioConfig::with_workers(workers)
-            .topology(Arc::new(Topology::mock(1, 2)))
-            .pin_workers(pinned);
+        let cfg = RioConfig::with_workers(workers).pin_workers(pinned);
         let flow = Executor::new(cfg).mapping(&RoundRobin).compile(&g);
         let threads = Mutex::new(vec![Vec::new(); workers]);
         let store = DataStore::filled(g.num_data(), 0u64);
