@@ -16,11 +16,7 @@ fn bench_wait_strategies(c: &mut Criterion) {
         b.task(&[Access::read_write(DataId((i % 2) as u32))], 1, "inc");
     }
     let graph = b.build();
-    for wait in [
-        WaitStrategy::Spin,
-        WaitStrategy::SpinYield,
-        WaitStrategy::Park,
-    ] {
+    for wait in [WaitStrategy::Spin, WaitStrategy::Park] {
         let cfg = RioConfig::with_workers(2).wait(wait).measure_time(false);
         g.bench_with_input(BenchmarkId::from_parameter(wait), &graph, |bch, graph| {
             bch.iter(|| {

@@ -41,9 +41,9 @@ fn bench_get_terminate_cycle(c: &mut Criterion) {
             black_box(get_read_word_cx(
                 &shared,
                 expected_read_word(&local),
-                &WaitCx::new(WaitStrategy::SpinYield, &abort),
+                &WaitCx::new(WaitStrategy::Spin, &abort),
             ));
-            terminate_read(&shared, &mut local, WaitStrategy::SpinYield);
+            terminate_read(&shared, &mut local, WaitStrategy::Spin);
         });
     });
     g.bench_function("get+terminate_write", |b| {
@@ -55,9 +55,9 @@ fn bench_get_terminate_cycle(c: &mut Criterion) {
             black_box(get_write_word_cx(
                 &shared,
                 expected_write_word(&local),
-                &WaitCx::new(WaitStrategy::SpinYield, &abort),
+                &WaitCx::new(WaitStrategy::Spin, &abort),
             ));
-            terminate_write(&shared, &mut local, TaskId(id), WaitStrategy::SpinYield);
+            terminate_write(&shared, &mut local, TaskId(id), WaitStrategy::Spin);
             id += 1;
         });
     });

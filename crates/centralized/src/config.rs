@@ -64,12 +64,10 @@ pub struct CentralConfig {
     /// `rio_core::RioConfig::measure_time`, so cross-runtime rows compare
     /// like with like.
     pub measure_time: bool,
-    /// Record one `(task, start, end)` span per executed task for
-    /// post-run auditing against the STF semantics.
-    pub record_spans: bool,
     /// When `Some`, pool workers record task/park events into per-worker
     /// ring buffers (`rio-trace`), retrievable with
-    /// [`crate::CentralReport::take_trace`].
+    /// [`crate::CentralReport::take_trace`]; `Trace::audit` checks the
+    /// run's task spans against the STF semantics.
     pub trace: Option<TraceConfig>,
 }
 
@@ -114,12 +112,6 @@ impl CentralConfig {
         self
     }
 
-    /// Enables/disables span recording (builder style).
-    pub fn record_spans(mut self, on: bool) -> CentralConfig {
-        self.record_spans = on;
-        self
-    }
-
     /// Enables event tracing for the run (builder style).
     pub fn trace(mut self, trace: TraceConfig) -> CentralConfig {
         self.trace = Some(trace);
@@ -158,7 +150,6 @@ impl Default for CentralConfig {
             #[cfg(feature = "fault-inject")]
             fault_hook: None,
             measure_time: false,
-            record_spans: false,
             trace: None,
         }
     }

@@ -8,8 +8,6 @@
 
 use std::time::Duration;
 
-use rio_stf::validate::{validate_spans, ScheduleViolation, Span};
-use rio_stf::TaskGraph;
 use rio_trace::{Trace, WorkerTrace};
 
 /// What the master thread did.
@@ -38,8 +36,6 @@ pub struct PoolWorkerReport {
     pub loop_time: Duration,
     /// Successful steals from peers or the central queue.
     pub steals: u64,
-    /// Execution spans (empty unless `record_spans` was enabled).
-    pub spans: Vec<Span>,
     /// Per-worker event trace (`Some` iff `CentralConfig::trace` was set).
     pub trace: Option<WorkerTrace>,
 }
@@ -101,16 +97,6 @@ impl CentralReport {
     /// Cumulative total `τ_p = p · t_p` from the wall clock.
     pub fn cumulative_total(&self) -> Duration {
         self.wall * self.num_threads() as u32
-    }
-
-    /// All recorded spans, across workers (unordered).
-    pub fn spans(&self) -> Vec<Span> {
-        self.workers.iter().flat_map(|w| w.spans.clone()).collect()
-    }
-
-    /// Audits the recorded spans against the STF semantics of `graph`.
-    pub fn audit(&self, graph: &TaskGraph) -> Result<(), ScheduleViolation> {
-        validate_spans(graph, &self.spans())
     }
 
     /// Extracts the event trace recorded by the pool workers (once).

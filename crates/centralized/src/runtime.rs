@@ -66,7 +66,7 @@ struct Engine<'g> {
     /// Central priority queue for [`SchedPolicy::CostFirst`]:
     /// `(cost, Reverse(flow index))` so ties resolve in flow order.
     heap: Mutex<BinaryHeap<(u64, Reverse<u32>)>>,
-    /// Common epoch for span timestamps.
+    /// Common epoch for trace timestamps.
     epoch: Instant,
     /// Abort latch, distinct from [`Engine::done`]: `done` means every
     /// task executed; `aborted` means the run is being torn down early
@@ -485,7 +485,7 @@ fn execute_task<K>(
         }
         kernel(me, task)
     });
-    let body_start = if cfg.measure_time || cfg.record_spans || tracer.is_some() {
+    let body_start = if cfg.measure_time || tracer.is_some() {
         Some(Instant::now())
     } else {
         None
@@ -507,17 +507,8 @@ fn execute_task<K>(
         });
         return;
     }
-    if let Some((t0, t1)) = body_span {
-        if cfg.record_spans {
-            report.spans.push(rio_stf::validate::Span {
-                task: task.id,
-                start: t0.duration_since(engine.epoch).as_nanos() as u64,
-                end: t1.duration_since(engine.epoch).as_nanos() as u64,
-            });
-        }
-        if let Some(tr) = tracer.as_mut() {
-            tr.task(task.id, t0, t1);
-        }
+    if let (Some((t0, t1)), Some(tr)) = (body_span, tracer.as_mut()) {
+        tr.task(task.id, t0, t1);
     }
     report.tasks_executed += 1;
     if cfg.watchdog.is_some() {
@@ -975,8 +966,9 @@ mod cost_first_tests {
         };
         let cfg = CentralConfig::with_threads(3)
             .scheduler(SchedPolicy::CostFirst)
-            .record_spans(true);
-        let report = execute_graph(&cfg, &g, |_, _| {});
-        report.audit(&g).expect("cost-first must stay consistent");
+            .trace(rio_trace::TraceConfig::new());
+        let mut report = execute_graph(&cfg, &g, |_, _| {});
+        let trace = report.take_trace().expect("a traced run has a trace");
+        trace.audit(&g).expect("cost-first must stay consistent");
     }
 }

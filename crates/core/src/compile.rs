@@ -30,9 +30,11 @@
 //! The `n·t_r` term of cost model (2) — every worker replaying everyone
 //! else's tasks — is a one-thread, one-time cost; a worker pays for its
 //! own `n/w` tasks only, which is where §3.5's pruning converges. The
-//! same walk validates the mapping ([`RioConfig::preflight`]: two probes
-//! per task) and the epoch word's representation limits, which it reads
-//! off the view it keeps anyway.
+//! same walk validates the mapping — two probes per task: total,
+//! deterministic, naming a worker that exists — and the epoch word's
+//! representation limits, which it reads off the view it keeps anyway. So
+//! every instruction a program holds has an owner that exists, or is
+//! claim-marked.
 //!
 //! ## Worker-local synchronisation is compiled away
 //!
@@ -64,16 +66,13 @@
 //!
 //! ## Tasks nobody owns: claim-marked entries
 //!
-//! A task is *local to nobody* when its worker is not known to the walk:
-//! one a [`crate::hybrid::PartialMapping`] leaves unmapped, or one mapped
-//! to a worker that does not exist (preflight off). Such a task keeps its
-//! guards, its dependents keep theirs, and every publication those
-//! compare against is kept. The second kind lands in nobody's program and
-//! its dependents stall into the watchdog. The first kind is emitted once,
-//! into an arena of its own, and as a **claim-marked** instruction into
-//! *every* worker's program: whoever reaches it first takes its slot of
-//! the run's [`crate::steal::ClaimTable`] — before any guard wait — and
-//! runs it; the others move on. With [`RioConfig::stealing`] armed every
+//! A task a [`crate::hybrid::PartialMapping`] leaves unmapped is *local
+//! to nobody*: it keeps its guards, its dependents keep theirs, and every
+//! publication those compare against is kept. It is emitted once, into an
+//! arena of its own, and as a **claim-marked** instruction into *every*
+//! worker's program: whoever reaches it first takes its slot of the run's
+//! [`crate::steal::ClaimTable`] — before any guard wait — and runs it;
+//! the others move on. With [`RioConfig::stealing`] armed every
 //! instruction is claim-marked and nothing is elided: a thief runs a task
 //! out of its owner's program order, and the steal scan prices every
 //! guard.
@@ -320,11 +319,10 @@ impl Arena {
 /// with [`CompiledFlow::run`]/[`CompiledFlow::try_run`].
 ///
 /// Everything a worker unrolling the whole flow would pay per run is paid
-/// once here, on one thread: mapping evaluation and preflight validation
-/// ([`RioConfig::preflight`]; two probes per task, one without it), the
-/// replay of every declare (into the precomputed expected words) and the
-/// decision which guards and publications a run performs at all. The
-/// per-run state — a shared protocol table of
+/// once here, on one thread: mapping evaluation and validation (two
+/// probes per task), the replay of every declare (into the precomputed
+/// expected words) and the decision which guards and publications a run
+/// performs at all. The per-run state — a shared protocol table of
 /// [`CompileStats::shared_objects`] entries, reports — is allocated fresh
 /// on every run, so runs are independent: a run that aborts leaves the
 /// program intact.
@@ -391,12 +389,10 @@ impl CompiledTask<'_> {
 /// Where no worker is: the writer of an object's initial epoch. Local to
 /// everyone — nobody ever waits for it.
 const NOBODY: u32 = u32::MAX;
-/// Where several workers are, or one the walk does not know. Local to no
-/// one.
+/// Where several workers are, or a task nobody owns. Local to no one.
 const SPREAD: u32 = u32::MAX - 1;
-/// Where a task nobody owns — unmapped, or mapped to a worker that does
-/// not exist — looks for its predecessors: nothing is ever there, so it
-/// is local to nothing.
+/// Where a task nobody owns looks for its predecessors: nothing is ever
+/// there, so it is local to nothing.
 const UNMAPPED: u32 = u32::MAX - 2;
 
 /// Did everything at `on` run on the worker at `w`, or not exist?
@@ -455,9 +451,9 @@ const WRITE_ONLY: Verdict = WRITES;
 ///
 /// # Errors
 /// What the separate checks used to return, in their precedence: the
-/// first [`rio_stf::MappingError`] of the flow (with
-/// [`RioConfig::preflight`]), else [`GraphError::TaskIdOverflow`] for the
-/// first task id the packed epoch word cannot represent.
+/// first [`rio_stf::MappingError`] of the flow, else
+/// [`GraphError::TaskIdOverflow`] for the first task id the packed epoch
+/// word cannot represent.
 pub(crate) fn try_compile<'g, M: ?Sized>(
     cfg: &RioConfig,
     set: &Arc<WorkerSet>,
@@ -467,12 +463,12 @@ pub(crate) fn try_compile<'g, M: ?Sized>(
 where
     for<'a> Owners<'a, M>: OwnerOf,
 {
-    lower(cfg, set, graph, u32::MAX, Owners(mapping, cfg))
+    lower(cfg, set, graph, u32::MAX, Owners(mapping, cfg.workers))
 }
 
-/// A mapping as [`lower`] asks it for owners: probed twice per task with
-/// [`RioConfig::preflight`], evaluated once without.
-pub(crate) struct Owners<'a, M: ?Sized>(&'a M, &'a RioConfig);
+/// A mapping as [`lower`] asks it for owners, over so many workers:
+/// probed twice per task.
+pub(crate) struct Owners<'a, M: ?Sized>(&'a M, usize);
 
 /// Who runs `task`? `None`: whoever claims it.
 pub(crate) trait OwnerOf {
@@ -487,12 +483,7 @@ impl OwnerOf for Owners<'_, dyn Mapping + '_> {
     const PARTIAL: bool = false;
     #[inline(always)]
     fn owner_of(&self, task: TaskId) -> Result<Option<WorkerId>, MappingError> {
-        let Owners(mapping, cfg) = *self;
-        Ok(Some(if cfg.preflight {
-            rio_stf::mapping::probe(mapping, task, cfg.workers)?
-        } else {
-            mapping.worker_of(task, cfg.workers)
-        }))
+        rio_stf::mapping::probe(self.0, task, self.1).map(Some)
     }
 }
 
@@ -500,12 +491,7 @@ impl OwnerOf for Owners<'_, dyn PartialMapping + '_> {
     const PARTIAL: bool = true;
     #[inline(always)]
     fn owner_of(&self, task: TaskId) -> Result<Option<WorkerId>, MappingError> {
-        let Owners(partial, cfg) = *self;
-        if cfg.preflight {
-            crate::hybrid::probe_partial(partial, task, cfg.workers)
-        } else {
-            Ok(partial.worker_of(task, cfg.workers))
-        }
+        crate::hybrid::probe_partial(self.0, task, self.1)
     }
 }
 
@@ -568,10 +554,8 @@ fn lower<'g, O: OwnerOf>(
         if t.id.0 > u64::from(limit) {
             // The mapping used to be validated before the limits: a
             // mapping error anywhere in the flow still outranks this one.
-            if cfg.preflight {
-                for later in &graph.tasks()[i + 1..] {
-                    owners.owner_of(later.id)?;
-                }
+            for later in &graph.tasks()[i + 1..] {
+                owners.owner_of(later.id)?;
             }
             return Err(GraphError::TaskIdOverflow {
                 task: t.id,
@@ -580,11 +564,9 @@ fn lower<'g, O: OwnerOf>(
             .into());
         }
         // A task nobody owns is local to nothing, so it and its
-        // dependents keep their guards. Left unmapped, it goes into every
-        // program and whoever claims it runs it. Mapped to a worker that
-        // does not exist — only with preflight off — it lands in nobody's
-        // program, and its dependents stall into the watchdog.
-        let (k, w, on) = match owner.filter(|w| w.index() < workers) {
+        // dependents keep their guards; it goes into every program and
+        // whoever claims it runs it.
+        let (k, w, on) = match owner {
             Some(w) => (0, w.0, w.0),
             None => (1, UNMAPPED, SPREAD),
         };
@@ -643,12 +625,9 @@ fn lower<'g, O: OwnerOf>(
         };
         if k == 0 {
             programs[w as usize].push(run);
-        } else if owner.is_none() {
+        } else {
             programs.iter_mut().for_each(|p| p.push(run));
             unmapped += 1;
-        } else {
-            // In nobody's program: the next such task overwrites it.
-            continue;
         }
         filled[k] = end;
         owned += t.accesses.len() as u64;
@@ -1043,39 +1022,6 @@ mod tests {
         assert_eq!(store.into_vec(), vec![7]);
     }
 
-    #[test]
-    fn a_task_mapped_nowhere_is_in_nobodys_program() {
-        // Preflight off, T3 mapped to a worker that does not exist: the
-        // compiler drops it from every program but still replays its
-        // declare, so T4 waits for a write nobody will perform.
-        let g = crate::testing::chain(4);
-        let m = rio_stf::mapping::FnMapping(|t: TaskId, _| {
-            rio_stf::WorkerId(if t == TaskId(3) {
-                9
-            } else {
-                t.index() as u32 % 2
-            })
-        });
-        let flow = Executor::new(cfg(2).preflight(false))
-            .mapping(&m)
-            .compile(&g);
-        assert_eq!(flow.stats().runs_per_worker, vec![1, 2]);
-        assert_eq!(flow.stats().instructions(), 3);
-        let t4 = flow.own_tasks(WorkerId(1)).last().unwrap();
-        assert_eq!(t4.expected, [crate::protocol::pack_epoch(TaskId(3), 0)]);
-        // T3 is local to nobody: T4 keeps the guard that stalls it, and T2
-        // publishes for the guard T3 would have had. The static counts
-        // cover the three tasks somebody runs.
-        assert!(t4.keeps_guard(0));
-        assert_eq!(
-            marks(&flow),
-            [vec![PUBLISH], vec![KEPT], vec![], vec![GUARD]]
-        );
-        let stats = flow.stats();
-        assert_eq!((stats.elided_gets, stats.elided_publishes), (1, 1));
-        assert_eq!(stats.shared_objects, 1);
-    }
-
     /// `(guard kept, publication kept)` of every own access, per task in
     /// flow order.
     fn marks(flow: &CompiledFlow<'_>) -> Vec<Vec<(bool, bool)>> {
@@ -1278,12 +1224,7 @@ mod tests {
         let (g, _) = epochs(&[('w', 0); 20]);
         let m = Counting(Default::default());
         let _ = Executor::new(cfg(2)).mapping(&m).compile(&g);
-        assert_eq!(m.0.load(Ordering::Relaxed), 2 * 20, "preflight: two probes");
-        let m = Counting(Default::default());
-        let _ = Executor::new(cfg(2).preflight(false))
-            .mapping(&m)
-            .compile(&g);
-        assert_eq!(m.0.load(Ordering::Relaxed), 20, "no preflight: one call");
+        assert_eq!(m.0.load(Ordering::Relaxed), 2 * 20, "two probes per task");
     }
 
     #[test]
@@ -1292,8 +1233,7 @@ mod tests {
         // Against a limit of 2, the value `TaskGraph::validate_limits`
         // reports: T3's id overflows (before any read count could).
         let (g, _) = epochs(&[('w', 0), ('r', 0), ('r', 0), ('r', 0)]);
-        let lower =
-            |c: RioConfig, m: &dyn Mapping| lower(&c, &Arc::default(), &g, 2, Owners(m, &c));
+        let lower = |c: RioConfig, m: &dyn Mapping| lower(&c, &Arc::default(), &g, 2, Owners(m, 2));
         let err = lower(cfg(2), &RoundRobin).unwrap_err();
         assert!(matches!(
             err,
@@ -1303,7 +1243,7 @@ mod tests {
             })
         ));
         // A mapping error later in the flow still comes first, as when
-        // preflight ran before the limit check...
+        // the mapping was validated before the limit check.
         let late = rio_stf::mapping::FnMapping(|t: TaskId, _| {
             rio_stf::WorkerId(if t == TaskId(4) { 7 } else { 0 })
         });
@@ -1315,9 +1255,6 @@ mod tests {
                 ..
             })
         ));
-        // ... unless nobody asked for preflight.
-        let err = lower(cfg(2).preflight(false), &late).unwrap_err();
-        assert!(matches!(err, ExecError::InvalidGraph(_)));
     }
 
     #[test]

@@ -117,12 +117,11 @@ pub struct RioConfig {
     pub workers: usize,
     /// How `get_read`/`get_write` wait for dependencies.
     pub wait: WaitStrategy,
-    /// Pure-spin polls inside `get_read`/`get_write` before escalating to
-    /// the configured [`RioConfig::wait`] strategy (yield or park).
-    /// Default: `None` — about one park's worth of polls on this machine
-    /// when every worker has a hardware thread of its own,
-    /// [`WaitStrategy::DEFAULT_SPIN_LIMIT`] when they share threads (see
-    /// [`crate::wait`]).
+    /// Pure-spin polls inside `get_read`/`get_write` before a
+    /// [`WaitStrategy::Park`] wait sleeps. Default: `None` — about one
+    /// park's worth of polls when every worker has a hardware thread of
+    /// its own, [`WaitStrategy::DEFAULT_SPIN_LIMIT`] when they share
+    /// threads (see [`crate::wait`]).
     pub spin_limit: Option<u32>,
     /// Stall watchdog: when `Some(d)`, a worker blocked in a `get_*` for
     /// longer than `d` (past its spin phase) aborts the run with
@@ -131,13 +130,6 @@ pub struct RioConfig {
     /// (the default): waits are unbounded, as the protocol assumes a
     /// correct mapping.
     pub watchdog: Option<Duration>,
-    /// Pre-flight mapping validation: before spawning any worker, probe
-    /// the mapping over the whole flow for totality, determinism and
-    /// worker-id range, rejecting bad mappings with
-    /// [`rio_stf::ExecError::InvalidMapping`] instead of deadlocking at
-    /// run time. Costs two mapping calls per task; disable for
-    /// peak-overhead measurements on trusted mappings.
-    pub preflight: bool,
     /// Fault-injection hook consulted around every task body (testing
     /// only; the field exists only with the `fault-inject` cargo feature).
     #[cfg(feature = "fault-inject")]
@@ -146,21 +138,17 @@ pub struct RioConfig {
     /// report can feed the efficiency decomposition (`rio-metrics`). Costs
     /// two monotonic-clock reads per executed task plus two per *blocking*
     /// wait — a `get_*` whose first probe finds its guard open reads no
-    /// clock. Off by default, like `record_spans` and `trace`: on an empty
-    /// task the two body reads alone cost several times the protocol
-    /// itself. With it off the reports' `task_time` and `idle_time` stay
-    /// zero (`loop_time` and `wall` are always measured).
+    /// clock. Off by default, like `trace`: on an empty task the two body
+    /// reads alone cost several times the protocol itself. With it off the
+    /// reports' `task_time` and `idle_time` stay zero (`loop_time` and
+    /// `wall` are always measured).
     pub measure_time: bool,
-    /// Record one `(task, start, end)` span per executed task (relative to
-    /// run start, in nanoseconds) into the worker reports, so the run can
-    /// be audited with [`rio_stf::validate::validate_spans`] afterwards.
-    /// Costs two clock reads and one `Vec` push per executed task.
-    pub record_spans: bool,
     /// When `Some`, every worker records task, wait and park events into a
     /// worker-private ring buffer (`rio-trace`); the assembled trace is
-    /// returned on the report. `None` (the default) records nothing — and
-    /// with the `trace` cargo feature disabled the hooks compile away
-    /// entirely.
+    /// returned on the report, where `Trace::audit` checks the run's task
+    /// spans against the STF semantics. `None` (the default) records
+    /// nothing — and with the `trace` cargo feature disabled the hooks
+    /// compile away entirely.
     pub trace: Option<TraceConfig>,
     /// Always-on protocol counters ([`crate::counters`]): per-worker
     /// cache-line-padded `Relaxed` atomics counting tasks,
@@ -244,12 +232,6 @@ impl RioConfig {
         self
     }
 
-    /// Enables/disables pre-flight mapping validation (builder style).
-    pub fn preflight(mut self, on: bool) -> RioConfig {
-        self.preflight = on;
-        self
-    }
-
     /// Installs a fault-injection hook (builder style; `fault-inject`
     /// feature only).
     #[cfg(feature = "fault-inject")]
@@ -261,12 +243,6 @@ impl RioConfig {
     /// Enables/disables time measurement (builder style).
     pub fn measure_time(mut self, on: bool) -> RioConfig {
         self.measure_time = on;
-        self
-    }
-
-    /// Enables/disables span recording (builder style).
-    pub fn record_spans(mut self, on: bool) -> RioConfig {
-        self.record_spans = on;
         self
     }
 
@@ -344,11 +320,9 @@ impl Default for RioConfig {
             wait: WaitStrategy::default(),
             spin_limit: None,
             watchdog: None,
-            preflight: true,
             #[cfg(feature = "fault-inject")]
             fault_hook: None,
             measure_time: false,
-            record_spans: false,
             trace: None,
             counters: true,
             flight: true,
@@ -392,7 +366,6 @@ mod tests {
         assert!(c.workers >= 1);
         assert!(c.trace.is_none(), "tracing is opt-in");
         assert!(c.watchdog.is_none(), "watchdog is opt-in");
-        assert!(c.preflight, "pre-flight validation is on by default");
         assert_eq!(c.spin_limit, None, "sized per run, not a constant");
         assert!(!c.pin_workers, "pinning is opt-in");
         assert!(RioConfig::with_workers(4).pin_workers(true).pin_workers);
@@ -402,15 +375,13 @@ mod tests {
     fn robustness_knobs_build() {
         let c = RioConfig::with_workers(2)
             .spin_limit(8)
-            .watchdog(Duration::from_millis(100))
-            .preflight(false);
+            .watchdog(Duration::from_millis(100));
         assert_eq!(c.spin_limit, Some(8));
         assert_eq!(c.spin_polls(), 8, "explicit budgets override the default");
         assert_eq!(RioConfig::with_workers(2).spin_limit(0).spin_polls(), 0);
         let shared_threads = RioConfig::with_workers(1 << 16).spin_polls();
         assert_eq!(shared_threads, WaitStrategy::DEFAULT_SPIN_LIMIT);
         assert_eq!(c.watchdog, Some(Duration::from_millis(100)));
-        assert!(!c.preflight);
         c.validate();
     }
 

@@ -181,7 +181,7 @@ impl<'a> Executor<'a> {
 
     /// Compiles `graph` into one program per worker holding that worker's
     /// own tasks only (see [`crate::compile`]): mapping evaluation and
-    /// preflight validation are paid once, in one pass over the flow, and
+    /// validation are paid once, in one pass over the flow, and
     /// the epoch word every access waits for is precomputed, so non-local
     /// tasks leave nothing behind to replay. Under a partial mapping
     /// ([`Executor::hybrid`]) the unmapped tasks are in every program,
@@ -190,19 +190,18 @@ impl<'a> Executor<'a> {
     /// `graph` (the configuration is captured).
     ///
     /// # Panics
-    /// If the mapping fails preflight validation
-    /// ([`RioConfig::preflight`]). Use [`Executor::try_compile`] to handle
-    /// that structurally.
+    /// If the mapping is not total, not deterministic or names a worker
+    /// that does not exist. Use [`Executor::try_compile`] to handle that
+    /// structurally.
     pub fn compile<'g>(&self, graph: &'g TaskGraph) -> CompiledFlow<'g> {
         self.try_compile(graph).unwrap_or_else(|e| e.resume())
     }
 
-    /// Like [`Executor::compile`], but a mapping failing preflight
-    /// validation is returned as [`ExecError::InvalidMapping`] instead of
-    /// a panic.
+    /// Like [`Executor::compile`], but a mapping failing validation is
+    /// returned as [`ExecError::InvalidMapping`] instead of a panic.
     ///
     /// # Errors
-    /// [`ExecError::InvalidMapping`] from the preflight check;
+    /// [`ExecError::InvalidMapping`] from the mapping check;
     /// [`ExecError::InvalidGraph`] for a flow the packed epoch word cannot
     /// represent.
     pub fn try_compile<'g>(&self, graph: &'g TaskGraph) -> Result<CompiledFlow<'g>, ExecError> {
@@ -241,9 +240,9 @@ impl<'a> Executor<'a> {
     /// * a dependency wait exceeding the [`Executor::watchdog`] deadline ⇒
     ///   [`ExecError::Stalled`] with a dump of the blocked data object's
     ///   counters and every worker's progress;
-    /// * a mapping failing pre-flight validation
-    ///   ([`RioConfig::preflight`], on by default) ⇒
-    ///   [`ExecError::InvalidMapping`] before any worker is spawned.
+    /// * a mapping that is not total, not deterministic or names a worker
+    ///   that does not exist ⇒ [`ExecError::InvalidMapping`] at compile
+    ///   time, before any worker starts.
     ///
     /// # Errors
     /// See [`ExecError`] for the exact post-abort state guarantees.

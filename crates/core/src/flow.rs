@@ -43,8 +43,8 @@
 //!
 //! This front-end owns what is particular to unrolling a flow at run time
 //! — each worker's private view of every data object ([`LocalDataState`]),
-//! the flow checksum, the access-checked [`TaskView`]. The rest it
-//! borrows (`crate::graph`): a run goes through the shell, and a worker's
+//! the access-checked [`TaskView`]. The rest it borrows (`crate::graph`):
+//! a run goes through the shell — flow checksum included — and a worker's
 //! own task through the engine, that compiled programs use, on expected
 //! words packed from the private view instead of precomputed.
 
@@ -168,7 +168,7 @@ impl Rio {
         let mapping: &dyn Mapping = mapping;
         let shared = SharedDataState::new_table(store.len());
         let shared = &shared[..];
-        let (report, outcome, checksums) = RunShell::new(&self.cfg, store.len()).run(
+        RunShell::new(&self.cfg, store.len()).run_flow(
             &self.set,
             shared,
             &|| spurious_wake_all(shared),
@@ -178,33 +178,16 @@ impl Rio {
                     mapping,
                     locals: vec![LocalDataState::default(); store.len()],
                     store,
-                    checksum: FNV_OFFSET,
                     plans: Vec::new(),
                     expected: Vec::new(),
                 };
                 let loop_start = Instant::now();
                 flow(&mut ctx);
-                (ctx.wk.finish(loop_start), ctx.checksum)
+                let sum = ctx.wk.flow_sum;
+                (ctx.wk.finish(loop_start), sum)
             },
-        )?;
-        // §3.4, assumption 2: every worker unrolled the same flow.
-        let visited = report.workers.iter().map(|w| w.tasks_visited);
-        let seen: Vec<(u64, u64)> = visited.zip(checksums).collect();
-        assert!(
-            seen.iter().all(|w| *w == seen[0]),
-            "non-deterministic flow: per worker, (tasks visited, flow checksum) = {seen:x?}; \
-             every worker must unroll the same task sequence"
-        );
-        Ok((report, outcome))
+        )
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-#[inline]
-fn fnv_fold(hash: u64, value: u64) -> u64 {
-    (hash ^ value).wrapping_mul(FNV_PRIME)
 }
 
 /// Per-worker replay context handed to the flow closure.
@@ -217,7 +200,6 @@ pub struct FlowCtx<'a, T> {
     /// This worker's private view of every data object.
     locals: Vec<LocalDataState>,
     store: &'a DataStore<T>,
-    checksum: u64,
     /// Scratch, reused from task to task: an own task's accesses as the
     /// engine takes them, and the word each waits for.
     plans: Vec<AccessPlan>,
@@ -248,13 +230,8 @@ impl<'a, T> FlowCtx<'a, T> {
     ///
     /// Returns the task's id (identical on every worker).
     pub fn task(&mut self, accesses: &[Access], body: impl FnOnce(&TaskView<'_, T>)) -> TaskId {
-        let (id, own) = self.wk.next_flow_task(self.mapping);
-        // Fold the task shape into the determinism checksum.
-        let mut sum = fnv_fold(self.checksum, id.0);
-        for a in accesses {
-            sum = fnv_fold(sum, (u64::from(a.data.0) << 2) | mode_tag(a.mode));
-        }
-        self.checksum = sum;
+        let shape = accesses.iter().map(|a| (a.data, a.mode as u64));
+        let (id, own) = self.wk.next_flow_task(self.mapping, shape);
 
         if own {
             // The engine's view of an own task: every guard and every
@@ -288,15 +265,6 @@ impl<'a, T> FlowCtx<'a, T> {
         // plus the `declare_*` every worker runs for every task.
         declare_batch(&mut self.locals, id, accesses);
         id
-    }
-}
-
-#[inline]
-fn mode_tag(mode: rio_stf::AccessMode) -> u64 {
-    match mode {
-        rio_stf::AccessMode::Read => 0,
-        rio_stf::AccessMode::Write => 1,
-        rio_stf::AccessMode::ReadWrite => 2,
     }
 }
 

@@ -119,7 +119,33 @@ impl<'c> RunShell<'c> {
         };
         Ok((report, outcome.into(), extras))
     }
+
+    /// [`RunShell::run`] for a front-end whose workers each unroll the
+    /// flow and return their `flow_sum`, then §3.4's assumption 2: panics
+    /// unless every worker unrolled the same flow — as many tasks, and
+    /// the same flow checksum.
+    pub(crate) fn run_flow<'a>(
+        &'a self,
+        set: &WorkerSet,
+        shared: &'a [SharedDataState],
+        wake: &'a (dyn Fn() + Sync),
+        worker: impl Fn(WorkerCtx<'a>) -> (WorkerReport, u64) + Sync,
+    ) -> Result<(ExecReport, RunOutcome), ExecError> {
+        let (report, outcome, sums) = self.run(set, shared, wake, worker)?;
+        let visited = report.workers.iter().map(|w| w.tasks_visited);
+        let seen: Vec<(u64, u64)> = visited.zip(sums).collect();
+        assert!(
+            seen.iter().all(|w| *w == seen[0]),
+            "non-deterministic flow: per worker, (tasks visited, flow checksum) = {seen:x?}; \
+             every worker must unroll the same task sequence"
+        );
+        Ok((report, outcome))
+    }
 }
+
+/// FNV-1a, folding a flow's task shapes into its checksum.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 /// What a worker of an aborted run leaves the user's flow closure with.
 /// The shell discards it for the recorded cause.
@@ -171,7 +197,8 @@ pub(crate) struct WorkerCtx<'a> {
     pub tasks_visited: u64,
     task_time: Duration,
     idle_time: Duration,
-    spans: Vec<rio_stf::validate::Span>,
+    /// Checksum of the flow unrolled so far (flow front-ends only).
+    pub(crate) flow_sum: u64,
     tracer: Option<WorkerTracer>,
     /// Always-on counter line of this worker (`None` when disabled).
     ctr: Option<&'a WorkerCounters>,
@@ -228,7 +255,7 @@ impl<'a> WorkerCtx<'a> {
             tasks_visited: 0,
             task_time: Duration::ZERO,
             idle_time: Duration::ZERO,
-            spans: Vec::new(),
+            flow_sum: FNV_OFFSET,
             tracer,
             ctr: run.registry.as_ref().map(|r| r.worker(me.index())),
             ring: run.flight.as_ref().map(|f| f.ring(me.index())),
@@ -241,11 +268,22 @@ impl<'a> WorkerCtx<'a> {
 
     /// The next task of a flow that every worker unrolls for itself: its
     /// id — its position in the flow, from 1 — and whether `mapping` gives
-    /// it to this worker. Unwinds out of the caller, which is the user's
-    /// flow closure, once the run has aborted.
-    pub(crate) fn next_flow_task(&mut self, mapping: &dyn Mapping) -> (TaskId, bool) {
+    /// it to this worker. `shape` — per access, the object and a tag of
+    /// its mode below 4 — goes into the flow checksum
+    /// [`RunShell::run_flow`] compares. Unwinds out of the caller, which
+    /// is the user's flow closure, once the run has aborted.
+    pub(crate) fn next_flow_task(
+        &mut self,
+        mapping: &dyn Mapping,
+        shape: impl IntoIterator<Item = (DataId, u64)>,
+    ) -> (TaskId, bool) {
         self.tasks_visited += 1;
         let id = TaskId(self.tasks_visited);
+        let fold = |sum: u64, value: u64| (sum ^ value).wrapping_mul(FNV_PRIME);
+        let tagged = shape
+            .into_iter()
+            .map(|(d, mode)| (u64::from(d.0) << 2) | mode);
+        self.flow_sum = tagged.fold(fold(self.flow_sum, id.0), fold);
         // The packed epoch word stores task ids in 32 bits (and so do the
         // flight ring and a stall diagnostic). Dynamic flows have no
         // graph-build validation, so the limit is enforced here (one
@@ -504,7 +542,7 @@ impl<'a> WorkerCtx<'a> {
         if self.cfg.fault_hook.is_some() {
             return false;
         }
-        self.rec.is_none() && self.claims.is_none() && !self.cx.timed && !self.cfg.record_spans
+        self.rec.is_none() && self.claims.is_none() && !self.cx.timed
     }
 
     /// Executes the quiet instructions `chunk` begins with (its first is
@@ -562,7 +600,7 @@ impl<'a> WorkerCtx<'a> {
     /// poisoned input (the failure already happened upstream and this
     /// task's outputs would be garbage), otherwise retry — and the timing
     /// rule: the clock is read around the body only when `measure_time`,
-    /// `record_spans`, the tracer or a policy's deadline asked for it.
+    /// the tracer or a policy's deadline asked for it.
     /// `plans` is what the task declared (object and mode are all that is
     /// read here). Skipped and permanently-failed tasks are not counted as
     /// executed, but the caller publishes their terminates all the same.
@@ -574,7 +612,6 @@ impl<'a> WorkerCtx<'a> {
         mut body: impl FnMut(),
     ) -> bool {
         self.flight_event(FlightEventKind::TaskStart, task, None);
-        let timed = self.cx.timed || self.cfg.record_spans;
         // `None`: skipped or permanently failed. `Some(span)`: ran.
         let ran = match self.rec {
             // The gets already admitted every access, so any poison a
@@ -601,7 +638,7 @@ impl<'a> WorkerCtx<'a> {
                     }
                     body()
                 });
-                let t0 = (timed || first_start.is_some()).then(Instant::now);
+                let t0 = (self.cx.timed || first_start.is_some()).then(Instant::now);
                 match (catch_unwind(attempt), rec) {
                     (Ok(()), _) => Some(t0.map(|t0| (t0, Instant::now()))),
                     (Err(payload), None) => {
@@ -618,13 +655,6 @@ impl<'a> WorkerCtx<'a> {
             if let Some((t0, t1)) = span {
                 if self.cfg.measure_time {
                     self.task_time += t1.duration_since(t0);
-                }
-                if self.cfg.record_spans {
-                    self.spans.push(rio_stf::validate::Span {
-                        task,
-                        start: t0.duration_since(self.epoch).as_nanos() as u64,
-                        end: t1.duration_since(self.epoch).as_nanos() as u64,
-                    });
                 }
                 if let Some(tr) = self.tracer.as_mut() {
                     tr.task(task, t0, t1);
@@ -779,12 +809,12 @@ impl<'a> WorkerCtx<'a> {
         self.add_wakes_elided(wakes_elided);
     }
 
-    /// A guard wait with the steal layer interleaved: bounded non-parking
-    /// slices of the wait alternate with scans for ready foreign tasks,
-    /// until the guard opens, the steal budget runs dry, or scans keep
-    /// coming up empty — only then does the wait fall back to the run's
-    /// real strategy (under `Park`, this is the moment the worker
-    /// actually parks: "park only after a failed scan").
+    /// A guard wait with the steal layer interleaved: slices of the wait —
+    /// the run's own strategy, `min_wait_before_steal` as the deadline —
+    /// alternate with scans for ready foreign tasks, until the guard
+    /// opens, the steal budget runs dry, or scans keep coming up empty;
+    /// only then does the wait run on without a deadline (under `Park`:
+    /// "park only after a failed scan" — a slice is too short to sleep in).
     fn wait_or_steal(
         &mut self,
         s: &SharedDataState,
@@ -812,7 +842,6 @@ impl<'a> WorkerCtx<'a> {
         // never-blocked run pays nothing for this: a slice whose first
         // probe succeeds is the same one acquire-load as an unarmed get.
         let slice = WaitCx {
-            strategy: WaitStrategy::SpinYield,
             deadline: Some(st.policy.min_wait_before_steal),
             ..*cx
         };
@@ -835,8 +864,8 @@ impl<'a> WorkerCtx<'a> {
                 empty += 1;
             }
         }
-        // Budget exhausted: the rest of the wait runs under the run's
-        // configured strategy (minus the watchdog time already burned).
+        // Budget exhausted: the rest of the wait runs without a slice
+        // (minus the watchdog time already burned).
         let rest = WaitCx {
             deadline: cx.deadline.map(|d| d.saturating_sub(burned(&agg))),
             ..*cx
@@ -936,7 +965,6 @@ impl<'a> WorkerCtx<'a> {
             loop_time,
             launch_delay: loop_start.duration_since(self.epoch),
             ops,
-            spans: self.spans,
             trace,
         }
     }
@@ -1320,7 +1348,7 @@ mod steal_tests {
         let g = crate::testing::chain(n as usize);
         let store = DataStore::from_vec(vec![0u64]);
         let cfg = RioConfig::with_workers(4)
-            .wait(WaitStrategy::SpinYield)
+            .wait(WaitStrategy::Park)
             .stealing(crate::steal::StealPolicy::new().min_wait_before_steal(Duration::ZERO));
         execute_graph(&cfg, &g, &RoundRobin, |_, _| {
             *store.write(DataId(0)) += 1;

@@ -217,7 +217,7 @@ mod tests {
             .try_compile(&g)
             .unwrap_err();
         assert_eq!(err.kind(), "invalid-mapping");
-        assert!(Executor::new(cfg(2).preflight(false))
+        assert!(Executor::new(cfg(2))
             .hybrid(&Unmapped)
             .try_compile(&g)
             .is_ok());
@@ -281,14 +281,16 @@ mod tests {
         assert_eq!(stats.claimed_per_worker.iter().sum::<u64>(), 150);
     }
 
+    #[cfg(feature = "trace")]
     #[test]
     fn dynamic_spans_audit_cleanly() {
         let g = crate::testing::chains(200, 4);
-        let c = cfg(3).record_spans(true);
-        let (report, _) = execute_graph_hybrid(&c, &g, &Unmapped, |_, _| {
+        let c = cfg(3).trace(crate::TraceConfig::new());
+        let run = Executor::new(c).hybrid(&Unmapped).run(&g, |_, _| {
             std::hint::black_box(0u64);
         });
-        report.audit(&g).expect("hybrid run must be consistent");
+        let trace = run.trace.expect("a traced run returns its trace");
+        trace.audit(&g).expect("hybrid run must be consistent");
     }
 
     #[test]

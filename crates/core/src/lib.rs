@@ -107,10 +107,10 @@ pub use wait::WaitStrategy;
 /// The flows the unit tests keep building.
 #[cfg(test)]
 pub(crate) mod testing {
-    use crate::wait::WaitStrategy::{self, Park, Spin, SpinYield};
+    use crate::wait::WaitStrategy::{self, Park, Spin};
     use rio_stf::{Access, DataId, TaskGraph};
 
-    pub(crate) const WAITS: [WaitStrategy; 3] = [Spin, SpinYield, Park];
+    pub(crate) const WAITS: [WaitStrategy; 2] = [Spin, Park];
 
     fn flow(n: usize, data: usize, accesses: impl Fn(u32) -> Vec<Access>) -> TaskGraph {
         let mut b = TaskGraph::builder(data);

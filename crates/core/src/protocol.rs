@@ -92,7 +92,7 @@ use rio_stf::{DataId, ExecError, FailedTask, PartialReport, StallDiagnostic, Tas
 use crate::flight::FlightRecorder;
 use crate::futex::EventCount;
 use crate::status::WaitWatch;
-use crate::wait::WaitStrategy;
+use crate::wait::{WaitStrategy, PARK_COST};
 
 /// Mask selecting the `last_executed_write` half of an epoch word — the
 /// part a `get_read` compares ([`expected_read_word`]).
@@ -394,7 +394,7 @@ impl RecoveryCtx {
 /// `polls` counts condition re-checks (0 = fast path, condition already
 /// true). Under [`WaitStrategy::Park`], every poll past the initial
 /// spin phase is one park/wake transition, reported separately in
-/// `parks`; the spinning strategies never park.
+/// `parks`; [`WaitStrategy::Spin`] never parks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WaitOutcome {
     /// Condition re-checks performed while blocked.
@@ -459,7 +459,7 @@ impl WaitResult {
 pub struct WaitCx<'a> {
     /// How to wait once the spin budget is exhausted.
     pub strategy: WaitStrategy,
-    /// Pure-spin polls before escalating (yield/park/timed polling).
+    /// Pure-spin polls before a `Park` wait sleeps.
     pub spin_limit: u32,
     /// `Some(d)`: give up (verdict [`WaitVerdict::DeadlineExceeded`]) after
     /// being blocked for `d`. `None`: wait forever.
@@ -607,17 +607,17 @@ pub(crate) fn wait_until(
 /// The blocked half of [`wait_until`]. The abort flag is re-checked on
 /// every poll.
 ///
-/// Spurious wake-ups are harmless by construction: every strategy —
-/// including the `Park` branch, whose futex sleep may return without a
-/// matching wake (a signal, an abort or storm aimed at the table) —
-/// loops back to re-check before concluding anything, and only a *timed*
-/// wait can yield [`WaitVerdict::DeadlineExceeded`] (after the full
-/// deadline, never on a stray wake).
+/// Spurious wake-ups are harmless by construction: a `Park` wait's futex
+/// sleep may return without a matching wake (a signal, an abort or storm
+/// aimed at the table), and it loops back to re-check before concluding
+/// anything; only a *timed* wait can yield
+/// [`WaitVerdict::DeadlineExceeded`] (after the full deadline, never on a
+/// stray wake).
 ///
-/// Ordering: the spinning paths load with `Acquire` (enough to
-/// synchronize with the `Release`/`SeqCst` publication they match); a
-/// wait about to sleep re-checks with `SeqCst` after announcing itself in
-/// `event`, which the elision argument requires (`crate::futex`).
+/// Ordering: the spin phase loads with `Acquire` (enough to synchronize
+/// with the `Release`/`SeqCst` publication it matches); a wait about to
+/// sleep re-checks with `SeqCst` after announcing itself in `event`,
+/// which the elision argument requires (`crate::futex`).
 #[cold]
 fn wait_blocked(
     event: &EventCount,
@@ -662,11 +662,11 @@ fn wait_loop(
             None
         }
     };
-    // The pure-spin phase common to all strategies — all there is to
-    // `Spin`. It honours the deadline too: a budget sized to a park
-    // (`crate::wait`) would otherwise swallow the steal layer's short
-    // slices whole. The clock read is amortized over `CLOCK_EVERY` polls,
-    // about a microsecond of spinning.
+    // The pure-spin phase: all there is to `Spin`, a `Park` wait's first
+    // `spin_limit` polls. It honours the deadline too: a budget sized to
+    // a park (`crate::wait`) would otherwise swallow the steal layer's
+    // short slices whole. The clock read is amortized over `CLOCK_EVERY`
+    // polls, about a microsecond of spinning.
     const CLOCK_EVERY: u64 = 64;
     let mut polls: u64 = 0;
     while cx.strategy == WaitStrategy::Spin || polls < u64::from(cx.spin_limit) {
@@ -676,28 +676,25 @@ fn wait_loop(
             return done(polls, 0, verdict);
         }
     }
-    if cx.strategy == WaitStrategy::Park {
-        // Announce, re-check with `SeqCst`, sleep on the object's own
-        // event-count for what is left of the deadline. Timed out or
-        // woken, the re-check runs either way.
-        let (verdict, parks) = event.sleep_until(|| match poll(Ordering::SeqCst, true) {
-            Some(verdict) => ControlFlow::Break(verdict),
-            None => ControlFlow::Continue(left()),
-        });
-        return done(polls + parks, parks, verdict);
-    }
-    loop {
+    // A deadline's rest shorter than a park is not slept — its timer
+    // wake-up would preempt the producer waited for (measured on steal
+    // slices) — but probed with the core yielded in between; the clock on
+    // every probe, as one yield can swallow a whole scheduling quantum.
+    while left().is_some_and(|rest| rest < PARK_COST) {
         std::thread::yield_now();
         polls += 1;
-        // The clock on *every* poll: each already paid for a `sched_yield`
-        // syscall, and on an oversubscribed machine one yield can swallow
-        // a whole scheduling quantum, so an amortized check would let
-        // short deadlines (the steal layer's scan slices) blow past their
-        // budget unnoticed.
         if let Some(verdict) = poll(Ordering::Acquire, true) {
             return done(polls, 0, verdict);
         }
     }
+    // Announce, re-check with `SeqCst`, sleep on the object's own
+    // event-count for what is left of the deadline. Timed out or woken,
+    // the re-check runs either way.
+    let (verdict, parks) = event.sleep_until(|| match poll(Ordering::SeqCst, true) {
+        Some(verdict) => ControlFlow::Break(verdict),
+        None => ControlFlow::Continue(left()),
+    });
+    done(polls + parks, parks, verdict)
 }
 
 /// Wakes every waiter asleep on a data object of `table` **without any
@@ -893,7 +890,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    const S: WaitStrategy = WaitStrategy::SpinYield;
+    const S: WaitStrategy = WaitStrategy::Spin;
 
     fn ok() -> AbortFlag {
         AbortFlag::new()
@@ -1214,16 +1211,15 @@ mod tests {
         assert!(out.parks >= 1, "Park waiter must have parked");
         assert!(out.polls >= out.parks);
 
-        // Spinning strategies never park.
+        // Spinning never parks.
         let shared = Arc::new(SharedDataState::default());
         let mut local_b = LocalDataState::default();
         declare_write(&mut local_b, TaskId(1));
         let s = Arc::clone(&shared);
-        let waiter =
-            std::thread::spawn(move || get_write(&s, &local_b, WaitStrategy::SpinYield).outcome);
+        let waiter = std::thread::spawn(move || get_write(&s, &local_b, S).outcome);
         std::thread::sleep(std::time::Duration::from_millis(5));
         let mut local_a = LocalDataState::default();
-        terminate_write(&shared, &mut local_a, TaskId(1), WaitStrategy::SpinYield);
+        terminate_write(&shared, &mut local_a, TaskId(1), S);
         let out = waiter.join().unwrap();
         assert!(out.waited());
         assert_eq!(out.parks, 0, "spinning never parks");
@@ -1325,11 +1321,7 @@ mod tests {
 
     #[test]
     fn deadline_expires_into_deadline_exceeded_for_every_strategy() {
-        for strategy in [
-            WaitStrategy::Spin,
-            WaitStrategy::SpinYield,
-            WaitStrategy::Park,
-        ] {
+        for strategy in [WaitStrategy::Spin, WaitStrategy::Park] {
             let shared = SharedDataState::default();
             let flag = AbortFlag::new();
             let mut local = LocalDataState::default();
@@ -1409,14 +1401,17 @@ mod tests {
     #[test]
     fn the_spin_phase_honours_a_short_deadline() {
         // The steal layer's slices: a deadline far shorter than the spin
-        // budget must end the wait on time, for every strategy. Timing on
-        // a shared host is noisy, so the fastest of a few tries counts.
+        // budget must end the wait on time, for every strategy — and so
+        // must one the budget ends before (an oversubscribed run's), with
+        // no sleep: a rest shorter than a park is yielded. Timing on a
+        // shared host is noisy, so the fastest of a few tries counts.
         let slice = Duration::from_micros(20);
         let (shared, flag) = (SharedDataState::default(), ok());
         for (strategy, spin_limit) in [
-            (WaitStrategy::SpinYield, 4096),
+            (WaitStrategy::Spin, 4096),
             (WaitStrategy::Park, 4096),
             (WaitStrategy::Park, u32::MAX),
+            (WaitStrategy::Park, 0),
         ] {
             let cx = WaitCx {
                 spin_limit,
@@ -1426,6 +1421,7 @@ mod tests {
             let try_once = |_| {
                 let r = get_read_word_cx(&shared, pack_epoch(TaskId(1), 0), &cx);
                 assert_eq!(r.verdict, WaitVerdict::DeadlineExceeded);
+                assert_eq!(r.outcome.parks, 0, "{strategy}/{spin_limit} slept");
                 r.blocked_at.expect("a deadline stamps").elapsed()
             };
             let took = (0..50).map(try_once).min().expect("fifty tries");
@@ -1678,7 +1674,7 @@ mod tests {
         let flag = AbortFlag::new();
         flag.arm();
         let local = LocalDataState::default();
-        let cx = WaitCx::new(WaitStrategy::SpinYield, &flag);
+        let cx = WaitCx::new(S, &flag);
         assert_eq!(
             get_read_word_cx(&shared, expected_read_word(&local), &cx).verdict,
             WaitVerdict::Ready

@@ -218,7 +218,8 @@ impl ReduxRio {
     /// # Panics
     /// Propagates a task-body panic (original payload) once every worker
     /// has left the flow; panics with the rendered diagnostic of a
-    /// watchdog stall ([`RioConfig::watchdog`]).
+    /// watchdog stall ([`RioConfig::watchdog`]), and if workers disagree
+    /// on the flow.
     pub fn run<T, M, F>(&self, store: &DataStore<T>, mapping: &M, flow: F) -> ExecReport
     where
         T: Send,
@@ -230,7 +231,7 @@ impl ReduxRio {
         let shared = &shared[..];
         let wake = || shared.iter().for_each(|s| s.event.notify_all());
         // No word table: the engine performs no get or publication here.
-        let run = RunShell::new(&self.cfg, store.len()).run(&self.set, &[], &wake, |wk| {
+        let run = RunShell::new(&self.cfg, store.len()).run_flow(&self.set, &[], &wake, |wk| {
             let mut ctx = ReduxCtx {
                 wk,
                 mapping,
@@ -241,7 +242,8 @@ impl ReduxRio {
             };
             let loop_start = Instant::now();
             flow(&mut ctx);
-            (ctx.wk.finish(loop_start), ())
+            let sum = ctx.wk.flow_sum;
+            (ctx.wk.finish(loop_start), sum)
         });
         run.unwrap_or_else(|e| e.resume()).0
     }
@@ -272,7 +274,8 @@ impl<'a, T> ReduxCtx<'a, T> {
     /// Submits the next task. Semantics as [`crate::FlowCtx::task`], with
     /// accumulate accesses relaxed as described in the module docs.
     pub fn task(&mut self, accesses: &[RAccess], body: impl FnOnce(&ReduxView<'_, T>)) -> TaskId {
-        let (id, own) = self.wk.next_flow_task(self.mapping);
+        let shape = accesses.iter().map(|a| (a.data, a.mode as u64));
+        let (id, own) = self.wk.next_flow_task(self.mapping, shape);
         if own {
             self.run_own(id, accesses, body);
         } else {
@@ -512,6 +515,19 @@ mod tests {
             }
         });
         assert_eq!(store.into_vec(), vec![1 + 3 * 3 + 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-deterministic flow")]
+    fn non_deterministic_flow_is_detected() {
+        let store = DataStore::from_vec(Vec::<u64>::new());
+        rio(2).run(&store, &RoundRobin, |ctx| {
+            // Worker 0 submits one access-free task fewer: forbidden.
+            let n = if ctx.worker() == WorkerId(0) { 3 } else { 4 };
+            for _ in 0..n {
+                ctx.task(&[], |_| {});
+            }
+        });
     }
 
     #[test]

@@ -10,8 +10,7 @@
 
 use std::time::Duration;
 
-use rio_stf::validate::{validate_spans, ScheduleViolation, Span};
-use rio_stf::{TaskGraph, WorkerId};
+use rio_stf::WorkerId;
 
 use crate::counters::CountersSnapshot;
 use crate::trace_api::{Trace, WorkerTrace};
@@ -77,11 +76,9 @@ pub struct WorkerReport {
     pub launch_delay: Duration,
     /// Protocol operation counts.
     pub ops: OpCounts,
-    /// Execution spans of this worker's tasks (empty unless
-    /// `record_spans` was enabled).
-    pub spans: Vec<Span>,
     /// This worker's event trace (`None` unless `RioConfig::trace` was
-    /// set). Consumed by [`ExecReport::take_trace`].
+    /// set). Consumed by [`ExecReport::take_trace`]; the assembled trace
+    /// audits the run (`Trace::audit`).
     pub trace: Option<WorkerTrace>,
 }
 
@@ -169,22 +166,6 @@ impl ExecReport {
                 .collect(),
             extra_threads: 0,
         })
-    }
-
-    /// All recorded spans, across workers (unordered).
-    pub fn spans(&self) -> Vec<Span> {
-        self.workers.iter().flat_map(|w| w.spans.clone()).collect()
-    }
-
-    /// Audits the recorded spans against the STF semantics of `graph`:
-    /// dependencies completed before dependents started, and no
-    /// conflicting tasks overlapped.
-    ///
-    /// # Errors
-    /// [`ScheduleViolation::NotAPermutation`] when spans were not recorded
-    /// (or the run was partial); otherwise the first violation found.
-    pub fn audit(&self, graph: &TaskGraph) -> Result<(), ScheduleViolation> {
-        validate_spans(graph, &self.spans())
     }
 }
 

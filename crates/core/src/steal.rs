@@ -65,9 +65,9 @@ pub struct StealPolicy {
     /// Successful steals per blocked wait before the worker falls back
     /// to its plain wait strategy. Default 16.
     pub max_steals: usize,
-    /// How long a blocked worker waits (spin-yield, never parked) before
-    /// its first scan — short waits should resolve without paying for a
-    /// scan. Also the re-arm interval between scans. Default 20µs.
+    /// How long a blocked worker waits, under the run's own wait strategy,
+    /// before its first scan — short waits should resolve without paying
+    /// for a scan. Also the re-arm interval between scans. Default 20µs.
     pub min_wait_before_steal: Duration,
     /// Preferred victim order for the scan, e.g. seeded
     /// from the doctor's cross-worker-edge data
@@ -145,14 +145,16 @@ struct ClaimLine {
 }
 
 /// Per-task single-word claim slots, `FlatAccesses`-style: one flat
-/// arena indexed by flow position, allocated once and recycled across
-/// runs by epoch.
+/// arena indexed by flow position. [`CompiledFlow::try_run`] allocates
+/// one per run, and must: a flow may run from two threads at once, and
+/// two runs in flight on one table would take each other's claims.
 ///
 /// A slot packs `(run_epoch << 32) | (claimant_worker + 1)`. A slot is
 /// *unclaimed for run `e`* when its stored epoch half differs from `e` —
 /// so advancing the run epoch ([`ClaimTable::begin_run`]) invalidates
-/// every stale claim without touching a single slot. Epoch 0 is never
-/// issued, so freshly zeroed memory reads as unclaimed for every run.
+/// every stale claim without touching a single slot, which lets runs
+/// that follow one another share a table. Epoch 0 is never issued, so
+/// freshly zeroed memory reads as unclaimed for every run.
 #[derive(Debug)]
 pub struct ClaimTable {
     lines: Box<[ClaimLine]>,

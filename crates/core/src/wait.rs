@@ -8,9 +8,6 @@
 //! * [`WaitStrategy::Spin`] — busy-poll with `spin_loop` hints. Lowest
 //!   wake-up latency; burns a hardware thread while waiting. Only sensible
 //!   when workers ≤ cores and waits are short.
-//! * [`WaitStrategy::SpinYield`] — spin briefly, then `yield_now` between
-//!   polls. Keeps latency low while letting the OS run somebody else;
-//!   a good default on oversubscribed machines.
 //! * [`WaitStrategy::Park`] — spin, then sleep in the kernel on the data
 //!   object's own futex event-count (`crate::futex`; the paper's
 //!   prototype "uses mutexes for synchronization", ours keeps the per-data
@@ -20,7 +17,7 @@
 //!
 //! ## How long to spin first
 //!
-//! Every strategy starts with a pure-spin phase, and its length decides
+//! A `Park` wait starts with a pure-spin phase, and its length decides
 //! what a fine-grained run costs: a park is ≈ 25 µs of idle for the
 //! sleeper (`PARK_COST`) plus a syscall for its waker, while the producer
 //! of a blocked `get_*` is typically one task — a few microseconds — from
@@ -35,9 +32,10 @@
 //! keep the short [`WaitStrategy::DEFAULT_SPIN_LIMIT`]. Either default
 //! yields to an explicit [`crate::RioConfig::spin_limit`] or
 //! [`crate::protocol::WaitCx::spin_limit`] — zero included, which sleeps
-//! at once. Strategy and budget are one pair per run, shared by every
-//! worker, which is what lets a `terminate_*` under a strategy that never
-//! parks skip the waiter check.
+//! at once; but no deadline's rest shorter than a park is slept (a steal
+//! slice's): it is yield-polled. Strategy and budget are one pair per
+//! run, shared by every worker, which is what lets a `terminate_*` under
+//! `Spin` skip the waiter check.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -48,9 +46,6 @@ use std::time::{Duration, Instant};
 pub enum WaitStrategy {
     /// Pure busy-wait.
     Spin,
-    /// Busy-wait with `std::thread::yield_now` between polls after a short
-    /// pure-spin phase.
-    SpinYield,
     /// Spin for about what a park costs, then sleep on the data object's
     /// event-count until a `terminate_*` (or an abort broadcast) wakes us.
     /// The default: the paper's choice, and the only strategy that stays
@@ -70,8 +65,9 @@ impl WaitStrategy {
 
 /// What one park costs a worker inside a run, sleep to resumed — the
 /// measured `idle / parks` of a fine-grained run (EXPERIMENTS.md "PR 18")
-/// — and so how long the default spin phase lasts (module docs).
-const PARK_COST: Duration = Duration::from_micros(25);
+/// — and so how long the default spin phase lasts (module docs), and the
+/// shortest deadline rest a `Park` wait sleeps for.
+pub(crate) const PARK_COST: Duration = Duration::from_micros(25);
 
 /// This process's hardware threads and the polls that fill [`PARK_COST`]
 /// on them, measured once.
@@ -118,7 +114,6 @@ impl std::fmt::Display for WaitStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             WaitStrategy::Spin => "spin",
-            WaitStrategy::SpinYield => "spin-yield",
             WaitStrategy::Park => "park",
         })
     }
@@ -150,7 +145,6 @@ mod tests {
     #[test]
     fn display_labels() {
         assert_eq!(WaitStrategy::Spin.to_string(), "spin");
-        assert_eq!(WaitStrategy::SpinYield.to_string(), "spin-yield");
         assert_eq!(WaitStrategy::Park.to_string(), "park");
     }
 }

@@ -570,7 +570,7 @@ mod equivalence {
             workers in 2usize..5,
         ) {
             let g = graph_from(&seeds);
-            for wait in [WaitStrategy::Spin, WaitStrategy::SpinYield, WaitStrategy::Park] {
+            for wait in [WaitStrategy::Spin, WaitStrategy::Park] {
                 let ex = Executor::new(RioConfig::with_workers(workers).wait(wait))
                     .mapping(&RoundRobin);
                 let (base_store, base_order) = observe(&ex, &g);

@@ -187,14 +187,14 @@ fn a_dropped_task_is_diagnosed_as_a_stall_not_a_hang() {
 /// The reduction front-end shares the containment of the other two: a
 /// body that panics while a sibling is asleep on the publication it will
 /// now never make must end the run — `run` re-raises the original payload
-/// — under a parking and a yielding wait alike. (Before `ReduxRio` ran on
+/// — under a parking and a spinning wait alike. (Before `ReduxRio` ran on
 /// the shared engine this was a hang: nothing caught the panic, nothing
 /// woke the reader.) The watchdog is the backstop: a regression surfaces
 /// as a stall diagnostic in place of the payload.
 #[test]
 fn a_redux_body_panic_ends_the_run_instead_of_stranding_the_reader() {
     use rio_core::redux::{RAccess, ReduxRio};
-    for wait in [WaitStrategy::Park, WaitStrategy::SpinYield] {
+    for wait in [WaitStrategy::Park, WaitStrategy::Spin] {
         let store = DataStore::from_vec(vec![0u64]);
         let cfg = RioConfig::with_workers(2)
             .wait(wait)

@@ -86,11 +86,7 @@ fn a_late_producer_is_waited_for_whether_by_guard_or_by_program_order() {
         rio_stf::sequential::run_graph(&g, |id| kernel(&store, g.task(id)));
         store.into_vec()
     };
-    for wait in [
-        WaitStrategy::Spin,
-        WaitStrategy::SpinYield,
-        WaitStrategy::Park,
-    ] {
+    for wait in [WaitStrategy::Spin, WaitStrategy::Park] {
         for late in 1..=PLAN.len() as u64 {
             let plan = FaultPlan::new().delay_task(TaskId(late), Duration::from_millis(3));
             let store = DataStore::filled(3, 0u64);

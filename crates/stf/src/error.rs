@@ -54,9 +54,8 @@ pub enum ExecError {
     Stalled(Box<StallDiagnostic>),
     /// The mapping failed pre-flight validation; no worker was spawned.
     InvalidMapping(MappingError),
-    /// The graph failed pre-flight validation (e.g. a task id or
-    /// per-epoch read count overflows the packed epoch word); no worker
-    /// was spawned.
+    /// The graph failed pre-flight validation (e.g. a task id overflows
+    /// the packed epoch word); no worker was spawned.
     InvalidGraph(GraphError),
 }
 

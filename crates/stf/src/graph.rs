@@ -95,8 +95,8 @@ impl TaskGraph {
     /// * task ids are dense and in flow order (`T1, T2, ...`),
     /// * every access refers to a data object `< num_data`,
     /// * no task declares two accesses to the same data object,
-    /// * ids and per-epoch read counts fit the runtime's packed epoch
-    ///   word ([`TaskGraph::validate_limits`] with `u32::MAX`).
+    /// * ids — and so per-epoch read counts — fit the runtime's packed
+    ///   epoch word ([`TaskGraph::validate_limits`] with `u32::MAX`).
     pub fn validate(&self) -> Result<(), GraphError> {
         for (i, t) in self.tasks.iter().enumerate() {
             if t.id != TaskId::from_index(i) {
@@ -123,52 +123,30 @@ impl TaskGraph {
                 seen.push(a.data);
             }
         }
-        self.validate_limits(u32::MAX as u64, u32::MAX as u64)
+        self.validate_limits(u32::MAX as u64)
     }
 
-    /// Checks the flow against representation limits of the runtime's
-    /// packed epoch word: every task id must be `≤ max_task_id` and no
-    /// data object may accumulate more than `max_epoch_reads` reads
-    /// between two consecutive writes (one *epoch*). The runtime packs
-    /// both quantities into `u32` halves of one 64-bit word, so
+    /// Checks the flow against the representation limits of the runtime's
+    /// packed epoch word: every task id must be `≤ max_task_id`. The
+    /// runtime packs ids into a `u32` half of one 64-bit word, so
     /// [`TaskGraph::validate`] applies this with `u32::MAX`; tests may
-    /// pass tiny limits to exercise the rejection paths cheaply.
+    /// pass a tiny limit to exercise the rejection path cheaply.
     ///
-    /// Mirrors the protocol's accounting: a write (or read-write) access
-    /// starts a new epoch, a pure read increments the current epoch's
-    /// count.
-    pub fn validate_limits(
-        &self,
-        max_task_id: u64,
-        max_epoch_reads: u64,
-    ) -> Result<(), GraphError> {
-        let mut reads_since: Vec<u64> = vec![0; self.num_data];
-        for t in &self.tasks {
-            if t.id.0 > max_task_id {
-                return Err(GraphError::TaskIdOverflow {
-                    task: t.id,
-                    max: max_task_id,
-                });
-            }
-            for a in &t.accesses {
-                let Some(r) = reads_since.get_mut(a.data.index()) else {
-                    continue; // out-of-range data is validate()'s concern
-                };
-                if a.mode.writes() {
-                    *r = 0;
-                } else {
-                    *r += 1;
-                    if *r > max_epoch_reads {
-                        return Err(GraphError::ReadEpochOverflow {
-                            data: a.data,
-                            reads: *r,
-                            max: max_epoch_reads,
-                        });
-                    }
-                }
-            }
+    /// The word's other half, the read count of a data object's current
+    /// *epoch* (the reads since its last write), needs no check of its
+    /// own. Ids are dense and a task declares an object at most once, so
+    /// before task `t` registers its accesses every epoch holds reads of
+    /// distinct earlier tasks only: fewer than `t.id`. No epoch therefore
+    /// ever counts more reads than the flow's largest id, and a flow whose
+    /// ids fit the word has read counts that fit it too.
+    pub fn validate_limits(&self, max_task_id: u64) -> Result<(), GraphError> {
+        match self.tasks.iter().find(|t| t.id.0 > max_task_id) {
+            Some(t) => Err(GraphError::TaskIdOverflow {
+                task: t.id,
+                max: max_task_id,
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Renders the implicit dependency DAG in Graphviz DOT format:
@@ -273,9 +251,6 @@ pub enum GraphError {
     /// A task id exceeds what the runtime's packed epoch word can
     /// represent (see [`TaskGraph::validate_limits`]).
     TaskIdOverflow { task: TaskId, max: u64 },
-    /// A data object accumulates more reads between two writes than the
-    /// packed epoch word's reader count can represent.
-    ReadEpochOverflow { data: DataId, reads: u64, max: u64 },
 }
 
 impl std::fmt::Display for GraphError {
@@ -306,14 +281,6 @@ impl std::fmt::Display for GraphError {
                     f,
                     "{task} exceeds the maximum representable task id {max} \
                      (the runtime packs task ids into 32 bits of the epoch word)"
-                )
-            }
-            GraphError::ReadEpochOverflow { data, reads, max } => {
-                write!(
-                    f,
-                    "{data} accumulates {reads} reads in one write epoch, more than \
-                     the maximum representable count {max} \
-                     (the runtime packs per-epoch read counts into 32 bits of the epoch word)"
                 )
             }
         }
@@ -638,7 +605,7 @@ mod tests {
         }
         let g = b.build();
         // Ids T1..T4 against a ceiling of 2: T3 overflows first.
-        match g.validate_limits(2, u64::MAX) {
+        match g.validate_limits(2) {
             Err(GraphError::TaskIdOverflow { task, max }) => {
                 assert_eq!(task, TaskId(3));
                 assert_eq!(max, 2);
@@ -646,33 +613,30 @@ mod tests {
             other => panic!("expected TaskIdOverflow, got {other:?}"),
         }
         // The real limit accepts it, of course.
-        assert!(g.validate_limits(u32::MAX as u64, u32::MAX as u64).is_ok());
+        assert!(g.validate_limits(u32::MAX as u64).is_ok());
         assert!(g.validate().is_ok());
     }
 
-    #[test]
-    fn validate_limits_rejects_read_epoch_overflow() {
-        // Three reads of d0 in one epoch against a per-epoch cap of 2.
-        let mut b = TaskGraph::builder(1);
-        b.task(&[Access::write(d(0))], 1, "w");
-        for _ in 0..3 {
-            b.task(&[Access::read(d(0))], 1, "r");
-        }
-        let g = b.build();
-        match g.validate_limits(u64::MAX, 2) {
-            Err(GraphError::ReadEpochOverflow { data, reads, max }) => {
-                assert_eq!(data, d(0));
-                assert_eq!(reads, 3);
-                assert_eq!(max, 2);
+    /// Per task, in flow order: the most reads any object's epoch holds
+    /// just before the task registers its accesses — the protocol's
+    /// accounting, in which a write (or read-write) access opens a new
+    /// epoch and a pure read adds one to the open epoch's count.
+    fn epoch_reads_before_each_task(g: &TaskGraph) -> Vec<u64> {
+        let mut reads_since = vec![0u64; g.num_data()];
+        let before = |t: &TaskDesc| {
+            let most = reads_since.iter().copied().max().unwrap_or(0);
+            for a in &t.accesses {
+                let r = &mut reads_since[a.data.index()];
+                *r = if a.mode.writes() { 0 } else { *r + 1 };
             }
-            other => panic!("expected ReadEpochOverflow, got {other:?}"),
-        }
+            most
+        };
+        g.tasks().iter().map(before).collect()
     }
 
     #[test]
     fn a_write_resets_the_epoch_read_count() {
-        // 2 reads, write, 2 reads: never more than 2 in one epoch, so a
-        // cap of 2 accepts — the counter resets at the write.
+        // 2 reads, write, 2 reads: the count restarts at the write.
         let mut b = TaskGraph::builder(1);
         b.task(&[Access::read(d(0))], 1, "r");
         b.task(&[Access::read(d(0))], 1, "r");
@@ -680,8 +644,40 @@ mod tests {
         b.task(&[Access::read(d(0))], 1, "r");
         b.task(&[Access::read(d(0))], 1, "r");
         let g = b.build();
-        assert!(g.validate_limits(u64::MAX, 2).is_ok());
-        assert!(g.validate_limits(u64::MAX, 1).is_err());
+        assert_eq!(epoch_reads_before_each_task(&g), [0, 1, 2, 0, 1]);
+    }
+
+    proptest::proptest! {
+        /// Why `validate_limits` checks ids only: in a random dense flow,
+        /// no epoch ever holds as many reads as the id of the task about
+        /// to register its accesses — so none ever holds more than the
+        /// flow's largest id, and an id overflow is always found first.
+        #[test]
+        fn epoch_read_counts_stay_below_the_next_task_id(
+            tasks in proptest::collection::vec(
+                proptest::collection::vec((0..4u32, 0..2u8), 0..4),
+                1..80,
+            ),
+        ) {
+            let mut b = TaskGraph::builder(4);
+            for accesses in tasks {
+                let mut accesses: Vec<Access> = accesses
+                    .into_iter()
+                    .map(|(data, mode)| match mode {
+                        0 => Access::read(d(data)),
+                        _ => Access::write(d(data)),
+                    })
+                    .collect();
+                accesses.sort_by_key(|a| a.data);
+                accesses.dedup_by_key(|a| a.data);
+                b.task(&accesses, 1, "prop");
+            }
+            let g = b.build();
+            proptest::prop_assert!(g.validate().is_ok());
+            for (t, reads) in g.tasks().iter().zip(epoch_reads_before_each_task(&g)) {
+                proptest::prop_assert!(reads < t.id.0, "{} reads before {}", reads, t.id);
+            }
+        }
     }
 
     #[test]
@@ -691,13 +687,6 @@ mod tests {
             max: u32::MAX as u64,
         };
         assert!(e.to_string().contains("maximum representable task id"));
-        let e = GraphError::ReadEpochOverflow {
-            data: d(3),
-            reads: 7,
-            max: 2,
-        };
-        assert!(e.to_string().contains("D3"));
-        assert!(e.to_string().contains("7 reads"));
     }
 
     #[test]

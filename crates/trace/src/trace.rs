@@ -6,8 +6,11 @@ use std::path::Path;
 use std::time::Duration;
 
 use rio_metrics::CumulativeTimes;
+use rio_stf::validate::{validate_spans, ScheduleViolation, Span};
+use rio_stf::{TaskGraph, TaskId};
 
 use crate::chrome;
+use crate::event::EventKind;
 use crate::histogram::Histogram;
 use crate::tracer::WorkerTrace;
 
@@ -86,6 +89,33 @@ impl Trace {
             h.merge(&w.wait_hist);
         }
         h
+    }
+
+    /// One `(task, start, end)` span per surviving task event, across
+    /// workers (unordered), in nanoseconds since the run began.
+    pub fn spans(&self) -> Vec<Span> {
+        let events = self.workers.iter().flat_map(|w| &w.events);
+        events
+            .filter(|e| e.kind == EventKind::Task)
+            .map(|e| Span {
+                task: TaskId(u64::from(e.id)),
+                start: e.start_ns,
+                end: e.end_ns,
+            })
+            .collect()
+    }
+
+    /// Audits the run's [`Trace::spans`] against the STF semantics of
+    /// `graph`: every dependency completed before its dependent started,
+    /// and no conflicting tasks overlapped.
+    ///
+    /// # Errors
+    /// [`ScheduleViolation::NotAPermutation`] when a task has no span —
+    /// the ring dropped its event ([`Trace::dropped`]; see
+    /// `TraceConfig::capacity`) or the run did not execute it; otherwise
+    /// the first violation found.
+    pub fn audit(&self, graph: &TaskGraph) -> Result<(), ScheduleViolation> {
+        validate_spans(graph, &self.spans())
     }
 
     /// The trace as Chrome-trace (`chrome://tracing` / Perfetto) JSON.
@@ -189,6 +219,45 @@ mod tests {
         assert_eq!(per_data[&1].total_ns(), 400);
         assert_eq!(per_data[&2].count(), 1);
         assert_eq!(t.num_events(), 4);
+    }
+
+    #[test]
+    fn task_events_are_the_spans_the_audit_checks() {
+        use rio_stf::Access;
+        // T1 writes D0, T2 reads it: T2 may start only once T1 has ended.
+        let mut b = TaskGraph::builder(1);
+        b.task(&[Access::write(DataId(0))], 1, "w");
+        b.task(&[Access::read(DataId(0))], 1, "r");
+        let g = b.build();
+        let trace = |t2_start: u64| {
+            let mut w0 = worker(0, 0, 0, 0);
+            w0.events = vec![
+                TraceEvent::task(TaskId(1), 0, 10),
+                TraceEvent::wait(TaskId(2), DataId(0), false, 0, 10, 1, 0),
+            ];
+            let mut w1 = worker(1, 0, 0, 0);
+            w1.events = vec![TraceEvent::task(TaskId(2), t2_start, t2_start + 5)];
+            Trace {
+                wall_ns: 20,
+                workers: vec![w0, w1],
+                extra_threads: 0,
+            }
+        };
+        assert_eq!(trace(10).spans().len(), 2, "waits are not spans");
+        assert_eq!(trace(10).audit(&g), Ok(()));
+        assert_eq!(
+            trace(9).audit(&g),
+            Err(ScheduleViolation::DependencyOrder {
+                task: TaskId(2),
+                dependency: TaskId(1)
+            })
+        );
+        let mut lost = trace(10);
+        lost.workers[1].events.clear();
+        assert!(matches!(
+            lost.audit(&g),
+            Err(ScheduleViolation::NotAPermutation { missing: 1, .. })
+        ));
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! access waits for is precomputed, so foreign tasks leave no instruction
 //! behind and a run keeps no private state. A solver that replays the
 //! same task flow every iteration (time stepping, iterative refinement,
-//! …) keeps the `CompiledFlow` and pays for that pass — one mapping
-//! evaluation (two with preflight validation) and one declare per access,
-//! for every task — once instead of per run. The same pass knows who waits for
-//! whom: a guard that only waits for its own worker's earlier tasks, and
+//! …) keeps the `CompiledFlow` and pays for that pass — two mapping
+//! probes (evaluation and validation in one) and one declare per access,
+//! for every task — once instead of per run. The same pass knows who waits
+//! for whom: a guard that only waits for its own worker's earlier tasks, and
 //! a publication nobody on another worker compares against, are not
 //! performed at all, and objects nobody can wait on get no shared word.
 
@@ -64,8 +64,8 @@ fn main() {
         }
     };
 
-    // Compile once: mapping evaluated, preflight validated, every
-    // expected epoch word precomputed — all before the first run.
+    // Compile once: mapping evaluated and validated, every expected
+    // epoch word precomputed — all before the first run.
     let flow = Executor::new(cfg.clone()).mapping(&mapping).compile(&graph);
     let stats = flow.stats();
     println!(

@@ -9,7 +9,7 @@
 //! A *block* mapping keeps all but the chunk-boundary dependencies local
 //! to a worker — the friendly case for decentralized in-order execution.
 
-use rio::core::{Executor, RioConfig};
+use rio::core::{Executor, RioConfig, TraceConfig};
 use rio::stf::{DataStore, TaskDesc, WorkerId};
 use rio::workloads::stencil;
 
@@ -100,14 +100,17 @@ fn main() {
         );
     };
 
-    let cfg = RioConfig::with_workers(workers).record_spans(true);
+    // Traced, with room for every task and every wait of the flow: the
+    // run's task spans are what the audit checks.
+    let room = graph.len() + graph.total_accesses();
     let t0 = std::time::Instant::now();
-    let report = Executor::new(cfg)
+    let run = Executor::new(RioConfig::with_workers(workers))
         .mapping(&mapping)
-        .run(&graph, kernel)
-        .report;
+        .trace(TraceConfig::new().with_capacity(room))
+        .run(&graph, kernel);
     let elapsed = t0.elapsed();
-    report.audit(&graph).expect("schedule must be consistent");
+    let trace = run.trace.expect("a traced run returns its trace");
+    trace.audit(&graph).expect("schedule must be consistent");
 
     // Compare the final buffer with the sequential reference.
     let final_buf = (sweeps % 2) * cells;

@@ -8,8 +8,9 @@
 //! * the masked single-word guards decide exactly like the two-field
 //!   comparisons of Algorithm 2 they replaced, for arbitrary
 //!   shared/private view pairs;
-//! * graph-build validation rejects exactly the flows whose task ids or
-//!   per-epoch read counts would not fit a half-word.
+//! * graph-build validation rejects exactly the flows whose task ids
+//!   would not fit a half-word — which also keeps every per-epoch read
+//!   count in its half (`TaskGraph::validate_limits`).
 
 use proptest::prelude::*;
 use rio::core::protocol::{
@@ -64,8 +65,9 @@ proptest! {
 }
 
 /// A read terminate is a word-level `+1`: because the read count lives in
-/// the low half and graph validation bounds it by `u32::MAX`, the
-/// increment can never carry into the write half.
+/// the low half and never exceeds the flow's largest id, which graph
+/// validation bounds by `u32::MAX`, the increment can never carry into
+/// the write half.
 #[test]
 fn read_increment_never_carries_into_the_write_half() {
     let word = pack_epoch(TaskId(7), u64::from(u32::MAX) - 1);
@@ -79,23 +81,19 @@ fn read_increment_never_carries_into_the_write_half() {
 fn oversized_flows_are_rejected_at_graph_build() {
     use rio::stf::{Access, DataId, GraphError, TaskGraph};
 
-    // Tiny parameterized limits stand in for the real u32 bounds, which
-    // would need >4 billion tasks to trip.
+    // A tiny parameterized limit stands in for the real u32 bound, which
+    // would need >4 billion tasks to trip. Four reads in one epoch: the
+    // id that overflows a limit of 3 is that of the read the epoch's
+    // count would overflow it with.
     let mut b = TaskGraph::builder(1);
     for _ in 0..4 {
         b.task(&[Access::read(DataId(0))], 1, "r");
     }
     let g = b.build();
     assert!(matches!(
-        g.validate_limits(2, u64::from(u32::MAX)),
-        Err(GraphError::TaskIdOverflow { .. })
+        g.validate_limits(3),
+        Err(GraphError::TaskIdOverflow { task, max: 3 }) if task == TaskId(4)
     ));
-    assert!(matches!(
-        g.validate_limits(u64::from(u32::MAX), 2),
-        Err(GraphError::ReadEpochOverflow { .. })
-    ));
-    // The real bounds accept it.
-    assert!(g
-        .validate_limits(u64::from(u32::MAX), u64::from(u32::MAX))
-        .is_ok());
+    // The real bound accepts it.
+    assert!(g.validate_limits(u64::from(u32::MAX)).is_ok());
 }

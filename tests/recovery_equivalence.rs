@@ -8,8 +8,8 @@
 //!   they compute exactly the fault-free values);
 //! * the partial report (failed task, poisoned data, skipped cone) and
 //!   the store are those of the **sequential oracle** — the flow run in
-//!   order with the skip-on-poison rule — across `Spin`/`SpinYield`/
-//!   `Park`, total and partial mappings, fresh and reused flows: poison
+//!   order with the skip-on-poison rule — across `Spin`/`Park`, total
+//!   and partial mappings, fresh and reused flows: poison
 //!   is decided at serialized write epochs, never by scheduling races.
 //!
 //! The failure is injected by the kernel itself (an unconditional panic
@@ -77,11 +77,7 @@ fn hash_kernel(store: &DataStore<u64>, t: &TaskDesc) {
     }
 }
 
-const WAITS: [WaitStrategy; 3] = [
-    WaitStrategy::Spin,
-    WaitStrategy::SpinYield,
-    WaitStrategy::Park,
-];
+const WAITS: [WaitStrategy; 2] = [WaitStrategy::Spin, WaitStrategy::Park];
 
 /// The ways to run a flow that must agree on degradation.
 #[derive(Clone, Copy, Debug)]
@@ -267,8 +263,6 @@ proptest! {
             fingerprints.push(fp);
         }
         prop_assert_eq!(&fingerprints[1], &fingerprints[0],
-            "SpinYield degraded differently from Spin");
-        prop_assert_eq!(&fingerprints[2], &fingerprints[0],
             "Park degraded differently from Spin");
     }
 
@@ -283,7 +277,7 @@ proptest! {
         workers in 1usize..4,
         map_seed in 0u64..1000,
         victim_seed in 0usize..1000,
-        wait_idx in 0usize..3,
+        wait_idx in 0usize..2,
     ) {
         let victim = TaskId::from_index(victim_seed % graph.len());
         let mapping = arb_table_mapping(graph.len(), workers, map_seed);
@@ -347,7 +341,7 @@ fn closure_flow_and_compiled_runs_record_the_same_events() {
     let mapping = rio::workloads::cholesky::mapping(4, 2);
     let victim = TaskId(3);
     let cfg = RioConfig::with_workers(2)
-        .wait(WaitStrategy::SpinYield)
+        .wait(WaitStrategy::Spin)
         .recovery(RecoveryPolicy::no_retries());
     let store = DataStore::filled(graph.num_data(), 0u64);
     let compiled = run_on(&graph, &cfg, &mapping, Path::Fresh, |_, t| {
@@ -395,7 +389,7 @@ fn chain(n: usize) -> TaskGraph {
 #[test]
 fn task_panic_propagates_and_unblocks_waiters() {
     let g = chain(20);
-    for wait in [WaitStrategy::SpinYield, WaitStrategy::Park] {
+    for wait in [WaitStrategy::Spin, WaitStrategy::Park] {
         let exec = Executor::new(RioConfig::with_workers(3).wait(wait));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             exec.run(&g, |_, t| {

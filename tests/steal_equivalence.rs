@@ -3,8 +3,7 @@
 //! On random flows, mappings, worker counts and wait strategies:
 //!
 //! * the final store is the sequential oracle's, steal-on and steal-off —
-//!   on a fresh and on a reused flow, under `Spin`, `SpinYield` and
-//!   `Park`;
+//!   on a fresh and on a reused flow, under `Spin` and `Park`;
 //! * per-datum writer order is exactly the sequential order of the flow
 //!   even under steal storms (claims hand a task to one executor, and
 //!   its guards still serialize on write epochs);
@@ -79,11 +78,7 @@ fn hash_kernel(store: &DataStore<u64>, t: &TaskDesc) {
     }
 }
 
-const WAITS: [WaitStrategy; 3] = [
-    WaitStrategy::Spin,
-    WaitStrategy::SpinYield,
-    WaitStrategy::Park,
-];
+const WAITS: [WaitStrategy; 2] = [WaitStrategy::Spin, WaitStrategy::Park];
 
 /// The storm policy: scan on the first blocked poll, search the whole
 /// flow, steal without budget pressure.
@@ -195,7 +190,7 @@ proptest! {
         graph in arb_graph(30, 4),
         workers in 2usize..5,
         map_seed in 0u64..1000,
-        wait_idx in 0usize..3,
+        wait_idx in 0usize..2,
         reused_idx in 0usize..2,
     ) {
         let mapping = arb_table_mapping(graph.len(), workers, map_seed);
@@ -227,7 +222,7 @@ proptest! {
         workers in 2usize..5,
         map_seed in 0u64..1000,
         victim_seed in 0usize..1000,
-        wait_idx in 0usize..3,
+        wait_idx in 0usize..2,
     ) {
         let victim = TaskId::from_index(victim_seed % graph.len());
         let mapping = arb_table_mapping(graph.len(), workers, map_seed);

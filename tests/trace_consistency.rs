@@ -1,11 +1,12 @@
 //! Observability must be free of observable side effects: enabling the
 //! tracer must not change execution results or protocol op counts, its
-//! quadruple must feed the efficiency decomposition, and the Chrome-trace
-//! export must materialize on disk via the `Executor` alone.
+//! quadruple must feed the efficiency decomposition, its task spans must
+//! audit clean against the STF semantics on every front-end, and the
+//! Chrome-trace export must materialize on disk via the `Executor` alone.
 
 use rio::core::hybrid::{PartialFn, Unmapped};
-use rio::core::{Execution, Executor, RioConfig, TraceConfig, WaitStrategy};
-use rio::stf::{DataStore, RoundRobin, TaskDesc, TaskGraph, TaskId, WorkerId};
+use rio::core::{Execution, Executor, Rio, RioConfig, Trace, TraceConfig, WaitStrategy};
+use rio::stf::{Access, DataId, DataStore, RoundRobin, TaskDesc, TaskGraph, TaskId, WorkerId};
 use rio::workloads::random_deps::{self, RandomDepsConfig};
 
 fn workload() -> TaskGraph {
@@ -114,6 +115,53 @@ fn tracing_changes_neither_results_nor_op_counts() {
             "{name}: trace get count"
         );
     }
+}
+
+/// Task `i` of a mesh over 4 objects: reads `D_(i % 4)`, writes
+/// `D_((i / 2) % 4)` — one read-write access when the two coincide.
+fn mesh_task(i: u32) -> Vec<Access> {
+    match (DataId(i % 4), DataId((i / 2) % 4)) {
+        (r, w) if r == w => vec![Access::read_write(w)],
+        (r, w) => vec![Access::read(r), Access::write(w)],
+    }
+}
+
+/// The audit reads the trace, whichever front-end recorded it: a
+/// one-shot `Executor`, the second run of a reused `CompiledFlow`, a run
+/// whose every task is claimed, and the closure flow of `Rio`.
+#[test]
+fn the_trace_audits_a_mesh_on_every_front_end() {
+    const TASKS: u32 = 200;
+    let mut b = TaskGraph::builder(4);
+    for i in 0..TASKS {
+        b.task(&mesh_task(i), 1, "mesh");
+    }
+    let graph = b.build();
+    let audit = |name: &str, trace: Option<Trace>| {
+        let trace = trace.unwrap_or_else(|| panic!("{name}: trace missing"));
+        assert_eq!(trace.spans().len(), TASKS as usize, "{name}");
+        trace
+            .audit(&graph)
+            .unwrap_or_else(|v| panic!("{name}: {v}"));
+    };
+    fn traced(e: Executor<'_>) -> Executor<'_> {
+        e.trace(TraceConfig::new())
+    }
+    let (_, one_shot) = run(&graph, |e| traced(e.mapping(&RoundRobin)));
+    audit("one-shot", one_shot.trace);
+    let (_, reused) = run_flow(&graph, |e| traced(e.mapping(&RoundRobin)), true);
+    audit("reused", reused.trace);
+    let (_, claimed) = run(&graph, |e| traced(e.hybrid(&Unmapped)));
+    audit("hybrid", claimed.trace);
+
+    let store = DataStore::filled(4, 0u64);
+    let rio = Rio::new(RioConfig::with_workers(3).trace(TraceConfig::new()));
+    let mut report = rio.run(&store, &RoundRobin, |ctx| {
+        for i in 0..TASKS {
+            ctx.task(&mesh_task(i), |_| {});
+        }
+    });
+    audit("Rio", report.take_trace());
 }
 
 #[test]
