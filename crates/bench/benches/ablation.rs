@@ -67,26 +67,6 @@ fn bench_mapping_quality(c: &mut Criterion) {
     g.finish();
 }
 
-/// Centralized scheduler policies on the LU DAG.
-fn bench_sched_policy(c: &mut Criterion) {
-    use rio_centralized::{CentralConfig, SchedPolicy};
-    let mut g = c.benchmark_group("ablation/sched-policy");
-    let graph = lu::graph(8, 64);
-    for policy in [
-        SchedPolicy::CentralFifo,
-        SchedPolicy::LocalWorkStealing,
-        SchedPolicy::CostFirst,
-    ] {
-        let cfg = CentralConfig::with_threads(3)
-            .scheduler(policy)
-            .measure_time(false);
-        g.bench_with_input(BenchmarkId::from_parameter(policy), &graph, |bch, graph| {
-            bch.iter(|| rio_centralized::execute_graph(&cfg, graph, |_, _| {}));
-        });
-    }
-    g.finish();
-}
-
 /// One-shot vs reused flow on independent private-data tasks (the Fig. 7
 /// regime).
 fn bench_compile_reuse(c: &mut Criterion) {
@@ -193,6 +173,6 @@ fn bench_redux(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_wait_strategies, bench_mapping_quality, bench_sched_policy, bench_compile_reuse, bench_hybrid_claiming, bench_redux
+    targets = bench_wait_strategies, bench_mapping_quality, bench_compile_reuse, bench_hybrid_claiming, bench_redux
 }
 criterion_main!(benches);

@@ -4,44 +4,19 @@ use std::time::Duration;
 
 use rio_trace::TraceConfig;
 
-/// Scheduling/dispatch policy for ready tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedPolicy {
-    /// Every ready task goes to one central FIFO queue; workers pull from
-    /// it (and only from it). The simplest centralized scheduler.
-    CentralFifo,
-    /// Tasks released by a worker's completion go to that worker's own
-    /// LIFO deque (locality: the successor likely touches the data just
-    /// produced); idle workers steal FIFO from peers and from the central
-    /// queue. This is the StarPU-`lws`-style default.
-    LocalWorkStealing,
-    /// A central priority queue ordered by the tasks' declared cost hints
-    /// (largest first, flow order tie-break): a crude "heaviest work
-    /// first" heuristic in the spirit of cost-model-driven schedulers.
-    /// Exercises the OoO model's ability to consume task metadata that
-    /// the decentralized model ignores by design.
-    CostFirst,
-}
-
-impl std::fmt::Display for SchedPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SchedPolicy::CentralFifo => "central-fifo",
-            SchedPolicy::LocalWorkStealing => "local-ws",
-            SchedPolicy::CostFirst => "cost-first",
-        })
-    }
-}
-
 /// Configuration of a centralized out-of-order execution.
+///
+/// There is one scheduler, StarPU-`lws`-style local work stealing: the
+/// master queues ready tasks centrally; a task released by a worker's
+/// completion goes to that worker's own LIFO deque (the successor likely
+/// touches the data just produced); idle workers take from the central
+/// queue, then steal FIFO from peers.
 #[derive(Debug, Clone)]
 pub struct CentralConfig {
     /// Total thread count **including the dedicated master**. With
     /// `threads = p`, `p - 1` workers execute tasks — hence the
     /// `(p-1)/p` runtime-efficiency cap of the execution model.
     pub threads: usize,
-    /// Dispatch policy.
-    pub scheduler: SchedPolicy,
     /// Maximum number of in-flight (submitted, not yet executed) tasks
     /// before the master throttles submission. Bounds task storage, like
     /// StarPU's submission window. `None` = unbounded.
@@ -78,12 +53,6 @@ impl CentralConfig {
             threads,
             ..CentralConfig::default()
         }
-    }
-
-    /// Sets the scheduler policy (builder style).
-    pub fn scheduler(mut self, scheduler: SchedPolicy) -> CentralConfig {
-        self.scheduler = scheduler;
-        self
     }
 
     /// Sets the submission window (builder style).
@@ -144,7 +113,6 @@ impl Default for CentralConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get().max(2))
                 .unwrap_or(2),
-            scheduler: SchedPolicy::LocalWorkStealing,
             window: None,
             watchdog: None,
             #[cfg(feature = "fault-inject")]
@@ -180,10 +148,8 @@ mod tests {
     #[test]
     fn builder_style() {
         let c = CentralConfig::with_threads(3)
-            .scheduler(SchedPolicy::CentralFifo)
             .window(Some(128))
             .measure_time(true);
-        assert_eq!(c.scheduler, SchedPolicy::CentralFifo);
         assert_eq!(c.window, Some(128));
         assert!(c.measure_time);
         c.validate();
@@ -203,12 +169,5 @@ mod tests {
         CentralConfig::with_threads(2)
             .watchdog(Duration::ZERO)
             .validate();
-    }
-
-    #[test]
-    fn policy_labels() {
-        assert_eq!(SchedPolicy::CentralFifo.to_string(), "central-fifo");
-        assert_eq!(SchedPolicy::LocalWorkStealing.to_string(), "local-ws");
-        assert_eq!(SchedPolicy::CostFirst.to_string(), "cost-first");
     }
 }

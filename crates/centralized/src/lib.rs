@@ -12,8 +12,8 @@
 //!   the cap the paper observes for StarPU.
 //! * **Out-of-order**: workers execute whichever ready task the scheduler
 //!   hands them, regardless of submission order; completing a task releases
-//!   its successors. Work stealing balances load dynamically
-//!   ([`SchedPolicy::LocalWorkStealing`]).
+//!   its successors. Local work stealing balances load dynamically
+//!   (one scheduler; see [`CentralConfig`]).
 //!
 //! This runtime intentionally carries the structural costs the paper
 //! attributes to the class: per-task node allocation and bookkeeping
@@ -44,13 +44,11 @@ pub mod doorbell;
 pub mod node;
 pub mod report;
 pub mod runtime;
-pub mod scope;
 pub mod tracker;
 
-pub use config::{CentralConfig, SchedPolicy};
+pub use config::CentralConfig;
 pub use report::{CentralReport, MasterReport, PoolWorkerReport};
 pub use runtime::{execute_graph, try_execute_graph};
-pub use scope::{scope, TaskScope};
 
 pub use rio_stf::{
     Access, AccessMode, DataId, DataStore, ExecError, StallDiagnostic, StallSite, TaskGraph,

@@ -13,8 +13,6 @@
 //! The master executes no tasks: the model's runtime efficiency is capped
 //! at `(p-1)/p`, as the paper observes for StarPU.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -26,7 +24,7 @@ use rio_stf::{
 };
 use rio_trace::WorkerTracer;
 
-use crate::config::{CentralConfig, SchedPolicy};
+use crate::config::CentralConfig;
 use crate::doorbell::Doorbell;
 use crate::node::TaskNode;
 use crate::report::{CentralReport, MasterReport, PoolWorkerReport};
@@ -62,10 +60,6 @@ struct Engine<'g> {
     total: usize,
     done: AtomicBool,
     bell: Doorbell,
-    policy: SchedPolicy,
-    /// Central priority queue for [`SchedPolicy::CostFirst`]:
-    /// `(cost, Reverse(flow index))` so ties resolve in flow order.
-    heap: Mutex<BinaryHeap<(u64, Reverse<u32>)>>,
     /// Common epoch for trace timestamps.
     epoch: Instant,
     /// Abort latch, distinct from [`Engine::done`]: `done` means every
@@ -81,19 +75,6 @@ struct Engine<'g> {
 
 impl<'g> Engine<'g> {
     /// Marks completion of one task; sets the done flag on the last one.
-    /// Routes a newly-ready task according to the scheduling policy when
-    /// the *master* (or a policy without locality) dispatches it.
-    fn push_ready_central(&self, i: u32) {
-        match self.policy {
-            SchedPolicy::CostFirst => {
-                let cost = self.graph.tasks()[i as usize].cost;
-                self.heap.lock().push((cost, Reverse(i)));
-            }
-            _ => self.injector.push(i),
-        }
-        self.bell.ring();
-    }
-
     fn task_finished(&self) {
         if self.executed.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
             self.done.store(true, Ordering::Release);
@@ -191,8 +172,6 @@ where
         total: graph.len(),
         done: AtomicBool::new(graph.is_empty()),
         bell: Doorbell::new(),
-        policy: cfg.scheduler,
-        heap: Mutex::new(BinaryHeap::new()),
         epoch: Instant::now(),
         aborted: AtomicBool::new(false),
         abort_cause: Mutex::new(None),
@@ -302,7 +281,8 @@ fn master_loop(cfg: &CentralConfig, engine: &Engine<'_>) -> MasterReport {
         submitted += 1;
         // Drop the submission sentinel; dispatch if that made it ready.
         if node.release_one() {
-            engine.push_ready_central(i);
+            engine.injector.push(i);
+            engine.bell.ring();
         }
     }
 
@@ -423,13 +403,6 @@ fn find_task(
     if let Some(i) = deque.pop() {
         return Some(i);
     }
-    if engine.policy == SchedPolicy::CostFirst {
-        if let Some((_, Reverse(i))) = engine.heap.lock().pop() {
-            report.steals += 1;
-            return Some(i);
-        }
-        return None;
-    }
     loop {
         let steal = engine.injector.steal_batch_and_pop(deque);
         if steal.is_retry() {
@@ -518,7 +491,9 @@ fn execute_task<K>(
             .store(report.tasks_executed, Ordering::Relaxed);
     }
 
-    // Publish completion and collect registered successors.
+    // Publish completion and collect registered successors; a released
+    // successor goes to this worker's own deque (it likely touches the
+    // data just produced), where idle peers can steal it.
     let succs = {
         let mut links = engine.nodes[i as usize].links.lock();
         links.done = true;
@@ -526,14 +501,7 @@ fn execute_task<K>(
     };
     for s in succs {
         if engine.nodes[s as usize].release_one() {
-            match engine.policy {
-                SchedPolicy::LocalWorkStealing => deque.push(s),
-                SchedPolicy::CentralFifo => engine.injector.push(s),
-                SchedPolicy::CostFirst => {
-                    let cost = engine.graph.tasks()[s as usize].cost;
-                    engine.heap.lock().push((cost, Reverse(s)));
-                }
-            }
+            deque.push(s);
         }
     }
     engine.task_finished();
@@ -640,14 +608,33 @@ mod tests {
     }
 
     #[test]
-    fn fifo_policy_works_too() {
-        let g = chain_graph(200);
+    fn cost_hints_do_not_change_a_chains_result() {
+        let mut b = TaskGraph::builder(1);
+        for i in 0..200u64 {
+            // Wildly varying cost hints.
+            let _ = b.task(&[Access::read_write(DataId(0))], (i * 37) % 101, "t");
+        }
+        let g = b.build();
         let store = DataStore::from_vec(vec![0u64]);
-        let c = cfg(3).scheduler(SchedPolicy::CentralFifo);
-        execute_graph(&c, &g, |_, _| {
+        execute_graph(&cfg(3), &g, |_, _| {
             *store.write(DataId(0)) += 1;
         });
         assert_eq!(store.into_vec(), vec![200]);
+    }
+
+    #[test]
+    fn traced_interleaved_chains_pass_the_span_audit() {
+        let g = {
+            let mut b = TaskGraph::builder(4);
+            for i in 0..100u32 {
+                b.task(&[Access::read_write(DataId(i % 4))], u64::from(i % 7), "t");
+            }
+            b.build()
+        };
+        let cfg = cfg(3).trace(rio_trace::TraceConfig::new());
+        let mut report = execute_graph(&cfg, &g, |_, _| {});
+        let trace = report.take_trace().expect("a traced run has a trace");
+        trace.audit(&g).expect("the run must stay consistent");
     }
 
     #[test]
@@ -775,7 +762,7 @@ mod tests {
         let g = b.build();
         let ran = AtomicU64::new(0);
         let first = AtomicBool::new(true);
-        let err = try_execute_graph(&cfg(2).scheduler(SchedPolicy::CentralFifo), &g, |_, _| {
+        let err = try_execute_graph(&cfg(2), &g, |_, _| {
             if first.swap(false, Ordering::Relaxed) {
                 panic!("first task boom");
             }
@@ -895,80 +882,5 @@ mod tests {
             seen.lock().unwrap().insert(w);
         });
         assert!(!seen.into_inner().unwrap().is_empty());
-    }
-}
-
-#[cfg(test)]
-mod cost_first_tests {
-    use super::*;
-    use rio_stf::{Access, DataId, DataStore};
-
-    #[test]
-    fn cost_first_executes_everything_correctly() {
-        let mut b = TaskGraph::builder(1);
-        for i in 0..200u64 {
-            // Wildly varying cost hints.
-            let _ = b.task(&[Access::read_write(DataId(0))], (i * 37) % 101, "t");
-        }
-        let g = b.build();
-        let store = DataStore::from_vec(vec![0u64]);
-        let cfg = CentralConfig::with_threads(3).scheduler(SchedPolicy::CostFirst);
-        execute_graph(&cfg, &g, |_, _| {
-            *store.write(DataId(0)) += 1;
-        });
-        assert_eq!(store.into_vec(), vec![200]);
-    }
-
-    #[test]
-    fn cost_first_prefers_expensive_ready_tasks() {
-        // All tasks independent and ready at once with 1 worker: the
-        // completion order must be by descending cost.
-        let mut b = TaskGraph::builder(0);
-        let costs = [5u64, 50, 10, 100, 1];
-        for &c in &costs {
-            b.task(&[], c, "t");
-        }
-        let g = b.build();
-        let order = parking_lot::Mutex::new(Vec::new());
-        let cfg = CentralConfig::with_threads(2)
-            .scheduler(SchedPolicy::CostFirst)
-            // Submit everything before anyone runs: a window larger than
-            // the flow plus a brief worker stall would be flaky; instead
-            // rely on the master outpacing the single worker, which holds
-            // for 5 empty tasks virtually always. To make it robust, the
-            // first task sleeps briefly so the master finishes unrolling.
-            .window(None);
-        execute_graph(&cfg, &g, |_, t| {
-            if order.lock().is_empty() {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-            order.lock().push(t.cost);
-        });
-        let order = order.into_inner();
-        // After the first-popped task, the rest must come out heaviest
-        // first.
-        let mut rest = order[1..].to_vec();
-        let mut sorted = rest.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        rest.sort_unstable_by(|a, b| b.cmp(a));
-        assert_eq!(rest, sorted);
-        assert_eq!(order.len(), 5);
-    }
-
-    #[test]
-    fn cost_first_span_audit_passes() {
-        let g = {
-            let mut b = TaskGraph::builder(4);
-            for i in 0..100u32 {
-                b.task(&[Access::read_write(DataId(i % 4))], u64::from(i % 7), "t");
-            }
-            b.build()
-        };
-        let cfg = CentralConfig::with_threads(3)
-            .scheduler(SchedPolicy::CostFirst)
-            .trace(rio_trace::TraceConfig::new());
-        let mut report = execute_graph(&cfg, &g, |_, _| {});
-        let trace = report.take_trace().expect("a traced run has a trace");
-        trace.audit(&g).expect("cost-first must stay consistent");
     }
 }

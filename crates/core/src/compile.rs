@@ -19,11 +19,11 @@
 //! update a private view identically, so the view before task `t` is the
 //! sequential replay of every earlier access, whoever performed it.
 //!
-//! [`try_compile`] therefore walks the flow **once**, on one thread,
+//! `try_compile` therefore walks the flow **once**, on one thread,
 //! replaying the declares into a single simulated view, and emits for
 //! every task one `Run { task, start..end }` into its owner's program:
 //! the task's accesses and the packed view each of them waits for live at
-//! `start..end` of a contiguous arena ([`Arena`]). A foreign task
+//! `start..end` of a contiguous arena (`Arena`). A foreign task
 //! contributes *no instruction* to a worker's program, and a run keeps no
 //! private state at all — a terminate is just the shared publication
 //! ([`crate::protocol::publish_write`]/[`crate::protocol::publish_read`]).
@@ -52,7 +52,7 @@
 //!   a write none of whose consumers (its epoch's reads, the next writer)
 //!   keeps a guard; a read whose next writer is absent or keeps no guard.
 //!
-//! The marks ride in each arena entry ([`AccessPlan`]) and the engine
+//! The marks ride in each arena entry (`AccessPlan`) and the engine
 //! skips the marked halves. (A publication's fate is only known when its
 //! epoch ends, so during the walk an entry names its epoch, and one
 //! sweep over the emitted entries afterwards turns the name into the
@@ -789,9 +789,8 @@ impl<'g> CompiledFlow<'g> {
     ///
     /// # Panics
     /// Propagates task-body panics (original payload); panics with the
-    /// diagnostic rendering of any other [`ExecError`], or if the
-    /// Chrome-trace file cannot be written. Use [`CompiledFlow::try_run`]
-    /// to handle failures structurally.
+    /// diagnostic rendering of any other [`ExecError`]. Use
+    /// [`CompiledFlow::try_run`] to handle failures structurally.
     pub fn run<K>(&self, kernel: K) -> Execution
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
@@ -863,14 +862,6 @@ impl<'g> CompiledFlow<'g> {
         };
         run.counters = run.report.counters.clone();
         run.trace = run.report.take_trace();
-        if let (Some(trace), Some(path)) = (
-            run.trace.as_ref(),
-            cfg.trace.as_ref().and_then(|t| t.chrome_path.as_ref()),
-        ) {
-            trace
-                .write_chrome(path)
-                .unwrap_or_else(|e| panic!("cannot write Chrome trace to {}: {e}", path.display()));
-        }
         Ok(run)
     }
 
@@ -1489,13 +1480,12 @@ mod tests {
         assert_eq!(stats.lost_races_per_worker, [0, 0]);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn compiled_runs_can_be_traced() {
         let g = crate::testing::chain(40);
         let flow = Executor::new(cfg(2))
             .mapping(&RoundRobin)
-            .trace(crate::trace_api::TraceConfig::new())
+            .trace(crate::TraceConfig::new())
             .compile(&g);
         let run = flow.run(|_, _| {});
         let trace = run.trace.expect("trace present");

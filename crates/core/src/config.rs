@@ -5,8 +5,8 @@ use std::time::Duration;
 
 use crate::counters::CounterRegistry;
 use crate::steal::StealPolicy;
-use crate::trace_api::TraceConfig;
 use crate::wait::WaitStrategy;
+use rio_trace::TraceConfig;
 
 /// Graceful-degradation policy: retry failed task bodies, then
 /// **skip-but-sync** on exhaustion.
@@ -146,9 +146,8 @@ pub struct RioConfig {
     /// When `Some`, every worker records task, wait and park events into a
     /// worker-private ring buffer (`rio-trace`); the assembled trace is
     /// returned on the report, where `Trace::audit` checks the run's task
-    /// spans against the STF semantics. `None` (the default) records
-    /// nothing — and with the `trace` cargo feature disabled the hooks
-    /// compile away entirely.
+    /// spans against the STF semantics, and whoever holds it exports it
+    /// (`Trace::write_chrome`). `None` (the default) records nothing.
     pub trace: Option<TraceConfig>,
     /// Always-on protocol counters ([`crate::counters`]): per-worker
     /// cache-line-padded `Relaxed` atomics counting tasks,

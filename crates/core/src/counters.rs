@@ -1,6 +1,6 @@
 //! Always-on, per-worker protocol counters.
 //!
-//! Tracing ([`crate::trace_api`]) records *events* and costs two clock
+//! Tracing ([`rio_trace`]) records *events* and costs two clock
 //! reads per span — too heavy to leave enabled in production. This module
 //! is the complementary layer: ten monotonic counters per worker, each a
 //! plain `Relaxed` increment on a cache line owned by that worker, cheap

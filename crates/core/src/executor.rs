@@ -38,7 +38,7 @@ use crate::counters::CountersSnapshot;
 use crate::hybrid::{HybridStats, PartialMapping};
 use crate::pool::WorkerSet;
 use crate::report::ExecReport;
-use crate::trace_api::{Trace, TraceConfig};
+use rio_trace::{Trace, TraceConfig};
 
 /// Builder for a RIO execution. See the [module docs](self).
 ///
@@ -150,8 +150,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Enables event tracing for this run (shorthand for setting
-    /// [`RioConfig::trace`]). When the config names a Chrome-trace output
-    /// path, every run writes the file when it ends.
+    /// [`RioConfig::trace`]). The run returns the trace
+    /// ([`Execution::trace`]); it writes no file.
     pub fn trace(mut self, trace: TraceConfig) -> Executor<'a> {
         self.cfg.trace = Some(trace);
         self
@@ -222,8 +222,8 @@ impl<'a> Executor<'a> {
     /// # Panics
     /// Propagates task-body panics (with their original payload); panics
     /// with the diagnostic rendering of any other [`ExecError`] (invalid
-    /// mapping, watchdog stall), or if the Chrome-trace file cannot be
-    /// written. Use [`Executor::try_run`] to handle failures structurally.
+    /// mapping, watchdog stall). Use [`Executor::try_run`] to handle
+    /// failures structurally.
     pub fn run<K>(&self, graph: &TaskGraph, kernel: K) -> Execution
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
@@ -446,7 +446,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_run_returns_a_trace() {
         let g = chain_graph(120);

@@ -3,7 +3,7 @@
 //!
 //! Observability in this runtime is a ladder. The counters
 //! ([`crate::counters`]) say *how much* happened; the trace
-//! ([`crate::trace_api`]) says *where the time went*, at two clock reads
+//! ([`rio_trace`]) says *where the time went*, at two clock reads
 //! per span; this module sits between them and says *what just
 //! happened* — the last N protocol events of every worker, cheap enough
 //! to leave on in production. When a run stalls or degrades, the rings
@@ -39,7 +39,7 @@ use rio_stf::{DataId, FlightEvent, FlightEventKind, FlightLog, TaskId, WorkerFli
 
 use crate::config::RioConfig;
 
-/// Slots per worker in a run's rings ([`FlightRecorder::for_run`]):
+/// Slots per worker in a run's rings (`FlightRecorder::for_run`):
 /// enough history to see a whole task cycle per worker without growing
 /// the dump beyond what a terminal diagnostic can carry.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 32;

@@ -49,9 +49,11 @@ impl EventCount {
         &self,
         mut recheck: impl FnMut() -> ControlFlow<T, Option<Duration>>,
     ) -> (T, u64) {
+        // `I`: precedes the publisher's `L`, or else `R` sees its `S`.
         self.waiters.fetch_add(1, Ordering::SeqCst);
         let mut sleeps = 0;
         let out = loop {
+            // `Q`: precedes the publisher's `B`, so the futex compare or the wake sees it.
             let seen = self.wake_seq.load(Ordering::SeqCst);
             match recheck() {
                 ControlFlow::Break(out) => break out,
@@ -65,6 +67,7 @@ impl EventCount {
 
     /// Threads currently inside [`EventCount::sleep_until`].
     pub(crate) fn waiters(&self) -> u32 {
+        // `L`: follows the caller's `S`; pairs with a waiter's `I`.
         self.waiters.load(Ordering::SeqCst)
     }
 
@@ -83,6 +86,7 @@ impl EventCount {
     /// Wakes every sleeper, whether or not one is advertised.
     #[cold]
     pub(crate) fn notify_all(&self) {
+        // `B`: follows `L`; pairs with a sleeper's `Q`.
         self.wake_seq.fetch_add(1, Ordering::SeqCst);
         sys::wake_all(&self.wake_seq);
     }
@@ -154,6 +158,7 @@ mod sys {
     const NAP: Duration = Duration::from_micros(50);
 
     pub(super) fn wait(word: &AtomicU32, seen: u32, timeout: Option<Duration>) {
+        // The kernel's compare, here in user space: pairs with `B`.
         if word.load(Ordering::SeqCst) == seen {
             std::thread::sleep(timeout.map_or(NAP, |t| t.min(NAP)));
         }

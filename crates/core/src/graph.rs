@@ -2,11 +2,11 @@
 //! — compiled programs ([`crate::compile`]), the closure flow
 //! ([`crate::flow`]) and its reduction extension ([`crate::redux`]).
 //!
-//! [`RunShell`] is the only place a run is set up and torn down: abort
+//! `RunShell` is the only place a run is set up and torn down: abort
 //! flag, progress table, counters, flight recorder and recovery state in;
-//! one launch of the owner's worker set ([`crate::pool`]: worker 0 on the
+//! one launch of the owner's worker set (`pool.rs`: worker 0 on the
 //! calling thread, the others on threads that outlive the run); the first
-//! recorded abort cause, or the reports, out. [`WorkerCtx`] is the
+//! recorded abort cause, or the reports, out. `WorkerCtx` is the
 //! only place the paper's per-task sequence `get_* → body → terminate_*`
 //! (Algorithm 2, generalized from one access per task to access lists) is
 //! instrumented: it acquires the accesses whose guard is kept and accounts
@@ -37,8 +37,8 @@ use crate::protocol::{
 use crate::report::{ExecReport, OpCounts, WorkerReport};
 use crate::status::{StatusTable, WaitWatch};
 use crate::steal::{Claims, StealState, EMPTY_SCAN_LIMIT};
-use crate::trace_api::WorkerTracer;
 use crate::wait::WaitStrategy;
+use rio_trace::WorkerTracer;
 
 /// How a worker's share of a run ended: its report, or what it unwound
 /// with outside any task body.

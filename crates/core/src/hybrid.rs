@@ -281,7 +281,6 @@ mod tests {
         assert_eq!(stats.claimed_per_worker.iter().sum::<u64>(), 150);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn dynamic_spans_audit_cleanly() {
         let g = crate::testing::chains(200, 4);

@@ -46,13 +46,13 @@
 //!
 //! ## Observability
 //!
-//! With the (default) `trace` feature, [`Executor::trace`] turns on the
-//! worker-local event recorder from `rio-trace`: per-worker ring buffers
-//! of task / wait / park spans, wait-time histograms per data object, a
-//! Chrome-trace JSON exporter, and the `(p, t_p, τ_{p,t}, τ_{p,i})`
-//! quadruple consumed by `rio_metrics::decompose`. Recording touches no
-//! shared state on the hot path; with the feature disabled the hooks
-//! compile to nothing (see [`trace_api`]).
+//! [`Executor::trace`] turns on the worker-local event recorder from
+//! [`rio_trace`]: per-worker ring buffers of task / wait / park spans,
+//! wait-time histograms per data object, and the `(p, t_p, τ_{p,t},
+//! τ_{p,i})` quadruple consumed by `rio_metrics::decompose`. The returned
+//! [`Trace`] is the run's record; its holder exports it
+//! ([`Trace::write_chrome`]). Recording touches no shared state on the hot
+//! path, and an untraced run never calls the recorder.
 //!
 //! ```
 //! use rio_core::{Rio, RioConfig};
@@ -88,7 +88,6 @@ pub mod redux;
 pub mod report;
 pub mod status;
 pub mod steal;
-pub mod trace_api;
 pub mod wait;
 
 pub use compile::{CompileStats, CompiledFlow, CompiledTask};
@@ -99,9 +98,9 @@ pub use flight::{FlightRecorder, FlightRing};
 pub use flow::{FlowCtx, Rio, TaskView};
 pub use hybrid::{validate_partial_mapping, HybridStats, PartialMapping};
 pub use report::{ExecReport, OpCounts, WorkerReport};
+pub use rio_trace::{Trace, TraceConfig, WorkerTrace};
 pub use status::StatusTable;
 pub use steal::StealPolicy;
-pub use trace_api::{Trace, TraceConfig, WorkerTrace};
 pub use wait::WaitStrategy;
 
 /// The flows the unit tests keep building.
@@ -193,7 +192,6 @@ pub mod prelude {
     pub use crate::report::{ExecReport, OpCounts, WorkerReport};
     pub use crate::status::StatusTable;
     pub use crate::steal::StealPolicy;
-    pub use crate::trace_api::{Trace, TraceConfig, WorkerTrace};
     pub use crate::wait::WaitStrategy;
     pub use rio_stf::{
         validate_mapping, Access, AccessMode, DataId, DataStore, ExecError, FailedTask,
@@ -201,6 +199,7 @@ pub mod prelude {
         PartialReport, RoundRobin, StallDiagnostic, StallSite, TableMapping, TaskDesc, TaskGraph,
         TaskId, WorkerFlight, WorkerId, WorkerSnapshot,
     };
+    pub use rio_trace::{Trace, TraceConfig, WorkerTrace};
 }
 
 // The substrate types remain re-exported at the root for backward

@@ -60,6 +60,7 @@ fn await_until(event: &EventCount, spin: u32, ready: impl Fn(Ordering) -> bool) 
         }
         std::hint::spin_loop();
     }
+    // `R` of the event-count (`crate::futex`): pairs with the bumper's `S`.
     event.sleep_until(|| match ready(Ordering::SeqCst) {
         true => ControlFlow::Break(()),
         false => ControlFlow::Continue(None),
@@ -88,6 +89,7 @@ impl Shared {
             // Should a panic escape the job all the same, the join must
             // still count this worker out.
             let _ = catch_unwind(AssertUnwindSafe(|| job(me)));
+            // `S` of `done`: precedes its `L`; pairs with the joining launcher's `R`.
             if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
                 self.done.notify_if_waiters();
             }
@@ -155,6 +157,7 @@ impl WorkerSet {
         shared
             .launcher_cpu
             .store(affinity::current_cpu(), Ordering::Relaxed);
+        // `S` of `idle`: precedes its `L`; pairs with a set thread's `R`.
         shared.generation.fetch_add(1, Ordering::SeqCst);
         shared.idle.notify_if_waiters();
         let _join = Join(self, spin);
@@ -182,6 +185,7 @@ impl Drop for WorkerSet {
     fn drop(&mut self) {
         // A launch borrows the set, so none is in flight: the cell holds
         // `None`, and a bump sends every thread home.
+        // `S` of `idle`, as in a launch: pairs with a set thread's `R`.
         self.shared.generation.fetch_add(1, Ordering::SeqCst);
         self.shared.idle.notify_if_waiters();
         for thread in self.threads.take().into_iter().flatten() {

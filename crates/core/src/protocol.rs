@@ -687,9 +687,9 @@ fn wait_loop(
             return done(polls, 0, verdict);
         }
     }
-    // Announce, re-check with `SeqCst`, sleep on the object's own
-    // event-count for what is left of the deadline. Timed out or woken,
-    // the re-check runs either way.
+    // Announce, re-check with `SeqCst` (`R`: pairs with the publisher's
+    // `S`, `crate::futex`), sleep on the object's own event-count for what
+    // is left of the deadline. Timed out or woken, the re-check runs.
     let (verdict, parks) = event.sleep_until(|| match poll(Ordering::SeqCst, true) {
         Some(verdict) => ControlFlow::Break(verdict),
         None => ControlFlow::Continue(left()),
@@ -843,6 +843,7 @@ pub fn terminate_read(
 #[inline]
 pub fn publish_read(shared: &SharedDataState, strategy: WaitStrategy) -> bool {
     if strategy == WaitStrategy::Park {
+        // `S`: precedes `L`; pairs with a waiter's `R` (`crate::futex`).
         shared.word.fetch_add(1, Ordering::SeqCst);
         !shared.event.notify_if_waiters()
     } else {
@@ -877,6 +878,7 @@ pub fn terminate_write(
 pub fn publish_write(shared: &SharedDataState, task: TaskId, strategy: WaitStrategy) -> bool {
     let word = pack_epoch(task, 0);
     if strategy == WaitStrategy::Park {
+        // `S`: precedes `L`; pairs with a waiter's `R` (`crate::futex`).
         shared.word.store(word, Ordering::SeqCst);
         !shared.event.notify_if_waiters()
     } else {

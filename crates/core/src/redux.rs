@@ -165,9 +165,8 @@ impl RShared {
     /// Publishes a performed access of `task` in `mode`. Returns whether a
     /// `Park`-mode wake was elided.
     fn publish(&self, mode: RMode, task: TaskId, strategy: WaitStrategy) -> bool {
-        // Under Park the publishing store is SeqCst so it takes a place in
-        // the total order against the waiter's SeqCst increment-then-
-        // re-check (see `crate::futex`).
+        // Under Park the publish is `S` (`crate::futex`): SeqCst, before
+        // `L`, so it pairs with the waiter's SeqCst `I`-then-`R` re-check.
         let park = strategy == WaitStrategy::Park;
         let publish = if park {
             Ordering::SeqCst

@@ -13,7 +13,7 @@ use std::time::Duration;
 use rio_stf::WorkerId;
 
 use crate::counters::CountersSnapshot;
-use crate::trace_api::{Trace, WorkerTrace};
+use rio_trace::{Trace, WorkerTrace};
 
 /// Counts of protocol operations performed by one worker.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -162,12 +162,12 @@ pub fn block_cyclic_owner(i: usize, j: usize, workers: usize) -> WorkerId {
 /// rejected *before* any worker spawns.
 ///
 /// Every task is probed **twice**: a panicking probe means the mapping is
-/// not total ([`MappingError::NotTotal`]), two different answers mean it
-/// is not deterministic ([`MappingError::NonDeterministic`]) — either way
+/// not total ([`crate::MappingError::NotTotal`]), two different answers mean it
+/// is not deterministic ([`crate::MappingError::NonDeterministic`]) — either way
 /// workers replaying the flow could disagree on ownership, so some task
 /// would be executed twice or by nobody (and the protocol would hang on
 /// its never-published completion). An answer `>= num_workers` is
-/// [`MappingError::OutOfRange`].
+/// [`crate::MappingError::OutOfRange`].
 ///
 /// Two probes cannot catch every non-deterministic mapping (one that lies
 /// only on the third call passes); the runtime's stall watchdog is the

@@ -137,7 +137,7 @@ impl RunRegistry {
 
     /// Renders every registered run as one Prometheus exposition:
     /// `rio_run_active` / `rio_run_workers` per run, then the full
-    /// per-worker counter families ([`render_counters`]) labelled
+    /// per-worker counter families ([`crate::prom::render_counters`]) labelled
     /// `run_id` and `workload`.
     ///
     /// Counter snapshots are taken per render; scraping concurrently with

@@ -34,9 +34,10 @@
 //!
 //! ```ignore
 //! let run = Executor::new(RioConfig::with_workers(4))
-//!     .trace(TraceConfig::chrome("run.json"))
+//!     .trace(TraceConfig::new())
 //!     .run(&graph, kernel);
 //! let trace = run.trace.unwrap();
+//! trace.write_chrome("run.json")?;
 //! let quad = trace.quadruple();
 //! let d = rio_metrics::decompose(t_seq, t_seq, &quad);
 //! ```

@@ -1,6 +1,5 @@
 //! Per-worker recording: [`TraceConfig`], [`WorkerTracer`], [`WorkerTrace`].
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use rio_stf::{DataId, TaskId};
@@ -12,17 +11,16 @@ use crate::ring::EventRing;
 /// Default per-worker event capacity (~2.5 MiB of events per worker).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
-/// What to trace and where to put it. Handed to the runtime via
-/// `RioConfig::trace` / the `Executor::trace` builder; its presence *is*
-/// the runtime enable flag.
+/// How much to trace. Handed to the runtime via `RioConfig::trace` / the
+/// `Executor::trace` builder; its presence *is* the runtime enable flag.
+/// The run hands back a [`crate::Trace`]; exporting it is up to the caller
+/// ([`crate::Trace::write_chrome`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Per-worker event-ring capacity. When a worker records more events
     /// than this, the oldest are overwritten (and counted as dropped);
     /// cumulative counters and per-worker histograms stay exact.
     pub capacity: usize,
-    /// When set, the runtime writes Chrome-trace JSON here after the run.
-    pub chrome_path: Option<PathBuf>,
 }
 
 impl Default for TraceConfig {
@@ -32,19 +30,10 @@ impl Default for TraceConfig {
 }
 
 impl TraceConfig {
-    /// Tracing with the default capacity and no file export.
+    /// Tracing with the default capacity.
     pub fn new() -> TraceConfig {
         TraceConfig {
             capacity: DEFAULT_CAPACITY,
-            chrome_path: None,
-        }
-    }
-
-    /// Tracing plus Chrome-trace JSON export to `path` after the run.
-    pub fn chrome(path: impl Into<PathBuf>) -> TraceConfig {
-        TraceConfig {
-            capacity: DEFAULT_CAPACITY,
-            chrome_path: Some(path.into()),
         }
     }
 
@@ -280,13 +269,8 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let c = TraceConfig::chrome("/tmp/x.json").with_capacity(128);
-        assert_eq!(c.capacity, 128);
-        assert_eq!(
-            c.chrome_path.as_deref(),
-            Some(std::path::Path::new("/tmp/x.json"))
-        );
+        assert_eq!(TraceConfig::new().with_capacity(128).capacity, 128);
         assert_eq!(TraceConfig::default(), TraceConfig::new());
-        assert!(TraceConfig::new().chrome_path.is_none());
+        assert_eq!(TraceConfig::new().capacity, DEFAULT_CAPACITY);
     }
 }

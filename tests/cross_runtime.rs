@@ -4,7 +4,7 @@
 
 use rio::centralized::CentralConfig;
 use rio::core::{Executor, RioConfig};
-use rio::stf::{DataId, DataStore, Mapping, RoundRobin, TaskDesc, TaskGraph, WorkerId};
+use rio::stf::{DataStore, Mapping, RoundRobin, TaskDesc, TaskGraph, WorkerId};
 use rio::workloads::random_deps::{self, RandomDepsConfig};
 
 /// Runs `graph` with a state-hashing kernel on all three executors and
@@ -162,41 +162,6 @@ fn real_lu_same_factorization_on_all_runtimes() {
     rio::centralized::execute_graph(&CentralConfig::with_threads(4), &flow.graph, &kernel);
     drop(kernel);
     assert!(flow.extract(&store).max_abs_diff(&reference) < 1e-10);
-}
-
-#[test]
-fn scope_api_agrees_with_recorded_executors() {
-    use rio::stf::Access;
-    let graph = random_deps::graph(&RandomDepsConfig {
-        tasks: 300,
-        num_data: 16,
-        reads_per_task: 2,
-        writes_per_task: 1,
-        seed: 8,
-    });
-    let (seq, _, _) = run_all_three(&graph, &RoundRobin, 3);
-
-    // Re-submit the identical flow through the live scope API.
-    let store = DataStore::filled(16, 0u64);
-    rio::centralized::scope(&CentralConfig::with_threads(3), 16, |s| {
-        for t in graph.tasks() {
-            let accesses: Vec<Access> = t.accesses.clone();
-            let id = t.id.0;
-            let reads: Vec<DataId> = t.reads().collect();
-            let writes: Vec<DataId> = t.writes().collect();
-            let store = &store;
-            s.submit(&accesses, move || {
-                let mut h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                for d in &reads {
-                    h = (h ^ *store.read(*d)).wrapping_mul(0x100_0000_01b3);
-                }
-                for d in &writes {
-                    *store.write(*d) = h;
-                }
-            });
-        }
-    });
-    assert_eq!(store.into_vec(), seq, "scope API diverged from sequential");
 }
 
 #[test]

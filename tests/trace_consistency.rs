@@ -2,7 +2,7 @@
 //! tracer must not change execution results or protocol op counts, its
 //! quadruple must feed the efficiency decomposition, its task spans must
 //! audit clean against the STF semantics on every front-end, and the
-//! Chrome-trace export must materialize on disk via the `Executor` alone.
+//! holder of a run's trace must be able to export it as Chrome-trace JSON.
 
 use rio::core::hybrid::{PartialFn, Unmapped};
 use rio::core::{Execution, Executor, Rio, RioConfig, Trace, TraceConfig, WaitStrategy};
@@ -186,27 +186,43 @@ fn quadruple_feeds_decompose_end_to_end() {
     }
 }
 
+/// A run never writes files: whoever holds the trace exports it. A
+/// compiled flow's trace and the centralized baseline's, each written with
+/// `Trace::write_chrome`, read back byte-equal to `chrome_json()`.
 #[test]
 fn executor_writes_a_chrome_trace_file() {
     let graph = workload();
-    let path = std::env::temp_dir().join(format!("rio-trace-{}.json", std::process::id()));
-    let (_, exec) = run(&graph, |e| {
-        e.mapping(&RoundRobin)
-            .trace(TraceConfig::chrome(path.clone()))
-    });
-    assert!(exec.trace.is_some());
-
-    let json = std::fs::read_to_string(&path).expect("trace file written");
-    let _ = std::fs::remove_file(&path);
-    assert!(
-        json.starts_with("{\"traceEvents\":["),
-        "envelope: {json:.60}"
+    let (_, exec) = run_flow(
+        &graph,
+        |e| e.mapping(&RoundRobin).trace(TraceConfig::new()),
+        true,
     );
-    assert!(json.trim_end().ends_with('}'), "closed envelope");
-    assert!(json.contains("\"ph\":\"X\""), "complete events present");
-    assert!(json.contains("thread_name"), "worker names present");
-    // And it matches the in-memory exporter byte for byte.
-    assert_eq!(json, exec.trace.unwrap().chrome_json());
+    let compiled = exec.trace.expect("a traced compiled run has a trace");
+    let cfg = rio::centralized::CentralConfig::with_threads(3).trace(TraceConfig::new());
+    let central = rio::centralized::execute_graph(&cfg, &graph, |_, _| {})
+        .take_trace()
+        .expect("a traced centralized run has a trace");
+
+    for (name, trace) in [("compiled", compiled), ("centralized", central)] {
+        let path = std::env::temp_dir().join(format!("rio-{name}-{}.json", std::process::id()));
+        trace.write_chrome(&path).expect("trace file written");
+        let json = std::fs::read_to_string(&path).expect("trace file read back");
+        let _ = std::fs::remove_file(&path);
+        assert!(
+            json.starts_with("{\"traceEvents\":["),
+            "{name} envelope: {json:.60}"
+        );
+        assert!(
+            json.contains("\"ph\":\"X\""),
+            "{name}: complete events present"
+        );
+        assert!(json.contains("thread_name"), "{name}: worker names present");
+        assert_eq!(
+            json,
+            trace.chrome_json(),
+            "{name}: file and exporter differ"
+        );
+    }
 }
 
 #[test]
