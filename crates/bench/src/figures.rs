@@ -743,7 +743,7 @@ pub struct FaultsRow {
     /// ns/task with a retrying `RecoveryPolicy` armed on a fault-free run.
     pub on_ns: f64,
     /// ns/task of the shipped default: no policy, every task mapped, the
-    /// flow's quiet stretches run as blocks.
+    /// flow's quiet tasks compiled into ranges and run as blocks.
     pub blocks_ns: f64,
 }
 
@@ -770,7 +770,7 @@ impl FaultsRow {
 /// regress` tracks against the committed baseline.
 ///
 /// Like for like means both on the per-task path. A policy is one of the
-/// things that keep a run off the block path (independent tasks are all
+/// things that keep quiet tasks out of ranges (independent tasks are all
 /// quiet: a default run takes them 1024 to a containment frame), so the
 /// two rows leave the flow's last task unmapped — a claim table exists,
 /// one task is claimed, and every task goes through the per-task

@@ -1,85 +1,47 @@
-//! The engine: lowering `(TaskGraph, mapping, workers)` into one flat
-//! program per worker that holds **that worker's own tasks and nothing
-//! else** — and, of their synchronisation, only the halves somebody on
-//! another worker depends on — and running those programs.
+//! The engine: lowering `(TaskGraph, mapping, workers)` into one program
+//! per worker that holds **that worker's own tasks and nothing else** —
+//! and, of their synchronisation, only the halves somebody on another
+//! worker depends on — and running those programs.
 //! [`crate::Executor::run`] is `compile` followed by `run`; a flow that
 //! runs more than once keeps the [`CompiledFlow`] and pays for the
-//! lowering once.
+//! lowering once. DESIGN.md §9 has the arguments this module rests on.
 //!
-//! ## Why lower the flow?
+//! `try_compile` walks the flow **once**, on one thread. The mapping is
+//! static (§3.4, assumptions 1–2), so the private view any worker would
+//! hold before a task is the sequential replay of every earlier access:
+//! the walk replays it into one simulated view and stores, for each own
+//! access, the packed view its guard waits for, in an arena entry its
+//! task's instruction names. A foreign task contributes nothing, and a run
+//! keeps no private state: a terminate is the shared publication alone.
+//! The same walk validates the mapping and the epoch word's limits.
 //!
-//! Cost model (2) charges every worker O(n_total) for unrolling the whole
-//! flow: even a task mapped elsewhere costs a mapping evaluation plus one
-//! private declare per access. All of that bookkeeping exists to answer
-//! one question when the worker reaches a task of its own: *which epoch
-//! word must this access wait for?* But the mapping is static and
-//! deterministic (§3.4, assumptions 1–2), so the answer — the worker's
-//! private view at that point of the flow — is known at graph-record
-//! time, and it is the same for every worker: declares and terminates
-//! update a private view identically, so the view before task `t` is the
-//! sequential replay of every earlier access, whoever performed it.
+//! **Worker-local synchronisation is compiled away.** Per data object the
+//! flow is a sequence of epochs — a writer, the reads after it, the next
+//! writer — and an in-order worker has finished its earlier tasks before
+//! it starts the next. So a **guard is elided** when everything it would
+//! wait for ran on its own worker or does not exist, and a **publication**
+//! when no kept guard compares against it. The marks ride in the entries
+//! (`AccessPlan`); a publication's fate is only known when its epoch ends,
+//! so one sweep of the entries after the walk settles it. An object none
+//! of whose accesses keeps a half gets no shared word: a run's table holds
+//! [`CompileStats::shared_objects`] entries.
 //!
-//! `try_compile` therefore walks the flow **once**, on one thread,
-//! replaying the declares into a single simulated view, and emits for
-//! every task one `Run { task, start..end }` into its owner's program:
-//! the task's accesses and the packed view each of them waits for live at
-//! `start..end` of a contiguous arena (`Arena`). A foreign task
-//! contributes *no instruction* to a worker's program, and a run keeps no
-//! private state at all — a terminate is just the shared publication
-//! ([`crate::protocol::publish_write`]/[`crate::protocol::publish_read`]).
-//! The `n·t_r` term of cost model (2) — every worker replaying everyone
-//! else's tasks — is a one-thread, one-time cost; a worker pays for its
-//! own `n/w` tasks only, which is where §3.5's pruning converges. The
-//! same walk validates the mapping — two probes per task: total,
-//! deterministic, naming a worker that exists — and the epoch word's
-//! representation limits, which it reads off the view it keeps anyway. So
-//! every instruction a program holds has an owner that exists, or is
-//! claim-marked.
+//! **Quiet tasks are ranges.** An own task none of whose accesses keeps a
+//! guard or a publication is *quiet*: all a run owes it is its body.
+//! Unless the flow's runs need a hook per task (a recovery policy, claims,
+//! timing, a fault hook), one more sweep of each program folds its quiet
+//! tasks into affine ranges `{first, stride, count}`, which a run takes a
+//! block at a time: no instruction, no entry — and no arena at all when no
+//! guard is kept.
 //!
-//! ## Worker-local synchronisation is compiled away
-//!
-//! The same static mapping says *who* each guard waits for and *who*
-//! waits for each publication. Per data object the flow is a sequence of
-//! **epochs** — a writer, the reads that follow it, the next writer — and
-//! an in-order worker has finished every earlier task of its own before
-//! it starts the next. So, with `w` the worker of the access:
-//!
-//! * a **guard is elided** when everything it would wait for ran on `w`
-//!   (or does not exist): a read whose epoch's writer is absent or on
-//!   `w`; a write whose previous writer and every read since are absent
-//!   or on `w`. Program order already gives what the Acquire load would;
-//! * a **publication is elided** when no kept guard compares against it:
-//!   a write none of whose consumers (its epoch's reads, the next writer)
-//!   keeps a guard; a read whose next writer is absent or keeps no guard.
-//!
-//! The marks ride in each arena entry (`AccessPlan`) and the engine
-//! skips the marked halves. (A publication's fate is only known when its
-//! epoch ends, so during the walk an entry names its epoch, and one
-//! sweep over the emitted entries afterwards turns the name into the
-//! verdict.) A kept guard always finds every publication
-//! it compares against kept (keeping a guard is what keeps them), and a
-//! kept write is a whole-word store of a unique task id, so whatever an
-//! elided epoch left in the word is overwritten before anyone compares
-//! against it. An object none of whose accesses keeps a half gets no
-//! shared word at all: a run's table holds [`CompileStats::shared_objects`]
-//! entries, reached through the slot compiled into the entry.
-//!
-//! ## Tasks nobody owns: claim-marked entries
-//!
-//! A task a [`crate::hybrid::PartialMapping`] leaves unmapped is *local
-//! to nobody*: it keeps its guards, its dependents keep theirs, and every
-//! publication those compare against is kept. It is emitted once, into an
-//! arena of its own, and as a **claim-marked** instruction into *every*
-//! worker's program: whoever reaches it first takes its slot of the run's
-//! [`crate::steal::ClaimTable`] — before any guard wait — and runs it;
-//! the others move on. With [`RioConfig::stealing`] armed every
-//! instruction is claim-marked and nothing is elided: a thief runs a task
-//! out of its owner's program order, and the steal scan prices every
-//! guard.
-//!
-//! A [`CompiledFlow`] can be re-run any number of times: the per-run
-//! protocol state is allocated per run, so a run that aborts — e.g.
-//! [`ExecError::TaskPanicked`] — leaves the program reusable.
+//! **Tasks nobody owns** — those a [`crate::hybrid::PartialMapping`] leaves
+//! unmapped — keep their guards, and so do their dependents. Each is
+//! emitted once, into an arena of its own, and as a **claim-marked**
+//! instruction into *every* program: whoever reaches it first claims its
+//! slot of the run's [`crate::steal::ClaimTable`] and runs it. With
+//! [`RioConfig::stealing`] armed every task is claimed before it runs and
+//! nothing is elided. The per-run protocol state is allocated per run, so
+//! a run that aborts leaves the [`CompiledFlow`] reusable.
 //!
 //! ```
 //! use rio_core::prelude::*;
@@ -116,15 +78,16 @@ use crate::pool::WorkerSet;
 use crate::protocol::{pack_epoch, spurious_wake_all, SharedDataState};
 use crate::steal::{ClaimTable, Claims, Cursor, StealState};
 
-/// `Run` instruction: execute the task at flow index `task`; its accesses
-/// and their expected words are `arena[start..end]` — of the flow's
-/// arena, or of its claimable arena when claim-marked. 12 bytes: a
-/// program is streamed once per run and written once per compile.
+/// One step of a worker's program, 12 bytes: execute the task at flow
+/// index `task`, whose accesses and expected words are `arena[start..end]`
+/// — of the flow's arena, or of its claimable arena when claim-marked — or,
+/// marked [`QUIET`], a *quiet range*: the `end` own tasks `task + stride ·
+/// k`, each declaring as many accesses as the first and keeping neither a
+/// guard nor a publication, so none has an instruction or an entry.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RunInstr {
     pub(crate) task: u32,
-    /// `start`, and in the top bits [`CLAIM_MARK`] and [`QUIET`] (an arena
-    /// holds fewer than 2²⁹ entries: each can name an epoch of its own).
+    /// `start` (a range's `stride`) under [`CLAIM_MARK`] and [`QUIET`].
     marked_start: u32,
     end: u32,
 }
@@ -133,13 +96,9 @@ pub(crate) struct RunInstr {
 /// in every worker's program, and whoever claims the task's slot first
 /// runs it.
 const CLAIM_MARK: u32 = 1 << 31;
-/// The task is its worker's own and none of its accesses keeps a guard or
-/// a publication: all a run owes it is its body. Consecutive quiet
-/// instructions run as blocks ([`WorkerCtx::exec_block`]).
+/// The walk's mark on an own task that keeps no guard, and once [`settle`]
+/// has found it quiet, the mark of a range.
 const QUIET: u32 = 1 << 30;
-/// The most instructions one block holds: how stale a live observer's
-/// picture of a worker inside a quiet stretch can get (DESIGN.md §16).
-const BLOCK: usize = 1024;
 
 impl RunInstr {
     #[inline]
@@ -147,9 +106,11 @@ impl RunInstr {
         self.marked_start & CLAIM_MARK != 0
     }
 
+    /// A quiet range's `(first, stride, count)`; `None` for an instruction.
     #[inline]
-    pub(crate) fn quiet(&self) -> bool {
-        self.marked_start & QUIET != 0
+    pub(crate) fn quiet(&self) -> Option<(usize, usize, usize)> {
+        let stride = (self.marked_start & !QUIET) as usize;
+        (self.marked_start & QUIET != 0).then_some((self.task as usize, stride, self.end as usize))
     }
 
     /// Where the task's entries are: one per access it declares.
@@ -183,8 +144,8 @@ pub(crate) struct TaskAccesses<'a> {
 pub struct CompileStats {
     /// Flow length.
     pub flow_len: usize,
-    /// `Run` instructions per worker: the tasks mapped to it, plus every
-    /// claim-marked task of a partial mapping (those sit in all programs).
+    /// Tasks per worker's program, in ranges or not: the tasks mapped to
+    /// it, plus every claim-marked task of a partial mapping (in all).
     pub runs_per_worker: Vec<usize>,
     /// Always 0: no declare survives compilation in any form. (Kept
     /// because the repository's benchmark reads it; it counted the
@@ -205,8 +166,8 @@ pub struct CompileStats {
 }
 
 impl CompileStats {
-    /// Total instructions across workers: one `Run` per mapped task (and
-    /// one per worker per claim-marked task).
+    /// Total tasks across programs: one per mapped task (and one per
+    /// worker per claim-marked task).
     pub fn instructions(&self) -> usize {
         self.runs_per_worker.iter().sum()
     }
@@ -353,18 +314,17 @@ pub struct CompiledTask<'a> {
     /// `expected[i]` is the packed private view `(last registered write,
     /// reads registered since)` that `task.accesses[i]` waits for
     /// ([`crate::protocol::pack_epoch`]) — or would, had its guard not
-    /// been elided.
+    /// been elided. Empty for a task of a quiet range, which has no entry.
     pub expected: &'a [u64],
     plans: &'a [AccessPlan],
     unmapped: bool,
-    quiet: bool,
 }
 
 impl CompiledTask<'_> {
-    /// Is the task quiet — not claim-marked, no access keeping a guard
-    /// or a publication? Stretches of such tasks run as blocks.
+    /// Is the task quiet — not claim-marked, no access keeping a guard or a
+    /// publication? Unless its runs need a hook per task, it is in a range.
     pub fn quiet(&self) -> bool {
-        self.quiet
+        !self.unmapped && !self.plans.iter().any(|p| p.guard() || p.publish())
     }
 
     /// Is the task claim-marked — left unmapped by a partial mapping, in
@@ -376,13 +336,13 @@ impl CompiledTask<'_> {
     /// Does a run perform the `get_*` of `task.accesses[i]`? `false`:
     /// everything it would wait for runs earlier on the same worker.
     pub fn keeps_guard(&self, i: usize) -> bool {
-        self.plans[i].guard()
+        self.plans.get(i).is_some_and(|p| p.guard())
     }
 
     /// Does a run perform the shared publication of `task.accesses[i]`?
     /// `false`: no kept guard compares against it.
     pub fn keeps_publication(&self, i: usize) -> bool {
-        self.plans[i].publish()
+        self.plans.get(i).is_some_and(|p| p.publish())
     }
 }
 
@@ -615,7 +575,7 @@ fn lower<'g, O: OwnerOf>(
                 bits: e.named | (u32::from(writes) * WRITES) | (u32::from(guard) * GUARD),
             };
         }
-        // Quiet, unless [`settle_quiet`] finds a publication kept.
+        // Quiet, unless [`settle`] finds a publication kept.
         let quiet = owner.is_some() & (guards == 0);
         let marks = (u32::from(owner.is_none()) * CLAIM_MARK) | (u32::from(quiet) * QUIET);
         let run = RunInstr {
@@ -649,21 +609,32 @@ fn lower<'g, O: OwnerOf>(
         ) | (u32::from(read_elsewhere) * WRITE_ONLY);
     }
     let force = u32::from(!elide) * PUBLISH;
+    // A block claims nothing, reads no clock, calls no hook and consults no
+    // recovery policy: where a run needs one, quiet tasks stay instructions.
+    // (A watchdog fires inside blocked waits, which a quiet task never has.)
+    let blocks = elide && unmapped == 0 && cfg.recovery.is_none() && !cfg.measure_time;
+    #[cfg(feature = "fault-inject")]
+    let blocks = blocks && cfg.fault_hook.is_none();
+    let blocks = blocks && cfg.trace.is_none();
+    // A publication is kept for a kept guard: with no guard kept, every own
+    // task is quiet, and ranges read no entry.
+    if blocks && kept_gets == 0 {
+        arenas[0] = Arena::default();
+    }
     let kept_publishes: u64 = arenas
         .iter_mut()
         .map(|arena| finish(&mut arena.plans, &verdicts, force))
         .sum();
-    // Nothing published, nothing to take back.
-    if kept_publishes > 0 {
-        for prog in &mut programs {
-            settle_quiet(prog, &arenas[0].plans);
-        }
+    drop((view, verdicts));
+    let runs_per_worker = programs.iter().map(Vec::len).collect();
+    for prog in &mut programs {
+        settle(prog, &arenas[0].plans, kept_publishes > 0, blocks);
     }
     let claimable = arenas.pop().expect("two arenas");
     let arena = arenas.pop().expect("two arenas");
     let stats = CompileStats {
         flow_len: graph.len(),
-        runs_per_worker: programs.iter().map(Vec::len).collect(),
+        runs_per_worker,
         folded_declares: 0,
         irrelevant_declares: workers as u64 * total as u64 - owned,
         elided_gets: owned - kept_gets,
@@ -716,16 +687,43 @@ fn finish(plans: &mut [AccessPlan], verdicts: &[Verdict], force: u32) -> u64 {
     publishes
 }
 
-/// The walk marks an owned task that keeps no guard [`QUIET`]; it stays so
-/// unless [`finish`] found one of its entries to publish. Out of line and
-/// reading only: what the walk and the sweep compile to is untouched, and
-/// an instruction that was never quiet costs one load.
-#[inline(never)]
-fn settle_quiet(prog: &mut [RunInstr], plans: &[AccessPlan]) {
-    for r in prog {
-        if r.quiet() && plans[r.range()].iter().any(|p| p.publish()) {
-            r.marked_start &= !QUIET;
+/// After [`finish`] (`publishing`: anything publishes), one sweep of a
+/// program turns each task the walk marked [`QUIET`] and none of whose
+/// entries publishes into a member of a quiet range (if `blocks`).
+fn settle(prog: &mut WorkerProgram, plans: &[AccessPlan], publishing: bool, blocks: bool) {
+    // The last range, while no instruction follows it: its place, and how
+    // many accesses each of its tasks declares.
+    let mut open = None;
+    let mut kept = 0;
+    for i in 0..prog.len() {
+        let mut r = prog[i];
+        let n = r.range().len();
+        let quiet = blocks
+            && r.marked_start & QUIET != 0
+            && !(publishing && plans[r.range()].iter().any(|p| p.publish()));
+        if let Some((at, accesses)) = open.filter(|_| quiet) {
+            let q: &mut RunInstr = &mut prog[at];
+            // A second member fixes the stride.
+            let fixed = q.marked_start & !QUIET;
+            let stride = if q.end == 1 { r.task - q.task } else { fixed };
+            let next = u64::from(q.task) + u64::from(stride) * u64::from(q.end);
+            if n == accesses && stride < QUIET && u64::from(r.task) == next {
+                (q.marked_start, q.end) = (QUIET | stride, q.end + 1);
+                continue;
+            }
         }
+        open = quiet.then_some((kept, n));
+        r.marked_start &= !QUIET;
+        if quiet {
+            (r.marked_start, r.end) = (QUIET, 1);
+        }
+        prog[kept] = r;
+        kept += 1;
+    }
+    prog.truncate(kept);
+    // What the ranges took out, unless too little to be worth a copy.
+    if prog.len() < prog.capacity() / 4 * 3 {
+        prog.shrink_to_fit();
     }
 }
 
@@ -755,20 +753,24 @@ impl<'g> CompiledFlow<'g> {
     /// # Panics
     /// If `worker` is not one of the compiled configuration's workers.
     pub fn own_tasks(&self, worker: WorkerId) -> impl Iterator<Item = CompiledTask<'_>> {
-        self.programs[worker.index()].iter().map(move |r| {
-            let a = self.accesses(r);
-            CompiledTask {
-                task: &self.graph.tasks()[r.task as usize],
-                expected: a.expected,
-                plans: a.plans,
-                unmapped: a.unmapped,
-                quiet: r.quiet(),
-            }
+        let tasks = self.graph.tasks();
+        self.programs[worker.index()].iter().flat_map(move |r| {
+            let kept = r.quiet().is_none().then(|| self.accesses(r));
+            let (expected, plans, unmapped) = kept.map_or((&[][..], &[][..], false), |a| {
+                (a.expected, a.plans, a.unmapped)
+            });
+            let (first, stride, count) = r.quiet().unwrap_or((r.task as usize, 0, 1));
+            (0..count).map(move |k| CompiledTask {
+                task: &tasks[first + stride * k],
+                expected,
+                plans,
+                unmapped,
+            })
         })
     }
 
-    /// The entries of `r`: in the claimable arena if claim-marked, else in
-    /// the flow's.
+    /// The accesses of `r`, whose entries are in the claimable arena if it
+    /// is claim-marked, else in the flow's.
     #[inline]
     pub(crate) fn accesses(&self, r: &RunInstr) -> TaskAccesses<'_> {
         let arena = if r.unmapped() {
@@ -866,8 +868,9 @@ impl<'g> CompiledFlow<'g> {
     }
 
     /// One worker's loop: a linear walk of its program through the
-    /// [`WorkerCtx`] engine, which keeps no private state. Returns the
-    /// worker's report and its `(won, lost)` claims of unmapped tasks.
+    /// [`WorkerCtx`] engine, which keeps no private state — a quiet range a
+    /// block at a time. Returns the worker's report and its `(won, lost)`
+    /// claims of unmapped tasks.
     fn run_program<K>(
         &self,
         mut ctx: WorkerCtx<'_>,
@@ -880,18 +883,13 @@ impl<'g> CompiledFlow<'g> {
         let tasks = self.graph.tasks();
         let prog = &self.programs[me];
         let cursor = ctx.steal.map(|st| &st.cursors[me].0);
-        let blocks = ctx.takes_blocks();
         let loop_start = Instant::now();
-        let mut pc = 0;
-        while let Some(r) = prog.get(pc) {
-            if blocks && r.quiet() {
-                // A quiet stretch, at most `BLOCK` instructions at a time.
-                let chunk = &prog[pc..prog.len().min(pc + BLOCK)];
-                match ctx.exec_block(chunk, |r| kernel(worker, &tasks[r.task as usize])) {
-                    0 => break,
-                    ran => pc += ran,
+        for (pc, r) in prog.iter().enumerate() {
+            if let Some(q) = r.quiet() {
+                if ctx.exec_range(q, tasks[q.0].accesses.len(), |i| kernel(worker, &tasks[i])) {
+                    continue;
                 }
-                continue;
+                break;
             }
             if let Some(c) = cursor {
                 // Publish where this worker's remaining program starts so
@@ -901,11 +899,10 @@ impl<'g> CompiledFlow<'g> {
                 c.store(pc, std::sync::atomic::Ordering::Relaxed);
             }
             ctx.tasks_visited += 1;
-            let (id, t) = (TaskId::from_index(r.task as usize), &tasks[r.task as usize]);
-            if !ctx.exec_task(id, self.accesses(r), || kernel(worker, t)) {
+            let t = &tasks[r.task as usize];
+            if !ctx.exec_task(t.id, self.accesses(r), || kernel(worker, t)) {
                 break;
             }
-            pc += 1;
         }
         // Release: this worker's program is over (or the run aborted and
         // no thief will execute past the abort), so thieves should skip
@@ -961,10 +958,23 @@ mod tests {
             // unrolling the whole flow on every worker would pay in
             // private declares.
             assert_eq!(stats.irrelevant_declares, 120);
-            for (w, prog) in flow.programs.iter().enumerate() {
-                let mine: Vec<u32> = (0..n as u32).filter(|i| *i as usize % 4 == w).collect();
-                assert_eq!(prog.iter().map(|r| r.task).collect::<Vec<_>>(), mine);
+            for w in 0..4 {
+                let mine: Vec<usize> = (0..n).filter(|i| i % 4 == w).collect();
+                let prog = flow.own_tasks(WorkerId::from_index(w));
+                assert_eq!(prog.map(|t| t.task.id.index()).collect::<Vec<_>>(), mine);
             }
+        }
+    }
+
+    #[test]
+    fn independent_tasks_compile_to_one_range_per_program_and_no_arena() {
+        let g = crate::testing::independent(4096);
+        let flow = compile(cfg(2), &g);
+        assert_eq!(flow.stats().runs_per_worker, [2048, 2048]);
+        assert!(flow.arena.plans.is_empty());
+        for (w, prog) in flow.programs.iter().enumerate() {
+            let ranges: Vec<_> = prog.iter().map(RunInstr::quiet).collect();
+            assert_eq!(ranges, [Some((w, 2, 2048))]);
         }
     }
 
@@ -1019,7 +1029,7 @@ mod tests {
         let mut out = vec![Vec::new(); flow.graph().len()];
         for w in 0..flow.config().workers {
             for ct in flow.own_tasks(WorkerId::from_index(w)) {
-                out[ct.task.id.index()] = (0..ct.expected.len())
+                out[ct.task.id.index()] = (0..ct.task.accesses.len())
                     .map(|i| (ct.keeps_guard(i), ct.keeps_publication(i)))
                     .collect();
             }
@@ -1076,19 +1086,9 @@ mod tests {
         let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
         assert_eq!(marks(&flow), vec![vec![ELIDED]; 5]);
         assert_eq!(flow.stats().shared_objects, 0);
-        // The words are still the whole private view, reads included.
-        use crate::protocol::pack_epoch;
-        let words: Vec<u64> = flow.own_tasks(WorkerId(1)).map(|t| t.expected[0]).collect();
-        assert_eq!(
-            words,
-            [
-                pack_epoch(TaskId::NONE, 0),
-                pack_epoch(TaskId(1), 0),
-                pack_epoch(TaskId(1), 1),
-                pack_epoch(TaskId(1), 2),
-                pack_epoch(TaskId(4), 0),
-            ]
-        );
+        // So all five are one quiet range, with no word left to compare.
+        let quiet: Vec<_> = flow.programs[1].iter().map(RunInstr::quiet).collect();
+        assert_eq!(quiet, [Some((0, 1, 5))]);
     }
 
     #[test]
@@ -1388,7 +1388,8 @@ mod tests {
         // T1 writes d0; T2, T3 read it; T4 writes it again.
         let g = crate::testing::fanout(2);
         let flow = compile(cfg(2), &g);
-        // Every task owned: the arena in exact flat order.
+        // Every task owned, and every one keeps a half: the arena in exact
+        // flat order.
         let expected = &flow.arena.expected;
         // T1's write waits for the initial epoch (no write, no reads).
         assert_eq!(expected[0], pack_epoch(TaskId::NONE, 0));

@@ -23,7 +23,7 @@ use rio_stf::{
     DataId, ExecError, FlightEventKind, Mapping, StallDiagnostic, StallSite, TaskId, WorkerId,
 };
 
-use crate::compile::{AccessPlan, RunInstr, TaskAccesses};
+use crate::compile::{AccessPlan, TaskAccesses};
 use crate::config::RioConfig;
 use crate::counters::{CounterRegistry, WorkerCounters};
 use crate::executor::RunOutcome;
@@ -142,6 +142,9 @@ impl<'c> RunShell<'c> {
         Ok((report, outcome))
     }
 }
+
+/// The most tasks in a block of a quiet range: its staleness (DESIGN.md §16).
+const BLOCK: usize = 1024;
 
 /// FNV-1a, folding a flow's task shapes into its checksum.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -533,65 +536,61 @@ impl<'a> WorkerCtx<'a> {
         self.abort.abort(cause, self.wake);
     }
 
-    /// May this run execute quiet stretches as blocks? Decided once per
-    /// run: a block claims nothing, reads no clock, calls no hook and
-    /// consults no recovery policy. (A watchdog may be armed: it fires
-    /// inside blocked waits, which a quiet task never enters.)
-    pub(crate) fn takes_blocks(&self) -> bool {
-        #[cfg(feature = "fault-inject")]
-        if self.cfg.fault_hook.is_some() {
-            return false;
-        }
-        self.rec.is_none() && self.claims.is_none() && !self.cx.timed
-    }
-
-    /// Executes the quiet instructions `chunk` begins with (its first is
-    /// one) inside one containment frame, and keeps the books once for
-    /// the lot: counters, one flight record (the end of the last body, as
-    /// a progress mark), one watchdog tick. What stays per body is the
-    /// containment guarantee — none starts once the abort is observed —
-    /// and a count of the bodies finished, which names the one running
-    /// should it panic. Returns how many ran; none: the run is aborting.
-    pub(crate) fn exec_block(
+    /// Runs the quiet range `(first, stride, count)` — `body(i)` per flow
+    /// index `i`, each task declaring `accesses` — a block of at most
+    /// [`BLOCK`] at a time: one containment frame and one keeping of the
+    /// books per block (counters, a flight record of its last body's end,
+    /// a watchdog tick). Per body remain the abort poll and the count that
+    /// names the running body should it panic. `false`: the run aborts.
+    pub(crate) fn exec_range(
         &mut self,
-        chunk: &[RunInstr],
-        mut body: impl FnMut(&RunInstr),
-    ) -> usize {
-        let (abort, finished) = (self.abort, std::cell::Cell::new(0));
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            for r in chunk {
-                if !r.quiet() || abort.armed() {
-                    break;
+        (first, stride, count): (usize, usize, usize),
+        accesses: usize,
+        mut body: impl FnMut(usize),
+    ) -> bool {
+        let abort = self.abort;
+        for done in (0..count).step_by(BLOCK) {
+            let (len, finished) = (BLOCK.min(count - done), std::cell::Cell::new(0));
+            let start = first + stride * done;
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let mut i = start;
+                for _ in 0..len {
+                    if abort.armed() {
+                        break;
+                    }
+                    body(i);
+                    i += stride;
+                    finished.set(finished.get() + 1);
                 }
-                body(r);
-                finished.set(finished.get() + 1);
-            }
-        }));
-        let ran = finished.get();
-        let id = |r: &RunInstr| TaskId::from_index(r.task as usize);
-        if let Some(last) = chunk[..ran].last() {
-            // Elided gets and terminates count all the same; no wake ran.
-            let entries: u64 = chunk[..ran].iter().map(|r| r.range().len() as u64).sum();
-            self.tasks_visited += ran as u64;
-            self.tasks_executed += ran as u64;
-            self.ops.gets += entries;
-            self.ops.terminates += entries;
-            if let Some(c) = self.ctr {
-                c.add_tasks(ran as u64);
-                if self.cfg.wait == WaitStrategy::Park {
-                    c.add_wakes_elided(entries);
+            }));
+            let ran = finished.get();
+            let id = |k: usize| TaskId::from_index(start + stride * k);
+            if ran > 0 {
+                // Elided gets and terminates count all the same; no wake ran.
+                let entries = (ran * accesses) as u64;
+                self.tasks_visited += ran as u64;
+                self.tasks_executed += ran as u64;
+                self.ops.gets += entries;
+                self.ops.terminates += entries;
+                if let Some(c) = self.ctr {
+                    c.add_tasks(ran as u64);
+                    if self.cfg.wait == WaitStrategy::Park {
+                        c.add_wakes_elided(entries);
+                    }
                 }
+                self.flight_event(FlightEventKind::TaskEnd, id(ran - 1), None);
+                self.tick(id(ran - 1));
             }
-            self.flight_event(FlightEventKind::TaskEnd, id(last), None);
-            self.tick(id(last));
+            if let Err(payload) = outcome {
+                self.flight_event(FlightEventKind::TaskStart, id(ran), None);
+                self.body_panicked(id(ran), payload);
+                return false;
+            }
+            if ran < len {
+                return false;
+            }
         }
-        if let Err(payload) = outcome {
-            let running = id(&chunk[ran]);
-            self.flight_event(FlightEventKind::TaskStart, running, None);
-            self.body_panicked(running, payload);
-            return 0;
-        }
-        ran
+        true
     }
 
     /// The one body-execution block, behind owned and stolen tasks of

@@ -747,12 +747,12 @@ fn centralized_contains_the_seeded_corpus() {
 }
 
 // ---------------------------------------------------------------------
-// Containment inside a block. A run under the default configuration
-// takes quiet stretches of a program — tasks that keep no guard and no
-// publication — a block at a time: one containment frame, one counter
-// flush and one flight mark per 1024 tasks at most. A fault hook forces
-// the per-task path, so none of the tests above ever sees a block; these
-// use none, and inject the panic from the kernel.
+// Containment inside a block. Under the default configuration a
+// program's quiet tasks — those that keep no guard and no publication —
+// are ranges, which a run takes a block at a time: one containment frame,
+// one counter flush and one flight mark per 1024 tasks at most. A flow
+// with a fault hook has no ranges, so none of the tests above ever sees a
+// block; these use none, and inject the panic from the kernel.
 // ---------------------------------------------------------------------
 
 /// A flow of private writes: task `i` writes object `i` and nothing else,
@@ -772,27 +772,39 @@ fn ring_of(flight: &FlightLog, worker: WorkerId) -> Vec<(FlightEventKind, TaskId
 }
 
 /// A panic at the first, a middle and the last task of a 1024-chunk of a
-/// quiet stretch: the error names exactly the task and the worker; every
+/// quiet range: the error names exactly the task and the worker; every
 /// own task of that worker before it ran once and none after it ran; the
 /// worker's ring holds the chunks' progress marks, the start of the
 /// blamed body and the abort — no end for it, and not a start/end pair
 /// per task; and the flow re-runs clean.
 #[test]
 fn a_panic_inside_a_block_blames_exactly_the_running_task() {
-    const OWN: usize = 3000; // W0's tasks: chunks 0..1024, 1024..2048, 2048..3000
-    const TASKS: usize = 2 * OWN;
-    let g = private_graph(TASKS);
-    let flow = Executor::new(RioConfig::with_workers(2))
+    panic_inside_a_quiet_range(2, WorkerId(0));
+}
+
+/// The same at a stride of three, on the middle worker of three: its range
+/// starts at flow index 1, and the blamed task is `first + stride ·
+/// finished` wherever in a chunk it panics.
+#[test]
+fn a_panic_inside_a_strided_quiet_range_blames_exactly_the_running_task() {
+    panic_inside_a_quiet_range(3, WorkerId(1));
+}
+
+/// Panics in `w`'s one quiet range — 3000 private writes, chunks
+/// 0..1024, 1024..2048, 2048..3000 — under round-robin over `workers`.
+fn panic_inside_a_quiet_range(workers: usize, w: WorkerId) {
+    const OWN: usize = 3000;
+    let g = private_graph(workers * OWN);
+    let flow = Executor::new(RioConfig::with_workers(workers))
         .mapping(&RoundRobin)
         .watchdog(BACKSTOP)
         .compile(&g);
-    let w0 = WorkerId(0);
-    assert!(flow.own_tasks(w0).all(|t| t.quiet()), "one quiet stretch");
-    // W0 owns every other task: its `i`-th is at flow position `2 * i`.
-    let own = |i: usize| TaskId::from_index(2 * i);
+    assert!(flow.own_tasks(w).all(|t| t.quiet()), "one quiet range");
+    // The worker's `i`-th task is at flow position `workers * i + w`.
+    let own = |i: usize| TaskId::from_index(workers * i + w.index());
     for at in [1024, 1536, 2047] {
         let k = own(at);
-        let started: Vec<AtomicU64> = (0..TASKS).map(|_| AtomicU64::new(0)).collect();
+        let started: Vec<AtomicU64> = (0..g.len()).map(|_| AtomicU64::new(0)).collect();
         let err = flow
             .try_run(|_, t| {
                 started[t.id.index()].fetch_add(1, Ordering::Relaxed);
@@ -810,10 +822,10 @@ fn a_panic_inside_a_block_blames_exactly_the_running_task() {
         else {
             panic!("expected TaskPanicked, got {err}");
         };
-        assert_eq!((task, worker), (k, w0), "panic at W0's task #{at}");
+        assert_eq!((task, worker), (k, w), "panic at {w}'s task #{at}");
         for i in 0..OWN {
             let runs = started[own(i).index()].load(Ordering::Relaxed);
-            assert_eq!(runs, u64::from(i <= at), "W0's task #{i}, panic at #{at}");
+            assert_eq!(runs, u64::from(i <= at), "{w}'s task #{i}, panic at #{at}");
         }
         // One mark per finished chunk, one for the finished part of the
         // chunk that panicked, then the blamed body's start and the abort.
@@ -822,17 +834,17 @@ fn a_panic_inside_a_block_blames_exactly_the_running_task() {
             expected.push((FlightEventKind::TaskEnd, own(at - 1)));
         }
         expected.extend([(FlightEventKind::TaskStart, k), (FlightEventKind::Abort, k)]);
-        assert_eq!(ring_of(&flight, w0), expected, "panic at W0's task #{at}");
+        assert_eq!(ring_of(&flight, w), expected, "panic at {w}'s task #{at}");
         common::assert_flight_consistent(&flight, "panic inside a block");
 
         let run = flow.run(|_, _| {});
-        assert_eq!(run.report.tasks_executed(), TASKS as u64, "re-run");
+        assert_eq!(run.report.tasks_executed(), g.len() as u64, "re-run");
     }
 }
 
-/// A kept task between two quiet stretches panics: it runs on the
+/// A kept task between two quiet ranges panics: it runs on the
 /// per-task path, and what the blocks beside it did is exact all the same
-/// — the stretch before it ran, the one after it did not.
+/// — the range before it ran, the one after it did not.
 #[test]
 fn a_panic_in_a_kept_task_beside_a_quiet_stretch_is_blamed_exactly() {
     const STRETCH: usize = 10;
@@ -856,7 +868,7 @@ fn a_panic_in_a_kept_task_beside_a_quiet_stretch_is_blamed_exactly() {
         .compile(&g);
     let quiet: Vec<bool> = flow.own_tasks(w0).map(|t| t.quiet()).collect();
     let expected: Vec<bool> = (0..=2 * STRETCH).map(|i| i != STRETCH).collect();
-    assert_eq!(quiet, expected, "W0: a stretch, the consumer, a stretch");
+    assert_eq!(quiet, expected, "W0: a range, the consumer, a range");
 
     let started: Vec<AtomicU64> = (0..g.len()).map(|_| AtomicU64::new(0)).collect();
     let err = flow
@@ -908,7 +920,7 @@ fn a_block_starts_no_body_once_the_abort_is_observed() {
     const CHUNK: usize = 1000;
     const BODY: Duration = Duration::from_millis(1); // the chunk: ≥ 1 s
     const AHEAD: u64 = 10;
-    // T1 is W0's only task; T2.. are W1's, one quiet stretch.
+    // T1 is W0's only task; T2.. are W1's, one quiet range.
     let g = private_graph(1 + CHUNK);
     let m = TableMapping::from_fn(g.len(), |i| WorkerId(u32::from(i > 0)));
     let flow = Executor::new(RioConfig::with_workers(2))

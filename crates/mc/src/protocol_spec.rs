@@ -180,14 +180,16 @@ impl<'g> ProtocolSpec<'g> {
         for w in 0..workers {
             for ct in flow.own_tasks(rio_stf::WorkerId::from_index(w)) {
                 owner[ct.task.id.index()] = (!ct.claim_marked()).then_some(w);
-                // The engine runs a task marked quiet in a block, with no
-                // get and no publication whatever its entries say: so
-                // does the model, and a wrong verdict breaks a property.
-                compiled[ct.task.id.index()] = (0..ct.expected.len())
+                // A quiet task is a range member with no entry: the engine
+                // runs it with no get and no publication, and so does the
+                // model — its accesses are the task's own, each with both
+                // halves gone, and a wrong verdict breaks a property.
+                compiled[ct.task.id.index()] = (0..ct.task.accesses.len())
                     .map(|i| CompiledAccess {
-                        expected: ct.expected[i],
-                        guard: !ct.quiet() && ct.keeps_guard(i),
-                        publish: !ct.quiet() && ct.keeps_publication(i),
+                        // (Compared by no guard when there is none.)
+                        expected: ct.expected.get(i).copied().unwrap_or_default(),
+                        guard: ct.keeps_guard(i),
+                        publish: ct.keeps_publication(i),
                     })
                     .collect();
             }

@@ -69,7 +69,7 @@ fn main() {
     let flow = Executor::new(cfg.clone()).mapping(&mapping).compile(&graph);
     let stats = flow.stats();
     println!(
-        "flow: {} tasks -> {} instructions total across {} workers",
+        "flow: {} tasks -> {} in the programs of {} workers",
         stats.flow_len,
         stats.instructions(),
         flow.config().workers,
@@ -91,10 +91,15 @@ fn main() {
         stats.shared_objects,
         graph.num_data(),
     );
-    let first = flow.own_tasks(WorkerId(1)).next().expect("W1 owns a chain");
+    // Inside a chain nothing is shared: those tasks are quiet, and a run
+    // takes them as ranges, with no instruction and no entry of their own.
+    let (quiet, kept): (Vec<_>, Vec<_>) = flow.own_tasks(WorkerId(1)).partition(|t| t.quiet());
+    let first = kept.first().expect("W1's chains end in a publication");
     println!(
-        "  W1 starts at {} waiting for epoch word {:#x}",
-        first.task.id, first.expected[0]
+        "  W1: {} of its tasks quiet; its first kept one, {}, waits for epoch word {:#x}",
+        quiet.len(),
+        first.task.id,
+        first.expected[0]
     );
 
     // Steady state: run the same program many times (fresh protocol
