@@ -110,13 +110,12 @@ fn bench_terminate_uncontended(c: &mut Criterion) {
     g.finish();
 }
 
-/// Satellite of the bounded work-stealing layer: the per-task claim slot
-/// in isolation. `claim_cas` is the owner/thief claim — one acquire load
-/// plus one AcqRel `compare_exchange` on an uncontended padded slot (the
-/// armed-but-idle cost every owned task pays). `owner_check` is the
-/// fast-path re-read a scan does before attempting the CAS — one acquire
-/// load. `begin_run` per iteration keeps every CAS uncontended-fresh
-/// without zeroing the slots (epoch recycling).
+/// The claim slot of a partial mapping's unmapped task in isolation.
+/// `claim_cas` is the claim a worker takes before running such a task —
+/// one acquire load plus one AcqRel `compare_exchange` on an uncontended
+/// padded slot. `owner_check` is the fast-path re-read
+/// (`ClaimTable::claimant`) — one acquire load. `begin_run` per iteration keeps every CAS
+/// uncontended-fresh without zeroing the slots (epoch recycling).
 fn bench_steal_claim(c: &mut Criterion) {
     use rio_core::steal::ClaimTable;
     let mut g = c.benchmark_group("protocol/steal_claim");

@@ -867,210 +867,6 @@ pub fn faults(opt: &Options, tasks_per_worker: usize) -> (String, Vec<FaultsRow>
 }
 
 // ---------------------------------------------------------------------
-// Steal — bounded work-stealing: recovery on imbalance, idle overhead
-// ---------------------------------------------------------------------
-
-/// One row of the `repro steal` measurement: the same workload with the
-/// steal layer off vs armed.
-#[derive(Debug, Clone)]
-pub struct StealRow {
-    /// Workload tag (`cholesky/...` imbalanced, `independent-...` idle).
-    pub workload: String,
-    /// Worker count of the row.
-    pub workers: usize,
-    /// Total tasks.
-    pub tasks: usize,
-    /// Best-of-reps wall with stealing off, ns.
-    pub off_ns: f64,
-    /// Best-of-reps wall with stealing armed, ns.
-    pub on_ns: f64,
-    /// Steals of the armed run (0 on the idle row by design).
-    pub steals: u64,
-}
-
-impl StealRow {
-    /// Wall-clock change of arming the layer, percent (negative =
-    /// stealing faster).
-    pub fn delta_pct(&self) -> f64 {
-        if self.off_ns <= 0.0 {
-            return 0.0;
-        }
-        (self.on_ns - self.off_ns) * 100.0 / self.off_ns
-    }
-}
-
-/// `repro steal`: what bounded work-stealing buys and what it costs.
-///
-/// Two rows:
-///
-/// 1. **Recovery on imbalance** — tiled Cholesky under the DAG-oblivious
-///    round-robin mapping (the `repro doctor` workload): every chain hop
-///    crosses a worker boundary, so the steal-off run spends its wall in
-///    guard waits while ready tasks sit queued on other workers. The
-///    armed run lets those blocked workers claim and execute the ready
-///    work in place. Victim order is seeded from a diagnosed steal-off
-///    run (`DoctorReport::steal_victims`), closing the doctor loop.
-/// 2. **Armed-but-idle overhead** — the perfectly balanced fig7
-///    independent-task row, where stealing never fires and the whole
-///    cost is one claim CAS per owned task. This is the `repro steal
-///    --assert-faster` overhead gate (`RIO_STEAL_THRESHOLD` percent,
-///    default 2).
-pub fn steal(opt: &Options, grid: usize, cost: u64) -> (String, Vec<StealRow>) {
-    use rio_workloads::cholesky;
-    let w = opt.threads.max(1);
-    let graph = cholesky::graph(grid, cost);
-
-    let policy_for = |victims: Option<Vec<u32>>| {
-        let mut p = rio_core::StealPolicy::new();
-        if let Some(v) = victims {
-            p = p.victim_order(v);
-        }
-        p
-    };
-    let cfg_for = |workers: usize, stealing: Option<rio_core::StealPolicy>| {
-        let mut cfg = RioConfig::with_workers(workers).wait(WaitStrategy::Park);
-        if let Some(p) = stealing {
-            cfg = cfg.stealing(p);
-        }
-        cfg
-    };
-    let cfg_with = |stealing: Option<rio_core::StealPolicy>| cfg_for(w, stealing);
-    let run = |cfg: RioConfig, graph: &TaskGraph| {
-        let t0 = Instant::now();
-        let run = rio_core::Executor::new(cfg)
-            .mapping(&RoundRobin)
-            .run(graph, |_, t| counter_kernel(t.cost));
-        (t0.elapsed(), run.counters.total().steals)
-    };
-
-    // Seed the victim order the way a production caller would: diagnose
-    // one traced steal-off run and rank the overloaded workers.
-    let victims = {
-        let seed = rio_core::Executor::new(cfg_with(None))
-            .mapping(&RoundRobin)
-            .trace(rio_core::TraceConfig::new())
-            .run(&graph, |_, t| counter_kernel(t.cost));
-        let trace = seed.trace.expect("tracing was enabled");
-        rio_doctor::diagnose(&graph, &RoundRobin, w, &trace).steal_victims()
-    };
-
-    let mut chol_off = Duration::MAX;
-    let mut chol_on = Duration::MAX;
-    let mut chol_steals = 0;
-    // Individual runs are milliseconds, so best-of can afford enough
-    // samples to get both sides' minima near their floors even on a
-    // drifting shared host.
-    for _ in 0..opt.reps.max(9) {
-        let (d, _) = run(cfg_with(None), &graph);
-        chol_off = chol_off.min(d);
-        let (d, s) = run(cfg_with(Some(policy_for(Some(victims.clone())))), &graph);
-        if d < chol_on {
-            chol_on = d;
-            chol_steals = s;
-        }
-    }
-    let imbalanced = StealRow {
-        workload: format!("cholesky/grid={grid}"),
-        workers: w,
-        tasks: graph.len(),
-        off_ns: chol_off.as_nanos() as f64,
-        on_ns: chol_on.as_nanos() as f64,
-        steals: chol_steals,
-    };
-
-    // The balanced row: private data, equal static load, no guard waits —
-    // the armed run must coincide with the off run within the threshold.
-    // The cost under test is *per-task* (claim CAS + cursor publication +
-    // the get fast path), so it is measured at modest oversubscription:
-    // at the recovery row's worker count the scheduler-noise floor of a
-    // heavily oversubscribed host (CI runners included) is several
-    // percent, which would drown a sub-percent per-task regression
-    // instead of gating it.
-    let iw = w.clamp(1, 8);
-    let tpw = if opt.quick { 2048 } else { 8192 };
-    let n = independent::tasks_for_workers(tpw, iw);
-    // Fixed reference granularity: the armed cost is a few tens of ns
-    // per own task (claim CAS + cursor store), a constant — so gating it
-    // as a *ratio* requires a pinned task size, or tuning `--cost` for
-    // the recovery row would silently rescale this gate. An empty body
-    // would gate "CAS vs nothing" at 10%+ and say nothing about real
-    // workloads; ~a microsecond is the smallest body the paper's own
-    // figures treat as a realistic kernel.
-    const IDLE_COST: u64 = 4096;
-    let balanced_graph = independent::graph_private_data_cost(n, IDLE_COST);
-    let mut idle_off = Duration::MAX;
-    let mut idle_on = Duration::MAX;
-    let mut idle_steals = 0;
-    // The idle row guards a sub-percent per-task overhead against a
-    // noise floor of several percent (shared hosts drift that much
-    // between reps). Independent best-of mins don't cancel drift, so the
-    // row is *paired*: each rep runs off and on back to back and the row
-    // keeps the pair with the smallest on/off ratio. A genuine per-task
-    // regression inflates every pair; drift cannot deflate all of them.
-    let mut best_ratio = f64::INFINITY;
-    for _ in 0..opt.reps.max(5) {
-        let (off, _) = run(cfg_for(iw, None), &balanced_graph);
-        let (on, s) = run(cfg_for(iw, Some(policy_for(None))), &balanced_graph);
-        let ratio = on.as_secs_f64() / off.as_secs_f64().max(f64::EPSILON);
-        if ratio < best_ratio {
-            best_ratio = ratio;
-            idle_off = off;
-            idle_on = on;
-            idle_steals = s;
-        }
-    }
-    let idle = StealRow {
-        workload: format!("independent-private/tpw={tpw}/cost={IDLE_COST}"),
-        workers: iw,
-        tasks: n,
-        off_ns: idle_off.as_nanos() as f64,
-        on_ns: idle_on.as_nanos() as f64,
-        steals: idle_steals,
-    };
-
-    let rows = vec![imbalanced, idle];
-    for r in &rows {
-        for (runtime, ns) in [("rio_steal_off", r.off_ns), ("rio_steal_on", r.on_ns)] {
-            json::record(json::Record {
-                figure: "steal".into(),
-                workload: r.workload.clone(),
-                runtime: runtime.into(),
-                threads: r.workers,
-                tasks: r.tasks,
-                ns_per_task: ns / r.tasks.max(1) as f64,
-            });
-        }
-    }
-
-    let mut table = Table::new([
-        "workload",
-        "workers",
-        "steal_off",
-        "steal_on",
-        "steals",
-        "delta",
-    ]);
-    for r in &rows {
-        table.row([
-            r.workload.clone(),
-            r.workers.to_string(),
-            fmt_dur(Duration::from_nanos(r.off_ns as u64)),
-            fmt_dur(Duration::from_nanos(r.on_ns as u64)),
-            r.steals.to_string(),
-            format!("{:+.1}%", r.delta_pct()),
-        ]);
-    }
-    let out = opt.emit(
-        &format!(
-            "Bounded work-stealing — cholesky grid {grid} (cost {cost}) \
-             round-robin vs armed-idle independent tasks, {w} workers"
-        ),
-        &table,
-    );
-    (out, rows)
-}
-
-// ---------------------------------------------------------------------
 // NUMA placement — locality-weighted remap vs topology-blind mappings
 // ---------------------------------------------------------------------
 

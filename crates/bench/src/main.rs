@@ -21,7 +21,6 @@
 //!   counters    always-on counters overhead vs counters disabled
 //!   telemetry   live-telemetry (flight + registry + listener) overhead
 //!   faults      recovery-policy overhead on a fault-free run vs disabled
-//!   steal       bounded work-stealing: imbalance recovery + idle overhead
 //!   numa        locality-weighted remap vs topology-blind mappings
 //!   doctor      diagnose Cholesky under round-robin, re-run the remap
 //!   tune        closed-loop trace -> diagnose -> remap -> recompile
@@ -48,10 +47,6 @@
 //!                      tune: write the loop record to TUNE_repro.json)
 //!   --assert-faster    (compiled) exit 1 if a reused flow's ns/task exceeds the one-shot's
 //!                      (park) exit 1 if the elided path is not faster
-//!                      (steal) exit 1 if the armed run recovers less than
-//!                      RIO_STEAL_RECOVERY percent of the steal-off wall on
-//!                      the imbalanced row (default 15) or costs more than
-//!                      RIO_STEAL_THRESHOLD percent armed-but-idle (default 2)
 //!   --check            (telemetry) scrape the live endpoint during a run,
 //!                      validate every exposition, and write the last
 //!                      scrape to TELEMETRY_scrape.txt
@@ -206,15 +201,6 @@ fn main() {
                 assert_recovery_cheap(&rows);
             }
         }
-        "steal" => {
-            let grid = parse_usize(&args, "--grid", 8);
-            let cost = parse_usize(&args, "--cost", 4096) as u64;
-            let (_, rows) = figures::steal(&opt, grid, cost);
-            if args.iter().any(|a| a == "--assert-faster") {
-                write_json();
-                assert_steal_faster(&rows);
-            }
-        }
         "numa" => {
             let grid = parse_usize(&args, "--grid", 8);
             let cost = parse_usize(&args, "--cost", 4096) as u64;
@@ -306,7 +292,6 @@ fn main() {
             figures::counters_overhead(&opt, tpw);
             figures::telemetry(&opt, tpw, false);
             figures::faults(&opt, tpw);
-            figures::steal(&opt, 8, 4096);
             figures::numa(&opt, 8, 4096);
             doctor::doctor(&opt, 8, 4096);
             tune::tune(&opt, 8, 4096);
@@ -319,7 +304,7 @@ fn main() {
             figures::walks(&opt);
         }
         _ => {
-            eprintln!("usage: repro <fig2|...|table1|protocol|patterns|walks|mapping|costmodel|compiled|park|counters|telemetry|faults|steal|numa|doctor|tune|regress|baseline|all> [options]");
+            eprintln!("usage: repro <fig2|...|table1|protocol|patterns|walks|mapping|costmodel|compiled|park|counters|telemetry|faults|numa|doctor|tune|regress|baseline|all> [options]");
             eprintln!("options: --threads N --tasks N --reps N --exp N --n N --tpw N --workers LIST --grid N --cost N --baseline FILE --current FILE --csv --quick --json --check --assert-faster --assert-overhead --assert-improves --assert-no-regress");
             std::process::exit(if cmd == "help" || cmd == "--help" {
                 0
@@ -421,52 +406,6 @@ fn assert_tune_improves(outcome: &rio_bench::tune::TuneOutcome) {
         "tune converged in {} iterations, {delta:+.1}% vs untuned",
         outcome.iterations.len()
     );
-}
-
-/// The CI gate behind `steal --assert-faster`, two-sided:
-///
-/// * on the imbalanced Cholesky row, the armed run must recover at least
-///   `RIO_STEAL_RECOVERY` percent of the steal-off wall (default 15) —
-///   and must have actually stolen something;
-/// * on the balanced armed-but-idle row, the overhead must stay below
-///   `RIO_STEAL_THRESHOLD` percent (default 2).
-fn assert_steal_faster(rows: &[figures::StealRow]) {
-    let recovery: f64 = std::env::var("RIO_STEAL_RECOVERY")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(15.0);
-    let threshold: f64 = std::env::var("RIO_STEAL_THRESHOLD")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2.0);
-    let mut ok = true;
-    for r in rows {
-        let delta = r.delta_pct();
-        if r.workload.starts_with("cholesky") {
-            if delta > -recovery {
-                eprintln!(
-                    "REGRESSION: stealing recovered only {:.1}% on {} \
-                     (required >= {recovery:.1}%)",
-                    -delta, r.workload
-                );
-                ok = false;
-            }
-            if r.steals == 0 {
-                eprintln!("REGRESSION: armed run on {} never stole", r.workload);
-                ok = false;
-            }
-        } else if delta > threshold {
-            eprintln!(
-                "REGRESSION: armed-but-idle overhead {delta:+.2}% > {threshold:.2}% on {}",
-                r.workload
-            );
-            ok = false;
-        }
-    }
-    if !ok {
-        std::process::exit(1);
-    }
-    eprintln!("stealing recovers >= {recovery:.1}% on imbalance, idle overhead <= {threshold:.2}%");
 }
 
 /// The CI gate behind `numa --assert-no-regress`, on the deterministic

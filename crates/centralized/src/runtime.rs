@@ -113,7 +113,6 @@ impl<'g> Engine<'g> {
                 last_completed: TaskId(slot.last_completed.load(Ordering::Relaxed)),
                 tasks_executed: slot.executed.load(Ordering::Relaxed),
                 waiting_on: None,
-                steals_since_tick: 0,
                 retries_since_tick: 0,
             })
             .collect()

@@ -38,10 +38,9 @@
 //! unmapped — keep their guards, and so do their dependents. Each is
 //! emitted once, into an arena of its own, and as a **claim-marked**
 //! instruction into *every* program: whoever reaches it first claims its
-//! slot of the run's [`crate::steal::ClaimTable`] and runs it. With
-//! [`RioConfig::stealing`] armed every task is claimed before it runs and
-//! nothing is elided. The per-run protocol state is allocated per run, so
-//! a run that aborts leaves the [`CompiledFlow`] reusable.
+//! slot of the run's [`crate::steal::ClaimTable`] and runs it. The per-run
+//! protocol state is allocated per run, so a run that aborts leaves the
+//! [`CompiledFlow`] reusable.
 //!
 //! ```
 //! use rio_core::prelude::*;
@@ -76,7 +75,7 @@ use crate::graph::{RunShell, WorkerCtx};
 use crate::hybrid::{HybridStats, PartialMapping};
 use crate::pool::WorkerSet;
 use crate::protocol::{pack_epoch, spurious_wake_all, SharedDataState};
-use crate::steal::{ClaimTable, Claims, Cursor, StealState};
+use crate::steal::{ClaimTable, Claims};
 
 /// One step of a worker's program, 12 bytes: execute the task at flow
 /// index `task`, whose accesses and expected words are `arena[start..end]`
@@ -85,8 +84,8 @@ use crate::steal::{ClaimTable, Claims, Cursor, StealState};
 /// k`, each declaring as many accesses as the first and keeping neither a
 /// guard nor a publication, so none has an instruction or an entry.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RunInstr {
-    pub(crate) task: u32,
+struct RunInstr {
+    task: u32,
     /// `start` (a range's `stride`) under [`CLAIM_MARK`] and [`QUIET`].
     marked_start: u32,
     end: u32,
@@ -102,28 +101,27 @@ const QUIET: u32 = 1 << 30;
 
 impl RunInstr {
     #[inline]
-    pub(crate) fn unmapped(&self) -> bool {
+    fn unmapped(&self) -> bool {
         self.marked_start & CLAIM_MARK != 0
     }
 
     /// A quiet range's `(first, stride, count)`; `None` for an instruction.
     #[inline]
-    pub(crate) fn quiet(&self) -> Option<(usize, usize, usize)> {
+    fn quiet(&self) -> Option<(usize, usize, usize)> {
         let stride = (self.marked_start & !QUIET) as usize;
         (self.marked_start & QUIET != 0).then_some((self.task as usize, stride, self.end as usize))
     }
 
     /// Where the task's entries are: one per access it declares.
     #[inline]
-    pub(crate) fn range(&self) -> std::ops::Range<usize> {
+    fn range(&self) -> std::ops::Range<usize> {
         (self.marked_start & !(CLAIM_MARK | QUIET)) as usize..self.end as usize
     }
 }
 
 /// One worker's compiled program: its own tasks and the claim-marked
-/// ones, in flow order. The steal layer's published cursor is an index
-/// into it.
-pub(crate) type WorkerProgram = Vec<RunInstr>;
+/// ones, in flow order.
+type WorkerProgram = Vec<RunInstr>;
 
 /// One instruction's entries as the engine ([`WorkerCtx::exec_task`])
 /// takes them: per access, which halves of its synchronisation to perform
@@ -298,7 +296,7 @@ pub struct CompiledFlow<'g> {
     /// The entries of the claim-marked instructions, emitted once for all
     /// the programs that hold them.
     claimable: Arena,
-    pub(crate) programs: Vec<WorkerProgram>,
+    programs: Vec<WorkerProgram>,
     /// How many tasks a partial mapping left to be claimed; `None` for a
     /// total mapping.
     unmapped: Option<usize>,
@@ -503,9 +501,6 @@ fn lower<'g, O: OwnerOf>(
     let mut verdicts: Vec<Verdict> = vec![0; graph.num_data() + graph.len() + widest];
     let mut next_named = (graph.num_data() as u32) << SLOT_SHIFT;
     let mut shared_objects = 0u32;
-    // A thief runs a task out of its owner's program order and prices
-    // every guard of its candidates: with stealing armed, all is kept.
-    let elide = cfg.stealing.is_none();
     let (mut owned, mut kept_gets, mut unmapped) = (0u64, 0u64, 0usize);
     for (i, t) in graph.tasks().iter().enumerate() {
         let owner = owners.owner_of(t.id)?;
@@ -552,7 +547,7 @@ fn lower<'g, O: OwnerOf>(
             let e = &mut view[a.data.index()];
             let writes = a.mode.writes();
             // Does this access wait for anyone but its own worker?
-            let guard = !elide | !local_to(e.on[usize::from(writes)], w);
+            let guard = !local_to(e.on[usize::from(writes)], w);
             guards += u64::from(guard);
             *expected = e.word;
             if writes {
@@ -597,22 +592,17 @@ fn lower<'g, O: OwnerOf>(
         arena.truncate(len);
     }
     // The epochs still open have no next writer: the only guards kept on
-    // them are those of reads on another worker than a writer's (or, with
-    // stealing armed, of any access at all).
+    // them are those of reads on another worker than a writer's.
     for e in &mut view {
         // (A writer nobody owns is `SPREAD` before anything has read.)
         let read_elsewhere = (e.on[1] == SPREAD) & (e.on[0] != NOBODY) & (e.word as u32 != 0);
-        verdicts[(e.named >> SLOT_SHIFT) as usize] = close(
-            e,
-            (!elide & (e.on[1] != NOBODY)) | read_elsewhere,
-            &mut shared_objects,
-        ) | (u32::from(read_elsewhere) * WRITE_ONLY);
+        verdicts[(e.named >> SLOT_SHIFT) as usize] = close(e, read_elsewhere, &mut shared_objects)
+            | (u32::from(read_elsewhere) * WRITE_ONLY);
     }
-    let force = u32::from(!elide) * PUBLISH;
     // A block claims nothing, reads no clock, calls no hook and consults no
     // recovery policy: where a run needs one, quiet tasks stay instructions.
     // (A watchdog fires inside blocked waits, which a quiet task never has.)
-    let blocks = elide && unmapped == 0 && cfg.recovery.is_none() && !cfg.measure_time;
+    let blocks = unmapped == 0 && cfg.recovery.is_none() && !cfg.measure_time;
     #[cfg(feature = "fault-inject")]
     let blocks = blocks && cfg.fault_hook.is_none();
     let blocks = blocks && cfg.trace.is_none();
@@ -623,7 +613,7 @@ fn lower<'g, O: OwnerOf>(
     }
     let kept_publishes: u64 = arenas
         .iter_mut()
-        .map(|arena| finish(&mut arena.plans, &verdicts, force))
+        .map(|arena| finish(&mut arena.plans, &verdicts))
         .sum();
     drop((view, verdicts));
     let runs_per_worker = programs.iter().map(Vec::len).collect();
@@ -674,14 +664,13 @@ fn close(e: &mut Epoch, waited_on: bool, shared_objects: &mut u32) -> u32 {
 }
 
 /// Gives every entry what the epoch it named came to: the object's slot
-/// and the publication half (`force`: [`PUBLISH`] regardless). Returns
-/// how many publications are kept.
-fn finish(plans: &mut [AccessPlan], verdicts: &[Verdict], force: u32) -> u64 {
+/// and the publication half. Returns how many publications are kept.
+fn finish(plans: &mut [AccessPlan], verdicts: &[Verdict]) -> u64 {
     let mut publishes = 0;
     for p in plans {
         let verdict = verdicts[p.slot()];
         let write_only = (verdict & p.bits & WRITE_ONLY) * (PUBLISH / WRITE_ONLY);
-        p.bits = (p.bits & (WRITES | GUARD)) | (verdict & !WRITE_ONLY) | write_only | force;
+        p.bits = (p.bits & (WRITES | GUARD)) | (verdict & !WRITE_ONLY) | write_only;
         publishes += u64::from(p.publish());
     }
     publishes
@@ -772,7 +761,7 @@ impl<'g> CompiledFlow<'g> {
     /// The accesses of `r`, whose entries are in the claimable arena if it
     /// is claim-marked, else in the flow's.
     #[inline]
-    pub(crate) fn accesses(&self, r: &RunInstr) -> TaskAccesses<'_> {
+    fn accesses(&self, r: &RunInstr) -> TaskAccesses<'_> {
         let arena = if r.unmapped() {
             &self.claimable
         } else {
@@ -815,30 +804,16 @@ impl<'g> CompiledFlow<'g> {
         let shared = SharedDataState::new_table(self.stats.shared_objects);
         let shared = &shared[..];
         let kernel = &kernel;
-        // Per-run claim state, iff some instruction is claim-marked: with
-        // stealing armed all are, else the unmapped ones. A slot per task,
-        // and for thieves one published program cursor per worker (they
-        // scan a victim's remaining tasks from there).
-        let table = (cfg.stealing.is_some() || self.unmapped.is_some_and(|n| n > 0))
+        // Per-run claim state, iff some instruction is claim-marked: a
+        // partial mapping left tasks unmapped. A slot per task.
+        let table = self
+            .unmapped
+            .is_some_and(|n| n > 0)
             .then(|| ClaimTable::new(self.graph.len()));
         let claims = table.as_ref().map(|table| Claims {
             table,
             epoch: table.begin_run(),
         });
-        let cursors = cfg
-            .stealing
-            .as_ref()
-            .map(|_| Cursor::new_table(cfg.workers));
-        let steal = cfg
-            .stealing
-            .as_ref()
-            .zip(cursors.as_deref())
-            .map(|(policy, cursors)| StealState {
-                policy,
-                flow: self,
-                cursors,
-                kernel,
-            });
 
         let (report, outcome, claimed) = RunShell::new(cfg, self.graph.num_data()).run(
             &self.set,
@@ -846,7 +821,6 @@ impl<'g> CompiledFlow<'g> {
             &|| spurious_wake_all(shared),
             |mut ctx| {
                 ctx.claims = claims;
-                ctx.steal = steal;
                 self.run_program(ctx, kernel)
             },
         )?;
@@ -882,33 +856,19 @@ impl<'g> CompiledFlow<'g> {
         let (worker, me) = (ctx.me, ctx.me.index());
         let tasks = self.graph.tasks();
         let prog = &self.programs[me];
-        let cursor = ctx.steal.map(|st| &st.cursors[me].0);
         let loop_start = Instant::now();
-        for (pc, r) in prog.iter().enumerate() {
+        for r in prog {
             if let Some(q) = r.quiet() {
                 if ctx.exec_range(q, tasks[q.0].accesses.len(), |i| kernel(worker, &tasks[i])) {
                     continue;
                 }
                 break;
             }
-            if let Some(c) = cursor {
-                // Publish where this worker's remaining program starts so
-                // thieves scan forward from here. Relaxed is enough —
-                // staleness only wastes a thief's window budget (anything
-                // already executed is already claimed).
-                c.store(pc, std::sync::atomic::Ordering::Relaxed);
-            }
             ctx.tasks_visited += 1;
             let t = &tasks[r.task as usize];
             if !ctx.exec_task(t.id, self.accesses(r), || kernel(worker, t)) {
                 break;
             }
-        }
-        // Release: this worker's program is over (or the run aborted and
-        // no thief will execute past the abort), so thieves should skip
-        // straight past its stream.
-        if let Some(c) = cursor {
-            c.store(prog.len(), std::sync::atomic::Ordering::Relaxed);
         }
         let claimed = ctx.unmapped_claims;
         (ctx.finish(loop_start), claimed)
@@ -1185,20 +1145,6 @@ mod tests {
             );
             assert_eq!(store.into_vec(), vec![10]);
         }
-    }
-
-    #[test]
-    fn stealing_keeps_every_guard_and_publication() {
-        // A thief breaks same-worker order, and its scan prices every
-        // guard: the same flows as above elide nothing.
-        let (g, m) = epochs(&[('w', 1), ('r', 1), ('r', 1), ('w', 1), ('r', 1)]);
-        let flow = Executor::new(cfg(2).stealing(crate::steal::StealPolicy::new()))
-            .mapping(&m)
-            .compile(&g);
-        assert_eq!(marks(&flow), vec![vec![KEPT]; 5]);
-        let stats = flow.stats();
-        assert_eq!((stats.elided_gets, stats.elided_publishes), (0, 0));
-        assert_eq!(stats.shared_objects, 1);
     }
 
     /// A mapping that counts its calls.

@@ -4,7 +4,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::counters::CounterRegistry;
-use crate::steal::StealPolicy;
 use crate::wait::WaitStrategy;
 use rio_trace::TraceConfig;
 
@@ -158,7 +157,7 @@ pub struct RioConfig {
     pub counters: bool,
     /// Always-on flight recorder ([`crate::flight`]): a tiny fixed-size
     /// per-worker ring of recent protocol events (task start/end, park,
-    /// steal claim, poison, abort, retry), dumped into
+    /// poison, abort, retry), dumped into
     /// [`rio_stf::StallDiagnostic`] and [`rio_stf::PartialReport`] as a
     /// postmortem bundle when a run stalls or degrades. On by default —
     /// recording is a few relaxed stores per event on a worker-owned
@@ -172,14 +171,6 @@ pub struct RioConfig {
     /// disabled cost is one branch per executed task (gated <1% by
     /// `repro faults`).
     pub recovery: Option<RecoveryPolicy>,
-    /// Bounded work-stealing policy ([`StealPolicy`]): a worker blocked
-    /// on an epoch guard scans a bounded window of *ready* foreign tasks
-    /// and claims one through a per-task CAS slot, executing it in place
-    /// while the owner skips-but-syncs (see [`crate::steal`] and
-    /// DESIGN.md §14). `None` (the default) keeps the static mapping
-    /// exact. The armed-but-idle cost is one claim CAS per owned task
-    /// (gated ≤2% by `repro steal`).
-    pub stealing: Option<StealPolicy>,
     /// External [`CounterRegistry`] for the run to publish into, enabling
     /// mid-run sampling from a monitoring thread. `None` (the default):
     /// each run allocates its own registry and attaches the final snapshot
@@ -270,13 +261,6 @@ impl RioConfig {
         self
     }
 
-    /// Installs a bounded work-stealing policy (builder style). See
-    /// [`StealPolicy`].
-    pub fn stealing(mut self, policy: StealPolicy) -> RioConfig {
-        self.stealing = Some(policy);
-        self
-    }
-
     /// Publishes this run's counters into an externally owned registry so
     /// another thread can sample them mid-run (builder style).
     pub fn counter_registry(mut self, registry: Arc<CounterRegistry>) -> RioConfig {
@@ -306,9 +290,6 @@ impl RioConfig {
                 assert!(!d.is_zero(), "recovery deadline must be nonzero");
             }
         }
-        if let Some(s) = &self.stealing {
-            s.validate();
-        }
     }
 }
 
@@ -326,7 +307,6 @@ impl Default for RioConfig {
             counters: true,
             flight: true,
             recovery: None,
-            stealing: None,
             counter_registry: None,
             pin_workers: false,
         }
@@ -428,25 +408,6 @@ mod tests {
     fn zero_recovery_deadline_rejected() {
         RioConfig::with_workers(1)
             .recovery(RecoveryPolicy::default().deadline(Duration::ZERO))
-            .validate();
-    }
-
-    #[test]
-    fn stealing_is_opt_in_and_validated() {
-        let c = RioConfig::with_workers(2);
-        assert!(c.stealing.is_none(), "stealing is opt-in");
-        let c = c.stealing(StealPolicy::new().window(32).max_steals(4));
-        let p = c.stealing.as_ref().expect("policy installed");
-        assert_eq!(p.window, 32);
-        assert_eq!(p.max_steals, 4);
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "steal window")]
-    fn zero_steal_window_rejected() {
-        RioConfig::with_workers(1)
-            .stealing(StealPolicy::new().window(0))
             .validate();
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Tracing ([`rio_trace`]) records *events* and costs two clock
 //! reads per span — too heavy to leave enabled in production. This module
-//! is the complementary layer: ten monotonic counters per worker, each a
+//! is the complementary layer: seven monotonic counters per worker, each a
 //! plain `Relaxed` increment on a cache line owned by that worker, cheap
 //! enough to stay on under full traffic (the `repro counters` gate bounds
 //! the overhead to <1% on the fig7 row). A
@@ -15,9 +15,8 @@
 //! The counters deliberately mirror the protocol's cost model rather than
 //! the trace's time model: tasks run, epoch-guard spins
 //! (condition re-checks in `get_*`), parks, wakes elided by the
-//! waiter-aware terminate, aborts detected, kernel retries and poison
-//! bits set under a recovery policy, plus tasks stolen and claim races
-//! lost under a steal policy.
+//! waiter-aware terminate, aborts detected, and kernel retries and poison
+//! bits set under a recovery policy.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,8 +36,6 @@ pub struct WorkerCounters {
     aborts: AtomicU64,
     retries: AtomicU64,
     poisoned: AtomicU64,
-    steals: AtomicU64,
-    steal_aborts: AtomicU64,
 }
 
 /// Single-writer increment: the owning worker is the only incrementer,
@@ -111,29 +108,9 @@ impl WorkerCounters {
         }
     }
 
-    /// One foreign task claimed and executed by this worker (the thief's
-    /// counter — the owner's `tasks` does not move for a stolen task).
-    #[inline]
-    pub fn inc_steals(&self) {
-        bump(&self.steals, 1);
-    }
-
-    /// One claim CAS this worker lost — to the owner or to another thief
-    /// (the abandoned steal attempt costs a scan, nothing else).
-    #[inline]
-    pub fn inc_steal_aborts(&self) {
-        bump(&self.steal_aborts, 1);
-    }
-
-    /// Current steal count (cheap `Relaxed` load; any thread may sample).
+    /// Current retry count (cheap `Relaxed` load; any thread may sample).
     /// The progress watchdog records this at every completion tick so a
     /// stall report can show the delta since the worker last progressed.
-    #[inline]
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-
-    /// Current retry count (cheap `Relaxed` load; any thread may sample).
     #[inline]
     pub fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
@@ -149,8 +126,7 @@ impl WorkerCounters {
             aborts: self.aborts.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             poisoned: self.poisoned.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            steal_aborts: self.steal_aborts.load(Ordering::Relaxed),
+            steals: 0,
         }
     }
 
@@ -164,8 +140,6 @@ impl WorkerCounters {
         self.aborts.store(0, Ordering::Relaxed);
         self.retries.store(0, Ordering::Relaxed);
         self.poisoned.store(0, Ordering::Relaxed);
-        self.steals.store(0, Ordering::Relaxed);
-        self.steal_aborts.store(0, Ordering::Relaxed);
     }
 }
 
@@ -263,11 +237,10 @@ pub struct CounterRow {
     /// Poison bits set (data marked untrustworthy by failed/skipped
     /// tasks).
     pub poisoned: u64,
-    /// Foreign tasks claimed and executed by this worker under a steal
-    /// policy.
+    /// Always 0: the runtime no longer steals. The field stays because
+    /// the `benchmark/` package reads it for its `steal.steals` layer;
+    /// it leaves with that layer at the next benchmark-contract bump.
     pub steals: u64,
-    /// Claim races this worker lost while trying to steal.
-    pub steal_aborts: u64,
 }
 
 impl CounterRow {
@@ -280,15 +253,13 @@ impl CounterRow {
         self.aborts += other.aborts;
         self.retries += other.retries;
         self.poisoned += other.poisoned;
-        self.steals += other.steals;
-        self.steal_aborts += other.steal_aborts;
     }
 
     /// Every counter as a `(name, value)` pair, in table-column order —
     /// the iteration surface consumers that render *all* counters
     /// (e.g. the Prometheus exporter in `rio-telemetry`) build on, so
     /// adding a counter extends them without a matching code change.
-    pub fn fields(&self) -> [(&'static str, u64); 9] {
+    pub fn fields(&self) -> [(&'static str, u64); 7] {
         [
             ("tasks", self.tasks),
             ("spins", self.spins),
@@ -297,8 +268,6 @@ impl CounterRow {
             ("aborts", self.aborts),
             ("retries", self.retries),
             ("poisoned", self.poisoned),
-            ("steals", self.steals),
-            ("steal_aborts", self.steal_aborts),
         ]
     }
 }
@@ -355,9 +324,6 @@ mod tests {
         reg.worker(1).inc_aborts();
         reg.worker(0).inc_retries();
         reg.worker(0).add_poisoned(2);
-        reg.worker(1).inc_steals();
-        reg.worker(1).inc_steal_aborts();
-        reg.worker(1).inc_steal_aborts();
         let snap = reg.snapshot();
         assert_eq!(snap.workers.len(), 2);
         assert_eq!(snap.workers[0].tasks, 2);
@@ -367,16 +333,12 @@ mod tests {
         assert_eq!(snap.workers[1].parks, 3);
         assert_eq!(snap.workers[1].wakes_elided, 1);
         assert_eq!(snap.workers[1].aborts, 1);
-        assert_eq!(snap.workers[1].steals, 1);
-        assert_eq!(snap.workers[1].steal_aborts, 2);
         let total = snap.total();
         assert_eq!(total.tasks, 2);
         assert_eq!(total.spins, 5);
         assert_eq!(total.parks, 3);
         assert_eq!(total.retries, 1);
         assert_eq!(total.poisoned, 2);
-        assert_eq!(total.steals, 1);
-        assert_eq!(total.steal_aborts, 2);
     }
 
     #[test]

@@ -65,10 +65,9 @@ const fn kind_code(kind: FlightEventKind) -> u64 {
         FlightEventKind::TaskStart => 0,
         FlightEventKind::TaskEnd => 1,
         FlightEventKind::Park => 2,
-        FlightEventKind::Steal => 3,
-        FlightEventKind::Poison => 4,
-        FlightEventKind::Abort => 5,
-        FlightEventKind::Retry => 6,
+        FlightEventKind::Poison => 3,
+        FlightEventKind::Abort => 4,
+        FlightEventKind::Retry => 5,
     }
 }
 
@@ -77,10 +76,9 @@ fn kind_of(code: u64) -> Option<FlightEventKind> {
         0 => FlightEventKind::TaskStart,
         1 => FlightEventKind::TaskEnd,
         2 => FlightEventKind::Park,
-        3 => FlightEventKind::Steal,
-        4 => FlightEventKind::Poison,
-        5 => FlightEventKind::Abort,
-        6 => FlightEventKind::Retry,
+        3 => FlightEventKind::Poison,
+        4 => FlightEventKind::Abort,
+        5 => FlightEventKind::Retry,
         _ => return None,
     })
 }
@@ -262,7 +260,6 @@ mod tests {
             FlightEventKind::TaskStart,
             FlightEventKind::TaskEnd,
             FlightEventKind::Park,
-            FlightEventKind::Steal,
             FlightEventKind::Poison,
             FlightEventKind::Abort,
             FlightEventKind::Retry,

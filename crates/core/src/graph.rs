@@ -31,12 +31,11 @@ use crate::flight::{FlightRecorder, FlightRing};
 use crate::pool::WorkerSet;
 use crate::protocol::{
     get_read_word_cx, get_write_word_cx, publish_read, publish_write, unpack_epoch, unpoisoned,
-    AbortCause, AbortFlag, RecoveryCtx, SharedDataState, WaitCx, WaitOutcome, WaitResult,
-    WaitVerdict, READ_EPOCH_MASK, WRITE_EPOCH_MASK,
+    AbortCause, AbortFlag, RecoveryCtx, SharedDataState, WaitCx, WaitResult, WaitVerdict,
 };
 use crate::report::{ExecReport, OpCounts, WorkerReport};
 use crate::status::{StatusTable, WaitWatch};
-use crate::steal::{Claims, StealState, EMPTY_SCAN_LIMIT};
+use crate::steal::Claims;
 use crate::wait::WaitStrategy;
 use rio_trace::WorkerTracer;
 
@@ -157,16 +156,6 @@ pub(crate) fn unwind_aborted() -> ! {
     panic!("RIO run aborted: a task body panicked or a wait stalled on a sibling worker")
 }
 
-/// Is every guard of one task open right now? One masked acquire-load per
-/// access — how a thief prices a candidate.
-fn guards_open(shared: &[SharedDataState], accesses: TaskAccesses<'_>) -> bool {
-    let mut guards = accesses.plans.iter().zip(accesses.expected);
-    guards.all(|(p, &expected)| {
-        let mask = [READ_EPOCH_MASK, WRITE_EPOCH_MASK][usize::from(p.writes())];
-        shared[p.slot()].satisfied(expected, mask)
-    })
-}
-
 /// The `get_*` guard on a packed private view: a write compares the whole
 /// word, a read only the write half.
 #[inline]
@@ -213,12 +202,8 @@ pub(crate) struct WorkerCtx<'a> {
     /// fast path costs exactly one branch per executed task).
     rec: Option<&'a RecoveryCtx>,
     /// The run's claim slots (`None` when no instruction of the flow is
-    /// claim-marked). Installed by the front-end after construction, like
-    /// `steal`.
+    /// claim-marked). Installed by the front-end after construction.
     pub(crate) claims: Option<Claims<'a>>,
-    /// Steal state shared by every worker of the run (`None` when no
-    /// [`crate::steal::StealPolicy`] is installed). Implies `claims`.
-    pub(crate) steal: Option<StealState<'a>>,
     /// Claims of unmapped tasks this worker `(won, lost)`: what
     /// [`crate::hybrid::HybridStats`] reports.
     pub(crate) unmapped_claims: (u64, u64),
@@ -264,7 +249,6 @@ impl<'a> WorkerCtx<'a> {
             ring: run.flight.as_ref().map(|f| f.ring(me.index())),
             rec: run.recovery.as_ref(),
             claims: None,
-            steal: None,
             unmapped_claims: (0, 0),
         }
     }
@@ -333,15 +317,15 @@ impl<'a> WorkerCtx<'a> {
     }
 
     /// Reports watchdog progress: the worker is alive and the flow is
-    /// advancing past `task`. The steal/retry counters ride along so a
-    /// later stall diagnostic can show activity since this tick.
+    /// advancing past `task`. The retry counter rides along so a later
+    /// stall diagnostic can show activity since this tick.
     #[inline]
     pub(crate) fn tick(&self, task: TaskId) {
         if self.cx.deadline.is_some() {
-            let (steals, retries) = self.ctr.map_or((0, 0), |c| (c.steals(), c.retries()));
+            let retries = self.ctr.map_or(0, |c| c.retries());
             self.run
                 .status
-                .completed(self.me, task, self.tasks_executed, steals, retries);
+                .completed(self.me, task, self.tasks_executed, retries);
         }
     }
 
@@ -360,26 +344,17 @@ impl<'a> WorkerCtx<'a> {
         if self.abort.armed() {
             return false;
         }
-        // A claim-marked task is CAS-claimed *before* waiting on any
-        // guard. With stealing armed that is every task: a thief only
-        // claims tasks whose guards are already satisfied, so deciding by
-        // a plain load here would race the claim against the thief's and
-        // run the body twice. Without, it is the tasks a partial mapping
-        // left unmapped, which sit in every program: the first worker to
-        // get there wins. Losing the CAS means somebody else holds the
-        // body and will publish its terminates; this worker has nothing
-        // left to do. See DESIGN.md §9 and §14.
-        if let Some(c) = self
-            .claims
-            .filter(|_| self.steal.is_some() | accesses.unmapped)
-        {
+        // A task a partial mapping left unmapped sits in every program and
+        // is CAS-claimed *before* waiting on any guard: the first worker to
+        // get there wins. Losing the CAS means somebody else holds the body
+        // and will publish its terminates; this worker has nothing left to
+        // do. See DESIGN.md §9.1.
+        if let Some(c) = self.claims.filter(|_| accesses.unmapped) {
             let won = c
                 .table
                 .try_claim(task.index(), c.epoch, self.me.index() as u32);
-            if accesses.unmapped {
-                self.unmapped_claims.0 += u64::from(won);
-                self.unmapped_claims.1 += u64::from(!won);
-            }
+            self.unmapped_claims.0 += u64::from(won);
+            self.unmapped_claims.1 += u64::from(!won);
             if !won {
                 self.tick(task);
                 return true;
@@ -396,12 +371,7 @@ impl<'a> WorkerCtx<'a> {
             }
             let s = &self.shared[a.slot()];
             let writes = a.writes();
-            let cx = self.wait_cx(a.data);
-            let wr = if self.steal.is_some() {
-                self.wait_or_steal(s, expected, writes, &cx)
-            } else {
-                get_word_cx(s, expected, writes, &cx)
-            };
+            let wr = get_word_cx(s, expected, writes, &self.wait_cx(a.data));
             if !self.settle_wait(task, a.data, writes, wr, || (expected, s.epoch_word())) {
                 return false;
             }
@@ -475,8 +445,8 @@ impl<'a> WorkerCtx<'a> {
     /// deadline expired: the blocked worker, the private-vs-shared
     /// counters of the blocked data object (both decoded from one packed
     /// word each, so the dump can never pair a new write id with a stale
-    /// read count), every worker's progress snapshot (with steal/retry
-    /// deltas since its last tick when counters are on), and the
+    /// read count), every worker's progress snapshot (with retry deltas
+    /// since its last tick when counters are on), and the
     /// flight-recorder bundle — the last protocol events of every worker
     /// leading up to the stall.
     #[cold]
@@ -519,9 +489,8 @@ impl<'a> WorkerCtx<'a> {
     }
 
     /// Aborts the run because the body of `task` panicked. The first
-    /// panic records its cause and ends the whole run. A thief aborts with
-    /// its claim held, so the owner never re-runs the body; the abort
-    /// wakes every waiter the missing terminates would have.
+    /// panic records its cause and ends the whole run; the abort wakes
+    /// every waiter the missing terminates would have.
     #[cold]
     fn body_panicked(&self, task: TaskId, payload: Box<dyn std::any::Any + Send>) {
         self.flight_event(FlightEventKind::Abort, task, None);
@@ -593,8 +562,8 @@ impl<'a> WorkerCtx<'a> {
         true
     }
 
-    /// The one body-execution block, behind owned and stolen tasks of
-    /// every front-end alike: `body` under fault containment —
+    /// The one body-execution block, behind every task of every front-end
+    /// alike: `body` under fault containment —
     /// abort-on-panic without a recovery policy; with one, skip on a
     /// poisoned input (the failure already happened upstream and this
     /// task's outputs would be garbage), otherwise retry — and the timing
@@ -617,9 +586,8 @@ impl<'a> WorkerCtx<'a> {
             // producer published before its terminate is visible here
             // (the bit rides the protocol's own Release/Acquire edge —
             // or, behind an elided guard, this worker's program order).
-            // Recovery is keyed on the task, not the worker: a stolen
-            // task retries, fails, poisons and skips exactly as it would
-            // on its owner.
+            // Recovery is keyed on the task, not the worker: a claimed
+            // task retries, fails, poisons and skips wherever it runs.
             Some(rec) if plans.iter().any(|a| rec.is_poisoned(a.data)) => {
                 rec.record_skipped(task);
                 self.poison_writes(rec, task, plans);
@@ -806,140 +774,6 @@ impl<'a> WorkerCtx<'a> {
             wakes_elided += u64::from(elided);
         }
         self.add_wakes_elided(wakes_elided);
-    }
-
-    /// A guard wait with the steal layer interleaved: slices of the wait —
-    /// the run's own strategy, `min_wait_before_steal` as the deadline —
-    /// alternate with scans for ready foreign tasks, until the guard
-    /// opens, the steal budget runs dry, or scans keep coming up empty;
-    /// only then does the wait run on without a deadline (under `Park`:
-    /// "park only after a failed scan" — a slice is too short to sleep in).
-    fn wait_or_steal(
-        &mut self,
-        s: &SharedDataState,
-        expected: u64,
-        writes: bool,
-        cx: &WaitCx<'a>,
-    ) -> WaitResult {
-        let st = self
-            .steal
-            .expect("wait_or_steal requires an armed steal layer");
-        // Folds one more piece of the wait into the whole: counts add up,
-        // the latest verdict stands, and the wait has been blocked since
-        // the first failed probe.
-        let then = |agg: WaitResult, wr: WaitResult| WaitResult {
-            outcome: WaitOutcome {
-                polls: agg.outcome.polls + wr.outcome.polls,
-                parks: agg.outcome.parks + wr.outcome.parks,
-            },
-            verdict: wr.verdict,
-            blocked_at: agg.blocked_at.or(wr.blocked_at),
-        };
-        let burned = |agg: &WaitResult| agg.blocked_at.map_or(Duration::ZERO, |t0| t0.elapsed());
-        // Each slice gets its own short deadline, so `DeadlineExceeded`
-        // from a slice means "time to scan", not "stalled". An armed-but-
-        // never-blocked run pays nothing for this: a slice whose first
-        // probe succeeds is the same one acquire-load as an unarmed get.
-        let slice = WaitCx {
-            deadline: Some(st.policy.min_wait_before_steal),
-            ..*cx
-        };
-        let mut agg = WaitResult::READY;
-        let mut steals = 0usize;
-        let mut empty = 0usize;
-        while steals < st.policy.max_steals && empty < EMPTY_SCAN_LIMIT {
-            agg = then(agg, get_word_cx(s, expected, writes, &slice));
-            // Done, aborted — or the real watchdog, whose clock runs over
-            // the whole wait, expired.
-            if agg.verdict != WaitVerdict::DeadlineExceeded
-                || cx.deadline.is_some_and(|d| burned(&agg) >= d)
-            {
-                return agg;
-            }
-            if self.try_steal_one() {
-                steals += 1;
-                empty = 0;
-            } else {
-                empty += 1;
-            }
-        }
-        // Budget exhausted: the rest of the wait runs without a slice
-        // (minus the watchdog time already burned).
-        let rest = WaitCx {
-            deadline: cx.deadline.map(|d| d.saturating_sub(burned(&agg))),
-            ..*cx
-        };
-        then(agg, get_word_cx(s, expected, writes, &rest))
-    }
-
-    /// One scan-and-claim attempt: walk victims' programs from their
-    /// published cursors. Expected words are precompiled, so pricing a
-    /// candidate is one masked acquire-load per access with no simulation
-    /// — every access: a program compiled with stealing armed elides no
-    /// guard. Stale cursors are safe: everything a victim already executed
-    /// is claimed (the owner claims before running), so re-scanning it
-    /// merely wastes window budget. Returns `true` when a foreign task
-    /// was claimed and executed in place.
-    fn try_steal_one(&mut self) -> bool {
-        // A tearing-down run must not start new bodies: the abort wakes
-        // every waiter, so stealing past it would run a task whose owner
-        // (and its waiters) already abandoned the flow.
-        if self.abort.armed() {
-            return false;
-        }
-        let (st, claims) = self.steal.zip(self.claims).expect("armed");
-        let programs = &st.flow.programs;
-        let tasks = st.flow.graph().tasks();
-        let me = self.me.index();
-        let workers = programs.len();
-        let shared = self.shared;
-        // Victim preference: the policy's (doctor-seeded) order first,
-        // then round-robin from our successor. Duplicates only waste
-        // window budget.
-        let preferred = st.policy.victims.as_deref().unwrap_or(&[]).iter().copied();
-        let successors = (0..workers).map(|i| ((me + 1 + i) % workers) as u32);
-        let mut budget = st.policy.window;
-        for v in preferred.chain(successors) {
-            let v = v as usize;
-            if v == me || v >= workers || budget == 0 {
-                continue;
-            }
-            let pc = st.cursors[v].0.load(std::sync::atomic::Ordering::Relaxed);
-            for r in programs[v].iter().skip(pc) {
-                if budget == 0 {
-                    break;
-                }
-                budget -= 1;
-                let ti = r.task as usize;
-                if claims.table.claimant(ti, claims.epoch).is_some() {
-                    continue;
-                }
-                let accesses = st.flow.accesses(r);
-                if !guards_open(shared, accesses) {
-                    continue;
-                }
-                if claims.table.try_claim(ti, claims.epoch, me as u32) {
-                    if let Some(c) = self.ctr {
-                        c.inc_steals();
-                    }
-                    self.unmapped_claims.0 += u64::from(accesses.unmapped);
-                    let (t, worker) = (&tasks[ti], self.me);
-                    self.flight_event(FlightEventKind::Steal, t.id, None);
-                    // The body under the same containment/recovery as an
-                    // owned task, then its terminates. No guard waits:
-                    // readiness was verified and is monotonic until these
-                    // publications.
-                    if self.run_body(t.id, accesses.plans, || (st.kernel)(worker, t)) {
-                        self.publish_task(t.id, accesses);
-                    }
-                    return true;
-                }
-                if let Some(c) = self.ctr {
-                    c.inc_steal_aborts();
-                }
-            }
-        }
-        false
     }
 
     /// Consumes the context into the worker's report, at the end of the
@@ -1233,142 +1067,5 @@ mod poison_tests {
         });
         // The RW chain serializes execution, so nothing past T10 ran.
         assert!(highest.load(Ordering::Relaxed) < 10);
-    }
-}
-
-#[cfg(test)]
-mod steal_tests {
-    use super::*;
-    use crate::wait::WaitStrategy;
-    use rio_stf::{Access, DataId, DataStore, RoundRobin, TaskGraph};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    /// A figure that forces a steal: W0's first task is slow, W1's first
-    /// task waits on it, and W0 has ready independent work queued behind.
-    /// While blocked, W1 must find and claim that work.
-    fn steal_bait() -> TaskGraph {
-        let mut b = TaskGraph::builder(6);
-        b.task(&[Access::write(DataId(0))], 1, "slow"); // T1 → W0
-        b.task(&[Access::read(DataId(0))], 1, "blocked"); // T2 → W1
-        for d in 2..6u32 {
-            b.task(&[Access::write(DataId(d))], 1, "indep"); // T3..T6 alternate
-        }
-        b.build()
-    }
-
-    fn steal_cfg() -> RioConfig {
-        RioConfig::with_workers(2)
-            .wait(WaitStrategy::Park)
-            .stealing(crate::steal::StealPolicy::new().min_wait_before_steal(Duration::ZERO))
-    }
-
-    #[test]
-    fn blocked_worker_steals_ready_foreign_tasks() {
-        let g = steal_bait();
-        let hits = Mutex::new(Vec::new());
-        let report = execute_graph(&steal_cfg(), &g, &RoundRobin, |w, t| {
-            if t.kind == "slow" {
-                std::thread::sleep(Duration::from_millis(30));
-            }
-            hits.lock().unwrap().push((w, t.id));
-        });
-        let hits = hits.into_inner().unwrap();
-        assert_eq!(hits.len(), 6, "every task ran exactly once");
-        assert_eq!(report.tasks_executed(), 6);
-        // W0 sleeps 30ms on T1 while W1 (blocked on D0 with a zero steal
-        // fuse) scans forward and claims W0's ready independent tasks —
-        // or T1 itself, when W1's scan beats W0's thread to its first
-        // claim.
-        let t = report.counters.total();
-        assert!(t.steals >= 1, "expected at least one steal, got {t:?}");
-        let stolen: Vec<_> = hits
-            .iter()
-            .filter(|(w, id)| w.index() == 1 && id.0 % 2 == 1)
-            .collect();
-        assert!(
-            !stolen.is_empty(),
-            "W1 should have executed some of W0's tasks: {hits:?}"
-        );
-    }
-
-    #[test]
-    fn compiled_run_steals_too() {
-        let g = steal_bait();
-        let flow = crate::executor::Executor::new(steal_cfg())
-            .mapping(&RoundRobin)
-            .compile(&g);
-        let count = AtomicU64::new(0);
-        let run = flow.run(|_, t| {
-            if t.kind == "slow" {
-                std::thread::sleep(Duration::from_millis(30));
-            }
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 6);
-        let t = run.counters.total();
-        assert!(t.steals >= 1, "expected at least one steal, got {t:?}");
-    }
-
-    #[test]
-    fn unmapped_tasks_are_stolen_like_any_other() {
-        // The bait with only its dependent pair pinned: the independent
-        // tasks have no home worker, sit in both programs behind the
-        // pair, and W1 — blocked on T2 — finds them in W0's.
-        use crate::hybrid::PartialFn;
-        let g = steal_bait();
-        let pair = PartialFn(|t: rio_stf::TaskId, _| (t.0 <= 2).then(|| WorkerId(t.0 as u32 - 1)));
-        let flow = crate::executor::Executor::new(steal_cfg())
-            .hybrid(&pair)
-            .compile(&g);
-        let hits = Mutex::new(Vec::new());
-        let run = flow.run(|w, t| {
-            if t.kind == "slow" {
-                std::thread::sleep(Duration::from_millis(30));
-            }
-            hits.lock().unwrap().push((w, t.id));
-        });
-        let mut ran: Vec<u64> = hits.into_inner().unwrap().iter().map(|h| h.1 .0).collect();
-        ran.sort_unstable();
-        assert_eq!(ran, [1, 2, 3, 4, 5, 6], "every task ran exactly once");
-        let t = run.counters.total();
-        assert!(t.steals >= 1, "expected at least one steal, got {t:?}");
-        let stats = run.hybrid.expect("a partial mapping reports claims");
-        assert_eq!(stats.claimed_per_worker.iter().sum::<u64>(), 4);
-    }
-
-    #[test]
-    fn stealing_preserves_sequential_semantics_under_contention() {
-        // The 1000-task increment chain, now with stealing armed and an
-        // aggressive fuse: any double execution or missed claim breaks the
-        // final count.
-        let n = 1000u64;
-        let g = crate::testing::chain(n as usize);
-        let store = DataStore::from_vec(vec![0u64]);
-        let cfg = RioConfig::with_workers(4)
-            .wait(WaitStrategy::Park)
-            .stealing(crate::steal::StealPolicy::new().min_wait_before_steal(Duration::ZERO));
-        execute_graph(&cfg, &g, &RoundRobin, |_, _| {
-            *store.write(DataId(0)) += 1;
-        });
-        assert_eq!(store.into_vec(), vec![n]);
-    }
-
-    #[test]
-    fn stolen_task_panic_still_aborts_the_run() {
-        let g = steal_bait();
-        let cfg = steal_cfg();
-        let result = catch_unwind(|| {
-            execute_graph(&cfg, &g, &RoundRobin, |_, t| {
-                if t.kind == "slow" {
-                    std::thread::sleep(Duration::from_millis(30));
-                }
-                if t.id.0 == 3 {
-                    panic!("boom in a likely-stolen task");
-                }
-            });
-        });
-        assert!(result.is_err());
     }
 }

@@ -23,8 +23,8 @@
 //! * the cost is one shared CAS per unmapped task per worker (lost races
 //!   are a single failed CAS), restoring a slice of the out-of-order
 //!   model's adaptivity while keeping the in-order model's O(1) per-data
-//!   state. It is stealing with no home worker, through the same slots
-//!   and the same claim-before-guard rule, so the two compose.
+//!   state. The one rule: a task is claimed before any guard iff it is
+//!   unmapped; a mapped task never touches a slot.
 //!
 //! The exactly-once and termination arguments are in DESIGN.md §9.
 

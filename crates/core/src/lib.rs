@@ -100,7 +100,6 @@ pub use hybrid::{validate_partial_mapping, HybridStats, PartialMapping};
 pub use report::{ExecReport, OpCounts, WorkerReport};
 pub use rio_trace::{Trace, TraceConfig, WorkerTrace};
 pub use status::StatusTable;
-pub use steal::StealPolicy;
 pub use wait::WaitStrategy;
 
 /// The flows the unit tests keep building.
@@ -191,7 +190,6 @@ pub mod prelude {
     };
     pub use crate::report::{ExecReport, OpCounts, WorkerReport};
     pub use crate::status::StatusTable;
-    pub use crate::steal::StealPolicy;
     pub use crate::wait::WaitStrategy;
     pub use rio_stf::{
         validate_mapping, Access, AccessMode, DataId, DataStore, ExecError, FailedTask,

@@ -92,7 +92,7 @@ use rio_stf::{DataId, ExecError, FailedTask, PartialReport, StallDiagnostic, Tas
 use crate::flight::FlightRecorder;
 use crate::futex::EventCount;
 use crate::status::WaitWatch;
-use crate::wait::{WaitStrategy, PARK_COST};
+use crate::wait::WaitStrategy;
 
 /// Mask selecting the `last_executed_write` half of an epoch word — the
 /// part a `get_read` compares ([`expected_read_word`]).
@@ -558,13 +558,11 @@ impl SharedDataState {
 
     /// Is the epoch guard satisfied *right now* — does the epoch word
     /// agree with `expected` on every bit of `mask`? One masked
-    /// acquire-load — the probe every `get_*` starts with and the steal
-    /// layer ([`crate::steal`]) prices foreign tasks with. `expected`'s
+    /// acquire-load — the probe every `get_*` starts with. `expected`'s
     /// bits outside `mask` are ignored, so a read guard may be handed the
     /// whole packed private view ([`expected_write_word`]) as well as
     /// [`expected_read_word`]. Satisfaction is monotonic until the guarded
-    /// task's own `terminate_*` calls run, so a `true` stays `true` for
-    /// whoever claims the task.
+    /// task's own `terminate_*` calls run.
     #[inline]
     pub fn satisfied(&self, expected: u64, mask: u64) -> bool {
         self.ready(expected, mask, Ordering::Acquire)
@@ -663,27 +661,16 @@ fn wait_loop(
         }
     };
     // The pure-spin phase: all there is to `Spin`, a `Park` wait's first
-    // `spin_limit` polls. It honours the deadline too: a budget sized to
-    // a park (`crate::wait`) would otherwise swallow the steal layer's
-    // short slices whole. The clock read is amortized over `CLOCK_EVERY`
-    // polls, about a microsecond of spinning.
+    // `spin_limit` polls. It honours the deadline too, so a watchdog fires
+    // on time under `Spin`, and a budget sized to a park (`crate::wait`)
+    // does not hold an expired watchdog back. The clock read is amortized
+    // over `CLOCK_EVERY` polls, about a microsecond of spinning.
     const CLOCK_EVERY: u64 = 64;
     let mut polls: u64 = 0;
     while cx.strategy == WaitStrategy::Spin || polls < u64::from(cx.spin_limit) {
         std::hint::spin_loop();
         polls += 1;
         if let Some(verdict) = poll(Ordering::Acquire, polls.is_multiple_of(CLOCK_EVERY)) {
-            return done(polls, 0, verdict);
-        }
-    }
-    // A deadline's rest shorter than a park is not slept — its timer
-    // wake-up would preempt the producer waited for (measured on steal
-    // slices) — but probed with the core yielded in between; the clock on
-    // every probe, as one yield can swallow a whole scheduling quantum.
-    while left().is_some_and(|rest| rest < PARK_COST) {
-        std::thread::yield_now();
-        polls += 1;
-        if let Some(verdict) = poll(Ordering::Acquire, true) {
             return done(polls, 0, verdict);
         }
     }
@@ -836,8 +823,8 @@ pub fn terminate_read(
 
 /// The shared half of [`terminate_read`] alone: publish the performed
 /// read without touching any private view. What a compiled program's
-/// terminate is (it keeps no private view), for every task — owned,
-/// claimed or stolen. Wake-elision behaviour is identical to
+/// terminate is (it keeps no private view), for every task — owned or
+/// claimed. Wake-elision behaviour is identical to
 /// [`terminate_read`]'s: the strategy is the data object's (shared by
 /// every worker of the run), not the caller's.
 #[inline]
@@ -1402,19 +1389,12 @@ mod tests {
 
     #[test]
     fn the_spin_phase_honours_a_short_deadline() {
-        // The steal layer's slices: a deadline far shorter than the spin
-        // budget must end the wait on time, for every strategy — and so
-        // must one the budget ends before (an oversubscribed run's), with
-        // no sleep: a rest shorter than a park is yielded. Timing on a
-        // shared host is noisy, so the fastest of a few tries counts.
+        // A watchdog deadline far shorter than the spin budget ends the
+        // wait on time, spinning, under either strategy. Timing on a shared
+        // host is noisy, so the fastest of a few tries counts.
         let slice = Duration::from_micros(20);
         let (shared, flag) = (SharedDataState::default(), ok());
-        for (strategy, spin_limit) in [
-            (WaitStrategy::Spin, 4096),
-            (WaitStrategy::Park, 4096),
-            (WaitStrategy::Park, u32::MAX),
-            (WaitStrategy::Park, 0),
-        ] {
+        for (strategy, spin_limit) in [(WaitStrategy::Spin, 4096), (WaitStrategy::Park, u32::MAX)] {
             let cx = WaitCx {
                 spin_limit,
                 deadline: Some(slice),

@@ -52,7 +52,7 @@ impl OpCounts {
 pub struct WorkerReport {
     /// The worker.
     pub worker: WorkerId,
-    /// Tasks this worker executed (mapped to it, claimed or stolen).
+    /// Tasks this worker executed (mapped to it or claimed).
     pub tasks_executed: u64,
     /// Instructions of its program this worker reached: its own tasks,
     /// plus the claim-marked ones of a partial mapping (whether or not it

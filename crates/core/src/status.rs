@@ -31,11 +31,9 @@ struct WorkerStatus {
     executed: AtomicU64,
     /// `DataId.0` of the object currently waited on, or [`NO_DATA`].
     waiting_on: AtomicU64,
-    /// The worker's steal counter at its last progress tick — a stall
+    /// The worker's retry counter at its last progress tick — a stall
     /// diagnostic subtracts this from the live counter to show activity
     /// *since* the worker last completed anything.
-    steals_at_tick: AtomicU64,
-    /// The worker's retry counter at its last progress tick.
     retries_at_tick: AtomicU64,
 }
 
@@ -45,7 +43,6 @@ impl Default for WorkerStatus {
             last_completed: AtomicU64::new(TaskId::NONE.0),
             executed: AtomicU64::new(0),
             waiting_on: AtomicU64::new(NO_DATA),
-            steals_at_tick: AtomicU64::new(0),
             retries_at_tick: AtomicU64::new(0),
         }
     }
@@ -80,23 +77,15 @@ impl StatusTable {
     }
 
     /// Records that `worker` completed the body of `task`, its
-    /// `executed`-th so far. `steals`/`retries` are the worker's live
-    /// counter values at this tick (pass 0 without counters): a later
-    /// stall diagnostic renders the *delta* since this tick, so a report
-    /// distinguishes "stuck waiting" from a steal/retry storm.
+    /// `executed`-th so far. `retries` is the worker's live counter value
+    /// at this tick (pass 0 without counters): a later stall diagnostic
+    /// renders the *delta* since this tick, so a report distinguishes
+    /// "stuck waiting" from a retry storm.
     #[inline]
-    pub fn completed(
-        &self,
-        worker: WorkerId,
-        task: TaskId,
-        executed: u64,
-        steals: u64,
-        retries: u64,
-    ) {
+    pub fn completed(&self, worker: WorkerId, task: TaskId, executed: u64, retries: u64) {
         let slot = &self.slots[worker.index()];
         slot.last_completed.store(task.0, Ordering::Relaxed);
         slot.executed.store(executed, Ordering::Relaxed);
-        slot.steals_at_tick.store(steals, Ordering::Relaxed);
         slot.retries_at_tick.store(retries, Ordering::Relaxed);
     }
 
@@ -123,8 +112,8 @@ impl StatusTable {
     }
 
     /// Like [`StatusTable::snapshot`], but with the run's counter
-    /// registry: each worker's row also carries its steal/retry counter
-    /// deltas since its last progress tick. Saturating — a tick stored
+    /// registry: each worker's row also carries its retry counter delta
+    /// since its last progress tick. Saturating — a tick stored
     /// after the live counters were sampled must read as "no activity",
     /// never wrap.
     pub fn snapshot_with(&self, registry: Option<&CounterRegistry>) -> Vec<WorkerSnapshot> {
@@ -142,7 +131,6 @@ impl StatusTable {
                     last_completed: TaskId(slot.last_completed.load(Ordering::Relaxed)),
                     tasks_executed: slot.executed.load(Ordering::Relaxed),
                     waiting_on: (waiting != NO_DATA).then_some(DataId(waiting as u32)),
-                    steals_since_tick: ctr.map_or(0, |c| since(c.steals(), &slot.steals_at_tick)),
                     retries_since_tick: ctr
                         .map_or(0, |c| since(c.retries(), &slot.retries_at_tick)),
                 }
@@ -171,7 +159,7 @@ mod tests {
     #[test]
     fn updates_are_visible_in_the_snapshot() {
         let t = StatusTable::new(2);
-        t.completed(WorkerId(0), TaskId(7), 4, 0, 0);
+        t.completed(WorkerId(0), TaskId(7), 4, 0);
         t.begin_wait(WorkerId(1), DataId(3));
         let snap = t.snapshot();
         assert_eq!(snap[0].last_completed, TaskId(7));
@@ -185,33 +173,22 @@ mod tests {
     fn counter_deltas_measure_activity_since_the_last_tick() {
         let reg = CounterRegistry::new(2);
         let t = StatusTable::new(2);
-        // W0 ticks with 2 steals / 1 retry recorded, then keeps stealing
-        // and retrying without completing anything: the snapshot shows
-        // the storm as a delta.
-        reg.worker(0).inc_steals();
-        reg.worker(0).inc_steals();
+        // W0 ticks with 2 retries recorded, then keeps retrying without
+        // completing anything: the snapshot shows the storm as a delta.
         reg.worker(0).inc_retries();
-        t.completed(
-            WorkerId(0),
-            TaskId(3),
-            1,
-            reg.worker(0).steals(),
-            reg.worker(0).retries(),
-        );
+        reg.worker(0).inc_retries();
+        t.completed(WorkerId(0), TaskId(3), 1, reg.worker(0).retries());
         for _ in 0..5 {
-            reg.worker(0).inc_steals();
+            reg.worker(0).inc_retries();
         }
-        reg.worker(0).inc_retries();
         let snap = t.snapshot_with(Some(&reg));
-        assert_eq!(snap[0].steals_since_tick, 5);
-        assert_eq!(snap[0].retries_since_tick, 1);
+        assert_eq!(snap[0].retries_since_tick, 5);
         // W1 never ticked: its whole history counts as "since tick".
         reg.worker(1).inc_retries();
         let snap = t.snapshot_with(Some(&reg));
         assert_eq!(snap[1].retries_since_tick, 1);
         // Without a registry the deltas stay zero.
         let plain = t.snapshot();
-        assert_eq!(plain[0].steals_since_tick, 0);
         assert_eq!(plain[0].retries_since_tick, 0);
     }
 

@@ -32,10 +32,9 @@
 //! keep the short [`WaitStrategy::DEFAULT_SPIN_LIMIT`]. Either default
 //! yields to an explicit [`crate::RioConfig::spin_limit`] or
 //! [`crate::protocol::WaitCx::spin_limit`] — zero included, which sleeps
-//! at once; but no deadline's rest shorter than a park is slept (a steal
-//! slice's): it is yield-polled. Strategy and budget are one pair per
-//! run, shared by every worker, which is what lets a `terminate_*` under
-//! `Spin` skip the waiter check.
+//! at once. Strategy and budget are one pair per run, shared by every
+//! worker, which is what lets a `terminate_*` under `Spin` skip the waiter
+//! check.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -65,9 +64,8 @@ impl WaitStrategy {
 
 /// What one park costs a worker inside a run, sleep to resumed — the
 /// measured `idle / parks` of a fine-grained run (EXPERIMENTS.md "PR 18")
-/// — and so how long the default spin phase lasts (module docs), and the
-/// shortest deadline rest a `Park` wait sleeps for.
-pub(crate) const PARK_COST: Duration = Duration::from_micros(25);
+/// — and so how long the default spin phase lasts (module docs).
+const PARK_COST: Duration = Duration::from_micros(25);
 
 /// This process's hardware threads and the polls that fill [`PARK_COST`]
 /// on them, measured once.

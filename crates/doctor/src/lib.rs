@@ -67,7 +67,7 @@ pub mod waits;
 pub use critical::CriticalPath;
 pub use durations::Durations;
 pub use quality::{MappingQuality, WorkerLoad};
-pub use report::{DoctorReport, RecoverySummary, StealingSummary};
+pub use report::{DoctorReport, RecoverySummary};
 pub use waits::BlockedObject;
 
 use rio_stf::deps::DepGraph;
@@ -169,7 +169,6 @@ pub fn diagnose_with_nodes(
         suggested,
         moves,
         recovery: None,
-        stealing: None,
     }
 }
 

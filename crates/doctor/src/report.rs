@@ -45,9 +45,6 @@ pub struct DoctorReport {
     /// Recovery attribution (`None` when the run neither retried nor
     /// degraded); see [`DoctorReport::with_recovery`].
     pub recovery: Option<RecoverySummary>,
-    /// Work-stealing attribution (`None` when stealing never fired);
-    /// see [`DoctorReport::with_stealing`].
-    pub stealing: Option<StealingSummary>,
 }
 
 /// What graceful degradation cost one run: how much wall time went into
@@ -70,90 +67,10 @@ pub struct RecoverySummary {
     pub retry_time_ns: u64,
 }
 
-/// What the bounded work-stealing layer did in one run: how many foreign
-/// tasks thieves claimed and ran, how many claim races they lost, and how
-/// much blocked wall time the claims plausibly converted into useful work.
-///
-/// Built by [`DoctorReport::with_stealing`] from the run's `steals` /
-/// `steal_aborts` counter totals.
-#[derive(Debug, Clone, Default)]
-pub struct StealingSummary {
-    /// Foreign tasks claimed and executed by blocked workers.
-    pub steals: u64,
-    /// Claim CASes lost to the owner or another thief.
-    pub steal_aborts: u64,
-    /// Wait time overlapped with stolen work, ns (the run's total wait
-    /// time capped by what the steals could have covered; a coarse upper
-    /// bound on the rebalance benefit).
-    pub recovered_wall_ns: u64,
-}
-
 impl DoctorReport {
     /// The suggested remap as a runnable [`TableMapping`].
     pub fn suggested_mapping(&self) -> TableMapping {
         TableMapping::new(self.suggested.clone())
-    }
-
-    /// Attributes the run's work-stealing activity from its `steals` /
-    /// `steal_aborts` counter totals. A run where the layer never fired
-    /// (or was never armed) keeps `stealing` at `None` so the report
-    /// renders unchanged, mirroring [`DoctorReport::with_recovery`].
-    pub fn with_stealing(mut self, steals: u64, steal_aborts: u64) -> DoctorReport {
-        self.stealing = if steals == 0 && steal_aborts == 0 {
-            None
-        } else {
-            // Every steal overlapped some blocked wait with foreign work;
-            // the per-worker wait total bounds how much wall the layer
-            // could have recovered.
-            let waited: u64 = self.quality.per_worker.iter().map(|w| w.wait_ns).sum();
-            let busy: u64 = self.quality.per_worker.iter().map(|w| w.busy_ns).sum();
-            let per_task = busy / (self.tasks.max(1) as u64);
-            Some(StealingSummary {
-                steals,
-                steal_aborts,
-                recovered_wall_ns: waited.min(steals * per_task),
-            })
-        };
-        self
-    }
-
-    /// Victim order for `rio_core::StealPolicy::victim_order`, seeded
-    /// from this report: workers ranked by busy time descending, so
-    /// thieves scan the most overloaded programs first. (Cross-worker
-    /// edges already decide *which* data blocks; the heaviest worker is
-    /// where ready-but-queued tasks accumulate.)
-    pub fn steal_victims(&self) -> Vec<u32> {
-        self.steal_victims_with_nodes(&[])
-    }
-
-    /// [`DoctorReport::steal_victims`] with a topology tie-break: workers
-    /// still rank by busy time descending, but ties resolve by topology
-    /// distance from the heaviest worker (same NUMA node first, then node
-    /// index ascending) before falling back to worker id. `nodes[w]` is
-    /// worker `w`'s node; workers past the slice's end (or an empty
-    /// slice) count as node 0, which reduces this to the flat ordering.
-    pub fn steal_victims_with_nodes(&self, nodes: &[u32]) -> Vec<u32> {
-        let node_of = |w: u32| nodes.get(w as usize).copied().unwrap_or(0);
-        let mut v: Vec<&crate::quality::WorkerLoad> = self.quality.per_worker.iter().collect();
-        let home = v
-            .iter()
-            .max_by(|a, b| a.busy_ns.cmp(&b.busy_ns).then(b.worker.cmp(&a.worker)))
-            .map(|w| node_of(w.worker))
-            .unwrap_or(0);
-        let dist = |w: u32| {
-            let n = node_of(w);
-            // Same node as the heaviest worker beats every other node;
-            // among foreign nodes, lower index first (a deterministic
-            // stand-in for a real distance matrix).
-            (n != home, n)
-        };
-        v.sort_by(|a, b| {
-            b.busy_ns
-                .cmp(&a.busy_ns)
-                .then_with(|| dist(a.worker).cmp(&dist(b.worker)))
-                .then(a.worker.cmp(&b.worker))
-        });
-        v.into_iter().map(|w| w.worker).collect()
     }
 
     /// Attributes the run's recovery activity: `partial` is the
@@ -295,15 +212,6 @@ impl DoctorReport {
             out.push_str(&t.render());
         }
 
-        if let Some(st) = &self.stealing {
-            out.push_str("\nstealing:\n");
-            let mut t = Table::new(["metric", "value"]);
-            t.row(["steals".to_string(), st.steals.to_string()]);
-            t.row(["claim races lost".to_string(), st.steal_aborts.to_string()]);
-            t.row(["recovered wall".to_string(), fmt_ns(st.recovered_wall_ns)]);
-            out.push_str(&t.render());
-        }
-
         let _ = writeln!(
             out,
             "\nsuggested remap: {} of {} tasks move (greedy earliest-finish)",
@@ -384,17 +292,6 @@ impl DoctorReport {
                     "  \"recovery\": {{\"failed\": {}, \"skipped\": {}, \
                      \"poisoned\": {}, \"retries\": {}, \"retry_time_ns\": {}}},",
                     rec.failed, rec.skipped, rec.poisoned, rec.retries, rec.retry_time_ns
-                );
-            }
-        }
-        match &self.stealing {
-            None => o.push_str("  \"stealing\": null,\n"),
-            Some(st) => {
-                let _ = writeln!(
-                    o,
-                    "  \"stealing\": {{\"steals\": {}, \"steal_aborts\": {}, \
-                     \"recovered_wall_ns\": {}}},",
-                    st.steals, st.steal_aborts, st.recovered_wall_ns
                 );
             }
         }
@@ -522,67 +419,6 @@ mod tests {
         let json = degraded.to_json();
         assert!(json.contains("\"recovery\": {\"failed\": 1, \"skipped\": 1"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn stealing_attribution_is_opt_in_and_rendered() {
-        // The layer never fired (or was off): the report is unchanged.
-        let clean = sample_report().with_stealing(0, 0);
-        assert!(clean.stealing.is_none());
-        assert!(!clean.render().contains("stealing:"));
-        assert!(clean.to_json().contains("\"stealing\": null"));
-
-        // Steals happened: both counters and the recovered-wall bound
-        // show up in text and JSON.
-        let stolen = sample_report().with_stealing(5, 2);
-        let st = stolen.stealing.clone().unwrap();
-        assert_eq!((st.steals, st.steal_aborts), (5, 2));
-        // sample_report has 1500ns of wait; the bound never exceeds it.
-        assert!(st.recovered_wall_ns <= 1_500);
-        let text = stolen.render();
-        assert!(text.contains("stealing:"));
-        assert!(text.contains("claim races lost"));
-        let json = stolen.to_json();
-        assert!(json.contains("\"stealing\": {\"steals\": 5, \"steal_aborts\": 2"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-
-        // Lost races alone still warrant a section: contention with zero
-        // payoff is exactly what the user needs to see.
-        assert!(sample_report().with_stealing(0, 9).stealing.is_some());
-    }
-
-    #[test]
-    fn steal_victims_rank_the_heaviest_workers_first() {
-        let r = sample_report();
-        // W0 is busy 1500ns, W1 1000ns → W0 first.
-        assert_eq!(r.steal_victims(), vec![0, 1]);
-    }
-
-    #[test]
-    fn steal_victim_ties_break_by_topology_distance_then_worker_id() {
-        // Four equally-busy workers on two nodes. Heaviest-by-tie-break
-        // is W0 (node 0), so the node-aware order keeps node 0 first.
-        let mut r = sample_report();
-        r.quality.per_worker = (0..4)
-            .map(|w| crate::quality::WorkerLoad {
-                worker: w,
-                tasks: 1,
-                busy_ns: 1_000,
-                wait_ns: 0,
-                park_ns: 0,
-            })
-            .collect();
-        // Without nodes (or all node 0) the tie-break is pure worker id,
-        // matching the pre-topology ordering exactly.
-        assert_eq!(r.steal_victims(), vec![0, 1, 2, 3]);
-        assert_eq!(r.steal_victims_with_nodes(&[0, 0, 0, 0]), vec![0, 1, 2, 3]);
-        // Interleaved nodes [0, 1, 0, 1]: same-node peers of the
-        // heaviest worker come before cross-node ones.
-        assert_eq!(r.steal_victims_with_nodes(&[0, 1, 0, 1]), vec![0, 2, 1, 3]);
-        // Busy time still dominates: a hot cross-node worker outranks a
-        // cold same-node one.
-        r.quality.per_worker[1].busy_ns = 9_000;
-        assert_eq!(r.steal_victims_with_nodes(&[0, 1, 0, 1]), vec![1, 3, 0, 2]);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub fn assert_flight_consistent(flight: &FlightLog, ctx: &str) {
                         e.kind
                     );
                 }
-                FlightEventKind::Steal | FlightEventKind::Abort => {}
+                FlightEventKind::Abort => {}
             }
         }
     }

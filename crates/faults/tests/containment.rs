@@ -484,112 +484,6 @@ fn the_seeded_recovery_corpus_degrades_instead_of_hanging() {
     }
 }
 
-/// ISSUE satellite (stealing): the same ≥100-seed recovery corpus with
-/// the steal layer armed as a storm (zero pre-steal wait, flow-sized
-/// window) on top of the seeded transient/permanent failures, worker
-/// delays and wake-up storms. The chain keeps exactly one task ready at
-/// a time, so blocked workers constantly race the owner for it — and a
-/// seeded failure regularly fires *on a thief*. Required outcome: zero
-/// hangs, and the exact same deterministic degradation as the unarmed
-/// corpus — same blamed task, same exhausted retry budget, same poisoned
-/// datum, same skipped cone, same store — because poison is decided at
-/// write epochs, not by which worker happened to run the body.
-#[test]
-fn the_seeded_recovery_corpus_is_unchanged_under_steal_storms() {
-    const SEEDS: u64 = 100;
-    const TASKS: usize = 64;
-    const WORKERS: usize = 8;
-    let policy = RecoveryPolicy::default()
-        .backoff(Duration::from_micros(10))
-        .max_backoff(Duration::from_micros(100));
-    let storm = StealPolicy::new()
-        .min_wait_before_steal(Duration::ZERO)
-        .window(1 << 16)
-        .max_steals(1 << 16);
-    let mut corpus_steals = 0u64;
-    for seed in 0..SEEDS {
-        let plan = FaultPlan::seeded_recovery(seed, TASKS, WORKERS);
-        let permanent = plan.always_failing_tasks();
-        let g = chain_graph(TASKS);
-        let store = DataStore::from_vec(vec![0u64]);
-        let t0 = Instant::now();
-        let run = Executor::new(
-            RioConfig::with_workers(WORKERS)
-                .wait(WaitStrategy::Park)
-                .fault_hook(plan.handle())
-                .recovery(policy.clone())
-                .stealing(storm.clone()),
-        )
-        .watchdog(BACKSTOP)
-        .try_run(&g, |_, t| {
-            let d = t.accesses[0].data;
-            *store.write(d) += 1;
-        })
-        .unwrap_or_else(|e| panic!("seed {seed}: steal-armed recovery run errored: {e}"));
-        let elapsed = t0.elapsed();
-        assert!(
-            elapsed < BACKSTOP,
-            "seed {seed}: run took {elapsed:?} — possible lost wakeup under stealing"
-        );
-        corpus_steals += run.counters.total().steals;
-        match run.outcome.partial() {
-            None => {
-                assert!(
-                    permanent.is_empty(),
-                    "seed {seed}: permanent failure at {} vanished under stealing",
-                    permanent[0]
-                );
-                assert_eq!(
-                    store.into_vec(),
-                    vec![TASKS as u64],
-                    "seed {seed}: steal-armed recovered run lost writes"
-                );
-                assert!(run.outcome.is_complete(), "seed {seed}");
-            }
-            Some(partial) => {
-                assert_eq!(permanent.len(), 1, "seed {seed}: unplanned degradation");
-                let failed = permanent[0];
-                assert_eq!(partial.failed.len(), 1, "seed {seed}");
-                assert_eq!(
-                    partial.failed[0].task, failed,
-                    "seed {seed}: wrong task blamed under stealing"
-                );
-                assert_eq!(
-                    partial.failed[0].retries, 3,
-                    "seed {seed}: retry budget not exhausted before giving up"
-                );
-                assert_eq!(
-                    partial.failed[0].detail.kind(),
-                    "task-failed",
-                    "seed {seed}"
-                );
-                assert_eq!(
-                    partial.poisoned,
-                    vec![DataId(0)],
-                    "seed {seed}: poison cone depends on who ran the body"
-                );
-                let cone: Vec<TaskId> = (failed.0 + 1..=TASKS as u64).map(TaskId).collect();
-                assert_eq!(
-                    partial.skipped, cone,
-                    "seed {seed}: skip-but-sync cone mismatch under stealing"
-                );
-                assert_eq!(
-                    store.into_vec(),
-                    vec![failed.index() as u64],
-                    "seed {seed}: store shows writes inside the poisoned cone"
-                );
-            }
-        }
-    }
-    // The corpus must actually have exercised the layer: with a zero
-    // pre-steal wait on a serial chain, 100 seeded runs cannot all have
-    // resolved every wait before a scan fired.
-    assert!(
-        corpus_steals > 0,
-        "the steal storm never stole across the whole corpus"
-    );
-}
-
 /// ISSUE satellite: multi-tenant isolation. Two independent `Executor`s
 /// run concurrently on separate stores; one tenant suffers a seeded
 /// panic storm (half the rounds aborting, half degrading under a

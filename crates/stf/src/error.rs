@@ -352,11 +352,6 @@ pub struct WorkerSnapshot {
     pub tasks_executed: u64,
     /// The data object this worker was blocked on, if it was blocked.
     pub waiting_on: Option<DataId>,
-    /// Steals this worker performed since its last progress tick
-    /// (0 when the runtime does not track counters). A stall report with
-    /// large deltas here shows a worker that kept *doing* things without
-    /// completing its own tasks — a steal storm, not a dead wait.
-    pub steals_since_tick: u64,
     /// Retry attempts since the last progress tick — distinguishes a
     /// retry storm (recovery churning on a failing task) from a worker
     /// that is simply blocked.
@@ -373,12 +368,8 @@ impl fmt::Display for WorkerSnapshot {
         if let Some(d) = self.waiting_on {
             write!(f, ", blocked on {d}")?;
         }
-        if self.steals_since_tick > 0 || self.retries_since_tick > 0 {
-            write!(
-                f,
-                ", since tick: +{} steals, +{} retries",
-                self.steals_since_tick, self.retries_since_tick
-            )?;
+        if self.retries_since_tick > 0 {
+            write!(f, ", since tick: +{} retries", self.retries_since_tick)?;
         }
         Ok(())
     }
@@ -529,7 +520,6 @@ mod tests {
                 last_completed: TaskId(7),
                 tasks_executed: 4,
                 waiting_on: Some(DataId(4)),
-                steals_since_tick: 0,
                 retries_since_tick: 3,
             }],
             flight: FlightLog {

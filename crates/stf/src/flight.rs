@@ -23,8 +23,7 @@ use crate::ids::{DataId, TaskId, WorkerId};
 /// What happened, in one protocol-level word.
 ///
 /// The set deliberately mirrors the decentralized protocol's observable
-/// transitions (task lifecycle, parking, steal claims, poisoning,
-/// aborts) rather than the full trace vocabulary: a flight recorder
+/// transitions (task lifecycle, parking, poisoning, aborts) rather than the full trace vocabulary: a flight recorder
 /// answers "what was this worker doing just before the failure", not
 /// "where did the time go".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -37,8 +36,6 @@ pub enum FlightEventKind {
     /// A blocking `get_*` gave up spinning and parked on the recorded
     /// data object.
     Park,
-    /// A steal claim on a foreign task succeeded; the body runs here.
-    Steal,
     /// The recorded data object was poisoned (its producer failed or was
     /// skipped).
     Poison,
@@ -49,14 +46,13 @@ pub enum FlightEventKind {
 }
 
 impl FlightEventKind {
-    /// Short machine-friendly tag (`start`, `end`, `park`, `steal`,
-    /// `poison`, `abort`, `retry`).
+    /// Short machine-friendly tag (`start`, `end`, `park`, `poison`,
+    /// `abort`, `retry`).
     pub fn tag(&self) -> &'static str {
         match self {
             FlightEventKind::TaskStart => "start",
             FlightEventKind::TaskEnd => "end",
             FlightEventKind::Park => "park",
-            FlightEventKind::Steal => "steal",
             FlightEventKind::Poison => "poison",
             FlightEventKind::Abort => "abort",
             FlightEventKind::Retry => "retry",
@@ -220,7 +216,7 @@ mod tests {
         let log = FlightLog {
             workers: vec![WorkerFlight {
                 worker: WorkerId(3),
-                events: vec![ev(0, FlightEventKind::Steal, 9, None)],
+                events: vec![ev(0, FlightEventKind::Retry, 9, None)],
             }],
         };
         assert_eq!(log.worker(WorkerId(3)).unwrap().events.len(), 1);
@@ -233,7 +229,6 @@ mod tests {
             FlightEventKind::TaskStart,
             FlightEventKind::TaskEnd,
             FlightEventKind::Park,
-            FlightEventKind::Steal,
             FlightEventKind::Poison,
             FlightEventKind::Abort,
             FlightEventKind::Retry,

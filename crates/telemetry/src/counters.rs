@@ -13,9 +13,9 @@ use rio_metrics::Table;
 /// snapshots render the flat table.
 ///
 /// Numeric columns right-align (the table layer's numeric heuristic);
-/// the recovery and steal counters — `retries`, `poisoned`, `steals`,
-/// `steal_aborts` — render as `-` when zero, so a healthy run's table
-/// stays scannable instead of ending in a wall of zeros.
+/// the recovery counters — `retries`, `poisoned` — render as `-` when
+/// zero, so a healthy run's table stays scannable instead of ending in a
+/// wall of zeros.
 pub fn table(snap: &CountersSnapshot) -> Table {
     let mut t = Table::new([
         "worker",
@@ -26,8 +26,6 @@ pub fn table(snap: &CountersSnapshot) -> Table {
         "aborts",
         "retries",
         "poisoned",
-        "steals",
-        "steal_aborts",
     ]);
     // Zero is the steady state for the opt-in layers' counters; a dash
     // reads as "feature idle" where a 0 reads as "measured nothing".
@@ -48,8 +46,6 @@ pub fn table(snap: &CountersSnapshot) -> Table {
             r.aborts.to_string(),
             dash(r.retries),
             dash(r.poisoned),
-            dash(r.steals),
-            dash(r.steal_aborts),
         ]
     };
     // An all-zero subtotal means "no worker of this node did anything":
@@ -58,7 +54,7 @@ pub fn table(snap: &CountersSnapshot) -> Table {
     let subtotal_row = |label: String, r: &CounterRow| {
         if *r == CounterRow::default() {
             let mut cells = vec![label];
-            cells.resize(10, "-".to_string());
+            cells.resize(8, "-".to_string());
             cells
         } else {
             row(label, r)
@@ -108,8 +104,6 @@ mod tests {
         assert!(text.contains("wakes_elided"));
         assert!(text.contains("retries"));
         assert!(text.contains("poisoned"));
-        assert!(text.contains("steals"));
-        assert!(text.contains("steal_aborts"));
         assert!(text.contains("W0"));
         assert!(text.contains("total"));
         assert!(text.contains('7'));
@@ -179,7 +173,7 @@ mod tests {
         );
         assert_eq!(
             n1.split_whitespace().filter(|c| *c == "-").count(),
-            9,
+            7,
             "every numeric column of the idle subtotal dashes: {n1}"
         );
         // A subtotal with any activity still renders numerically.
@@ -192,20 +186,19 @@ mod tests {
         let reg = CounterRegistry::new(1);
         reg.worker(0).inc_tasks();
         let text = table(&reg.snapshot()).render();
-        // Recovery and steal layers idle: dashes, not zeros.
-        assert!(text.contains('-'), "zero retries/steals render as dashes");
+        // Recovery layer idle: dashes, not zeros.
+        assert!(text.contains('-'), "zero retries render as dashes");
         // Core protocol counters keep their zeros (0 parks is a real
         // measurement, not an idle feature).
         assert!(text.contains('0'));
 
         let reg = CounterRegistry::new(1);
-        reg.worker(0).inc_steals();
         reg.worker(0).inc_retries();
         let text = table(&reg.snapshot()).render();
-        let steals_line = text.lines().find(|l| l.contains("W0")).unwrap();
+        let retries_line = text.lines().find(|l| l.contains("W0")).unwrap();
         assert!(
-            steals_line.contains('1'),
-            "active steal/recovery counters render numerically: {steals_line}"
+            retries_line.contains('1'),
+            "active recovery counters render numerically: {retries_line}"
         );
     }
 }

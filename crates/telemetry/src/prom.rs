@@ -647,7 +647,7 @@ mod tests {
                 },
                 rio_core::CounterRow {
                     tasks: 4,
-                    steals: 2,
+                    retries: 2,
                     ..Default::default()
                 },
             ],
@@ -658,17 +658,17 @@ mod tests {
         let text = buf.finish();
         validate_exposition(&text).unwrap();
         let samples = parse_exposition(&text).unwrap();
-        // 9 families × 2 workers.
-        assert_eq!(samples.len(), 18);
+        // 7 families × 2 workers.
+        assert_eq!(samples.len(), 14);
         assert!(samples.iter().all(|s| s.name != "rio_syncs_total"));
-        let steal = samples
+        let retries = samples
             .iter()
-            .find(|s| s.name == "rio_steals_total" && s.label("worker") == Some("1"))
+            .find(|s| s.name == "rio_retries_total" && s.label("worker") == Some("1"))
             .unwrap();
-        assert_eq!(steal.value, 2.0);
-        assert_eq!(steal.label("node"), Some("1"));
-        assert_eq!(steal.label("run_id"), Some("7"));
-        assert_eq!(steal.label("workload"), Some("lu"));
+        assert_eq!(retries.value, 2.0);
+        assert_eq!(retries.label("node"), Some("1"));
+        assert_eq!(retries.label("run_id"), Some("7"));
+        assert_eq!(retries.label("workload"), Some("lu"));
     }
 
     #[test]

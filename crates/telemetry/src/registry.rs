@@ -219,7 +219,7 @@ mod tests {
         let counters = Arc::new(CounterRegistry::new(2));
         counters.worker(0).inc_tasks();
         counters.worker(1).inc_tasks();
-        counters.worker(1).inc_steals();
+        counters.worker(1).inc_retries();
 
         let guard = reg.register("lu", Arc::clone(&counters));
         assert_eq!(reg.len(), 1);

@@ -18,7 +18,7 @@ use rio::core::protocol::{
     declare_batch, expected_read_word, expected_write_word, terminate_read, terminate_write,
     LocalDataState, SharedDataState, READ_EPOCH_MASK,
 };
-use rio::core::{CompiledFlow, CounterRegistry, Executor, RioConfig, StealPolicy, WaitStrategy};
+use rio::core::{CompiledFlow, CounterRegistry, Executor, RecoveryPolicy, RioConfig, WaitStrategy};
 use rio::stf::{
     Access, AccessMode, DataId, DataStore, ExecError, Mapping, RoundRobin, StallSite, TableMapping,
     TaskDesc, TaskGraph, TaskId, WorkerId,
@@ -180,7 +180,7 @@ fn check_program_against_interpreted_view(
 }
 
 /// One own access as compiled, and who runs it.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Mark {
     /// A claim-marked task's is a worker of its own: whoever ends up
     /// running it, the compiler could count on nobody.
@@ -189,16 +189,17 @@ struct Mark {
     publish: bool,
 }
 
-/// `marks[task][access]` over the whole flow, read back from every
-/// worker's program.
-fn compiled_marks(
-    graph: &TaskGraph,
-    cfg: &RioConfig,
-    mapping: &TableMapping,
-) -> (Vec<Vec<Mark>>, usize) {
-    marks_of(&Executor::new(cfg.clone()).mapping(mapping).compile(graph))
+/// `cfg` with every setting a run can hook a task with armed: a recovery
+/// policy, timing, a watchdog, and spinning waits.
+fn with_every_hook(cfg: RioConfig) -> RioConfig {
+    cfg.wait(WaitStrategy::Spin)
+        .recovery(RecoveryPolicy::no_retries())
+        .measure_time(true)
+        .watchdog(Duration::from_secs(10))
 }
 
+/// `marks[task][access]` over the whole flow, read back from every
+/// worker's program.
 fn marks_of(flow: &CompiledFlow<'_>) -> (Vec<Vec<Mark>>, usize) {
     let graph = flow.graph();
     let mut marks = vec![Vec::new(); graph.len()];
@@ -399,7 +400,8 @@ proptest! {
     /// on its own worker, every kept guard finds all its producers'
     /// publications kept, publications are kept exactly for the consumers
     /// that keep a guard, and the run's table holds exactly the objects
-    /// with a kept half. With stealing armed nothing is elided at all.
+    /// with a kept half. No setting disables elision: with every per-task
+    /// hook armed, the marks and the counts are the default config's.
     #[test]
     fn elided_synchronisation_is_exactly_the_worker_local_part(
         graph in arb_graph(40, 5),
@@ -414,28 +416,26 @@ proptest! {
         ];
         for cfg in configs {
             let mapping = arb_table_mapping(graph.len(), cfg.workers, map_seed);
-            let (marks, shared_objects) = compiled_marks(&graph, &cfg, &mapping);
+            let flow = Executor::new(cfg.clone()).mapping(&mapping).compile(&graph);
+            let (marks, shared_objects) = marks_of(&flow);
             check_marks_against_the_flow(&graph, &marks, shared_objects);
             if cfg.workers == 1 {
                 prop_assert!(marks.iter().flatten().all(|m| !m.guard && !m.publish));
                 prop_assert_eq!(shared_objects, 0);
             }
-            let armed = cfg.clone().stealing(StealPolicy::new());
-            let stats = Executor::new(armed).mapping(&mapping).compile(&graph).stats().clone();
-            prop_assert_eq!((stats.elided_gets, stats.elided_publishes), (0, 0));
-            let touched = (0..graph.num_data())
-                .filter(|&d| graph.tasks().iter().any(|t| {
-                    t.accesses.iter().any(|a| a.data.index() == d)
-                }))
-                .count();
-            prop_assert_eq!(stats.shared_objects, touched);
+            let hooked = Executor::new(with_every_hook(cfg)).mapping(&mapping).compile(&graph);
+            let counts = |f: &CompiledFlow<'_>| {
+                let s = f.stats();
+                (s.elided_gets, s.elided_publishes, s.shared_objects)
+            };
+            prop_assert_eq!(counts(&hooked), counts(&flow));
+            prop_assert_eq!(marks_of(&hooked), (marks, shared_objects));
         }
     }
 
     /// What replaced the private view: for random graphs and mappings, at
-    /// 1, 2, 4 and 64 workers and with stealing armed, every worker's
-    /// program is exactly its own tasks and every
-    /// precomputed word is that worker's interpreted view.
+    /// 1, 2, 4 and 64 workers, every worker's program is exactly its own
+    /// tasks and every precomputed word is that worker's interpreted view.
     #[test]
     fn compiled_words_are_each_workers_interpreted_view(
         graph in arb_graph(40, 5),
@@ -446,7 +446,6 @@ proptest! {
             RioConfig::with_workers(1),
             RioConfig::with_workers(2),
             RioConfig::with_workers(64),
-            RioConfig::with_workers(2).stealing(StealPolicy::new()),
             RioConfig::with_workers(4),
         ];
         for cfg in configs {
@@ -570,12 +569,13 @@ proptest! {
 
     /// Partial mappings on the one engine: for random flows and a random
     /// total mapping of which nothing, some or everything is left
-    /// unmapped, under every wait strategy, with stealing off and on, on
-    /// a fresh flow and a reused one — every task runs exactly once
-    /// (mapped ones, unless stolen, where they are mapped), the store is
-    /// the sequential oracle's, the claims add up, and nothing is elided
-    /// on an epoch a claim-marked task touches while the rest of the flow
-    /// elides as it does under the total mapping.
+    /// unmapped, under every wait strategy, with a recovery policy off and
+    /// on (quiet tasks as ranges, and on the per-task path), on a fresh
+    /// flow and a reused one — every task runs exactly once (mapped ones
+    /// where they are mapped), the store is the sequential oracle's, the
+    /// claims add up, and nothing is elided on an epoch a claim-marked task
+    /// touches while the rest of the flow elides as it does under the total
+    /// mapping.
     #[test]
     fn partial_mappings_run_every_task_exactly_once(
         graph in arb_graph(30, 4),
@@ -605,11 +605,10 @@ proptest! {
             }
 
             for wait in WAITS {
-                for stealing in [false, true] {
+                for hooked in [false, true] {
                     let mut cfg = RioConfig::with_workers(workers).wait(wait);
-                    if stealing {
-                        let storm = StealPolicy::new().min_wait_before_steal(Duration::ZERO);
-                        cfg = cfg.stealing(storm);
+                    if hooked {
+                        cfg = cfg.recovery(RecoveryPolicy::no_retries());
                     }
                     let flow = Executor::new(cfg).hybrid(&partial).compile(&graph);
                     for reused in [false, true] {
@@ -618,13 +617,13 @@ proptest! {
                             graph.tasks().iter().map(|_| AtomicU32::new(0)).collect();
                         let run = flow.run(|w: WorkerId, t: &TaskDesc| {
                             ran[t.id.index()].fetch_add(1, Ordering::Relaxed);
-                            if !stealing && !claimable(t.id) {
+                            if !claimable(t.id) {
                                 assert_eq!(w, total.worker_of(t.id, workers), "{} strayed", t.id);
                             }
                             hash_kernel(&store, t);
                         });
                         let how = format!(
-                            "{unmapped} unmapped, {wait}, stealing={stealing}, reused={reused}"
+                            "{unmapped} unmapped, {wait}, hooked={hooked}, reused={reused}"
                         );
                         prop_assert!(
                             ran.iter().all(|n| n.load(Ordering::Relaxed) == 1),
@@ -638,17 +637,8 @@ proptest! {
                         );
                         let races = stats.claimed_per_worker.iter().zip(&stats.lost_races_per_worker);
                         for (won, lost) in races {
-                            // Every program holds every claim-marked task;
-                            // a thief also loses the ones it stole.
-                            prop_assert!(*lost <= unmapped, "{}", how);
-                            if stealing {
-                                prop_assert!(won + lost >= unmapped, "{}", how);
-                            } else {
-                                prop_assert_eq!(won + lost, unmapped, "{}", how);
-                            }
-                        }
-                        if !stealing {
-                            prop_assert_eq!(run.counters.total().steals, 0);
+                            // Every program holds every claim-marked task.
+                            prop_assert_eq!(won + lost, unmapped, "{}", how);
                         }
                     }
                 }
@@ -686,10 +676,10 @@ proptest! {
 
     /// Blocks change no verdict and no count: for random flows and
     /// mappings — total, and with two tasks in five left to be claimed —
-    /// at 1, 2, 3 and 64 workers, stealing off and on, every task is quiet
-    /// exactly when it is its worker's own and keeps no half; a run —
-    /// whose quiet ranges go a block at a time, unless stealing or a
-    /// claim-marked task keeps them instructions — leaves the
+    /// at 1, 2, 3 and 64 workers, a recovery policy off and on, every task
+    /// is quiet exactly when it is its worker's own and keeps no half; a
+    /// run — whose quiet ranges go a block at a time, unless the policy or
+    /// a claim-marked task keeps them instructions — leaves the
     /// sequential oracle's store and the per-task path's books (every
     /// task executed and counted once, a get and a terminate per access);
     /// and what a block skips is safe to skip: the model checker, fed the
@@ -707,10 +697,10 @@ proptest! {
                 let partial = PartialFn(|t: TaskId, w: usize| {
                     (!left_unmapped(t, map_seed, unmapped_share)).then(|| total.worker_of(t, w))
                 });
-                for stealing in [false, true] {
+                for hooked in [false, true] {
                     let mut cfg = RioConfig::with_workers(workers);
-                    if stealing {
-                        cfg = cfg.stealing(StealPolicy::new().min_wait_before_steal(Duration::ZERO));
+                    if hooked {
+                        cfg = cfg.recovery(RecoveryPolicy::no_retries());
                     }
                     // (The watchdog takes no task off the block path; it
                     // turns a publication wrongly skipped into an error.)
@@ -721,16 +711,13 @@ proptest! {
                     check_quiet_verdicts(&flow);
                     let store = DataStore::filled(graph.num_data(), 0u64);
                     let run = flow.run(|_: WorkerId, t: &TaskDesc| hash_kernel(&store, t));
-                    let how = format!("{workers} workers, {unmapped_share}/5 unmapped, stealing={stealing}");
+                    let how = format!("{workers} workers, {unmapped_share}/5 unmapped, hooked={hooked}");
                     prop_assert_eq!(&store.into_vec(), &oracle, "{}", how);
                     prop_assert_eq!(run.report.tasks_executed(), tasks, "{}", how);
                     prop_assert_eq!(run.counters.total().tasks, tasks, "{}", how);
                     let ops = run.report.total_ops();
                     prop_assert_eq!(ops.terminates, accesses, "{}", how);
-                    if !stealing {
-                        // (A thief's readiness probe is not a get.)
-                        prop_assert_eq!(ops.gets, accesses, "{}", how);
-                    }
+                    prop_assert_eq!(ops.gets, accesses, "{}", how);
                 }
             }
             if (2..=3).contains(&workers) {
