@@ -95,14 +95,18 @@ fn machine() -> (usize, u32) {
     })
 }
 
+/// Has the machine a hardware thread for each of `workers`?
+pub(crate) fn roomy(workers: usize) -> bool {
+    workers <= machine().0
+}
+
 /// The pure-spin budget of a run of `workers` workers that did not set
 /// one ([`crate::RioConfig::spin_limit`]): about one park's worth of polls
 /// when every worker has a hardware thread of its own,
 /// [`WaitStrategy::DEFAULT_SPIN_LIMIT`] when they share threads.
 pub(crate) fn default_spin_limit(workers: usize) -> u32 {
-    let (threads, polls) = machine();
-    if workers <= threads {
-        polls
+    if roomy(workers) {
+        machine().1
     } else {
         WaitStrategy::DEFAULT_SPIN_LIMIT
     }

@@ -4,7 +4,9 @@
 //!
 //! `Executor::run` is `Executor::compile` + `CompiledFlow::run`: the
 //! `(graph, mapping, workers)` triple is lowered, in one pass over the
-//! flow on the calling thread, into one flat program per worker that
+//! flow — split among the executor's workers when the flow is long
+//! enough, on the calling thread otherwise — into one flat program per
+//! worker that
 //! holds that worker's own tasks and nothing else — the epoch word every
 //! access waits for is precomputed, so foreign tasks leave no instruction
 //! behind and a run keeps no private state. A solver that replays the

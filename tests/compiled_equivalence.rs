@@ -1043,3 +1043,80 @@ fn worker_set_threads_keep_the_callers_affinity_mask() {
         std::thread::sleep(Duration::from_micros(300));
     }
 }
+
+/// What a compile produced, as far as the public surface shows it.
+fn compiled_shape(flow: &CompiledFlow<'_>) -> String {
+    let programs: Vec<Vec<_>> = (0..flow.config().workers)
+        .map(|w| {
+            let own = flow.own_tasks(WorkerId::from_index(w));
+            own.map(|t| (t.task.id, t.expected.to_vec(), t.quiet()))
+                .collect()
+        })
+        .collect();
+    format!("{:?} {programs:?}", flow.stats())
+}
+
+/// A compile that splits its walk walks on its executor's own set — the
+/// threads its runs use, started by the first compile that splits, pinned
+/// or not. One that cannot split (a partial mapping; or a set busy with the
+/// very run whose kernel compiles) walks on the calling thread alone,
+/// never on threads of its own. Either way the flow is the same.
+#[test]
+fn segmented_compile_walks_on_the_set_its_runs_use_or_on_the_caller() {
+    use std::collections::BTreeSet;
+    let g = rio::workloads::cholesky::graph(40, 1);
+    assert!(g.len() >= 2 * 4096, "long enough to split two ways");
+    let roomy = std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2);
+    let me = || {
+        let t = std::thread::current();
+        (t.id(), t.name().map(str::to_owned))
+    };
+    let probed = Mutex::new(BTreeSet::new());
+    let walked = || std::mem::take(&mut *probed.lock().unwrap());
+    let m = rio::stf::mapping::FnMapping(|t: TaskId, w: usize| {
+        probed.lock().unwrap().insert(format!("{:?}", me()));
+        WorkerId::from_index(t.index() % w)
+    });
+    let mut shapes = BTreeSet::new();
+    for pinned in [false, true] {
+        let exec = Executor::new(RioConfig::with_workers(2).pin_workers(pinned)).mapping(&m);
+        let flow = exec.compile(&g);
+        let on = walked();
+        let ran = Mutex::new(BTreeSet::new());
+        flow.run(|_, _| {
+            ran.lock().unwrap().insert(format!("{:?}", me()));
+        });
+        let ran = ran.into_inner().unwrap();
+        if roomy {
+            assert_eq!(on, ran, "pinned: {pinned}");
+            assert!(on.iter().any(|t| t.contains("rio-w1")), "{on:?}");
+        } else {
+            assert_eq!(on, BTreeSet::from([format!("{:?}", me())]));
+        }
+        shapes.insert(compiled_shape(&flow));
+        // Inside a run of the set, a compile on the same set walks alone.
+        let nested = Mutex::new(None);
+        let small = rio::workloads::cholesky::graph(2, 1);
+        let outer = exec.compile(&small);
+        walked();
+        outer.run(|w, _| {
+            if w.index() == 0 && nested.lock().unwrap().is_none() {
+                let flow = exec.compile(&g);
+                *nested.lock().unwrap() = Some((walked(), me(), compiled_shape(&flow)));
+            }
+        });
+        let (on, kernel, shape) = nested.into_inner().unwrap().expect("worker 0 ran a task");
+        assert_eq!(on, BTreeSet::from([format!("{kernel:?}")]));
+        shapes.insert(shape);
+    }
+    // A partial mapping is walked whole, on the caller.
+    let partial = PartialFn(|t: TaskId, w: usize| {
+        probed.lock().unwrap().insert(format!("{:?}", me()));
+        (!t.0.is_multiple_of(5)).then(|| WorkerId::from_index(t.index() % w))
+    });
+    let _ = Executor::new(RioConfig::with_workers(2))
+        .hybrid(&partial)
+        .compile(&g);
+    assert_eq!(walked(), BTreeSet::from([format!("{:?}", me())]));
+    assert_eq!(shapes.len(), 1, "one flow, however it was walked");
+}
