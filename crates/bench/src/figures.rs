@@ -738,13 +738,10 @@ pub struct FaultsRow {
     pub workers: usize,
     /// Total tasks.
     pub tasks: usize,
-    /// ns/task with no `RecoveryPolicy` installed, on the per-task path.
+    /// ns/task with no `RecoveryPolicy` installed: the shipped default.
     pub off_ns: f64,
     /// ns/task with a retrying `RecoveryPolicy` armed on a fault-free run.
     pub on_ns: f64,
-    /// ns/task of the shipped default: no policy, every task mapped, the
-    /// flow's quiet tasks compiled into ranges and run as blocks.
-    pub blocks_ns: f64,
 }
 
 impl FaultsRow {
@@ -761,45 +758,28 @@ impl FaultsRow {
 /// fig7 `rio` row — same workload, recovery disabled vs a retrying
 /// `RecoveryPolicy` armed on a fault-free run.
 ///
-/// Arming recovery routes every task through the retrying body wrapper
-/// (one `catch_unwind` it already paid, plus one poison-bitmap load per
-/// access); the disabled row takes the abort-on-panic path. Both must
-/// coincide within the noise: `repro faults --assert-overhead` gates CI
-/// on it (threshold `RIO_RECOVERY_THRESHOLD` percent, default 1), and the
-/// disabled row doubles as the recovery-disabled regression row `repro
-/// regress` tracks against the committed baseline.
-///
-/// Like for like means both on the per-task path. A policy is one of the
-/// things that keep quiet tasks out of ranges (independent tasks are all
-/// quiet: a default run takes them 1024 to a containment frame), so the
-/// two rows leave the flow's last task unmapped — a claim table exists,
-/// one task is claimed, and every task goes through the per-task
-/// sequence with or without a policy. The `blocks` column is the default
-/// run, every task mapped: the difference to it is what *any* per-task
-/// hook forgoes on a quiet task, not what the policy costs.
+/// Both rows run the shipped program — round-robin, the flow's quiet tasks
+/// in ranges — which a policy leaves as it is: a fault-free run takes each
+/// range a block at a time under one `catch_unwind` either way, and a
+/// policy is consulted only once a body panics. Both must coincide within
+/// the noise: `repro faults --assert-overhead` gates CI on it (threshold
+/// `RIO_RECOVERY_THRESHOLD` percent, default 1), and the disabled row
+/// doubles as the recovery-disabled regression row `repro regress` tracks
+/// against the committed baseline.
 pub fn faults(opt: &Options, tasks_per_worker: usize) -> (String, Vec<FaultsRow>) {
     let task_size = 1u64 << 8;
     let w = opt.threads.max(1);
     let n = independent::tasks_for_workers(tasks_per_worker, w);
     let graph = independent::graph_private_data(n);
-    let last = rio_stf::TaskId::from_index(n.saturating_sub(1));
-    let but_last = rio_core::hybrid::PartialFn(move |t: rio_stf::TaskId, workers: usize| {
-        (t != last).then(|| rio_stf::Mapping::worker_of(&RoundRobin, t, workers))
-    });
 
-    let run_with = |recovery: bool, per_task: bool| {
+    let run_with = |recovery: bool| {
         let mut cfg = RioConfig::with_workers(w).wait(WaitStrategy::Park);
         if recovery {
             cfg = cfg.recovery(rio_core::RecoveryPolicy::default());
         }
-        let exec = rio_core::Executor::new(cfg);
-        let exec = if per_task {
-            exec.hybrid(&but_last)
-        } else {
-            exec.mapping(&RoundRobin)
-        };
         let t0 = Instant::now();
-        let run = exec
+        let run = rio_core::Executor::new(cfg)
+            .mapping(&RoundRobin)
             .try_run(&graph, |_, _| counter_kernel(task_size))
             .expect("fault-free ablation run failed");
         assert!(
@@ -811,11 +791,9 @@ pub fn faults(opt: &Options, tasks_per_worker: usize) -> (String, Vec<FaultsRow>
 
     let mut on = Duration::MAX;
     let mut off = Duration::MAX;
-    let mut blocks = Duration::MAX;
     for _ in 0..opt.reps.max(1) {
-        off = off.min(run_with(false, true));
-        on = on.min(run_with(true, true));
-        blocks = blocks.min(run_with(false, false));
+        off = off.min(run_with(false));
+        on = on.min(run_with(true));
     }
     let per_task = |d: Duration| d.as_nanos() as f64 / n.max(1) as f64;
     let row = FaultsRow {
@@ -823,7 +801,6 @@ pub fn faults(opt: &Options, tasks_per_worker: usize) -> (String, Vec<FaultsRow>
         tasks: n,
         off_ns: per_task(off),
         on_ns: per_task(on),
-        blocks_ns: per_task(blocks),
     };
     for (runtime, ns) in [
         ("rio_recovery_off", row.off_ns),
@@ -845,7 +822,6 @@ pub fn faults(opt: &Options, tasks_per_worker: usize) -> (String, Vec<FaultsRow>
         "recovery_off",
         "recovery_on",
         "overhead",
-        "blocks",
     ]);
     table.row([
         row.workers.to_string(),
@@ -853,13 +829,11 @@ pub fn faults(opt: &Options, tasks_per_worker: usize) -> (String, Vec<FaultsRow>
         format!("{:.1} ns/task", row.off_ns),
         format!("{:.1} ns/task", row.on_ns),
         format!("{:+.2}%", row.overhead_pct()),
-        format!("{:.1} ns/task", row.blocks_ns),
     ]);
     let out = opt.emit(
         &format!(
             "Recovery overhead — {tasks_per_worker} independent tasks per worker, \
-             task size {task_size}, one-shot runs on the per-task path, zero faults \
-             (blocks: the default run)"
+             task size {task_size}, one-shot runs, zero faults"
         ),
         &table,
     );

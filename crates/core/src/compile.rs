@@ -29,12 +29,13 @@
 //! [`CompileStats::shared_objects`] entries.
 //!
 //! **Quiet tasks are ranges.** An own task none of whose accesses keeps a
-//! guard or a publication is *quiet*: all a run owes it is its body.
-//! Unless the flow's runs need a hook per task (a recovery policy, claims,
-//! timing, a fault hook), one more sweep of each program folds its quiet
-//! tasks into affine ranges `{first, stride, count}`, which a run takes a
-//! block at a time: no instruction, no entry — and no arena at all when no
-//! guard is kept.
+//! guard or a publication is *quiet*: all a run owes it is its body. One
+//! more sweep of each program folds its quiet tasks into affine ranges
+//! `{first, stride, count}`: no instruction, no entry — and no arena at all
+//! when no guard is kept. The program depends on the flow, the mapping and
+//! the worker count alone; whether a run takes a range a block at a time or
+//! body by body (a clock, a fault hook, a recovery deadline or poison) is
+//! the engine's call (`WorkerCtx::exec_range`).
 //!
 //! **Tasks nobody owns** — those a [`crate::hybrid::PartialMapping`] leaves
 //! unmapped — keep their guards, and so do their dependents. Each is
@@ -129,8 +130,8 @@ type WorkerProgram = Vec<RunInstr>;
 /// One instruction's entries as the engine ([`WorkerCtx::exec_task`])
 /// takes them: per access, which halves of its synchronisation to perform
 /// and through which slot, and the precomputed packed private view it
-/// waits for.
-#[derive(Clone, Copy)]
+/// waits for. A quiet task's are `default()`: none.
+#[derive(Clone, Copy, Default)]
 pub(crate) struct TaskAccesses<'a> {
     pub(crate) plans: &'a [AccessPlan],
     pub(crate) expected: &'a [u64],
@@ -140,7 +141,7 @@ pub(crate) struct TaskAccesses<'a> {
 }
 
 /// What the compiler did, per worker and in aggregate. Every count is
-/// static: a function of the flow, the mapping and the configuration.
+/// static: a function of the flow, the mapping and the worker count.
 #[derive(Debug, Clone)]
 pub struct CompileStats {
     /// Flow length.
@@ -268,9 +269,9 @@ impl Arena {
     }
 }
 
-/// A flow compiled for a fixed `(graph, mapping, config)` triple —
-/// produced by [`crate::Executor::compile`], executed any number of times
-/// with [`CompiledFlow::run`]/[`CompiledFlow::try_run`].
+/// A flow compiled for a fixed `(graph, mapping, workers)` triple, with
+/// the configuration its runs use — produced by [`crate::Executor::compile`],
+/// executed any number of times with [`CompiledFlow::run`]/[`CompiledFlow::try_run`].
 ///
 /// Everything a worker unrolling the whole flow would pay per run is paid
 /// once here, shared among the workers: mapping evaluation and validation (two
@@ -315,7 +316,7 @@ pub struct CompiledTask<'a> {
 
 impl CompiledTask<'_> {
     /// Is the task quiet — not claim-marked, no access keeping a guard or a
-    /// publication? Unless its runs need a hook per task, it is in a range.
+    /// publication? Then it is in a range.
     pub fn quiet(&self) -> bool {
         !self.unmapped && !self.plans.iter().any(|p| p.guard() || p.publish())
     }
@@ -636,17 +637,10 @@ fn lower<'g, O: OwnerOf>(
         }
     }
 
-    // A block claims nothing, reads no clock, calls no hook and consults no
-    // recovery policy: where a run needs one, quiet tasks stay instructions.
-    // (A watchdog fires inside blocked waits, which a quiet task never has.)
     let unmapped: usize = parts.iter().map(|p| p.unmapped).sum();
-    let blocks = unmapped == 0 && cfg.recovery.is_none() && !cfg.measure_time;
-    #[cfg(feature = "fault-inject")]
-    let blocks = blocks && cfg.fault_hook.is_none();
-    let blocks = blocks && cfg.trace.is_none();
     // A publication is kept for a kept guard: with no guard kept, every own
     // task is quiet, and ranges read no entry.
-    if blocks && kept_gets == 0 {
+    if kept_gets == 0 {
         arena = Arena::default();
     }
     let kept_publishes: u64 = [&mut arena, &mut claimable]
@@ -667,9 +661,7 @@ fn lower<'g, O: OwnerOf>(
         .collect();
     drop(parts);
     let plans = &arena.plans[..];
-    let programs = fan_out(set, cfg, spread, columns, |pieces| {
-        settle(pieces, plans, blocks)
-    });
+    let programs = fan_out(set, cfg, spread, columns, |pieces| settle(pieces, plans));
     let stats = CompileStats {
         flow_len: graph.len(),
         runs_per_worker,
@@ -853,10 +845,10 @@ fn finish(plans: &mut [AccessPlan], verdicts: &[Verdict], view: &[Epoch]) -> u64
 }
 
 /// One sweep of a worker's pieces of program, in flow order, into its
-/// program: if `blocks`, each task the walk marked [`QUIET`] and none of
-/// whose entries (in `plans`, if any are kept) keeps a half joins the open
-/// range if it continues it, or opens one.
-fn settle(pieces: Vec<WorkerProgram>, plans: &[AccessPlan], blocks: bool) -> WorkerProgram {
+/// program: each task the walk marked [`QUIET`] and none of whose entries
+/// (in `plans`, if any are kept) keeps a half joins the open range if it
+/// continues it, or opens one. Whatever a run arms, this is its program.
+fn settle(pieces: Vec<WorkerProgram>, plans: &[AccessPlan]) -> WorkerProgram {
     let mut pieces = pieces.into_iter();
     let mut prog = pieces.next().unwrap_or_default();
     // The last range, while no instruction follows it: its place, and how
@@ -865,8 +857,7 @@ fn settle(pieces: Vec<WorkerProgram>, plans: &[AccessPlan], blocks: bool) -> Wor
     let mut fold = |prog: &mut WorkerProgram, mut r: RunInstr| {
         let n = r.range().len();
         let kept_half = |e: &[AccessPlan]| e.iter().any(|p| p.bits & (GUARD | PUBLISH) != 0);
-        let quiet =
-            blocks && r.marked_start & QUIET != 0 && !plans.get(r.range()).is_some_and(kept_half);
+        let quiet = r.marked_start & QUIET != 0 && !plans.get(r.range()).is_some_and(kept_half);
         if let Some((at, accesses)) = open.filter(|_| quiet) {
             let q: &mut RunInstr = &mut prog[at];
             // A second member fixes the stride.
@@ -1045,14 +1036,14 @@ impl<'g> CompiledFlow<'g> {
         let loop_start = Instant::now();
         for r in prog {
             if let Some(q) = r.quiet() {
-                if ctx.exec_range(q, tasks[q.0].accesses.len(), |i| kernel(worker, &tasks[i])) {
+                if ctx.exec_range(q, tasks, kernel) {
                     continue;
                 }
                 break;
             }
             ctx.tasks_visited += 1;
             let t = &tasks[r.task as usize];
-            if !ctx.exec_task(t.id, self.accesses(r), || kernel(worker, t)) {
+            if !ctx.exec_task(t.id, &t.accesses, self.accesses(r), || kernel(worker, t)) {
                 break;
             }
         }

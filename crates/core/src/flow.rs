@@ -255,7 +255,7 @@ impl<'a, T> FlowCtx<'a, T> {
             };
             let mut body = Some(body);
             let once = || (body.take().expect("a flow body gets one attempt"))(&view);
-            if !self.wk.exec_task(id, kept, once) {
+            if !self.wk.exec_task(id, accesses, kept, once) {
                 unwind_aborted();
             }
         } else {

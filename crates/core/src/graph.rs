@@ -20,10 +20,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rio_stf::{
-    DataId, ExecError, FlightEventKind, Mapping, StallDiagnostic, StallSite, TaskId, WorkerId,
+    Access, DataId, ExecError, FlightEventKind, Mapping, StallDiagnostic, StallSite, TaskDesc,
+    TaskId, WorkerId,
 };
 
-use crate::compile::{AccessPlan, TaskAccesses};
+use crate::compile::TaskAccesses;
 use crate::config::RioConfig;
 use crate::counters::{CounterRegistry, WorkerCounters};
 use crate::executor::RunOutcome;
@@ -201,6 +202,9 @@ pub(crate) struct WorkerCtx<'a> {
     /// [`crate::config::RecoveryPolicy`] is installed — the abort-on-panic
     /// fast path costs exactly one branch per executed task).
     rec: Option<&'a RecoveryCtx>,
+    /// Each quiet body needs something of its own: a clock, a fault hook, a
+    /// policy's deadline, or poison this worker spread (DESIGN.md §13).
+    per_body: bool,
     /// The run's claim slots (`None` when no instruction of the flow is
     /// claim-marked). Installed by the front-end after construction.
     pub(crate) claims: Option<Claims<'a>>,
@@ -222,6 +226,10 @@ impl<'a> WorkerCtx<'a> {
             .trace
             .as_ref()
             .map(|tc| WorkerTracer::new(tc, me.index() as u32, epoch));
+        let timed = cfg.measure_time || tracer.is_some();
+        let hooked = cfg.recovery.as_ref().is_some_and(|p| p.deadline.is_some());
+        #[cfg(feature = "fault-inject")]
+        let hooked = hooked || cfg.fault_hook.is_some();
         WorkerCtx {
             run,
             cfg,
@@ -235,7 +243,7 @@ impl<'a> WorkerCtx<'a> {
                 spin_limit: cfg.spin_polls(),
                 deadline: cfg.watchdog,
                 abort,
-                timed: cfg.measure_time || tracer.is_some(),
+                timed,
                 watch: None,
             },
             ops: OpCounts::default(),
@@ -248,6 +256,7 @@ impl<'a> WorkerCtx<'a> {
             ctr: run.registry.as_ref().map(|r| r.worker(me.index())),
             ring: run.flight.as_ref().map(|f| f.ring(me.index())),
             rec: run.recovery.as_ref(),
+            per_body: timed || hooked,
             claims: None,
             unmapped_claims: (0, 0),
         }
@@ -329,14 +338,16 @@ impl<'a> WorkerCtx<'a> {
         }
     }
 
-    /// Executes one task of this worker: claim it if it is claim-marked,
-    /// acquire every access of `accesses` (in declaration order) whose
-    /// guard is kept, run `body` under fault containment, publish the
-    /// completions somebody can wait on. Returns `false` when the run
-    /// aborted and the worker must abandon the flow.
+    /// Executes one task of this worker, which declared `declared`: claim
+    /// it if it is claim-marked, acquire every access of `accesses` (in
+    /// declaration order) whose guard is kept, run `body` under fault
+    /// containment, publish the completions somebody can wait on. A quiet
+    /// task has no entries. Returns `false` when the run aborted and the
+    /// worker must abandon the flow.
     pub(crate) fn exec_task(
         &mut self,
         task: TaskId,
+        declared: &[Access],
         accesses: TaskAccesses<'_>,
         body: impl FnMut(),
     ) -> bool {
@@ -364,7 +375,7 @@ impl<'a> WorkerCtx<'a> {
         // are pure condition polls (no resource is held), so no order can
         // deadlock. An elided guard is a get all the same: one decided at
         // compile time.
-        self.ops.gets += accesses.plans.len() as u64;
+        self.ops.gets += declared.len() as u64;
         for (&a, &expected) in accesses.plans.iter().zip(accesses.expected) {
             if !a.guard() {
                 continue;
@@ -377,13 +388,13 @@ impl<'a> WorkerCtx<'a> {
             }
         }
 
-        if !self.run_body(task, accesses.plans, body) {
+        if !self.run_body(task, declared, body) {
             return false;
         }
         // Skipped and permanently-failed tasks still report watchdog
         // progress: the worker is alive and the flow is advancing.
         self.tick(task);
-        self.publish_task(task, accesses);
+        self.publish_task(task, declared.len(), accesses);
 
         #[cfg(feature = "fault-inject")]
         if let Some(hook) = self.cfg.fault_hook.as_ref() {
@@ -505,19 +516,25 @@ impl<'a> WorkerCtx<'a> {
         self.abort.abort(cause, self.wake);
     }
 
-    /// Runs the quiet range `(first, stride, count)` — `body(i)` per flow
-    /// index `i`, each task declaring `accesses` — a block of at most
-    /// [`BLOCK`] at a time: one containment frame and one keeping of the
-    /// books per block (counters, a flight record of its last body's end,
-    /// a watchdog tick). Per body remain the abort poll and the count that
-    /// names the running body should it panic. `false`: the run aborts.
-    pub(crate) fn exec_range(
+    /// Runs the quiet range `(first, stride, count)` of `tasks` — `kernel`
+    /// on each member — a block of at most [`BLOCK`] at a time: one
+    /// containment frame and one keeping of the books per block (counters,
+    /// a flight record of its last body's end, a watchdog tick). Per body
+    /// remain the abort poll and the count that names the running body
+    /// should it panic. Bodies that each need something of their own, and
+    /// under a policy the rest of a range once a body panics, go out of
+    /// line one at a time, handed `kernel`: a closure of the loop's would
+    /// escape, and keep the loop's state in memory. `false`: the run aborts.
+    pub(crate) fn exec_range<K: Fn(WorkerId, &TaskDesc)>(
         &mut self,
         (first, stride, count): (usize, usize, usize),
-        accesses: usize,
-        mut body: impl FnMut(usize),
+        tasks: &[TaskDesc],
+        kernel: &K,
     ) -> bool {
-        let abort = self.abort;
+        if self.per_body {
+            return self.exec_members((first, stride, count), tasks, kernel);
+        }
+        let (abort, me, accesses) = (self.abort, self.me, tasks[first].accesses.len());
         for done in (0..count).step_by(BLOCK) {
             let (len, finished) = (BLOCK.min(count - done), std::cell::Cell::new(0));
             let start = first + stride * done;
@@ -527,7 +544,7 @@ impl<'a> WorkerCtx<'a> {
                     if abort.armed() {
                         break;
                     }
-                    body(i);
+                    kernel(me, &tasks[i]);
                     i += stride;
                     finished.set(finished.get() + 1);
                 }
@@ -551,15 +568,59 @@ impl<'a> WorkerCtx<'a> {
                 self.tick(id(ran - 1));
             }
             if let Err(payload) = outcome {
-                self.flight_event(FlightEventKind::TaskStart, id(ran), None);
-                self.body_panicked(id(ran), payload);
-                return false;
+                let rest = (start + stride * ran, stride, count - done - ran);
+                return self.rescue(rest, tasks, payload, kernel);
             }
             if ran < len {
                 return false;
             }
         }
         true
+    }
+
+    /// The members `(first, stride, count)` of a quiet range of `tasks`,
+    /// one body at a time, each on [`WorkerCtx::exec_task`] with no entry.
+    #[cold]
+    #[inline(never)]
+    fn exec_members(
+        &mut self,
+        (first, stride, count): (usize, usize, usize),
+        tasks: &[TaskDesc],
+        kernel: &dyn Fn(WorkerId, &TaskDesc),
+    ) -> bool {
+        let me = self.me;
+        (0..count).map(|k| &tasks[first + stride * k]).all(|t| {
+            self.tasks_visited += 1;
+            self.exec_task(t.id, &t.accesses, TaskAccesses::default(), || kernel(me, t))
+        })
+    }
+
+    /// The rest of a quiet range, whose first member's body panicked with
+    /// `payload` inside a block. Without a recovery policy the run aborts.
+    /// With one, the rest goes body by body, the payload re-raised as the
+    /// first member's attempt 0: its retries, skip and poison are the
+    /// per-task path's own.
+    #[cold]
+    #[inline(never)]
+    fn rescue(
+        &mut self,
+        rest: (usize, usize, usize),
+        tasks: &[TaskDesc],
+        payload: Box<dyn std::any::Any + Send>,
+        kernel: &dyn Fn(WorkerId, &TaskDesc),
+    ) -> bool {
+        let blamed = tasks[rest.0].id;
+        if self.rec.is_none() {
+            self.flight_event(FlightEventKind::TaskStart, blamed, None);
+            self.body_panicked(blamed, payload);
+            return false;
+        }
+        let caught = std::cell::Cell::new(Some(payload));
+        let attempt = |w, t: &TaskDesc| match caught.take() {
+            Some(payload) => resume_unwind(payload),
+            None => kernel(w, t),
+        };
+        self.exec_members(rest, tasks, &attempt)
     }
 
     /// The one body-execution block, behind every task of every front-end
@@ -569,14 +630,14 @@ impl<'a> WorkerCtx<'a> {
     /// task's outputs would be garbage), otherwise retry — and the timing
     /// rule: the clock is read around the body only when `measure_time`,
     /// the tracer or a policy's deadline asked for it.
-    /// `plans` is what the task declared (object and mode are all that is
-    /// read here). Skipped and permanently-failed tasks are not counted as
-    /// executed, but the caller publishes their terminates all the same.
-    /// Returns `false` when the run is aborting: no terminate may follow.
+    /// `declared` is what the task declared. Skipped and
+    /// permanently-failed tasks are not counted as executed, but the caller
+    /// publishes their terminates all the same. Returns `false` when the
+    /// run is aborting: no terminate may follow.
     pub(crate) fn run_body(
         &mut self,
         task: TaskId,
-        plans: &[AccessPlan],
+        declared: &[Access],
         mut body: impl FnMut(),
     ) -> bool {
         self.flight_event(FlightEventKind::TaskStart, task, None);
@@ -588,9 +649,9 @@ impl<'a> WorkerCtx<'a> {
             // or, behind an elided guard, this worker's program order).
             // Recovery is keyed on the task, not the worker: a claimed
             // task retries, fails, poisons and skips wherever it runs.
-            Some(rec) if plans.iter().any(|a| rec.is_poisoned(a.data)) => {
+            Some(rec) if declared.iter().any(|a| rec.is_poisoned(a.data)) => {
                 rec.record_skipped(task);
-                self.poison_writes(rec, task, plans);
+                self.poison_writes(rec, task, declared);
                 None
             }
             // Attempt 0 is one `catch_unwind` whatever the policy: an
@@ -613,7 +674,7 @@ impl<'a> WorkerCtx<'a> {
                         return false;
                     }
                     (Err(payload), Some(rec)) => {
-                        self.retry(rec, &mut body, task, plans, payload, first_start, t0)
+                        self.retry(rec, &mut body, task, declared, payload, first_start, t0)
                     }
                 }
             }
@@ -636,15 +697,17 @@ impl<'a> WorkerCtx<'a> {
         true
     }
 
-    /// Poisons every datum `plans` writes, crediting newly-set bits to the
-    /// worker's `poisoned` counter (re-poisoning an already-poisoned datum
-    /// is counted once, by whoever set the bit first). Each newly-set bit
-    /// is also recorded in the worker's flight ring, attributed to `task`
-    /// — the producer whose failure (or poisoned input) spread it.
-    fn poison_writes(&self, rec: &RecoveryCtx, task: TaskId, plans: &[AccessPlan]) {
+    /// Poisons every datum `declared` writes, crediting newly-set bits to
+    /// the worker's `poisoned` counter (re-poisoning an already-poisoned
+    /// datum is counted once, by whoever set the bit first). Each newly-set
+    /// bit is also recorded in the worker's flight ring, attributed to
+    /// `task` — the producer whose failure (or poisoned input) spread it.
+    /// From here on, the worker's quiet tasks go body by body.
+    fn poison_writes(&mut self, rec: &RecoveryCtx, task: TaskId, declared: &[Access]) {
+        self.per_body = true;
         let mut newly = 0u64;
-        for a in plans {
-            if a.writes() && rec.poison(a.data) {
+        for a in declared {
+            if a.mode.writes() && rec.poison(a.data) {
                 newly += 1;
                 self.flight_event(FlightEventKind::Poison, task, Some(a.data));
             }
@@ -668,11 +731,11 @@ impl<'a> WorkerCtx<'a> {
     #[cold]
     #[allow(clippy::too_many_arguments)]
     fn retry(
-        &self,
+        &mut self,
         rec: &RecoveryCtx,
         body: &mut impl FnMut(),
         task: TaskId,
-        plans: &[AccessPlan],
+        declared: &[Access],
         mut payload: Box<dyn std::any::Any + Send>,
         first_start: Option<Instant>,
         first_t0: Option<Instant>,
@@ -705,7 +768,7 @@ impl<'a> WorkerCtx<'a> {
                     detail,
                 });
                 rec.add_retry_ns(recover_ns);
-                self.poison_writes(rec, task, plans);
+                self.poison_writes(rec, task, declared);
                 return None;
             }
             attempt += 1;
@@ -750,19 +813,21 @@ impl<'a> WorkerCtx<'a> {
         }
     }
 
-    /// Publishes every epoch advance `task` owes anyone, so §10 wake
-    /// elision behaves the same whoever ran the body. Skip-but-sync: this
-    /// runs whether or not the body did. A skipped or permanently-failed
-    /// task still publishes, so no downstream worker ever stalls on a
-    /// failure — they observe the poison bits instead (set before these
-    /// stores, so the Release edge of each publication carries them). A
-    /// publication the compiler elided has no waiter to stall: it stays a
-    /// counted terminate that, like any other that found no waiter, ran
-    /// no wake.
-    fn publish_task(&mut self, task: TaskId, accesses: TaskAccesses<'_>) {
-        self.ops.terminates += accesses.plans.len() as u64;
+    /// Publishes every epoch advance `task`, which declared `declared`
+    /// accesses, owes anyone, so §10 wake elision behaves the same whoever
+    /// ran the body. Skip-but-sync: this runs whether or not the body did.
+    /// A skipped or permanently-failed task still publishes, so no
+    /// downstream worker ever stalls on a failure — they observe the poison
+    /// bits instead (set before these stores, so the Release edge of each
+    /// publication carries them). A publication the compiler elided — every
+    /// one of a quiet task, which has no entry — has no waiter to stall: it
+    /// stays a counted terminate that, like any other that found no waiter,
+    /// ran no wake.
+    fn publish_task(&mut self, task: TaskId, declared: usize, accesses: TaskAccesses<'_>) {
+        self.ops.terminates += declared as u64;
         let strategy = self.cfg.wait;
-        let mut wakes_elided = 0;
+        let parked = usize::from(strategy == WaitStrategy::Park);
+        let mut wakes_elided = (declared - accesses.plans.len()) * parked;
         for a in accesses.plans {
             let elided = if !a.publish() {
                 strategy == WaitStrategy::Park
@@ -771,9 +836,9 @@ impl<'a> WorkerCtx<'a> {
             } else {
                 publish_read(&self.shared[a.slot()], strategy)
             };
-            wakes_elided += u64::from(elided);
+            wakes_elided += usize::from(elided);
         }
-        self.add_wakes_elided(wakes_elided);
+        self.add_wakes_elided(wakes_elided as u64);
     }
 
     /// Consumes the context into the worker's report, at the end of the

@@ -52,9 +52,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use rio_stf::store::{ReadGuard, WriteGuard};
-use rio_stf::{DataId, DataStore, Mapping, TaskId, WorkerId};
+use rio_stf::{Access, DataId, DataStore, Mapping, TaskId, WorkerId};
 
-use crate::compile::AccessPlan;
 use crate::config::RioConfig;
 use crate::futex::EventCount;
 use crate::graph::{unwind_aborted, RunShell, WorkerCtx};
@@ -237,7 +236,7 @@ impl ReduxRio {
                 shared,
                 locals: vec![RLocal::default(); store.len()],
                 store,
-                plans: Vec::new(),
+                declared: Vec::new(),
             };
             let loop_start = Instant::now();
             flow(&mut ctx);
@@ -256,7 +255,7 @@ pub struct ReduxCtx<'a, T> {
     locals: Vec<RLocal>,
     store: &'a DataStore<T>,
     /// Scratch: an own task's accesses as the engine's body block reads them.
-    plans: Vec<AccessPlan>,
+    declared: Vec<Access>,
 }
 
 impl<'a, T> ReduxCtx<'a, T> {
@@ -289,12 +288,17 @@ impl<'a, T> ReduxCtx<'a, T> {
     /// `get_* → body → terminate_*` of a task of this worker's own.
     fn run_own(&mut self, id: TaskId, accesses: &[RAccess], body: impl FnOnce(&ReduxView<'_, T>)) {
         self.wk.ops.gets += accesses.len() as u64;
-        self.plans.clear();
+        self.declared.clear();
         for a in accesses {
             let s = &self.shared[a.data.index()];
             let l = self.locals[a.data.index()];
             let writes = a.mode != RMode::Read;
-            self.plans.push(AccessPlan::kept(a.data, writes));
+            let declared = if writes {
+                Access::read_write
+            } else {
+                Access::read
+            };
+            self.declared.push(declared(a.data));
             let written = |o| s.last_executed_write.load(o) == l.last_registered_write;
             let read = |o| s.nb_reads_since_write.load(o) == l.nb_reads_since_write;
             let accumulated = |o| s.nb_accs_since_write.load(o) == l.nb_accs_since_write;
@@ -339,7 +343,7 @@ impl<'a, T> ReduxCtx<'a, T> {
         };
         let mut body = Some(body);
         let once = || (body.take().expect("a flow body gets one attempt"))(&view);
-        let alive = self.wk.run_body(id, &self.plans, once);
+        let alive = self.wk.run_body(id, &self.declared, once);
         drop(body_guards);
         if !alive {
             unwind_aborted();

@@ -644,9 +644,10 @@ fn centralized_contains_the_seeded_corpus() {
 // Containment inside a block. Under the default configuration a
 // program's quiet tasks — those that keep no guard and no publication —
 // are ranges, which a run takes a block at a time: one containment frame,
-// one counter flush and one flight mark per 1024 tasks at most. A flow
-// with a fault hook has no ranges, so none of the tests above ever sees a
-// block; these use none, and inject the panic from the kernel.
+// one counter flush and one flight mark per 1024 tasks at most. A run with
+// a fault hook takes the same ranges body by body, so none of the tests
+// above ever sees a block; these use none, and inject the panic from the
+// kernel.
 // ---------------------------------------------------------------------
 
 /// A flow of private writes: task `i` writes object `i` and nothing else,
@@ -844,6 +845,235 @@ fn a_block_starts_no_body_once_the_abort_is_observed() {
         "W1 ran {ran} of its {CHUNK} bodies in {elapsed:?}: the abort must stop \
          a block at its next body"
     );
+}
+
+/// A fault hook changes how a run takes the program, not the program: a
+/// flow compiled with a plan installed is the default one, ranges and all,
+/// and the planned panic inside a range is blamed on its task.
+#[test]
+fn a_fault_hook_leaves_the_blocks_of_the_program_as_they_are() {
+    let shape = |flow: &CompiledFlow<'_>| {
+        let own = |w: usize| {
+            let tasks = flow.own_tasks(WorkerId::from_index(w));
+            let shape = tasks.map(|t| (t.task.id, t.expected.to_vec(), t.quiet()));
+            shape.collect::<Vec<_>>()
+        };
+        format!("{:?} {:?} {:?}", flow.stats(), own(0), own(1))
+    };
+    for g in [private_graph(64), chain_graph(64), relay_graph(2, 40)] {
+        let plan = FaultPlan::new().panic_at(TaskId(5));
+        let cfg = RioConfig::with_workers(2).watchdog(BACKSTOP);
+        let hooked = Executor::new(cfg.clone().fault_hook(plan.handle()))
+            .mapping(&RoundRobin)
+            .compile(&g);
+        let flow = Executor::new(cfg).mapping(&RoundRobin).compile(&g);
+        assert_eq!(shape(&hooked), shape(&flow));
+        let err = hooked.try_run(|_, _| {}).unwrap_err();
+        assert_eq!(blamed(err), (TaskId(5), WorkerId(0)));
+    }
+}
+
+/// Own member `k` of each of `workers` round-robin workers — flow index
+/// `workers · k + w` — writes an output of its own and reads the output of
+/// member `k − 2` (its first two members read an object nobody writes).
+/// Every task is quiet, so each program is one range of stride `workers`,
+/// and a failed member poisons every second member after it.
+fn relay_graph(workers: usize, own: usize) -> TaskGraph {
+    let n = workers * own;
+    let mut b = TaskGraph::builder(workers + n);
+    for i in 0..n {
+        let input = if i < 2 * workers {
+            i % workers
+        } else {
+            i - workers
+        };
+        let output = DataId::from_index(workers + i);
+        b.task(
+            &[
+                Access::read(DataId::from_index(input)),
+                Access::write(output),
+            ],
+            1,
+            "relay",
+        );
+    }
+    b.build()
+}
+
+/// One worker's dumped ring as `(kind, task, data)`, oldest first.
+fn events_of(
+    flight: &FlightLog,
+    worker: WorkerId,
+) -> Vec<(FlightEventKind, TaskId, Option<DataId>)> {
+    let ring = flight.worker(worker).expect("the worker has a ring");
+    ring.events
+        .iter()
+        .map(|e| (e.kind, e.task, e.data))
+        .collect()
+}
+
+/// Recovery rides the block: a permanent failure, under `no_retries`, at
+/// the first, a middle and the last member of a 1024-chunk of a stride-1,
+/// -2 and -3 range degrades the run and blames that member alone. Every
+/// second member after it reads poison and is skipped, the others run;
+/// the books are exact; and the worker's ring — the chunks' marks, then
+/// the per-task path's records from the blamed member on — ends as
+/// expected (its last 32 events: the blamed member's start and poison
+/// when it is the chunk's last).
+#[test]
+fn a_permanent_failure_inside_a_block_degrades_the_range() {
+    use FlightEventKind::{Poison, TaskEnd, TaskStart};
+    const OWN: usize = 2048 + 4;
+    const CAPACITY: usize = rio_core::flight::DEFAULT_FLIGHT_CAPACITY;
+    for workers in 1..=3 {
+        let w = WorkerId::from_index(workers - 1);
+        let g = relay_graph(workers, OWN);
+        let cfg = RioConfig::with_workers(workers)
+            .recovery(RecoveryPolicy::no_retries())
+            .watchdog(BACKSTOP);
+        let flow = Executor::new(cfg).mapping(&RoundRobin).compile(&g);
+        assert!(flow.own_tasks(w).all(|t| t.quiet()), "one quiet range");
+        let own = |k: usize| TaskId::from_index(workers * k + w.index());
+        let output = |k: usize| Some(DataId::from_index(workers + own(k).index()));
+        for at in [1024, 1536, 2047] {
+            let how = format!("stride {workers}, member #{at}");
+            let blamed = own(at);
+            let skipped: Vec<usize> = (at + 2..OWN).step_by(2).collect();
+            let started: Vec<AtomicU64> = (0..g.len()).map(|_| AtomicU64::new(0)).collect();
+            let run = flow
+                .try_run(|_, t| {
+                    started[t.id.index()].fetch_add(1, Ordering::Relaxed);
+                    assert!(t.id != blamed, "boom at {blamed}");
+                })
+                .expect("a recovered run degrades");
+            let partial = run.outcome.partial().expect("degraded");
+            let failed = partial.failed.iter().map(|f| (f.task, f.worker, f.retries));
+            let failed: Vec<_> = failed.collect();
+            assert_eq!(failed, [(blamed, w, 0)], "{how}");
+            assert_eq!(
+                partial.skipped,
+                skipped.iter().map(|&k| own(k)).collect::<Vec<_>>()
+            );
+            let poisoned = std::iter::once(at).chain(skipped.iter().copied());
+            let poisoned: Vec<_> = poisoned.map(|k| output(k).unwrap()).collect();
+            assert_eq!(partial.poisoned, poisoned, "{how}");
+            let skip = |i: usize| skipped.iter().any(|&k| own(k).index() == i);
+            for (i, n) in started.iter().enumerate() {
+                let runs = n.load(Ordering::Relaxed);
+                assert_eq!(
+                    runs,
+                    u64::from(!skip(i)),
+                    "{how}: {}",
+                    TaskId::from_index(i)
+                );
+            }
+            let (n, lost) = (g.len() as u64, 1 + skipped.len() as u64);
+            assert_eq!(run.report.tasks_executed(), n - lost, "{how}");
+            let c = run.counters.total();
+            assert_eq!(
+                (c.tasks, c.poisoned, c.retries),
+                (n - lost, lost, 0),
+                "{how}"
+            );
+            let ops = run.report.total_ops();
+            assert_eq!((ops.gets, ops.terminates), (2 * n, 2 * n), "{how}");
+
+            let mut expected = vec![(TaskEnd, own(1023), None)];
+            if at > 1024 {
+                expected.push((TaskEnd, own(at - 1), None));
+            }
+            expected.extend([(TaskStart, blamed, None), (Poison, blamed, output(at))]);
+            for k in at + 1..OWN {
+                expected.push((TaskStart, own(k), None));
+                let poisoned = (k - at) % 2 == 0;
+                expected.push(if poisoned {
+                    (Poison, own(k), output(k))
+                } else {
+                    (TaskEnd, own(k), None)
+                });
+            }
+            let tail = &expected[expected.len().saturating_sub(CAPACITY)..];
+            assert_eq!(events_of(&partial.flight, w), tail, "{how}");
+            if at == 2047 {
+                assert!(tail.contains(&(TaskStart, blamed, None)), "{how}");
+            }
+            common::assert_flight_consistent(&partial.flight, &how);
+        }
+    }
+}
+
+/// A body that fails once inside a block, under `max_retries(2)`, is
+/// retried on the per-task path: the run completes, every body finished
+/// once and one retry is counted.
+#[test]
+fn a_transient_failure_inside_a_block_is_retried_once() {
+    const OWN: usize = 3000;
+    let g = private_graph(2 * OWN);
+    let policy = RecoveryPolicy::default()
+        .max_retries(2)
+        .backoff(Duration::ZERO);
+    let cfg = RioConfig::with_workers(2)
+        .recovery(policy)
+        .watchdog(BACKSTOP);
+    let flow = Executor::new(cfg).mapping(&RoundRobin).compile(&g);
+    let own = |k: usize| TaskId::from_index(2 * k);
+    let (flaky, failed) = (own(1536), std::sync::atomic::AtomicBool::new(false));
+    let finished: Vec<AtomicU64> = (0..g.len()).map(|_| AtomicU64::new(0)).collect();
+    let run = flow
+        .try_run(|_, t| {
+            if t.id == flaky && !failed.swap(true, Ordering::Relaxed) {
+                panic!("flaky {flaky}");
+            }
+            finished[t.id.index()].fetch_add(1, Ordering::Relaxed);
+        })
+        .expect("a recovered run completes");
+    assert!(run.outcome.is_complete());
+    assert!(finished.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+    let n = g.len() as u64;
+    assert_eq!(run.report.tasks_executed(), n);
+    let c = run.counters.total();
+    assert_eq!((c.tasks, c.retries, c.poisoned), (n, 1, 0));
+    let ops = run.report.total_ops();
+    assert_eq!((ops.gets, ops.terminates), (n, n));
+}
+
+/// A policy's deadline times every body, so a worker takes its ranges
+/// body by body rather than as blocks: a member that outlives the deadline
+/// and panics fails as timed out, and every second member after it skips.
+#[test]
+fn a_policy_deadline_times_out_a_member_of_a_block_range() {
+    const OWN: usize = 100;
+    let g = relay_graph(2, OWN);
+    let deadline = Duration::from_millis(1);
+    let policy = RecoveryPolicy::default().max_retries(3).deadline(deadline);
+    let cfg = RioConfig::with_workers(2)
+        .recovery(policy)
+        .watchdog(BACKSTOP);
+    let flow = Executor::new(cfg).mapping(&RoundRobin).compile(&g);
+    assert!(
+        flow.own_tasks(WorkerId(0)).all(|t| t.quiet()),
+        "one quiet range"
+    );
+    let slow = TaskId::from_index(2 * 50);
+    let run = flow
+        .try_run(|_, t| {
+            if t.id == slow {
+                std::thread::sleep(5 * deadline);
+                panic!("slow {slow}");
+            }
+        })
+        .expect("a recovered run degrades");
+    let partial = run.outcome.partial().expect("degraded");
+    let [f] = &partial.failed[..] else {
+        panic!("one failure, got {:?}", partial.failed);
+    };
+    assert_eq!((f.task, f.worker, f.retries), (slow, WorkerId(0), 0));
+    assert!(
+        matches!(f.detail, rio_stf::FailureDetail::TaskTimedOut { deadline: d, .. } if d == deadline),
+        "{}",
+        f.detail
+    );
+    assert_eq!(partial.skipped.len(), (52..OWN).step_by(2).count());
 }
 
 // ---------------------------------------------------------------------

@@ -13,12 +13,14 @@
 //! dependencies, derived here from the graph alone.
 
 use proptest::prelude::*;
-use rio::core::hybrid::{PartialFn, Unmapped};
+use rio::core::hybrid::{PartialFn, Total, Unmapped};
 use rio::core::protocol::{
     declare_batch, expected_read_word, expected_write_word, terminate_read, terminate_write,
     LocalDataState, SharedDataState, READ_EPOCH_MASK,
 };
-use rio::core::{CompiledFlow, CounterRegistry, Executor, RecoveryPolicy, RioConfig, WaitStrategy};
+use rio::core::{
+    CompiledFlow, CounterRegistry, Executor, RecoveryPolicy, RioConfig, TraceConfig, WaitStrategy,
+};
 use rio::stf::{
     Access, AccessMode, DataId, DataStore, ExecError, Mapping, RoundRobin, StallSite, TableMapping,
     TaskDesc, TaskGraph, TaskId, WorkerId,
@@ -400,8 +402,10 @@ proptest! {
     /// on its own worker, every kept guard finds all its producers'
     /// publications kept, publications are kept exactly for the consumers
     /// that keep a guard, and the run's table holds exactly the objects
-    /// with a kept half. No setting disables elision: with every per-task
-    /// hook armed, the marks and the counts are the default config's.
+    /// with a kept half. No setting disables elision or ranges: with every
+    /// per-task hook armed, tracing included, the program — its ranges,
+    /// words, marks and counts — is the default config's, and so is the
+    /// program of the same mapping handed over as a partial one.
     #[test]
     fn elided_synchronisation_is_exactly_the_worker_local_part(
         graph in arb_graph(40, 5),
@@ -423,13 +427,19 @@ proptest! {
                 prop_assert!(marks.iter().flatten().all(|m| !m.guard && !m.publish));
                 prop_assert_eq!(shared_objects, 0);
             }
-            let hooked = Executor::new(with_every_hook(cfg)).mapping(&mapping).compile(&graph);
+            let hooked = with_every_hook(cfg.clone()).trace(TraceConfig::new());
+            let hooked = Executor::new(hooked).mapping(&mapping).compile(&graph);
             let counts = |f: &CompiledFlow<'_>| {
                 let s = f.stats();
                 (s.elided_gets, s.elided_publishes, s.shared_objects)
             };
             prop_assert_eq!(counts(&hooked), counts(&flow));
             prop_assert_eq!(marks_of(&hooked), (marks, shared_objects));
+            // One program, whatever a run arms, and whatever kind of
+            // mapping puts every task on the same worker.
+            prop_assert_eq!(compiled_shape(&hooked), compiled_shape(&flow));
+            let dressed = Executor::new(cfg).hybrid(&Total(&mapping)).compile(&graph);
+            prop_assert_eq!(compiled_shape(&dressed), compiled_shape(&flow));
         }
     }
 

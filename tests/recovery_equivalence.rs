@@ -21,8 +21,8 @@ use proptest::prelude::*;
 use rio::core::hybrid::{Total, Unmapped};
 use rio::core::{Executor, RecoveryPolicy, Rio, RioConfig, WaitStrategy};
 use rio::stf::{
-    Access, AccessMode, DataId, DataStore, PartialReport, TableMapping, TaskDesc, TaskGraph,
-    TaskId, WorkerId,
+    Access, AccessMode, DataId, DataStore, FlightEventKind, PartialReport, TableMapping, TaskDesc,
+    TaskGraph, TaskId, WorkerId,
 };
 
 /// Strategy: a random well-formed task flow over `num_data` objects.
@@ -334,39 +334,67 @@ proptest! {
 /// `terminate` totals, the same `tasks` / `poisoned` counters and —
 /// worker by worker, event by event — the same flight log. (A spinning
 /// wait, so that no timing-dependent `Park` event is recorded; 20 tasks
-/// on 2 workers, so that no ring wraps.)
+/// on 2 workers, so that no ring wraps.) Timing is on, so the compiled
+/// run's quiet tasks go body by body, as every closure-flow task does.
+/// Untimed, the compiled run takes them in blocks, which mark their
+/// bodies with one `TaskEnd` (DESIGN.md §16): everything else — every
+/// other event, the partial report, the counters and the books — is the
+/// timed run's.
 #[test]
 fn closure_flow_and_compiled_runs_record_the_same_events() {
     let graph = rio::workloads::cholesky::graph(4, 1);
     let mapping = rio::workloads::cholesky::mapping(4, 2);
     let victim = TaskId(3);
-    let cfg = RioConfig::with_workers(2)
+    let untimed = RioConfig::with_workers(2)
         .wait(WaitStrategy::Spin)
         .recovery(RecoveryPolicy::no_retries());
-    let store = DataStore::filled(graph.num_data(), 0u64);
-    let compiled = run_on(&graph, &cfg, &mapping, Path::Fresh, |_, t| {
-        if t.id == victim {
-            panic!("injected permanent failure");
-        }
-        hash_kernel(&store, t);
-    });
+    let cfg = untimed.clone().measure_time(true);
+    let compiled_with = |cfg: &RioConfig| {
+        let store = DataStore::filled(graph.num_data(), 0u64);
+        let run = run_on(&graph, cfg, &mapping, Path::Fresh, |_, t| {
+            if t.id == victim {
+                panic!("injected permanent failure");
+            }
+            hash_kernel(&store, t);
+        });
+        (store.into_vec(), run)
+    };
+    let (store, compiled) = compiled_with(&cfg);
     let compiled_partial = compiled.outcome.partial().expect("degraded");
     let (flow_store, flow, flow_partial) =
         observe_degraded_closure_flow(&graph, &cfg, &mapping, victim);
 
-    assert_eq!(flow_store, store.into_vec());
+    assert_eq!(flow_store, store);
     let accesses: u64 = graph.tasks().iter().map(|t| t.accesses.len() as u64).sum();
     for ops in [compiled.report.total_ops(), flow.total_ops()] {
         assert_eq!((ops.gets, ops.terminates), (accesses, accesses));
     }
+    let books = |c: rio::core::CounterRow| (c.tasks, c.poisoned, c.retries);
     let (c, f) = (compiled.counters.total(), flow.counters.total());
-    assert_eq!(
-        (c.tasks, c.poisoned, c.retries),
-        (f.tasks, f.poisoned, f.retries)
-    );
+    assert_eq!(books(c), books(f));
     assert_eq!(c.tasks, flow.tasks_executed());
     assert!(!flow_partial.flight.is_empty());
     assert_eq!(flow_partial.flight, compiled_partial.flight);
+
+    let (blocks_store, blocks) = compiled_with(&untimed);
+    assert_eq!(blocks_store, store);
+    let blocks_partial = blocks.outcome.partial().expect("degraded");
+    assert_eq!(fingerprint(blocks_partial), fingerprint(compiled_partial));
+    assert_eq!(books(blocks.counters.total()), books(c));
+    let ops = blocks.report.total_ops();
+    assert_eq!((ops.gets, ops.terminates), (accesses, accesses));
+    let beside_bodies = |log: &rio::stf::FlightLog| -> Vec<Vec<_>> {
+        let body = |k| matches!(k, FlightEventKind::TaskStart | FlightEventKind::TaskEnd);
+        let events = |w: &rio::stf::WorkerFlight| {
+            let kept = w.events.iter().filter(|e| !body(e.kind));
+            kept.map(|e| (e.kind, e.task, e.data)).collect()
+        };
+        log.workers.iter().map(events).collect()
+    };
+    assert_eq!(
+        beside_bodies(&blocks_partial.flight),
+        beside_bodies(&compiled_partial.flight)
+    );
 }
 
 // ---------------------------------------------------------------------
