@@ -241,8 +241,8 @@ impl AccessPlan {
 /// compares the epoch word against — whole for a write, the write half
 /// only for a read — computed once by replaying the flow's declares at
 /// compile time (for an elided guard it is what the guard would have
-/// compared). When every task has an owner, the arena is laid out
-/// exactly like [`rio_stf::FlatAccesses`].
+/// compared). When every task has an owner, the arena holds every
+/// task's accesses back to back in flow order.
 #[derive(Debug, Default)]
 pub(crate) struct Arena {
     pub(crate) plans: Vec<AccessPlan>,

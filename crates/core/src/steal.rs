@@ -32,8 +32,8 @@ struct ClaimLine {
     slots: [AtomicU64; CLAIMS_PER_LINE],
 }
 
-/// Per-task single-word claim slots, `FlatAccesses`-style: one flat
-/// arena indexed by flow position. [`crate::CompiledFlow::try_run`] allocates
+/// Per-task single-word claim slots: one flat arena indexed by flow
+/// position. [`crate::CompiledFlow::try_run`] allocates
 /// one per run, and must: a flow may run from two threads at once, and
 /// two runs in flight on one table would take each other's claims.
 ///

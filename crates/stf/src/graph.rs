@@ -6,7 +6,6 @@
 //! the flow as a sequence preserves the submission order that the
 //! decentralized in-order execution model relies on.
 
-use crate::access::AccessMode;
 use crate::ids::{DataId, TaskId};
 use crate::task::{Access, TaskDesc};
 
@@ -68,26 +67,6 @@ impl TaskGraph {
     /// Total number of declared accesses across all tasks.
     pub fn total_accesses(&self) -> usize {
         self.tasks.iter().map(|t| t.accesses.len()).sum()
-    }
-
-    /// Flattens every task's access list into one contiguous arena
-    /// ([`FlatAccesses`]). Executors that walk the flow repeatedly prefer
-    /// this layout: one cache-friendly `[Access]` slab plus an offset table
-    /// instead of one heap allocation per task.
-    pub fn flat_accesses(&self) -> FlatAccesses {
-        let total = self.total_accesses();
-        assert!(
-            u32::try_from(total).is_ok(),
-            "flow declares more than u32::MAX accesses"
-        );
-        let mut offsets = Vec::with_capacity(self.tasks.len() + 1);
-        let mut arena = Vec::with_capacity(total);
-        offsets.push(0);
-        for t in &self.tasks {
-            arena.extend_from_slice(&t.accesses);
-            offsets.push(arena.len() as u32);
-        }
-        FlatAccesses { offsets, arena }
     }
 
     /// Checks structural well-formedness:
@@ -311,54 +290,6 @@ pub struct GraphStats {
     pub avg_parallelism: f64,
 }
 
-/// Structure-of-arrays view of a flow's access lists: one contiguous
-/// arena of [`Access`] entries plus a per-task offset table (built by
-/// [`TaskGraph::flat_accesses`]).
-///
-/// `offsets` has `tasks + 1` entries; task `i`'s accesses live in
-/// `arena[offsets[i]..offsets[i + 1]]`, in declaration order. The arena
-/// indices fit `u32` (asserted at construction), so downstream instruction
-/// encodings can store `(start, end)` pairs compactly.
-#[derive(Clone, Debug, Default)]
-pub struct FlatAccesses {
-    offsets: Vec<u32>,
-    arena: Vec<Access>,
-}
-
-impl FlatAccesses {
-    /// The whole arena, every task's accesses back to back in flow order.
-    #[inline]
-    pub fn arena(&self) -> &[Access] {
-        &self.arena
-    }
-
-    /// Arena range `[start, end)` of the accesses of the task at flow
-    /// index `index`.
-    #[inline]
-    pub fn range(&self, index: usize) -> (u32, u32) {
-        (self.offsets[index], self.offsets[index + 1])
-    }
-
-    /// The accesses of the task at flow index `index`.
-    #[inline]
-    pub fn of(&self, index: usize) -> &[Access] {
-        let (start, end) = self.range(index);
-        &self.arena[start as usize..end as usize]
-    }
-
-    /// Number of tasks covered.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Does the view cover no tasks?
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Incremental builder for [`TaskGraph`].
 ///
 /// ```
@@ -382,44 +313,11 @@ impl GraphBuilder {
         let id = TaskId::from_index(self.graph.tasks.len());
         self.graph.tasks.push(TaskDesc {
             id,
-            accesses: accesses.to_vec(),
+            accesses: accesses.into(),
             cost,
             kind,
         });
         id
-    }
-
-    /// Appends a task reading `reads` and writing `writes` (mode
-    /// [`AccessMode::ReadWrite`] if a data object appears in both).
-    pub fn task_rw(
-        &mut self,
-        reads: &[DataId],
-        writes: &[DataId],
-        cost: u64,
-        kind: &'static str,
-    ) -> TaskId {
-        let mut accesses: Vec<Access> = Vec::with_capacity(reads.len() + writes.len());
-        for &w in writes {
-            let mode = if reads.contains(&w) {
-                AccessMode::ReadWrite
-            } else {
-                AccessMode::Write
-            };
-            accesses.push(Access::new(w, mode));
-        }
-        for &r in reads {
-            if !writes.contains(&r) {
-                accesses.push(Access::read(r));
-            }
-        }
-        self.task(&accesses, cost, kind)
-    }
-
-    /// Grows the data-object space to at least `n` objects.
-    pub fn ensure_data(&mut self, n: usize) {
-        if n > self.graph.num_data {
-            self.graph.num_data = n;
-        }
     }
 
     /// Registers one more data object and returns its id.
@@ -467,18 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn task_rw_merges_read_write_pairs() {
-        let mut b = TaskGraph::builder(3);
-        b.task_rw(&[d(0), d(2)], &[d(2), d(1)], 5, "gemm");
-        let g = b.build();
-        let t = g.task(TaskId(1));
-        assert_eq!(t.mode_on(d(2)), Some(AccessMode::ReadWrite));
-        assert_eq!(t.mode_on(d(1)), Some(AccessMode::Write));
-        assert_eq!(t.mode_on(d(0)), Some(AccessMode::Read));
-        assert!(g.validate().is_ok());
-    }
-
-    #[test]
     fn validate_rejects_out_of_range_data() {
         let mut b = TaskGraph::builder(1);
         b.task(&[Access::read(d(5))], 1, "bad");
@@ -494,7 +380,7 @@ mod tests {
         let g = TaskGraph {
             tasks: vec![TaskDesc {
                 id: TaskId(1),
-                accesses: vec![Access::read(d(0)), Access::write(d(0))],
+                accesses: vec![Access::read(d(0)), Access::write(d(0))].into(),
                 cost: 0,
                 kind: "dup",
             }],
@@ -511,7 +397,7 @@ mod tests {
         let g = TaskGraph {
             tasks: vec![TaskDesc {
                 id: TaskId(7),
-                accesses: vec![],
+                accesses: vec![].into(),
                 cost: 0,
                 kind: "x",
             }],
@@ -699,32 +585,6 @@ mod tests {
         assert!(dot.contains("t1 [label=\"1:produce\"];"));
         assert!(dot.contains("t1 -> t2;"));
         assert!(dot.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn flat_accesses_mirror_the_per_task_lists() {
-        let mut b = TaskGraph::builder(3);
-        b.task(&[Access::write(d(0))], 1, "w");
-        b.task(&[], 1, "empty");
-        b.task(&[Access::read(d(0)), Access::read_write(d(2))], 1, "rw");
-        let g = b.build();
-        let flat = g.flat_accesses();
-        assert_eq!(flat.len(), 3);
-        assert!(!flat.is_empty());
-        assert_eq!(flat.arena().len(), g.total_accesses());
-        for (i, t) in g.tasks().iter().enumerate() {
-            assert_eq!(flat.of(i), t.accesses.as_slice());
-            let (s, e) = flat.range(i);
-            assert_eq!((e - s) as usize, t.accesses.len());
-        }
-    }
-
-    #[test]
-    fn flat_accesses_of_empty_graph() {
-        let flat = TaskGraph::builder(0).build().flat_accesses();
-        assert_eq!(flat.len(), 0);
-        assert!(flat.is_empty());
-        assert!(flat.arena().is_empty());
     }
 
     #[test]

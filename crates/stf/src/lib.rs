@@ -17,7 +17,8 @@
 //! * [`ids`] — strongly-typed identifiers ([`TaskId`], [`DataId`],
 //!   [`WorkerId`]).
 //! * [`access`] — the [`AccessMode`] lattice and conflict predicate.
-//! * [`task`] — task descriptors ([`TaskDesc`]) with their access lists.
+//! * [`task`] — task descriptors ([`TaskDesc`]) with their access lists
+//!   ([`Accesses`], held in place).
 //! * [`graph`] — recorded task flows ([`TaskGraph`]) and their builder.
 //! * [`deps`] — derivation of the implicit dependency DAG (read-after-write,
 //!   write-after-read, write-after-write) from the access sequence.
@@ -64,8 +65,8 @@ pub use error::{
 };
 pub use fault::{FaultHook, HookHandle};
 pub use flight::{FlightEvent, FlightEventKind, FlightLog, WorkerFlight};
-pub use graph::{FlatAccesses, GraphBuilder, GraphError, GraphStats, TaskGraph};
+pub use graph::{GraphBuilder, GraphError, GraphStats, TaskGraph};
 pub use ids::{DataId, TaskId, WorkerId};
 pub use mapping::{validate_mapping, BlockMapping, Mapping, RoundRobin, TableMapping};
 pub use store::{DataStore, ReadGuard, WriteGuard};
-pub use task::{Access, TaskDesc};
+pub use task::{Access, Accesses, TaskDesc};

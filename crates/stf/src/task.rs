@@ -7,6 +7,9 @@
 //! with real kernels, synthetic kernels, or no kernels at all (model
 //! checking).
 
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+
 use crate::access::AccessMode;
 use crate::ids::{DataId, TaskId};
 
@@ -45,6 +48,108 @@ impl Access {
     }
 }
 
+/// Accesses a task keeps inside its descriptor before it spills them.
+const INLINE: usize = 3;
+
+/// A task's declared accesses, held in place.
+///
+/// Up to three accesses live inside the value itself; a longer list
+/// spills to one boxed slice. So a flow whose tasks declare at most three
+/// accesses costs one allocation, the task vector, not one per task. It
+/// derefs to `[Access]`; equality, hashing and `Debug` see the live
+/// accesses only, never an unused inline slot.
+#[derive(Clone)]
+pub struct Accesses(Repr);
+
+// `u8`: both variants keep `len` at one offset, so reading it takes no
+// branch on the variant.
+#[derive(Clone)]
+#[repr(u8)]
+enum Repr {
+    Inline { len: u32, buf: [Access; INLINE] },
+    Spilled { len: u32, list: Box<[Access]> },
+}
+
+impl From<&[Access]> for Accesses {
+    fn from(list: &[Access]) -> Accesses {
+        let len = u32::try_from(list.len()).expect("at most one access per object");
+        if list.len() > INLINE {
+            return Accesses(Repr::Spilled {
+                len,
+                list: list.into(),
+            });
+        }
+        // An unused slot holds any access: only `..len` is ever read.
+        let mut buf = [Access::read(DataId(0)); INLINE];
+        buf[..list.len()].copy_from_slice(list);
+        Accesses(Repr::Inline { len, buf })
+    }
+}
+
+impl From<Vec<Access>> for Accesses {
+    fn from(list: Vec<Access>) -> Accesses {
+        list.as_slice().into()
+    }
+}
+
+impl Deref for Accesses {
+    type Target = [Access];
+
+    #[inline]
+    fn deref(&self) -> &[Access] {
+        match &self.0 {
+            Repr::Inline { len, buf } => buf.get(..*len as usize).unwrap_or(&[]),
+            Repr::Spilled { list, .. } => list,
+        }
+    }
+}
+
+impl Accesses {
+    /// Number of accesses, read without forming the slice.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Repr::Inline { len, .. } | Repr::Spilled { len, .. } => *len as usize,
+        }
+    }
+
+    /// Does the task declare no access?
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<'a> IntoIterator for &'a Accesses {
+    type Item = &'a Access;
+    type IntoIter = std::slice::Iter<'a, Access>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Accesses {
+    fn eq(&self, other: &Accesses) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Accesses {}
+
+impl Hash for Accesses {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state)
+    }
+}
+
+impl std::fmt::Debug for Accesses {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// Metadata of one task in a recorded flow.
 ///
 /// `TaskDesc` deliberately contains *no* executable payload: recorded graphs
@@ -55,7 +160,7 @@ pub struct TaskDesc {
     /// Position in the task flow (1-based, dense).
     pub id: TaskId,
     /// Declared accesses, at most one per data object.
-    pub accesses: Vec<Access>,
+    pub accesses: Accesses,
     /// Cost hint in abstract "work units" (e.g. loop iterations of the
     /// synthetic kernel). Zero means "unknown"; schedulers may use it, the
     /// decentralized runtime ignores it.
@@ -64,6 +169,10 @@ pub struct TaskDesc {
     /// reports and tests. Not interpreted by runtimes.
     pub kind: &'static str,
 }
+
+// Three inline accesses fit beside the id, cost and kind in 64 bytes; a
+// fourth would grow every descriptor to 72.
+const _: () = assert!(std::mem::size_of::<TaskDesc>() == 64);
 
 impl TaskDesc {
     /// Iterates over the data objects this task *writes* (exclusively).
@@ -108,11 +217,12 @@ impl TaskDesc {
 mod tests {
     use super::*;
     use crate::access::AccessMode::*;
+    use std::hash::BuildHasher;
 
     fn task(id: u64, accesses: Vec<Access>) -> TaskDesc {
         TaskDesc {
             id: TaskId(id),
-            accesses,
+            accesses: accesses.into(),
             cost: 0,
             kind: "test",
         }
@@ -159,6 +269,32 @@ mod tests {
         assert!(r0.conflicts_with(&w0), "read/write on same data conflicts");
         assert!(w0.conflicts_with(&r0), "conflict is symmetric");
         assert!(!w0.conflicts_with(&w1), "disjoint data never conflicts");
+    }
+
+    #[test]
+    fn accesses_compare_hash_and_print_their_live_prefix_only() {
+        let (r, w) = (Access::read(DataId(1)), Access::write(DataId(2)));
+        let live = Accesses::from(&[r][..]);
+        let stale = Accesses(Repr::Inline {
+            len: 1,
+            buf: [r, w, w],
+        });
+        let spilled = Accesses(Repr::Spilled {
+            len: 1,
+            list: vec![r].into(),
+        });
+        for other in [&stale, &spilled] {
+            assert_eq!(&live, other);
+            assert_eq!(format!("{live:?}"), format!("{other:?}"));
+        }
+        let state = std::collections::hash_map::RandomState::new();
+        assert_eq!(state.hash_one(&live), state.hash_one(&stale));
+        assert_eq!(state.hash_one(&live), state.hash_one(&spilled));
+        assert_eq!(format!("{live:?}"), format!("{:?}", [r]));
+        assert_ne!(live, Accesses::from(&[r, w][..]));
+        let four = Accesses::from(vec![r, w, r, w]);
+        assert!(matches!(four.0, Repr::Spilled { .. }));
+        assert_eq!((four.len(), &four[3]), (4, &w));
     }
 
     #[test]

@@ -55,26 +55,20 @@ pub fn graph(cfg: &RandomDepsConfig) -> TaskGraph {
     );
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut b = TaskGraph::builder(cfg.num_data);
-    let mut chosen: Vec<DataId> = Vec::with_capacity(per_task);
+    let mut accesses: Vec<Access> = Vec::with_capacity(per_task);
     for _ in 0..cfg.tasks {
-        chosen.clear();
-        while chosen.len() < per_task {
+        accesses.clear();
+        while accesses.len() < per_task {
             let d = DataId::from_index(rng.gen_range(0..cfg.num_data));
-            if !chosen.contains(&d) {
-                chosen.push(d);
-            }
-        }
-        let accesses: Vec<Access> = chosen
-            .iter()
-            .enumerate()
-            .map(|(x, &d)| {
-                if x < cfg.writes_per_task {
+            if !accesses.iter().any(|a| a.data == d) {
+                let write = accesses.len() < cfg.writes_per_task;
+                accesses.push(if write {
                     Access::write(d)
                 } else {
                     Access::read(d)
-                }
-            })
-            .collect();
+                });
+            }
+        }
         b.task(&accesses, 1, "rand");
     }
     b.build()

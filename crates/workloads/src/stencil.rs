@@ -15,10 +15,12 @@ pub fn graph(cells: usize, sweeps: usize, cost: u64) -> TaskGraph {
     assert!(cells >= 1);
     let id = |buf: usize, c: usize| DataId::from_index(buf * cells + c);
     let mut b = TaskGraph::builder(2 * cells);
+    let mut accesses = Vec::with_capacity(4);
     for s in 0..sweeps {
         let (src, dst) = (s % 2, (s + 1) % 2);
         for c in 0..cells {
-            let mut accesses = vec![Access::read(id(src, c))];
+            accesses.clear();
+            accesses.push(Access::read(id(src, c)));
             if c > 0 {
                 accesses.push(Access::read(id(src, c - 1)));
             }

@@ -66,28 +66,35 @@ impl Pattern {
         }
     }
 
-    /// The previous-step points that task `(step, point)` reads.
-    fn inputs(self, point: usize, width: usize, step: usize, rng: &mut SmallRng) -> Vec<usize> {
+    /// Fills `out` with the previous-step points that task `(step, point)`
+    /// reads.
+    fn inputs(
+        self,
+        point: usize,
+        width: usize,
+        step: usize,
+        rng: &mut SmallRng,
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
         match self {
-            Pattern::Trivial => Vec::new(),
-            Pattern::NoComm => vec![point],
+            Pattern::Trivial => {}
+            Pattern::NoComm => out.push(point),
             Pattern::Stencil1D => {
-                let mut v = vec![point];
+                out.push(point);
                 if point > 0 {
-                    v.push(point - 1);
+                    out.push(point - 1);
                 }
                 if point + 1 < width {
-                    v.push(point + 1);
+                    out.push(point + 1);
                 }
-                v
             }
             Pattern::FftButterfly => {
                 let levels = usize::BITS - (width.max(2) - 1).leading_zeros(); // ceil(log2)
                 let partner = point ^ (1 << (step as u32 % levels));
+                out.push(point);
                 if partner < width && partner != point {
-                    vec![point, partner]
-                } else {
-                    vec![point]
+                    out.push(partner);
                 }
             }
             Pattern::Tree => {
@@ -98,22 +105,20 @@ impl Pattern {
                 let stride = 1usize << s;
                 let absorbs = point.is_multiple_of(stride * 2);
                 let partner = point + stride;
+                out.push(point);
                 if absorbs && partner < width {
-                    vec![point, partner]
-                } else {
-                    vec![point]
+                    out.push(partner);
                 }
             }
             Pattern::RandomNearest => {
-                let mut v = vec![point];
+                out.push(point);
                 for _ in 0..2 {
                     let delta = rng.gen_range(-2i64..=2);
                     let q = point as i64 + delta;
-                    if (0..width as i64).contains(&q) && !v.contains(&(q as usize)) {
-                        v.push(q as usize);
+                    if (0..width as i64).contains(&q) && !out.contains(&(q as usize)) {
+                        out.push(q as usize);
                     }
                 }
-                v
             }
         }
     }
@@ -134,14 +139,13 @@ pub fn graph(pattern: Pattern, width: usize, steps: usize, cost: u64, seed: u64)
     let mut rng = SmallRng::seed_from_u64(seed);
     let id = |buf: usize, p: usize| DataId::from_index(buf * width + p);
     let mut b = TaskGraph::builder(2 * width);
+    let (mut points, mut accesses) = (Vec::new(), Vec::new());
     for s in 0..steps {
         let (src, dst) = (s % 2, (s + 1) % 2);
         for p in 0..width {
-            let mut accesses: Vec<Access> = pattern
-                .inputs(p, width, s, &mut rng)
-                .into_iter()
-                .map(|q| Access::read(id(src, q)))
-                .collect();
+            pattern.inputs(p, width, s, &mut rng, &mut points);
+            accesses.clear();
+            accesses.extend(points.iter().map(|&q| Access::read(id(src, q))));
             accesses.push(Access::write(id(dst, p)));
             b.task(&accesses, cost, pattern.label());
         }

@@ -580,8 +580,8 @@ proptest! {
     /// Partial mappings on the one engine: for random flows and a random
     /// total mapping of which nothing, some or everything is left
     /// unmapped, under every wait strategy, with a recovery policy off and
-    /// on (quiet tasks as ranges, and on the per-task path), on a fresh
-    /// flow and a reused one — every task runs exactly once (mapped ones
+    /// on (quiet tasks run as ranges either way: a policy keeps the
+    /// blocks), on a fresh flow and a reused one — every task runs exactly once (mapped ones
     /// where they are mapped), the store is the sequential oracle's, the
     /// claims add up, and nothing is elided on an epoch a claim-marked task
     /// touches while the rest of the flow elides as it does under the total
@@ -688,8 +688,9 @@ proptest! {
     /// mappings — total, and with two tasks in five left to be claimed —
     /// at 1, 2, 3 and 64 workers, a recovery policy off and on, every task
     /// is quiet exactly when it is its worker's own and keeps no half; a
-    /// run — whose quiet ranges go a block at a time, unless the policy or
-    /// a claim-marked task keeps them instructions — leaves the
+    /// run — whose quiet ranges go a block at a time with the policy or
+    /// without it, and whose claim-marked tasks, never quiet, stay
+    /// instructions — leaves the
     /// sequential oracle's store and the per-task path's books (every
     /// task executed and counted once, a get and a terminate per access);
     /// and what a block skips is safe to skip: the model checker, fed the
