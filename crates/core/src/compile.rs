@@ -7,11 +7,13 @@
 //! lowering once. DESIGN.md §9 has the arguments this module rests on.
 //!
 //! `try_compile` walks the flow **once**, a segment per worker of the
-//! executor's set when it is long. The mapping is static (§3.4,
-//! assumptions 1–2), so the private view any worker would hold before a
-//! task is the sequential replay of every earlier access: the walk replays
-//! it into a simulated view and stores, for each own access, the packed
-//! view its guard waits for, in an arena entry its task's instruction
+//! executor's set when it is long: the thread that walks a segment also
+//! counts its accesses before and finishes its entries after, in an arena
+//! of the segment's own. The mapping is static (§3.4, assumptions 1–2), so
+//! the private view any worker would hold before a task is the sequential
+//! replay of every earlier access: the walk replays it into a simulated
+//! view and stores, for each own access, the packed view its guard waits
+//! for, in an entry of its segment's arena that its task's instruction
 //! names; a fix-up replays, for each segment, what it did to objects an
 //! earlier one touched. A foreign task contributes nothing, and a run
 //! keeps no private state: a terminate is the shared publication alone.
@@ -65,6 +67,7 @@
 //! assert_eq!(store.into_vec(), vec![300]);
 //! ```
 
+use std::mem;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -83,7 +86,7 @@ use crate::steal::{ClaimTable, Claims};
 
 /// One step of a worker's program, 12 bytes: execute the task at flow
 /// index `task`, whose accesses and expected words are `arena[start..end]`
-/// — of the flow's arena, or of its claimable arena when claim-marked — or,
+/// — of its segment's arena, or of the claimable arena when claim-marked — or,
 /// marked [`QUIET`], a *quiet range*: the `end` own tasks `task + stride ·
 /// k`, each declaring as many accesses as the first and keeping neither a
 /// guard nor a publication, so none has an instruction or an entry.
@@ -123,9 +126,10 @@ impl RunInstr {
     }
 }
 
-/// One worker's compiled program: its own tasks and the claim-marked
-/// ones, in flow order.
-type WorkerProgram = Vec<RunInstr>;
+/// One worker's compiled program: its own tasks and the claim-marked ones,
+/// in flow order, and where segments `1..` begin in it. An instruction's
+/// entries are in its segment's arena; a range has none, and may run on.
+type WorkerProgram = (Vec<RunInstr>, Vec<usize>);
 
 /// One instruction's entries as the engine ([`WorkerCtx::exec_task`])
 /// takes them: per access, which halves of its synchronisation to perform
@@ -234,15 +238,16 @@ impl AccessPlan {
     }
 }
 
-/// The entries of every owned `Run` instruction, in flow order.
+/// The entries of every owned `Run` instruction of a segment, in flow
+/// order.
 ///
 /// `expected[k]` is the packed private view
 /// ([`crate::protocol::expected_write_word`]) that `plans[k]`'s `get_*`
 /// compares the epoch word against — whole for a write, the write half
 /// only for a read — computed once by replaying the flow's declares at
 /// compile time (for an elided guard it is what the guard would have
-/// compared). When every task has an owner, the arena holds every
-/// task's accesses back to back in flow order.
+/// compared). When every task has an owner, a segment's arena holds all
+/// its tasks' accesses back to back in flow order.
 #[derive(Debug, Default)]
 pub(crate) struct Arena {
     pub(crate) plans: Vec<AccessPlan>,
@@ -256,11 +261,17 @@ const BLANK: AccessPlan = AccessPlan {
 };
 
 impl Arena {
-    fn blank(len: usize) -> Arena {
+    /// Room for `len` entries, of which no page is touched yet.
+    fn reserve(len: usize) -> Arena {
         Arena {
-            plans: vec![BLANK; len],
-            expected: vec![0; len],
+            plans: Vec::with_capacity(len),
+            expected: Vec::with_capacity(len),
         }
+    }
+
+    fn blank(&mut self) {
+        self.plans.resize(self.plans.capacity(), BLANK);
+        self.expected.resize(self.expected.capacity(), 0);
     }
 
     fn truncate(&mut self, len: usize) {
@@ -287,8 +298,9 @@ pub struct CompiledFlow<'g> {
     /// The compiling executor's worker set: every run launches on it.
     set: Arc<WorkerSet>,
     graph: &'g TaskGraph,
-    /// The entries of the owned instructions, every worker's.
-    arena: Arena,
+    /// The entries of the owned instructions, every worker's: one arena
+    /// per segment, in flow order — none when no guard is kept.
+    arenas: Vec<Arena>,
     /// The entries of the claim-marked instructions, emitted once for all
     /// the programs that hold them.
     claimable: Arena,
@@ -394,10 +406,10 @@ type Verdict = u8;
 /// [`WRITES`], so that `verdict & bits` picks writes out).
 const WRITE_ONLY: u32 = WRITES;
 
-/// The fewest tasks a segment gets. A split costs two launches of the set
-/// (≈ 1.5 µs each), the cut and the fix-up, and saves ≈ 8 ns a task; split
-/// two ways, Cholesky-24's 2 600 tasks compiled 12–36 % slower
-/// (EXPERIMENTS.md "PR 32" (ii)).
+/// The fewest tasks a segment gets. A split costs four launches of the set
+/// (≈ 1.5 µs each: count, walk, finish, settle) and the fix-up, and saves
+/// ≈ 8 ns a task; split two ways, Cholesky-24's 2 600 tasks compiled
+/// 12–36 % slower (EXPERIMENTS.md, "decentralized compilation" (ii)).
 const MIN_SEGMENT: usize = 4096;
 
 /// How many segments `try_compile` walks `graph` in: a worker's each at
@@ -473,14 +485,15 @@ fn arena_fits(accesses: usize) {
 }
 
 /// One contiguous stretch of the flow as [`walk`] lowers it: its tasks, its
-/// first access's flat index, the first epoch name it owns, and its
-/// disjoint parts of the arenas and of the verdicts.
+/// first access's flat index, its access count, the first epoch name it
+/// owns, its part of the verdicts, and room for its arena and the claimable.
 struct Segment<'a> {
     tasks: std::ops::Range<usize>,
     flat: usize,
+    len: usize,
     lo: u32,
-    arenas: [(&'a mut [AccessPlan], &'a mut [u64]); 2],
     verdicts: &'a mut [Verdict],
+    arenas: [Arena; 2],
 }
 
 /// What a segment's walk came to.
@@ -489,12 +502,12 @@ struct Walked {
     /// state of all: exact from the segment's first write of it on.
     view: Vec<Epoch>,
     /// Each worker's instructions of the segment, in flow order.
-    programs: Vec<WorkerProgram>,
-    /// `[flat index, worker]` of each access before the segment first wrote
+    programs: Vec<Vec<RunInstr>>,
+    /// `[arena index, worker]` of each access before the segment first wrote
     /// its object (whose entry has the object and the segment's marks).
     records: Vec<[u32; 2]>,
-    /// Entries written to the owned arena, and to the claimable one.
-    filled: [usize; 2],
+    /// The segment's arena, and the claimable one.
+    arenas: [Arena; 2],
     kept_gets: u64,
     unmapped: usize,
 }
@@ -518,46 +531,40 @@ fn lower<'g, O: OwnerOf>(
     let (tasks, num_data, workers) = (graph.tasks(), graph.num_data(), cfg.workers);
     let s = if O::PARTIAL { 1 } else { segments };
     let s = s.clamp(1, tasks.len().max(1));
-    // Segment `k` starts at task `n·k/s`: there, and at its first access.
-    let mut cuts = vec![(0, 0)];
-    for k in 1..=s {
-        let ((from, flat), to) = (cuts[k - 1], k * tasks.len() / s);
-        let more: usize = tasks[from..to].iter().map(|t| t.accesses.len()).sum();
-        cuts.push((to, flat + more));
-    }
-    let total = cuts[s].1;
+    let spread = s > 1 && crate::wait::roomy(workers);
+    // Segment `k` is tasks `n·k/s..n·(k+1)/s`, counted by the thread that
+    // walks it: its first access's flat index sums the earlier counts.
+    let cut = |k: usize| k * tasks.len() / s;
+    let counts = fan_out(set, cfg, spread, (0..s).collect(), |k| {
+        let part = &tasks[cut(k)..cut(k + 1)];
+        part.iter().map(|t| t.accesses.len()).sum::<usize>()
+    });
+    let total = counts.iter().sum();
     arena_fits(total);
     // One epoch per object to begin with, and one per write at most.
     assert!(
         num_data + total <= (u32::MAX >> SLOT_SHIFT) as usize,
         "flow has more epochs than a compiled entry can name"
     );
-    let spread = s > 1 && crate::wait::roomy(workers);
-    // Filled in place, and cut to size at the end: the owned tasks' arena,
-    // then the claimable one — tasks nobody owns are lowered like any
-    // other. (Verdicts are zeroed pages, first touched by their segment.)
-    let mut arena = Arena::blank(total);
-    let mut claimable = Arena::blank(if O::PARTIAL { total } else { 0 });
+    // Zeroed pages, first touched by their segment, as its arenas are,
+    // though allocated here: a set thread's glibc heap gave their pages
+    // back at every free (EXPERIMENTS.md, "segment-local compilation").
     let mut verdicts: Vec<Verdict> = vec![0; num_data + total];
-    let (mut plans, mut expected) = (&mut arena.plans[..], &mut arena.expected[..]);
-    let mut claim = Some((&mut claimable.plans[..], &mut claimable.expected[..]));
-    let mut names = &mut verdicts[..];
+    let (mut names, mut flat) = (&mut verdicts[..], 0);
     let mut inputs = Vec::with_capacity(s);
-    for (k, c) in cuts.windows(2).enumerate() {
-        let ((t0, a0), (t1, a1)) = (c[0], c[1]);
-        let lo = if k == 0 { 0 } else { num_data + a0 };
-        let (p, e, v);
-        (p, plans) = std::mem::take(&mut plans).split_at_mut(a1 - a0);
-        (e, expected) = std::mem::take(&mut expected).split_at_mut(a1 - a0);
-        (v, names) = std::mem::take(&mut names).split_at_mut(num_data + a1 - lo);
-        let arenas = [(p, e), claim.take().unwrap_or_default()];
+    for (k, &len) in counts.iter().enumerate() {
+        let lo = if k == 0 { 0 } else { num_data + flat };
+        let v;
+        (v, names) = mem::take(&mut names).split_at_mut(num_data + flat + len - lo);
         inputs.push(Segment {
-            tasks: t0..t1,
-            flat: a0,
+            tasks: cut(k)..cut(k + 1),
+            flat,
+            len,
             lo: lo as u32,
-            arenas,
             verdicts: v,
+            arenas: [len, if O::PARTIAL { len } else { 0 }].map(Arena::reserve),
         });
+        flat += len;
     }
     let mut walked = fan_out(set, cfg, spread, inputs, |seg| match seg.lo {
         0 => walk::<O, false>(seg, graph, limit, workers, &owners),
@@ -570,9 +577,10 @@ fn lower<'g, O: OwnerOf>(
         .position(mapping_error)
         .map(|k| walked.remove(k));
     let mut parts: Vec<Walked> = first.into_iter().chain(walked).collect::<Result<_, _>>()?;
-    arena.truncate(parts.iter().map(|p| p.filled[0]).sum());
-    claimable.truncate(parts.iter().map(|p| p.filled[1]).sum());
     let mut kept_gets: u64 = parts.iter().map(|p| p.kept_gets).sum();
+    let take = |p: &mut Walked| mem::take(&mut p.arenas[0]);
+    let mut arenas: Vec<_> = parts.iter_mut().map(take).collect();
+    let mut claimable = mem::take(&mut parts[0].arenas[1]);
 
     // The fix-up, a segment at a time: `view` is the flow's state up to the
     // segment, in which an object still pristine was touched by no earlier
@@ -581,7 +589,7 @@ fn lower<'g, O: OwnerOf>(
     let (first, later) = parts.split_first_mut().expect("one segment at least");
     let view = &mut first.view;
     let pristine = |e: &Epoch, d: usize| (e.named as usize, e.word) == (d, 0);
-    for (k, seg) in later.iter().enumerate() {
+    for (k, (seg, arena)) in later.iter().zip(&mut arenas[1..]).enumerate() {
         for &[j, on] in &seg.records {
             let (p, j) = (&mut arena.plans[j as usize], j as usize);
             let (d, writes) = (p.data.index(), p.writes());
@@ -641,12 +649,14 @@ fn lower<'g, O: OwnerOf>(
     // A publication is kept for a kept guard: with no guard kept, every own
     // task is quiet, and ranges read no entry.
     if kept_gets == 0 {
-        arena = Arena::default();
+        arenas = Vec::new();
     }
-    let kept_publishes: u64 = [&mut arena, &mut claimable]
-        .into_iter()
-        .map(|a| finish(&mut a.plans, &verdicts, &parts[0].view))
-        .sum();
+    // Each segment's entries are finished by the thread that walked them.
+    let view = &parts[0].view;
+    let plans = arenas.iter_mut().map(|a| &mut a.plans[..]).collect();
+    let finished = fan_out(set, cfg, spread, plans, |p| finish(p, &verdicts, view));
+    let kept_publishes =
+        finished.iter().sum::<u64>() + finish(&mut claimable.plans, &verdicts, view);
     drop(verdicts);
     let runs_per_worker = (0..workers)
         .map(|w| parts.iter().map(|p| p.programs[w].len()).sum())
@@ -655,13 +665,12 @@ fn lower<'g, O: OwnerOf>(
         .map(|w| {
             parts
                 .iter_mut()
-                .map(|p| std::mem::take(&mut p.programs[w]))
+                .map(|p| mem::take(&mut p.programs[w]))
                 .collect()
         })
         .collect();
     drop(parts);
-    let plans = &arena.plans[..];
-    let programs = fan_out(set, cfg, spread, columns, |pieces| settle(pieces, plans));
+    let programs = fan_out(set, cfg, spread, columns, |pieces| settle(pieces, &arenas));
     let stats = CompileStats {
         flow_len: graph.len(),
         runs_per_worker,
@@ -675,7 +684,7 @@ fn lower<'g, O: OwnerOf>(
         cfg: cfg.clone(),
         set: Arc::clone(set),
         graph,
-        arena,
+        arenas,
         claimable,
         programs,
         unmapped: O::PARTIAL.then_some(unmapped),
@@ -733,13 +742,13 @@ fn walk<O: OwnerOf, const ASSUMES: bool>(
         slot: 0,
     };
     let mut view: Vec<Epoch> = (0..num_data as u32).map(initial).collect();
-    let mut programs: Vec<WorkerProgram> = (0..workers)
+    let mut programs: Vec<Vec<RunInstr>> = (0..workers)
         .map(|_| Vec::with_capacity(tasks.len() / workers + 1))
         .collect();
     // A record per access at most, and mostly one per object.
-    let most = usize::from(ASSUMES) * num_data.min(seg.arenas[0].0.len());
-    let mut records = Vec::with_capacity(most);
-    let (mut arenas, base, mut flat) = (seg.arenas, [seg.flat, 0], seg.flat);
+    let mut records = Vec::with_capacity(usize::from(ASSUMES) * num_data.min(seg.len));
+    let (mut arenas, mut flat) = (seg.arenas, seg.flat);
+    arenas.iter_mut().for_each(Arena::blank);
     let (mut filled, mut kept_gets, mut unmapped) = ([0usize; 2], 0, 0);
     for (i, t) in tasks.iter().enumerate() {
         let owner = owners.owner_of(t.id)?;
@@ -761,7 +770,7 @@ fn walk<O: OwnerOf, const ASSUMES: bool>(
             Some(w) => (0, w.0, w.0),
             None => (1, UNMAPPED, SPREAD),
         };
-        let (plans, expected) = &mut arenas[k];
+        let Arena { plans, expected } = &mut arenas[k];
         let (start, end) = (filled[k], filled[k] + t.accesses.len());
         let entries = plans[start..end].iter_mut().zip(&mut expected[start..end]);
         let opened = t.id.0 << 32;
@@ -779,7 +788,7 @@ fn walk<O: OwnerOf, const ASSUMES: bool>(
             // Still in the initial epoch, as far as this segment knows.
             let assumed = ASSUMES && e.named < seg.lo;
             if assumed {
-                records.push([flat as u32, on]);
+                records.push([(flat - seg.flat) as u32, on]);
             }
             if writes {
                 let named = e.named;
@@ -808,8 +817,8 @@ fn walk<O: OwnerOf, const ASSUMES: bool>(
         let marks = (u32::from(owner.is_none()) * CLAIM_MARK) | (u32::from(quiet) * QUIET);
         let run = RunInstr {
             task: (seg.tasks.start + i) as u32,
-            marked_start: (base[k] + start) as u32 | marks,
-            end: (base[k] + end) as u32,
+            marked_start: start as u32 | marks,
+            end: end as u32,
         };
         if k == 0 {
             programs[w as usize].push(run);
@@ -820,11 +829,14 @@ fn walk<O: OwnerOf, const ASSUMES: bool>(
         filled[k] = end;
         kept_gets += guards;
     }
+    for (arena, filled) in arenas.iter_mut().zip(filled) {
+        arena.truncate(filled);
+    }
     Ok(Walked {
         view,
         programs,
         records,
-        filled,
+        arenas,
         kept_gets,
         unmapped,
     })
@@ -846,15 +858,16 @@ fn finish(plans: &mut [AccessPlan], verdicts: &[Verdict], view: &[Epoch]) -> u64
 
 /// One sweep of a worker's pieces of program, in flow order, into its
 /// program: each task the walk marked [`QUIET`] and none of whose entries
-/// (in `plans`, if any are kept) keeps a half joins the open range if it
-/// continues it, or opens one. Whatever a run arms, this is its program.
-fn settle(pieces: Vec<WorkerProgram>, plans: &[AccessPlan]) -> WorkerProgram {
+/// (in its segment's arena, if any is kept) keeps a half joins the open
+/// range if it continues it, or opens one. Whatever a run arms, this is
+/// its program.
+fn settle(pieces: Vec<Vec<RunInstr>>, arenas: &[Arena]) -> WorkerProgram {
     let mut pieces = pieces.into_iter();
     let mut prog = pieces.next().unwrap_or_default();
     // The last range, while no instruction follows it: its place, and how
     // many accesses each of its tasks declares.
     let (mut open, mut kept) = (None, 0);
-    let mut fold = |prog: &mut WorkerProgram, mut r: RunInstr| {
+    let mut fold = |prog: &mut Vec<RunInstr>, mut r: RunInstr, plans: &[AccessPlan]| {
         let n = r.range().len();
         let kept_half = |e: &[AccessPlan]| e.iter().any(|p| p.bits & (GUARD | PUBLISH) != 0);
         let quiet = r.marked_start & QUIET != 0 && !plans.get(r.range()).is_some_and(kept_half);
@@ -866,7 +879,7 @@ fn settle(pieces: Vec<WorkerProgram>, plans: &[AccessPlan]) -> WorkerProgram {
             let next = u64::from(q.task) + u64::from(stride) * u64::from(q.end);
             if n == accesses && stride < QUIET && u64::from(r.task) == next {
                 (q.marked_start, q.end) = (QUIET | stride, q.end + 1);
-                return;
+                return kept;
             }
         }
         open = quiet.then_some((kept, n));
@@ -879,18 +892,27 @@ fn settle(pieces: Vec<WorkerProgram>, plans: &[AccessPlan]) -> WorkerProgram {
             None => prog.push(r),
         }
         kept += 1;
+        kept
     };
+    let plans = |k: usize| arenas.get(k).map_or(&[][..], |a| &a.plans[..]);
+    let (mut at, mut starts, first) = (0, Vec::new(), plans(0));
     for i in 0..prog.len() {
         let r = prog[i];
-        fold(&mut prog, r);
+        at = fold(&mut prog, r, first);
     }
-    pieces.flatten().for_each(|r| fold(&mut prog, r));
-    prog.truncate(kept);
+    for (k, piece) in pieces.enumerate() {
+        let plans = plans(k + 1);
+        starts.push(at);
+        piece
+            .into_iter()
+            .for_each(|r| at = fold(&mut prog, r, plans));
+    }
+    prog.truncate(at);
     // What the ranges took out, unless too little to be worth a copy.
     if prog.len() < prog.capacity() / 4 * 3 {
         prog.shrink_to_fit();
     }
-    prog
+    (prog, starts)
 }
 
 impl<'g> CompiledFlow<'g> {
@@ -920,29 +942,40 @@ impl<'g> CompiledFlow<'g> {
     /// If `worker` is not one of the compiled configuration's workers.
     pub fn own_tasks(&self, worker: WorkerId) -> impl Iterator<Item = CompiledTask<'_>> {
         let tasks = self.graph.tasks();
-        self.programs[worker.index()].iter().flat_map(move |r| {
-            let kept = r.quiet().is_none().then(|| self.accesses(r));
-            let (expected, plans, unmapped) = kept.map_or((&[][..], &[][..], false), |a| {
-                (a.expected, a.plans, a.unmapped)
-            });
-            let (first, stride, count) = r.quiet().unwrap_or((r.task as usize, 0, 1));
-            (0..count).map(move |k| CompiledTask {
-                task: &tasks[first + stride * k],
-                expected,
-                plans,
-                unmapped,
+        let segments = self.segments_of(worker.index());
+        segments.flat_map(move |(segment, instrs)| {
+            instrs.iter().flat_map(move |r| {
+                let kept = r.quiet().is_none().then(|| self.accesses(r, segment));
+                let (expected, plans, unmapped) = kept.map_or((&[][..], &[][..], false), |a| {
+                    (a.expected, a.plans, a.unmapped)
+                });
+                let (first, stride, count) = r.quiet().unwrap_or((r.task as usize, 0, 1));
+                (0..count).map(move |k| CompiledTask {
+                    task: &tasks[first + stride * k],
+                    expected,
+                    plans,
+                    unmapped,
+                })
             })
         })
     }
 
+    /// `worker`'s instructions by the segment they begin in, and its index.
+    fn segments_of(&self, worker: usize) -> impl Iterator<Item = (usize, &[RunInstr])> {
+        let (instrs, starts) = &self.programs[worker];
+        let (mut from, ends) = (0, starts.iter().copied().chain([instrs.len()]));
+        ends.map(move |to| &instrs[mem::replace(&mut from, to)..to])
+            .enumerate()
+    }
+
     /// The accesses of `r`, whose entries are in the claimable arena if it
-    /// is claim-marked, else in the flow's.
+    /// is claim-marked, else in the arena of `segment`, where it begins.
     #[inline]
-    fn accesses(&self, r: &RunInstr) -> TaskAccesses<'_> {
+    fn accesses(&self, r: &RunInstr, segment: usize) -> TaskAccesses<'_> {
         let arena = if r.unmapped() {
             &self.claimable
         } else {
-            &self.arena
+            &self.arenas[segment]
         };
         TaskAccesses {
             plans: &arena.plans[r.range()],
@@ -1032,19 +1065,21 @@ impl<'g> CompiledFlow<'g> {
     {
         let (worker, me) = (ctx.me, ctx.me.index());
         let tasks = self.graph.tasks();
-        let prog = &self.programs[me];
         let loop_start = Instant::now();
-        for r in prog {
-            if let Some(q) = r.quiet() {
-                if ctx.exec_range(q, tasks, kernel) {
-                    continue;
+        'run: for (segment, instrs) in self.segments_of(me) {
+            for r in instrs {
+                if let Some(q) = r.quiet() {
+                    if ctx.exec_range(q, tasks, kernel) {
+                        continue;
+                    }
+                    break 'run;
                 }
-                break;
-            }
-            ctx.tasks_visited += 1;
-            let t = &tasks[r.task as usize];
-            if !ctx.exec_task(t.id, &t.accesses, self.accesses(r), || kernel(worker, t)) {
-                break;
+                ctx.tasks_visited += 1;
+                let t = &tasks[r.task as usize];
+                let accesses = self.accesses(r, segment);
+                if !ctx.exec_task(t.id, &t.accesses, accesses, || kernel(worker, t)) {
+                    break 'run;
+                }
             }
         }
         let claimed = ctx.unmapped_claims;
@@ -1109,9 +1144,9 @@ mod tests {
         let g = crate::testing::independent(4096);
         let flow = compile(cfg(2), &g);
         assert_eq!(flow.stats().runs_per_worker, [2048, 2048]);
-        assert!(flow.arena.plans.is_empty());
+        assert!(flow.arenas.is_empty());
         for (w, prog) in flow.programs.iter().enumerate() {
-            let ranges: Vec<_> = prog.iter().map(RunInstr::quiet).collect();
+            let ranges: Vec<_> = prog.0.iter().map(RunInstr::quiet).collect();
             assert_eq!(ranges, [Some((w, 2, 2048))]);
         }
     }
@@ -1225,7 +1260,7 @@ mod tests {
         assert_eq!(marks(&flow), vec![vec![ELIDED]; 5]);
         assert_eq!(flow.stats().shared_objects, 0);
         // So all five are one quiet range, with no word left to compare.
-        let quiet: Vec<_> = flow.programs[1].iter().map(RunInstr::quiet).collect();
+        let quiet: Vec<_> = flow.programs[1].0.iter().map(RunInstr::quiet).collect();
         assert_eq!(quiet, [Some((0, 1, 5))]);
     }
 
@@ -1349,13 +1384,61 @@ mod tests {
         }
     }
 
-    /// What `lower` returns at `s` segments, as text.
+    /// What `lower` returns at `s` segments, as text, in the one-segment
+    /// layout: the segments' arenas end to end, and each owned
+    /// instruction's entries renumbered from its segment's arena into that.
     fn lowered<O: OwnerOf>(c: &RioConfig, g: &TaskGraph, limit: u32, s: usize, o: O) -> String {
         let f = lower(c, &Arc::default(), g, limit, s, o);
         format!(
             "{:?}",
-            f.map(|f| (f.programs, f.arena, f.claimable, f.stats, f.unmapped))
+            f.map(|f| {
+                let (mut arena, mut offsets) = (Arena::default(), vec![]);
+                for a in &f.arenas {
+                    offsets.push(arena.plans.len() as u32);
+                    arena.plans.extend(&a.plans);
+                    arena.expected.extend(&a.expected);
+                }
+                let flat = |k: usize, r: RunInstr| match r.quiet().is_some() || r.unmapped() {
+                    true => r,
+                    false => RunInstr {
+                        marked_start: r.marked_start + offsets[k],
+                        end: r.end + offsets[k],
+                        ..r
+                    },
+                };
+                let programs: Vec<Vec<RunInstr>> = (0..f.programs.len())
+                    .map(|w| {
+                        let segments = f.segments_of(w);
+                        segments
+                            .flat_map(|(k, i)| i.iter().map(move |&r| flat(k, r)))
+                            .collect()
+                    })
+                    .collect();
+                (programs, arena, f.claimable, f.stats, f.unmapped)
+            })
         )
+    }
+
+    /// A flow over `objects` objects: per task, `(object, mode)` pairs,
+    /// the first of each object kept; modes read, write, read-write.
+    fn random_flow(objects: usize, tasks: Vec<Vec<(u32, usize)>>) -> TaskGraph {
+        let mut b = TaskGraph::builder(objects);
+        for mut accesses in tasks {
+            accesses.sort_unstable();
+            accesses.dedup_by_key(|a| a.0);
+            let modes = [Access::read, Access::write, Access::read_write];
+            let a: Vec<_> = accesses.iter().map(|&(d, m)| modes[m](DataId(d))).collect();
+            b.task(&a, 1, "t");
+        }
+        b.build()
+    }
+
+    /// A random table mapping onto `workers`.
+    fn scattered(g: &TaskGraph, workers: usize, seed: u64) -> TableMapping {
+        TableMapping::from_fn(g.len(), |i| {
+            let h = (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            rio_stf::WorkerId((h >> 40) as u32 % workers as u32)
+        })
     }
 
     proptest::proptest! {
@@ -1371,20 +1454,9 @@ mod tests {
                 proptest::collection::vec((0..6u32, 0..3usize), 0..4), 1..60),
             seed in 0u64..1000,
         ) {
-            let mut b = TaskGraph::builder(6);
-            for mut accesses in tasks {
-                accesses.sort_unstable();
-                accesses.dedup_by_key(|a| a.0);
-                let modes = [Access::read, Access::write, Access::read_write];
-                let a: Vec<_> = accesses.iter().map(|&(d, m)| modes[m](DataId(d))).collect();
-                b.task(&a, 1, "t");
-            }
-            let g = b.build();
+            let g = random_flow(6, tasks);
             for workers in [1, 2, 3, 64] {
-                let table = TableMapping::from_fn(g.len(), |i| {
-                    let h = (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    rio_stf::WorkerId((h >> 40) as u32 % workers as u32)
-                });
+                let table = scattered(&g, workers, seed);
                 let partial = crate::hybrid::PartialFn(|t: TaskId, w| {
                     (t.0 % 3 != seed % 3).then(|| table.worker_of(t, w))
                 });
@@ -1397,6 +1469,55 @@ mod tests {
                 let whole = kinds(1);
                 for s in [2, 3, 5] {
                     proptest::prop_assert_eq!(&kinds(s), &whole, "{} segments, {} workers", s, workers);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        // Spinning at 3 workers on 2 CPUs waits out time slices.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Split flows run as the flow reads: random flows over four
+        /// objects, whose guards cross segment boundaries, lowered at 2, 3
+        /// and 5 segments under a random mapping at 2 and 3 workers, run
+        /// under both wait strategies with a kernel that mixes what each
+        /// task reads into what it writes. Each run leaves the sequential
+        /// run's store and counts a get and a terminate per access; a wrong
+        /// expected word fails it as a stall.
+        #[test]
+        fn split_segments_run_to_the_sequential_store(
+            tasks in proptest::collection::vec(
+                proptest::collection::vec((0..4u32, 0..3usize), 1..4), 8..80),
+            seed in 0u64..1000,
+        ) {
+            let g = random_flow(4, tasks);
+            let accesses = g.tasks().iter().map(|t| t.accesses.len() as u64).sum::<u64>();
+            let body = |store: &DataStore<u64>, t: &TaskDesc| {
+                let mix = |h: u64, d| (h ^ *store.read(d)).wrapping_mul(0x0100_0000_01B3);
+                let seen = t.reads().fold(t.id.0, mix);
+                for d in t.writes() {
+                    *store.write(d) = seen ^ u64::from(d.0);
+                }
+            };
+            let want = DataStore::filled(4, 0u64);
+            rio_stf::sequential::run_graph(&g, |id| body(&want, g.task(id)));
+            let want = want.into_vec();
+            for workers in [2, 3] {
+                let (table, set) = (scattered(&g, workers, seed), Arc::default());
+                let runs = [2, 3, 5].map(|s| crate::testing::WAITS.map(|w| (s, w)));
+                for (s, wait) in runs.into_iter().flatten() {
+                    let stall = std::time::Duration::from_secs(10);
+                    let c = RioConfig::with_workers(workers).wait(wait).watchdog(stall);
+                    let owners = Owners(&table as &dyn Mapping, workers);
+                    let flow = lower(&c, &set, &g, u32::MAX, s, owners).unwrap();
+                    let store = DataStore::filled(4, 0u64);
+                    let at = format!("{s} segments, {workers} workers, {wait}");
+                    let run = flow.try_run(|_, t| body(&store, t));
+                    let ops = run.unwrap_or_else(|e| panic!("{at}: {e}")).report.total_ops();
+                    proptest::prop_assert_eq!(store.into_vec(), want.clone(), "{}", at);
+                    proptest::prop_assert_eq!(ops.gets, accesses, "{}", at);
+                    proptest::prop_assert_eq!(ops.terminates, accesses, "{}", at);
                 }
             }
         }
@@ -1446,6 +1567,10 @@ mod tests {
         assert_eq!(ran.load(Ordering::Relaxed), 3, "every job ran");
         let again = fan_out(&set, &cfg(2), true, vec![4, 5], |k: u64| k + 1);
         assert_eq!(again, [5, 6], "the set is free again");
+        // A lone job's, too.
+        let lone = AssertUnwindSafe(|| fan_out(&set, &cfg(2), true, vec![1], job));
+        let payload = std::panic::catch_unwind(lone).expect_err("re-raised");
+        assert!(format!("{:?}", payload.downcast_ref::<String>()).contains("segment 1 fails"));
     }
 
     #[test]
@@ -1638,7 +1763,7 @@ mod tests {
         let flow = compile(cfg(2), &g);
         // Every task owned, and every one keeps a half: the arena in exact
         // flat order.
-        let expected = &flow.arena.expected;
+        let expected = &flow.arenas[0].expected;
         // T1's write waits for the initial epoch (no write, no reads).
         assert_eq!(expected[0], pack_epoch(TaskId::NONE, 0));
         // The reads wait for T1's write: the word is the whole private
