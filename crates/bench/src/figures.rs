@@ -631,16 +631,28 @@ pub struct CountersRow {
     pub on_ns: f64,
     /// ns/task with counters disabled.
     pub off_ns: f64,
+    /// ns/task with counters and the flight recorder both disabled.
+    pub all_off_ns: f64,
 }
 
 impl CountersRow {
     /// Overhead of the counters in percent (positive = counters slower).
     pub fn overhead_pct(&self) -> f64 {
-        if self.off_ns <= 0.0 {
-            return 0.0;
-        }
-        (self.on_ns - self.off_ns) * 100.0 / self.off_ns
+        pct_over(self.on_ns, self.off_ns)
     }
+
+    /// Overhead of the shipped default — counters and flight recorder —
+    /// over both disabled, in percent.
+    pub fn defaults_overhead_pct(&self) -> f64 {
+        pct_over(self.on_ns, self.all_off_ns)
+    }
+}
+
+fn pct_over(ns: f64, base_ns: f64) -> f64 {
+    if base_ns <= 0.0 {
+        return 0.0;
+    }
+    (ns - base_ns) * 100.0 / base_ns
 }
 
 /// `repro counters`: the cost of the always-on counters registry on the
@@ -648,7 +660,9 @@ impl CountersRow {
 /// (default) vs off. A handful of relaxed single-writer increments per
 /// task must stay in the measurement noise; `repro counters
 /// --assert-overhead` gates CI on it (threshold `RIO_COUNTERS_THRESHOLD`
-/// percent, default 1).
+/// percent, default 1). The `all_off` column turns the flight recorder
+/// off too, so the same gate also bounds what the shipped default costs
+/// over a bare run.
 ///
 /// Also prints the per-worker counter table of the measured run, the
 /// same snapshot `ExecReport::counters` exposes to every caller.
@@ -658,10 +672,11 @@ pub fn counters_overhead(opt: &Options, tasks_per_worker: usize) -> (String, Vec
     let n = independent::tasks_for_workers(tasks_per_worker, w);
     let graph = independent::graph_private_data(n);
 
-    let run_with = |counters: bool| {
+    let run_with = |counters: bool, flight: bool| {
         let cfg = RioConfig::with_workers(w)
             .wait(WaitStrategy::Park)
-            .counters(counters);
+            .counters(counters)
+            .flight(flight);
         let t0 = Instant::now();
         let run = rio_core::Executor::new(cfg)
             .mapping(&RoundRobin)
@@ -671,11 +686,14 @@ pub fn counters_overhead(opt: &Options, tasks_per_worker: usize) -> (String, Vec
 
     let mut on = Duration::MAX;
     let mut off = Duration::MAX;
+    let mut all_off = Duration::MAX;
     let mut snapshot = None;
     for _ in 0..opt.reps.max(1) {
-        let (d_off, _) = run_with(false);
+        let (d_off, _) = run_with(false, true);
         off = off.min(d_off);
-        let (d_on, counters) = run_with(true);
+        let (d_all_off, _) = run_with(false, false);
+        all_off = all_off.min(d_all_off);
+        let (d_on, counters) = run_with(true, true);
         if d_on < on {
             on = d_on;
             snapshot = Some(counters);
@@ -687,10 +705,12 @@ pub fn counters_overhead(opt: &Options, tasks_per_worker: usize) -> (String, Vec
         tasks: n,
         on_ns: per_task(on),
         off_ns: per_task(off),
+        all_off_ns: per_task(all_off),
     };
     for (runtime, ns) in [
         ("rio_counters_on", row.on_ns),
         ("rio_counters_off", row.off_ns),
+        ("rio_all_off", row.all_off_ns),
     ] {
         json::record(json::Record {
             figure: "counters".into(),
@@ -707,14 +727,18 @@ pub fn counters_overhead(opt: &Options, tasks_per_worker: usize) -> (String, Vec
         "tasks",
         "counters_on",
         "counters_off",
+        "all_off",
         "overhead",
+        "defaults_overhead",
     ]);
     table.row([
         row.workers.to_string(),
         row.tasks.to_string(),
         format!("{:.1}ns", row.on_ns),
         format!("{:.1}ns", row.off_ns),
+        format!("{:.1}ns", row.all_off_ns),
         format!("{:+.2}%", row.overhead_pct()),
+        format!("{:+.2}%", row.defaults_overhead_pct()),
     ]);
     let mut out = opt.emit(
         &format!(
@@ -724,7 +748,7 @@ pub fn counters_overhead(opt: &Options, tasks_per_worker: usize) -> (String, Vec
         &table,
     );
     if let Some(s) = snapshot {
-        let rendered = rio_telemetry::counters::table(&s).render();
+        let rendered = rio_doctor::report::counters_table(&s).render();
         println!("{rendered}");
         out.push_str(&rendered);
     }
@@ -747,10 +771,7 @@ pub struct FaultsRow {
 impl FaultsRow {
     /// Overhead of arming recovery in percent (positive = armed slower).
     pub fn overhead_pct(&self) -> f64 {
-        if self.off_ns <= 0.0 {
-            return 0.0;
-        }
-        (self.on_ns - self.off_ns) * 100.0 / self.off_ns
+        pct_over(self.on_ns, self.off_ns)
     }
 }
 
@@ -838,153 +859,6 @@ pub fn faults(opt: &Options, tasks_per_worker: usize) -> (String, Vec<FaultsRow>
         &table,
     );
     (out, vec![row])
-}
-
-// ---------------------------------------------------------------------
-// NUMA placement — locality-weighted remap vs topology-blind mappings
-// ---------------------------------------------------------------------
-
-/// One `repro numa` row: a mapping of the Cholesky flow evaluated
-/// against the run's worker→node table.
-#[derive(Debug, Clone)]
-pub struct NumaRow {
-    /// Mapping under evaluation.
-    pub mapping: String,
-    /// Worker count.
-    pub workers: usize,
-    /// Node count of the (detected or mocked) topology.
-    pub nodes: usize,
-    /// Tasks in the flow.
-    pub tasks: usize,
-    /// Cross-worker dependency edges staying within one node.
-    pub intra_node_edges: u64,
-    /// Cross-worker dependency edges crossing a node boundary.
-    pub cross_node_edges: u64,
-    /// `intra + DEFAULT_CROSS_NODE_COST × cross` — the deterministic
-    /// metric the CI gate compares.
-    pub weighted_cost: u64,
-    /// Wall time of one real run under the mapping (context, not gated).
-    pub wall_ns: f64,
-}
-
-/// `repro numa`: what the locality-weighted remap buys on a NUMA
-/// machine.
-///
-/// Three mappings of the same tiled-Cholesky flow — round-robin, the
-/// doctor's topology-blind remap, and the locality-weighted remap that
-/// penalizes cross-node dependency hops — are each scored with the
-/// node-aware mapping quality: cross-worker edges split into intra- vs
-/// cross-node, and the weighted cost
-/// `intra + DEFAULT_CROSS_NODE_COST × cross`. The score is a pure
-/// function of flow + mapping + node table (no clocks), so the
-/// `--assert-no-regress` CI gate is deterministic; one real run per
-/// mapping supplies wall-time context.
-///
-/// Runs against the detected topology when the host really is
-/// multi-node; otherwise a mocked two-node split of the worker count, so
-/// the figure stays meaningful on single-node hosts and in CI
-/// (`RIO_TOPO_MOCK=NxC` overrides detection either way, see
-/// `rio_doctor::topo::Topology`).
-pub fn numa(opt: &Options, grid: usize, cost: u64) -> (String, Vec<NumaRow>) {
-    use rio_workloads::cholesky;
-    let w = opt.threads.max(2);
-    let detected = rio_doctor::topo::Topology::detected().clone();
-    let topo = if detected.num_nodes() > 1 {
-        detected
-    } else {
-        std::sync::Arc::new(rio_doctor::topo::Topology::mock(2, w.div_ceil(2)))
-    };
-    let node_table = topo.node_assignment(w);
-    let graph = cholesky::graph(grid, cost);
-
-    // Hint-weighted diagnoses of the round-robin placement (trace-free —
-    // the remaps depend only on flow + cost hints + node table).
-    let counts = vec![0u64; w];
-    let plain = rio_doctor::diagnose_counters(&graph, &RoundRobin, w, &counts);
-    let weighted = rio_doctor::diagnose_counters_with_nodes(
-        &graph,
-        &RoundRobin,
-        w,
-        &counts,
-        Some(&node_table),
-    );
-
-    let empty = rio_trace::Trace::default();
-    let eval = |name: &str, mapping: &dyn rio_stf::Mapping| -> NumaRow {
-        let q = rio_doctor::quality::mapping_quality_with_nodes(
-            &graph,
-            mapping,
-            w,
-            &empty,
-            Some(&node_table),
-            rio_doctor::DEFAULT_CROSS_NODE_COST,
-        );
-        let mut wall = Duration::MAX;
-        for _ in 0..opt.reps.max(1) {
-            let cfg = RioConfig::with_workers(w).wait(WaitStrategy::Park);
-            let t0 = Instant::now();
-            rio_core::Executor::new(cfg)
-                .mapping(mapping)
-                .run(&graph, |_, t| counter_kernel(t.cost));
-            wall = wall.min(t0.elapsed());
-        }
-        NumaRow {
-            mapping: name.to_string(),
-            workers: w,
-            nodes: topo.num_nodes(),
-            tasks: graph.len(),
-            intra_node_edges: q.intra_node_edges,
-            cross_node_edges: q.cross_node_edges,
-            weighted_cost: q.weighted_cost,
-            wall_ns: wall.as_nanos() as f64,
-        }
-    };
-
-    let rows = vec![
-        eval("round-robin", &RoundRobin),
-        eval("remap-unweighted", &plain.suggested_mapping()),
-        eval("remap-weighted", &weighted.suggested_mapping()),
-    ];
-
-    for r in &rows {
-        json::record(json::Record {
-            figure: "numa".into(),
-            workload: format!("cholesky/grid={grid}/nodes={}", r.nodes),
-            runtime: r.mapping.clone(),
-            threads: r.workers,
-            tasks: r.tasks,
-            // The deterministic locality metric, not a clock: regress
-            // comparisons of this figure never flake on host noise.
-            ns_per_task: r.weighted_cost as f64 / r.tasks.max(1) as f64,
-        });
-    }
-
-    let mut table = Table::new([
-        "mapping",
-        "nodes",
-        "intra-node",
-        "cross-node",
-        "weighted cost",
-        "wall",
-    ]);
-    for r in &rows {
-        table.row([
-            r.mapping.clone(),
-            r.nodes.to_string(),
-            r.intra_node_edges.to_string(),
-            r.cross_node_edges.to_string(),
-            r.weighted_cost.to_string(),
-            fmt_dur(Duration::from_nanos(r.wall_ns as u64)),
-        ]);
-    }
-    let out = opt.emit(
-        &format!(
-            "NUMA placement — cholesky grid {grid} (cost {cost}), {w} workers on {} node(s)",
-            topo.num_nodes()
-        ),
-        &table,
-    );
-    (out, rows)
 }
 
 // ---------------------------------------------------------------------
@@ -1403,212 +1277,6 @@ pub fn costmodel(opt: &Options) -> String {
     )
 }
 
-// ---------------------------------------------------------------------
-// Telemetry overhead — armed-but-idle live telemetry vs all-off
-// ---------------------------------------------------------------------
-
-/// One row of the `repro telemetry` overhead measurement.
-#[derive(Debug, Clone)]
-pub struct TelemetryRow {
-    /// Worker count of the row.
-    pub workers: usize,
-    /// Total tasks.
-    pub tasks: usize,
-    /// ns/task with live telemetry armed: flight recorder on, an external
-    /// counter registry, the run registered in a `RunRegistry` behind a
-    /// bound (idle) scrape listener.
-    pub armed_ns: f64,
-    /// ns/task with telemetry off: counters and flight recorder disabled,
-    /// nothing registered.
-    pub off_ns: f64,
-}
-
-impl TelemetryRow {
-    /// Overhead of arming telemetry in percent (positive = armed slower).
-    pub fn overhead_pct(&self) -> f64 {
-        if self.off_ns <= 0.0 {
-            return 0.0;
-        }
-        (self.armed_ns - self.off_ns) * 100.0 / self.off_ns
-    }
-}
-
-/// What `repro telemetry` produced beyond its table.
-#[derive(Debug, Clone)]
-pub struct TelemetryOutcome {
-    /// The measured overhead rows (one per configuration).
-    pub rows: Vec<TelemetryRow>,
-    /// With `check = true`: the last mid-run scrape body, already
-    /// validated — the binary writes it to `TELEMETRY_scrape.txt` as the
-    /// CI artifact.
-    pub scrape: Option<String>,
-}
-
-/// `repro telemetry`: the cost of the full live-telemetry stack, armed
-/// but idle, on the fig7 `rio` row — flight recorder + external
-/// counter registry + run registry + bound scrape listener, vs
-/// everything off. Nobody scrapes during the timed reps (that is the
-/// steady state: a Prometheus server polls every few seconds, not every
-/// task), so the gate prices exactly what arming costs every run.
-/// `repro telemetry --assert-overhead` gates CI on
-/// `RIO_TELEMETRY_THRESHOLD` percent (default 2).
-///
-/// With `check = true` a second, untimed run is scraped *while it
-/// executes*: each scrape must parse as a valid `0.0.4` exposition and
-/// the summed `rio_tasks_total` across scrapes must be monotone — the
-/// end-to-end proof that mid-run sampling of single-writer counters
-/// works through the HTTP layer (DESIGN.md §16).
-pub fn telemetry(
-    opt: &Options,
-    tasks_per_worker: usize,
-    check: bool,
-) -> (String, TelemetryOutcome) {
-    use rio_telemetry::registry::RunRegistry;
-    use rio_telemetry::server::{scrape, ScrapeServer};
-    use rio_telemetry::{parse_exposition, validate_exposition};
-    use std::sync::Arc;
-
-    let task_size = 1u64 << 8;
-    let w = opt.threads.max(1);
-    let n = independent::tasks_for_workers(tasks_per_worker, w);
-    let graph = independent::graph_private_data(n);
-
-    let run_off = || {
-        let cfg = RioConfig::with_workers(w)
-            .wait(WaitStrategy::Park)
-            .counters(false)
-            .flight(false);
-        let t0 = Instant::now();
-        rio_core::Executor::new(cfg)
-            .mapping(&RoundRobin)
-            .run(&graph, |_, _| counter_kernel(task_size));
-        t0.elapsed()
-    };
-
-    // The armed environment outlives the reps: registry, listener and
-    // registration are per-process costs, the per-run cost is the flight
-    // ring + shared counters the config carries.
-    let runs = Arc::new(RunRegistry::new());
-    let server = ScrapeServer::serve(Arc::clone(&runs)).expect("bind loopback listener");
-    let counters = Arc::new(rio_core::CounterRegistry::new(w));
-    let _guard = runs.register(
-        &format!("independent-private/tpw={tasks_per_worker}"),
-        Arc::clone(&counters),
-    );
-    let run_armed = || {
-        let cfg = RioConfig::with_workers(w)
-            .wait(WaitStrategy::Park)
-            .counter_registry(Arc::clone(&counters))
-            .flight(true);
-        let t0 = Instant::now();
-        rio_core::Executor::new(cfg)
-            .mapping(&RoundRobin)
-            .run(&graph, |_, _| counter_kernel(task_size));
-        t0.elapsed()
-    };
-
-    let mut armed = Duration::MAX;
-    let mut off = Duration::MAX;
-    for _ in 0..opt.reps.max(1) {
-        off = off.min(run_off());
-        armed = armed.min(run_armed());
-    }
-    let per_task = |d: Duration| d.as_nanos() as f64 / n.max(1) as f64;
-    let row = TelemetryRow {
-        workers: w,
-        tasks: n,
-        armed_ns: per_task(armed),
-        off_ns: per_task(off),
-    };
-    for (runtime, ns) in [
-        ("rio_telemetry_armed", row.armed_ns),
-        ("rio_telemetry_off", row.off_ns),
-    ] {
-        json::record(json::Record {
-            figure: "telemetry".into(),
-            workload: format!("independent-private/tpw={tasks_per_worker}"),
-            runtime: runtime.into(),
-            threads: w,
-            tasks: n,
-            ns_per_task: ns,
-        });
-    }
-
-    // The --check pass: scrape the live endpoint while a run executes.
-    let scrape_body = check.then(|| {
-        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let done_flag = Arc::clone(&done);
-        let cfg = RioConfig::with_workers(w)
-            .wait(WaitStrategy::Park)
-            .counter_registry(Arc::clone(&counters))
-            .flight(true);
-        let graph = independent::graph_private_data(n);
-        let runner = std::thread::spawn(move || {
-            rio_core::Executor::new(cfg)
-                .mapping(&RoundRobin)
-                .run(&graph, |_, _| counter_kernel(task_size));
-            done_flag.store(true, std::sync::atomic::Ordering::Release);
-        });
-        let mut last = -1.0f64;
-        let mut scrapes = 0u32;
-        let body = loop {
-            let finished = done.load(std::sync::atomic::Ordering::Acquire);
-            let body = scrape(server.addr()).expect("mid-run scrape");
-            validate_exposition(&body).expect("mid-run exposition is valid");
-            let tasks: f64 = parse_exposition(&body)
-                .expect("mid-run exposition parses")
-                .iter()
-                .filter(|s| s.name == "rio_tasks_total")
-                .map(|s| s.value)
-                .sum();
-            assert!(
-                tasks >= last,
-                "scraped counters regressed under load: {tasks} < {last}"
-            );
-            last = tasks;
-            scrapes += 1;
-            // At least two scrapes even when the run outpaces the first
-            // one, so monotonicity is always exercised.
-            if finished && scrapes >= 2 {
-                break body;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        };
-        runner.join().expect("checked run");
-        eprintln!("telemetry --check: {scrapes} live scrapes, all valid and monotone");
-        body
-    });
-
-    let mut table = Table::new([
-        "workers",
-        "tasks",
-        "telemetry_armed",
-        "telemetry_off",
-        "overhead",
-    ]);
-    table.row([
-        row.workers.to_string(),
-        row.tasks.to_string(),
-        format!("{:.1}ns", row.armed_ns),
-        format!("{:.1}ns", row.off_ns),
-        format!("{:+.2}%", row.overhead_pct()),
-    ]);
-    let out = opt.emit(
-        &format!(
-            "Telemetry overhead — {tasks_per_worker} independent tasks per worker, \
-             task size {task_size}, armed-but-idle live telemetry vs all-off"
-        ),
-        &table,
-    );
-    (
-        out,
-        TelemetryOutcome {
-            rows: vec![row],
-            scrape: scrape_body,
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1670,21 +1338,6 @@ mod tests {
         assert_eq!(rows[0].tasks, 128);
         assert!(rows[0].oneshot_ns > 0.0);
         assert!(rows[0].compiled_ns > 0.0);
-    }
-
-    #[test]
-    fn telemetry_figure_measures_and_checks() {
-        let opt = quick_opt();
-        let (out, outcome) = telemetry(&opt, 64, true);
-        assert!(out.contains("telemetry_armed"));
-        assert_eq!(outcome.rows.len(), 1);
-        assert_eq!(outcome.rows[0].workers, 2);
-        assert_eq!(outcome.rows[0].tasks, 128);
-        assert!(outcome.rows[0].armed_ns > 0.0);
-        assert!(outcome.rows[0].off_ns > 0.0);
-        let scrape = outcome.scrape.expect("check=true keeps the last scrape");
-        assert!(scrape.contains("rio_tasks_total"));
-        assert!(scrape.contains("workload=\"independent-private/tpw=64\""));
     }
 
     #[test]

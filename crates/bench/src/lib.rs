@@ -15,8 +15,7 @@
 //! | `repro table1` | Table 1 — model-checking state counts for STF and Run-In-Order |
 //! | `repro costmodel` | §3.3 — validation of cost models (1) and (2) |
 //! | `repro compiled` | Extension — one-shot (compile + run) vs reused-flow per-task management cost |
-//! | `repro counters` | Extension — always-on counters overhead gate ([`figures::counters_overhead`]) |
-//! | `repro telemetry` | Extension — live-telemetry overhead gate + mid-run scrape check ([`figures::telemetry`]) |
+//! | `repro counters` | Extension — always-on counters and flight-recorder overhead gate ([`figures::counters_overhead`]) |
 //! | `repro doctor` | Extension — critical-path / mapping-quality diagnosis + remap ([`doctor`]) |
 //! | `repro tune` | Extension — closed-loop trace → diagnose → remap → recompile ([`tune`]) |
 //! | `repro regress` | Extension — perf-regression gate against a committed baseline ([`regress`]) |
@@ -25,8 +24,8 @@
 //! timings to `BENCH_repro.json` (see [`json`]); CI's bench-smoke job
 //! diffs these records with `repro regress` and gates on
 //! `repro compiled --assert-faster`, `repro park --assert-faster`,
-//! `repro counters --assert-overhead`, `repro telemetry --check
-//! --assert-overhead` and `repro tune --assert-improves`.
+//! `repro counters --assert-overhead`, `repro faults --assert-overhead`
+//! and `repro tune --assert-improves`.
 
 pub mod doctor;
 pub mod figures;

@@ -18,10 +18,9 @@
 //!   costmodel   validate cost models (1) and (2)
 //!   compiled    one-shot (compile + run) vs reused-flow management cost
 //!   park        uncontended Park terminate: wake elision vs always-wake
-//!   counters    always-on counters overhead vs counters disabled
-//!   telemetry   live-telemetry (flight + registry + listener) overhead
+//!   counters    always-on counters overhead vs counters disabled, and the
+//!               shipped default vs counters and flight recorder disabled
 //!   faults      recovery-policy overhead on a fault-free run vs disabled
-//!   numa        locality-weighted remap vs topology-blind mappings
 //!   doctor      diagnose Cholesky under round-robin, re-run the remap
 //!   tune        closed-loop trace -> diagnose -> remap -> recompile
 //!   regress     compare BENCH_repro.json runs against a baseline
@@ -47,22 +46,14 @@
 //!                      tune: write the loop record to TUNE_repro.json)
 //!   --assert-faster    (compiled) exit 1 if a reused flow's ns/task exceeds the one-shot's
 //!                      (park) exit 1 if the elided path is not faster
-//!   --check            (telemetry) scrape the live endpoint during a run,
-//!                      validate every exposition, and write the last
-//!                      scrape to TELEMETRY_scrape.txt
 //!   --assert-overhead  (counters) exit 1 if counters cost more than
-//!                      RIO_COUNTERS_THRESHOLD percent (default 1)
+//!                      RIO_COUNTERS_THRESHOLD percent (default 1), or the
+//!                      shipped default more than 2 percent over all-off
 //!                      (faults) exit 1 if arming recovery costs more than
 //!                      RIO_RECOVERY_THRESHOLD percent (default 1)
-//!                      (telemetry) exit 1 if arming the live-telemetry
-//!                      stack costs more than RIO_TELEMETRY_THRESHOLD
-//!                      percent (default 2)
 //!   --assert-improves  (tune) exit 1 if the loop fails to converge or the
 //!                      tuned run is not faster than the untuned baseline
 //!                      (RIO_TUNE_THRESHOLD percent of headroom, default 0)
-//!   --assert-no-regress (numa) exit 1 unless the locality-weighted remap
-//!                      strictly beats the topology-blind remap's weighted
-//!                      cross-node edge cost (deterministic, no clocks)
 //!
 //! regress gates with RIO_REGRESS_THRESHOLD percent (default 10).
 //! ```
@@ -178,36 +169,11 @@ fn main() {
                 assert_counters_cheap(&rows);
             }
         }
-        "telemetry" => {
-            let check = args.iter().any(|a| a == "--check");
-            let (_, outcome) = figures::telemetry(&opt, tpw, check);
-            if let Some(scrape) = &outcome.scrape {
-                let path = std::path::Path::new("TELEMETRY_scrape.txt");
-                if let Err(e) = std::fs::write(path, scrape) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-                eprintln!("wrote the last live scrape to {}", path.display());
-            }
-            if args.iter().any(|a| a == "--assert-overhead") {
-                write_json();
-                assert_telemetry_cheap(&outcome.rows);
-            }
-        }
         "faults" => {
             let (_, rows) = figures::faults(&opt, tpw);
             if args.iter().any(|a| a == "--assert-overhead") {
                 write_json();
                 assert_recovery_cheap(&rows);
-            }
-        }
-        "numa" => {
-            let grid = parse_usize(&args, "--grid", 8);
-            let cost = parse_usize(&args, "--cost", 4096) as u64;
-            let (_, rows) = figures::numa(&opt, grid, cost);
-            if args.iter().any(|a| a == "--assert-no-regress") {
-                write_json();
-                assert_numa_no_regress(&rows);
             }
         }
         "doctor" => {
@@ -258,6 +224,9 @@ fn main() {
             let cmp = regress::compare(&base, &cur, threshold);
             print!("{}", cmp.render(threshold));
             if !cmp.passed() {
+                if cmp.rows.is_empty() {
+                    eprintln!("REGRESSION: no row of {current_path} matches the baseline");
+                }
                 for r in cmp.regressions() {
                     eprintln!(
                         "REGRESSION: {} {:.1}ns/task > baseline {:.1}ns/task ({:+.1}%)",
@@ -277,7 +246,6 @@ fn main() {
             figures::compiled(&opt, tpw, &workers);
             figures::park(&opt);
             figures::faults(&opt, tpw);
-            figures::numa(&opt, 8, 4096);
         }
         "all" => {
             figures::table1(&opt);
@@ -290,9 +258,7 @@ fn main() {
             figures::compiled(&opt, tpw, &workers);
             figures::park(&opt);
             figures::counters_overhead(&opt, tpw);
-            figures::telemetry(&opt, tpw, false);
             figures::faults(&opt, tpw);
-            figures::numa(&opt, 8, 4096);
             doctor::doctor(&opt, 8, 4096);
             tune::tune(&opt, 8, 4096);
             for e in 1..=4 {
@@ -304,8 +270,8 @@ fn main() {
             figures::walks(&opt);
         }
         _ => {
-            eprintln!("usage: repro <fig2|...|table1|protocol|patterns|walks|mapping|costmodel|compiled|park|counters|telemetry|faults|numa|doctor|tune|regress|baseline|all> [options]");
-            eprintln!("options: --threads N --tasks N --reps N --exp N --n N --tpw N --workers LIST --grid N --cost N --baseline FILE --current FILE --csv --quick --json --check --assert-faster --assert-overhead --assert-improves --assert-no-regress");
+            eprintln!("usage: repro <fig2|...|table1|protocol|patterns|walks|mapping|costmodel|compiled|park|counters|faults|doctor|tune|regress|baseline|all> [options]");
+            eprintln!("options: --threads N --tasks N --reps N --exp N --n N --tpw N --workers LIST --grid N --cost N --baseline FILE --current FILE --csv --quick --json --assert-faster --assert-overhead --assert-improves");
             std::process::exit(if cmd == "help" || cmd == "--help" {
                 0
             } else {
@@ -408,40 +374,6 @@ fn assert_tune_improves(outcome: &rio_bench::tune::TuneOutcome) {
     );
 }
 
-/// The CI gate behind `numa --assert-no-regress`, on the deterministic
-/// weighted-cost metric (no clocks, so no flake budget):
-///
-/// * the locality-weighted remap must *strictly* reduce the weighted
-///   cross-node edge cost vs the topology-blind remap;
-/// * and must not cost more than the untouched round-robin baseline.
-fn assert_numa_no_regress(rows: &[figures::NumaRow]) {
-    let cost_of = |name: &str| {
-        rows.iter()
-            .find(|r| r.mapping == name)
-            .unwrap_or_else(|| panic!("numa figure produced no `{name}` row"))
-            .weighted_cost
-    };
-    let rr = cost_of("round-robin");
-    let unweighted = cost_of("remap-unweighted");
-    let weighted = cost_of("remap-weighted");
-    let mut ok = true;
-    if weighted >= unweighted {
-        eprintln!(
-            "REGRESSION: weighted remap cost {weighted} not strictly below \
-             topology-blind remap cost {unweighted}"
-        );
-        ok = false;
-    }
-    if weighted > rr {
-        eprintln!("REGRESSION: weighted remap cost {weighted} above round-robin cost {rr}");
-        ok = false;
-    }
-    if !ok {
-        std::process::exit(1);
-    }
-    eprintln!("weighted remap cost {weighted} < topology-blind {unweighted} (round-robin {rr})");
-}
-
 /// The CI gate behind `faults --assert-overhead`: arming a
 /// `RecoveryPolicy` on a fault-free run must stay below
 /// `RIO_RECOVERY_THRESHOLD` percent (default 1) of the recovery-disabled
@@ -471,39 +403,15 @@ fn assert_recovery_cheap(rows: &[figures::FaultsRow]) {
     );
 }
 
-/// The CI gate behind `telemetry --assert-overhead`: arming the live
-/// telemetry stack — flight recorder, shared counter registry, run
-/// registry, bound scrape listener — must stay below
-/// `RIO_TELEMETRY_THRESHOLD` percent (default 2) of the all-off walltime
-/// on every measured row.
-fn assert_telemetry_cheap(rows: &[figures::TelemetryRow]) {
-    let threshold: f64 = std::env::var("RIO_TELEMETRY_THRESHOLD")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2.0);
-    let mut ok = true;
-    for r in rows {
-        let pct = r.overhead_pct();
-        if pct > threshold {
-            eprintln!(
-                "REGRESSION: telemetry overhead {:+.2}% > {:.2}% at {} workers / {} tasks",
-                pct, threshold, r.workers, r.tasks
-            );
-            ok = false;
-        }
-    }
-    if !ok {
-        std::process::exit(1);
-    }
-    eprintln!(
-        "telemetry overhead <= {threshold:.2}% on all {} rows",
-        rows.len()
-    );
-}
+/// How far the shipped default (counters and flight recorder on) may
+/// exceed the run with both off, in percent.
+const DEFAULTS_THRESHOLD_PCT: f64 = 2.0;
 
 /// The CI gate behind `counters --assert-overhead`: the always-on counter
 /// increments must stay below `RIO_COUNTERS_THRESHOLD` percent (default 1)
-/// of the counters-off walltime on every measured row.
+/// of the counters-off walltime, and the shipped default below
+/// [`DEFAULTS_THRESHOLD_PCT`] of the all-off walltime, on every measured
+/// row.
 fn assert_counters_cheap(rows: &[figures::CountersRow]) {
     let threshold: f64 = std::env::var("RIO_COUNTERS_THRESHOLD")
         .ok()
@@ -519,12 +427,22 @@ fn assert_counters_cheap(rows: &[figures::CountersRow]) {
             );
             ok = false;
         }
+        let pct = r.defaults_overhead_pct();
+        if pct > DEFAULTS_THRESHOLD_PCT {
+            eprintln!(
+                "REGRESSION: shipped-default overhead {:+.2}% > {:.2}% over all-off \
+                 at {} workers / {} tasks",
+                pct, DEFAULTS_THRESHOLD_PCT, r.workers, r.tasks
+            );
+            ok = false;
+        }
     }
     if !ok {
         std::process::exit(1);
     }
     eprintln!(
-        "counters overhead <= {threshold:.2}% on all {} rows",
+        "counters overhead <= {threshold:.2}% and shipped-default overhead <= \
+         {DEFAULTS_THRESHOLD_PCT:.2}% on all {} rows",
         rows.len()
     );
 }

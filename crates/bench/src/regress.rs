@@ -121,9 +121,11 @@ impl Comparison {
         self.rows.iter().filter(|r| r.regressed)
     }
 
-    /// True when no matched row regressed.
+    /// True when at least one row matched and none regressed: a baseline
+    /// whose keys all drifted from the current run's compares nothing, and
+    /// that must not pass in silence.
     pub fn passed(&self) -> bool {
-        self.regressions().next().is_none()
+        !self.rows.is_empty() && self.regressions().next().is_none()
     }
 
     /// Renders the verdict table plus a pass/fail summary line.
@@ -316,6 +318,16 @@ mod tests {
         assert_eq!(cmp.rows.len(), 1);
         assert_eq!(cmp.baseline_only, 1);
         assert_eq!(cmp.current_only, 1);
+    }
+
+    #[test]
+    fn no_matched_row_fails_the_gate() {
+        let base = vec![rec("fig7", "rio", 100.0)];
+        let cur = vec![rec("park", "rio", 100.0)];
+        let cmp = compare(&base, &cur, DEFAULT_THRESHOLD_PCT);
+        assert!(cmp.rows.is_empty());
+        assert!(!cmp.passed());
+        assert!(!compare(&[], &[], DEFAULT_THRESHOLD_PCT).passed());
     }
 
     #[test]

@@ -161,8 +161,8 @@ pub struct RioConfig {
     /// [`rio_stf::StallDiagnostic`] and [`rio_stf::PartialReport`] as a
     /// postmortem bundle when a run stalls or degrades. On by default —
     /// recording is a few relaxed stores per event on a worker-owned
-    /// cache line (gated with the rest of the telemetry layer under
-    /// `RIO_TELEMETRY_THRESHOLD` by `repro telemetry`).
+    /// cache line (`repro counters --assert-overhead` gates the shipped
+    /// default, counters and flight on, at 2% over both off).
     pub flight: bool,
     /// Graceful-degradation policy ([`RecoveryPolicy`]): retry failed
     /// task bodies with backoff, then skip-but-sync into a

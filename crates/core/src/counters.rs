@@ -183,7 +183,6 @@ impl CounterRegistry {
     pub fn snapshot(&self) -> CountersSnapshot {
         CountersSnapshot {
             workers: self.workers.iter().map(WorkerCounters::row).collect(),
-            nodes: None,
         }
     }
 
@@ -254,22 +253,6 @@ impl CounterRow {
         self.retries += other.retries;
         self.poisoned += other.poisoned;
     }
-
-    /// Every counter as a `(name, value)` pair, in table-column order —
-    /// the iteration surface consumers that render *all* counters
-    /// (e.g. the Prometheus exporter in `rio-telemetry`) build on, so
-    /// adding a counter extends them without a matching code change.
-    pub fn fields(&self) -> [(&'static str, u64); 7] {
-        [
-            ("tasks", self.tasks),
-            ("spins", self.spins),
-            ("parks", self.parks),
-            ("wakes_elided", self.wakes_elided),
-            ("aborts", self.aborts),
-            ("retries", self.retries),
-            ("poisoned", self.poisoned),
-        ]
-    }
 }
 
 /// A sampled [`CounterRegistry`]: one [`CounterRow`] per worker. Attached
@@ -278,11 +261,6 @@ impl CounterRow {
 pub struct CountersSnapshot {
     /// Per-worker rows, in worker order.
     pub workers: Vec<CounterRow>,
-    /// Node of each worker (parallel to `workers`), when whoever sampled
-    /// the snapshot knows the placement — `rio-telemetry`'s run registry
-    /// sets it for its `node` labels and node-grouped tables; `None` from
-    /// a run.
-    pub nodes: Option<Vec<u32>>,
 }
 
 impl CountersSnapshot {
@@ -354,7 +332,6 @@ mod tests {
                     ..CounterRow::default()
                 },
             ],
-            nodes: None,
         };
         assert_eq!(snap.tasks_per_worker(), vec![7, 3]);
     }

@@ -17,8 +17,8 @@
 //! A recorded event is **one relaxed load and three relaxed stores** on a
 //! cache line owned by the recording worker — the same single-writer
 //! discipline as the counters' `bump` (a locked RMW would blow the
-//! armed-idle budget; `repro telemetry --assert-overhead` gates the
-//! whole telemetry layer under `RIO_TELEMETRY_THRESHOLD`, default 2%).
+//! armed-idle budget; `repro counters --assert-overhead` gates the
+//! shipped default, counters and flight recorder on, at 2% over both off).
 //! Each ring is `#[repr(align(128))]`-padded, so recording never
 //! contends with another worker's line.
 //!

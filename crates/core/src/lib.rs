@@ -41,8 +41,7 @@
 //!
 //! Choosing the mapping is the programmer's business, or the doctor's:
 //! `rio_doctor::tune` closes the loop run → diagnose → remap → recompile
-//! over this crate's public API, and `rio_doctor::topo` weighs a mapping
-//! against the machine's NUMA nodes.
+//! over this crate's public API.
 //!
 //! ## Observability
 //!

@@ -28,8 +28,7 @@
 //! Any total mapping is deadlock-free under the RIO protocol, so applying
 //! the suggested remap is always safe. [`tune`] applies it in process —
 //! run, diagnose, remap, recompile — over `rio_core::Executor`'s public
-//! API, and [`topo`] supplies the NUMA node table the locality-weighted
-//! variants take.
+//! API.
 //!
 //! ```
 //! use rio_stf::{Access, DataId, RoundRobin, TaskGraph};
@@ -60,7 +59,6 @@ pub mod critical;
 pub mod durations;
 pub mod quality;
 pub mod report;
-pub mod topo;
 pub mod tune;
 pub mod waits;
 
@@ -73,13 +71,6 @@ pub use waits::BlockedObject;
 use rio_stf::deps::DepGraph;
 use rio_stf::{Mapping, TaskGraph};
 use rio_trace::Trace;
-
-/// Default cost ratio of a cross-node dependency edge relative to an
-/// intra-node one, used by the node-aware diagnose entry points when the
-/// caller has no measured ratio. Remote-node cache-line transfers on
-/// commodity two-socket machines land in the 2–6× latency band; 4 is the
-/// midpoint and keeps the weighted cost integral.
-pub const DEFAULT_CROSS_NODE_COST: u32 = 4;
 
 /// Runs every analysis over one finished run and assembles the
 /// [`DoctorReport`].
@@ -94,51 +85,12 @@ pub fn diagnose(
     workers: usize,
     trace: &Trace,
 ) -> DoctorReport {
-    diagnose_with_nodes(graph, mapping, workers, trace, None)
-}
-
-/// [`diagnose`] with NUMA placement: `nodes[w]` is the node worker `w`
-/// runs on (e.g. [`topo::Topology::node_assignment`]). The mapping
-/// quality splits cross-worker edges into intra-/cross-node and reports a
-/// weighted cost at [`DEFAULT_CROSS_NODE_COST`], and the suggested remap
-/// penalizes cross-node predecessor hops by the mean task duration times
-/// that ratio, steering dependent chains onto one node. `None` (or a
-/// single-node table) reduces to the topology-blind [`diagnose`] exactly.
-pub fn diagnose_with_nodes(
-    graph: &TaskGraph,
-    mapping: &dyn Mapping,
-    workers: usize,
-    trace: &Trace,
-    nodes: Option<&[u32]>,
-) -> DoctorReport {
-    // A table that names only one node carries no placement signal; fold
-    // it to None so every downstream path takes the bit-identical
-    // topology-blind route.
-    let nodes = nodes.filter(|n| {
-        n.iter()
-            .take(workers)
-            .collect::<std::collections::BTreeSet<_>>()
-            .len()
-            > 1
-    });
     let deps = DepGraph::derive(graph);
     let dur = durations::from_trace(graph, trace);
     let cp = critical::analyze(&deps, &dur.ns);
     let blocking = waits::attribute(graph, mapping, workers, trace);
-    let quality = quality::mapping_quality_with_nodes(
-        graph,
-        mapping,
-        workers,
-        trace,
-        nodes,
-        DEFAULT_CROSS_NODE_COST,
-    );
-    // Scale the remap's hop penalty to the workload: a cross-node hop
-    // costs (ratio - 1) extra mean task durations, so cheap tasks shard
-    // freely while dependent heavy chains stay node-local.
-    let mean_ns = dur.total_ns / graph.len().max(1) as u64;
-    let penalty_ns = mean_ns.saturating_mul(u64::from(DEFAULT_CROSS_NODE_COST - 1));
-    let suggested = quality::suggest_remap_weighted(&deps, &dur.ns, workers, nodes, penalty_ns);
+    let quality = quality::mapping_quality(graph, mapping, workers, trace);
+    let suggested = quality::suggest_remap(&deps, &dur.ns, workers);
 
     let moves = suggested
         .iter()
@@ -192,21 +144,8 @@ pub fn diagnose_counters(
     workers: usize,
     tasks_per_worker: &[u64],
 ) -> DoctorReport {
-    diagnose_counters_with_nodes(graph, mapping, workers, tasks_per_worker, None)
-}
-
-/// [`diagnose_counters`] with NUMA placement, mirroring
-/// [`diagnose_with_nodes`]: the hint-weighted prediction also splits
-/// edges by node and penalizes cross-node hops in the suggested remap.
-pub fn diagnose_counters_with_nodes(
-    graph: &TaskGraph,
-    mapping: &dyn Mapping,
-    workers: usize,
-    tasks_per_worker: &[u64],
-    nodes: Option<&[u32]>,
-) -> DoctorReport {
     let empty = Trace::default();
-    let mut report = diagnose_with_nodes(graph, mapping, workers, &empty, nodes);
+    let mut report = diagnose(graph, mapping, workers, &empty);
     // The empty trace left every per-worker row blank; fill busy from the
     // hint-weighted durations of each worker's mapped tasks and the task
     // counts from the run's counters.
@@ -319,40 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn node_aware_diagnose_reduces_to_plain_when_topology_is_trivial() {
-        let (g, trace) = chain_setup();
-        let plain = diagnose(&g, &RoundRobin, 2, &trace);
-        for nodes in [None, Some(&[0u32, 0][..])] {
-            let r = diagnose_with_nodes(&g, &RoundRobin, 2, &trace, nodes);
-            assert_eq!(r.suggested, plain.suggested);
-            assert_eq!(r.quality.cross_node_edges, 0);
-            assert_eq!(r.quality.weighted_cost, plain.quality.cross_edges);
-        }
-    }
-
-    #[test]
-    fn node_aware_diagnose_splits_edges_and_penalizes_hops() {
-        let (g, trace) = chain_setup();
-        // Round-robin alternates the chain between W0 (node 0) and W1
-        // (node 1): both chain edges cross nodes.
-        let nodes = [0u32, 1];
-        let r = diagnose_with_nodes(&g, &RoundRobin, 2, &trace, Some(&nodes));
-        assert_eq!(r.quality.cross_edges, 2);
-        assert_eq!(r.quality.cross_node_edges, 2);
-        assert_eq!(
-            r.quality.weighted_cost,
-            2 * u64::from(DEFAULT_CROSS_NODE_COST)
-        );
-        // The penalized remap keeps the serial chain on a single node.
-        let chain_nodes: std::collections::BTreeSet<u32> =
-            r.suggested.iter().map(|w| nodes[w.index()]).collect();
-        assert_eq!(chain_nodes.len(), 1);
-        // Counters fast path threads the same table through.
-        let c = diagnose_counters_with_nodes(&g, &RoundRobin, 2, &[2, 1], Some(&nodes));
-        assert_eq!(c.quality.cross_node_edges, 2);
-    }
-
-    #[test]
     fn remap_moves_are_counted_against_the_input_mapping() {
         let (g, trace) = chain_setup();
         let r = diagnose(&g, &RoundRobin, 2, &trace);
@@ -362,5 +267,44 @@ mod tests {
         let m = r.suggested_mapping();
         assert!(m.validate(2));
         assert_eq!(m.len(), 3);
+    }
+
+    /// FNV-1a over a placement table, so a test can pin a whole remap.
+    fn fnv(table: &[rio_stf::WorkerId]) -> u64 {
+        table.iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ u64::from(w.0)).wrapping_mul(0x1000_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn remap_placements_are_pinned() {
+        use rio_workloads::{cholesky, random_deps};
+        let chol = cholesky::graph(8, 4096);
+        let rand = random_deps::graph(&random_deps::RandomDepsConfig::paper(2048, 1));
+        let cases: [(&TaskGraph, &dyn Mapping, usize); 3] = [
+            (&chol, &cholesky::mapping(8, 2), 2),
+            (&chol, &cholesky::mapping(8, 4), 4),
+            (&rand, &random_deps::mapping(), 3),
+        ];
+        let mut got = Vec::new();
+        for (g, m, w) in cases {
+            let deps = DepGraph::derive(g);
+            let dur = durations::from_trace(g, &Trace::default());
+            let remap = quality::suggest_remap(&deps, &dur.ns, w);
+            // The per-worker task counts fill only the load rows, never
+            // the remap.
+            let report = diagnose_counters(g, m, w, &[]);
+            got.push((fnv(&remap), fnv(&report.suggested)));
+        }
+        // Any change to the greedy's order, tie-breaks or duration
+        // fallback moves these.
+        assert_eq!(
+            got,
+            vec![
+                (0x56f65e8f246c835d, 0x56f65e8f246c835d),
+                (0x101e7ef5e37d4dc1, 0x101e7ef5e37d4dc1),
+                (0xec72b1fbdc9c446c, 0xec72b1fbdc9c446c),
+            ]
+        );
     }
 }

@@ -26,7 +26,7 @@ impl WorkerLoad {
     }
 }
 
-/// How well the static mapping fits the DAG and the machine.
+/// How well the static mapping fits the DAG.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MappingQuality {
     /// Per-worker time split, one row per worker of the run.
@@ -42,44 +42,14 @@ pub struct MappingQuality {
     /// Cross-worker edge count per data object, descending; objects with
     /// no cross-worker edges are omitted.
     pub cross_per_data: Vec<(DataId, u64)>,
-    /// Cross-worker edges whose two workers share a NUMA node (all of
-    /// them when no node assignment was supplied).
-    pub intra_node_edges: u64,
-    /// Cross-worker edges whose two workers sit on different NUMA nodes
-    /// (0 without a node assignment).
-    pub cross_node_edges: u64,
-    /// Locality-weighted communication cost of the mapping:
-    /// `intra_node_edges + cost_ratio × cross_node_edges` — the
-    /// objective the weighted remap minimizes. Without a node assignment
-    /// this equals `cross_edges` (every edge costs 1).
-    pub weighted_cost: u64,
 }
 
-/// Computes the mapping-quality report for one run (topology-blind:
-/// every cross-worker edge costs 1). Equivalent to
-/// [`mapping_quality_with_nodes`] with no node assignment.
+/// Computes the mapping-quality report for one run.
 pub fn mapping_quality(
     graph: &TaskGraph,
     mapping: &dyn Mapping,
     workers: usize,
     trace: &Trace,
-) -> MappingQuality {
-    mapping_quality_with_nodes(graph, mapping, workers, trace, None, 1)
-}
-
-/// Computes the mapping-quality report for one run, splitting
-/// cross-worker edges by locality when a node-per-worker assignment is
-/// supplied: an edge between two workers of the same NUMA node costs 1,
-/// one that crosses nodes costs `cross_node_cost` (see
-/// [`crate::DEFAULT_CROSS_NODE_COST`]). `nodes[w]` is worker `w`'s node;
-/// workers past the slice (or all workers when `None`) count as node 0.
-pub fn mapping_quality_with_nodes(
-    graph: &TaskGraph,
-    mapping: &dyn Mapping,
-    workers: usize,
-    trace: &Trace,
-    nodes: Option<&[u32]>,
-    cross_node_cost: u32,
 ) -> MappingQuality {
     // Per-worker loads: one row per worker of the run, filled from the
     // trace where a worker recorded anything.
@@ -109,15 +79,11 @@ pub fn mapping_quality_with_nodes(
     // Cross-worker dependency edges, attributed to the data object that
     // carries each hazard (same sweep as the dependency derivation).
     let owner = |t: TaskId| -> WorkerId { mapping.worker_of(t, workers) };
-    let node_of =
-        |w: WorkerId| -> u32 { nodes.map_or(0, |n| n.get(w.index()).copied().unwrap_or(0)) };
     let mut last_writer: Vec<Option<TaskId>> = vec![None; graph.num_data()];
     let mut readers_since: Vec<Vec<TaskId>> = vec![Vec::new(); graph.num_data()];
     let mut cross: Vec<u64> = vec![0; graph.num_data()];
     let mut cross_edges = 0u64;
     let mut total_edges = 0u64;
-    let mut intra_node_edges = 0u64;
-    let mut cross_node_edges = 0u64;
     for t in graph.tasks() {
         let w_t = owner(t.id);
         for a in &t.accesses {
@@ -128,11 +94,6 @@ pub fn mapping_quality_with_nodes(
                 if w_p != w_t {
                     cross[s] += 1;
                     cross_edges += 1;
-                    if node_of(w_p) == node_of(w_t) {
-                        intra_node_edges += 1;
-                    } else {
-                        cross_node_edges += 1;
-                    }
                 }
             }
             if a.mode.writes() {
@@ -147,11 +108,6 @@ pub fn mapping_quality_with_nodes(
                     if w_r != w_t {
                         cross[s] += 1;
                         cross_edges += 1;
-                        if node_of(w_r) == node_of(w_t) {
-                            intra_node_edges += 1;
-                        } else {
-                            cross_node_edges += 1;
-                        }
                     }
                 }
             }
@@ -181,9 +137,6 @@ pub fn mapping_quality_with_nodes(
         cross_edges,
         total_edges,
         cross_per_data,
-        intra_node_edges,
-        cross_node_edges,
-        weighted_cost: intra_node_edges + u64::from(cross_node_cost) * cross_node_edges,
     }
 }
 
@@ -202,32 +155,8 @@ pub fn mapping_quality_with_nodes(
 /// protocol any total mapping is deadlock-free, so feeding it back into a
 /// run is always safe.
 pub fn suggest_remap(deps: &DepGraph, dur_ns: &[u64], workers: usize) -> Vec<WorkerId> {
-    suggest_remap_weighted(deps, dur_ns, workers, None, 0)
-}
-
-/// [`suggest_remap`] with a locality-weighted objective: when a
-/// node-per-worker assignment and a non-zero `cross_node_penalty_ns` are
-/// supplied, a dependency whose predecessor was placed on a *different
-/// NUMA node* than the candidate worker delays the task's ready time on
-/// that candidate by the penalty — modelling the cross-socket epoch-word
-/// bounce. The greedy earliest-finish placement then prefers keeping
-/// chains node-local even at mild load-balance cost, minimizing the
-/// [`MappingQuality::weighted_cost`] objective.
-///
-/// With `nodes = None` or a zero penalty the ready time is
-/// worker-independent and the placement is exactly [`suggest_remap`]'s
-/// (byte-identical table).
-pub fn suggest_remap_weighted(
-    deps: &DepGraph,
-    dur_ns: &[u64],
-    workers: usize,
-    nodes: Option<&[u32]>,
-    cross_node_penalty_ns: u64,
-) -> Vec<WorkerId> {
     let n = deps.len();
     let workers = workers.max(1);
-    let node_of = |w: usize| -> u32 { nodes.map_or(0, |ns| ns.get(w).copied().unwrap_or(0)) };
-    let penalized = nodes.is_some() && cross_node_penalty_ns > 0;
     let mut free = vec![0u64; workers];
     let mut finish = vec![0u64; n];
     let mut assign = vec![WorkerId(0); n];
@@ -244,30 +173,10 @@ pub fn suggest_remap_weighted(
             .iter()
             .max_by_key(|p| finish[p.index()])
             .map(|p| assign[p.index()].index());
-        // A predecessor on another node hands its value over a
-        // cross-socket hop: its contribution to a candidate worker's
-        // ready time grows by the penalty.
-        let ready_on = |w: usize, finish: &[u64], assign: &[WorkerId]| -> u64 {
-            if !penalized {
-                return ready;
-            }
-            deps.preds(id)
-                .iter()
-                .map(|p| {
-                    let hop = if node_of(assign[p.index()].index()) != node_of(w) {
-                        cross_node_penalty_ns
-                    } else {
-                        0
-                    };
-                    finish[p.index()] + hop
-                })
-                .max()
-                .unwrap_or(0)
-        };
         let mut best = 0usize;
         let mut best_key = (u64::MAX, true, u64::MAX);
         for (w, &f) in free.iter().enumerate() {
-            let start = f.max(ready_on(w, &finish, &assign));
+            let start = f.max(ready);
             // Smaller start wins; then predecessor affinity; then the
             // least-loaded worker (load balance); then the lowest id.
             let key = (start, Some(w) != affinity, f);
@@ -276,7 +185,7 @@ pub fn suggest_remap_weighted(
                 best = w;
             }
         }
-        let start = free[best].max(ready_on(best, &finish, &assign));
+        let start = free[best].max(ready);
         finish[i] = start + dur_ns[i];
         free[best] = finish[i];
         assign[i] = WorkerId::from_index(best);
@@ -397,80 +306,5 @@ mod tests {
     fn remap_handles_zero_workers_gracefully() {
         let deps = DepGraph::derive(&TaskGraph::builder(0).build());
         assert!(suggest_remap(&deps, &[], 0).is_empty());
-    }
-
-    #[test]
-    fn node_split_classifies_cross_worker_edges() {
-        // Chain T1 -> T2 -> T3 through d0 under round-robin over 4
-        // workers with nodes [0, 0, 1, 1]: edge T1(W0)->T2(W1) stays on
-        // node 0, edge T2(W1)->T3(W2) crosses nodes.
-        let mut b = TaskGraph::builder(1);
-        b.task(&[Access::write(d(0))], 1, "w");
-        b.task(&[Access::read_write(d(0))], 1, "rw");
-        b.task(&[Access::read_write(d(0))], 1, "rw");
-        let g = b.build();
-        let nodes = [0u32, 0, 1, 1];
-        let q = mapping_quality_with_nodes(&g, &RoundRobin, 4, &Trace::default(), Some(&nodes), 4);
-        assert_eq!(q.cross_edges, 2);
-        assert_eq!(q.intra_node_edges, 1);
-        assert_eq!(q.cross_node_edges, 1);
-        assert_eq!(q.weighted_cost, 1 + 4);
-        // Topology-blind report: same edges, unit costs.
-        let q = mapping_quality(&g, &RoundRobin, 4, &Trace::default());
-        assert_eq!(q.intra_node_edges, 2);
-        assert_eq!(q.cross_node_edges, 0);
-        assert_eq!(q.weighted_cost, q.cross_edges);
-    }
-
-    #[test]
-    fn weighted_remap_defaults_to_the_unweighted_placement() {
-        let mut b = TaskGraph::builder(2);
-        for i in 0..20u32 {
-            b.task(&[Access::read_write(d(i % 2))], 1, "t");
-        }
-        let deps = DepGraph::derive(&b.build());
-        let dur = [100u64; 20];
-        let plain = suggest_remap(&deps, &dur, 4);
-        let nodes = [0u32, 0, 1, 1];
-        // No penalty, or no node table: byte-identical placement.
-        assert_eq!(
-            suggest_remap_weighted(&deps, &dur, 4, Some(&nodes), 0),
-            plain
-        );
-        assert_eq!(suggest_remap_weighted(&deps, &dur, 4, None, 50), plain);
-    }
-
-    #[test]
-    fn weighted_remap_keeps_chains_node_local() {
-        // Two independent chains over 4 workers on 2 nodes: with a
-        // cross-node penalty the weighted placement must not split any
-        // chain across nodes.
-        let mut b = TaskGraph::builder(2);
-        for _ in 0..6 {
-            b.task(&[Access::read_write(d(0))], 1, "a");
-        }
-        for _ in 0..6 {
-            b.task(&[Access::read_write(d(1))], 1, "b");
-        }
-        let g = b.build();
-        let deps = DepGraph::derive(&g);
-        let dur = [100u64; 12];
-        let nodes = [0u32, 0, 1, 1];
-        let table = suggest_remap_weighted(&deps, &dur, 4, Some(&nodes), 50);
-        let chain_nodes = |range: std::ops::Range<usize>| {
-            range
-                .map(|i| nodes[table[i].index()])
-                .collect::<std::collections::BTreeSet<u32>>()
-        };
-        assert_eq!(chain_nodes(0..6).len(), 1, "chain A stays on one node");
-        assert_eq!(chain_nodes(6..12).len(), 1, "chain B stays on one node");
-        // And the weighted mapping's weighted cost is no worse than the
-        // unweighted mapping's.
-        let cost = |t: &[WorkerId]| {
-            let m = TableMapping::new(t.to_vec());
-            mapping_quality_with_nodes(&g, &m, 4, &Trace::default(), Some(&nodes), 4).weighted_cost
-        };
-        let plain = suggest_remap(&deps, &dur, 4);
-        assert!(cost(&table) <= cost(&plain));
     }
 }

@@ -1,7 +1,9 @@
-//! The assembled [`DoctorReport`]: text rendering and JSON export.
+//! The assembled [`DoctorReport`]: text rendering and JSON export, and
+//! the terminal rendering of a run's counters snapshot.
 
 use std::fmt::Write as _;
 
+use rio_core::{CounterRow, CountersSnapshot};
 use rio_metrics::Table;
 use rio_stf::{TableMapping, TaskId, WorkerId};
 
@@ -140,17 +142,6 @@ impl DoctorReport {
                 self.quality.cross_edges, self.quality.total_edges
             ),
         ]);
-        if self.quality.cross_node_edges > 0 {
-            s.row([
-                "edge locality".to_string(),
-                format!(
-                    "{} intra-node / {} cross-node (weighted cost {})",
-                    self.quality.intra_node_edges,
-                    self.quality.cross_node_edges,
-                    self.quality.weighted_cost
-                ),
-            ]);
-        }
         s.row([
             "measured durations".to_string(),
             format!("{} / {} tasks", self.measured_tasks, self.tasks),
@@ -258,17 +249,6 @@ impl DoctorReport {
         let _ = writeln!(o, "  \"imbalance\": {:.3},", self.quality.imbalance);
         let _ = writeln!(o, "  \"cross_edges\": {},", self.quality.cross_edges);
         let _ = writeln!(o, "  \"total_edges\": {},", self.quality.total_edges);
-        let _ = writeln!(
-            o,
-            "  \"intra_node_edges\": {},",
-            self.quality.intra_node_edges
-        );
-        let _ = writeln!(
-            o,
-            "  \"cross_node_edges\": {},",
-            self.quality.cross_node_edges
-        );
-        let _ = writeln!(o, "  \"weighted_cost\": {},", self.quality.weighted_cost);
         o.push_str("  \"per_worker\": [\n");
         for (i, w) in self.quality.per_worker.iter().enumerate() {
             let comma = if i + 1 == self.quality.per_worker.len() {
@@ -301,6 +281,51 @@ impl DoctorReport {
         o.push_str("}\n");
         o
     }
+}
+
+/// Renders `snap` as a [`Table`]: one row per worker plus a total row.
+///
+/// Numeric columns right-align (the table layer's numeric heuristic);
+/// the recovery counters — `retries`, `poisoned` — render as `-` when
+/// zero, so a healthy run's table stays scannable instead of ending in a
+/// wall of zeros.
+pub fn counters_table(snap: &CountersSnapshot) -> Table {
+    let mut t = Table::new([
+        "worker",
+        "tasks",
+        "spins",
+        "parks",
+        "wakes_elided",
+        "aborts",
+        "retries",
+        "poisoned",
+    ]);
+    // Zero is the steady state for the opt-in layers' counters; a dash
+    // reads as "feature idle" where a 0 reads as "measured nothing".
+    let dash = |n: u64| {
+        if n == 0 {
+            "-".to_string()
+        } else {
+            n.to_string()
+        }
+    };
+    let row = |label: String, r: &CounterRow| {
+        vec![
+            label,
+            r.tasks.to_string(),
+            r.spins.to_string(),
+            r.parks.to_string(),
+            r.wakes_elided.to_string(),
+            r.aborts.to_string(),
+            dash(r.retries),
+            dash(r.poisoned),
+        ]
+    };
+    for (w, r) in snap.workers.iter().enumerate() {
+        t.row(row(format!("W{w}"), r));
+    }
+    t.row(row("total".to_string(), &snap.total()));
+    t
 }
 
 /// Human-readable nanoseconds (µs/ms/s above the relevant thresholds).
@@ -422,23 +447,45 @@ mod tests {
     }
 
     #[test]
-    fn locality_line_appears_only_with_cross_node_edges() {
-        let mut r = sample_report();
-        assert!(!r.render().contains("edge locality"));
-        assert!(r.to_json().contains("\"cross_node_edges\": 0"));
-        r.quality.intra_node_edges = 3;
-        r.quality.cross_node_edges = 2;
-        r.quality.weighted_cost = 3 + 2 * 4;
-        let text = r.render();
-        assert!(text.contains("3 intra-node / 2 cross-node (weighted cost 11)"));
-        assert!(r.to_json().contains("\"weighted_cost\": 11"));
-    }
-
-    #[test]
     fn ns_formatting_picks_sensible_units() {
         assert_eq!(fmt_ns(999), "999 ns");
         assert_eq!(fmt_ns(1_500), "1.50 µs");
         assert_eq!(fmt_ns(2_000_000), "2.00 ms");
         assert_eq!(fmt_ns(3_000_000_000), "3.00 s");
+    }
+
+    #[test]
+    fn snapshot_renders_as_a_table() {
+        let reg = rio_core::CounterRegistry::new(2);
+        reg.worker(0).inc_tasks();
+        reg.worker(1).add_spins(7);
+        let text = counters_table(&reg.snapshot()).render();
+        assert!(text.contains("wakes_elided"));
+        assert!(text.contains("retries"));
+        assert!(text.contains("poisoned"));
+        assert!(text.contains("W0"));
+        assert!(text.contains("total"));
+        assert!(text.contains('7'));
+    }
+
+    #[test]
+    fn idle_opt_in_counters_render_as_dashes() {
+        let reg = rio_core::CounterRegistry::new(1);
+        reg.worker(0).inc_tasks();
+        let text = counters_table(&reg.snapshot()).render();
+        // Recovery layer idle: dashes, not zeros.
+        assert!(text.contains('-'), "zero retries render as dashes");
+        // Core protocol counters keep their zeros (0 parks is a real
+        // measurement, not an idle feature).
+        assert!(text.contains('0'));
+
+        let reg = rio_core::CounterRegistry::new(1);
+        reg.worker(0).inc_retries();
+        let text = counters_table(&reg.snapshot()).render();
+        let retries_line = text.lines().find(|l| l.contains("W0")).unwrap();
+        assert!(
+            retries_line.contains('1'),
+            "active recovery counters render numerically: {retries_line}"
+        );
     }
 }

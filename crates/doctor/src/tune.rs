@@ -154,28 +154,12 @@ impl TunedRun {
 pub struct Tuner<'g> {
     graph: &'g TaskGraph,
     workers: usize,
-    nodes: Option<Vec<u32>>,
 }
 
 impl<'g> Tuner<'g> {
     /// A tuner for runs of `graph` on `workers` workers.
     pub fn new(graph: &'g TaskGraph, workers: usize) -> Tuner<'g> {
-        Tuner {
-            graph,
-            workers,
-            nodes: None,
-        }
-    }
-
-    /// Supplies the NUMA placement of the run's workers (`nodes[w]` =
-    /// worker `w`'s node, e.g. [`crate::topo::Topology::node_assignment`]).
-    /// When set (and naming more than one node), the diagnosis splits
-    /// cross-worker edges by node and the remap penalizes cross-node
-    /// dependency hops, steering chains onto one node; otherwise planning
-    /// is byte-identical to the topology-blind path.
-    pub fn nodes(mut self, nodes: Option<Vec<u32>>) -> Tuner<'g> {
-        self.nodes = nodes;
-        self
+        Tuner { graph, workers }
     }
 
     /// Diagnoses `run` (executed under `mapping`) into a [`TuningPlan`].
@@ -188,13 +172,7 @@ impl<'g> Tuner<'g> {
 
     /// Trace-fed path: measured durations weight the remap.
     fn plan_from_trace(&self, mapping: &dyn Mapping, trace: &Trace) -> TuningPlan {
-        let report = crate::diagnose_with_nodes(
-            self.graph,
-            mapping,
-            self.workers,
-            trace,
-            self.nodes.as_deref(),
-        );
+        let report = crate::diagnose(self.graph, mapping, self.workers, trace);
         TuningPlan {
             mapping: report.suggested_mapping(),
             imbalance: report.quality.imbalance,
@@ -208,13 +186,7 @@ impl<'g> Tuner<'g> {
     /// nothing beyond the always-on counters.
     fn plan_from_counters(&self, mapping: &dyn Mapping, counters: &CountersSnapshot) -> TuningPlan {
         let tasks = counters.tasks_per_worker();
-        let report = crate::diagnose_counters_with_nodes(
-            self.graph,
-            mapping,
-            self.workers,
-            &tasks,
-            self.nodes.as_deref(),
-        );
+        let report = crate::diagnose_counters(self.graph, mapping, self.workers, &tasks);
         TuningPlan {
             mapping: report.suggested_mapping(),
             imbalance: report.quality.imbalance,

@@ -17,9 +17,6 @@
 //! * [`trace`] — worker-local tracing and wait-time observability.
 //! * [`doctor`] — post-mortem trace analysis: critical path, wait
 //!   attribution, mapping quality and remap suggestions.
-//! * [`telemetry`] — live telemetry: Prometheus text exporter, run
-//!   registry for mid-run counter sampling, and a std-only scrape
-//!   listener.
 
 pub use rio_centralized as centralized;
 pub use rio_core as core;
@@ -28,6 +25,5 @@ pub use rio_doctor as doctor;
 pub use rio_mc as mc;
 pub use rio_metrics as metrics;
 pub use rio_stf as stf;
-pub use rio_telemetry as telemetry;
 pub use rio_trace as trace;
 pub use rio_workloads as workloads;
