@@ -179,7 +179,7 @@ impl Rio {
                     locals: vec![LocalDataState::default(); store.len()],
                     store,
                     plans: Vec::new(),
-                    expected: Vec::new(),
+                    words: Vec::new(),
                 };
                 let loop_start = Instant::now();
                 flow(&mut ctx);
@@ -203,7 +203,7 @@ pub struct FlowCtx<'a, T> {
     /// Scratch, reused from task to task: an own task's accesses as the
     /// engine takes them, and the word each waits for.
     plans: Vec<AccessPlan>,
-    expected: Vec<u64>,
+    words: Vec<u64>,
 }
 
 impl<'a, T> FlowCtx<'a, T> {
@@ -238,15 +238,15 @@ impl<'a, T> FlowCtx<'a, T> {
             // publication kept, each get on the word this worker's private
             // view packs to (a read ignores the read half).
             self.plans.clear();
-            self.expected.clear();
+            self.words.clear();
             for a in accesses {
                 self.plans.push(AccessPlan::kept(a.data, a.mode.writes()));
-                self.expected
+                self.words
                     .push(expected_write_word(&self.locals[a.data.index()]));
             }
             let kept = TaskAccesses {
                 plans: &self.plans,
-                expected: &self.expected,
+                words: &self.words,
                 unmapped: false,
             };
             let view = TaskView {

@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use rio_centralized::CentralConfig;
 use rio_core::prelude::*;
+use rio_core::CompiledTask;
 use rio_faults::FaultPlan;
 use rio_stf::Mapping;
 
@@ -855,7 +856,12 @@ fn a_fault_hook_leaves_the_blocks_of_the_program_as_they_are() {
     let shape = |flow: &CompiledFlow<'_>| {
         let own = |w: usize| {
             let tasks = flow.own_tasks(WorkerId::from_index(w));
-            let shape = tasks.map(|t| (t.task.id, t.expected.to_vec(), t.quiet()));
+            let words = |t: &CompiledTask<'_>| {
+                (0..t.task.accesses.len())
+                    .map(|i| t.expected(i))
+                    .collect::<Vec<_>>()
+            };
+            let shape = tasks.map(|t| (t.task.id, words(&t), t.quiet()));
             shape.collect::<Vec<_>>()
         };
         format!("{:?} {:?} {:?}", flow.stats(), own(0), own(1))

@@ -187,7 +187,7 @@ impl<'g> ProtocolSpec<'g> {
                 compiled[ct.task.id.index()] = (0..ct.task.accesses.len())
                     .map(|i| CompiledAccess {
                         // (Compared by no guard when there is none.)
-                        expected: ct.expected.get(i).copied().unwrap_or_default(),
+                        expected: ct.expected(i).unwrap_or_default(),
                         guard: ct.keeps_guard(i),
                         publish: ct.keeps_publication(i),
                     })

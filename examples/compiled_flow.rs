@@ -96,12 +96,14 @@ fn main() {
     // Inside a chain nothing is shared: those tasks are quiet, and a run
     // takes them as ranges, with no instruction and no entry of their own.
     let (quiet, kept): (Vec<_>, Vec<_>) = flow.own_tasks(WorkerId(1)).partition(|t| t.quiet());
-    let first = kept.first().expect("W1's chains end in a publication");
+    // Only a kept guard has a word to wait for.
+    let (first, word) = (kept.iter())
+        .find_map(|t| (0..t.task.accesses.len()).find_map(|i| Some((t, t.expected(i)?))))
+        .expect("W1's chains end in a kept guard");
     println!(
-        "  W1: {} of its tasks quiet; its first kept one, {}, waits for epoch word {:#x}",
+        "  W1: {} of its tasks quiet; its first guard kept is {}'s, which waits for epoch word {word:#x}",
         quiet.len(),
         first.task.id,
-        first.expected[0]
     );
 
     // Steady state: run the same program many times (fresh protocol

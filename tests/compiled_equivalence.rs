@@ -19,7 +19,8 @@ use rio::core::protocol::{
     LocalDataState, SharedDataState, READ_EPOCH_MASK,
 };
 use rio::core::{
-    CompiledFlow, CounterRegistry, Executor, RecoveryPolicy, RioConfig, TraceConfig, WaitStrategy,
+    CompiledFlow, CompiledTask, CounterRegistry, Executor, RecoveryPolicy, RioConfig, TraceConfig,
+    WaitStrategy,
 };
 use rio::stf::{
     Access, AccessMode, DataId, DataStore, ExecError, Mapping, RoundRobin, StallSite, TableMapping,
@@ -135,10 +136,10 @@ fn mapped_orders(graph: &TaskGraph, mapping: &TableMapping, workers: usize) -> V
 /// Replays `worker` unrolling all of `graph` as the paper's Algorithm 1
 /// has it — the real protocol calls on a private table: declares for
 /// foreign tasks, terminates for its own — and checks every own access of
-/// a task that keeps a half against the compiled program: the precomputed
-/// word must be the private view the walk holds at that access, which is
-/// what both of its guards compare. A quiet task — of a range, in every
-/// configuration checked here — has no word at all.
+/// a task against the compiled program: a kept guard's precomputed word
+/// must be the private view the walk holds at that access, which is what
+/// both of its guards compare, and an elided guard — every one of a quiet
+/// task, of a range — has no word at all.
 fn check_program_against_interpreted_view(
     graph: &TaskGraph,
     cfg: &RioConfig,
@@ -158,13 +159,18 @@ fn check_program_against_interpreted_view(
             .next()
             .expect("an own task is missing from the program");
         assert_eq!(compiled.task.id, t.id, "own tasks out of flow order");
-        let words = if compiled.quiet() {
-            0
-        } else {
-            t.accesses.len()
-        };
-        assert_eq!(compiled.expected.len(), words, "{}", t.id);
-        for (a, &word) in t.accesses.iter().zip(compiled.expected) {
+        for (i, a) in t.accesses.iter().enumerate() {
+            let kept = compiled.keeps_guard(i);
+            assert!(!kept || !compiled.quiet(), "{}", t.id);
+            let Some(word) = compiled.expected(i) else {
+                assert!(!kept, "{} on {}: a kept guard has no word", t.id, a.data);
+                continue;
+            };
+            assert!(
+                kept,
+                "{} on {}: a word behind an elided guard",
+                t.id, a.data
+            );
             let l = &view[a.data.index()];
             assert_eq!(word, expected_write_word(l), "{} on {}", t.id, a.data);
             assert_eq!(word & READ_EPOCH_MASK, expected_read_word(l));
@@ -1060,8 +1066,12 @@ fn compiled_shape(flow: &CompiledFlow<'_>) -> String {
     let programs: Vec<Vec<_>> = (0..flow.config().workers)
         .map(|w| {
             let own = flow.own_tasks(WorkerId::from_index(w));
-            own.map(|t| (t.task.id, t.expected.to_vec(), t.quiet()))
-                .collect()
+            let words = |t: &CompiledTask<'_>| {
+                (0..t.task.accesses.len())
+                    .map(|i| t.expected(i))
+                    .collect::<Vec<_>>()
+            };
+            own.map(|t| (t.task.id, words(&t), t.quiet())).collect()
         })
         .collect();
     format!("{:?} {programs:?}", flow.stats())
@@ -1130,4 +1140,123 @@ fn segmented_compile_walks_on_the_set_its_runs_use_or_on_the_caller() {
         .compile(&g);
     assert_eq!(walked(), BTreeSet::from([format!("{:?}", me())]));
     assert_eq!(shapes.len(), 1, "one flow, however it was walked");
+}
+
+/// A flow of single-access tasks on one object, per `(mode, worker)`.
+fn one_object(accesses: &[(char, u32)]) -> (TaskGraph, TableMapping) {
+    let mut b = TaskGraph::builder(1);
+    for &(mode, _) in accesses {
+        let a = if mode == 'r' {
+            Access::read(DataId(0))
+        } else {
+            Access::write(DataId(0))
+        };
+        b.task(&[a], 1, "t");
+    }
+    (
+        b.build(),
+        TableMapping::new(accesses.iter().map(|&(_, w)| WorkerId(w)).collect()),
+    )
+}
+
+#[test]
+fn kept_and_elided_epochs_of_one_object_mix() {
+    // D0: two epochs on W0 alone, one that W1 reads, a remote
+    // overwrite, and W1 alone again — stale words in between are
+    // overwritten by the next kept write before anyone compares.
+    let plan = [
+        ('w', 0),
+        ('r', 0),
+        ('w', 0),
+        ('r', 0), // W0 only
+        ('w', 0),
+        ('r', 1),
+        ('r', 0), // T5 publishes for T6
+        ('w', 1), // waits for T5, T6, T7
+        ('r', 1),
+        ('w', 1),
+        ('r', 1), // W1 only
+    ];
+    let (g, m) = one_object(&plan);
+    let flow = Executor::new(RioConfig::with_workers(2))
+        .mapping(&m)
+        .compile(&g);
+    // `(guard kept, publication kept)` per task.
+    let mut marks = vec![(false, false); g.len()];
+    for w in 0..2 {
+        for t in flow.own_tasks(WorkerId(w)) {
+            marks[t.task.id.index()] = (t.keeps_guard(0), t.keeps_publication(0));
+        }
+    }
+    let (elided, guard, publish, kept) =
+        ((false, false), (true, false), (false, true), (true, true));
+    let expect = [
+        elided, elided, elided, elided, publish, kept, publish, guard, elided, elided, elided,
+    ];
+    assert_eq!(marks, expect);
+    for wait in [WaitStrategy::Spin, WaitStrategy::Park] {
+        let flow = Executor::new(RioConfig::with_workers(2).wait(wait))
+            .mapping(&m)
+            .compile(&g);
+        let store = DataStore::from_vec(vec![0u64]);
+        let sums = std::sync::atomic::AtomicU64::new(0);
+        flow.run(|_, t| {
+            if t.accesses[0].mode.writes() {
+                *store.write(DataId(0)) = t.id.0;
+            } else {
+                sums.fetch_add(*store.read(DataId(0)), Ordering::Relaxed);
+            }
+        });
+        // Each read saw its epoch's writer: T2→1, T4→3, T6/T7→5, T9→8, T11→10.
+        assert_eq!(
+            sums.load(Ordering::Relaxed),
+            1 + 3 + 5 + 5 + 8 + 10,
+            "{wait}"
+        );
+        assert_eq!(store.into_vec(), vec![10]);
+    }
+}
+
+#[test]
+fn compiled_run_matches_interpreted_results() {
+    // Mixed mesh over 4 data objects — task `i` reads `D_(i % 4)` and
+    // writes `D_((i / 2) % 4)`: a one-shot, and a reused flow's second
+    // run, must leave the store the flow leaves when interpreted task by
+    // task in flow order.
+    let mut b = TaskGraph::builder(4);
+    for i in 0..200u32 {
+        match (DataId(i % 4), DataId((i / 2) % 4)) {
+            (r, w) if r == w => b.task(&[Access::read_write(w)], 1, "t"),
+            (r, w) => b.task(&[Access::read(r), Access::write(w)], 1, "t"),
+        };
+    }
+    let g = b.build();
+    let cfg = RioConfig::with_workers(3).wait(WaitStrategy::Park);
+    // 0: sequential; 1: one-shot; 2: reused flow.
+    let run_store = |how: u8| {
+        let store = DataStore::filled(4, 0u64);
+        let body = |t: &TaskDesc| {
+            let seen: u64 = t.reads().map(|d| *store.read(d)).sum();
+            for d in t.writes() {
+                *store.write(d) = seen.wrapping_mul(31) + u64::from(d.0) + t.id.0;
+            }
+        };
+        let kernel = |_: WorkerId, t: &TaskDesc| body(t);
+        match how {
+            0 => drop(rio::stf::sequential::run_graph(&g, |id| body(g.task(id)))),
+            1 => drop(
+                Executor::new(cfg.clone())
+                    .mapping(&RoundRobin)
+                    .run(&g, kernel),
+            ),
+            _ => {
+                let flow = Executor::new(cfg.clone()).mapping(&RoundRobin).compile(&g);
+                flow.run(|_, _| {});
+                flow.run(kernel);
+            }
+        }
+        store.into_vec()
+    };
+    assert_eq!(run_store(1), run_store(0));
+    assert_eq!(run_store(2), run_store(0));
 }
