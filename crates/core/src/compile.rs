@@ -138,9 +138,8 @@ type WorkerProgram = (Vec<RunInstr>, Vec<usize>);
 
 /// One instruction's entries as the engine ([`WorkerCtx::exec_task`])
 /// takes them: per access, which halves of its synchronisation to perform
-/// and through which slot, and per [`RESERVED`] plan, in order, a word —
-/// a kept guard's is the packed private view it waits for. A quiet task's
-/// are `default()`: none.
+/// and through which slot, and per kept guard, in order, the packed
+/// private view it waits for. A quiet task's are `default()`: none.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct TaskAccesses<'a> {
     pub(crate) plans: &'a [AccessPlan],
@@ -175,6 +174,8 @@ pub struct CompileStats {
     /// Data objects with at least one kept guard or publication: the
     /// length of a run's shared table.
     pub shared_objects: usize,
+    /// Steps of all programs: instructions, and quiet ranges, each one.
+    pub program_len: usize,
 }
 
 impl CompileStats {
@@ -192,20 +193,17 @@ impl CompileStats {
     }
 }
 
-/// One own access as compiled, 4 bytes: `slot << 4 | RESERVED | PUBLISH |
-/// GUARD | WRITES` — which halves of its synchronisation the run performs,
-/// and whether it has a word. The slot, the object's index in a run's
-/// shared table, means something only when a half is kept; the object is
-/// the declared access's, which the engine holds already.
+/// One own access as compiled, 4 bytes: `slot << 4 | PUBLISH | GUARD |
+/// WRITES` — which halves of its synchronisation the run performs; a kept
+/// guard has a word. The slot, the object's index in a run's shared table,
+/// means something only when a half is kept; the object is the declared
+/// access's, which the engine holds already.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct AccessPlan(u32);
 
 const WRITES: u32 = 1;
 const GUARD: u32 = 2;
 const PUBLISH: u32 = 4;
-/// The access has a word: its guard is kept, or the walk could not decide
-/// it and a fix-up did (then the word stays, read by nobody if elided).
-const RESERVED: u32 = 8;
 const SLOT_SHIFT: u32 = 4;
 
 impl AccessPlan {
@@ -214,7 +212,7 @@ impl AccessPlan {
     /// hands the engine, with a word.
     #[inline]
     pub(crate) fn kept(data: DataId, writes: bool) -> AccessPlan {
-        let halves = RESERVED | PUBLISH | GUARD | (u32::from(writes) * WRITES);
+        let halves = PUBLISH | GUARD | (u32::from(writes) * WRITES);
         AccessPlan((data.0 << SLOT_SHIFT) | halves)
     }
 
@@ -235,12 +233,6 @@ impl AccessPlan {
         self.0 & PUBLISH != 0
     }
 
-    /// Has the access a word of its task's?
-    #[inline]
-    pub(crate) fn reserved(self) -> bool {
-        self.0 & RESERVED != 0
-    }
-
     #[inline]
     pub(crate) fn slot(self) -> usize {
         (self.0 >> SLOT_SHIFT) as usize
@@ -248,11 +240,11 @@ impl AccessPlan {
 }
 
 /// The entries of every owned instruction of a segment, in flow order: a
-/// plan per access and a word per [`RESERVED`] plan. A kept guard's word is
-/// the packed private view ([`crate::protocol::expected_write_word`]) its
-/// `get_*` compares the epoch word against — whole for a write, the write
-/// half only for a read — replayed once at compile time. Words come in
-/// chunks of `1 << shift`, each the walk's staging buffer in turn, and a
+/// plan per access and a word per kept guard, the packed private view
+/// ([`crate::protocol::expected_write_word`]) its `get_*` compares the
+/// epoch word against — whole for a write, the write half only for a read
+/// — replayed once at compile time. Words come in chunks of at most `1 <<
+/// shift` (the walk's staging buffers, the last cut to its length), and a
 /// task's never straddle two. `ids`, each plan's object, is the compile's
 /// scratch, gone before [`settle`].
 #[derive(Debug, Default)]
@@ -272,11 +264,38 @@ impl Arena {
         a
     }
 
-    /// The words from word `at` to the end of its chunk.
+    /// The words from word `at` to its chunk's end (none if out of range).
     #[inline]
     fn words_at(&self, at: u32) -> &[u64] {
-        let chunk = &self.words[(at >> self.shift) as usize];
-        &chunk[(at & ((1 << self.shift) - 1)) as usize..]
+        let chunk = self.words.get((at >> self.shift) as usize);
+        chunk.map_or(&[], |c| {
+            c.get((at & ((1 << self.shift) - 1)) as usize..)
+                .unwrap_or(&[])
+        })
+    }
+
+    /// Appends one task's `words` at word `*at`, in the last chunk if they
+    /// fit (its last word kept free) or a new one; returns where they begin.
+    fn append(&mut self, at: &mut u32, words: &[u64]) -> u32 {
+        let cap = 1usize << self.shift;
+        let mut offset = (*at as usize) & (cap - 1);
+        if self.words.is_empty() || offset + words.len() >= cap {
+            self.words.push(vec![0; cap].into_boxed_slice());
+            offset = 0;
+        }
+        let chunk = self.words.len() - 1;
+        self.words[chunk][offset..offset + words.len()].copy_from_slice(words);
+        let first = ((chunk << self.shift) | offset) as u32;
+        *at = first + words.len() as u32;
+        first
+    }
+
+    /// Cuts the last chunk to the words in use, `at` the first past them.
+    fn trim(&mut self, at: u32) {
+        let used = (at & ((1 << self.shift) - 1)) as usize;
+        let last = self.words.pop().map(Vec::from);
+        let last = last.map(|mut c| (c.truncate(used), c.into_boxed_slice()).1);
+        self.words.extend(last.filter(|_| used > 0));
     }
 }
 
@@ -327,7 +346,7 @@ impl CompiledTask<'_> {
     /// its guard ([`CompiledTask::keeps_guard`]). An elided guard has no
     /// word, and a task of a quiet range has no entry at all.
     pub fn expected(&self, i: usize) -> Option<u64> {
-        let at = self.entries.plans.get(..i)?.iter().filter(|p| p.reserved());
+        let at = self.entries.plans.get(..i)?.iter().filter(|p| p.guard());
         self.keeps_guard(i).then(|| self.entries.words[at.count()])
     }
 
@@ -505,6 +524,16 @@ struct Segment<'a> {
     arenas: [Arena; 2],
 }
 
+/// An own access the walk met before its segment wrote the object (whose
+/// epoch may have begun earlier): its plan in the segment's arena, and its
+/// worker and instruction there.
+#[derive(Clone, Copy)]
+struct Record {
+    j: u32,
+    on: u32,
+    instr: u32,
+}
+
 /// What a segment's walk came to.
 struct Walked {
     /// Every object's state after the segment, as walked from the initial
@@ -512,11 +541,11 @@ struct Walked {
     view: Vec<Epoch>,
     /// Each worker's instructions of the segment, in flow order.
     programs: Vec<Vec<RunInstr>>,
-    /// `[plan index, word, worker, instruction]` of each access before the
-    /// segment first wrote its object (whose plan has the segment's marks,
-    /// and a word); `instruction` is the task's place in its worker's
-    /// program of the segment.
-    records: Vec<[u32; 4]>,
+    /// In flow order; the words of the kept ones (the walk's, then the
+    /// fix-up's); and the first word past the walk's, in each arena.
+    records: Vec<Record>,
+    fixed: Vec<u64>,
+    tails: [u32; 2],
     /// The segment's arena, and the claimable one.
     arenas: [Arena; 2],
     kept_gets: u64,
@@ -601,41 +630,36 @@ fn lower<'g, O: OwnerOf>(
     // The fix-up, a segment at a time: `view` is the flow's state up to the
     // segment, in which an object still pristine was touched by no earlier
     // segment — so the segment's own walk of it was exact. Every object a
-    // segment touched has a record, so a segment costs its records.
+    // segment touched has a record, so a segment costs its records. The
+    // word of each guard it keeps goes to [`relocate`], in record order.
     let (first, later) = parts.split_first_mut().expect("one segment at least");
     let view = &mut first.view;
     let pristine = |e: &Epoch, d: usize| (e.named as usize, e.word) == (d, 0);
     let segments = later.len();
     for (k, (seg, arena)) in later.iter_mut().zip(&mut arenas[1..]).enumerate() {
-        for (i, &[j, word, on, r]) in seg.records.iter().enumerate() {
-            let (j, mask) = (j as usize, (1 << arena.shift) - 1);
+        let mut walked = mem::take(&mut seg.fixed).into_iter();
+        for r in &seg.records {
+            let (j, on) = (r.j as usize, r.on);
             let (p, d) = (arena.plans[j], arena.ids[j].index());
             let writes = p.writes();
+            let word = p.guard().then(|| walked.next().expect("the walk's word"));
             let g = &mut view[d];
             if pristine(g, d) {
-                // The segment's verdict on the initial epoch stands.
+                // The segment's guard and verdict on the initial epoch stand.
                 if writes & p.guard() {
                     verdicts[d] = PUBLISH as Verdict;
                     g.slot |= HAS_SLOT;
                 }
+                seg.fixed.extend(word);
                 continue;
             }
             let guard = !local_to(g.on[usize::from(writes)], on);
             kept_gets = kept_gets + u64::from(guard) - u64::from(p.guard());
-            arena.words[(word >> arena.shift) as usize][(word & mask) as usize] = g.word;
-            let run = &mut seg.programs[on as usize][r as usize];
-            if guard & (run.marked_start & QUIET != 0) {
-                // A task marked quiet has no words but its records', which
-                // are consecutive: the first of them names its first word.
-                let task = seg.records[..i]
-                    .iter()
-                    .rev()
-                    .take_while(|c| c[2..] == [on, r]);
-                run.words = word - task.count() as u32;
-                run.marked_start &= !QUIET;
+            if guard {
+                seg.fixed.push(g.word);
             }
             let named = if writes { p.slot() as u32 } else { g.named };
-            let marks = (p.0 & (WRITES | RESERVED)) | (u32::from(guard) * GUARD);
+            let marks = (p.0 & WRITES) | (u32::from(guard) * GUARD);
             arena.plans[j] = AccessPlan((named << SLOT_SHIFT) | marks);
             if writes {
                 verdicts[g.named as usize] = (u32::from(guard) * PUBLISH) as Verdict;
@@ -651,8 +675,8 @@ fn lower<'g, O: OwnerOf>(
         if k + 1 == segments && kept_gets == 0 {
             break;
         }
-        for &[j, ..] in &seg.records {
-            let d = arena.ids[j as usize].index();
+        for r in &seg.records {
+            let d = arena.ids[r.j as usize].index();
             let (g, e) = (&mut view[d], seg.view[d]);
             let slot = g.slot | e.slot;
             if pristine(g, d) {
@@ -688,6 +712,12 @@ fn lower<'g, O: OwnerOf>(
     let finished = fan_out(set, cfg, spread, owned, done);
     let kept_publishes = finished.iter().sum::<u64>() + done(&mut claimable);
     drop(verdicts);
+    // The words of guards the fix-up kept, and the last chunks cut to size.
+    for (p, arena) in parts.iter_mut().zip(&mut arenas) {
+        let tail = relocate(p, arena, tasks);
+        arena.trim(tail);
+    }
+    claimable.trim(parts[0].tails[1]);
     let runs_per_worker = (0..workers)
         .map(|w| parts.iter().map(|p| p.programs[w].len()).sum())
         .collect();
@@ -702,6 +732,7 @@ fn lower<'g, O: OwnerOf>(
     drop(parts);
     let programs = fan_out(set, cfg, spread, columns, |pieces| settle(pieces, &arenas));
     let stats = CompileStats {
+        program_len: programs.iter().map(|p| p.0.len()).sum(),
         flow_len: graph.len(),
         runs_per_worker,
         folded_declares: 0,
@@ -777,6 +808,7 @@ fn walk<O: OwnerOf, const ASSUMES: bool>(
         .collect();
     // A record per access at most, and mostly one per object.
     let mut records = Vec::with_capacity(usize::from(ASSUMES) * num_data.min(seg.len));
+    let mut fixed = Vec::new();
     let (mut arenas, mut flat) = (seg.arenas, seg.flat);
     for a in &mut arenas {
         a.plans.resize(a.plans.capacity(), AccessPlan(0));
@@ -836,11 +868,15 @@ fn walk<O: OwnerOf, const ASSUMES: bool>(
             guards += u64::from(guard);
             stage[at] = e.word;
             // Still in the initial epoch, as far as this segment knows: the
-            // fix-up decides the guard, so the word is kept.
+            // fix-up decides the guard, and the record holds the word.
             let assumed = ASSUMES && e.named < seg.lo;
             if assumed {
-                let r = programs[w as usize].len() as u32;
-                records.push([(flat - seg.flat) as u32, (base[k] | at) as u32, on, r]);
+                let (j, instr) = ((flat - seg.flat) as u32, programs[w as usize].len() as u32);
+                records.push(Record { j, on, instr });
+                // (Rare: its word, should the fix-up find the object pristine.)
+                if guard {
+                    fixed.push(e.word);
+                }
             }
             if writes {
                 let named = e.named;
@@ -859,18 +895,18 @@ fn walk<O: OwnerOf, const ASSUMES: bool>(
             // The publication half and the slot are [`finish`]'s: until
             // then the entry names the epoch whose verdict holds them —
             // the one a write opens, the one a read reads in.
-            let kept = (u32::from(guard) * GUARD) | (u32::from(guard | assumed) * RESERVED);
+            let kept = u32::from(guard) * GUARD;
             *plan = AccessPlan((e.named << SLOT_SHIFT) | (u32::from(writes) * WRITES) | kept);
             *id = a.data;
-            at += usize::from(guard | assumed);
+            at += usize::from(guard & !assumed);
             flat += 1;
         }
         staged[k] = at;
         // Quiet, unless [`settle`] finds a half kept.
         let quiet = owner.is_some() & (guards == 0);
         let marks = (u32::from(owner.is_none()) * CLAIM_MARK) | (u32::from(quiet) * QUIET);
-        // A task marked quiet names no word of its own: until the fix-up
-        // keeps a guard of it, or [`settle`] a publication, its
+        // A task marked quiet names no word of its own: until [`relocate`]
+        // places one a record kept, or [`settle`] finds a publication, its
         // instruction holds its access count instead.
         let n = t.accesses.len() as u32;
         let run = RunInstr {
@@ -892,10 +928,13 @@ fn walk<O: OwnerOf, const ASSUMES: bool>(
         a.ids.truncate(filled);
         a.words.extend((!chunk.is_empty()).then_some(chunk));
     }
+    let tails = [0, 1].map(|k| (base[k] | staged[k]) as u32);
     Ok(Walked {
         view,
         programs,
         records,
+        fixed,
+        tails,
         arenas,
         kept_gets,
         unmapped,
@@ -912,10 +951,38 @@ fn finish(arena: &mut Arena, verdicts: &[Verdict], view: &[Epoch]) -> u64 {
         let write_only = (verdict & p.0 & WRITE_ONLY) * (PUBLISH / WRITE_ONLY);
         let publish = (verdict | write_only) & PUBLISH;
         let slot = view[d.index()].slot & !HAS_SLOT;
-        p.0 = (p.0 & (WRITES | GUARD | RESERVED)) | slot | publish;
+        p.0 = (p.0 & (WRITES | GUARD)) | slot | publish;
         publishes += u64::from(publish != 0);
     }
     publishes
+}
+
+/// Gives each task of `p` whose guard a record kept its words — the walk's
+/// and the fix-up's, in order — anew after the walk's; returns the tail.
+fn relocate(p: &mut Walked, arena: &mut Arena, tasks: &[TaskDesc]) -> u32 {
+    let (mut tail, mut fixed, mut words) = (p.tails[0], p.fixed.iter(), Vec::new());
+    let same = |a: &Record, b: &Record| (a.on, a.instr) == (b.on, b.instr);
+    for task in p.records.chunk_by(same) {
+        if !task.iter().any(|r| arena.plans[r.j as usize].guard()) {
+            continue;
+        }
+        let r = &mut p.programs[task[0].on as usize][task[0].instr as usize];
+        let n = tasks[r.task as usize].accesses.len();
+        let (mut recs, start) = (task.iter().peekable(), r.plans(n).start);
+        // A task marked quiet kept no word of the walk's.
+        let quiet = r.marked_start & QUIET != 0;
+        let mut staged = arena
+            .words_at(if quiet { u32::MAX } else { r.words })
+            .iter();
+        words.clear();
+        words.extend((start..start + n).filter_map(|j| {
+            let record = recs.next_if(|r| r.j as usize == j).is_some();
+            let guard = arena.plans[j].guard();
+            guard.then(|| *if record { fixed.next() } else { staged.next() }.expect("a word"))
+        }));
+        (r.words, r.marked_start) = (arena.append(&mut tail, &words), r.marked_start & !QUIET);
+    }
+    tail
 }
 
 /// One sweep of a worker's pieces of program, in flow order, into its
@@ -1160,6 +1227,11 @@ impl std::fmt::Debug for CompiledFlow<'_> {
     }
 }
 
+// The workspace's flow validator, on flows only `lower` can split.
+#[cfg(test)]
+#[path = "../../../tests/validator/mod.rs"]
+mod validator;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1297,87 +1369,6 @@ mod tests {
     const PUBLISH: (bool, bool) = (false, true);
     const ELIDED: (bool, bool) = (false, false);
 
-    #[test]
-    fn private_objects_share_nothing() {
-        // Every object is touched once: a first write of an untouched
-        // object waits for nobody, and nobody waits for it — whatever the
-        // mapping. The run allocates no word at all.
-        let n = 40;
-        let g = crate::testing::independent(n);
-        let flow = compile(cfg(4), &g);
-        let stats = flow.stats();
-        assert_eq!((stats.elided_gets, stats.elided_publishes), (40, 40));
-        assert_eq!(stats.shared_objects, 0);
-        let store = DataStore::filled(n, 0u64);
-        let run = flow.run(|_, t| *store.write(t.accesses[0].data) = t.id.0);
-        assert_eq!(store.into_vec(), (1..=n as u64).collect::<Vec<_>>());
-        // The books still count every access, and no terminate ran a wake.
-        let ops = run.report.total_ops();
-        assert_eq!((ops.gets, ops.terminates, ops.waits), (40, 40, 0));
-        assert_eq!(run.counters.total().wakes_elided, 40);
-    }
-
-    #[test]
-    fn one_workers_chain_is_all_program_order() {
-        // Reads and writes of one object, all on W1 of two.
-        let (g, m) = epochs(&[('w', 1), ('r', 1), ('r', 1), ('w', 1), ('r', 1)]);
-        let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
-        assert_eq!(marks(&flow), vec![vec![ELIDED]; 5]);
-        assert_eq!(flow.stats().shared_objects, 0);
-        // So all five are one quiet range, with no word left to compare.
-        let quiet: Vec<_> = flow.programs[1].0.iter().map(RunInstr::quiet).collect();
-        assert_eq!(quiet, [Some((0, 1, 5))]);
-    }
-
-    #[test]
-    fn initial_epoch_reads_publish_once_a_remote_writer_waits_for_them() {
-        // No writer to wait for: both reads elide their guard, wherever
-        // they run. T3 (W1) must wait for T1 (W0), and its guard compares
-        // the whole word — so T2, on its own worker, publishes too.
-        let (g, m) = epochs(&[('r', 0), ('r', 1), ('w', 1)]);
-        let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
-        assert_eq!(marks(&flow), [[PUBLISH], [PUBLISH], [GUARD]]);
-        assert_eq!(flow.stats().shared_objects, 1);
-        assert_eq!(
-            (flow.stats().elided_gets, flow.stats().elided_publishes),
-            (2, 1)
-        );
-        // With the first writer on the readers' worker instead, nothing
-        // of the epoch is shared.
-        let (g, m) = epochs(&[('r', 0), ('r', 0), ('w', 0)]);
-        let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
-        assert_eq!(marks(&flow), vec![vec![ELIDED]; 3]);
-    }
-
-    #[test]
-    fn readers_split_across_the_next_writers_worker_and_another() {
-        // T3 (W1) waits for T1; T4 (W0) waits for T3 — and thereby for
-        // the count T2, its own worker's read, must add to.
-        let (g, m) = epochs(&[('w', 0), ('r', 0), ('r', 1), ('w', 0)]);
-        let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
-        assert_eq!(marks(&flow), [[PUBLISH], [PUBLISH], [KEPT], [GUARD]]);
-        let store = DataStore::from_vec(vec![0u64]);
-        flow.run(|_, t| match t.id.0 {
-            1 => *store.write(DataId(0)) = 5,
-            4 => *store.write(DataId(0)) += 1,
-            _ => assert_eq!(*store.read(DataId(0)), 5),
-        });
-        assert_eq!(store.into_vec(), vec![6]);
-    }
-
-    #[test]
-    fn the_last_epochs_reads_publish_for_nobody() {
-        // T3 (W1) keeps its guard, so T1 publishes; no writer follows.
-        let (g, m) = epochs(&[('w', 0), ('r', 0), ('r', 1)]);
-        let flow = Executor::new(cfg(2)).mapping(&m).compile(&g);
-        assert_eq!(marks(&flow), [[PUBLISH], [ELIDED], [GUARD]]);
-        assert_eq!(flow.stats().shared_objects, 1);
-        // The open epoch's words were restored when the flow ended.
-        use crate::protocol::pack_epoch;
-        let t3 = flow.own_tasks(WorkerId(1)).next().unwrap();
-        assert_eq!(t3.expected(0), Some(pack_epoch(TaskId(1), 1)));
-    }
-
     /// A mapping that counts its calls.
     struct Counting(std::sync::atomic::AtomicUsize);
     impl Mapping for Counting {
@@ -1405,8 +1396,7 @@ mod tests {
     /// What `lower` returns at `s` segments, as text, whatever the arena
     /// layout: per worker, each range, and each instruction's task with,
     /// per access, its marks and slot and the word a kept guard compares —
-    /// everything a run reads. (A split flow keeps a word behind a guard
-    /// the fix-up elided, which nothing reads.)
+    /// everything a run reads.
     fn lowered<O: OwnerOf>(c: &RioConfig, g: &TaskGraph, limit: u32, s: usize, o: O) -> String {
         let f = lower(c, &Arc::default(), g, limit, s, o);
         format!(
@@ -1416,8 +1406,8 @@ mod tests {
                     let n = g.tasks()[r.task as usize].accesses.len();
                     let a = f.accesses(r, k, n);
                     let words = a.plans.iter().scan(0, |at, p| {
-                        *at += usize::from(p.reserved());
-                        Some((p.0 & !RESERVED, p.guard().then(|| a.words[*at - 1])))
+                        *at += usize::from(p.guard());
+                        Some((p.0, p.guard().then(|| a.words[*at - 1])))
                     });
                     (r.task, a.unmapped, words.collect::<Vec<_>>())
                 };
@@ -1498,9 +1488,9 @@ mod tests {
         /// objects, whose guards cross segment boundaries, lowered at 2, 3
         /// and 5 segments under a random mapping at 2 and 3 workers, run
         /// under both wait strategies with a kernel that mixes what each
-        /// task reads into what it writes. Each run leaves the sequential
-        /// run's store and counts a get and a terminate per access; a wrong
-        /// expected word fails it as a stall.
+        /// task reads into what it writes. Each flow passes the validator;
+        /// each run leaves the sequential run's store and counts a get and a
+        /// terminate per access; a wrong expected word fails it as a stall.
         #[test]
         fn split_segments_run_to_the_sequential_store(
             tasks in proptest::collection::vec(
@@ -1529,6 +1519,7 @@ mod tests {
                     let flow = lower(&c, &set, &g, u32::MAX, s, owners).unwrap();
                     let store = DataStore::filled(4, 0u64);
                     let at = format!("{s} segments, {workers} workers, {wait}");
+                    validator::assert_valid(&flow, &at);
                     let run = flow.try_run(|_, t| body(&store, t));
                     let ops = run.unwrap_or_else(|e| panic!("{at}: {e}")).report.total_ops();
                     proptest::prop_assert_eq!(store.into_vec(), want.clone(), "{}", at);
@@ -1762,10 +1753,7 @@ mod tests {
         assert_eq!(words, [None, kept[0], None, kept[1]]);
         // Two words for four plans.
         let plans = &flow.arenas[0].plans;
-        assert_eq!(
-            (plans.len(), plans.iter().filter(|p| p.reserved()).count()),
-            (4, 2)
-        );
+        assert_eq!((plans.len(), flow.arenas[0].words.concat().len()), (4, 2));
     }
 
     #[test]

@@ -376,14 +376,13 @@ impl<'a> WorkerCtx<'a> {
         // deadlock. An elided guard is a get all the same: one decided at
         // compile time.
         self.ops.gets += declared.len() as u64;
-        let mut word = 0;
+        let mut words = accesses.words.iter();
         for (&a, d) in accesses.plans.iter().zip(declared) {
-            let at = word;
-            word += usize::from(a.reserved());
             if !a.guard() {
                 continue;
             }
-            let (s, expected) = (&self.shared[a.slot()], accesses.words[at]);
+            let expected = *words.next().expect("a word per kept guard");
+            let s = &self.shared[a.slot()];
             let writes = a.writes();
             let wr = get_word_cx(s, expected, writes, &self.wait_cx(d.data));
             if !self.settle_wait(task, d.data, writes, wr, || (expected, s.epoch_word())) {

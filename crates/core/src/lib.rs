@@ -71,6 +71,9 @@
 //! assert_eq!(store.into_vec(), vec![50, 50]);
 //! ```
 
+// The flow validator under `tests/` names this crate; so do its unit tests.
+#[cfg(test)]
+extern crate self as rio_core;
 mod affinity;
 pub mod compile;
 pub mod config;

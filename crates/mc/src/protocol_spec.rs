@@ -171,6 +171,14 @@ impl<'g> ProtocolSpec<'g> {
         ProtocolSpec::of_flow(&flow)
     }
 
+    /// Whether a compiled system keeps the guard and the publication of
+    /// `task`'s (flow index) `access`-th access: a flow the compiler did not
+    /// make, to explore. Panics on a system not compiled.
+    pub fn mark(&mut self, task: usize, access: usize, guard: bool, publish: bool) {
+        let a = &mut self.compiled.as_mut().expect("compiled")[task][access];
+        (a.guard, a.publish) = (guard, publish);
+    }
+
     /// The system `flow` executes, read back from its programs.
     fn of_flow(flow: &rio_core::CompiledFlow<'g>) -> ProtocolSpec<'g> {
         let (graph, workers) = (flow.graph(), flow.config().workers);

@@ -10,7 +10,11 @@
 //! the flow had it unrolled all of it through the protocol's primitives
 //! (Algorithms 1–2, replayed here). So is what it leaves out: the guards
 //! and publications the compiler elides are checked against the flow's
-//! dependencies, derived here from the graph alone.
+//! dependencies, derived here from the graph alone, and every flow a
+//! proptest compiles passes the static validator (`validator`), as compiled
+//! and reduced by its covered guards where its mapping is total.
+
+mod validator;
 
 use proptest::prelude::*;
 use rio::core::hybrid::{PartialFn, Total, Unmapped};
@@ -147,6 +151,7 @@ fn check_program_against_interpreted_view(
     worker: WorkerId,
 ) {
     let flow = Executor::new(cfg.clone()).mapping(mapping).compile(graph);
+    validated(&flow);
     let mut program = flow.own_tasks(worker);
     let shared = SharedDataState::new_table(graph.num_data());
     let mut view = vec![LocalDataState::default(); graph.num_data()];
@@ -185,6 +190,18 @@ fn check_program_against_interpreted_view(
         }
     }
     assert!(program.next().is_none(), "a foreign task is in the program");
+}
+
+/// Runs the validator on `flow` — and, for a total mapping, the oracle's
+/// checks ([`validator::check`]): the local rule exactly, the flow reduced
+/// by its covered guards valid too.
+fn validated(flow: &CompiledFlow<'_>) {
+    let total = validator::Marks::of(flow).owner.iter().all(Option::is_some);
+    if total {
+        validator::check(flow);
+    } else {
+        validator::assert_valid(flow, "a partial mapping");
+    }
 }
 
 /// One own access as compiled, and who runs it.
@@ -408,7 +425,8 @@ proptest! {
     /// on its own worker, every kept guard finds all its producers'
     /// publications kept, publications are kept exactly for the consumers
     /// that keep a guard, and the run's table holds exactly the objects
-    /// with a kept half. No setting disables elision or ranges: with every
+    /// with a kept half, and the validator accepts the flow (reduced by its
+    /// covered guards too). No setting disables elision or ranges: with every
     /// per-task hook armed, tracing included, the program — its ranges,
     /// words, marks and counts — is the default config's, and so is the
     /// program of the same mapping handed over as a partial one.
@@ -429,6 +447,7 @@ proptest! {
             let flow = Executor::new(cfg.clone()).mapping(&mapping).compile(&graph);
             let (marks, shared_objects) = marks_of(&flow);
             check_marks_against_the_flow(&graph, &marks, shared_objects);
+            validated(&flow);
             if cfg.workers == 1 {
                 prop_assert!(marks.iter().flatten().all(|m| !m.guard && !m.publish));
                 prop_assert_eq!(shared_objects, 0);
@@ -520,6 +539,7 @@ proptest! {
         let victim = TaskId::from_index(victim_seed % graph.len());
         let cfg = RioConfig::with_workers(workers).wait(WaitStrategy::Park);
         let flow = Executor::new(cfg).mapping(&RoundRobin).compile(&graph);
+        validated(&flow);
 
         let err = flow
             .try_run(|_, t: &TaskDesc| {
@@ -566,6 +586,7 @@ proptest! {
         for cfg in configs {
             let mapping = arb_table_mapping(graph.len(), cfg.workers, map_seed);
             let orders = mapped_orders(&graph, &mapping, cfg.workers);
+            validated(&Executor::new(cfg.clone()).mapping(&mapping).compile(&graph));
             for wait in WAITS {
                 let cfg = cfg.clone().wait(wait);
                 for reused in [false, true] {
@@ -611,6 +632,7 @@ proptest! {
             let flow = Executor::new(cfg.clone()).hybrid(&partial).compile(&graph);
             let (marks, shared_objects) = marks_of(&flow);
             check_marks_against_the_flow(&graph, &marks, shared_objects);
+            validated(&flow);
             if unmapped == 0 {
                 let mapped = Executor::new(cfg).mapping(&total).compile(&graph);
                 let (partial, mapped) = (flow.stats(), mapped.stats());
@@ -726,6 +748,7 @@ proptest! {
                         .watchdog(Duration::from_secs(10))
                         .compile(&graph);
                     check_quiet_verdicts(&flow);
+                    validated(&flow);
                     let store = DataStore::filled(graph.num_data(), 0u64);
                     let run = flow.run(|_: WorkerId, t: &TaskDesc| hash_kernel(&store, t));
                     let how = format!("{workers} workers, {unmapped_share}/5 unmapped, hooked={hooked}");
@@ -1259,4 +1282,114 @@ fn compiled_run_matches_interpreted_results() {
     };
     assert_eq!(run_store(1), run_store(0));
     assert_eq!(run_store(2), run_store(0));
+}
+
+/// `(guard kept, publication kept)` of every own access, per task in flow
+/// order.
+fn pairs(flow: &CompiledFlow<'_>) -> Vec<Vec<(bool, bool)>> {
+    let (marks, _) = marks_of(flow);
+    marks
+        .iter()
+        .map(|m| m.iter().map(|m| (m.guard, m.publish)).collect())
+        .collect()
+}
+
+const KEPT: (bool, bool) = (true, true);
+const GUARD: (bool, bool) = (true, false);
+const PUBLISH: (bool, bool) = (false, true);
+const ELIDED: (bool, bool) = (false, false);
+
+#[test]
+fn private_objects_share_nothing() {
+    // Every object is touched once: a first write of an untouched
+    // object waits for nobody, and nobody waits for it — whatever the
+    // mapping. The run allocates no word at all.
+    let n = 40;
+    let g = rio::workloads::independent::graph_private_data(n);
+    let flow = Executor::new(RioConfig::with_workers(4))
+        .mapping(&RoundRobin)
+        .compile(&g);
+    let stats = flow.stats();
+    assert_eq!((stats.elided_gets, stats.elided_publishes), (40, 40));
+    assert_eq!(stats.shared_objects, 0);
+    let store = DataStore::filled(n, 0u64);
+    let run = flow.run(|_, t| *store.write(t.accesses[0].data) = t.id.0);
+    assert_eq!(store.into_vec(), (1..=n as u64).collect::<Vec<_>>());
+    // The books still count every access, and no terminate ran a wake.
+    let ops = run.report.total_ops();
+    assert_eq!((ops.gets, ops.terminates, ops.waits), (40, 40, 0));
+    assert_eq!(run.counters.total().wakes_elided, 40);
+}
+
+#[test]
+fn one_workers_chain_is_all_program_order() {
+    // Reads and writes of one object, all on W1 of two.
+    let (g, m) = one_object(&[('w', 1), ('r', 1), ('r', 1), ('w', 1), ('r', 1)]);
+    let flow = Executor::new(RioConfig::with_workers(2))
+        .mapping(&m)
+        .compile(&g);
+    assert_eq!(pairs(&flow), vec![vec![ELIDED]; 5]);
+    assert_eq!(flow.stats().shared_objects, 0);
+    // So all five are one quiet range, with no word left to compare.
+    assert!(flow.own_tasks(WorkerId(1)).all(|t| t.quiet()));
+    assert_eq!(flow.stats().program_len, 1);
+}
+
+#[test]
+fn initial_epoch_reads_publish_once_a_remote_writer_waits_for_them() {
+    // No writer to wait for: both reads elide their guard, wherever
+    // they run. T3 (W1) must wait for T1 (W0), and its guard compares
+    // the whole word — so T2, on its own worker, publishes too.
+    let (g, m) = one_object(&[('r', 0), ('r', 1), ('w', 1)]);
+    let flow = Executor::new(RioConfig::with_workers(2))
+        .mapping(&m)
+        .compile(&g);
+    assert_eq!(pairs(&flow), [[PUBLISH], [PUBLISH], [GUARD]]);
+    assert_eq!(flow.stats().shared_objects, 1);
+    assert_eq!(
+        (flow.stats().elided_gets, flow.stats().elided_publishes),
+        (2, 1)
+    );
+    // With the first writer on the readers' worker instead, nothing
+    // of the epoch is shared.
+    let (g, m) = one_object(&[('r', 0), ('r', 0), ('w', 0)]);
+    let flow = Executor::new(RioConfig::with_workers(2))
+        .mapping(&m)
+        .compile(&g);
+    assert_eq!(pairs(&flow), vec![vec![ELIDED]; 3]);
+}
+
+#[test]
+fn readers_split_across_the_next_writers_worker_and_another() {
+    // T3 (W1) waits for T1; T4 (W0) waits for T3 — and thereby for
+    // the count T2, its own worker's read, must add to.
+    let (g, m) = one_object(&[('w', 0), ('r', 0), ('r', 1), ('w', 0)]);
+    let flow = Executor::new(RioConfig::with_workers(2))
+        .mapping(&m)
+        .compile(&g);
+    assert_eq!(pairs(&flow), [[PUBLISH], [PUBLISH], [KEPT], [GUARD]]);
+    let store = DataStore::from_vec(vec![0u64]);
+    flow.run(|_, t| match t.id.0 {
+        1 => *store.write(DataId(0)) = 5,
+        4 => *store.write(DataId(0)) += 1,
+        _ => assert_eq!(*store.read(DataId(0)), 5),
+    });
+    assert_eq!(store.into_vec(), vec![6]);
+}
+
+#[test]
+fn the_last_epochs_reads_publish_for_nobody() {
+    // T3 (W1) keeps its guard, so T1 publishes; no writer follows.
+    let (g, m) = one_object(&[('w', 0), ('r', 0), ('r', 1)]);
+    let flow = Executor::new(RioConfig::with_workers(2))
+        .mapping(&m)
+        .compile(&g);
+    assert_eq!(pairs(&flow), [[PUBLISH], [ELIDED], [GUARD]]);
+    assert_eq!(flow.stats().shared_objects, 1);
+    // The open epoch's words were restored when the flow ended.
+    let t3 = flow.own_tasks(WorkerId(1)).next().unwrap();
+    assert_eq!(
+        t3.expected(0),
+        Some(rio::core::protocol::pack_epoch(TaskId(1), 1))
+    );
 }

@@ -1,6 +1,11 @@
 //! Covered guards: kept guards that in-order execution has already
-//! satisfied by the time a worker reaches them. A static count over the
-//! compiled marks; the compiler itself is not changed by it.
+//! satisfied by the time a worker reaches them. The rule lives in
+//! `validator::oracle`, derived from the graph and the owners alone; this
+//! file pins what it finds, checks that the flows the compiler makes keep
+//! the local rule exactly, and that they pass the validator both as
+//! compiled and with the covered guards — and the publications only they
+//! waited for — dropped. The compiler does not drop them (DESIGN.md §9,
+//! "Covered guards": what it cost the compile).
 //!
 //! Each worker walks its own tasks in program order and keeps, per other
 //! worker `v`, how many of `v`'s first tasks it knows to be wholly done —
@@ -17,121 +22,21 @@
 //! `fetch_add` on the epoch word, which `p`'s own later store of that word
 //! then overwrites — the next writer waits for a read count that never
 //! comes. `a_publication_does_not_prove_its_tasks_other_publications` pins
-//! the pass against that.
-//!
-//! With the covered guards dropped, a publication is kept when a remaining
-//! guard waits for it. At zero coverage that rule is the compiler's own,
-//! which every count below checks first.
+//! the rule against that, and the validator rejects that variant.
 
-use rio::core::{CompiledFlow, Executor, RioConfig};
+mod validator;
+
+use rio::core::{Executor, RioConfig};
+use rio::mc::{explore, ProtocolSpec};
+use validator::{check, Coverage};
+
 use rio::stf::{Access, DataId, Mapping, RoundRobin, TableMapping, TaskGraph, WorkerId};
 use rio::workloads::random_deps::RandomDepsConfig;
 use rio::workloads::{cholesky, lu, random_deps, stencil};
 
-/// What the pass found: per task (flow index), per access, whether its
-/// guard is kept and whether it is covered; and the counts.
-#[derive(Debug, Default, PartialEq)]
-struct Coverage {
-    covered: Vec<Vec<bool>>,
-    kept_guards: u64,
-    covered_guards: u64,
-    /// Kept publications, as compiled and with the covered guards dropped.
-    kept_publications: u64,
-    remaining_publications: u64,
-}
-
-/// Runs the pass over `flow`, a flow of a total mapping.
-fn coverage(flow: &CompiledFlow<'_>) -> Coverage {
-    let (g, workers) = (flow.graph(), flow.config().workers);
-    // Owner, place in its owner's program, and marks, per task.
-    let mut owner = vec![0; g.len()];
-    let mut place = vec![0; g.len()];
-    let mut guard = vec![Vec::new(); g.len()];
-    let mut publish = vec![Vec::new(); g.len()];
-    let mut programs = vec![Vec::new(); workers];
-    for (w, program) in programs.iter_mut().enumerate() {
-        for (k, ct) in flow.own_tasks(WorkerId::from_index(w)).enumerate() {
-            assert!(!ct.claim_marked(), "the pass reads total mappings only");
-            let t = ct.task.id.index();
-            let n = ct.task.accesses.len();
-            (owner[t], place[t]) = (w, k);
-            guard[t] = (0..n).map(|i| ct.keeps_guard(i)).collect();
-            publish[t] = (0..n).map(|i| ct.keeps_publication(i)).collect();
-            program.push(t);
-        }
-    }
-    // What each access waits for: its epoch's writer, and for a write the
-    // epoch's reads too — as `(task, access index)`, in flow order.
-    type Access = (usize, usize);
-    let mut epochs: Vec<(Option<Access>, Vec<Access>)> = vec![(None, Vec::new()); g.num_data()];
-    let mut waits_for = vec![Vec::new(); g.len()];
-    for t in g.tasks() {
-        let i = t.id.index();
-        waits_for[i] = t
-            .accesses
-            .iter()
-            .enumerate()
-            .map(|(k, a)| {
-                let (writer, reads) = &mut epochs[a.data.index()];
-                let mut preds: Vec<_> = writer.iter().copied().collect();
-                if a.mode.writes() {
-                    preds.append(reads);
-                    *writer = Some((i, k));
-                } else {
-                    reads.push((i, k));
-                }
-                preds
-            })
-            .collect::<Vec<_>>();
-    }
-    let mut out = Coverage {
-        covered: guard.iter().map(|g| vec![false; g.len()]).collect(),
-        ..Coverage::default()
-    };
-    for (w, program) in programs.iter().enumerate() {
-        // `done[v]`: so many of `v`'s first tasks are wholly done.
-        let mut done = vec![0usize; workers];
-        for &t in program {
-            for (k, preds) in waits_for[t].iter().enumerate() {
-                let remote = preds.iter().filter(|&&(q, _)| owner[q] != w);
-                // The compiler's rule: a guard is kept iff it waits for
-                // some other worker.
-                assert_eq!(guard[t][k], remote.clone().count() > 0, "T{}", t + 1);
-                if !guard[t][k] {
-                    continue;
-                }
-                out.kept_guards += 1;
-                let covered = remote.clone().all(|&(q, _)| place[q] < done[owner[q]]);
-                out.covered[t][k] = covered;
-                out.covered_guards += u64::from(covered);
-                for &(q, _) in remote {
-                    done[owner[q]] = done[owner[q]].max(place[q]);
-                }
-            }
-        }
-    }
-    // A publication is kept for each guard that still waits for it.
-    let mut waited = guard
-        .iter()
-        .map(|g| vec![[false; 2]; g.len()])
-        .collect::<Vec<_>>();
-    for (t, preds) in waits_for.iter().enumerate() {
-        for (k, preds) in preds.iter().enumerate() {
-            for &(q, j) in preds.iter().filter(|_| guard[t][k]) {
-                waited[q][j][0] = true;
-                waited[q][j][1] |= !out.covered[t][k];
-            }
-        }
-    }
-    for (t, accesses) in waited.iter().enumerate() {
-        for (k, &[compiled, remaining]) in accesses.iter().enumerate() {
-            assert_eq!(publish[t][k], compiled, "T{} access {k}", t + 1);
-            out.kept_publications += u64::from(compiled);
-            out.remaining_publications += u64::from(remaining);
-        }
-    }
-    out
-}
+/// A hand flow: per task, its accesses (`'r'` or `'w'`, object) and its
+/// worker.
+type Tasks = &'static [(&'static [(char, u32)], u32)];
 
 /// A flow over `objects` objects: per task, its accesses (`'r'` or `'w'`,
 /// object) and its worker.
@@ -151,13 +56,19 @@ fn flow_of(objects: usize, tasks: &[(&[(char, u32)], u32)]) -> (TaskGraph, Table
     (b.build(), TableMapping::new(owners))
 }
 
+/// The oracle of a hand flow, the compiled flow checked ([`check`]) at as
+/// many workers as it names (two at least) and one more.
 fn covered_marks(objects: usize, tasks: &[(&[(char, u32)], u32)]) -> Coverage {
     let (g, m) = flow_of(objects, tasks);
-    let workers = 1 + tasks.iter().map(|t| t.1 as usize).max().unwrap();
-    let flow = Executor::new(RioConfig::with_workers(workers.max(2)))
+    let workers = (1 + tasks.iter().map(|t| t.1 as usize).max().unwrap()).max(2);
+    let flow = Executor::new(RioConfig::with_workers(workers + 1))
         .mapping(&m)
         .compile(&g);
-    coverage(&flow)
+    check(&flow);
+    let flow = Executor::new(RioConfig::with_workers(workers))
+        .mapping(&m)
+        .compile(&g);
+    check(&flow)
 }
 
 #[test]
@@ -265,7 +176,8 @@ fn a_write_guard_is_covered_only_when_every_read_it_waits_for_is() {
     assert_eq!(c.covered[5], [false]);
 }
 
-/// `(flow, workers, kept guards, covered, kept publications, remaining)`.
+/// `(flow, workers, kept guards, covered, kept publications, remaining)`:
+/// guards and publications the local rule keeps, and what coverage leaves.
 type Pinned = (&'static str, usize, u64, u64, u64, u64);
 
 const PINNED: [Pinned; 12] = [
@@ -307,7 +219,7 @@ fn covered_guard_counts_are_pinned() {
             let flow = Executor::new(RioConfig::with_workers(workers))
                 .mapping(&*m)
                 .compile(g);
-            let c = coverage(&flow);
+            let c = check(&flow);
             let s = flow.stats();
             let accesses = g.total_accesses() as u64;
             assert_eq!(c.kept_guards, accesses - s.elided_gets);
@@ -323,4 +235,215 @@ fn covered_guard_counts_are_pinned() {
         }
     }
     assert_eq!(got, PINNED, "recomputed: {got:#?}");
+}
+
+/// The validator rejects what the model checker rejects (`rio-mc`'s
+/// `a_dropped_uncovered_guard_is_caught`, the same flows): a guard dropped
+/// though not covered, and the unsound rule that counts a task wholly
+/// published at its first observed publication — there T3's `fetch_add`
+/// on d1 is unordered after T1's store of d1 — while it accepts the flow
+/// the rule itself reduces (T4's guard dropped in the first).
+#[test]
+fn the_validator_rejects_a_dropped_uncovered_guard() {
+    let flows: [(usize, Tasks, &str); 2] = [
+        (
+            2,
+            &[
+                (&[('w', 0)], 0),
+                (&[('w', 1)], 0),
+                (&[('r', 1)], 1),
+                (&[('r', 0)], 1),
+            ],
+            "the edge T2 -> T3 is unordered",
+        ),
+        (
+            2,
+            &[
+                (&[('w', 0), ('w', 1)], 0),
+                (&[('r', 0)], 1),
+                (&[('r', 1)], 1),
+                (&[('w', 1)], 0),
+            ],
+            "a fetch_add unordered after the store of T1",
+        ),
+    ];
+    for (objects, tasks, why) in flows {
+        let (g, m) = flow_of(objects, tasks);
+        let flow = Executor::new(RioConfig::with_workers(2))
+            .mapping(&m)
+            .compile(&g);
+        let mut marks = validator::Marks::of(&flow);
+        assert_eq!(validator::validate(&g, &marks), Ok(()));
+        let covered = check(&flow).covered;
+        let reduced = validator::reduced(&flow, &covered);
+        assert_eq!(validator::validate(&g, &reduced), Ok(()));
+        assert!(marks.marks[2][0].guard, "T3 keeps its guard");
+        marks.marks[2][0].guard = false;
+        let err = validator::validate(&g, &marks).expect_err("a mutant");
+        assert!(err.contains(why), "{err}");
+    }
+}
+
+/// The benchmark's flows — `indep-fine`, `cholesky-24` (both Cholesky
+/// workloads), `randdeps-fine` — under its mappings, at 2, 3, 4 and 64
+/// workers: the validator accepts each compiled flow, as compiled and
+/// reduced by its covered guards.
+#[test]
+fn the_benchmark_flows_pass_the_validator() {
+    type Flow = (TaskGraph, fn(usize) -> Box<dyn Mapping>);
+    let flows: [Flow; 3] = [
+        (
+            rio::workloads::independent::graph_private_data(65536),
+            |_| Box::new(RoundRobin),
+        ),
+        (cholesky::graph(24, 1), |w| {
+            Box::new(cholesky::mapping(24, w))
+        }),
+        (
+            random_deps::graph(&RandomDepsConfig::paper(16384, 1)),
+            |_| Box::new(RoundRobin),
+        ),
+    ];
+    for (g, mapping) in &flows {
+        for workers in [2, 3, 4, 64] {
+            let m = mapping(workers);
+            let flow = Executor::new(RioConfig::with_workers(workers))
+                .mapping(&*m)
+                .compile(g);
+            check(&flow);
+        }
+    }
+}
+
+/// The model checker's system for `g` under `m` at `workers`, as compiled,
+/// then reduced by its covered guards ([`validator::reduced`]); and how
+/// many guards each keeps.
+fn reduced_spec<'g>(
+    g: &'g TaskGraph,
+    m: &TableMapping,
+    workers: usize,
+) -> (ProtocolSpec<'g>, [usize; 2]) {
+    let flow = Executor::new(RioConfig::with_workers(workers))
+        .mapping(m)
+        .compile(g);
+    let reduced = validator::reduced(&flow, &check(&flow).covered);
+    let mut spec = ProtocolSpec::compiled(g, workers, m);
+    let kept = |marks: &validator::Marks| marks.marks.iter().flatten().filter(|a| a.guard).count();
+    for (t, marks) in reduced.marks.iter().enumerate() {
+        for (k, a) in marks.iter().enumerate() {
+            spec.mark(t, k, a.guard, a.publish);
+        }
+    }
+    (spec, [kept(&validator::Marks::of(&flow)), kept(&reduced)])
+}
+
+/// The reduced flows refine the protocol: every interleaving of LU 4×4
+/// and of the hand flows above, at 2 and 3 workers, with the covered
+/// guards and the publications only they waited for dropped, keeps the
+/// model checker's three properties. LU 4×4 at two workers keeps 11 of
+/// the 13 guards the local rule keeps.
+#[test]
+fn reduced_flows_pass_the_model_checker_exhaustively() {
+    let (g, m) = (
+        rio::mc::lu_model::graph(4, 4),
+        rio::mc::lu_model::mapping(4, 4, 2),
+    );
+    let m = TableMapping::from_fn(g.len(), |i| m.worker_of(rio::stf::TaskId::from_index(i), 2));
+    let (spec, kept) = reduced_spec(&g, &m, 2);
+    assert_eq!(kept, [13, 11]);
+    let r = explore(&spec);
+    assert!(r.ok(), "LU 4x4 at 2: {:?}", r.violations);
+    for workers in [2, 3] {
+        let m = rio::mc::lu_model::mapping(4, 4, workers);
+        let m = TableMapping::from_fn(g.len(), |i| {
+            m.worker_of(rio::stf::TaskId::from_index(i), workers)
+        });
+        let (spec, [all, left]) = reduced_spec(&g, &m, workers);
+        assert!(left <= all);
+        let r = explore(&spec);
+        assert!(r.ok(), "LU 4x4 at {workers}: {:?}", r.violations);
+    }
+    for (objects, tasks, dropped) in HAND_FLOWS {
+        let (g, m) = flow_of(objects, tasks);
+        for workers in [2, 3] {
+            let (spec, [all, left]) = reduced_spec(&g, &m, workers);
+            assert_eq!(all - left, dropped, "{tasks:?} at {workers}");
+            let r = explore(&spec);
+            assert!(r.ok(), "{tasks:?} at {workers}: {:?}", r.violations);
+            assert!(r.distinct > g.len() as u64);
+        }
+    }
+}
+
+/// `covered_marks`' flows, with how many guards the rule drops in each.
+const HAND_FLOWS: [(usize, Tasks, usize); 4] = [
+    (
+        2,
+        &[
+            (&[('w', 0)], 0),
+            (&[('w', 1)], 0),
+            (&[('r', 1)], 1),
+            (&[('r', 0)], 1),
+        ],
+        1,
+    ),
+    (
+        2,
+        &[
+            (&[('w', 0), ('w', 1)], 0),
+            (&[('r', 0)], 1),
+            (&[('r', 1)], 1),
+            (&[('w', 1)], 0),
+        ],
+        0,
+    ),
+    (
+        3,
+        &[
+            (&[('w', 0), ('w', 1)], 0),
+            (&[('w', 2)], 0),
+            (&[('r', 2)], 1),
+            (&[('r', 0), ('r', 1)], 1),
+        ],
+        2,
+    ),
+    (
+        3,
+        &[
+            (&[('w', 0)], 0),
+            (&[('r', 0)], 1),
+            (&[('w', 1)], 1),
+            (&[('r', 0)], 1),
+            (&[('w', 2)], 1),
+            (&[('r', 2)], 0),
+            (&[('w', 0)], 0),
+        ],
+        1,
+    ),
+];
+
+/// Not vacuous: dropping a guard the rule keeps — one the flow still
+/// needs — breaks a property, and so does the unsound rule that counts a
+/// task wholly published at its first observed publication (T3 would read
+/// d1 before T1's d1 terminate). The validator rejects both
+/// (`the_validator_rejects_a_dropped_uncovered_guard`).
+#[test]
+fn the_model_checker_rejects_a_dropped_uncovered_guard() {
+    for (objects, tasks, _) in &HAND_FLOWS[..2] {
+        let (g, m) = flow_of(*objects, tasks);
+        let (mut spec, _) = reduced_spec(&g, &m, 2);
+        let flow = Executor::new(RioConfig::with_workers(2))
+            .mapping(&m)
+            .compile(&g);
+        let t3 = flow
+            .own_tasks(WorkerId(1))
+            .find(|t| t.task.id.index() == 2)
+            .unwrap();
+        assert!(t3.keeps_guard(0), "T3 keeps its guard");
+        spec.mark(2, 0, false, t3.keeps_publication(0));
+        assert!(
+            !explore(&spec).ok(),
+            "{tasks:?}: dropping T3's guard goes unnoticed"
+        );
+    }
 }
