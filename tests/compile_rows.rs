@@ -3,7 +3,8 @@
 //! equality against `tests/compile_rows.txt`.
 //!
 //! A row holds what no host moves: `CompileStats`' counts (the programs'
-//! length among them: instructions plus quiet ranges), how many own tasks
+//! length among them: instructions plus quiet ranges; and how many
+//! segments the walk was split into), how many own tasks
 //! are quiet (in ranges), and the heap bytes the compiled flow holds,
 //! read off this binary's counting allocator as the live bytes a compile
 //! leaves behind. A change that moves a row must say so by committing the
@@ -135,7 +136,7 @@ fn flows() -> Vec<Flow> {
 const WORKERS: [usize; 4] = [2, 3, 4, 64];
 
 const HEADER: &str =
-    "flow workers tasks accesses kept_guards kept_publications shared_objects irrelevant runs_min runs_max quiet program bytes";
+    "flow workers tasks accesses kept_guards kept_publications shared_objects irrelevant runs_min runs_max quiet program segments bytes";
 
 /// One row, its columns separated by single spaces; `bytes` last.
 fn row(name: &str, g: &TaskGraph, m: &dyn Mapping, workers: usize) -> String {
@@ -157,7 +158,7 @@ fn row(name: &str, g: &TaskGraph, m: &dyn Mapping, workers: usize) -> String {
         .sum();
     let runs = &s.runs_per_worker;
     format!(
-        "{name} {workers} {} {accesses} {} {} {} {} {} {} {quiet} {} {bytes}",
+        "{name} {workers} {} {accesses} {} {} {} {} {} {} {quiet} {} {} {bytes}",
         s.flow_len,
         accesses - s.elided_gets,
         accesses - s.elided_publishes,
@@ -166,6 +167,7 @@ fn row(name: &str, g: &TaskGraph, m: &dyn Mapping, workers: usize) -> String {
         runs.iter().min().unwrap(),
         runs.iter().max().unwrap(),
         s.program_len,
+        s.segments,
     )
 }
 
