@@ -250,6 +250,8 @@ impl<'a> Executor<'a> {
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
+        // A set thread asleep since the last run wakes while this compiles.
+        self.set.nudge();
         self.try_compile(graph)?.try_run(kernel)
     }
 }

@@ -5,10 +5,11 @@
 //! when pinned — the caller never is), started by the first run, joined
 //! when the last owner drops. Between runs they wait for one generation
 //! word to move — a few of the runs' own spin budgets, then asleep on an
-//! event-count ([`crate::futex`]) — and the join is the launcher waiting
-//! for `pending == 0`, one budget, then asleep; neither is a park of the
-//! run, and no counter sees it. The job borrows the run's stack: its lifetime
-//! is erased behind an unconditional join (DESIGN.md §7; `workerset_spec`).
+//! event-count ([`crate::futex`]), which a nudge ([`WorkerSet::nudge`])
+//! also ends, to wait anew — and the join is the launcher waiting for
+//! `pending == 0`, one budget, then asleep; neither is a park of the run,
+//! and no counter sees it. The job borrows the run's stack: its lifetime is
+//! erased behind an unconditional join (DESIGN.md §7; `workerset_spec`).
 
 use std::cell::UnsafeCell;
 use std::ops::ControlFlow;
@@ -32,6 +33,8 @@ struct Shared {
     job: UnsafeCell<Option<Job<'static>>>,
     /// Bumped once per launch, and once to shut down.
     generation: AtomicU32,
+    /// Bumped once per nudge.
+    nudges: AtomicU32,
     /// Set threads still inside the launch in flight.
     pending: AtomicU32,
     /// Where set threads sleep between launches.
@@ -72,7 +75,13 @@ impl Shared {
     /// the machine has a CPU for every worker.
     fn serve(&self, me: usize, mut seen: u32, spin: u32, roomy: bool) {
         loop {
-            await_until(&self.idle, spin, |o| self.generation.load(o) != seen);
+            let nudged = self.nudges.load(Ordering::Relaxed);
+            let moved = |o| self.generation.load(o) != seen || self.nudges.load(o) != nudged;
+            await_until(&self.idle, spin, moved);
+            // Nudged: awake now, so the launch to come finds it polling.
+            if self.generation.load(Ordering::Acquire) == seen {
+                continue;
+            }
             seen = seen.wrapping_add(1);
             // Linux queues a woken thread behind its waker when the CPU it
             // slept on has halted (a guest's idle vCPU reads as preempted),
@@ -117,6 +126,17 @@ impl WorkerSet {
         if !self.try_run(cfg, job) {
             WorkerSet::default().run(cfg, job);
         }
+    }
+
+    /// Wakes the set's threads that sleep between launches, and gives them
+    /// none: each polls for the next one again, its budgets, before it
+    /// sleeps. A launcher calls it ahead of work that precedes a launch, so
+    /// that a thread's wake-up from a long sleep overlaps that work. No
+    /// syscall when none sleeps.
+    pub(crate) fn nudge(&self) {
+        // `S` of `idle`, as in a launch: pairs with a set thread's `R`.
+        self.shared.nudges.fetch_add(1, Ordering::SeqCst);
+        self.shared.idle.notify_if_waiters();
     }
 
     /// [`WorkerSet::run`] on this set's threads, or `false` at once if a

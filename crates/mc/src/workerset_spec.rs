@@ -10,8 +10,8 @@
 //!
 //! | thread   | steps                                                                                   |
 //! |----------|-----------------------------------------------------------------------------------------|
-//! | launcher | per launch: store job · set `pending` · bump generation · load `idle.waiters` · (wake) · **await** `pending == 0` on `done` · clear job; then shutdown: bump · load · (wake) · join the threads |
-//! | worker   | **await** generation ≠ seen on `idle` · read job (none: exit) · run it · `pending -= 1` · (last: load `done.waiters` · (wake)) |
+//! | launcher | per launch (the first after a nudge: bump `nudges` · load `idle.waiters` · (wake)): store job · set `pending` · bump generation · load `idle.waiters` · (wake) · **await** `pending == 0` on `done` · clear job; then shutdown: bump · load · (wake) · join the threads |
+//! | worker   | **await** generation ≠ seen (or, nudged, `nudges` moved: then again) on `idle` · read job (none: exit) · run it · `pending -= 1` · (last: load `done.waiters` · (wake)) |
 //! | await    | spin (give up at any poll) · `waiters += 1` · load `wake_seq` · re-check · **futex compare-and-sleep** · … · `waiters -= 1` |
 //!
 //! The interleavings are sequentially consistent, which is the ordering
@@ -28,7 +28,7 @@
 //! * every worker runs every launch exactly once, and exits only at the
 //!   shutdown;
 //! * nobody is asleep with its condition true unless a wake is still on
-//!   its way;
+//!   its way — a nudge's included;
 //! * the shutdown terminates every thread (a hang shows as a deadlock,
 //!   which the explorer reports on its own).
 //!
@@ -77,6 +77,13 @@ struct Ec {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Pc {
+    /// Launcher only: the nudge ahead of a launch — bump `nudges`, load
+    /// `idle.waiters`, and if there are any, bump their `wake_seq` and wake
+    /// them all.
+    Nudge,
+    NudgeWaiters,
+    NudgeSeq,
+    NudgeWake,
     /// Launcher only.
     StoreJob,
     /// Launcher only.
@@ -107,8 +114,11 @@ enum Pc {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Worker {
     pc: Pc,
-    /// The generation last seen, and the `idle.wake_seq` last loaded.
+    /// The generation last seen, the `nudges` seen as the idle wait began
+    /// (its load folded into the step before), and the `idle.wake_seq`
+    /// last loaded.
     seen: u8,
+    nudged: u8,
     seen_seq: u8,
     /// The launch whose job this worker read and has not finished with.
     holding: Option<u8>,
@@ -124,6 +134,7 @@ pub struct SetState {
     /// The launch whose job is in the cell.
     job: Option<u8>,
     generation: u8,
+    nudges: u8,
     pending: u8,
     idle: Ec,
     done: Ec,
@@ -146,6 +157,8 @@ pub struct WorkerSetSpec {
     pub workers: usize,
     /// Launches before the shutdown.
     pub launches: u8,
+    /// The first launch comes after a nudge (`WorkerSet::nudge`).
+    pub nudge: bool,
     /// The ordering bug to build in.
     pub mutant: Mutant,
 }
@@ -213,6 +226,16 @@ impl WorkerSetSpec {
         }
     }
 
+    /// The launcher's first step of launch `launch`: the first launch
+    /// begins with a nudge — the workers all wait idle then, as between any
+    /// two launches.
+    fn first_step(&self, launch: u8) -> Pc {
+        match launch {
+            1 if self.nudge && self.launches > 0 => Pc::Nudge,
+            _ => self.launch_steps(launch > self.launches)[0],
+        }
+    }
+
     fn after_wake(&self, shutdown: bool) -> Pc {
         if shutdown {
             Pc::JoinThreads
@@ -225,6 +248,23 @@ impl WorkerSetSpec {
         let mut n = s.clone();
         let shutdown = self.shutting_down(s);
         n.launcher = match s.launcher {
+            Pc::Nudge => {
+                n.nudges += 1;
+                Pc::NudgeWaiters
+            }
+            Pc::NudgeWaiters if s.idle.waiters != 0 => Pc::NudgeSeq,
+            Pc::NudgeSeq => {
+                n.idle.seq += 1;
+                Pc::NudgeWake
+            }
+            Pc::NudgeWaiters | Pc::NudgeWake => {
+                for w in &mut n.workers {
+                    if w.pc == Pc::Await(Wait::Asleep) {
+                        w.pc = Pc::Await(Wait::LoadSeq);
+                    }
+                }
+                self.launch_steps(false)[0]
+            }
             Pc::StoreJob | Pc::SetPending | Pc::BumpGeneration | Pc::LoadWaiters => {
                 match s.launcher {
                     Pc::StoreJob => n.job = Some(s.launch),
@@ -260,7 +300,7 @@ impl WorkerSetSpec {
                 n.joined = s.launch;
                 n.launch += 1;
                 (n.launcher_saw, n.launcher_seq) = (false, 0);
-                self.launch_steps(self.shutting_down(&n))[0]
+                self.first_step(n.launch)
             }
             Pc::JoinThreads if s.workers.iter().all(|w| w.pc == Pc::Done) => Pc::Done,
             Pc::JoinThreads | Pc::Done => return,
@@ -290,12 +330,20 @@ impl WorkerSetSpec {
         let w = &s.workers[i];
         let next = match w.pc {
             Pc::Await(at) => {
-                let ready = s.generation != w.seen;
+                let ready = s.generation != w.seen || s.nudges != w.nudged;
                 let mut seen_seq = w.seen_seq;
                 for next in step_wait(at, ready, &mut n.idle, &mut seen_seq) {
                     let mut m = n.clone();
                     m.workers[i].seen_seq = seen_seq;
-                    m.workers[i].pc = next.map_or(Pc::ReadJob, Pc::Await);
+                    m.workers[i].pc = match next {
+                        Some(next) => Pc::Await(next),
+                        // Woken by a nudge alone: wait anew.
+                        None if s.generation == w.seen => {
+                            m.workers[i].nudged = s.nudges;
+                            Pc::Await(Wait::Spin)
+                        }
+                        None => Pc::ReadJob,
+                    };
                     out.push(m);
                 }
                 return;
@@ -335,7 +383,7 @@ impl WorkerSetSpec {
             _ => unreachable!("a launcher's step"),
         };
         if matches!(next, Pc::Await(_)) {
-            n.workers[i].last = false;
+            (n.workers[i].last, n.workers[i].nudged) = (false, s.nudges);
         }
         n.workers[i].pc = next;
         out.push(n);
@@ -355,6 +403,7 @@ impl TransitionSystem for WorkerSetSpec {
         let worker = Worker {
             pc: Pc::Await(Wait::Spin),
             seen: 0,
+            nudged: 0,
             seen_seq: 0,
             holding: None,
             last: false,
@@ -363,12 +412,13 @@ impl TransitionSystem for WorkerSetSpec {
         SetState {
             job: None,
             generation: 0,
+            nudges: 0,
             pending: 0,
             idle: Ec::default(),
             done: Ec::default(),
             joined: 0,
             launch: 1,
-            launcher: self.launch_steps(self.launches == 0)[0],
+            launcher: self.first_step(1),
             launcher_saw: false,
             launcher_seq: 0,
             workers: vec![worker; self.workers],
@@ -400,6 +450,10 @@ impl TransitionSystem for WorkerSetSpec {
             let bumped = s.generation != w.seen;
             if w.pc == Pc::Await(Wait::Asleep) && bumped && !waking(s.launcher) {
                 return Err(format!("worker {i} sleeps through a launch: {s:?}"));
+            }
+            let nudging = matches!(s.launcher, Pc::NudgeWaiters | Pc::NudgeSeq | Pc::NudgeWake);
+            if w.pc == Pc::Await(Wait::Asleep) && s.nudges != w.nudged && !nudging {
+                return Err(format!("worker {i} sleeps through a nudge: {s:?}"));
             }
         }
         // (The mutant that decrements early still owes its notify at `Run`.)
@@ -434,6 +488,7 @@ mod tests {
             workers,
             launches,
             mutant,
+            nudge: false,
         }
     }
 

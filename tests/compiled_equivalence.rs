@@ -1056,6 +1056,55 @@ fn worker_set_sleeps_between_runs_and_wakes_for_the_next() {
     }
 }
 
+/// `Executor::try_run` nudges its set before it compiles: a set thread
+/// asleep since the last run wakes without a launch and waits anew. With no
+/// spin budget it sleeps again at once — and still takes the next launch,
+/// on the same thread, even after a nudge whose compile failed and so
+/// launched nothing; and the nudged set shuts down with its last owner.
+#[cfg(target_os = "linux")]
+#[test]
+fn worker_set_nudged_threads_take_the_next_launch_and_shut_down() {
+    let g = rio::workloads::cholesky::graph(4, 1);
+    let oracle = run_sequential(&g);
+    let exec = Executor::new(RioConfig::with_workers(2).spin_limit(0)).mapping(&RoundRobin);
+    let (fired, resident) = (Arc::new(AtomicU32::new(0)), Mutex::new(None));
+    let run = |exec: &Executor<'_>| {
+        let store = DataStore::filled(g.num_data(), 0u64);
+        let run = exec.try_run(&g, |w, t: &TaskDesc| {
+            if w.index() == 1 {
+                let me = std::thread::current().id();
+                assert_eq!(*resident.lock().unwrap().get_or_insert(me), me);
+                PLANTED.with(|p| {
+                    p.borrow_mut()
+                        .get_or_insert_with(|| Planted(Arc::clone(&fired)));
+                });
+            }
+            hash_kernel(&store, t);
+        });
+        run.expect("a run");
+        assert_eq!(store.into_vec(), oracle);
+    };
+    let short = rio::stf::TableMapping::from_fn(1, |_| WorkerId(0));
+    for _ in 0..3 {
+        run(&exec);
+        std::thread::sleep(Duration::from_millis(2));
+        // Nudged, then no launch: the compile rejects the mapping.
+        let err = exec.clone().mapping(&short).try_run(&g, |_, _| {});
+        assert_eq!(err.expect_err("a short table").kind(), "invalid-mapping");
+    }
+    run(&exec);
+    assert!(
+        resident.into_inner().unwrap().is_some(),
+        "worker 1 ran tasks"
+    );
+    drop(exec);
+    assert_eq!(
+        fired.load(Ordering::SeqCst),
+        1,
+        "worker 1's thread has exited"
+    );
+}
+
 /// A set thread that finds itself on its launcher's CPU steps off it — a
 /// placement, not a pin: whatever it did, it may still run wherever the
 /// caller may. (No spin budget, so every launch is a wake-up: the case in
@@ -1081,6 +1130,52 @@ fn worker_set_threads_keep_the_callers_affinity_mask() {
         });
         assert_eq!(seen.into_inner().unwrap(), Some(mine.clone()));
         std::thread::sleep(Duration::from_micros(300));
+    }
+}
+
+/// Two members of a would-be range of worker 0 keep a half: task 10 writes
+/// `D0`, which worker 1 reads next; task `n − 100` reads `D1`, which worker
+/// 1 wrote first — in a later segment than the read, where the compile
+/// splits (8 200 tasks at 2 workers, on a host with two CPUs). Each is an
+/// instruction — the first keeping its publication and no guard, the second
+/// its guard, whose word is `D1`'s first write — and every other task of
+/// worker 0, each rewriting `D2`, is quiet.
+#[test]
+fn a_quiet_range_is_cut_exactly_at_the_members_that_keep_a_half() {
+    let n = 8200;
+    let access = |i: usize| match i {
+        1 => Access::write(DataId(1)),
+        10 => Access::write(DataId(0)),
+        13 => Access::read(DataId(0)),
+        _ if i == n - 100 => Access::read(DataId(1)),
+        _ => Access::write(DataId(2 + i as u32 % 2)),
+    };
+    let mut b = TaskGraph::builder(4);
+    for i in 0..n {
+        b.task(&[access(i)], 1, "t");
+    }
+    let g = b.build();
+    let flow = Executor::new(RioConfig::with_workers(2))
+        .mapping(&RoundRobin)
+        .compile(&g);
+    validator::assert_valid(&flow, "a range cut twice");
+    let first_write_of_d1 = rio::core::protocol::pack_epoch(TaskId(2), 0);
+    for t in flow.own_tasks(WorkerId(0)) {
+        let (i, kept) = (
+            t.task.id.index(),
+            (t.keeps_guard(0), t.keeps_publication(0)),
+        );
+        match i {
+            10 => assert_eq!(
+                (t.quiet(), kept, t.expected(0)),
+                (false, (false, true), None)
+            ),
+            _ if i == n - 100 => {
+                let word = Some(first_write_of_d1);
+                assert_eq!((t.quiet(), kept.0, t.expected(0)), (false, true, word));
+            }
+            _ => assert!(t.quiet(), "task {i} is quiet"),
+        }
     }
 }
 
@@ -1392,4 +1487,256 @@ fn the_last_epochs_reads_publish_for_nobody() {
         t3.expected(0),
         Some(rio::core::protocol::pack_epoch(TaskId(1), 1))
     );
+}
+
+/// `n` read-write tasks over `data` objects, task `i` on `D_(i % data)`.
+fn rw_chain(n: usize, data: u32) -> TaskGraph {
+    let mut b = TaskGraph::builder(data as usize);
+    for i in 0..n as u32 {
+        b.task(&[Access::read_write(DataId(i % data))], 1, "t");
+    }
+    b.build()
+}
+
+#[test]
+fn programs_hold_own_tasks_only() {
+    // Whatever the dependency shape, a worker's program is its own
+    // tasks in flow order: independent data or one shared chain give
+    // the same instruction counts.
+    let n = 40;
+    let independent = rio::workloads::independent::graph_private_data(n);
+    for g in [independent, rw_chain(n, 1)] {
+        let flow = Executor::new(RioConfig::with_workers(4)).compile(&g);
+        let stats = flow.stats();
+        assert_eq!(stats.runs_per_worker, vec![10; 4]);
+        assert_eq!(stats.instructions(), g.len());
+        assert_eq!(stats.folded_declares, 0);
+        assert_eq!(stats.coalesce_factor(), 0.0);
+        // 4 workers × 30 foreign single-access tasks each: what
+        // unrolling the whole flow on every worker would pay in
+        // private declares.
+        assert_eq!(stats.irrelevant_declares, 120);
+        for w in 0..4 {
+            let mine: Vec<usize> = (0..n).filter(|i| i % 4 == w).collect();
+            let prog = flow.own_tasks(WorkerId::from_index(w));
+            assert_eq!(prog.map(|t| t.task.id.index()).collect::<Vec<_>>(), mine);
+        }
+    }
+}
+
+#[test]
+fn long_foreign_stretches_cost_the_owner_nothing() {
+    // W0 owns only the first and last task; the 98 tasks between are
+    // W1's, all on the same datum. W0's program is two instructions,
+    // and its last task's expected word already accounts for all 98.
+    let n = 100;
+    let g = rw_chain(n, 1);
+    let m = TableMapping::from_fn(n, |i| WorkerId(u32::from(!(i == 0 || i == n - 1))));
+    let flow = Executor::new(RioConfig::with_workers(2))
+        .mapping(&m)
+        .compile(&g);
+    assert_eq!(flow.stats().runs_per_worker, vec![2, 98]);
+    assert_eq!(flow.stats().irrelevant_declares, 98 + 2);
+    let last = flow.own_tasks(WorkerId(0)).last().unwrap();
+    assert_eq!(last.task.id, TaskId(100));
+    let want = rio::core::protocol::pack_epoch(TaskId(99), 0);
+    assert_eq!(last.expected(0), Some(want));
+    // And the run is correct.
+    let store = DataStore::from_vec(vec![0u64]);
+    let run = flow.run(|_, _| *store.write(DataId(0)) += 1);
+    assert_eq!(store.into_vec(), vec![n as u64]);
+    assert_eq!(run.report.workers[0].tasks_visited, 2);
+}
+
+#[test]
+fn foreign_reads_land_in_the_next_writers_expected_word() {
+    // T1 (W0) writes; T2..T9 (W1) read; T10 (W0) writes again. W0's
+    // program: Run(T1), Run(T10) — the 8 reads are in T10's word.
+    let mut b = TaskGraph::builder(1);
+    b.task(&[Access::write(DataId(0))], 1, "w");
+    for _ in 0..8 {
+        b.task(&[Access::read(DataId(0))], 1, "r");
+    }
+    b.task(&[Access::write(DataId(0))], 1, "w2");
+    let g = b.build();
+    let m = TableMapping::from_fn(10, |i| WorkerId(u32::from(!(i == 0 || i == 9))));
+    let flow = Executor::new(RioConfig::with_workers(2))
+        .mapping(&m)
+        .compile(&g);
+    let last = flow.own_tasks(WorkerId(0)).last().unwrap();
+    let want = rio::core::protocol::pack_epoch(TaskId(1), 8);
+    assert_eq!(last.expected(0), Some(want));
+    let store = DataStore::from_vec(vec![0u64]);
+    let seen = AtomicU32::new(0);
+    flow.run(|_, t| match t.kind {
+        "w" => *store.write(DataId(0)) = 42,
+        "r" => {
+            assert_eq!(*store.read(DataId(0)), 42);
+            seen.fetch_add(1, Ordering::Relaxed);
+        }
+        "w2" => *store.write(DataId(0)) = 7,
+        _ => unreachable!(),
+    });
+    assert_eq!(seen.load(Ordering::Relaxed), 8);
+    assert_eq!(store.into_vec(), vec![7]);
+}
+
+#[test]
+fn hybrid_executors_compile_once_and_rerun() {
+    // Two RW chains; compile once, run three times, under a fully
+    // dynamic mapping and a mixed one (every third task pinned to W1).
+    let g = rw_chain(90, 2);
+    let mixed = PartialFn(|t: TaskId, _| t.0.is_multiple_of(3).then_some(WorkerId(1)));
+    let partials: [(&dyn rio::core::PartialMapping, usize); 2] = [(&Unmapped, 90), (&mixed, 60)];
+    for (partial, unmapped) in partials {
+        let flow = Executor::new(RioConfig::with_workers(3))
+            .hybrid(partial)
+            .compile(&g);
+        // A claim-marked task is in every program, a pinned one in
+        // its worker's.
+        let pinned = 90 - unmapped;
+        assert_eq!(
+            flow.stats().runs_per_worker,
+            [unmapped, unmapped + pinned, unmapped]
+        );
+        let claim_marked = flow.own_tasks(WorkerId(0)).filter(|t| t.claim_marked());
+        assert_eq!(claim_marked.count(), unmapped);
+        let store = DataStore::from_vec(vec![0u64, 0]);
+        for _ in 0..3 {
+            let run = flow.run(|_, t| *store.write(t.accesses[0].data) += 1);
+            assert_eq!(run.report.tasks_executed(), 90);
+            let stats = run.hybrid.expect("a partial mapping reports claims");
+            assert_eq!(
+                stats.claimed_per_worker.iter().sum::<u64>(),
+                unmapped as u64
+            );
+            assert_eq!(
+                stats.lost_races_per_worker.iter().sum::<u64>(),
+                2 * unmapped as u64,
+                "two of three workers lose every race"
+            );
+        }
+        assert_eq!(store.into_vec(), vec![135, 135]);
+    }
+}
+
+#[test]
+fn unmapped_tasks_keep_the_synchronisation_of_the_epochs_they_touch() {
+    // D0: T1 (W0) writes, T2 (unmapped) reads, T3 (W0) writes. D1: a
+    // chain on W0 alone. Nothing of D1 is shared; on D0, T2 keeps its
+    // guard, so T1 publishes, and T3 — which waits for a read it
+    // cannot place — keeps its guard, so T2 publishes.
+    let mut b = TaskGraph::builder(2);
+    b.task(&[Access::write(DataId(0))], 1, "w");
+    b.task(&[Access::read(DataId(0))], 1, "r");
+    b.task(&[Access::write(DataId(0))], 1, "w");
+    b.task(&[Access::read_write(DataId(1))], 1, "rw");
+    b.task(&[Access::read_write(DataId(1))], 1, "rw");
+    let g = b.build();
+    let pm = PartialFn(|t: TaskId, _| (t != TaskId(2)).then_some(WorkerId(0)));
+    let flow = Executor::new(RioConfig::with_workers(2))
+        .hybrid(&pm)
+        .compile(&g);
+    assert_eq!(
+        pairs(&flow),
+        [[PUBLISH], [KEPT], [GUARD], [ELIDED], [ELIDED]]
+    );
+    assert_eq!(flow.stats().shared_objects, 1);
+    assert_eq!(
+        (flow.stats().elided_gets, flow.stats().elided_publishes),
+        (3, 3)
+    );
+    let claim_marked: Vec<bool> = flow
+        .own_tasks(WorkerId(1))
+        .map(|t| t.claim_marked())
+        .collect();
+    assert_eq!(claim_marked, [true], "W1's program is T2 alone");
+    // No claim-marked instruction, no claim table: a total mapping
+    // dressed as a partial one runs like the total one.
+    let all = Total(RoundRobin);
+    let flow = Executor::new(RioConfig::with_workers(2))
+        .hybrid(&all)
+        .compile(&g);
+    assert!((0..2).all(|w| !flow.own_tasks(WorkerId(w)).any(|t| t.claim_marked())));
+    let run = flow.run(|_, _| {});
+    let stats = run.hybrid.expect("still a hybrid run");
+    assert_eq!(stats.claimed_per_worker, [0, 0]);
+    assert_eq!(stats.lost_races_per_worker, [0, 0]);
+}
+
+#[test]
+fn failed_run_leaves_the_program_reusable() {
+    let g = rw_chain(30, 1);
+    let flow = Executor::new(RioConfig::with_workers(2)).compile(&g);
+    let err = flow
+        .try_run(|_, t| {
+            if t.id == TaskId(7) {
+                panic!("kernel exploded");
+            }
+        })
+        .expect_err("the injected panic must abort the run");
+    assert_eq!(err.kind(), "task-panicked");
+    // Same program, fresh run: everything works.
+    let store = DataStore::from_vec(vec![0u64]);
+    let run = flow.run(|_, _| *store.write(DataId(0)) += 1);
+    assert_eq!(run.report.tasks_executed(), 30);
+    assert_eq!(store.into_vec(), vec![30]);
+}
+
+#[test]
+fn compile_rejects_an_invalid_mapping() {
+    struct Bad;
+    impl Mapping for Bad {
+        fn worker_of(&self, _: TaskId, workers: usize) -> WorkerId {
+            WorkerId(workers as u32)
+        }
+    }
+    let err = Executor::new(RioConfig::with_workers(2))
+        .mapping(&Bad)
+        .try_compile(&rw_chain(1, 1))
+        .expect_err("out-of-range mapping must fail at compile time");
+    assert_eq!(err.kind(), "invalid-mapping");
+}
+
+#[test]
+fn compiled_report_counts_own_tasks_only() {
+    let g = rw_chain(10, 1);
+    let flow = Executor::new(RioConfig::with_workers(2)).compile(&g);
+    let run = flow.run(|_, _| {});
+    assert_eq!(run.report.tasks_executed(), 10);
+    for w in &run.report.workers {
+        assert_eq!(w.tasks_executed, 5);
+        assert_eq!(w.tasks_visited, 5, "visited == own Run instructions");
+        assert_eq!(w.ops.gets, 5);
+        assert_eq!(w.ops.terminates, 5);
+        assert_eq!(w.ops.declares, 0, "a run declares nothing");
+        assert_eq!(w.ops.syncs, 0);
+    }
+}
+
+#[test]
+fn all_wait_strategies_agree_under_compilation() {
+    for wait in WAITS {
+        let g = rw_chain(100, 2);
+        let store = DataStore::from_vec(vec![0u64, 0]);
+        let flow = Executor::new(RioConfig::with_workers(2).wait(wait)).compile(&g);
+        flow.run(|_, t| {
+            let d = t.accesses[0].data;
+            *store.write(d) += 1;
+        });
+        assert_eq!(store.into_vec(), vec![50, 50], "strategy {wait}");
+    }
+}
+
+#[test]
+fn compiled_runs_can_be_traced() {
+    let g = rw_chain(40, 1);
+    let flow = Executor::new(RioConfig::with_workers(2))
+        .mapping(&RoundRobin)
+        .trace(TraceConfig::new())
+        .compile(&g);
+    let run = flow.run(|_, _| {});
+    let trace = run.trace.expect("trace present");
+    assert_eq!(trace.workers.len(), 2);
+    assert_eq!(trace.workers.iter().map(|w| w.tasks).sum::<u64>(), 40);
 }
