@@ -177,14 +177,6 @@ pub struct RioConfig {
     /// to the [`crate::ExecReport`]. Must have at least
     /// [`RioConfig::workers`] slots. Ignored when `counters` is `false`.
     pub counter_registry: Option<Arc<CounterRegistry>>,
-    /// When `true`, worker `w` pins itself to the `(w mod k)`-th of the
-    /// `k` CPUs the thread that starts the worker set may run on (its
-    /// affinity mask, read once) via `sched_setaffinity` — best-effort:
-    /// pinning failures (non-Linux, restricted cgroups) are ignored.
-    /// Default `false`: the scheduler places the workers, which keeps runs
-    /// well-behaved on oversubscribed CI machines. Also what lets worker 0
-    /// run on the calling thread (pinned: a thread each).
-    pub pin_workers: bool,
 }
 
 impl RioConfig {
@@ -268,13 +260,6 @@ impl RioConfig {
         self
     }
 
-    /// Enables/disables best-effort CPU pinning (builder style). See
-    /// [`RioConfig::pin_workers`].
-    pub fn pin_workers(mut self, on: bool) -> RioConfig {
-        self.pin_workers = on;
-        self
-    }
-
     /// Panics on nonsensical configurations.
     pub fn validate(&self) {
         assert!(self.workers >= 1, "RIO needs at least one worker");
@@ -308,7 +293,6 @@ impl Default for RioConfig {
             flight: true,
             recovery: None,
             counter_registry: None,
-            pin_workers: false,
         }
     }
 }
@@ -346,8 +330,6 @@ mod tests {
         assert!(c.trace.is_none(), "tracing is opt-in");
         assert!(c.watchdog.is_none(), "watchdog is opt-in");
         assert_eq!(c.spin_limit, None, "sized per run, not a constant");
-        assert!(!c.pin_workers, "pinning is opt-in");
-        assert!(RioConfig::with_workers(4).pin_workers(true).pin_workers);
     }
 
     #[test]

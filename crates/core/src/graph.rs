@@ -69,11 +69,10 @@ impl<'c> RunShell<'c> {
     }
 
     /// Runs `worker` once per worker on `set` — worker 0 on the calling
-    /// thread unless workers are pinned — with a fresh [`WorkerCtx`] over
-    /// `shared`. `wake` must wake every sleeper of this run (an abort
-    /// calls it). Returns the assembled report, how the run finished under
-    /// the recovery policy, and what each worker returned beside its
-    /// report.
+    /// thread — with a fresh [`WorkerCtx`] over `shared`. `wake` must wake
+    /// every sleeper of this run (an abort calls it). Returns the assembled
+    /// report, how the run finished under the recovery policy, and what
+    /// each worker returned beside its report.
     ///
     /// # Errors
     /// The first recorded abort cause — a contained body panic, a watchdog

@@ -46,12 +46,12 @@
 //! ## Observability
 //!
 //! [`Executor::trace`] turns on the worker-local event recorder from
-//! [`rio_trace`]: per-worker ring buffers of task / wait / park spans,
-//! wait-time histograms per data object, and the `(p, t_p, τ_{p,t},
-//! τ_{p,i})` quadruple consumed by `rio_metrics::decompose`. The returned
-//! [`Trace`] is the run's record; its holder exports it
-//! ([`Trace::write_chrome`]). Recording touches no shared state on the hot
-//! path, and an untraced run never calls the recorder.
+//! [`rio_trace`]: per-worker ring buffers of task / wait / park spans and
+//! the `(p, t_p, τ_{p,t}, τ_{p,i})` quadruple consumed by
+//! `rio_metrics::decompose`. The returned [`Trace`] is the run's record;
+//! its holder exports it ([`Trace::write_chrome`]). Recording touches no
+//! shared state on the hot path, and an untraced run never calls the
+//! recorder.
 //!
 //! ```
 //! use rio_core::{Rio, RioConfig};

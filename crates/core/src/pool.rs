@@ -1,15 +1,15 @@
 //! The worker set: threads that outlive a run, as the paper's workers do
 //! (its eq. 2 has no launch term). Every [`crate::Executor`],
 //! [`crate::Rio`] and [`crate::redux::ReduxRio`] owns one, shared with
-//! whatever it compiles or derives: threads for workers `1..w` (all `w`
-//! when pinned — the caller never is), started by the first run, joined
-//! when the last owner drops. Between runs they wait for one generation
-//! word to move — a few of the runs' own spin budgets, then asleep on an
-//! event-count ([`crate::futex`]), which a nudge ([`WorkerSet::nudge`])
-//! also ends, to wait anew — and the join is the launcher waiting for
-//! `pending == 0`, one budget, then asleep; neither is a park of the run,
-//! and no counter sees it. The job borrows the run's stack: its lifetime is
-//! erased behind an unconditional join (DESIGN.md §7; `workerset_spec`).
+//! whatever it compiles or derives: threads for workers `1..w`, started by
+//! the first run, joined when the last owner drops. Between runs they wait
+//! for one generation word to move — a few of the runs' own spin budgets,
+//! then asleep on an event-count ([`crate::futex`]), which a nudge
+//! ([`WorkerSet::nudge`]) also ends, to wait anew — and the join is the
+//! launcher waiting for `pending == 0`, one budget, then asleep; neither is
+//! a park of the run, and no counter sees it. The job borrows the run's
+//! stack: its lifetime is erased behind an unconditional join (DESIGN.md
+//! §7; `workerset_spec`).
 
 use std::cell::UnsafeCell;
 use std::ops::ControlFlow;
@@ -119,7 +119,7 @@ pub(crate) struct WorkerSet {
 
 impl WorkerSet {
     /// Runs `job(w)` once per worker of `cfg` — `job(0)` on the calling
-    /// thread, unless workers are pinned — and returns when all are over.
+    /// thread — and returns when all are over.
     pub(crate) fn run(&self, cfg: &RioConfig, job: Job<'_>) {
         // A run nested in a kernel of this set, or a second thread running a
         // flow of the same owner, gets threads of its own.
@@ -146,30 +146,18 @@ impl WorkerSet {
             return false;
         }
         let (shared, spin) = (&*self.shared, cfg.spin_polls());
-        let first = usize::from(!cfg.pin_workers);
         let threads = self.threads.get_or_init(|| {
             let seen = shared.generation.load(Ordering::Relaxed);
-            let roomy = !cfg.pin_workers && crate::wait::roomy(cfg.workers);
-            // Pinned workers take turns over the CPUs the launcher may use.
-            let mask = match cfg.pin_workers {
-                true => affinity::allowed(),
-                false => Vec::new(),
-            };
+            let roomy = crate::wait::roomy(cfg.workers);
             let start = |w| {
                 let shared = Arc::clone(&self.shared);
-                let pin = mask.get(w % mask.len().max(1)).copied();
-                let main = move || {
-                    if let Some(cpu) = pin {
-                        let _ = affinity::pin(&[cpu]);
-                    }
-                    shared.serve(w, seen, spin.saturating_mul(IDLE_BUDGETS), roomy);
-                };
+                let main = move || shared.serve(w, seen, spin.saturating_mul(IDLE_BUDGETS), roomy);
                 let named = std::thread::Builder::new().name(format!("rio-w{w}"));
                 named.spawn(main).expect("cannot start a RIO worker thread")
             };
-            (first..cfg.workers).map(start).collect()
+            (1..cfg.workers).map(start).collect()
         });
-        debug_assert_eq!(threads.len(), cfg.workers - first, "one shape per set");
+        debug_assert_eq!(threads.len(), cfg.workers - 1, "one shape per set");
         // SAFETY: only the lifetime changes. `Join`'s drop — which runs
         // when `job(0)` unwinds too — returns only once no set thread will
         // use the job again, and takes it back out of the cell.
@@ -187,9 +175,7 @@ impl WorkerSet {
         shared.generation.fetch_add(1, Ordering::SeqCst);
         shared.idle.notify_if_waiters();
         let _join = Join(self, spin);
-        if first == 1 {
-            job(0);
-        }
+        job(0);
         true
     }
 }

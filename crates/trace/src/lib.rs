@@ -23,9 +23,6 @@
 //!
 //! * produce the `(p, t_p, τ_{p,t}, τ_{p,i})` quadruple
 //!   ([`Trace::quadruple`]) consumed by [`rio_metrics::decompose`];
-//! * aggregate wait-time [`Histogram`]s per data object and per worker
-//!   ([`Trace::wait_histogram_per_data`],
-//!   [`Trace::wait_histograms_per_worker`]);
 //! * export Chrome-trace JSON ([`Trace::chrome_json`],
 //!   [`Trace::write_chrome`]) loadable in `chrome://tracing` or Perfetto.
 //!
@@ -44,13 +41,11 @@
 
 pub mod chrome;
 pub mod event;
-pub mod histogram;
 pub mod ring;
 pub mod trace;
 pub mod tracer;
 
 pub use event::{EventKind, TraceEvent};
-pub use histogram::Histogram;
 pub use ring::EventRing;
 pub use trace::Trace;
 pub use tracer::{TraceConfig, WorkerTrace, WorkerTracer};

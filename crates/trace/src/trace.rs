@@ -1,6 +1,5 @@
 //! The assembled run trace: aggregation and export.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::time::Duration;
@@ -11,7 +10,6 @@ use rio_stf::{TaskGraph, TaskId};
 
 use crate::chrome;
 use crate::event::EventKind;
-use crate::histogram::Histogram;
 use crate::tracer::WorkerTrace;
 
 /// A whole run's trace: one [`WorkerTrace`] per worker plus the wall time.
@@ -59,36 +57,6 @@ impl Trace {
     /// Total events overwritten across all workers.
     pub fn dropped(&self) -> u64 {
         self.workers.iter().map(|w| w.dropped).sum()
-    }
-
-    /// Wait-time histogram per data object, keyed by data id, built from
-    /// the surviving wait events of every worker. Best-effort when rings
-    /// overflowed (check [`Trace::dropped`]); use
-    /// [`Trace::wait_histograms_per_worker`] for exact per-worker numbers.
-    pub fn wait_histogram_per_data(&self) -> BTreeMap<u32, Histogram> {
-        let mut map: BTreeMap<u32, Histogram> = BTreeMap::new();
-        for w in &self.workers {
-            for e in &w.events {
-                if e.kind.is_wait() {
-                    map.entry(e.id).or_default().record(e.duration_ns());
-                }
-            }
-        }
-        map
-    }
-
-    /// Exact wait-time histogram per worker, in worker order.
-    pub fn wait_histograms_per_worker(&self) -> Vec<&Histogram> {
-        self.workers.iter().map(|w| &w.wait_hist).collect()
-    }
-
-    /// One exact histogram of every data wait across all workers.
-    pub fn wait_histogram(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for w in &self.workers {
-            h.merge(&w.wait_hist);
-        }
-        h
     }
 
     /// One `(task, start, end)` span per surviving task event, across
@@ -199,29 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn per_data_histograms_split_by_data_id() {
-        let mut w0 = worker(0, 0, 0, 0);
-        w0.events = vec![
-            TraceEvent::wait(TaskId(1), DataId(1), false, 0, 100, 1, 0),
-            TraceEvent::wait(TaskId(2), DataId(2), true, 0, 200, 1, 0),
-            TraceEvent::task(TaskId(0), 0, 50), // not a wait: excluded
-        ];
-        let mut w1 = worker(1, 0, 0, 0);
-        w1.events = vec![TraceEvent::wait(TaskId(3), DataId(1), true, 0, 300, 1, 0)];
-        let t = Trace {
-            wall_ns: 1,
-            workers: vec![w0, w1],
-            extra_threads: 0,
-        };
-        let per_data = t.wait_histogram_per_data();
-        assert_eq!(per_data.len(), 2);
-        assert_eq!(per_data[&1].count(), 2);
-        assert_eq!(per_data[&1].total_ns(), 400);
-        assert_eq!(per_data[&2].count(), 1);
-        assert_eq!(t.num_events(), 4);
-    }
-
-    #[test]
     fn task_events_are_the_spans_the_audit_checks() {
         use rio_stf::Access;
         // T1 writes D0, T2 reads it: T2 may start only once T1 has ended.
@@ -244,6 +189,7 @@ mod tests {
             }
         };
         assert_eq!(trace(10).spans().len(), 2, "waits are not spans");
+        assert_eq!(trace(10).num_events(), 3);
         assert_eq!(trace(10).audit(&g), Ok(()));
         assert_eq!(
             trace(9).audit(&g),
@@ -258,22 +204,5 @@ mod tests {
             lost.audit(&g),
             Err(ScheduleViolation::NotAPermutation { missing: 1, .. })
         ));
-    }
-
-    #[test]
-    fn global_histogram_merges_worker_histograms() {
-        let mut w0 = worker(0, 0, 0, 0);
-        w0.wait_hist.record(10);
-        w0.wait_hist.record(20);
-        let mut w1 = worker(1, 0, 0, 0);
-        w1.wait_hist.record(30);
-        let t = Trace {
-            wall_ns: 1,
-            workers: vec![w0, w1],
-            extra_threads: 0,
-        };
-        assert_eq!(t.wait_histogram().count(), 3);
-        assert_eq!(t.wait_histogram().total_ns(), 60);
-        assert_eq!(t.wait_histograms_per_worker().len(), 2);
     }
 }

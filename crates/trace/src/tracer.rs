@@ -5,7 +5,6 @@ use std::time::Instant;
 use rio_stf::{DataId, TaskId};
 
 use crate::event::TraceEvent;
-use crate::histogram::Histogram;
 use crate::ring::EventRing;
 
 /// Default per-worker event capacity (~2.5 MiB of events per worker).
@@ -19,7 +18,7 @@ pub const DEFAULT_CAPACITY: usize = 1 << 16;
 pub struct TraceConfig {
     /// Per-worker event-ring capacity. When a worker records more events
     /// than this, the oldest are overwritten (and counted as dropped);
-    /// cumulative counters and per-worker histograms stay exact.
+    /// the cumulative counters stay exact.
     pub capacity: usize,
 }
 
@@ -55,7 +54,6 @@ pub struct WorkerTracer {
     worker: u32,
     epoch: Instant,
     ring: EventRing,
-    wait_hist: Histogram,
     tasks: u64,
     parks: u64,
     task_ns: u64,
@@ -71,7 +69,6 @@ impl WorkerTracer {
             worker,
             epoch,
             ring: EventRing::new(cfg.capacity),
-            wait_hist: Histogram::new(),
             tasks: 0,
             parks: 0,
             task_ns: 0,
@@ -110,10 +107,8 @@ impl WorkerTracer {
         parks: u64,
     ) {
         let (s, e) = (self.ns(start), self.ns(end));
-        let dur = e.saturating_sub(s);
-        self.wait_ns += dur;
+        self.wait_ns += e.saturating_sub(s);
         self.parks += parks;
-        self.wait_hist.record(dur);
         self.ring
             .push(TraceEvent::wait(task, data, write, s, e, polls, parks));
     }
@@ -136,7 +131,6 @@ impl WorkerTracer {
             worker: self.worker,
             events: self.ring.into_ordered(),
             dropped,
-            wait_hist: self.wait_hist,
             tasks: self.tasks,
             parks: self.parks,
             task_ns: self.task_ns,
@@ -161,8 +155,6 @@ pub struct WorkerTrace {
     pub events: Vec<TraceEvent>,
     /// Events overwritten because the ring was full.
     pub dropped: u64,
-    /// Exact histogram of this worker's data-wait times.
-    pub wait_hist: Histogram,
     /// Tasks executed.
     pub tasks: u64,
     /// Park/wake transitions (data waits + scheduler parks).
@@ -216,8 +208,6 @@ mod tests {
         assert_eq!(wt.idle_ns(), 650);
         assert_eq!(wt.parks, 2);
         assert_eq!(wt.dropped, 0);
-        assert_eq!(wt.wait_hist.count(), 1);
-        assert_eq!(wt.wait_hist.total_ns(), 600);
 
         let kinds: Vec<EventKind> = wt.events.iter().map(|e| e.kind).collect();
         assert_eq!(
@@ -252,7 +242,6 @@ mod tests {
         assert_eq!(wt.dropped, 8);
         // Cumulative numbers cover all 10 waits, not just the 2 survivors.
         assert_eq!(wt.wait_ns, 70);
-        assert_eq!(wt.wait_hist.count(), 10);
     }
 
     #[test]

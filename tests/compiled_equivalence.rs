@@ -816,17 +816,15 @@ fn live_counters_lag_a_quiet_stretch_by_less_than_one_block() {
 /// Where the workers run: worker 0 on the thread that called `run` — a run
 /// starts one thread fewer than it has workers, and on a machine with as
 /// many cores as workers no thread is left over for the scheduler to place
-/// — and every other worker on a thread of its own. Workers that are to be
-/// pinned all get their own thread: the caller's affinity stays as it was.
-/// Either way each worker stays on one thread and the store is the
-/// sequential one.
+/// — and every other worker on a thread of its own. Each worker stays on
+/// one thread and the store is the sequential one.
 #[test]
-fn worker_zero_runs_on_the_calling_thread_unless_workers_are_pinned() {
+fn worker_zero_runs_on_the_calling_thread() {
     let g = rio::workloads::cholesky::graph(4, 1);
     let oracle = run_sequential(&g);
     let caller = std::thread::current().id();
-    for (workers, pinned) in [(1, false), (3, false), (3, true)] {
-        let cfg = RioConfig::with_workers(workers).pin_workers(pinned);
+    for workers in [1, 3] {
+        let cfg = RioConfig::with_workers(workers);
         let flow = Executor::new(cfg).mapping(&RoundRobin).compile(&g);
         let threads = Mutex::new(vec![Vec::new(); workers]);
         let store = DataStore::filled(g.num_data(), 0u64);
@@ -838,11 +836,7 @@ fn worker_zero_runs_on_the_calling_thread_unless_workers_are_pinned() {
         let threads = threads.into_inner().unwrap();
         for (w, ids) in threads.iter().enumerate() {
             assert!(ids.iter().all(|id| *id == ids[0]), "W{w} changed threads");
-            assert_eq!(
-                ids[0] == caller,
-                w == 0 && !pinned,
-                "W{w}, pinned: {pinned}"
-            );
+            assert_eq!(ids[0] == caller, w == 0, "W{w} of {workers}");
         }
     }
 }
@@ -1196,10 +1190,10 @@ fn compiled_shape(flow: &CompiledFlow<'_>) -> String {
 }
 
 /// A compile that splits its walk walks on its executor's own set — the
-/// threads its runs use, started by the first compile that splits, pinned
-/// or not. One that cannot split (a partial mapping; or a set busy with the
-/// very run whose kernel compiles) walks on the calling thread alone,
-/// never on threads of its own. Either way the flow is the same.
+/// threads its runs use, started by the first compile that splits. One
+/// that cannot split (a partial mapping; or a set busy with the very run
+/// whose kernel compiles) walks on the calling thread alone, never on
+/// threads of its own. Either way the flow is the same.
 #[test]
 fn segmented_compile_walks_on_the_set_its_runs_use_or_on_the_caller() {
     use std::collections::BTreeSet;
@@ -1217,37 +1211,35 @@ fn segmented_compile_walks_on_the_set_its_runs_use_or_on_the_caller() {
         WorkerId::from_index(t.index() % w)
     });
     let mut shapes = BTreeSet::new();
-    for pinned in [false, true] {
-        let exec = Executor::new(RioConfig::with_workers(2).pin_workers(pinned)).mapping(&m);
-        let flow = exec.compile(&g);
-        let on = walked();
-        let ran = Mutex::new(BTreeSet::new());
-        flow.run(|_, _| {
-            ran.lock().unwrap().insert(format!("{:?}", me()));
-        });
-        let ran = ran.into_inner().unwrap();
-        if roomy {
-            assert_eq!(on, ran, "pinned: {pinned}");
-            assert!(on.iter().any(|t| t.contains("rio-w1")), "{on:?}");
-        } else {
-            assert_eq!(on, BTreeSet::from([format!("{:?}", me())]));
-        }
-        shapes.insert(compiled_shape(&flow));
-        // Inside a run of the set, a compile on the same set walks alone.
-        let nested = Mutex::new(None);
-        let small = rio::workloads::cholesky::graph(2, 1);
-        let outer = exec.compile(&small);
-        walked();
-        outer.run(|w, _| {
-            if w.index() == 0 && nested.lock().unwrap().is_none() {
-                let flow = exec.compile(&g);
-                *nested.lock().unwrap() = Some((walked(), me(), compiled_shape(&flow)));
-            }
-        });
-        let (on, kernel, shape) = nested.into_inner().unwrap().expect("worker 0 ran a task");
-        assert_eq!(on, BTreeSet::from([format!("{kernel:?}")]));
-        shapes.insert(shape);
+    let exec = Executor::new(RioConfig::with_workers(2)).mapping(&m);
+    let flow = exec.compile(&g);
+    let on = walked();
+    let ran = Mutex::new(BTreeSet::new());
+    flow.run(|_, _| {
+        ran.lock().unwrap().insert(format!("{:?}", me()));
+    });
+    let ran = ran.into_inner().unwrap();
+    if roomy {
+        assert_eq!(on, ran);
+        assert!(on.iter().any(|t| t.contains("rio-w1")), "{on:?}");
+    } else {
+        assert_eq!(on, BTreeSet::from([format!("{:?}", me())]));
     }
+    shapes.insert(compiled_shape(&flow));
+    // Inside a run of the set, a compile on the same set walks alone.
+    let nested = Mutex::new(None);
+    let small = rio::workloads::cholesky::graph(2, 1);
+    let outer = exec.compile(&small);
+    walked();
+    outer.run(|w, _| {
+        if w.index() == 0 && nested.lock().unwrap().is_none() {
+            let flow = exec.compile(&g);
+            *nested.lock().unwrap() = Some((walked(), me(), compiled_shape(&flow)));
+        }
+    });
+    let (on, kernel, shape) = nested.into_inner().unwrap().expect("worker 0 ran a task");
+    assert_eq!(on, BTreeSet::from([format!("{kernel:?}")]));
+    shapes.insert(shape);
     // A partial mapping is walked whole, on the caller.
     let partial = PartialFn(|t: TaskId, w: usize| {
         probed.lock().unwrap().insert(format!("{:?}", me()));

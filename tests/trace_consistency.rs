@@ -114,6 +114,14 @@ fn tracing_changes_neither_results_nor_op_counts() {
             t.gets,
             "{name}: trace get count"
         );
+        assert_eq!(
+            trace.dropped(),
+            0,
+            "{name}: the default capacity holds the run"
+        );
+        let events = trace.workers.iter().flat_map(|w| &w.events);
+        let waits = events.filter(|e| e.kind.is_wait()).count() as u64;
+        assert_eq!(waits, t.waits, "{name}: trace wait count");
     }
 }
 
@@ -223,38 +231,4 @@ fn executor_writes_a_chrome_trace_file() {
             "{name}: file and exporter differ"
         );
     }
-}
-
-#[test]
-fn per_data_wait_histograms_cover_contended_objects() {
-    // One RW chain: every cross-worker handoff waits on data 0.
-    let mut b = TaskGraph::builder(1);
-    for _ in 0..200 {
-        b.task(
-            &[rio::stf::Access::read_write(rio::stf::DataId(0))],
-            1,
-            "inc",
-        );
-    }
-    let graph = b.build();
-    let (store, exec) = run(&graph, |e| e.mapping(&RoundRobin).trace(TraceConfig::new()));
-    assert_eq!(store.len(), 1);
-    let trace = exec.trace.expect("trace present");
-    let per_data = trace.wait_histogram_per_data();
-    let waited: u64 = per_data.values().map(|h| h.count()).sum();
-    if waited > 0 {
-        assert!(
-            per_data.contains_key(&0),
-            "all waits in this flow are on data 0"
-        );
-    }
-    // Merged histogram counts every recorded wait, ring drops included.
-    assert_eq!(
-        trace.wait_histogram().count(),
-        trace
-            .workers
-            .iter()
-            .map(|w| w.wait_hist.count())
-            .sum::<u64>()
-    );
 }
