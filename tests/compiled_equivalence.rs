@@ -1690,6 +1690,15 @@ fn compile_rejects_an_invalid_mapping() {
     assert_eq!(err.kind(), "invalid-mapping");
 }
 
+/// The compile numbers workers in 16 bits, a few values kept for its own
+/// marks. More workers than that is refused before anything is walked or
+/// started: a compile starts no thread for an executor's workers.
+#[test]
+#[should_panic(expected = "over 65 533 workers")]
+fn compile_rejects_more_workers_than_it_can_number() {
+    let _ = Executor::new(RioConfig::with_workers(65_534)).compile(&rw_chain(1, 1));
+}
+
 #[test]
 fn compiled_report_counts_own_tasks_only() {
     let g = rw_chain(10, 1);
